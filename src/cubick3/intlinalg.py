@@ -99,6 +99,17 @@ def row_echelon_transform(A: list[list[int]]) -> tuple[list[list[int]], list[lis
 
     Returns (H, U, rank) with U*A == H, U unimodular, pivot columns strictly
     increasing with positive pivots, and rows from index `rank` on zero.
+
+    Pivot rule: for each column, the row with the smallest nonzero |entry|
+    is moved to the pivot position and the nearest-integer multiple of it is
+    subtracted from every row below (on H and U alike); this repeats until
+    the column is clear below the pivot.  After each pass every entry below
+    the pivot is at most half the pivot in absolute value, so the pivot
+    shrinks geometrically and the coefficients of H and U stay small.
+
+    Neither H nor U is canonical: U is one unimodular transform among many
+    and H is reduced only below its pivots.  Only the outputs of `hnf_rows`
+    and `left_kernel` are canonical.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -106,28 +117,40 @@ def row_echelon_transform(A: list[list[int]]) -> tuple[list[list[int]], list[lis
     U = identity(m)
     r = 0
     for col in range(n):
-        piv = next((i for i in range(r, m) if H[i][col]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            H[r], H[piv] = H[piv], H[r]
-            U[r], U[piv] = U[piv], U[r]
-        for i in range(r + 1, m):
-            b = H[i][col]
-            if not b:
-                continue
-            a = H[r][col]
-            if b % a == 0:
-                q = b // a
-                for j in range(n):
-                    H[i][j] -= q * H[r][j]
-                for j in range(m):
-                    U[i][j] -= q * U[r][j]
-            else:
-                g, x, y = xgcd(a, b)
-                u, v = -(b // g), a // g
-                _row_combine(H, r, i, x, y, u, v)
-                _row_combine(U, r, i, x, y, u, v)
+        while True:
+            piv, best = None, 0
+            for i in range(r, m):
+                e = H[i][col]
+                if e and (piv is None or abs(e) < best):
+                    piv, best = i, abs(e)
+            if piv is None:
+                break
+            if piv != r:
+                H[r], H[piv] = H[piv], H[r]
+                U[r], U[piv] = U[piv], U[r]
+            Hr, Ur = H[r], U[r]
+            a = Hr[col]
+            # zero entries of the pivot row leave the other rows unchanged
+            h_support = [j for j in range(col, n) if Hr[j]]
+            u_support = [j for j in range(m) if Ur[j]]
+            cleared = True
+            for i in range(r + 1, m):
+                Hi = H[i]
+                b = Hi[col]
+                if not b:
+                    continue
+                q = (2 * b + a) // (2 * a)  # nearest integer to b / a
+                Ui = U[i]
+                for j in h_support:
+                    Hi[j] -= q * Hr[j]
+                for j in u_support:
+                    Ui[j] -= q * Ur[j]
+                if Hi[col]:
+                    cleared = False
+            if cleared:
+                break
+        if not H[r][col]:
+            continue  # no pivot in this column
         if H[r][col] < 0:
             H[r] = [-e for e in H[r]]
             U[r] = [-e for e in U[r]]
@@ -158,7 +181,7 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
         for k in range(i):
             q = H[k][j] // p  # floor division keeps the entry in [0, p)
             if q:
-                for col in range(n):
+                for col in range(j, n):  # row i is zero left of its pivot
                     H[k][col] -= q * H[i][col]
     return H
 
@@ -290,28 +313,6 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 
 def frac_rows(A) -> list[list[Fraction]]:
     return [[Fraction(e) for e in row] for row in A]
-
-
-def frac_inv(A) -> list[list[Fraction]]:
-    """Inverse of a square matrix over Q (Gauss-Jordan)."""
-    n = len(A)
-    M = frac_rows(A)
-    R = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if M[i][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        R[col], R[piv] = R[piv], R[col]
-        inv = 1 / M[col][col]
-        M[col] = [e * inv for e in M[col]]
-        R[col] = [e * inv for e in R[col]]
-        for i in range(n):
-            if i != col and M[i][col]:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[col])]
-                R[i] = [a - f * b for a, b in zip(R[i], R[col])]
-    return R
 
 
 def solve_rational(A, b) -> list[Fraction] | None:

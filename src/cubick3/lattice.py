@@ -366,16 +366,26 @@ def saturate_rows(amb: GramLattice, rows) -> Sublattice:
 
 
 def saturation(S: Sublattice) -> tuple[Sublattice, int]:
-    """Minimal primitive sublattice containing S, plus the index [sat : S]."""
+    """Minimal primitive sublattice containing S, plus the index [sat : S].
+
+    S and sat(S) span the same rational space, so their echelon bases have
+    the same pivot columns and the transition matrix between them is
+    triangular there.  Hence [sat : S] = prod pivots(echelon(S)) /
+    prod pivots(sat basis), an exact integer quotient.
+    """
     sat = saturate_rows(S.ambient, S.basis.to_lists())
-    basis = sat.basis.to_lists()  # echelon by construction
-    coeffs = []
-    for row in S.basis.to_lists():
-        c = la.hnf_solve(basis, row)
-        assert c is not None and all(x.denominator == 1 for x in c)
-        coeffs.append([int(x) for x in c])
-    index = abs(la.det_bareiss(coeffs))
-    return sat, index
+    H, _, r = la.row_echelon_transform(S.basis.to_lists())
+    if r < S.rank:
+        raise DependentGenerators("sublattice basis is linearly dependent")
+    num = math.prod(_pivot_entries(H[:r]))
+    den = math.prod(_pivot_entries(sat.basis.to_lists()))  # echelon by construction
+    if num % den:
+        raise AssertionError(f"pivot product {num} is not a multiple of {den}")
+    return sat, num // den
+
+
+def _pivot_entries(rows):
+    return [next(e for e in row if e) for row in rows]
 
 
 def orthogonal_complement(amb: GramLattice, vecs) -> Sublattice:

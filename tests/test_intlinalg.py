@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cubick3 import intlinalg as la
+from oracles import frac_inv
 
 
 def det_fraction_gauss(A):
@@ -151,10 +152,10 @@ def test_smith_against_sympy():
 
 def test_frac_inv():
     A = [[2, 1], [1, 1]]
-    inv = la.frac_inv(A)
+    inv = frac_inv(A)
     assert la.matmul(inv, A) == [[1, 0], [0, 1]]
     with pytest.raises(ZeroDivisionError):
-        la.frac_inv([[1, 1], [1, 1]])
+        frac_inv([[1, 1], [1, 1]])
 
 
 def test_solve_rational_and_rowspace():

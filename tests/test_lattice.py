@@ -1,6 +1,7 @@
 """Lattice operations against their worked examples."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from cubick3 import (
     DegenerateLattice,
     DependentGenerators,
     GramLattice,
+    IntMatrix,
     InvalidTwist,
+    Sublattice,
     ZeroVector,
     direct_sum,
     determinant,
@@ -37,6 +40,7 @@ from cubick3.standard import (
     standard_lattice,
     unit_vector,
 )
+from oracles import frac_inv
 
 U = standard_lattice("U")
 A2 = standard_lattice("A2")
@@ -118,7 +122,7 @@ class TestDiscGroup:
         assert dg.invariant_factors == (3,)
         # oracle: the q value of any generator of Z/3 on A2 is 2/3 mod 2Z,
         # computable from the rational Gram inverse
-        ginv = la.frac_inv(A2.gram.to_lists())
+        ginv = frac_inv(A2.gram.to_lists())
         (gen,) = dg.generators
         y = la.mat_vec(A2.gram.to_lists(), list(gen))
         assert all(f.denominator == 1 for f in y)
@@ -140,7 +144,7 @@ class TestDiscGroup:
             L = standard_lattice(name)
             dg = disc_group(L)
             G = L.gram.to_lists()
-            ginv = la.frac_inv(G)
+            ginv = frac_inv(G)
             for gen, q in zip(dg.generators, dg.q_values):
                 y = la.mat_vec(G, list(gen))
                 q2 = sum(a * b for a, b in zip(y, la.mat_vec(ginv, y))) % 2
@@ -190,6 +194,12 @@ class TestSpanAndSaturation:
     def test_dependent(self):
         with pytest.raises(DependentGenerators):
             span_sublattice(U, [(1, 0), (2, 0)])
+
+    def test_saturation_rejects_dependent_basis(self):
+        # a hand-built Sublattice bypasses span_sublattice's independence check
+        S = Sublattice(U, IntMatrix.from_rows([(1, 0), (2, 0)]))
+        with pytest.raises(DependentGenerators):
+            saturation(S)
 
     def test_index_three_saturation(self):
         gbar = standard_lattice("Gammabar")
@@ -346,3 +356,34 @@ def test_json_big_integers_as_strings():
     obj = L.to_json()
     assert obj["gram"] == [[str(big)]]
     assert GramLattice.from_json(obj).gram.data == ((big,),)
+
+
+def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
+    # the first 200 inputs of the C11 acceptance sweep (same seed, same
+    # generator); the saturated outputs have entries of at most 16 bits, so
+    # intermediate growth past 64 bits means the pivot rule has regressed
+    echelon = la.row_echelon_transform
+    widest = [0]
+
+    def tracked(A):
+        out = echelon(A)
+        H, T, _ = out  # T is the unimodular transform
+        entries = (e for M in (H, T) for row in M for e in row)
+        widest[0] = max([widest[0]] + [abs(e).bit_length() for e in entries])
+        return out
+
+    monkeypatch.setattr(la, "row_echelon_transform", tracked)
+    rng = random.Random(20240311)
+    ambients = [standard_lattice("Gammabar"), standard_lattice("LambdaTilde")]
+    for i in range(200):
+        amb = ambients[i % 2]
+        k = rng.randint(1, 4)
+        while True:
+            rows = [
+                tuple(rng.randint(-5, 5) for _ in range(amb.rank)) for _ in range(k)
+            ]
+            if la.rank_int([list(r) for r in rows]) == k:
+                break
+        saturation(span_sublattice(amb, rows))
+        orthogonal_complement(amb, rows)
+    assert widest[0] <= 64

@@ -20,6 +20,7 @@ from cubick3 import (
 from cubick3 import intlinalg as la
 from cubick3.lattice import direct_sum, GramLattice
 from cubick3.standard import standard_lattice
+from oracles import saturation_index
 
 even_d = hyp.integers(min_value=1, max_value=400).map(lambda k: 2 * k)
 
@@ -116,6 +117,28 @@ def test_randomized_sublattice_suite_small():
                 assert False, "degenerate lattice must be rejected"
             except DegenerateLattice:
                 pass
+
+
+@given(
+    hyp.sampled_from(["Gammabar", "LambdaTilde"]),
+    hyp.integers(min_value=1, max_value=4),
+    hyp.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_saturation_index_matches_coefficient_oracle(name, k, seed):
+    # mixing independent rows by a random nonsingular k x k matrix T puts a
+    # factor |det T| into the index, so nontrivial indices are common
+    rng = random.Random(seed)
+    amb = standard_lattice(name)
+    rows = _random_independent(rng, amb, k)
+    while True:
+        T = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        if la.det_bareiss(T):
+            break
+    S = span_sublattice(amb, la.matmul(T, [list(r) for r in rows]))
+    sat, idx = saturation(S)
+    assert idx == saturation_index(S, sat)
+    assert S.det == idx * idx * sat.det
 
 
 @given(hyp.integers(min_value=2, max_value=120))
