@@ -1,9 +1,11 @@
 """Exact integer and rational matrix kernels.
 
 Matrices are plain lists of lists (row-major) of Python ints, or Fractions
-where a function says so.  Nothing in this module knows about lattices; it
-only provides the elimination routines everything else is built on.  All
-arithmetic is exact.
+where a function says so.  The `sparse_*` kernels, `pairing` and
+`echelon_coords` take a matrix in sparse form instead: for each row, the list
+of its nonzero (column, entry) pairs, as built by `sparse_rows`.  Nothing in
+this module knows about lattices; it only provides the elimination routines
+everything else is built on.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -34,30 +36,73 @@ def transpose(A: list[list]) -> list[list]:
     return [list(col) for col in zip(*A)] if A else []
 
 
+def sparse_rows(A: list[list]) -> list[list[tuple]]:
+    """The nonzero (column, entry) pairs of each row of A.
+
+    This is the sparse matrix form that `sparse_mat_vec`, `pairing` and
+    `sparse_gram_product` take; a caller that multiplies by the same matrix
+    often builds it once.
+    """
+    return [[(j, e) for j, e in enumerate(row) if e] for row in A]
+
+
 def matmul(A: list[list], B: list[list]) -> list[list]:
+    """A * B, touching only the nonzero entries of both factors."""
     if not A:
         return []
-    n = len(B)
-    cols = range(len(B[0])) if B else range(0)
-    return [[sum(row[k] * B[k][j] for k in range(n)) for j in cols] for row in A]
+    cols = len(B[0]) if B else 0
+    B_rows = sparse_rows(B)
+    out = []
+    for row in A:
+        acc = [0] * cols
+        for a, Bk in zip(row, B_rows):
+            if a:
+                for j, b in Bk:
+                    acc[j] += a * b
+        out.append(acc)
+    return out
 
 
 def mat_vec(A: list[list], v) -> list:
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
+def sparse_mat_vec(S, v) -> list:
+    """A * v for a matrix A given by its sparse rows S."""
+    return [sum(e * v[j] for j, e in row) for row in S]
+
+
 def gram_product(B: list[list], G: list[list]) -> list[list]:
     """B * G * B^T for a k x n row matrix B and an n x n Gram matrix G."""
-    return matmul(matmul(B, G), transpose(B))
+    return sparse_gram_product(B, sparse_rows(G))
+
+
+def sparse_gram_product(B: list[list], S) -> list[list]:
+    """B * G * B^T for a k x n row matrix B and a Gram matrix G given by its sparse rows S.
+
+    Only the nonzero entries of B and of G are touched: each row of B*G is
+    accumulated from the rows of G that the row of B meets, then paired with
+    the support of every row of B.
+    """
+    B_rows = sparse_rows(B)
+    n = len(S)
+    out = []
+    for bi in B_rows:
+        acc = [0] * n
+        for k, b in bi:
+            for j, g in S[k]:
+                acc[j] += b * g
+        out.append([sum(c * acc[j] for j, c in bj) for bj in B_rows])
+    return out
 
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def pairing(G: list[list], u, v):
-    """u * G * v^T."""
-    return dot(u, mat_vec(G, v))
+def pairing(S, u, v):
+    """u * G * v^T for a Gram matrix G given by its sparse rows S."""
+    return sum(a * sum(e * v[j] for j, e in row) for a, row in zip(u, S) if a)
 
 
 def det_bareiss(A: list[list[int]]) -> int:
@@ -311,10 +356,6 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return [D[i][i] for i in range(limit)], V
 
 
-def frac_rows(A) -> list[list[Fraction]]:
-    return [[Fraction(e) for e in row] for row in A]
-
-
 def solve_rational(A, b) -> list[Fraction] | None:
     """Solve A*x = b over Q for an m x k matrix A of full column rank.
 
@@ -349,34 +390,23 @@ def solve_rational(A, b) -> list[Fraction] | None:
     return x
 
 
-def coords_in_rowspace(B, x) -> list[Fraction] | None:
-    """Express x as a rational combination of the (independent) rows of B.
+def echelon_coords(H_rows, x: list[int]) -> list[int] | None:
+    """Integer coefficients of the integer vector x on echelon rows, or None.
 
-    Returns the coefficients or None when x lies outside the rational span.
+    H_rows are the sparse rows of an integer matrix with strictly increasing
+    pivot columns (e.g. `sparse_rows(hnf_rows(...))`), so the first pair of
+    each row is its pivot.  One exact-division back-substitution pass decides
+    whether x lies in the row lattice: None means it does not.
     """
-    return solve_rational(transpose(B), x)
-
-
-def hnf_solve(H, x) -> list[Fraction] | None:
-    """Coefficients of x on echelon rows H, or None outside the rational span.
-
-    H must have strictly increasing pivot columns (e.g. output of hnf_rows),
-    which makes this a single back-substitution pass instead of a full
-    elimination.  Lattice membership is integrality of the coefficients.
-    """
-    if not H:
-        return None if any(x) else []
-    n = len(H[0])
-    res = [Fraction(e) for e in x]
+    res = list(x)
     out = []
-    for row in H:
-        j = next(k for k in range(n) if row[k])
-        c = res[j] / row[j]
-        out.append(c)
-        if c:
-            for t in range(j, n):
-                if row[t]:
-                    res[t] -= c * row[t]
-    if any(res):
-        return None
-    return out
+    for row in H_rows:
+        j, p = row[0]
+        q, r = divmod(res[j], p)
+        if r:
+            return None
+        out.append(q)
+        if q:
+            for t, e in row:
+                res[t] -= q * e
+    return None if any(res) else out

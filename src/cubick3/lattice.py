@@ -4,6 +4,13 @@ A lattice here is a free Z-module of finite rank with an integer symmetric
 bilinear form, given by its Gram matrix.  Vectors are coordinate tuples in
 the (implicit) basis.  Everything is immutable and every operation is a pure
 function, so values can be shared freely between threads.
+
+The arithmetic stays in integers and touches only nonzero entries: a
+`GramLattice` keeps the sparse rows of its Gram matrix for pairings and
+induced Gram matrices, sublattice membership is an exact-division
+back-substitution against the Hermite basis (a non-integral vector is never
+a member), and discriminant-form values are integer pairings of Smith
+columns divided once, q(V_i / d_i) = (V_i . V_i) / d_i^2 mod 2.
 """
 
 from __future__ import annotations
@@ -73,10 +80,6 @@ def json_int(n: int):
     return n if -(2**63) <= n < 2**63 else str(n)
 
 
-def parse_json_int(v) -> int:
-    return int(v)
-
-
 @dataclass(frozen=True)
 class GramLattice:
     """A finite-rank integral lattice given by a symmetric Gram matrix."""
@@ -113,10 +116,15 @@ class GramLattice:
         if len(v) != self.rank:
             raise ValueError(f"vector length {len(v)} != rank {self.rank}")
 
+    @cached_property
+    def gram_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero (column, entry) pairs of each Gram row (see `intlinalg.sparse_rows`)."""
+        return tuple(map(tuple, la.sparse_rows(self.gram.data)))
+
     def pairing(self, u, v):
         self._check_len(u)
         self._check_len(v)
-        return la.pairing(self.gram.to_lists(), u, v)
+        return la.pairing(self.gram_rows, u, v)
 
     def square(self, v):
         return self.pairing(v, v)
@@ -124,7 +132,7 @@ class GramLattice:
     def basis_pairings(self, v) -> list:
         """Pairings of v with the basis vectors, i.e. G*v."""
         self._check_len(v)
-        return la.mat_vec(self.gram.to_lists(), v)
+        return la.sparse_mat_vec(self.gram_rows, v)
 
     def to_json(self) -> dict:
         obj: dict = {}
@@ -135,7 +143,7 @@ class GramLattice:
 
     @staticmethod
     def from_json(obj: dict) -> "GramLattice":
-        rows = [[parse_json_int(e) for e in row] for row in obj["gram"]]
+        rows = [[int(e) for e in row] for row in obj["gram"]]
         return GramLattice.from_rows(rows, obj.get("label"))
 
 
@@ -152,8 +160,7 @@ class Sublattice:
 
     @cached_property
     def induced_gram(self) -> IntMatrix:
-        B = self.basis.to_lists()
-        return IntMatrix.from_rows(la.gram_product(B, self.ambient.gram.to_lists()))
+        return IntMatrix.from_rows(la.sparse_gram_product(self.basis.data, self.ambient.gram_rows))
 
     def as_lattice(self, label: str | None = None) -> GramLattice:
         return GramLattice(self.induced_gram, label)
@@ -166,24 +173,19 @@ class Sublattice:
     def abs_det(self) -> int:
         return abs(self.det)
 
-    def coords_of(self, v) -> list[Fraction] | None:
-        """Rational coordinates of v in the sublattice basis, or None."""
-        if len(v) != self.ambient.rank:
-            raise ValueError("vector length does not match the ambient rank")
-        return la.coords_in_rowspace(self.basis.to_lists(), list(v))
-
     @cached_property
-    def _hnf(self) -> list[list[int]]:
-        # canonical echelon basis of the same lattice; membership tests reduce
-        # to one back-substitution pass against it
-        return la.hnf_rows(self.basis.to_lists())
+    def _hnf(self) -> list[list[tuple[int, int]]]:
+        # sparse rows of the canonical echelon basis of the same lattice;
+        # membership tests reduce to one back-substitution pass against it
+        return la.sparse_rows(la.hnf_rows(self.basis.to_lists()))
 
     def contains(self, v) -> bool:
         """Whether the (possibly rational) ambient vector lies in the sublattice."""
         if len(v) != self.ambient.rank:
             raise ValueError("vector length does not match the ambient rank")
-        c = la.hnf_solve(self._hnf, list(v))
-        return c is not None and all(Fraction(x).denominator == 1 for x in c)
+        if any(not isinstance(e, int) and Fraction(e).denominator != 1 for e in v):
+            return False  # integer basis rows span only integer vectors
+        return la.echelon_coords(self._hnf, [int(e) for e in v]) is not None
 
 
 @dataclass(frozen=True)
@@ -249,10 +251,12 @@ def signature(L: GramLattice) -> tuple[int, int, int]:
 
     Zero pivots are handled by moving a nonzero diagonal entry to the front
     when one exists, and otherwise by splitting off a hyperbolic 2x2 block,
-    which contributes (1, 1).
+    which contributes (1, 1).  Each step updates only the rows and columns
+    where the pivot rows are nonzero: the trailing block stays symmetric, so
+    no other entry of it changes.
     """
     n = L.rank
-    M = la.frac_rows(L.gram.to_lists())
+    M = L.gram.to_lists()  # entries become Fractions where elimination divides
     pos = neg = null = 0
 
     def swap(i, j):
@@ -262,46 +266,42 @@ def signature(L: GramLattice) -> tuple[int, int, int]:
 
     lo = 0
     while lo < n:
-        if all(M[lo][j] == 0 for j in range(lo, n)):
-            null += 1
-            lo += 1
-            continue
-        if M[lo][lo] == 0:
-            d = next((j for j in range(lo + 1, n) if M[j][j] != 0), None)
+        if not M[lo][lo]:
+            d = next((j for j in range(lo + 1, n) if M[j][j]), None)
             if d is not None:
                 swap(lo, d)
-            else:
-                # all remaining diagonal entries vanish: split a hyperbolic plane
-                j = next(j for j in range(lo + 1, n) if M[lo][j] != 0)
-                swap(lo + 1, j)
-                b = M[lo][lo + 1]
-                old = [row[:] for row in M]
-                for k in range(lo + 2, n):
-                    cu = old[k][lo + 1] / b  # component along the first plane vector
-                    cv = old[k][lo] / b
-                    for t in range(lo + 2, n):
-                        M[k][t] = old[k][t] - cu * old[lo][t] - cv * old[lo + 1][t]
-                    M[k][lo] = M[k][lo + 1] = Fraction(0)
-                    M[lo][k] = M[lo + 1][k] = Fraction(0)
+        row = M[lo]
+        support = [j for j in range(lo + 1, n) if row[j]]
+        if row[lo]:
+            p = Fraction(row[lo])
+            if p > 0:
                 pos += 1
+            else:
                 neg += 1
-                lo += 2
-                continue
-        p = M[lo][lo]
-        if p > 0:
-            pos += 1
+            for i in support:
+                Mi = M[i]
+                f = Mi[lo] / p
+                for j in support:
+                    Mi[j] -= f * row[j]
+            lo += 1
+        elif not support:
+            null += 1
+            lo += 1
         else:
+            # all remaining diagonal entries vanish: split a hyperbolic plane
+            swap(lo + 1, support[0])
+            u, w = M[lo], M[lo + 1]
+            b = Fraction(u[lo + 1])
+            support = [k for k in range(lo + 2, n) if u[k] or w[k]]
+            for k in support:
+                Mk = M[k]
+                cu = Mk[lo + 1] / b  # component along the first plane vector
+                cv = Mk[lo] / b
+                for t in support:
+                    Mk[t] -= cu * u[t] + cv * w[t]
+            pos += 1
             neg += 1
-        # row-only elimination leaves the symmetric Schur complement in the
-        # trailing block because row lo stays pristine throughout
-        for i in range(lo + 1, n):
-            if M[i][lo]:
-                f = M[i][lo] / p
-                for j in range(lo + 1, n):
-                    M[i][j] -= f * M[lo][j]
-        for i in range(lo + 1, n):
-            M[lo][i] = M[i][lo] = Fraction(0)
-        lo += 1
+            lo += 2
     return pos, neg, null
 
 
@@ -314,27 +314,19 @@ def disc_group(L: GramLattice) -> DiscGroup:
     """
     if L.det == 0:
         raise DegenerateLattice("discriminant group needs det != 0")
-    G = L.gram.to_lists()
-    diag, V = la.smith_normal_form(G)
+    diag, V = la.smith_normal_form(L.gram.to_lists())
     factors = []
-    gens = []
+    cols = []
     for i, d in enumerate(diag):
         if d > 1:
             factors.append(d)
-            col = [Fraction(V[r][i], d) for r in range(L.rank)]
-            gens.append(tuple(col))
+            cols.append([V[r][i] for r in range(L.rank)])
+    gens = tuple(tuple(Fraction(e, d) for e in col) for col, d in zip(cols, factors))
     q_values = None
     if L.is_even:
-        q_values = tuple(_q_mod2(G, g) for g in gens)
-    return DiscGroup(tuple(factors), tuple(gens), q_values)
-
-
-def _q_mod2(G, coords) -> Fraction:
-    q = Fraction(0)
-    Gv = la.mat_vec(G, coords)
-    for c, p in zip(coords, Gv):
-        q += c * p
-    return q % 2
+        # q(V_i / d_i) = (V_i . V_i) / d_i^2, paired in integers
+        q_values = tuple(Fraction(L.pairing(col, col), d * d) % 2 for col, d in zip(cols, factors))
+    return DiscGroup(tuple(factors), gens, q_values)
 
 
 def span_sublattice(amb: GramLattice, vecs) -> Sublattice:
@@ -355,7 +347,7 @@ def saturate_rows(amb: GramLattice, rows) -> Sublattice:
     """
     rows = [list(_as_vector(v)) for v in rows]
     if not rows:
-        raise ValueError("empty generating set")
+        return Sublattice(amb, IntMatrix(()))
     n = amb.rank
     ker = la.left_kernel(la.transpose(rows))  # right kernel of the row matrix
     if not ker:

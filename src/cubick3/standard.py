@@ -419,12 +419,12 @@ def _blockdiag(*blocks: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _same_lattice(sub: Sublattice, rows: list[list[int]]) -> bool:
-    # equal covolume plus containment of a spanning set forces equality
+def _same_lattice(sub: Sublattice, rows: list[list[int]], gram: list[list[int]]) -> bool:
+    # equal covolume plus containment of a spanning set forces equality;
+    # gram is the Gram matrix of rows
     if any(not sub.contains(r) for r in rows):
         return False
-    G = sub.ambient.gram.to_lists()
-    return abs(la.det_bareiss(la.gram_product(rows, G))) == sub.abs_det
+    return abs(la.det_bareiss(gram)) == sub.abs_det
 
 
 @lru_cache(maxsize=None)
@@ -495,9 +495,9 @@ def hassett_triple(d: int) -> NLVectorReport:
 
     gram_K = _expected_K_gram(d)
     for sub, rows, want in ((satK, rows_K, gram_K), (satL, rows_L, gram_L), (comp, rows_G, gram_G)):
-        if not _same_lattice(sub, rows):
+        got = la.sparse_gram_product(rows, sub.ambient.gram_rows)
+        if not _same_lattice(sub, rows, got):
             raise AssertionError(f"d={d}: canonical basis does not span the computed lattice")
-        got = la.gram_product(rows, sub.ambient.gram.to_lists())
         if got != want:
             raise AssertionError(f"d={d}: canonical Gram mismatch: {got} != {want}")
     # independent route: the computed saturation basis must carry an integrally
@@ -587,7 +587,7 @@ def kdoo_index(d: int) -> tuple[int, KdooWitness]:
         rows[E1][E1] = -1
         rows[F1][F1] = -1
         G = gbar.gram.to_lists()
-        if la.gram_product(rows, G) != G:
+        if la.sparse_gram_product(rows, gbar.gram_rows) != G:
             raise AssertionError("involution does not preserve the Gram matrix")
         if la.mat_vec(rows, H2) != list(H2):
             raise AssertionError("involution does not fix h2")
@@ -653,12 +653,14 @@ class DiscForm:
         if not L.is_even:
             raise ValueError("discriminant forms are defined for even lattices")
         dg = disc_group(L)
-        G = L.gram.to_lists()
-        gens = [list(g) for g in dg.generators]
+        orders = dg.invariant_factors
+        # d * g is the integer Smith column behind the generator g of order d
+        cols = [[x.numerator * (d // x.denominator) for x in g] for g, d in zip(dg.generators, orders)]
         table = tuple(
-            tuple(la.pairing(G, gi, gj) for gj in gens) for gi in gens
+            tuple(Fraction(L.pairing(ci, cj), di * dj) for cj, dj in zip(cols, orders))
+            for ci, di in zip(cols, orders)
         )
-        return DiscForm(dg.invariant_factors, table)
+        return DiscForm(orders, table)
 
     @property
     def order(self) -> int:

@@ -5,10 +5,14 @@ from fractions import Fraction
 from cubick3 import intlinalg as la
 
 
+def frac_rows(A) -> list[list[Fraction]]:
+    return [[Fraction(e) for e in row] for row in A]
+
+
 def frac_inv(A) -> list[list[Fraction]]:
     """Inverse of a square matrix over Q (Gauss-Jordan)."""
     n = len(A)
-    M = la.frac_rows(A)
+    M = frac_rows(A)
     R = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((i for i in range(col, n) if M[i][col]), None)
@@ -27,12 +31,133 @@ def frac_inv(A) -> list[list[Fraction]]:
     return R
 
 
+def hnf_solve(H, x) -> list[Fraction] | None:
+    """Rational coefficients of x on echelon rows H, or None outside their span.
+
+    H must have strictly increasing pivot columns (e.g. output of hnf_rows).
+    """
+    if not H:
+        return None if any(x) else []
+    n = len(H[0])
+    res = [Fraction(e) for e in x]
+    out = []
+    for row in H:
+        j = next(k for k in range(n) if row[k])
+        c = res[j] / row[j]
+        out.append(c)
+        if c:
+            for t in range(j, n):
+                if row[t]:
+                    res[t] -= c * row[t]
+    if any(res):
+        return None
+    return out
+
+
 def saturation_index(S, sat) -> int:
     """[sat : S] as |det| of the integer coefficients of S on the echelon basis of sat."""
     basis = sat.basis.to_lists()
     coeffs = []
     for row in S.basis.to_lists():
-        c = la.hnf_solve(basis, row)
+        c = hnf_solve(basis, row)
         assert c is not None and all(x.denominator == 1 for x in c)
         coeffs.append([int(x) for x in c])
     return abs(la.det_bareiss(coeffs))
+
+
+def contains(S, v) -> bool:
+    """Sublattice membership as integrality of the rational coefficients on the HNF basis."""
+    c = hnf_solve(la.hnf_rows(S.basis.to_lists()), list(v))
+    return c is not None and all(Fraction(x).denominator == 1 for x in c)
+
+
+def matmul(A, B):
+    """Dense A * B: every entry is a full sum over the inner index."""
+    if not A:
+        return []
+    n = len(B)
+    cols = range(len(B[0])) if B else range(0)
+    return [[sum(row[k] * B[k][j] for k in range(n)) for j in cols] for row in A]
+
+
+def gram_product(B, G):
+    """Dense B * G * B^T."""
+    return matmul(matmul(B, G), la.transpose(B))
+
+
+def pairing(G, u, v):
+    """Dense u * G * v^T."""
+    return la.dot(u, la.mat_vec(G, v))
+
+
+def q_values(L):
+    """Discriminant-form values of the `disc_group` generators, in Fractions throughout."""
+    G = L.gram.to_lists()
+    return tuple(pairing(G, g, g) % 2 for g in _generators(L))
+
+
+def pair_table(L):
+    """Pair table of the `disc_group` generators, in Fractions throughout."""
+    G = L.gram.to_lists()
+    gens = _generators(L)
+    return tuple(tuple(pairing(G, gi, gj) for gj in gens) for gi in gens)
+
+
+def _generators(L):
+    # independent of disc_group: the Smith columns over d_i, read directly
+    diag, V = la.smith_normal_form(L.gram.to_lists())
+    return [[Fraction(V[r][i], d) for r in range(L.rank)] for i, d in enumerate(diag) if d > 1]
+
+
+def signature(G) -> tuple[int, int, int]:
+    """Dense Fraction symmetric elimination of a symmetric matrix G."""
+    n = len(G)
+    M = frac_rows(G)
+    pos = neg = null = 0
+
+    def swap(i, j):
+        M[i], M[j] = M[j], M[i]
+        for row in M:
+            row[i], row[j] = row[j], row[i]
+
+    lo = 0
+    while lo < n:
+        if all(M[lo][j] == 0 for j in range(lo, n)):
+            null += 1
+            lo += 1
+            continue
+        if M[lo][lo] == 0:
+            d = next((j for j in range(lo + 1, n) if M[j][j] != 0), None)
+            if d is not None:
+                swap(lo, d)
+            else:
+                # all remaining diagonal entries vanish: split a hyperbolic plane
+                j = next(j for j in range(lo + 1, n) if M[lo][j] != 0)
+                swap(lo + 1, j)
+                b = M[lo][lo + 1]
+                old = [row[:] for row in M]
+                for k in range(lo + 2, n):
+                    cu = old[k][lo + 1] / b
+                    cv = old[k][lo] / b
+                    for t in range(lo + 2, n):
+                        M[k][t] = old[k][t] - cu * old[lo][t] - cv * old[lo + 1][t]
+                    M[k][lo] = M[k][lo + 1] = Fraction(0)
+                    M[lo][k] = M[lo + 1][k] = Fraction(0)
+                pos += 1
+                neg += 1
+                lo += 2
+                continue
+        p = M[lo][lo]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(lo + 1, n):
+            if M[i][lo]:
+                f = M[i][lo] / p
+                for j in range(lo + 1, n):
+                    M[i][j] -= f * M[lo][j]
+        for i in range(lo + 1, n):
+            M[lo][i] = M[i][lo] = Fraction(0)
+        lo += 1
+    return pos, neg, null

@@ -160,6 +160,6 @@ def test_frac_inv():
 
 def test_solve_rational_and_rowspace():
     B = [[1, 2, 0], [0, 0, 3]]
-    c = la.coords_in_rowspace(B, [2, 4, 3])
+    c = la.solve_rational(la.transpose(B), [2, 4, 3])
     assert c == [Fraction(2), Fraction(1)]
-    assert la.coords_in_rowspace(B, [1, 0, 0]) is None
+    assert la.solve_rational(la.transpose(B), [1, 0, 0]) is None

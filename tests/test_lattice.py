@@ -25,6 +25,7 @@ from cubick3 import (
     span_sublattice,
 )
 from cubick3 import intlinalg as la
+from cubick3.lattice import saturate_rows
 from cubick3.standard import (
     H2,
     LAMBDA1,
@@ -200,6 +201,11 @@ class TestSpanAndSaturation:
         S = Sublattice(U, IntMatrix.from_rows([(1, 0), (2, 0)]))
         with pytest.raises(DependentGenerators):
             saturation(S)
+
+    def test_empty_span_saturates_to_rank_zero(self):
+        sat, idx = saturation(span_sublattice(U, []))
+        assert (sat.rank, idx) == (0, 1)
+        assert sat == saturate_rows(U, [(0, 0)])
 
     def test_index_three_saturation(self):
         gbar = standard_lattice("Gammabar")
