@@ -1,7 +1,7 @@
-"""Exact integer and rational matrix kernels.
+"""Exact integer matrix kernels.
 
-Matrices are plain lists of lists (row-major) of Python ints, or Fractions
-where a function says so.  The `sparse_*` kernels, `pairing` and
+Matrices are plain lists of lists (row-major) of Python ints; the products
+work on Fraction entries too.  The `sparse_*` kernels, `pairing` and
 `echelon_coords` take a matrix in sparse form instead: for each row, the list
 of its nonzero (column, entry) pairs, as built by `sparse_rows`.  Nothing in
 this module knows about lattices; it only provides the elimination routines
@@ -9,8 +9,6 @@ everything else is built on.  All arithmetic is exact.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -354,40 +352,6 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[int], list[list[int]]]:
         if fixed:
             break
     return [D[i][i] for i in range(limit)], V
-
-
-def solve_rational(A, b) -> list[Fraction] | None:
-    """Solve A*x = b over Q for an m x k matrix A of full column rank.
-
-    Returns the unique solution when the system is consistent, else None.
-    """
-    m = len(A)
-    k = len(A[0]) if m else 0
-    M = [[Fraction(e) for e in row] + [Fraction(bv)] for row, bv in zip(A, b)]
-    row = 0
-    pivots = []
-    for col in range(k):
-        piv = next((i for i in range(row, m) if M[i][col]), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = 1 / M[row][col]
-        M[row] = [e * inv for e in M[row]]
-        for i in range(m):
-            if i != row and M[i][col]:
-                f = M[i][col]
-                M[i] = [a - f * b2 for a, b2 in zip(M[i], M[row])]
-        pivots.append(col)
-        row += 1
-    if len(pivots) < k:
-        raise ValueError("matrix does not have full column rank")
-    for i in range(row, m):
-        if M[i][k]:
-            return None
-    x: list[Fraction] = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        x[col] = M[r][k]
-    return x
 
 
 def echelon_coords(H_rows, x: list[int]) -> list[int] | None:

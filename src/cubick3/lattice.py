@@ -5,12 +5,19 @@ bilinear form, given by its Gram matrix.  Vectors are coordinate tuples in
 the (implicit) basis.  Everything is immutable and every operation is a pure
 function, so values can be shared freely between threads.
 
-The arithmetic stays in integers and touches only nonzero entries: a
+The arithmetic stays in integers (a non-integral coordinate raises
+ValueError, never truncates) and touches only nonzero entries: a
 `GramLattice` keeps the sparse rows of its Gram matrix for pairings and
-induced Gram matrices, sublattice membership is an exact-division
-back-substitution against the Hermite basis (a non-integral vector is never
-a member), and discriminant-form values are integer pairings of Smith
-columns divided once, q(V_i / d_i) = (V_i . V_i) / d_i^2 mod 2.
+induced Gram matrices.  Each lattice fact is read off the one reduction
+that produces it.  Saturation is one echelon U * S^T = H of the generators:
+its rank decides independence, the product of the diagonal of H is the
+index [sat : S], and the kernel rows of U go into one `left_kernel`.
+Saturations and complements come back as canonical Hermite bases, so equal
+lattices have equal bases, and membership is one exact-division
+back-substitution against the basis (a non-integral vector is never a
+member).  `disc_group` reads degeneracy off the zero of the Smith diagonal,
+and its q-values are integer pairings of Smith columns divided once,
+q(V_i / d_i) = (V_i . V_i) / d_i^2 mod 2.
 """
 
 from __future__ import annotations
@@ -31,8 +38,18 @@ from . import intlinalg as la
 Vector = tuple[int, ...]
 
 
-def _as_vector(v) -> Vector:
-    return tuple(int(e) for e in v)
+def _as_int(e) -> int:
+    if type(e) is int:
+        return e
+    n = int(e)
+    if n != e:
+        raise ValueError(f"non-integral entry {e!r}")
+    return n
+
+
+def as_vector(v) -> Vector:
+    """The integer coordinate tuple of v; a non-integral entry raises ValueError."""
+    return tuple(map(_as_int, v))
 
 
 @dataclass(frozen=True)
@@ -48,7 +65,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(e) for e in row) for row in rows))
+        return IntMatrix(tuple(as_vector(row) for row in rows))
 
     @property
     def nrows(self) -> int:
@@ -143,7 +160,8 @@ class GramLattice:
 
     @staticmethod
     def from_json(obj: dict) -> "GramLattice":
-        rows = [[int(e) for e in row] for row in obj["gram"]]
+        # integers above 64 bits arrive as decimal strings (see `json_int`)
+        rows = [[int(e) if isinstance(e, str) else e for e in row] for row in obj["gram"]]
         return GramLattice.from_rows(rows, obj.get("label"))
 
 
@@ -312,9 +330,9 @@ def disc_group(L: GramLattice) -> DiscGroup:
     generates the i-th cyclic factor (this is the dual-basis description:
     G * v_i / d_i is a standard generator of Z^n / G Z^n).
     """
-    if L.det == 0:
-        raise DegenerateLattice("discriminant group needs det != 0")
     diag, V = la.smith_normal_form(L.gram.to_lists())
+    if 0 in diag:
+        raise DegenerateLattice("discriminant group needs det != 0")
     factors = []
     cols = []
     for i, d in enumerate(diag):
@@ -330,7 +348,7 @@ def disc_group(L: GramLattice) -> DiscGroup:
 
 
 def span_sublattice(amb: GramLattice, vecs) -> Sublattice:
-    rows = [list(_as_vector(v)) for v in vecs]
+    rows = [list(as_vector(v)) for v in vecs]
     for row in rows:
         if len(row) != amb.rank:
             raise ValueError("vector length does not match the ambient rank")
@@ -342,47 +360,42 @@ def span_sublattice(amb: GramLattice, vecs) -> Sublattice:
 def saturate_rows(amb: GramLattice, rows) -> Sublattice:
     """Saturation of the row span: all ambient integer vectors in its rational span.
 
-    Accepts an arbitrary (possibly dependent) generating list.  Computed as a
-    double integer kernel, which lands on a saturated basis automatically.
+    Accepts an arbitrary (possibly dependent) generating list; see
+    `saturation` for the reduction.  The basis is the canonical Hermite basis.
     """
-    rows = [list(_as_vector(v)) for v in rows]
-    if not rows:
-        return Sublattice(amb, IntMatrix(()))
-    n = amb.rank
-    ker = la.left_kernel(la.transpose(rows))  # right kernel of the row matrix
-    if not ker:
-        basis = la.identity(n)
-    else:
-        basis = la.left_kernel(la.transpose(ker))
-    return Sublattice(amb, IntMatrix.from_rows(basis))
+    return _saturate(amb, [list(as_vector(v)) for v in rows])[0]
 
 
 def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     """Minimal primitive sublattice containing S, plus the index [sat : S].
 
-    S and sat(S) span the same rational space, so their echelon bases have
-    the same pivot columns and the transition matrix between them is
-    triangular there.  Hence [sat : S] = prod pivots(echelon(S)) /
-    prod pivots(sat basis), an exact integer quotient.
+    One echelon U * S^T = H of the k x n basis matrix S decides everything.
+    Its rank r is k exactly when the basis is independent.  Then the pivots
+    of H are its first k diagonal entries and S = H[:k]^T * W, where W is the
+    first k rows of U^-T.  W is part of a unimodular matrix, so its rows
+    are a basis of the saturation, and [sat : S] = prod H[i][i].  The rows
+    U[r:] are a basis of the right kernel of S; the saturation is their
+    orthogonal space, read off as one `left_kernel`, whose Hermite reduction
+    makes the basis canonical.
     """
-    sat = saturate_rows(S.ambient, S.basis.to_lists())
-    H, _, r = la.row_echelon_transform(S.basis.to_lists())
+    sat, H, r = _saturate(S.ambient, S.basis.to_lists())
     if r < S.rank:
         raise DependentGenerators("sublattice basis is linearly dependent")
-    num = math.prod(_pivot_entries(H[:r]))
-    den = math.prod(_pivot_entries(sat.basis.to_lists()))  # echelon by construction
-    if num % den:
-        raise AssertionError(f"pivot product {num} is not a multiple of {den}")
-    return sat, num // den
+    return sat, math.prod(H[i][i] for i in range(r))
 
 
-def _pivot_entries(rows):
-    return [next(e for e in row if e) for row in rows]
+def _saturate(amb: GramLattice, rows: list[list[int]]):
+    # (saturation, echelon H of rows^T, rank); no rows give the rank-0 lattice
+    if any(len(row) != amb.rank for row in rows):
+        raise ValueError("vector length does not match the ambient rank")
+    H, U, r = la.row_echelon_transform(la.transpose(rows))
+    basis = la.left_kernel(la.transpose(U[r:])) if r < amb.rank else la.identity(amb.rank)
+    return Sublattice(amb, IntMatrix.from_rows(basis)), H, r
 
 
 def orthogonal_complement(amb: GramLattice, vecs) -> Sublattice:
     """The saturated sublattice of everything pairing to zero with the given vectors."""
-    W = [list(_as_vector(v)) for v in vecs]
+    W = [list(as_vector(v)) for v in vecs]
     for row in W:
         if len(row) != amb.rank:
             raise ValueError("vector length does not match the ambient rank")
@@ -393,7 +406,7 @@ def orthogonal_complement(amb: GramLattice, vecs) -> Sublattice:
 
 def divisibility(amb: GramLattice, v) -> int:
     """The positive generator n of the pairing ideal (v . amb) = nZ."""
-    v = _as_vector(v)
+    v = as_vector(v)
     if not any(v):
         raise ZeroVector("divisibility of the zero vector")
     return math.gcd(*(abs(p) for p in amb.basis_pairings(v)))
@@ -401,7 +414,7 @@ def divisibility(amb: GramLattice, v) -> int:
 
 def is_primitive(amb: GramLattice, v) -> bool:
     """True when v is not a proper integer multiple, i.e. gcd of coordinates is 1."""
-    v = _as_vector(v)
+    v = as_vector(v)
     if len(v) != amb.rank:
         raise ValueError("vector length does not match the ambient rank")
     if not any(v):

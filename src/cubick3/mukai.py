@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import intlinalg as la
 from .lattice import IntMatrix
 
 _DEG = 5
@@ -200,18 +199,17 @@ def _w(i: int) -> CohClass:
 def project_right(a: CohClass) -> CohClass:
     """Projection onto the right orthogonal complement of the three line-bundle vectors.
 
-    Returns the unique p(a) = a - c0 w0 - c1 w1 - c2 w2 with (w_i . p(a)) = 0;
-    solvable because the pairing on the span of the w_i is upper triangular
-    with units on the diagonal.
+    Returns the unique p(a) = a - c0 w0 - c1 w1 - c2 w2 with (w_i . p(a)) = 0,
+    by back-substitution: the pairing on the span of the w_i is upper
+    triangular with -1 on the diagonal, so removing the w2, w1, w0
+    components in turn leaves the earlier pairings at zero.
     """
     ws = [_w(0), _w(1), _w(2)]
-    M = [[mukai_pairing(wi, wj) for wj in ws] for wi in ws]
-    rhs = [mukai_pairing(wi, a) for wi in ws]
-    c = la.solve_rational(M, rhs)
-    assert c is not None
     out = a
-    for ci, wi in zip(c, ws):
-        out = out - wi.scale(ci)
+    for w in reversed(ws):
+        out = out - w.scale(mukai_pairing(w, out) / mukai_pairing(w, w))
+    if any(mukai_pairing(w, out) for w in ws):
+        raise AssertionError("projection is not right orthogonal to w0, w1, w2")
     return out
 
 

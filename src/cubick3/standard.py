@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 from . import intlinalg as la
 from .errors import (
+    CubicK3Error,
     InvalidDegree,
     InvalidNLVector,
     NotHyperbolicPair,
@@ -47,8 +48,8 @@ from .lattice import (
     DiscGroup,
     GramLattice,
     IntMatrix,
-    Sublattice,
     Vector,
+    as_vector,
     direct_sum,
     disc_group,
     divisibility,
@@ -87,6 +88,14 @@ def _vec(rank: int, entries: dict[int, int]) -> Vector:
 
 def unit_vector(rank: int, i: int) -> Vector:
     return _vec(rank, {i: 1})
+
+
+def _coords(v, error: type[CubicK3Error]) -> Vector:
+    # integer coordinates of v; a non-integral entry raises `error`
+    try:
+        return as_vector(v)
+    except ValueError as exc:
+        raise error(str(exc)) from None
 
 
 @lru_cache(maxsize=None)
@@ -299,7 +308,7 @@ def classify_nl_vector(v) -> tuple[NLCase, int]:
     its saturation, with d = -(v)^2 / 3 = 2 (6).
     """
     gamma = standard_lattice("Gamma")
-    v = tuple(int(e) for e in v)
+    v = _coords(v, InvalidNLVector)
     if len(v) != RANK_GAMMA:
         raise InvalidNLVector("vector must be in Gamma coordinates (rank 22)")
     if not any(v):
@@ -347,7 +356,7 @@ def _gamma_disc_generator() -> tuple[Fraction, ...]:
 def eichler_invariants(v) -> EichlerInvariant:
     """Square, divisibility, and discriminant class of a primitive vector of Gamma."""
     gamma = standard_lattice("Gamma")
-    v = tuple(int(e) for e in v)
+    v = _coords(v, InvalidNLVector)
     if len(v) != RANK_GAMMA:
         raise InvalidNLVector("vector must be in Gamma coordinates (rank 22)")
     if not any(v):
@@ -419,14 +428,6 @@ def _blockdiag(*blocks: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _same_lattice(sub: Sublattice, rows: list[list[int]], gram: list[list[int]]) -> bool:
-    # equal covolume plus containment of a spanning set forces equality;
-    # gram is the Gram matrix of rows
-    if any(not sub.contains(r) for r in rows):
-        return False
-    return abs(la.det_bareiss(gram)) == sub.abs_det
-
-
 @lru_cache(maxsize=None)
 def hassett_triple(d: int) -> NLVectorReport:
     """K_d, L_d and the complement Gamma_d for a special discriminant d.
@@ -434,8 +435,10 @@ def hassett_triple(d: int) -> NLVectorReport:
     K_d is the saturation of span(h2, v_d) in the full cubic lattice, L_d the
     saturation of span(lambda1, lambda2, v_d) in the extended K3 lattice, and
     Gamma_d the orthogonal complement of v_d in the primitive cubic lattice.
-    The reported Gram matrices use the canonical bases, which are verified to
-    span the computed saturations.
+    The reported Gram matrices use the closed-form bases.  Each is verified to
+    span the computed lattice by comparing Hermite bases: the saturations and
+    the complement come back as canonical Hermite bases, so the closed-form
+    basis spans the same lattice exactly when its Hermite basis is equal.
     """
     _check_special(d)
     v = nl_vector(d)
@@ -495,9 +498,9 @@ def hassett_triple(d: int) -> NLVectorReport:
 
     gram_K = _expected_K_gram(d)
     for sub, rows, want in ((satK, rows_K, gram_K), (satL, rows_L, gram_L), (comp, rows_G, gram_G)):
-        got = la.sparse_gram_product(rows, sub.ambient.gram_rows)
-        if not _same_lattice(sub, rows, got):
+        if la.hnf_rows(rows) != sub.basis.to_lists():
             raise AssertionError(f"d={d}: canonical basis does not span the computed lattice")
+        got = la.sparse_gram_product(rows, sub.ambient.gram_rows)
         if got != want:
             raise AssertionError(f"d={d}: canonical Gram mismatch: {got} != {want}")
     # independent route: the computed saturation basis must carry an integrally
@@ -650,9 +653,13 @@ class DiscForm:
 
     @staticmethod
     def of(L: GramLattice) -> "DiscForm":
+        return DiscForm.of_group(L, disc_group(L))
+
+    @staticmethod
+    def of_group(L: GramLattice, dg: DiscGroup) -> "DiscForm":
+        """The form on `dg`, which must be `disc_group(L)` already computed."""
         if not L.is_even:
             raise ValueError("discriminant forms are defined for even lattices")
-        dg = disc_group(L)
         orders = dg.invariant_factors
         # d * g is the integer Smith column behind the generator g of order d
         cols = [[x.numerator * (d // x.denominator) for x in g] for g, d in zip(dg.generators, orders)]
@@ -748,7 +755,7 @@ def genus_compare(d: int, cap: int = 10_000) -> bool:
         return False
     if signature(Gd) != signature(Ld):
         return False
-    return disc_forms_isomorphic(DiscForm.of(Gd), DiscForm.of(Ld), cap)
+    return disc_forms_isomorphic(DiscForm.of_group(Gd, report.disc_Gamma_d), DiscForm.of(Ld), cap)
 
 
 # --- hyperbolic planes inside saturations ------------------------------------
@@ -763,8 +770,8 @@ def find_hyperbolic_AT(e, f, bound: int = 4) -> tuple[Vector, Vector]:
     (e')^2 = (f')^2 = 0, (e'.f') = 1 and rank(A2 + span(e', f')) = 3.
     """
     lt = standard_lattice("LambdaTilde")
-    e = tuple(int(x) for x in e)
-    f = tuple(int(x) for x in f)
+    e = _coords(e, NotHyperbolicPair)
+    f = _coords(f, NotHyperbolicPair)
     if len(e) != RANK_TILDE or len(f) != RANK_TILDE:
         raise NotHyperbolicPair("vectors must be in LambdaTilde coordinates")
     # (e.f) = -1 spans the same plane after f -> -f (relevant for the pair

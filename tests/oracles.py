@@ -1,8 +1,11 @@
 """Slow reference routes kept only as oracles for the tests."""
 
+import math
 from fractions import Fraction
 
 from cubick3 import intlinalg as la
+from cubick3.errors import DependentGenerators
+from cubick3.lattice import IntMatrix, Sublattice
 
 
 def frac_rows(A) -> list[list[Fraction]]:
@@ -52,6 +55,70 @@ def hnf_solve(H, x) -> list[Fraction] | None:
     if any(res):
         return None
     return out
+
+
+def solve_rational(A, b) -> list[Fraction] | None:
+    """Solve A*x = b over Q for an m x k matrix A of full column rank (Gauss-Jordan).
+
+    Returns the unique solution when the system is consistent, else None.
+    """
+    m = len(A)
+    k = len(A[0]) if m else 0
+    M = [[Fraction(e) for e in row] + [Fraction(bv)] for row, bv in zip(A, b)]
+    row = 0
+    pivots = []
+    for col in range(k):
+        piv = next((i for i in range(row, m) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        inv = 1 / M[row][col]
+        M[row] = [e * inv for e in M[row]]
+        for i in range(m):
+            if i != row and M[i][col]:
+                f = M[i][col]
+                M[i] = [a - f * b2 for a, b2 in zip(M[i], M[row])]
+        pivots.append(col)
+        row += 1
+    if len(pivots) < k:
+        raise ValueError("matrix does not have full column rank")
+    for i in range(row, m):
+        if M[i][k]:
+            return None
+    x: list[Fraction] = [Fraction(0)] * k
+    for r, col in enumerate(pivots):
+        x[col] = M[r][k]
+    return x
+
+
+def saturate_rows(amb, rows) -> Sublattice:
+    """Saturation as a double integer kernel: the kernel of the kernel of the row matrix."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return Sublattice(amb, IntMatrix(()))
+    ker = la.left_kernel(la.transpose(rows))  # right kernel of the row matrix
+    basis = la.left_kernel(la.transpose(ker)) if ker else la.identity(amb.rank)
+    return Sublattice(amb, IntMatrix.from_rows(basis))
+
+
+def saturation(S):
+    """(sat, [sat : S]) with the index as a quotient of echelon pivot products.
+
+    S and sat(S) span the same rational space, so their echelon bases share
+    their pivot columns and the transition matrix is triangular there.
+    """
+    sat = saturate_rows(S.ambient, S.basis.to_lists())
+    H, _, r = la.row_echelon_transform(S.basis.to_lists())
+    if r < S.rank:
+        raise DependentGenerators("sublattice basis is linearly dependent")
+    num = math.prod(_pivot_entries(H[:r]))
+    den = math.prod(_pivot_entries(sat.basis.to_lists()))
+    assert num % den == 0, (num, den)
+    return sat, num // den
+
+
+def _pivot_entries(rows):
+    return [next(e for e in row if e) for row in rows]
 
 
 def saturation_index(S, sat) -> int:

@@ -135,6 +135,15 @@ class TestDiscGroup:
         with pytest.raises(DegenerateLattice):
             disc_group(GramLattice.from_rows([[0]]))
 
+    def test_degenerate_rank_three(self):
+        # the third row is the sum of the first two, so the Smith diagonal
+        # ends in a zero while no row or entry of the Gram matrix vanishes
+        G = [[2, 1, 3], [1, 2, 3], [3, 3, 6]]
+        with pytest.raises(DegenerateLattice):
+            disc_group(GramLattice.from_rows(G))
+        with pytest.raises(DegenerateLattice):
+            disc_group(direct_sum([U, GramLattice.from_rows(G)]))
+
     def test_order_equals_abs_det(self):
         for name in ("A2", "Gamma", "LambdaD(20)"):
             L = standard_lattice(name)
@@ -206,6 +215,12 @@ class TestSpanAndSaturation:
         sat, idx = saturation(span_sublattice(U, []))
         assert (sat.rank, idx) == (0, 1)
         assert sat == saturate_rows(U, [(0, 0)])
+
+    def test_saturation_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="ambient rank"):
+            saturate_rows(U, [(1, 0, 0)])
+        with pytest.raises(ValueError, match="ambient rank"):
+            saturation(Sublattice(U, IntMatrix.from_rows([(2, 0, 0)])))
 
     def test_index_three_saturation(self):
         gbar = standard_lattice("Gammabar")
@@ -367,15 +382,20 @@ def test_json_big_integers_as_strings():
 def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
     # the first 200 inputs of the C11 acceptance sweep (same seed, same
     # generator); the saturated outputs have entries of at most 16 bits, so
-    # intermediate growth past 64 bits means the pivot rule has regressed
+    # intermediate growth past 64 bits means the pivot rule has regressed.
+    # Saturation echelons S^T (n x k) and then the transposed, unreduced
+    # kernel rows U[k:] (n x (n - k)); both shapes must be among the
+    # matrices tracked for every input.
     echelon = la.row_echelon_transform
     widest = [0]
+    shapes = []
 
     def tracked(A):
         out = echelon(A)
         H, T, _ = out  # T is the unimodular transform
         entries = (e for M in (H, T) for row in M for e in row)
         widest[0] = max([widest[0]] + [abs(e).bit_length() for e in entries])
+        shapes.append((len(A), len(A[0])))
         return out
 
     monkeypatch.setattr(la, "row_echelon_transform", tracked)
@@ -390,6 +410,43 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
             ]
             if la.rank_int([list(r) for r in rows]) == k:
                 break
-        saturation(span_sublattice(amb, rows))
+        S = span_sublattice(amb, rows)
+        shapes.clear()
+        saturation(S)
+        assert {(amb.rank, k), (amb.rank, amb.rank - k)} <= set(shapes)
         orthogonal_complement(amb, rows)
     assert widest[0] <= 64
+
+
+class TestIntegralEntries:
+    # a non-integral coordinate is an error, never truncated to an integer
+
+    def test_divisibility(self):
+        with pytest.raises(ValueError, match="non-integral"):
+            divisibility(U, (Fraction(3, 2), 1))
+        assert divisibility(U, (Fraction(4, 2), 1.0)) == divisibility(U, (2, 1))
+
+    def test_vector_entry_points(self):
+        half = (Fraction(1, 2), 0)
+        for call in (
+            lambda: is_primitive(U, half),
+            lambda: span_sublattice(U, [half]),
+            lambda: saturate_rows(U, [half]),
+            lambda: orthogonal_complement(U, [half]),
+        ):
+            with pytest.raises(ValueError, match="non-integral"):
+                call()
+
+    def test_gram_matrix(self):
+        with pytest.raises(ValueError, match="non-integral"):
+            GramLattice.from_rows([[2.5]])
+        with pytest.raises(ValueError, match="non-integral"):
+            IntMatrix.from_rows([[1, Fraction(1, 3)]])
+        assert GramLattice.from_rows([[Fraction(4, 2)]]).gram.data == ((2,),)
+        with pytest.raises(ValueError, match="non-integral"):
+            GramLattice.from_json({"gram": [[2.5]]})
+
+    def test_contains_is_false_not_an_error(self):
+        S = span_sublattice(U, [(1, 0)])
+        assert not S.contains((Fraction(1, 2), 0))
+        assert S.contains((Fraction(2, 2), 0))

@@ -2,10 +2,12 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as hyp
 
 from cubick3 import (
     DegenerateLattice,
+    DependentGenerators,
     a2_bruteforce,
     a2_represents,
     condition_flags,
@@ -18,8 +20,9 @@ from cubick3 import (
     witness_sss,
 )
 from cubick3 import intlinalg as la
-from cubick3.lattice import direct_sum, GramLattice
+from cubick3.lattice import IntMatrix, Sublattice, direct_sum, GramLattice, saturate_rows
 from cubick3.standard import standard_lattice
+import oracles
 from oracles import saturation_index
 
 even_d = hyp.integers(min_value=1, max_value=400).map(lambda k: 2 * k)
@@ -139,6 +142,41 @@ def test_saturation_index_matches_coefficient_oracle(name, k, seed):
     sat, idx = saturation(S)
     assert idx == saturation_index(S, sat)
     assert S.det == idx * idx * sat.det
+
+
+@given(
+    hyp.sampled_from(["Gammabar", "LambdaTilde"]),
+    hyp.integers(min_value=1, max_value=4),
+    hyp.sampled_from(["independent", "dependent", "zero"]),
+    hyp.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_saturation_matches_double_kernel_oracle(name, k, kind, seed):
+    # the one-echelon saturation against the double-kernel route with the
+    # pivot-quotient index; "dependent" appends a combination of the rows,
+    # "zero" is k all-zero rows
+    rng = random.Random(seed)
+    amb = standard_lattice(name)
+    if kind == "zero":
+        rows = [[0] * amb.rank for _ in range(k)]
+    else:
+        rows = [list(r) for r in _random_independent(rng, amb, k)]
+        while True:  # a random nonsingular mix puts |det T| into the index
+            T = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+            if la.det_bareiss(T):
+                break
+        rows = la.matmul(T, rows)
+        if kind == "dependent":
+            c = [rng.randint(-3, 3) for _ in range(k)]
+            rows.append(la.matmul([c], rows)[0])
+    assert saturate_rows(amb, rows) == oracles.saturate_rows(amb, rows)
+    S = Sublattice(amb, IntMatrix.from_rows(rows))
+    if kind == "independent":
+        assert saturation(S) == oracles.saturation(S)
+    else:
+        for route in (saturation, oracles.saturation):
+            with pytest.raises(DependentGenerators):
+                route(S)
 
 
 @given(hyp.integers(min_value=2, max_value=120))

@@ -1,7 +1,10 @@
 """Named constructions: standard lattices, NL vectors, witnesses, searches."""
 
+from fractions import Fraction
+
 import pytest
 
+from cubick3 import standard as st
 from cubick3 import (
     InvalidDegree,
     InvalidNLVector,
@@ -178,6 +181,13 @@ class TestClassify:
         v = unit_vector(RANK_GAMMA, M1)
         assert classify_nl_vector(v) == (NLCase.SATURATED, 6)
 
+    def test_rejects_non_integral(self):
+        # e1 - (7/3) f1 must not be read as e1 - 2 f1
+        v = [Fraction(e) for e in nl_vector(12)]
+        v[F1] = Fraction(-7, 3)
+        with pytest.raises(InvalidNLVector, match="non-integral"):
+            classify_nl_vector(v)
+
     def test_rejects_nonprimitive_and_positive(self):
         with pytest.raises(InvalidNLVector):
             classify_nl_vector(tuple(2 * e for e in nl_vector(12)))
@@ -188,6 +198,14 @@ class TestClassify:
 
 
 class TestHassettTriple:
+    def test_rejects_a_basis_that_spans_another_lattice(self, monkeypatch):
+        # the complement of v_12 in place of the complement of v_18: the
+        # closed-form basis of Gamma_18 has another Hermite basis
+        real = st.orthogonal_complement
+        monkeypatch.setattr(st, "orthogonal_complement", lambda amb, _: real(amb, [nl_vector(12)]))
+        with pytest.raises(AssertionError, match="canonical basis does not span"):
+            hassett_triple.__wrapped__(18)  # bypass the cache
+
     def test_d14(self):
         r = hassett_triple(14)
         assert r.gram_K.to_lists() == [[-3, 1], [1, -5]]
@@ -306,6 +324,12 @@ class TestEichler:
         with pytest.raises(ZeroVector):
             eichler_invariants((0,) * RANK_GAMMA)
 
+    def test_non_integral_rejected(self):
+        v = list(nl_vector(14))
+        v[M1] = 0.5
+        with pytest.raises(InvalidNLVector, match="non-integral"):
+            eichler_invariants(v)
+
 
 M2_IDX = 21
 
@@ -401,6 +425,15 @@ class TestHyperbolicSearch:
 
         with pytest.raises(NotHyperbolicPair):
             find_hyperbolic_AT(unit_vector(24, E1), unit_vector(24, E2))
+
+    def test_non_integral_rejected(self):
+        e = list(unit_vector(24, E1))
+        f = [Fraction(x) for x in unit_vector(24, F1)]
+        f[0] = Fraction(1, 2)  # E8 coordinate; truncation would give back f1
+        with pytest.raises(NotHyperbolicPair, match="non-integral"):
+            find_hyperbolic_AT(e, f)
+        with pytest.raises(NotHyperbolicPair, match="non-integral"):
+            find_hyperbolic_AT(f, e)
 
     def test_determinism(self):
         e, f = unit_vector(24, E1), unit_vector(24, F1)
