@@ -273,11 +273,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # witnesses can have tens of thousands of digits (the (***) witness of
+    # d = 200000000006 has about 32,000), above the default limit on int-str
+    # conversion that Python 3.11 and later patch releases of 3.10 impose
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CubicK3Error as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

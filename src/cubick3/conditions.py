@@ -6,8 +6,9 @@ A positive even d is classified by the chain
 
 where (*) is the residue test d = 0, 2 (mod 6), (**') asks for a vector of
 square d in A2, (**) for a primitive one, and (***) for the square
-presentation d = (2n^2+2n+2)/a^2.  The A2 tests run on the prime
-factorization of d/2; the witness solvers are independent cross-checks.
+presentation d = (2n^2+2n+2)/a^2.  The A2 tests and the (**) witness run on
+one prime factorization of d/2; the (***) witness comes from the Pell
+solver, which `condition_flags` cross-checks against (**) through the chain.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 from . import pell
 from .errors import InvalidDegree, InvalidParity
+from .lattice import json_int
 
 CLI_INPUT_CAP = 2**63
 
@@ -55,7 +57,12 @@ def a2_represents(d: int, primitive: bool = False) -> bool:
     """
     if d <= 0 or d % 2:
         raise InvalidParity(f"d must be even positive, got {d}")
-    for p, n in _factorize(d // 2).items():
+    return _a2_represents(_factorize(d // 2), primitive)
+
+
+def _a2_represents(factors: dict[int, int], primitive: bool) -> bool:
+    # the criterion of `a2_represents` on the factorization of d/2
+    for p, n in factors.items():
         if p % 3 == 2:
             if primitive or n % 2:
                 return False
@@ -81,18 +88,51 @@ def a2_bruteforce(d: int) -> list[tuple[int, int, bool]]:
 
 
 def witness_ss(d: int) -> tuple[int, int] | None:
-    """Least (n, a) with a*d = 2n^2 + 2n + 2, or None.
+    """Least (n, a) with a*d = 2n^2 + 2n + 2, or None (a proof, not a cutoff).
 
-    The divisibility d | 2(n^2+n+1) is periodic in n with period dividing d,
-    so an empty scan of n in [0, 2d] proves there is no witness.
+    n^2 + n + 1 is odd, so the condition is m | n^2 + n + 1 with m = d/2,
+    and there is no witness when m is even.  For odd m the roots modulo
+    each prime power of m are: n = 1 modulo 3; none modulo 9 or modulo a
+    prime p = 2 (mod 3); and modulo p^e for p = 1 (mod 3) the two primitive
+    cube roots of unity, g^((p-1)/3) for the least g that gives one, lifted
+    by Newton's iteration (f'(n) = 2n + 1 is a unit, as (2n+1)^2 = -3).
+    The roots modulo m are their CRT combinations, all below m, and the
+    least of them is n.
+
+    >>> witness_ss(42), witness_ss(74), witness_ss(8)
+    ((4, 1), (10, 3), None)
     """
     if d <= 0 or d % 2:
         raise InvalidParity(f"d must be even positive, got {d}")
-    for n in range(0, 2 * d + 1):
-        t = 2 * (n * n + n + 1)
-        if t % d == 0:
-            return n, t // d
-    return None
+    return _witness_ss(d, _factorize(d // 2))
+
+
+def _witness_ss(d: int, factors: dict[int, int]) -> tuple[int, int] | None:
+    # `witness_ss` on the factorization of d/2
+    roots, mod = [0], 1  # every root of n^2 + n + 1 modulo `mod`
+    for p, e in factors.items():
+        if p == 3:
+            if e > 1:
+                return None
+            pe, local = 3, (1,)
+        elif p % 3 != 1:
+            return None
+        else:
+            # a primitive cube root of unity mod p, lifted to p^e
+            g = 2
+            while pow(g, (p - 1) // 3, p) == 1:
+                g += 1
+            r, pe = pow(g, (p - 1) // 3, p), p**e
+            while (r * r + r + 1) % pe:
+                r = (r - (r * r + r + 1) * pow(2 * r + 1, -1, pe)) % pe
+            local = (r, pe - 1 - r)
+        inv = pow(mod, -1, pe)
+        roots = [x + mod * ((y - x) * inv % pe) for x in roots for y in local]
+        mod *= pe
+    n = min(roots)
+    t = 2 * (n * n + n + 1)
+    assert t % d == 0
+    return n, t // d
 
 
 def witness_sss(d: int) -> tuple[int, int] | None:
@@ -120,6 +160,10 @@ def witness_sss(d: int) -> tuple[int, int] | None:
     return n, a
 
 
+def _json_pair(pair: tuple[int, int] | None) -> list | None:
+    return [json_int(v) for v in pair] if pair else None
+
+
 @dataclass(frozen=True)
 class ConditionFlags:
     """Classification of one even discriminant, with witnesses where they exist."""
@@ -141,8 +185,8 @@ class ConditionFlags:
             "ss": self.starstar,
             "sss": self.starstarstar,
             "case_mod6": self.case_mod6,
-            "ss_witness": list(self.ss_witness) if self.ss_witness else None,
-            "sss_witness": list(self.sss_witness) if self.sss_witness else None,
+            "ss_witness": _json_pair(self.ss_witness),
+            "sss_witness": _json_pair(self.sss_witness),
         }
 
 
@@ -151,8 +195,9 @@ def condition_flags(d: int) -> ConditionFlags:
     if d <= 0 or d % 2:
         raise InvalidParity(f"d must be even positive, got {d}")
     star = d % 6 in (0, 2)
-    ssp = a2_represents(d, primitive=False)
-    ss = a2_represents(d, primitive=True)
+    factors = _factorize(d // 2)
+    ssp = _a2_represents(factors, primitive=False)
+    ss = _a2_represents(factors, primitive=True)
     w_sss = witness_sss(d)
     sss = w_sss is not None
     flags = ConditionFlags(
@@ -162,7 +207,7 @@ def condition_flags(d: int) -> ConditionFlags:
         starstar=ss,
         starstarstar=sss,
         case_mod6=d % 6 if star else None,
-        ss_witness=witness_ss(d) if ss else None,
+        ss_witness=_witness_ss(d, factors) if ss else None,
         sss_witness=w_sss,
     )
     if (sss and not ss) or (ss and not ssp) or (ssp and not star):
@@ -192,8 +237,8 @@ class PellSolution:
     def to_json(self) -> dict:
         return {
             "equation": self.equation,
-            "solution": list(self.solution) if self.solution else None,
-            "bound_searched": self.bound_searched,
+            "solution": _json_pair(self.solution),
+            "bound_searched": json_int(self.bound_searched),
         }
 
 

@@ -5,12 +5,33 @@ equation: the square presentation d = (2n^2+2n+2)/a^2 via x = 2n+1, y = a,
 D = 2d, and the Hilbert-scheme criterion 3p^2 - (d/6) q^2 = -1 via x = 3p,
 y = q, D = d/2.  A returned None is a proof of unsolvability, never a
 truncated search.
+
+For nonsquare D the decision is made on small integers.  The continued
+fraction of sqrt(D) comes from the recurrence
+
+    m_{i+1} = Q_i a_i - m_i,  Q_{i+1} = (D - m_{i+1}^2) / Q_i,
+    a_{i+1} = (a_0 + m_{i+1}) // Q_{i+1},   m_0 = 0, Q_0 = 1,
+
+whose terms stay below 2 sqrt(D), and the convergents p_k/q_k satisfy
+
+    p_k^2 - D q_k^2 = (-1)^(k+1) Q_(k+1).
+
+So x^2 - D y^2 = -3 holds at a convergent exactly when k is even and
+Q_(k+1) = 3, and one period of Q (length L) decides it.  Q repeats with
+period L, so a hit at an odd index j < L recurs at k = j + L, which is even
+only when L is odd; but then the symmetry Q_i = Q_(L-i) of the period puts
+a hit at the even index L - j - 2 < L as well.  Hence the least solution
+among k <= 2L is the least even hit in the first period, if there is one.
+The big-integer convergent is built once, at the index that the walk
+selected, by binary splitting of the matrix product of the partial
+quotients.
 """
 
 from __future__ import annotations
 
+from itertools import cycle, islice
 from math import isqrt
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class PellResult(NamedTuple):
@@ -18,51 +39,89 @@ class PellResult(NamedTuple):
     bound_searched: int  # largest y examined on the decisive path
 
 
-def sqrt_cf(D: int) -> tuple[int, list[int]]:
-    """Continued fraction of sqrt(D) for nonsquare D: (a0, periodic part)."""
+def _walk(D: int) -> tuple[int, list[int], int | None]:
+    """One period of the expansion of sqrt(D), nonsquare D: (a0, period, hit).
+
+    hit is the least even j in [0, L) with Q_(j+1) = 3, or None.
+    """
     a0 = isqrt(D)
     if a0 * a0 == D:
         raise ValueError("D must not be a perfect square")
-    period = []
+    period: list[int] = []
+    hit = None
     m, den, a = 0, 1, a0
     while True:
         m = den * a - m
         den = (D - m * m) // den
         a = (a0 + m) // den
+        if den == 3 and hit is None and len(period) % 2 == 0:
+            hit = len(period)
         period.append(a)
         if a == 2 * a0:
-            return a0, period
+            return a0, period, hit
 
 
-def _convergents(a0: int, period: list[int]) -> Iterator[tuple[int, int]]:
-    # p_k / q_k for the expansion [a0; period repeated]
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    yield p, q
-    while True:
-        for a in period:
-            p_prev, p = p, a * p + p_prev
-            q_prev, q = q, a * q + q_prev
-            yield p, q
+def sqrt_cf(D: int) -> tuple[int, list[int]]:
+    """Continued fraction of sqrt(D) for nonsquare D: (a0, periodic part)."""
+    a0, period, _ = _walk(D)
+    return a0, period
+
+
+def _convergent(a0: int, period: list[int], k: int) -> tuple[int, int, int, int]:
+    """(p_(k-1), q_(k-1), p_k, q_k) for the expansion [a0; period repeated].
+
+    [[p_k, p_(k-1)], [q_k, q_(k-1)]] is the product of [[a_i, 1], [1, 0]]
+    over a_0..a_k, multiplied out by binary splitting: the factors of each
+    product have equal size, so the big multiplications run subquadratically
+    (a k-step recurrence costs O(k^2) word operations).
+    """
+    p, p_prev, q, q_prev = _cf_product([a0, *islice(cycle(period), k)])
+    return p_prev, q_prev, p, q
+
+
+def _cf_product(quotients: list[int]) -> tuple[int, int, int, int]:
+    # the product of [[a, 1], [1, 0]] over `quotients`, row by row; short
+    # runs are multiplied out by the recurrence, where the entries are small
+    if len(quotients) <= 32:
+        m00, m01, m10, m11 = 1, 0, 0, 1
+        for a in quotients:
+            m00, m01 = a * m00 + m01, m00
+            m10, m11 = a * m10 + m11, m10
+        return m00, m01, m10, m11
+    mid = len(quotients) // 2
+    a00, a01, a10, a11 = _cf_product(quotients[:mid])
+    b00, b01, b10, b11 = _cf_product(quotients[mid:])
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
 def fundamental_unit(D: int) -> tuple[int, int]:
-    """Least (x, y) with x^2 - D y^2 = 1, y > 0, for nonsquare D > 1."""
-    for p, q in _convergents(*sqrt_cf(D)):
-        if p * p - D * q * q == 1:
-            return p, q
-    raise AssertionError("unreachable")
+    """Least (x, y) with x^2 - D y^2 = 1, y > 0, for nonsquare D > 1.
+
+    Q_(k+1) = 1 only at k + 1 = 0 (mod L), so the unit is the convergent at
+    k = L - 1 for even L and k = 2L - 1 for odd L.
+    """
+    a0, period = sqrt_cf(D)
+    L = len(period)
+    _, _, p, q = _convergent(a0, period, L - 1 if L % 2 == 0 else 2 * L - 1)
+    assert p * p - D * q * q == 1
+    return p, q
 
 
 def solve_minus3(D: int) -> PellResult:
     """Least positive solution of x^2 - D y^2 = -3, or a proof there is none.
 
     For square D the equation factors.  For nonsquare D > 9 every positive
-    solution is a convergent of sqrt(D) (|N| < sqrt(D)) and the convergent
-    values repeat with the period, so scanning two periods decides.  For the
-    finitely many nonsquare D <= 9 the classes of solutions have
-    representatives below an explicit bound derived from the fundamental
-    unit, which a direct scan covers.
+    solution is a convergent p_k/q_k of sqrt(D) (|N| < sqrt(D)), and by
+    p_k^2 - D q_k^2 = (-1)^(k+1) Q_(k+1) the least one is at the least even
+    k <= 2L with Q_(k+1) = 3.  That k lies in the first period (see the
+    module docstring for the parity argument), so one pass of the (m, Q)
+    walk finds it and only the convergent at k is built.  Without a hit
+    `bound_searched` is q_(2L), the last denominator of the two periods
+    that decide, computed as q_L^2 + q_(L-1) (p_L - a0 q_L) from the first
+    period.  For the finitely many nonsquare D <= 9 the classes of
+    solutions have representatives below an explicit bound derived from the
+    fundamental unit, which a direct scan covers.
 
     >>> solve_minus3(28).solution
     (5, 1)
@@ -78,16 +137,13 @@ def solve_minus3(D: int) -> PellResult:
             return PellResult((1, 2 // s), 2 // s)
         return PellResult(None, 1)
     if D > 9:
-        a0, period = sqrt_cf(D)
-        count = 2 * len(period) + 1
-        last_q = 0
-        for k, (p, q) in enumerate(_convergents(a0, period)):
-            if k >= count:
-                break
-            last_q = q
-            if p * p - D * q * q == -3:
-                return PellResult((p, q), q)
-        return PellResult(None, last_q)
+        a0, period, k = _walk(D)
+        if k is None:
+            _, q_prev, p, q = _convergent(a0, period, len(period))
+            return PellResult(None, q * q + q_prev * (p - a0 * q))
+        _, _, p, q = _convergent(a0, period, k)
+        assert p * p - D * q * q == -3
+        return PellResult((p, q), q)
     # D in {2, 3, 5, 6, 7, 8}
     x0, y0 = fundamental_unit(D)
     # each solution class has a representative with

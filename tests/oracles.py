@@ -228,3 +228,82 @@ def signature(G) -> tuple[int, int, int]:
             M[lo][i] = M[i][lo] = Fraction(0)
         lo += 1
     return pos, neg, null
+
+
+def witness_ss(d):
+    """Least (n, a) with a*d = 2n^2 + 2n + 2, or None, by scanning n in [0, 2d].
+
+    The divisibility d | 2(n^2+n+1) is periodic in n with period dividing d,
+    so an empty scan proves there is no witness.
+    """
+    for n in range(0, 2 * d + 1):
+        t = 2 * (n * n + n + 1)
+        if t % d == 0:
+            return n, t // d
+    return None
+
+
+def sqrt_cf(D):
+    """(a0, period) of sqrt(D), nonsquare D, from the (m, den) recurrence."""
+    a0 = math.isqrt(D)
+    period = []
+    m, den, a = 0, 1, a0
+    while a != 2 * a0:
+        m = den * a - m
+        den = (D - m * m) // den
+        a = (a0 + m) // den
+        period.append(a)
+    return a0, period
+
+
+def _convergents(D):
+    a0, period = sqrt_cf(D)
+    p_prev, p = 1, a0
+    q_prev, q = 0, 1
+    yield p, q
+    while True:
+        for a in period:
+            p_prev, p = p, a * p + p_prev
+            q_prev, q = q, a * q + q_prev
+            yield p, q
+
+
+def _fundamental_unit(D):
+    for p, q in _convergents(D):
+        if p * p - D * q * q == 1:
+            return p, q
+
+
+def solve_minus3(D):
+    """(solution, bound_searched) of x^2 - D y^2 = -3 by checking the norm of
+    every convergent of sqrt(D) over two periods (D > 9), or by factoring
+    (square D), or by a scan below the unit bound (D <= 9)."""
+    s = math.isqrt(D)
+    if s * s == D:
+        if s in (1, 2):
+            return (1, 2 // s), 2 // s
+        return None, 1
+    if D > 9:
+        count = 2 * len(sqrt_cf(D)[1]) + 1
+        last_q = 0
+        for k, (p, q) in enumerate(_convergents(D)):
+            if k >= count:
+                break
+            last_q = q
+            if p * p - D * q * q == -3:
+                return (p, q), q
+        return None, last_q
+    x0, y0 = _fundamental_unit(D)
+    ybound = math.isqrt((3 * y0 * y0) // (2 * (x0 - 1))) + 1
+    best = None
+    for y in range(1, ybound + 1):
+        t = D * y * y - 3
+        if t < 0:
+            continue
+        x = math.isqrt(t)
+        if x * x != t:
+            continue
+        cand = (D * y * y0, y * x0) if x == 0 else (x, y)
+        if best is None or cand[1] < best[1]:
+            best = cand
+    return best, ybound

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -162,3 +163,47 @@ def test_byte_determinism(args):
 def test_usage_error_exit_code():
     assert run_cli("classify").returncode == 2
     assert run_cli().returncode == 2
+
+
+class TestLargeIntegers:
+    def test_json_integers_above_64_bits_are_strings(self, capsys):
+        assert main(["classify", "1766", "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["flags"]["sss_witness"] == ["125761554617450365326", 4232213279242231471]
+
+    def test_pell_bound_searched(self, capsys):
+        assert main(["classify", "954", "--format", "json"]) == 0
+        pell = json.loads(capsys.readouterr().out)["pell"]
+        assert pell["solution"] is None
+        assert pell["bound_searched"] == "302274081542463685201"
+        assert main(["classify", "42", "--format", "json"]) == 0
+        pell = json.loads(capsys.readouterr().out)["pell"]
+        assert pell["solution"] == [3, 2] and pell["bound_searched"] == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_witness_with_tens_of_thousands_of_digits(self, capsys, fmt):
+        # the (***) witness of this d has about 32,000 digits, beyond the
+        # interpreter's default int-str limit; deciding it took over 25 s
+        # with the two-period norm-checked Pell scan and the O(d) (**) scan
+        start = time.perf_counter()
+        assert main(["classify", "200000000006", "--format", fmt]) == 0
+        assert time.perf_counter() - start < 30
+        out = capsys.readouterr().out
+        if fmt == "json":
+            n, a = json.loads(out)["flags"]["sss_witness"]
+        else:
+            line = next(l for l in out.splitlines() if l.startswith("witness (***)"))
+            n, a = (part.split("=")[1] for part in line.split(": ")[1].split())
+        assert n.isdigit() and len(n) > 30_000
+        assert a.isdigit() and len(a) > 30_000
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no int-str digit limit")
+    def test_digit_limit_is_restored(self, capsys):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert main(["classify", "14"]) == 0
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(old)

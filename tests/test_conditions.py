@@ -1,10 +1,12 @@
 """Condition classifiers, witness solvers, and the table generator."""
 
 import pytest
+from hypothesis import given, seed, settings, strategies as hyp
 
 from cubick3 import (
     InvalidDegree,
     InvalidParity,
+    PellSolution,
     a2_bruteforce,
     a2_represents,
     boundary_count,
@@ -15,6 +17,7 @@ from cubick3 import (
     witness_sss,
 )
 from cubick3.conditions import CSV_COLUMNS, csv_row
+import oracles
 
 
 class TestA2Represents:
@@ -197,3 +200,43 @@ class TestCsv:
         assert row[:6] == ["42", "T", "T", "T", "T", "0"]
         assert row[10] == "2"  # 21 = 1 (mod 4): two components
         assert row[11] == "T"  # 3p^2 - 7q^2 = -1 is solvable
+
+
+class TestOracleAgreement:
+    def test_witness_ss_matches_scan_to_4000(self):
+        for d in range(2, 4_001, 2):
+            assert witness_ss(d) == oracles.witness_ss(d), d
+
+    def test_pell_witnesses_match_two_period_oracle_to_10000(self):
+        for d in range(2, 10_001, 2):
+            assert witness_sss(d) == _sss_from_oracle(d), d
+            if d % 6 == 0:
+                assert pell_brakkee(d) == _brakkee_from_oracle(d), d
+
+    @seed(20231)
+    @settings(max_examples=60, deadline=None)
+    @given(hyp.integers(min_value=2**15, max_value=2**22 - 1)
+           .map(lambda k: 2 * k)
+           .filter(lambda d: d % 6 in (0, 2)))
+    def test_large_special_d(self, d):
+        flags = condition_flags(d)
+        assert flags.sss_witness == _sss_from_oracle(d)
+        if d % 6 == 0:
+            assert pell_brakkee(d) == _brakkee_from_oracle(d)
+        # the scan is cheap only when it stops at a witness (n < d/2); an
+        # empty scan costs 2d steps, so the None side of (**) is left to
+        # the chain check in condition_flags and the exhaustive range above
+        if flags.ss_witness is not None:
+            assert flags.ss_witness == oracles.witness_ss(d)
+
+
+def _sss_from_oracle(d):
+    sol, _ = oracles.solve_minus3(2 * d)
+    return None if sol is None else ((sol[0] - 1) // 2, sol[1])
+
+
+def _brakkee_from_oracle(d):
+    sol, bound = oracles.solve_minus3(d // 2)
+    pq = None if sol is None else (sol[0] // 3, sol[1])
+    return PellSolution(f"3p^2-{d // 6}q^2=-1", pq, bound)
+

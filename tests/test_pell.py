@@ -1,8 +1,10 @@
 """The Pell-type solver against a direct enumeration oracle."""
 
+import time
 from math import isqrt
 
 from cubick3.pell import fundamental_unit, solve_minus3, sqrt_cf
+import oracles
 
 
 def brute_least(D, ymax):
@@ -53,3 +55,22 @@ def test_against_oracle():
 def test_small_d_translate_case():
     # x = 0 at y = 1 for D = 3; the least positive solution is its unit translate
     assert solve_minus3(3).solution == (3, 2)
+
+
+def test_matches_two_period_oracle():
+    # every D that witness_sss (D = 2d) and pell_brakkee (D = d/2) pass on for
+    # even d <= 10^4, on both the solution and bound_searched
+    for d in range(2, 10_001, 2):
+        for D in (2 * d, d // 2) if d % 6 == 0 else (2 * d,):
+            assert solve_minus3(D) == oracles.solve_minus3(D), D
+
+
+def test_long_period_within_budget():
+    # D = 2d for d = 2p, p = 68719476619 prime: a period of 295,212 terms and
+    # q_(2L) of about a million bits, which the step-by-step recurrence
+    # took 10-12 s to build; binary splitting takes about half a second
+    start = time.perf_counter()
+    res = solve_minus3(4 * 68719476619)
+    assert time.perf_counter() - start < 6
+    assert res.solution is None
+    assert len(sqrt_cf(4 * 68719476619)[1]) == 295_212
