@@ -207,11 +207,7 @@ def cmd_mukai(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    summary = vf.run_all(
-        genus_max=args.genus_max,
-        hyperbolic_bound=args.bound,
-        disc_cap=args.disc_cap,
-    )
+    summary = vf.run_all(genus_max=args.genus_max, hyperbolic_bound=args.bound)
     if args.json:
         print(json.dumps(summary.to_json(), indent=2))
     else:
@@ -265,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="genus comparison sweep bound (default 200)")
     v.add_argument("--bound", type=int, default=4,
                    help="hyperbolic search coordinate bound (default 4)")
-    v.add_argument("--disc-cap", type=int, default=10_000,
-                   help="discriminant-group search cap (default 10000)")
     v.set_defaults(func=cmd_verify)
     return p
 

@@ -8,7 +8,8 @@ where (*) is the residue test d = 0, 2 (mod 6), (**') asks for a vector of
 square d in A2, (**) for a primitive one, and (***) for the square
 presentation d = (2n^2+2n+2)/a^2.  The A2 tests and the (**) witness run on
 one prime factorization of d/2; the (***) witness comes from the Pell
-solver, which `condition_flags` cross-checks against (**) through the chain.
+solver, which `condition_flags` runs only where (**) holds (the implication
+(***) => (**) is a check of `verify` instead).
 """
 
 from __future__ import annotations
@@ -198,7 +199,8 @@ def condition_flags(d: int) -> ConditionFlags:
     factors = _factorize(d // 2)
     ssp = _a2_represents(factors, primitive=False)
     ss = _a2_represents(factors, primitive=True)
-    w_sss = witness_sss(d)
+    # (***) implies (**), so the Pell equation is solved only where (**) holds
+    w_sss = witness_sss(d) if ss else None
     sss = w_sss is not None
     flags = ConditionFlags(
         d=d,
@@ -210,7 +212,7 @@ def condition_flags(d: int) -> ConditionFlags:
         ss_witness=_witness_ss(d, factors) if ss else None,
         sss_witness=w_sss,
     )
-    if (sss and not ss) or (ss and not ssp) or (ssp and not star):
+    if (ss and not ssp) or (ssp and not star):
         raise AssertionError(f"implication chain violated at d={d}: {flags}")
     return flags
 

@@ -46,7 +46,11 @@ class InvalidParity(CubicK3Error):
 
 
 class SearchCapExceeded(CubicK3Error):
-    """The discriminant group is larger than the configured search cap."""
+    """A brute-force search was asked to exceed its cap.
+
+    No library function raises it: the genus comparison is closed-form.  It
+    stays importable for callers and for search oracles.
+    """
 
 
 class NotHyperbolicPair(CubicK3Error):

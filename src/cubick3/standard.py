@@ -33,13 +33,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import intlinalg as la
+from .conditions import _factorize
 from .errors import (
     CubicK3Error,
     InvalidDegree,
     InvalidNLVector,
     NotHyperbolicPair,
     NotSpecialDiscriminant,
-    SearchCapExceeded,
     SearchExhausted,
     UnknownLattice,
     ZeroVector,
@@ -416,6 +416,13 @@ def _expected_K_gram(d: int) -> list[list[int]]:
     return [[-3, 1], [1, -((d + 1) // 3)]]
 
 
+def _gamma_block(d: int) -> list[list[int]]:
+    # the rank-3 block B_d of Gamma_d = E + U + B_d in the closed-form basis
+    if d % 6 == 0:
+        return _blockdiag([[-e for e in row] for row in _A2_ROWS], [[d // 3]])
+    return [[-2, 1, 0], [1, -2, 1], [0, 1, (d - 2) // 3]]
+
+
 def _blockdiag(*blocks: list[list[int]]) -> list[list[int]]:
     n = sum(len(b) for b in blocks)
     out = [[0] * n for _ in range(n)]
@@ -466,12 +473,6 @@ def hassett_triple(d: int) -> NLVectorReport:
             + [list(unit_vector(RANK_GAMMA, i)) for i in (E2, F2, M1, M2)]
             + [list(_vec(RANK_GAMMA, {E1: 1, F1: c}))]
         )
-        gram_G = _blockdiag(
-            standard_lattice("E").gram.to_lists(),
-            [list(r) for r in _U_ROWS],
-            [[-e for e in row] for row in _A2_ROWS],
-            [[d // 3]],
-        )
     else:
         case = NLCase.INDEX_THREE
         if (idxK, idxL) != (3, 3):
@@ -490,13 +491,10 @@ def hassett_triple(d: int) -> NLVectorReport:
             + [list(unit_vector(RANK_GAMMA, i)) for i in (E2, F2)]
             + [list(w1), list(w2), list(w3)]
         )
-        gram_G = _blockdiag(
-            standard_lattice("E").gram.to_lists(),
-            [list(r) for r in _U_ROWS],
-            [[-2, 1, 0], [1, -2, 1], [0, 1, (d - 2) // 3]],
-        )
 
     gram_K = _expected_K_gram(d)
+    block = _gamma_block(d)
+    gram_G = _blockdiag(standard_lattice("E").gram.to_lists(), [list(r) for r in _U_ROWS], block)
     for sub, rows, want in ((satK, rows_K, gram_K), (satL, rows_L, gram_L), (comp, rows_G, gram_G)):
         if la.hnf_rows(rows) != sub.basis.to_lists():
             raise AssertionError(f"d={d}: canonical basis does not span the computed lattice")
@@ -510,8 +508,11 @@ def hassett_triple(d: int) -> NLVectorReport:
     if abs(la.det_bareiss(gram_K)) != d or abs(la.det_bareiss(gram_L)) != d:
         raise AssertionError(f"d={d}: discriminant mismatch")
 
-    K_lat = GramLattice.from_rows(gram_K, f"K_{d}")
-    G_lat = GramLattice.from_rows(gram_G, f"Gamma_{d}")
+    # Gamma_d = E + U + B_d with E + U unimodular: the group and form of B_d
+    # are those of Gamma_d, with generators padded by zeros on E + U
+    dg = disc_group(GramLattice.from_rows(block))
+    pad = (Fraction(0),) * (len(gram_G) - len(block))
+    disc_G = DiscGroup(dg.invariant_factors, tuple(pad + g for g in dg.generators), dg.q_values)
     return NLVectorReport(
         d=d,
         case=case,
@@ -520,8 +521,8 @@ def hassett_triple(d: int) -> NLVectorReport:
         gram_K=IntMatrix.from_rows(gram_K),
         gram_L=IntMatrix.from_rows(gram_L),
         gram_Gamma_d=IntMatrix.from_rows(gram_G),
-        disc_K=disc_group(K_lat),
-        disc_Gamma_d=disc_group(G_lat),
+        disc_K=disc_group(GramLattice.from_rows(gram_K, f"K_{d}")),
+        disc_Gamma_d=disc_G,
     )
 
 
@@ -641,121 +642,52 @@ def boundary_witnesses(d: int) -> tuple[Vector, Vector | None]:
     return delta0, delta1
 
 
-# --- discriminant quadratic forms and the genus comparison ------------------
+# --- the genus comparison ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscForm:
-    """Finite quadratic form on a discriminant group, in invariant-factor coordinates."""
+def genus_compare(d: int) -> bool:
+    """Whether Gamma_d and Lambda_d lie in one genus, read off their rank-3 blocks.
 
-    orders: tuple[int, ...]
-    pair_table: tuple[tuple[Fraction, ...], ...]
+    Both lattices are the even unimodular E + U plus a block of rank 3:
+    Gamma_d = E + U + B_d, with B_d = A2(-1) + <d/3> for d = 0 (6) and the
+    block [[-2, 1, 0], [1, -2, 1], [0, 1, (d-2)/3]] for d = 2 (6), and
+    Lambda_d = E + U + (U + <-d>).  Both are even and indefinite, so by
+    Nikulin 1979, Cor. 1.9.4, they share a genus iff they have the same
+    signature and isomorphic discriminant forms.  The unimodular summand adds
+    nothing to the discriminant form, so both invariants come from the blocks.
 
-    @staticmethod
-    def of(L: GramLattice) -> "DiscForm":
-        return DiscForm.of_group(L, disc_group(L))
+    The form of Lambda_d is Z/d with q = -1/d on the class of e/d, e the
+    basis vector of <-d>.  The forms agree iff the group of Gamma_d is cyclic
+    of order d (it is Z/3 + Z/(d/3) when 9 | d) and its generator has
+    q = a/d with u^2 a = -1 (mod 2d) for a unit u, i.e. iff -a^(-1) is a
+    square unit modulo 2d.  That is decided prime by prime on the
+    factorization of d: a Legendre symbol for each odd p | d, and for the
+    2-part the unit class modulo 4 when 2 || d and modulo 8 when 4 | d.
 
-    @staticmethod
-    def of_group(L: GramLattice, dg: DiscGroup) -> "DiscForm":
-        """The form on `dg`, which must be `disc_group(L)` already computed."""
-        if not L.is_even:
-            raise ValueError("discriminant forms are defined for even lattices")
-        orders = dg.invariant_factors
-        # d * g is the integer Smith column behind the generator g of order d
-        cols = [[x.numerator * (d // x.denominator) for x in g] for g, d in zip(dg.generators, orders)]
-        table = tuple(
-            tuple(Fraction(L.pairing(ci, cj), di * dj) for cj, dj in zip(cols, orders))
-            for ci, di in zip(cols, orders)
-        )
-        return DiscForm(orders, table)
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.orders)
-
-    def elements(self):
-        return itertools.product(*(range(o) for o in self.orders))
-
-    def element_order(self, el) -> int:
-        out = 1
-        for a, o in zip(el, self.orders):
-            out = math.lcm(out, o // math.gcd(a, o))
-        return out
-
-    def q(self, el) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            total += el[i] * el[i] * self.pair_table[i][i]
-            for j in range(i + 1, k):
-                total += 2 * el[i] * el[j] * self.pair_table[i][j]
-        return total % 2
-
-    def b(self, e1, e2) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            for j in range(k):
-                total += e1[i] * e2[j] * self.pair_table[i][j]
-        return total % 1
-
-
-def disc_forms_isomorphic(F1: DiscForm, F2: DiscForm, cap: int = 10_000) -> bool:
-    """Brute-force search for a quadratic-form isomorphism of two finite forms."""
-    if F1.orders != F2.orders:
-        return False
-    n = F1.order
-    if n > cap:
-        raise SearchCapExceeded(f"group order {n} exceeds cap {cap}")
-    if n == 1:
-        return True
-    k = len(F1.orders)
-    gens1 = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
-    q1 = [F1.q(g) for g in gens1]
-    b1 = [[F1.b(gi, gj) for gj in gens1] for gi in gens1]
-    all2 = list(F2.elements())
-    candidates = [
-        [el for el in all2 if F2.element_order(el) == F1.orders[i] and F2.q(el) == q1[i]]
-        for i in range(k)
-    ]
-
-    def images_generate(images) -> bool:
-        seen = {tuple(0 for _ in range(k))}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for el in frontier:
-                for img in images:
-                    new = tuple((a + b) % o for a, b, o in zip(el, img, F2.orders))
-                    if new not in seen:
-                        seen.add(new)
-                        nxt.append(new)
-            frontier = nxt
-        return len(seen) == n
-
-    def extend(i, chosen):
-        if i == k:
-            return images_generate(chosen)
-        for el in candidates[i]:
-            if all(F2.b(el, prev) == b1[i][j] for j, prev in enumerate(chosen)):
-                if extend(i + 1, chosen + [el]):
-                    return True
-        return False
-
-    return extend(0, [])
-
-
-def genus_compare(d: int, cap: int = 10_000) -> bool:
-    """Whether Gamma_d and Lambda_d share rank, signature, and discriminant form."""
+    >>> genus_compare(14), genus_compare(12), genus_compare(18)
+    (True, False, False)
+    """
     _check_special(d)
     report = hassett_triple(d)
-    Gd = GramLattice(report.gram_Gamma_d, f"Gamma_{d}")
-    Ld = lambda_d_lattice(d)
-    if Gd.rank != Ld.rank:
+    block = GramLattice.from_rows(_gamma_block(d))
+    lambda_block = GramLattice.from_rows(_blockdiag([list(r) for r in _U_ROWS], [[-d]]))
+    if signature(block) != signature(lambda_block):
         return False
-    if signature(Gd) != signature(Ld):
+    dg = report.disc_Gamma_d
+    if dg.invariant_factors != (d,):
         return False
-    return disc_forms_isomorphic(DiscForm.of_group(Gd, report.disc_Gamma_d), DiscForm.of(Ld), cap)
+    q = dg.q_values[0]
+    a = q.numerator * (d // q.denominator)  # q = a/d
+    r = -pow(a, -1, 2 * d)  # a' a^(-1) for a' = -1
+    factors = _factorize(d // 2)
+    factors[2] = factors.get(2, 0) + 1  # the factorization of d
+    for p, e in factors.items():
+        if p == 2:
+            if r % (4 if e == 1 else 8) != 1:
+                return False
+        elif pow(r, (p - 1) // 2, p) != 1:
+            return False
+    return True
 
 
 # --- hyperbolic planes inside saturations ------------------------------------

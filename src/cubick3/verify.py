@@ -14,6 +14,7 @@ from . import conditions as cond
 from . import intlinalg as la
 from . import mukai as mk
 from . import standard as st
+from .errors import InvalidDegree
 
 
 @dataclass(frozen=True)
@@ -176,14 +177,25 @@ def _table_checks(out: list[CheckResult]) -> None:
     _check(out, "table78.oracle.68", False, bool(cond.a2_bruteforce(68)))
 
 
-def _genus_checks(out: list[CheckResult], genus_max: int, disc_cap: int) -> None:
+def _genus_checks(out: list[CheckResult], genus_max: int) -> None:
     mismatches = []
     for d in range(8, genus_max + 1, 2):
         if d % 6 not in (0, 2):
             continue
-        if st.genus_compare(d, cap=disc_cap) != cond.condition_flags(d).starstar:
+        if st.genus_compare(d) != cond.condition_flags(d).starstar:
             mismatches.append(d)
     _check(out, f"genus.matches_ss.to{genus_max}", [], mismatches)
+
+
+def _chain_checks(out: list[CheckResult], max_d: int) -> None:
+    # `condition_flags` solves the (***) equation only where (**) holds, so
+    # the implication (***) => (**) is checked here: no witness elsewhere
+    bad = []
+    for d in range(8, max_d + 1, 2):
+        if d % 6 in (0, 2) and not cond.condition_flags(d).starstar:
+            if cond.witness_sss(d) is not None:
+                bad.append(d)
+    _check(out, f"chain.sss_implies_ss.to{max_d}", [], bad)
 
 
 def _nl_sweep_checks(out: list[CheckResult], max_d: int) -> None:
@@ -261,9 +273,10 @@ def _hyperbolic_checks(out: list[CheckResult], bound: int) -> None:
         _check(out, f"hyperbolic.{name}", True, ok)
 
 
-def run_all(
-    genus_max: int = 200, hyperbolic_bound: int = 4, disc_cap: int = 10_000
-) -> VerifySummary:
+def run_all(genus_max: int = 200, hyperbolic_bound: int = 4) -> VerifySummary:
+    """Every check, with the per-d sweeps over the special d in [8, genus_max]."""
+    if genus_max < 8:
+        raise InvalidDegree(f"genus_max must be at least 8, got {genus_max}")
     out: list[CheckResult] = []
     blocks = (
         ("embedding", lambda: _embedding_checks(out)),
@@ -271,7 +284,8 @@ def run_all(
         ("disc", lambda: _disc_checks(out)),
         ("table", lambda: _table_checks(out)),
         ("nl", lambda: _nl_sweep_checks(out, genus_max)),
-        ("genus", lambda: _genus_checks(out, genus_max, disc_cap)),
+        ("genus", lambda: _genus_checks(out, genus_max)),
+        ("chain", lambda: _chain_checks(out, genus_max)),
         ("delta", lambda: _delta_checks(out)),
         ("kdoo", lambda: _kdoo_checks(out)),
         ("pell", lambda: _pell_checks(out)),

@@ -1,11 +1,15 @@
 """Slow reference routes kept only as oracles for the tests."""
 
+import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from cubick3 import intlinalg as la
-from cubick3.errors import DependentGenerators
-from cubick3.lattice import IntMatrix, Sublattice
+from cubick3 import lattice as lat
+from cubick3.errors import DependentGenerators, SearchCapExceeded
+from cubick3.lattice import DiscGroup, GramLattice, IntMatrix, Sublattice, disc_group
+from cubick3.standard import hassett_triple, lambda_d_lattice
 
 
 def frac_rows(A) -> list[list[Fraction]]:
@@ -307,3 +311,123 @@ def solve_minus3(D):
         if best is None or cand[1] < best[1]:
             best = cand
     return best, ybound
+
+
+# --- discriminant forms by exhaustive search (the genus oracle) --------------
+
+
+@dataclass(frozen=True)
+class DiscForm:
+    """Finite quadratic form on a discriminant group, in invariant-factor coordinates."""
+
+    orders: tuple[int, ...]
+    pair_table: tuple[tuple[Fraction, ...], ...]
+
+    @staticmethod
+    def of(L: GramLattice) -> "DiscForm":
+        return DiscForm.of_group(L, disc_group(L))
+
+    @staticmethod
+    def of_group(L: GramLattice, dg: DiscGroup) -> "DiscForm":
+        """The form on `dg`, which must be `disc_group(L)` already computed."""
+        if not L.is_even:
+            raise ValueError("discriminant forms are defined for even lattices")
+        orders = dg.invariant_factors
+        # d * g is the integer Smith column behind the generator g of order d
+        cols = [[x.numerator * (d // x.denominator) for x in g] for g, d in zip(dg.generators, orders)]
+        table = tuple(
+            tuple(Fraction(L.pairing(ci, cj), di * dj) for cj, dj in zip(cols, orders))
+            for ci, di in zip(cols, orders)
+        )
+        return DiscForm(orders, table)
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.orders)
+
+    def elements(self):
+        return itertools.product(*(range(o) for o in self.orders))
+
+    def element_order(self, el) -> int:
+        out = 1
+        for a, o in zip(el, self.orders):
+            out = math.lcm(out, o // math.gcd(a, o))
+        return out
+
+    def q(self, el) -> Fraction:
+        total = Fraction(0)
+        k = len(self.orders)
+        for i in range(k):
+            total += el[i] * el[i] * self.pair_table[i][i]
+            for j in range(i + 1, k):
+                total += 2 * el[i] * el[j] * self.pair_table[i][j]
+        return total % 2
+
+    def b(self, e1, e2) -> Fraction:
+        total = Fraction(0)
+        k = len(self.orders)
+        for i in range(k):
+            for j in range(k):
+                total += e1[i] * e2[j] * self.pair_table[i][j]
+        return total % 1
+
+
+def disc_forms_isomorphic(F1: DiscForm, F2: DiscForm, cap: int = 10_000) -> bool:
+    """Brute-force search for a quadratic-form isomorphism of two finite forms.
+
+    Raises SearchCapExceeded when the group has more than `cap` elements.
+    """
+    if F1.orders != F2.orders:
+        return False
+    n = F1.order
+    if n > cap:
+        raise SearchCapExceeded(f"group order {n} exceeds cap {cap}")
+    if n == 1:
+        return True
+    k = len(F1.orders)
+    gens1 = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
+    q1 = [F1.q(g) for g in gens1]
+    b1 = [[F1.b(gi, gj) for gj in gens1] for gi in gens1]
+    all2 = list(F2.elements())
+    candidates = [
+        [el for el in all2 if F2.element_order(el) == F1.orders[i] and F2.q(el) == q1[i]]
+        for i in range(k)
+    ]
+
+    def images_generate(images) -> bool:
+        seen = {tuple(0 for _ in range(k))}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for el in frontier:
+                for img in images:
+                    new = tuple((a + b) % o for a, b, o in zip(el, img, F2.orders))
+                    if new not in seen:
+                        seen.add(new)
+                        nxt.append(new)
+            frontier = nxt
+        return len(seen) == n
+
+    def extend(i, chosen):
+        if i == k:
+            return images_generate(chosen)
+        for el in candidates[i]:
+            if all(F2.b(el, prev) == b1[i][j] for j, prev in enumerate(chosen)):
+                if extend(i + 1, chosen + [el]):
+                    return True
+        return False
+
+    return extend(0, [])
+
+
+def genus_compare(d: int, cap: int = 10_000) -> bool:
+    """Genus of Gamma_d against Lambda_d on the generic 21x21 Grams.
+
+    Rank, `signature` of the whole Gram, and the discriminant forms of the
+    generic Smith forms compared by exhaustive search.
+    """
+    Gd = GramLattice(hassett_triple(d).gram_Gamma_d, f"Gamma_{d}")
+    Ld = lambda_d_lattice(d)
+    if Gd.rank != Ld.rank or lat.signature(Gd) != lat.signature(Ld):
+        return False
+    return disc_forms_isomorphic(DiscForm.of(Gd), DiscForm.of(Ld), cap)

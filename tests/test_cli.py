@@ -129,6 +129,18 @@ class TestVerify:
         assert obj["checks_run"] > 50
         assert all(set(c) == {"id", "ok"} for c in obj["checks"])
 
+    def test_genus_max_below_8_exits_two(self, capsys):
+        assert main(["verify", "--genus-max", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no "ok" line for an empty sweep
+        assert "genus_max must be at least 8" in captured.err
+
+    def test_disc_cap_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--disc-cap", "10000"])
+        assert exc.value.code == 2
+        assert "--disc-cap" in capsys.readouterr().err
+
     def test_verify_failure_exits_one(self, capsys, monkeypatch):
         from cubick3 import cli
         from cubick3.verify import CheckResult, VerifySummary

@@ -85,6 +85,14 @@ class TestFlags:
             f = condition_flags(d)
             assert f.starstarstar <= f.starstar <= f.starstar_prime <= f.star
 
+    def test_no_sss_witness_without_ss_to_10000(self):
+        # condition_flags solves the (***) equation only where (**) holds;
+        # the implication (***) => (**) is checked here on every special d
+        for d in range(8, 10_001, 2):
+            if d % 6 in (0, 2) and not a2_represents(d, primitive=True):
+                assert witness_sss(d) is None, d
+                assert condition_flags(d).sss_witness is None, d
+
 
 class TestWitnesses:
     def test_ss_42(self):

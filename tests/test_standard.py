@@ -18,6 +18,7 @@ from cubick3 import (
 )
 from cubick3 import intlinalg as la
 from cubick3.lattice import GramLattice
+import oracles
 from cubick3.standard import (
     E1,
     E4,
@@ -392,6 +393,37 @@ class TestGenus:
         assert genus_compare(14) is True
         assert genus_compare(8) is False
         assert genus_compare(12) is False
+
+    def test_matches_bruteforce_oracle_to_2000(self):
+        # every special d, the non-cyclic 9 | d among them, against the search
+        # over the generic Smith forms of the 21x21 Grams
+        ds = [d for d in range(8, 2_001, 2) if d % 6 in (0, 2)]
+        assert 18 in ds and 1998 in ds
+        for d in ds:
+            assert genus_compare(d) == oracles.genus_compare(d), d
+
+    def test_block_disc_group_matches_generic_to_600(self):
+        for d in range(8, 601, 2):
+            if d % 6 not in (0, 2):
+                continue
+            rep = hassett_triple(d)
+            Gd = GramLattice(rep.gram_Gamma_d)
+            dg, generic = rep.disc_Gamma_d, disc_group(Gd)
+            assert dg.invariant_factors == generic.invariant_factors, d
+            G = Gd.gram.to_lists()
+            for g in dg.generators:
+                assert len(g) == Gd.rank == 21
+                # g lies in the dual lattice: its pairings with the basis are integers
+                assert all(x.denominator == 1 for x in la.mat_vec(G, g)), d
+            form = oracles.DiscForm.of_group(Gd, dg)
+            assert dg.q_values == tuple(row[i] % 2 for i, row in enumerate(form.pair_table)), d
+            assert oracles.disc_forms_isomorphic(form, oracles.DiscForm.of(Gd)), d
+
+    def test_far_beyond_the_old_search_cap(self):
+        # 12002 = 2 * 17 * 353 with 17 = 2 (mod 3): not (**)
+        assert genus_compare(12002) is False
+        assert genus_compare(12006) is False  # 9 | 12006: not cyclic
+        assert genus_compare(12014) is True  # 12014 = 2 * 6007, 6007 = 1 (mod 3)
 
 
 class TestHyperbolicSearch:

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from cubick3 import SearchCapExceeded, genus_compare
+from cubick3 import InvalidDegree, SearchCapExceeded
 from cubick3 import mukai as mk
 from cubick3 import verify as vf
+import oracles
 
 
 def test_run_all_green():
@@ -49,5 +50,19 @@ def test_detects_corrupted_w2(monkeypatch):
 
 
 def test_genus_search_cap():
+    # the cap lives in the brute-force oracle only; the library has none
     with pytest.raises(SearchCapExceeded):
-        genus_compare(62, cap=10)
+        oracles.genus_compare(62, cap=10)
+
+
+@pytest.mark.parametrize("genus_max", [-5, 0, 7])
+def test_genus_max_below_8_rejected(genus_max):
+    # an empty sweep must not report its checks as passed
+    with pytest.raises(InvalidDegree):
+        vf.run_all(genus_max=genus_max)
+
+
+def test_chain_check_in_suite():
+    ids = [c["id"] for c in vf.run_all(genus_max=8).to_json()["checks"]]
+    assert "chain.sss_implies_ss.to8" in ids
+    assert ids.index("chain.sss_implies_ss.to8") == ids.index("genus.matches_ss.to8") + 1
