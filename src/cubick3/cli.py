@@ -207,7 +207,7 @@ def cmd_mukai(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    summary = vf.run_all(genus_max=args.genus_max, hyperbolic_bound=args.bound)
+    summary = vf.run_all(genus_max=args.genus_max)
     if args.json:
         print(json.dumps(summary.to_json(), indent=2))
     else:
@@ -259,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json", action="store_true")
     v.add_argument("--genus-max", type=int, default=200,
                    help="genus comparison sweep bound (default 200)")
-    v.add_argument("--bound", type=int, default=4,
-                   help="hyperbolic search coordinate bound (default 4)")
     v.set_defaults(func=cmd_verify)
     return p
 

@@ -4,26 +4,13 @@ Matrices are plain lists of lists (row-major) of Python ints; the products
 work on Fraction entries too.  The `sparse_*` kernels, `pairing` and
 `echelon_coords` take a matrix in sparse form instead: for each row, the list
 of its nonzero (column, entry) pairs, as built by `sparse_rows`.  Nothing in
-this module knows about lattices; it only provides the elimination routines
-everything else is built on.  All arithmetic is exact.
+this module knows about lattices.  One elimination routine,
+`row_echelon_transform`, is behind the Hermite bases, kernels, ranks and
+saturations and the Smith normal form; `det_bareiss` stays for signed
+determinants.  All arithmetic is exact.
 """
 
 from __future__ import annotations
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: (g, x, y) with a*x + b*y == g == gcd(a, b) >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
 
 
 def identity(n: int) -> list[list[int]]:
@@ -68,11 +55,6 @@ def mat_vec(A: list[list], v) -> list:
 def sparse_mat_vec(S, v) -> list:
     """A * v for a matrix A given by its sparse rows S."""
     return [sum(e * v[j] for j, e in row) for row in S]
-
-
-def gram_product(B: list[list], G: list[list]) -> list[list]:
-    """B * G * B^T for a k x n row matrix B and an n x n Gram matrix G."""
-    return sparse_gram_product(B, sparse_rows(G))
 
 
 def sparse_gram_product(B: list[list], S) -> list[list]:
@@ -126,15 +108,6 @@ def det_bareiss(A: list[list[int]]) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
-
-
-def _row_combine(M, i, k, x, y, u, v):
-    # (row_i, row_k) <- (x*row_i + y*row_k, u*row_i + v*row_k); x*v - y*u = +-1
-    Mi, Mk = M[i], M[k]
-    for j in range(len(Mi)):
-        a, b = Mi[j], Mk[j]
-        Mi[j] = x * a + y * b
-        Mk[j] = u * a + v * b
 
 
 def row_echelon_transform(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int]:
@@ -255,103 +228,38 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     Returns (diag, V) where diag lists the min(m, n) diagonal entries of
     D = U*A*V (nonnegative, each dividing the next, zeros last) for
     unimodular U and V; only the column transform V is returned.
+
+    Every elimination step is a `row_echelon_transform` (Kannan and Bachem
+    1979): a column pass takes the echelon W * D^T of D^T, so D <- D * W^T
+    and V <- V * W^T, and a row pass takes the echelon of D, whose transform
+    is dropped.  The passes alternate until D is diagonal.  Each pass can only
+    shrink the leading pivot, since the new pivot is the gcd of the old one
+    with the rest of its row or column.  The echelon keeps the current row on
+    ties, so once the pivot divides its row and its column a single pass
+    clears both, and later passes leave that row and column alone: the loop
+    then works on the trailing block.  When D is diagonal but some d_i does
+    not divide a later d_j, column j is added to column i and the loop runs
+    again; that replaces d_i by gcd(d_i, d_j) < d_i and keeps d_0..d_(i-1),
+    so the diagonal decreases lexicographically and the loop ends.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     D = [list(row) for row in A]
-    V = identity(n)
-
-    def col_swap(j, k):
-        for row in D:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
-
-    def col_add(j, k, q):
-        # col_j += q * col_k
-        for row in D:
-            row[j] += q * row[k]
-        for row in V:
-            row[j] += q * row[k]
-
-    def col_combine(j, k, x, y, u, v):
-        for row in D:
-            a, b = row[j], row[k]
-            row[j] = x * a + y * b
-            row[k] = u * a + v * b
-        for row in V:
-            a, b = row[j], row[k]
-            row[j] = x * a + y * b
-            row[k] = u * a + v * b
-
-    def row_add(i, k, q):
-        for j in range(n):
-            D[i][j] += q * D[k][j]
-
-    t = 0
-    limit = min(m, n)
+    Vt = identity(n)  # V^T: a column operation on D is a row operation on Vt
     while True:
-        t = 0
-        while t < limit:
-            piv = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    e = D[i][j]
-                    if e and (best is None or abs(e) < best):
-                        piv, best = (i, j), abs(e)
-            if piv is None:
-                break
-            i, j = piv
-            if i != t:
-                D[t], D[i] = D[i], D[t]
-            if j != t:
-                col_swap(t, j)
-            while True:
-                for i in range(t + 1, m):
-                    b = D[i][t]
-                    if not b:
-                        continue
-                    a = D[t][t]
-                    if b % a == 0:
-                        row_add(i, t, -(b // a))
-                    else:
-                        g, x, y = xgcd(a, b)
-                        _row_combine(D, t, i, x, y, -(b // g), a // g)
-                for j in range(t + 1, n):
-                    b = D[t][j]
-                    if not b:
-                        continue
-                    a = D[t][t]
-                    if b % a == 0:
-                        col_add(j, t, -(b // a))
-                    else:
-                        g, x, y = xgcd(a, b)
-                        col_combine(t, j, x, y, -(b // g), a // g)
-                if all(D[i][t] == 0 for i in range(t + 1, m)) and all(
-                    D[t][j] == 0 for j in range(t + 1, n)
-                ):
-                    break
-            t += 1
-        # normalize signs with row scalings (V untouched)
-        for i in range(limit):
-            if D[i][i] < 0:
-                for j in range(n):
-                    D[i][j] = -D[i][j]
-        # enforce the divisibility chain; a violation reruns the reduction
-        fixed = True
-        r = sum(1 for i in range(limit) if D[i][i])
-        for i in range(r):
-            for j in range(i + 1, r):
-                if D[j][j] % D[i][i] != 0:
-                    col_add(i, j, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            break
-    return [D[i][i] for i in range(limit)], V
+        Ht, W, _ = row_echelon_transform(transpose(D))
+        Vt = matmul(W, Vt)
+        D, _, _ = row_echelon_transform(transpose(Ht))
+        if any(D[i][j] for i in range(m) for j in range(n) if i != j):
+            continue
+        diag = [D[i][i] for i in range(min(m, n))]
+        r = sum(1 for d in diag if d)  # row echelon: the nonzero entries come first
+        bad = next(((i, j) for i in range(r) for j in range(i + 1, r) if diag[j] % diag[i]), None)
+        if bad is None:
+            return diag, transpose(Vt)
+        i, j = bad
+        D[j][i] = D[j][j]  # column i += column j
+        Vt[i] = [a + b for a, b in zip(Vt[i], Vt[j])]
 
 
 def echelon_coords(H_rows, x: list[int]) -> list[int] | None:

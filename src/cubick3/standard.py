@@ -57,7 +57,6 @@ from .lattice import (
     orthogonal_complement,
     saturate_rows,
     saturation,
-    signature,
     span_sublattice,
 )
 
@@ -653,8 +652,11 @@ def genus_compare(d: int) -> bool:
     block [[-2, 1, 0], [1, -2, 1], [0, 1, (d-2)/3]] for d = 2 (6), and
     Lambda_d = E + U + (U + <-d>).  Both are even and indefinite, so by
     Nikulin 1979, Cor. 1.9.4, they share a genus iff they have the same
-    signature and isomorphic discriminant forms.  The unimodular summand adds
-    nothing to the discriminant form, so both invariants come from the blocks.
+    signature and isomorphic discriminant forms.  The signatures always
+    agree: both blocks have signature (1, 2), since the leading minors of B_d
+    are -2, 3, d in both residue classes and U + <-d> is (1, 1) + (0, 1).
+    The unimodular summand adds nothing to the discriminant form, so the
+    comparison is one of the forms of the blocks.
 
     The form of Lambda_d is Z/d with q = -1/d on the class of e/d, e the
     basis vector of <-d>.  The forms agree iff the group of Gamma_d is cyclic
@@ -668,12 +670,7 @@ def genus_compare(d: int) -> bool:
     (True, False, False)
     """
     _check_special(d)
-    report = hassett_triple(d)
-    block = GramLattice.from_rows(_gamma_block(d))
-    lambda_block = GramLattice.from_rows(_blockdiag([list(r) for r in _U_ROWS], [[-d]]))
-    if signature(block) != signature(lambda_block):
-        return False
-    dg = report.disc_Gamma_d
+    dg = hassett_triple(d).disc_Gamma_d
     if dg.invariant_factors != (d,):
         return False
     q = dg.q_values[0]

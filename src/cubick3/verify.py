@@ -16,6 +16,10 @@ from . import mukai as mk
 from . import standard as st
 from .errors import InvalidDegree
 
+# Coordinate bound of the hyperbolic-plane search.  At 0 no pair is found;
+# the search grows as (2b+1)^4 in the bound, so it stays fixed.
+HYPERBOLIC_BOUND = 4
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -250,7 +254,7 @@ def _pell_checks(out: list[CheckResult]) -> None:
     _check(out, "pell.sss.74", None, cond.witness_sss(74))
 
 
-def _hyperbolic_checks(out: list[CheckResult], bound: int) -> None:
+def _hyperbolic_checks(out: list[CheckResult]) -> None:
     lt = st.standard_lattice("LambdaTilde")
     pairs = {
         "e4f4": (st.unit_vector(24, st.E4), st.unit_vector(24, st.F4)),
@@ -258,7 +262,7 @@ def _hyperbolic_checks(out: list[CheckResult], bound: int) -> None:
     }
     for name, (e, f) in pairs.items():
         try:
-            ep, fp = st.find_hyperbolic_AT(e, f, bound=bound)
+            ep, fp = st.find_hyperbolic_AT(e, f, bound=HYPERBOLIC_BOUND)
             ok = (
                 lt.square(ep) == 0
                 and lt.square(fp) == 0
@@ -273,7 +277,7 @@ def _hyperbolic_checks(out: list[CheckResult], bound: int) -> None:
         _check(out, f"hyperbolic.{name}", True, ok)
 
 
-def run_all(genus_max: int = 200, hyperbolic_bound: int = 4) -> VerifySummary:
+def run_all(genus_max: int = 200) -> VerifySummary:
     """Every check, with the per-d sweeps over the special d in [8, genus_max]."""
     if genus_max < 8:
         raise InvalidDegree(f"genus_max must be at least 8, got {genus_max}")
@@ -289,7 +293,7 @@ def run_all(genus_max: int = 200, hyperbolic_bound: int = 4) -> VerifySummary:
         ("delta", lambda: _delta_checks(out)),
         ("kdoo", lambda: _kdoo_checks(out)),
         ("pell", lambda: _pell_checks(out)),
-        ("hyperbolic", lambda: _hyperbolic_checks(out, hyperbolic_bound)),
+        ("hyperbolic", lambda: _hyperbolic_checks(out)),
     )
     for name, block in blocks:
         try:

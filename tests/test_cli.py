@@ -141,6 +141,14 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--disc-cap" in capsys.readouterr().err
 
+    def test_bound_option_is_gone(self, capsys):
+        # the hyperbolic search bound is fixed: at 0 a correct build fails,
+        # and the search grows as (2b+1)^4 in the bound
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--bound", "4"])
+        assert exc.value.code == 2
+        assert "--bound" in capsys.readouterr().err
+
     def test_verify_failure_exits_one(self, capsys, monkeypatch):
         from cubick3 import cli
         from cubick3.verify import CheckResult, VerifySummary

@@ -44,13 +44,6 @@ def minors_gcd(A, k):
     return g
 
 
-def test_xgcd():
-    for a, b in [(12, 18), (-12, 18), (0, 5), (5, 0), (0, 0), (7, 13), (-4, -6)]:
-        g, x, y = la.xgcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
-
-
 def test_det_against_gauss_oracle():
     rng = random.Random(7)
     for _ in range(200):
@@ -111,23 +104,57 @@ def test_hnf_rows_canonical():
             assert 0 <= above[j] < row[j]
 
 
+def check_smith(A, diag, V):
+    # the Smith contract: D = U*A*V with V unimodular, so A*V = U^-1 * D and
+    # column i of A*V is d_i times column i of the unimodular U^-1
+    m, n = len(A), len(A[0])
+    assert len(diag) == min(m, n)
+    assert abs(la.det_bareiss(V)) == 1
+    nonzero = [d for d in diag if d]
+    # divisibility chain, zeros trailing
+    for a, b in zip(nonzero, nonzero[1:]):
+        assert b % a == 0
+    assert diag[len(nonzero):] == [0] * (len(diag) - len(nonzero))
+    # oracle: the product of the first k factors is the gcd of k x k minors
+    prod = 1
+    for k, d in enumerate(nonzero, start=1):
+        prod *= d
+        assert prod == minors_gcd(A, k)
+    # V is the column transform: column i of A*V is divisible by d_i (zero where d_i = 0)
+    AV = la.matmul(A, V)
+    for i in range(n):
+        d = diag[i] if i < len(diag) else 0
+        col = [row[i] for row in AV]
+        assert not any(col) if d == 0 else all(e % d == 0 for e in col)
+    if m == n and 0 not in diag:
+        quotient = [[e // d for e, d in zip(row, diag)] for row in AV]
+        assert abs(la.det_bareiss(quotient)) == 1
+
+
 def test_smith_normal_form_invariant_factors():
     rng = random.Random(17)
     for _ in range(150):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
         diag, V = la.smith_normal_form(A)
-        assert abs(la.det_bareiss(V)) == 1
-        nonzero = [d for d in diag if d]
-        # divisibility chain, zeros trailing
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-        assert diag[len(nonzero):] == [0] * (len(diag) - len(nonzero))
-        # oracle: the product of the first k factors is the gcd of k x k minors
-        prod = 1
-        for k, d in enumerate(nonzero, start=1):
-            prod *= d
-            assert prod == minors_gcd(A, k)
+        check_smith(A, diag, V)
+    known = [
+        # a diagonal input that breaks the divisibility chain forces a column merge
+        ([[2, 0], [0, 3]], [1, 6]),
+        ([[4, 0], [0, 6]], [2, 12]),
+        ([[6, 0], [0, 4]], [2, 12]),
+        ([[4, 6, 10]], [2]),
+        ([[0, -3, 6, 9]], [3]),
+        ([[6], [-4], [0]], [2]),
+        ([[0, 0, 0], [0, 0, 0]], [0, 0]),
+        ([[2, 4, 6], [1, 2, 3], [0, 0, 0]], [1, 0, 0]),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [1, 3, 0]),
+        ([[0, 0, 0], [0, 0, 4], [0, 6, 0]], [2, 12, 0]),
+    ]
+    for A, want in known:
+        diag, V = la.smith_normal_form(A)
+        assert diag == want, A
+        check_smith(A, diag, V)
 
 
 def test_smith_known_values():

@@ -343,7 +343,7 @@ class TestKdoo:
             g = w.involution.to_lists()
             gbar = standard_lattice("Gammabar")
             G = gbar.gram.to_lists()
-            assert la.gram_product(g, G) == G
+            assert la.sparse_gram_product(g, la.sparse_rows(G)) == G
             from cubick3.standard import H2
 
             assert la.mat_vec(g, H2) == list(H2)
@@ -401,6 +401,16 @@ class TestGenus:
         assert 18 in ds and 1998 in ds
         for d in ds:
             assert genus_compare(d) == oracles.genus_compare(d), d
+
+    def test_blocks_have_signature_1_2_to_2000(self):
+        # genus_compare skips the signature comparison: B_d and U + <-d> are
+        # both of signature (1, 2) at every special d
+        for d in range(8, 2_001, 2):
+            if d % 6 not in (0, 2):
+                continue
+            gamma_block = GramLattice.from_rows(st._gamma_block(d))
+            lambda_block = GramLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -d]])
+            assert signature(gamma_block) == signature(lambda_block) == (1, 2, 0), d
 
     def test_block_disc_group_matches_generic_to_600(self):
         for d in range(8, 601, 2):
