@@ -1,13 +1,14 @@
 """Exact integer matrix kernels.
 
-Matrices are plain lists of lists (row-major) of Python ints; the products
-work on Fraction entries too.  The `sparse_*` kernels, `pairing` and
-`echelon_coords` take a matrix in sparse form instead: for each row, the list
-of its nonzero (column, entry) pairs, as built by `sparse_rows`.  Nothing in
-this module knows about lattices.  One elimination routine,
-`row_echelon_transform`, is behind the Hermite bases, kernels, ranks and
-saturations and the Smith normal form; `det_bareiss` stays for signed
-determinants.  All arithmetic is exact.
+Matrices are plain lists of lists (row-major) of Python ints.  The
+`sparse_*` kernels, `pairing` and `echelon_coords` take a matrix in sparse
+form instead: for each row, the list of its nonzero (column, entry) pairs, as
+built by `sparse_rows`.  Nothing in this module knows about lattices.  One
+elimination routine, `row_echelon`, is behind the Hermite bases, kernels,
+ranks and saturations and the Smith normal form.  It applies each row
+operation to whole rows, so columns past the echelon ride along: a matrix X
+appended to A comes back as U*X, and an appended identity as the transform U.
+`det_bareiss` stays for signed determinants.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -29,23 +30,6 @@ def sparse_rows(A: list[list]) -> list[list[tuple]]:
     often builds it once.
     """
     return [[(j, e) for j, e in enumerate(row) if e] for row in A]
-
-
-def matmul(A: list[list], B: list[list]) -> list[list]:
-    """A * B, touching only the nonzero entries of both factors."""
-    if not A:
-        return []
-    cols = len(B[0]) if B else 0
-    B_rows = sparse_rows(B)
-    out = []
-    for row in A:
-        acc = [0] * cols
-        for a, Bk in zip(row, B_rows):
-            if a:
-                for j, b in Bk:
-                    acc[j] += a * b
-        out.append(acc)
-    return out
 
 
 def mat_vec(A: list[list], v) -> list:
@@ -110,70 +94,72 @@ def det_bareiss(A: list[list[int]]) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def row_echelon_transform(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int]:
-    """Integer row echelon form through unimodular row operations.
+def row_echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], int]:
+    """Integer row echelon form of the first n columns, by unimodular row operations.
 
-    Returns (H, U, rank) with U*A == H, U unimodular, pivot columns strictly
-    increasing with positive pivots, and rows from index `rank` on zero.
+    Returns (M, rank).  Row operations act on whole rows, so the columns
+    past n ride along: rows [A | X] give M = [H | U*X] with U*A == H and U
+    unimodular, pivot columns of H strictly increasing with positive pivots,
+    and rows from index `rank` on zero in H.  X = I gives U itself.
 
     Pivot rule: for each column, the row with the smallest nonzero |entry|
     is moved to the pivot position and the nearest-integer multiple of it is
-    subtracted from every row below (on H and U alike); this repeats until
-    the column is clear below the pivot.  After each pass every entry below
-    the pivot is at most half the pivot in absolute value, so the pivot
-    shrinks geometrically and the coefficients of H and U stay small.
+    subtracted from every row below; this repeats until the column is clear
+    below the pivot.  After each pass every entry below the pivot is at most
+    half the pivot in absolute value, so the pivot shrinks geometrically and
+    the coefficients stay small.
 
     Neither H nor U is canonical: U is one unimodular transform among many
     and H is reduced only below its pivots.  Only the outputs of `hnf_rows`
     and `left_kernel` are canonical.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    H = [list(row) for row in A]
-    U = identity(m)
+    M = [list(row) for row in rows]
+    m = len(M)
     r = 0
     for col in range(n):
+        if r == m:
+            break
         while True:
             piv, best = None, 0
             for i in range(r, m):
-                e = H[i][col]
+                e = M[i][col]
                 if e and (piv is None or abs(e) < best):
                     piv, best = i, abs(e)
             if piv is None:
                 break
             if piv != r:
-                H[r], H[piv] = H[piv], H[r]
-                U[r], U[piv] = U[piv], U[r]
-            Hr, Ur = H[r], U[r]
-            a = Hr[col]
+                M[r], M[piv] = M[piv], M[r]
+            Mr = M[r]
+            a = Mr[col]
             # zero entries of the pivot row leave the other rows unchanged
-            h_support = [j for j in range(col, n) if Hr[j]]
-            u_support = [j for j in range(m) if Ur[j]]
+            support = [j for j in range(col, len(Mr)) if Mr[j]]
             cleared = True
             for i in range(r + 1, m):
-                Hi = H[i]
-                b = Hi[col]
+                Mi = M[i]
+                b = Mi[col]
                 if not b:
                     continue
                 q = (2 * b + a) // (2 * a)  # nearest integer to b / a
-                Ui = U[i]
-                for j in h_support:
-                    Hi[j] -= q * Hr[j]
-                for j in u_support:
-                    Ui[j] -= q * Ur[j]
-                if Hi[col]:
+                for j in support:
+                    Mi[j] -= q * Mr[j]
+                if Mi[col]:
                     cleared = False
             if cleared:
                 break
-        if not H[r][col]:
+        if not M[r][col]:
             continue  # no pivot in this column
-        if H[r][col] < 0:
-            H[r] = [-e for e in H[r]]
-            U[r] = [-e for e in U[r]]
+        if M[r][col] < 0:
+            M[r] = [-e for e in M[r]]
         r += 1
-        if r == m:
-            break
-    return H, U, r
+    return M, r
+
+
+def row_echelon_transform(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int]:
+    """(H, U, rank) with U*A == H: the `row_echelon` of [A | I], split."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    M, r = row_echelon([list(row) + e for row, e in zip(A, identity(m))], n)
+    return [row[:n] for row in M], [row[n:] for row in M], r
 
 
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -185,9 +171,9 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """
     if not rows:
         return []
-    H, _, r = row_echelon_transform(rows)
+    n = len(rows[0])
+    H, r = row_echelon(rows, n)
     H = H[:r]
-    n = len(H[0]) if H else 0
     pivots = []
     for i, row in enumerate(H):
         j = next(k for k in range(n) if row[k])
@@ -216,10 +202,7 @@ def left_kernel(A: list[list[int]]) -> list[list[int]]:
 
 
 def rank_int(A: list[list[int]]) -> int:
-    if not A:
-        return 0
-    _, _, r = row_echelon_transform(A)
-    return r
+    return row_echelon(A, len(A[0]))[1] if A else 0
 
 
 def smith_normal_form(A: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -229,27 +212,28 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     D = U*A*V (nonnegative, each dividing the next, zeros last) for
     unimodular U and V; only the column transform V is returned.
 
-    Every elimination step is a `row_echelon_transform` (Kannan and Bachem
-    1979): a column pass takes the echelon W * D^T of D^T, so D <- D * W^T
-    and V <- V * W^T, and a row pass takes the echelon of D, whose transform
-    is dropped.  The passes alternate until D is diagonal.  Each pass can only
-    shrink the leading pivot, since the new pivot is the gcd of the old one
-    with the rest of its row or column.  The echelon keeps the current row on
-    ties, so once the pivot divides its row and its column a single pass
-    clears both, and later passes leave that row and column alone: the loop
-    then works on the trailing block.  When D is diagonal but some d_i does
-    not divide a later d_j, column j is added to column i and the loop runs
-    again; that replaces d_i by gcd(d_i, d_j) < d_i and keeps d_0..d_(i-1),
-    so the diagonal decreases lexicographically and the loop ends.
+    The passes of Kannan and Bachem (1979) alternate until D is diagonal.  A
+    column pass is a row operation on D^T and on V^T alike, so it is one
+    `row_echelon` of [D^T | V^T] on its first m columns: V^T rides along and
+    comes back updated.  A row pass is the `row_echelon` of D with nothing
+    riding, since U is not returned.  Each pass can only shrink the leading
+    pivot, since the new pivot is the gcd of the old one with the rest of its
+    row or column.  The echelon keeps the current row on ties, so once the
+    pivot divides its row and its column a single pass clears both, and later
+    passes leave that row and column alone: the loop then works on the
+    trailing block.  When D is diagonal but some d_i does not divide a later
+    d_j, column j is added to column i and the loop runs again; that replaces
+    d_i by gcd(d_i, d_j) < d_i and keeps d_0..d_(i-1), so the diagonal
+    decreases lexicographically and the loop ends.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     D = [list(row) for row in A]
     Vt = identity(n)  # V^T: a column operation on D is a row operation on Vt
     while True:
-        Ht, W, _ = row_echelon_transform(transpose(D))
-        Vt = matmul(W, Vt)
-        D, _, _ = row_echelon_transform(transpose(Ht))
+        M, _ = row_echelon([c + v for c, v in zip(transpose(D), Vt)], m)
+        Vt = [row[m:] for row in M]
+        D, _ = row_echelon(transpose(M)[:m], n)
         if any(D[i][j] for i in range(m) for j in range(n) if i != j):
             continue
         diag = [D[i][i] for i in range(min(m, n))]

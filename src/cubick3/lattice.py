@@ -399,8 +399,9 @@ def orthogonal_complement(amb: GramLattice, vecs) -> Sublattice:
     for row in W:
         if len(row) != amb.rank:
             raise ValueError("vector length does not match the ambient rank")
-    M = la.matmul(amb.gram.to_lists(), la.transpose(W))
-    basis = la.left_kernel(M)
+    cols = [amb.basis_pairings(w) for w in W]  # G * W^T, one column per vector
+    # indexed by rank, not transposed, so that no vectors still give rank rows
+    basis = la.left_kernel([[c[i] for c in cols] for i in range(amb.rank)])
     return Sublattice(amb, IntMatrix.from_rows(basis))
 
 

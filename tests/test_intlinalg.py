@@ -6,9 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hyp
 
 from cubick3 import intlinalg as la
-from oracles import frac_inv, solve_rational
+from oracles import frac_inv, matmul, solve_rational
 
 
 def det_fraction_gauss(A):
@@ -63,11 +64,41 @@ def test_row_echelon_transform_properties():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
         H, U, r = la.row_echelon_transform(A)
-        assert la.matmul(U, A) == H
+        assert matmul(U, A) == H
         assert abs(la.det_bareiss(U)) == 1
         assert all(not any(H[i]) for i in range(r, m))
         pivots = [next(j for j in range(n) if row[j]) for row in H[:r]]
         assert pivots == sorted(pivots) and len(set(pivots)) == r
+
+
+def test_empty_dimensions():
+    assert la.smith_normal_form([]) == ([], [])
+    assert la.smith_normal_form([[], []]) == ([], [])
+    assert la.smith_normal_form([[0], [0]]) == ([0], [[1]])
+    assert la.rank_int([[]]) == 0
+    assert la.hnf_rows([[]]) == []
+    assert la.left_kernel([[], []]) == [[1, 0], [0, 1]]
+    assert la.row_echelon_transform([[], []]) == ([[], []], [[1, 0], [0, 1]], 0)
+
+
+@given(hyp.data())
+@settings(max_examples=150, deadline=None)
+def test_riding_columns_come_back_multiplied_by_the_transform(data):
+    # the columns past n take every row operation, so [A | X] -> [H | U*X]
+    m, n, p = (data.draw(hyp.integers(0, 5)) for _ in range(3))
+    entries = hyp.sampled_from([0, 0, 0, -7, -3, -2, -1, 1, 2, 3, 5, 12])
+    A = [[data.draw(entries) for _ in range(n)] for _ in range(m)]
+    X = [[data.draw(entries) for _ in range(p)] for _ in range(m)]
+    H, U, r = la.row_echelon_transform(A)
+    UX = matmul(U, X)
+    M, rank = la.row_echelon([a + x for a, x in zip(A, X)], n)
+    assert rank == r
+    assert M == [h + ux for h, ux in zip(H, UX)]
+    # the identity rides along as the transform itself
+    assert la.row_echelon([a + e for a, e in zip(A, la.identity(m))], n) == (
+        [h + u for h, u in zip(H, U)],
+        r,
+    )
 
 
 def test_left_kernel_is_saturated():
@@ -121,7 +152,7 @@ def check_smith(A, diag, V):
         prod *= d
         assert prod == minors_gcd(A, k)
     # V is the column transform: column i of A*V is divisible by d_i (zero where d_i = 0)
-    AV = la.matmul(A, V)
+    AV = matmul(A, V)
     for i in range(n):
         d = diag[i] if i < len(diag) else 0
         col = [row[i] for row in AV]
@@ -180,7 +211,7 @@ def test_smith_against_sympy():
 def test_frac_inv():
     A = [[2, 1], [1, 1]]
     inv = frac_inv(A)
-    assert la.matmul(inv, A) == [[1, 0], [0, 1]]
+    assert matmul(inv, A) == [[1, 0], [0, 1]]
     with pytest.raises(ZeroDivisionError):
         frac_inv([[1, 1], [1, 1]])
 

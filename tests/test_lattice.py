@@ -285,6 +285,11 @@ class TestOrthogonalComplement:
                 [0, 0, 0, 1, 0],
             ]
 
+    def test_complement_of_nothing_is_the_ambient(self):
+        for amb in (U, standard_lattice("LambdaTilde")):
+            C = orthogonal_complement(amb, [])
+            assert C.basis.to_lists() == la.identity(amb.rank)
+
     def test_complement_is_saturated(self):
         lt = standard_lattice("LambdaTilde")
         C = orthogonal_complement(lt, [LAMBDA1])
