@@ -41,10 +41,13 @@ Vector = tuple[int, ...]
 def _as_int(e) -> int:
     if type(e) is int:
         return e
-    n = int(e)
-    if n != e:
-        raise ValueError(f"non-integral entry {e!r}")
-    return n
+    try:
+        n = int(e)
+        if n == e:
+            return n
+    except (OverflowError, ValueError):  # int() of an infinity or a nan
+        pass
+    raise ValueError(f"non-integral entry {e!r}")
 
 
 def as_vector(v) -> Vector:
@@ -77,9 +80,6 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
-
-    def row(self, i: int) -> Vector:
-        return self.data[i]
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(
@@ -201,9 +201,11 @@ class Sublattice:
         """Whether the (possibly rational) ambient vector lies in the sublattice."""
         if len(v) != self.ambient.rank:
             raise ValueError("vector length does not match the ambient rank")
-        if any(not isinstance(e, int) and Fraction(e).denominator != 1 for e in v):
+        try:
+            w = as_vector(v)
+        except ValueError:
             return False  # integer basis rows span only integer vectors
-        return la.echelon_coords(self._hnf, [int(e) for e in v]) is not None
+        return la.echelon_coords(self._hnf, list(w)) is not None
 
 
 @dataclass(frozen=True)

@@ -192,10 +192,6 @@ def euler_line(k: int) -> int:
     return binom5(k + 5) - binom5(k + 2)
 
 
-def _w(i: int) -> CohClass:
-    return mukai_vector_line(i)
-
-
 def project_right(a: CohClass) -> CohClass:
     """Projection onto the right orthogonal complement of the three line-bundle vectors.
 
@@ -204,7 +200,7 @@ def project_right(a: CohClass) -> CohClass:
     triangular with -1 on the diagonal, so removing the w2, w1, w0
     components in turn leaves the earlier pairings at zero.
     """
-    ws = [_w(0), _w(1), _w(2)]
+    ws = [mukai_vector_line(i) for i in range(3)]
     out = a
     for w in reversed(ws):
         out = out - w.scale(mukai_pairing(w, out) / mukai_pairing(w, w))
@@ -230,7 +226,7 @@ def a2_mukai_gram() -> IntMatrix:
     Gram matrix.
     """
     vl1, vl2 = lambda_vectors()
-    ws = [_w(0), _w(1), _w(2)]
+    ws = [mukai_vector_line(i) for i in range(3)]
     for wi in ws:
         for v in (vl1, vl2):
             if mukai_pairing(wi, v) != 0:
@@ -273,7 +269,7 @@ class MukaiSet:
 def mukai_set() -> MukaiSet:
     u1, u2 = u_classes()
     vl1, vl2 = lambda_vectors()
-    ms = MukaiSet(_w(0), _w(1), _w(2), u1, u2, vl1, vl2)
+    ms = MukaiSet(*(mukai_vector_line(i) for i in range(3)), u1, u2, vl1, vl2)
     # defining identities of the projected vectors
     if vl1 != u1 - ms.w1 + ms.w0.scale(4):
         raise AssertionError("vl1 != u1 - w1 + 4 w0")

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import conditions as cond
 from . import intlinalg as la
+from . import lattice as lat
 from . import mukai as mk
 from . import standard as st
 from .errors import InvalidDegree
@@ -202,21 +203,49 @@ def _chain_checks(out: list[CheckResult], max_d: int) -> None:
     _check(out, f"chain.sss_implies_ss.to{max_d}", [], bad)
 
 
+def _nl_failures(d: int) -> list[str]:
+    """Tags of the claims of `hassett_triple(d)` that the generic lattices refute.
+
+    The claims: v_d classifies to (case, d); the saturations have index 1
+    (d = 0 (6)) or 3; each closed-form basis has the Hermite basis of the
+    computed lattice and the reported Gram; |det| of gram_K and gram_L is d;
+    disc_K is cyclic iff 9 does not divide d.
+    """
+    rep = st.hassett_triple(d)
+    v = rep.v
+    gbar, ltil = st.standard_lattice("Gammabar"), st.standard_lattice("LambdaTilde")
+    satK, idxK = lat.saturation(lat.span_sublattice(gbar, [st.H2, st.gamma_to_gammabar(v)]))
+    satL, idxL = lat.saturation(
+        lat.span_sublattice(ltil, [st.LAMBDA1, st.LAMBDA2, st.gamma_to_lambdatilde(v)])
+    )
+    comp = lat.orthogonal_complement(st.standard_lattice("Gamma"), [v])
+    claims = [
+        ("classification", st.classify_nl_vector(v) == (rep.case, d)),
+        ("index", (idxK, idxL) == ((1, 1) if d % 6 == 0 else (3, 3))),
+    ]
+    for name, sub, rows, gram in zip(
+        ("K", "L", "Gamma"), (satK, satL, comp), st.closed_form_bases(d),
+        (rep.gram_K, rep.gram_L, rep.gram_Gamma_d),
+    ):
+        claims += [
+            (f"basis{name}", la.hnf_rows(rows) == sub.basis.to_lists()),
+            (f"gram{name}", la.sparse_gram_product(rows, sub.ambient.gram_rows) == gram.to_lists()),
+        ]
+    claims += [
+        ("detK", abs(la.det_bareiss(rep.gram_K.to_lists())) == d),
+        ("detL", abs(la.det_bareiss(rep.gram_L.to_lists())) == d),
+        ("cyclic", rep.disc_K.is_cyclic == (d % 9 != 0)),
+    ]
+    return [tag for tag, ok in claims if not ok]
+
+
 def _nl_sweep_checks(out: list[CheckResult], max_d: int) -> None:
+    """The proof of `hassett_triple`'s closed form: `_nl_failures` on every
+    special d in [8, max_d], each refuted claim listed as (d, tag)."""
     bad = []
     for d in range(8, max_d + 1, 2):
-        if d % 6 not in (0, 2):
-            continue
-        rep = st.hassett_triple(d)
-        case, dd = st.classify_nl_vector(rep.v)
-        if (case, dd) != (rep.case, d):
-            bad.append((d, "classification"))
-        if abs(la.det_bareiss(rep.gram_K.to_lists())) != d:
-            bad.append((d, "detK"))
-        if abs(la.det_bareiss(rep.gram_L.to_lists())) != d:
-            bad.append((d, "detL"))
-        if rep.disc_K.is_cyclic != (d % 9 != 0):
-            bad.append((d, "cyclic"))
+        if d % 6 in (0, 2):
+            bad.extend((d, tag) for tag in _nl_failures(d))
     _check(out, f"nl.sweep.to{max_d}", [], bad)
 
 

@@ -41,7 +41,8 @@ from cubick3 import (
 from cubick3 import intlinalg as la
 from cubick3 import standard as st
 from cubick3.mukai import characteristic_classes, euler_line, lambda_vectors
-from cubick3.standard import binary_grams_equivalent, is_primitive, standard_lattice
+from cubick3.standard import is_primitive, standard_lattice
+from oracles import binary_grams_equivalent
 
 
 def report(cid, ok, detail=""):

@@ -423,35 +423,46 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
     assert widest[0] <= 64
 
 
+# entries that are no integers: int() truncates the first and raises
+# OverflowError on the infinities and ValueError on the nan
+NOT_INTEGERS = (Fraction(3, 2), float("inf"), float("-inf"), float("nan"))
+
+
 class TestIntegralEntries:
-    # a non-integral coordinate is an error, never truncated to an integer
+    # a non-integral coordinate is an error, never truncated to an integer;
+    # int() truncates 3/2 and 2.5, and raises OverflowError on an infinity
+    NOT_INTEGERS = (Fraction(3, 2), float("inf"), float("-inf"), float("nan"))
 
     def test_divisibility(self):
-        with pytest.raises(ValueError, match="non-integral"):
-            divisibility(U, (Fraction(3, 2), 1))
+        for x in self.NOT_INTEGERS:
+            with pytest.raises(ValueError, match="non-integral"):
+                divisibility(U, (x, 1))
         assert divisibility(U, (Fraction(4, 2), 1.0)) == divisibility(U, (2, 1))
 
     def test_vector_entry_points(self):
-        half = (Fraction(1, 2), 0)
-        for call in (
-            lambda: is_primitive(U, half),
-            lambda: span_sublattice(U, [half]),
-            lambda: saturate_rows(U, [half]),
-            lambda: orthogonal_complement(U, [half]),
-        ):
-            with pytest.raises(ValueError, match="non-integral"):
-                call()
+        for x in self.NOT_INTEGERS:
+            bad = (x, 0)
+            for call in (
+                lambda: is_primitive(U, bad),
+                lambda: span_sublattice(U, [bad]),
+                lambda: saturate_rows(U, [bad]),
+                lambda: orthogonal_complement(U, [bad]),
+            ):
+                with pytest.raises(ValueError, match="non-integral"):
+                    call()
 
     def test_gram_matrix(self):
-        with pytest.raises(ValueError, match="non-integral"):
-            GramLattice.from_rows([[2.5]])
-        with pytest.raises(ValueError, match="non-integral"):
-            IntMatrix.from_rows([[1, Fraction(1, 3)]])
+        for x in (2.5,) + self.NOT_INTEGERS:
+            with pytest.raises(ValueError, match="non-integral"):
+                GramLattice.from_rows([[x]])
+            with pytest.raises(ValueError, match="non-integral"):
+                IntMatrix.from_rows([[1, x]])
+            with pytest.raises(ValueError, match="non-integral"):
+                GramLattice.from_json({"gram": [[x]]})
         assert GramLattice.from_rows([[Fraction(4, 2)]]).gram.data == ((2,),)
-        with pytest.raises(ValueError, match="non-integral"):
-            GramLattice.from_json({"gram": [[2.5]]})
 
     def test_contains_is_false_not_an_error(self):
         S = span_sublattice(U, [(1, 0)])
-        assert not S.contains((Fraction(1, 2), 0))
+        for x in self.NOT_INTEGERS:
+            assert not S.contains((x, 0))
         assert S.contains((Fraction(2, 2), 0))

@@ -1,10 +1,13 @@
 """Named constructions: standard lattices, NL vectors, witnesses, searches."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from cubick3 import lattice
 from cubick3 import standard as st
+from cubick3 import verify as vf
 from cubick3 import (
     InvalidDegree,
     InvalidNLVector,
@@ -19,6 +22,7 @@ from cubick3 import (
 from cubick3 import intlinalg as la
 from cubick3.lattice import GramLattice
 import oracles
+from oracles import binary_grams_equivalent
 from cubick3.standard import (
     E1,
     E4,
@@ -29,7 +33,6 @@ from cubick3.standard import (
     M1,
     RANK_GAMMA,
     _vec,
-    binary_grams_equivalent,
     boundary_witnesses,
     canonical_embedding_report,
     classify_nl_vector,
@@ -184,10 +187,11 @@ class TestClassify:
 
     def test_rejects_non_integral(self):
         # e1 - (7/3) f1 must not be read as e1 - 2 f1
-        v = [Fraction(e) for e in nl_vector(12)]
-        v[F1] = Fraction(-7, 3)
-        with pytest.raises(InvalidNLVector, match="non-integral"):
-            classify_nl_vector(v)
+        for x in (Fraction(-7, 3), float("inf"), float("-inf"), float("nan")):
+            v = [Fraction(e) for e in nl_vector(12)]
+            v[F1] = x
+            with pytest.raises(InvalidNLVector, match="non-integral"):
+                classify_nl_vector(v)
 
     def test_rejects_nonprimitive_and_positive(self):
         with pytest.raises(InvalidNLVector):
@@ -202,10 +206,61 @@ class TestHassettTriple:
     def test_rejects_a_basis_that_spans_another_lattice(self, monkeypatch):
         # the complement of v_12 in place of the complement of v_18: the
         # closed-form basis of Gamma_18 has another Hermite basis
-        real = st.orthogonal_complement
-        monkeypatch.setattr(st, "orthogonal_complement", lambda amb, _: real(amb, [nl_vector(12)]))
-        with pytest.raises(AssertionError, match="canonical basis does not span"):
-            hassett_triple.__wrapped__(18)  # bypass the cache
+        real = lattice.orthogonal_complement
+
+        def swapped(amb, vecs):
+            return real(amb, [nl_vector(12)] if list(vecs) == [nl_vector(18)] else vecs)
+
+        monkeypatch.setattr(lattice, "orthogonal_complement", swapped)
+        failures = {c.check_id: c.actual for c in vf.run_all(genus_max=20).failures}
+        assert failures == {"nl.sweep.to20": repr([(18, "basisGamma")])}
+
+    def test_oracle_rejects_a_corrupted_closed_form(self, monkeypatch):
+        real = st._gamma_block
+
+        def corrupted(d):
+            block = real(d)
+            if d == 14:
+                block[2][2] += 6
+            return block
+
+        monkeypatch.setattr(st, "_gamma_block", corrupted)
+        hassett_triple.cache_clear()
+        try:
+            s = vf.run_all(genus_max=20)
+        finally:
+            hassett_triple.cache_clear()  # drop the corrupted reports
+        sweep = next(c for c in s.failures if c.check_id == "nl.sweep.to20")
+        assert sweep.actual == repr([(14, "gramGamma")])
+
+    def test_closed_form_computes_no_lattice(self, monkeypatch):
+        ds = (2, 6, 8, 12, 14, 18)
+        want = {d: hassett_triple(d) for d in ds}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("hassett_triple must not run the generic route")
+
+        for module, name in (
+            (st, "saturation"),
+            (st, "orthogonal_complement"),
+            (la, "hnf_rows"),
+            (la, "det_bareiss"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        for d in ds:
+            assert hassett_triple.__wrapped__(d) == want[d]  # bypass the cache
+
+    def test_oracle_holds_far_beyond_every_sweep(self):
+        # no verify sweep reaches these d; each takes the generic route once
+        rng = random.Random(9)
+        ds = []
+        while len(ds) < 20:
+            d = 2 * rng.randrange(2**39, 2**62)
+            if d % 6 in (0, 2):
+                ds.append(d)
+        assert {d % 6 for d in ds} == {0, 2}
+        for d in ds:
+            assert vf._nl_failures(d) == [], d
 
     def test_d14(self):
         r = hassett_triple(14)
@@ -326,10 +381,11 @@ class TestEichler:
             eichler_invariants((0,) * RANK_GAMMA)
 
     def test_non_integral_rejected(self):
-        v = list(nl_vector(14))
-        v[M1] = 0.5
-        with pytest.raises(InvalidNLVector, match="non-integral"):
-            eichler_invariants(v)
+        for x in (0.5, float("inf"), float("-inf"), float("nan")):
+            v = list(nl_vector(14))
+            v[M1] = x
+            with pytest.raises(InvalidNLVector, match="non-integral"):
+                eichler_invariants(v)
 
 
 M2_IDX = 21
@@ -470,12 +526,14 @@ class TestHyperbolicSearch:
 
     def test_non_integral_rejected(self):
         e = list(unit_vector(24, E1))
-        f = [Fraction(x) for x in unit_vector(24, F1)]
-        f[0] = Fraction(1, 2)  # E8 coordinate; truncation would give back f1
-        with pytest.raises(NotHyperbolicPair, match="non-integral"):
-            find_hyperbolic_AT(e, f)
-        with pytest.raises(NotHyperbolicPair, match="non-integral"):
-            find_hyperbolic_AT(f, e)
+        # 1/2 is an E8 coordinate where truncation would give back f1
+        for x in (Fraction(1, 2), float("inf"), float("-inf"), float("nan")):
+            f = [Fraction(y) for y in unit_vector(24, F1)]
+            f[0] = x
+            with pytest.raises(NotHyperbolicPair, match="non-integral"):
+                find_hyperbolic_AT(e, f)
+            with pytest.raises(NotHyperbolicPair, match="non-integral"):
+                find_hyperbolic_AT(f, e)
 
     def test_determinism(self):
         e, f = unit_vector(24, E1), unit_vector(24, F1)
