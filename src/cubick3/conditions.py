@@ -10,6 +10,28 @@ presentation d = (2n^2+2n+2)/a^2.  The A2 tests and the (**) witness run on
 one prime factorization of d/2; the (***) witness comes from the Pell
 solver, which `condition_flags` runs only where (**) holds (the implication
 (***) => (**) is a check of `verify` instead).
+
+The table's `pell_3p2` column, Brakkee's 3p^2 - (d/6) q^2 = -1 for
+d = 0 (mod 6), is the solvability of x^2 + 3 = D y^2 with x = 3p, y = q,
+D = d/2.  `csv_row` decides it without building a convergent where it can:
+
+- (***) implies it: a solution (x, y) of x^2 - 2d y^2 = -3 gives the
+  solution (x, 2y) of x^2 - (d/2) y^2 = -3.
+- A solution forces three local conditions on D, with 3 | D.  For an odd
+  prime p != 3 dividing D, p does not divide x (else p | 3), so -3 is a
+  square mod p, that is p = 1 (mod 3).  3 | x, and x = 3x' gives
+  3 (3x'^2 + 1) = D y^2 with 3 not dividing 3x'^2 + 1, so v_3(D) = 1.  For
+  even x, x^2 + 3 is odd, so v_2(D) = 0; for odd x, x^2 + 3 = 4 (mod 8),
+  so v_2(D) + 2 v_2(y) = 2 and v_2(D) is 0 or 2.  As (**) holds for d
+  exactly when D has no prime factor 2 (mod 3), 2 included, and
+  v_3(D) <= 1, these conditions say that (**) holds for d, or that
+  d = 8 (mod 16) and (**) holds for d/4.  Where neither does, the
+  column is F.
+- Every other d is decided by `pell.least_solution(d/2)`, which stops at
+  the least solution and builds no bound.
+
+`pell_brakkee`, which also reports the bound, stays the reference for the
+column.
 """
 
 from __future__ import annotations
@@ -151,7 +173,7 @@ def witness_sss(d: int) -> tuple[int, int] | None:
     """
     if d <= 0 or d % 2:
         raise InvalidParity(f"d must be even positive, got {d}")
-    sol = pell.solve_minus3(2 * d).solution
+    sol = pell.least_solution(2 * d)
     if sol is None:
         return None
     x, y = sol
@@ -297,17 +319,37 @@ CSV_COLUMNS = (
 )
 
 
+def _brakkee_solvable(flags: ConditionFlags) -> bool:
+    # whether pell_brakkee(flags.d) has a solution, for d = 0 (mod 6); the
+    # (***) shortcut and the local obstruction are proved in the module
+    # docstring.  (**) for d/4 implies (**') for d, whose test is free.
+    d = flags.d
+    if flags.starstarstar:
+        return True
+    local = flags.starstar or (
+        flags.starstar_prime
+        and d % 16 == 8
+        and _a2_represents(_factorize(d // 8), primitive=True)
+    )
+    return local and pell.least_solution(d // 2) is not None
+
+
 def csv_row(flags: ConditionFlags) -> list[str]:
-    """One table row in the documented CSV schema (values T/F, integers, or empty)."""
+    """One table row in the documented CSV schema (values T/F, integers, or empty).
+
+    The `pell_3p2` cell agrees with `pell_brakkee(d).solution is not None`
+    but is decided without its bound: T where (***) holds, F where the
+    local obstruction of the module docstring applies (neither (**) for d
+    nor, for d = 8 (mod 16), (**) for d/4), and otherwise by
+    `pell.least_solution(d/2)`.
+    """
     def tf(b: bool) -> str:
         return "T" if b else "F"
 
     d = flags.d
     ss_n, ss_a = flags.ss_witness if flags.ss_witness else ("", "")
     sss_n, sss_a = flags.sss_witness if flags.sss_witness else ("", "")
-    pell_cell = ""
-    if d % 6 == 0:
-        pell_cell = tf(pell_brakkee(d).solution is not None)
+    pell_cell = tf(_brakkee_solvable(flags)) if d % 6 == 0 else ""
     return [
         str(d),
         tf(flags.star),

@@ -22,14 +22,18 @@ period L, so a hit at an odd index j < L recurs at k = j + L, which is even
 only when L is odd; but then the symmetry Q_i = Q_(L-i) of the period puts
 a hit at the even index L - j - 2 < L as well.  Hence the least solution
 among k <= 2L is the least even hit in the first period, if there is one.
-The big-integer convergent is built once, at the index that the walk
-selected, by binary splitting of the matrix product of the partial
-quotients.
+The walk therefore stops at its first even hit and keeps only the partial
+quotients before it, so on a solvable D its time and memory are bounded by
+the hit index, not by L.  The big-integer convergent is built once, at the
+hit, by binary splitting of the matrix product of the partial quotients.
+Only a D without a hit walks the whole period, and only there does
+`solve_minus3` build the convergent at L for its `bound_searched`;
+`least_solution` decides without that bound and builds nothing.
 """
 
 from __future__ import annotations
 
-from itertools import cycle, islice
+from collections.abc import Iterator
 from math import isqrt
 from typing import NamedTuple
 
@@ -39,43 +43,47 @@ class PellResult(NamedTuple):
     bound_searched: int  # largest y examined on the decisive path
 
 
-def _walk(D: int) -> tuple[int, list[int], int | None]:
-    """One period of the expansion of sqrt(D), nonsquare D: (a0, period, hit).
-
-    hit is the least even j in [0, L) with Q_(j+1) = 3, or None.
-    """
+def _terms(D: int) -> Iterator[tuple[int, int]]:
+    """(a_i, Q_i) for i = 1..L, one period of the expansion of sqrt(D), nonsquare D."""
     a0 = isqrt(D)
     if a0 * a0 == D:
         raise ValueError("D must not be a perfect square")
-    period: list[int] = []
-    hit = None
     m, den, a = 0, 1, a0
-    while True:
+    while a != 2 * a0:
         m = den * a - m
         den = (D - m * m) // den
         a = (a0 + m) // den
-        if den == 3 and hit is None and len(period) % 2 == 0:
-            hit = len(period)
-        period.append(a)
-        if a == 2 * a0:
-            return a0, period, hit
+        yield a, den
 
 
 def sqrt_cf(D: int) -> tuple[int, list[int]]:
     """Continued fraction of sqrt(D) for nonsquare D: (a0, periodic part)."""
-    a0, period, _ = _walk(D)
-    return a0, period
+    return isqrt(D), [a for a, _ in _terms(D)]
 
 
-def _convergent(a0: int, period: list[int], k: int) -> tuple[int, int, int, int]:
-    """(p_(k-1), q_(k-1), p_k, q_k) for the expansion [a0; period repeated].
+def _walk(D: int) -> tuple[list[int], bool]:
+    """Walk sqrt(D), nonsquare D, to the least even j with Q_(j+1) = 3.
+
+    Returns (quotients, hit).  With a hit the quotients are a_1..a_j, all
+    that the convergent at j reads; without one they are the whole period.
+    """
+    quotients: list[int] = []
+    for a, den in _terms(D):
+        if den == 3 and len(quotients) % 2 == 0:
+            return quotients, True
+        quotients.append(a)
+    return quotients, False
+
+
+def _convergent(a0: int, quotients: list[int]) -> tuple[int, int, int, int]:
+    """(p_(k-1), q_(k-1), p_k, q_k) of [a0; quotients], k = len(quotients).
 
     [[p_k, p_(k-1)], [q_k, q_(k-1)]] is the product of [[a_i, 1], [1, 0]]
     over a_0..a_k, multiplied out by binary splitting: the factors of each
     product have equal size, so the big multiplications run subquadratically
     (a k-step recurrence costs O(k^2) word operations).
     """
-    p, p_prev, q, q_prev = _cf_product([a0, *islice(cycle(period), k)])
+    p, p_prev, q, q_prev = _cf_product([a0, *quotients])
     return p_prev, q_prev, p, q
 
 
@@ -102,10 +110,34 @@ def fundamental_unit(D: int) -> tuple[int, int]:
     k = L - 1 for even L and k = 2L - 1 for odd L.
     """
     a0, period = sqrt_cf(D)
-    L = len(period)
-    _, _, p, q = _convergent(a0, period, L - 1 if L % 2 == 0 else 2 * L - 1)
+    if len(period) % 2:
+        period = period + period
+    _, _, p, q = _convergent(a0, period[:-1])
     assert p * p - D * q * q == 1
     return p, q
+
+
+def _hit_solution(D: int, quotients: list[int]) -> tuple[int, int]:
+    # the solution at the convergent that a hit of `_walk` selected
+    _, _, p, q = _convergent(isqrt(D), quotients)
+    assert p * p - D * q * q == -3
+    return p, q
+
+
+def least_solution(D: int) -> tuple[int, int] | None:
+    """Least positive solution of x^2 - D y^2 = -3, or None (a proof, not a cutoff).
+
+    The decision of `solve_minus3` without its `bound_searched`: for
+    nonsquare D > 9 the walk stops at the first even hit and builds the
+    convergent there, and a D without a hit builds nothing.
+
+    >>> least_solution(28), least_solution(148)
+    ((5, 1), None)
+    """
+    if D <= 9 or isqrt(D) ** 2 == D:
+        return solve_minus3(D).solution
+    quotients, hit = _walk(D)
+    return _hit_solution(D, quotients) if hit else None
 
 
 def solve_minus3(D: int) -> PellResult:
@@ -115,13 +147,15 @@ def solve_minus3(D: int) -> PellResult:
     solution is a convergent p_k/q_k of sqrt(D) (|N| < sqrt(D)), and by
     p_k^2 - D q_k^2 = (-1)^(k+1) Q_(k+1) the least one is at the least even
     k <= 2L with Q_(k+1) = 3.  That k lies in the first period (see the
-    module docstring for the parity argument), so one pass of the (m, Q)
-    walk finds it and only the convergent at k is built.  Without a hit
-    `bound_searched` is q_(2L), the last denominator of the two periods
-    that decide, computed as q_L^2 + q_(L-1) (p_L - a0 q_L) from the first
-    period.  For the finitely many nonsquare D <= 9 the classes of
-    solutions have representatives below an explicit bound derived from the
-    fundamental unit, which a direct scan covers.
+    module docstring for the parity argument), so the (m, Q) walk stops at
+    the first even hit, and only the convergent at k is built; then
+    `bound_searched` is its y.  Only without a hit does the walk cover the
+    whole period and the bound get built: `bound_searched` is q_(2L), the
+    last denominator of the two periods that decide, computed as
+    q_L^2 + q_(L-1) (p_L - a0 q_L) from the first period.  For the finitely
+    many nonsquare D <= 9 the classes of solutions have representatives
+    below an explicit bound derived from the fundamental unit, which a
+    direct scan covers.
 
     >>> solve_minus3(28).solution
     (5, 1)
@@ -137,13 +171,12 @@ def solve_minus3(D: int) -> PellResult:
             return PellResult((1, 2 // s), 2 // s)
         return PellResult(None, 1)
     if D > 9:
-        a0, period, k = _walk(D)
-        if k is None:
-            _, q_prev, p, q = _convergent(a0, period, len(period))
-            return PellResult(None, q * q + q_prev * (p - a0 * q))
-        _, _, p, q = _convergent(a0, period, k)
-        assert p * p - D * q * q == -3
-        return PellResult((p, q), q)
+        quotients, hit = _walk(D)
+        if hit:
+            x, y = _hit_solution(D, quotients)
+            return PellResult((x, y), y)
+        _, q_prev, p, q = _convergent(s, quotients)
+        return PellResult(None, q * q + q_prev * (p - s * q))
     # D in {2, 3, 5, 6, 7, 8}
     x0, y0 = fundamental_unit(D)
     # each solution class has a representative with

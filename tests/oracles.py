@@ -260,6 +260,33 @@ def sqrt_cf(D):
     return a0, period
 
 
+def least_even_hit(D, a0, period):
+    """Least positive solution of x^2 - D y^2 = -3 read off the full period
+    [a0; period] of sqrt(D): the convergent at the least even j < L with
+    Q_(j+1) = 3, or None.
+
+    The Q_i follow from the given quotients alone, by m_(i+1) = Q_i a_i - m_i
+    and Q_(i+1) = (D - m_(i+1)^2) / Q_i (an exact division), over the whole
+    period; the convergent is built by the step-by-step recurrence.
+    """
+    m, Q, hits = 0, 1, []
+    for j, a in enumerate([a0, *period[:-1]]):
+        m = Q * a - m
+        Q, r = divmod(D - m * m, Q)
+        assert r == 0 and Q > 0
+        if Q == 3 and j % 2 == 0:
+            hits.append(j)
+    assert Q == 1  # Q_L
+    if not hits:
+        return None
+    p_prev, p, q_prev, q = 1, a0, 0, 1
+    for a in period[:min(hits)]:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    assert p * p - D * q * q == -3
+    return p, q
+
+
 def _convergents(D):
     a0, period = sqrt_cf(D)
     p_prev, p = 1, a0

@@ -1,5 +1,6 @@
 """The command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -69,6 +70,13 @@ class TestTable:
         out = capsys.readouterr().out
         ds = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
         assert ds == ["12", "14", "18", "20"]
+
+    def test_csv_digest_to_30000(self, capsys):
+        # every row of d <= 30000, pinned byte for byte; the pell_3p2 column
+        # is the one decided by shortcuts in csv_row
+        assert main(["table", "30000", "--format", "csv"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "79cc08f25e4348434e6829de6e2086dedf83cca10a3aa3495610aa8b732f8dc1"
 
     def test_below_minimum(self, capsys):
         assert main(["table", "6"]) == 2

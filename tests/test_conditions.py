@@ -207,7 +207,23 @@ class TestCsv:
         row = csv_row(condition_flags(42))
         assert row[:6] == ["42", "T", "T", "T", "T", "0"]
         assert row[10] == "2"  # 21 = 1 (mod 4): two components
-        assert row[11] == "T"  # 3p^2 - 7q^2 = -1 is solvable
+        # 3p^2 - 7q^2 = -1 is solvable, decided by the (***) shortcut
+        assert row[11] == "T"
+
+    def test_pell_cell_matches_brakkee_to_100000(self):
+        # the cell is decided by (***), the local obstruction and the
+        # bound-free solver; pell_brakkee, with its bound, is the reference
+        for d in range(6, 100_001, 6):
+            want = "T" if pell_brakkee(d).solution is not None else "F"
+            assert csv_row(condition_flags(d))[11] == want, d
+
+    def test_pell_cell_d_over_4_branch(self):
+        # (**) fails for 24 (12 is even) but holds for 24/4 = 6, and
+        # 3 * 1^2 - 4 * 1^2 = -1
+        flags = condition_flags(24)
+        assert not flags.starstar and condition_flags(6).starstar
+        assert pell_brakkee(24).solution == (1, 1)
+        assert csv_row(flags)[11] == "T"
 
 
 class TestOracleAgreement:

@@ -1,9 +1,10 @@
 """The Pell-type solver against a direct enumeration oracle."""
 
+import random
 import time
 from math import isqrt
 
-from cubick3.pell import fundamental_unit, solve_minus3, sqrt_cf
+from cubick3.pell import fundamental_unit, least_solution, solve_minus3, sqrt_cf
 import oracles
 
 
@@ -22,6 +23,8 @@ def test_cf_expansion():
     assert sqrt_cf(2) == (1, [2])
     assert sqrt_cf(23) == (4, [1, 3, 1, 8])
     assert sqrt_cf(148) == (12, [6, 24])
+    # 5^2 - 28 = -3: the solver stops at j = 0, sqrt_cf runs the whole period
+    assert sqrt_cf(28) == (5, [3, 2, 3, 10])
 
 
 def test_fundamental_units():
@@ -74,3 +77,26 @@ def test_long_period_within_budget():
     assert time.perf_counter() - start < 6
     assert res.solution is None
     assert len(sqrt_cf(4 * 68719476619)[1]) == 295_212
+
+
+def test_least_solution_matches_full_period_on_large_d():
+    # a seeded, log-uniform sample of solvable D in [2^24, 2^32]: the walk
+    # that stops at the first even hit against the least even hit read off
+    # the whole period that sqrt_cf returns
+    rng = random.Random("least-even-hit")
+    solvable = 0
+    while solvable < 20:
+        D = int(2.0 ** rng.uniform(24, 32))
+        if isqrt(D) ** 2 == D:
+            continue
+        a0, period = sqrt_cf(D)
+        assert (a0, period) == oracles.sqrt_cf(D), D
+        want = oracles.least_even_hit(D, a0, period)
+        assert least_solution(D) == want, D
+        assert solve_minus3(D).solution == want, D
+        solvable += want is not None
+
+
+def test_least_solution_small_and_square():
+    for D in range(1, 50):
+        assert least_solution(D) == solve_minus3(D).solution, D
