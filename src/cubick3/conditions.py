@@ -13,10 +13,11 @@ solver, which `condition_flags` runs only where (**) holds (the implication
 
 The table's `pell_3p2` column, Brakkee's 3p^2 - (d/6) q^2 = -1 for
 d = 0 (mod 6), is the solvability of x^2 + 3 = D y^2 with x = 3p, y = q,
-D = d/2.  `csv_row` decides it without building a convergent where it can:
+D = d/2, and it is decided without a walk where it can be:
 
 - (***) implies it: a solution (x, y) of x^2 - 2d y^2 = -3 gives the
-  solution (x, 2y) of x^2 - (d/2) y^2 = -3.
+  solution (x, 2y) of x^2 - (d/2) y^2 = -3.  `csv_row` uses this, as it
+  needs only the T; `pell_brakkee` reports the least solution instead.
 - A solution forces three local conditions on D, with 3 | D.  For an odd
   prime p != 3 dividing D, p does not divide x (else p | 3), so -3 is a
   square mod p, that is p = 1 (mod 3).  3 | x, and x = 3x' gives
@@ -27,11 +28,11 @@ D = d/2.  `csv_row` decides it without building a convergent where it can:
   v_3(D) <= 1, these conditions say that (**) holds for d, or that
   d = 8 (mod 16) and (**) holds for d/4.  Where neither does, the
   column is F.
-- Every other d is decided by `pell.least_solution(d/2)`, which stops at
-  the least solution and builds no bound.
+- Every other d is decided by `pell.least_solution(d/2)`.
 
-`pell_brakkee`, which also reports the bound, stays the reference for the
-column.
+One private decision, `_brakkee_least`, applies the obstruction and then
+the solver.  `pell_brakkee` (behind `classify`) and `csv_row` (behind
+`table`) both call it, so the two answer every d the same way.
 """
 
 from __future__ import annotations
@@ -256,21 +257,33 @@ class PellSolution:
 
     equation: str
     solution: tuple[int, int] | None
-    bound_searched: int
 
     def to_json(self) -> dict:
         return {
             "equation": self.equation,
             "solution": _json_pair(self.solution),
-            "bound_searched": json_int(self.bound_searched),
         }
+
+
+def _brakkee_least(d: int, ss: bool, ssp: bool) -> tuple[int, int] | None:
+    # the least solution of x^2 - (d/2) y^2 = -3 for d = 0 (mod 6), given
+    # (**) and (**') for d; None by the local obstruction of the module
+    # docstring, without a walk.  (**) for d/4 implies (**') for d, whose
+    # test is free.
+    local = ss or (
+        ssp and d % 16 == 8 and _a2_represents(_factorize(d // 8), primitive=True)
+    )
+    return pell.least_solution(d // 2) if local else None
 
 
 def pell_brakkee(d: int) -> PellSolution:
     """Decide 3p^2 - (d/6) q^2 = -1 exactly; least positive (p, q) when solvable.
 
     Multiplying by 3 turns the equation into x^2 - (d/2) y^2 = -3 with
-    x = 3p, and 3 | x is automatic since 3 | d/2.
+    x = 3p, and 3 | x is automatic since 3 | d/2.  The decision is the one
+    `csv_row` makes for the table's `pell_3p2` cell: F by the local
+    obstruction of the module docstring where it applies (read off the
+    factorization of d/2), and otherwise `pell.least_solution(d/2)`.
 
     >>> pell_brakkee(42).solution
     (3, 2)
@@ -280,14 +293,16 @@ def pell_brakkee(d: int) -> PellSolution:
     if d <= 0 or d % 6:
         raise InvalidDegree(f"d must be a positive multiple of 6, got {d}")
     tag = f"3p^2-{d // 6}q^2=-1"
-    res = pell.solve_minus3(d // 2)
-    if res.solution is None:
-        return PellSolution(tag, None, res.bound_searched)
-    x, q = res.solution
+    factors = _factorize(d // 2)
+    sol = _brakkee_least(d, _a2_represents(factors, primitive=True),
+                         _a2_represents(factors, primitive=False))
+    if sol is None:
+        return PellSolution(tag, None)
+    x, q = sol
     assert x % 3 == 0
     p = x // 3
     assert 3 * p * p - (d // 6) * q * q == -1
-    return PellSolution(tag, (p, q), res.bound_searched)
+    return PellSolution(tag, (p, q))
 
 
 def table(max_d: int, start: int = 8) -> list[ConditionFlags]:
@@ -319,29 +334,14 @@ CSV_COLUMNS = (
 )
 
 
-def _brakkee_solvable(flags: ConditionFlags) -> bool:
-    # whether pell_brakkee(flags.d) has a solution, for d = 0 (mod 6); the
-    # (***) shortcut and the local obstruction are proved in the module
-    # docstring.  (**) for d/4 implies (**') for d, whose test is free.
-    d = flags.d
-    if flags.starstarstar:
-        return True
-    local = flags.starstar or (
-        flags.starstar_prime
-        and d % 16 == 8
-        and _a2_represents(_factorize(d // 8), primitive=True)
-    )
-    return local and pell.least_solution(d // 2) is not None
-
-
 def csv_row(flags: ConditionFlags) -> list[str]:
     """One table row in the documented CSV schema (values T/F, integers, or empty).
 
-    The `pell_3p2` cell agrees with `pell_brakkee(d).solution is not None`
-    but is decided without its bound: T where (***) holds, F where the
-    local obstruction of the module docstring applies (neither (**) for d
-    nor, for d = 8 (mod 16), (**) for d/4), and otherwise by
-    `pell.least_solution(d/2)`.
+    The `pell_3p2` cell is `pell_brakkee(d).solution is not None`, by the
+    same decision: T where (***) holds, and otherwise F where the local
+    obstruction of the module docstring applies (neither (**) for d nor,
+    for d = 8 (mod 16), (**) for d/4) and `pell.least_solution(d/2)`
+    where it does not.
     """
     def tf(b: bool) -> str:
         return "T" if b else "F"
@@ -349,7 +349,10 @@ def csv_row(flags: ConditionFlags) -> list[str]:
     d = flags.d
     ss_n, ss_a = flags.ss_witness if flags.ss_witness else ("", "")
     sss_n, sss_a = flags.sss_witness if flags.sss_witness else ("", "")
-    pell_cell = tf(_brakkee_solvable(flags)) if d % 6 == 0 else ""
+    pell_cell = ""
+    if d % 6 == 0:
+        pell_cell = tf(flags.starstarstar or _brakkee_least(
+            d, flags.starstar, flags.starstar_prime) is not None)
     return [
         str(d),
         tf(flags.star),

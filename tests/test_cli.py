@@ -200,13 +200,15 @@ class TestLargeIntegers:
         assert obj["flags"]["sss_witness"] == ["125761554617450365326", 4232213279242231471]
 
     def test_pell_bound_searched(self, capsys):
+        # a period without an even hit is the proof, so the Pell object
+        # holds the equation and the solution and no search bound
         assert main(["classify", "954", "--format", "json"]) == 0
         pell = json.loads(capsys.readouterr().out)["pell"]
-        assert pell["solution"] is None
-        assert pell["bound_searched"] == "302274081542463685201"
+        assert "bound_searched" not in pell
+        assert pell == {"equation": "3p^2-159q^2=-1", "solution": None}
         assert main(["classify", "42", "--format", "json"]) == 0
         pell = json.loads(capsys.readouterr().out)["pell"]
-        assert pell["solution"] == [3, 2] and pell["bound_searched"] == 2
+        assert pell == {"equation": "3p^2-7q^2=-1", "solution": [3, 2]}
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_witness_with_tens_of_thousands_of_digits(self, capsys, fmt):

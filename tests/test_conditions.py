@@ -1,5 +1,8 @@
 """Condition classifiers, witness solvers, and the table generator."""
 
+import time
+from math import isqrt
+
 import pytest
 from hypothesis import given, seed, settings, strategies as hyp
 
@@ -16,6 +19,7 @@ from cubick3 import (
     witness_ss,
     witness_sss,
 )
+from cubick3 import pell
 from cubick3.conditions import CSV_COLUMNS, csv_row
 import oracles
 
@@ -157,6 +161,34 @@ class TestPellBrakkee:
         with pytest.raises(InvalidDegree):
             pell_brakkee(14)
 
+    def test_large_d_obstructed_within_budget(self):
+        # d = 6p for p = 1099511627831, the first prime = 2 (mod 3) above
+        # 2^40: the local obstruction decides it; building a search bound
+        # over the period of d/2 = 3p takes over 4 s
+        start = time.perf_counter()
+        assert pell_brakkee(6597069766986).solution is None
+        assert time.perf_counter() - start < 1
+
+    def test_obstruction_never_reaches_the_solver(self, monkeypatch):
+        # F by the local obstruction is decided without a walk: neither d
+        # nor, for d = 8 (mod 16), d/4 has a primitive vector in the
+        # enumeration oracle; the large d have periods of about 10^6 and
+        # 10^9 terms
+        def primitive(e):
+            return any(prim for _, _, prim in a2_bruteforce(e))
+
+        def no_walk(D):
+            raise AssertionError(f"walked D = {D}")
+
+        obstructed = [
+            d for d in range(6, 1201, 6)
+            if not primitive(d) and not (d % 16 == 8 and primitive(d // 4))
+        ]
+        monkeypatch.setattr(pell, "least_solution", no_walk)
+        for d in obstructed + [6597069766986, 1870021348591302594]:
+            assert pell_brakkee(d).solution is None, d
+            assert csv_row(condition_flags(d))[11] == "F", d
+
 
 class TestTable:
     def test_star_row_to_42(self):
@@ -212,10 +244,19 @@ class TestCsv:
 
     def test_pell_cell_matches_brakkee_to_100000(self):
         # the cell is decided by (***), the local obstruction and the
-        # bound-free solver; pell_brakkee, with its bound, is the reference
+        # solver; pell_brakkee shares that decision, so the reference is
+        # the least even hit read off the whole period of sqrt(d/2) (the
+        # two-period oracle for the D <= 9 and the square D)
         for d in range(6, 100_001, 6):
-            want = "T" if pell_brakkee(d).solution is not None else "F"
+            D = d // 2
+            if D <= 9 or isqrt(D) ** 2 == D:
+                sol = oracles.solve_minus3(D)[0]
+            else:
+                sol = oracles.least_even_hit(D, *oracles.sqrt_cf(D))
+            want = "T" if sol is not None else "F"
             assert csv_row(condition_flags(d))[11] == want, d
+            pq = None if sol is None else (sol[0] // 3, sol[1])
+            assert pell_brakkee(d).solution == pq, d
 
     def test_pell_cell_d_over_4_branch(self):
         # (**) fails for 24 (12 is even) but holds for 24/4 = 6, and
@@ -260,7 +301,7 @@ def _sss_from_oracle(d):
 
 
 def _brakkee_from_oracle(d):
-    sol, bound = oracles.solve_minus3(d // 2)
+    sol, _ = oracles.solve_minus3(d // 2)
     pq = None if sol is None else (sol[0] // 3, sol[1])
-    return PellSolution(f"3p^2-{d // 6}q^2=-1", pq, bound)
+    return PellSolution(f"3p^2-{d // 6}q^2=-1", pq)
 
