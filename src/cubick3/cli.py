@@ -45,7 +45,9 @@ class Report:
 def build_report(d: int) -> Report:
     flags = cond.condition_flags(d)
     nl = st.hassett_triple(d) if flags.star else None
-    pell = cond.pell_brakkee(d) if d % 6 == 0 else None
+    pell = None
+    if d % 6 == 0:  # pell_brakkee(d), with (**) and (**') read off the flags
+        pell = cond._brakkee_solution(d, flags.starstar, flags.starstar_prime)
     notes = []
     if d in (2, 6):
         notes.append("d excluded from smooth-cubic image")

@@ -5,7 +5,7 @@ Matrices are plain lists of lists (row-major) of Python ints.  The
 form instead: for each row, the list of its nonzero (column, entry) pairs, as
 built by `sparse_rows`.  Nothing in this module knows about lattices.  One
 elimination routine, `row_echelon`, is behind the Hermite bases, kernels,
-ranks and saturations and the Smith normal form.  It applies each row
+ranks and echelon transforms and the Smith normal form.  It applies each row
 operation to whole rows, so columns past the echelon ride along: a matrix X
 appended to A comes back as U*X, and an appended identity as the transform U.
 `det_bareiss` stays for signed determinants.  All arithmetic is exact.
@@ -15,7 +15,10 @@ from __future__ import annotations
 
 
 def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def transpose(A: list[list]) -> list[list]:

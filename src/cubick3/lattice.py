@@ -11,13 +11,14 @@ ValueError, never truncates) and touches only nonzero entries: a
 induced Gram matrices.  Each lattice fact is read off the one reduction
 that produces it.  Saturation is one echelon U * S^T = H of the generators:
 its rank decides independence, the product of the diagonal of H is the
-index [sat : S], and the kernel rows of U go into one `left_kernel`.
-Saturations and complements come back as canonical Hermite bases, so equal
-lattices have equal bases, and membership is one exact-division
-back-substitution against the basis (a non-integral vector is never a
-member).  `disc_group` reads degeneracy off the zero of the Smith diagonal,
-and its q-values are integer pairings of Smith columns divided once,
-q(V_i / d_i) = (V_i . V_i) / d_i^2 mod 2.
+index [sat : S], and a forward substitution against H with exact divisions
+gives a basis of the saturation (see `saturation`).  Complements are one
+`left_kernel`.  Saturations and complements come back as canonical
+Hermite bases, so equal lattices have equal bases, and membership is one
+exact-division back-substitution against the basis (a non-integral vector
+is never a member).  `disc_group` reads degeneracy off the zero of the
+Smith diagonal, and its q-values are integer pairings of Smith columns
+divided once, q(V_i / d_i) = (V_i . V_i) / d_i^2 mod 2.
 """
 
 from __future__ import annotations
@@ -178,7 +179,9 @@ class Sublattice:
 
     @cached_property
     def induced_gram(self) -> IntMatrix:
-        return IntMatrix.from_rows(la.sparse_gram_product(self.basis.data, self.ambient.gram_rows))
+        # kernel outputs are Python ints already: built directly, not re-validated
+        G = la.sparse_gram_product(self.basis.data, self.ambient.gram_rows)
+        return IntMatrix(tuple(map(tuple, G)))
 
     def as_lattice(self, label: str | None = None) -> GramLattice:
         return GramLattice(self.induced_gram, label)
@@ -350,13 +353,13 @@ def disc_group(L: GramLattice) -> DiscGroup:
 
 
 def span_sublattice(amb: GramLattice, vecs) -> Sublattice:
-    rows = [list(as_vector(v)) for v in vecs]
+    rows = [as_vector(v) for v in vecs]
     for row in rows:
         if len(row) != amb.rank:
             raise ValueError("vector length does not match the ambient rank")
     if la.rank_int(rows) != len(rows):
         raise DependentGenerators("generators are linearly dependent")
-    return Sublattice(amb, IntMatrix.from_rows(rows))
+    return Sublattice(amb, IntMatrix(tuple(rows)))
 
 
 def saturate_rows(amb: GramLattice, rows) -> Sublattice:
@@ -365,34 +368,56 @@ def saturate_rows(amb: GramLattice, rows) -> Sublattice:
     Accepts an arbitrary (possibly dependent) generating list; see
     `saturation` for the reduction.  The basis is the canonical Hermite basis.
     """
-    return _saturate(amb, [list(as_vector(v)) for v in rows])[0]
+    return _saturate(amb, [as_vector(v) for v in rows])[0]
 
 
 def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     """Minimal primitive sublattice containing S, plus the index [sat : S].
 
-    One echelon U * S^T = H of the k x n basis matrix S decides everything.
-    Its rank r is k exactly when the basis is independent.  Then the pivots
-    of H are its first k diagonal entries and S = H[:k]^T * W, where W is the
-    first k rows of U^-T.  W is part of a unimodular matrix, so its rows
-    are a basis of the saturation, and [sat : S] = prod H[i][i].  The rows
-    U[r:] are a basis of the right kernel of S; the saturation is their
-    orthogonal space, read off as one `left_kernel`, whose Hermite reduction
-    makes the basis canonical.
+    One echelon U * S^T = H of the k x n basis matrix S decides everything
+    (Cohen, GTM 138, section 2.4.3).  Its rank r is k exactly when the basis
+    is independent.  Then the pivots of H are its first k diagonal entries
+    and S = C * W with C = H[:k]^T lower triangular and W the first k rows
+    of U^-T.  W is part of a unimodular matrix, so its rows are a basis of
+    the saturation, and [sat : S] = det C = prod H[i][i].  W = C^-1 * S is a
+    k x k forward substitution whose divisions are exact (a remainder is an
+    AssertionError, never truncated), and one Hermite reduction of W makes
+    the basis canonical.  For a dependent generating list (`saturate_rows`)
+    the same solve runs on the generators at the pivot columns of H.
     """
-    sat, H, r = _saturate(S.ambient, S.basis.to_lists())
+    sat, H, r = _saturate(S.ambient, S.basis.data)
     if r < S.rank:
         raise DependentGenerators("sublattice basis is linearly dependent")
     return sat, math.prod(H[i][i] for i in range(r))
 
 
-def _saturate(amb: GramLattice, rows: list[list[int]]):
+def _saturate(amb: GramLattice, rows):
     # (saturation, echelon H of rows^T, rank); no rows give the rank-0 lattice
-    if any(len(row) != amb.rank for row in rows):
+    n = amb.rank
+    if any(len(row) != n for row in rows):
         raise ValueError("vector length does not match the ambient rank")
-    H, U, r = la.row_echelon_transform(la.transpose(rows))
-    basis = la.left_kernel(la.transpose(U[r:])) if r < amb.rank else la.identity(amb.rank)
-    return Sublattice(amb, IntMatrix.from_rows(basis)), H, r
+    H, _, r = la.row_echelon_transform(la.transpose(rows))
+    if r == n:
+        basis = la.identity(n)
+    else:
+        # row i of H has its pivot in column p_i, and rows j > i vanish there,
+        # so generator p_i is rows[p_i] = sum_{j <= i} H[j][p_i] * W[j]
+        W: list[list[int]] = []
+        for i, Hi in enumerate(H[:r]):
+            p = next(c for c, e in enumerate(Hi) if e)
+            w = rows[p]
+            for j in range(i):
+                c = H[j][p]
+                if c:
+                    w = [a - c * b for a, b in zip(w, W[j])]
+            d = Hi[p]
+            if d != 1:
+                if any(e % d for e in w):
+                    raise AssertionError(f"generator {p} is not divisible by the pivot {d}")
+                w = [e // d for e in w]
+            W.append(w)
+        basis = la.hnf_rows(W)
+    return Sublattice(amb, IntMatrix(tuple(map(tuple, basis)))), H, r
 
 
 def orthogonal_complement(amb: GramLattice, vecs) -> Sublattice:
@@ -404,7 +429,7 @@ def orthogonal_complement(amb: GramLattice, vecs) -> Sublattice:
     cols = [amb.basis_pairings(w) for w in W]  # G * W^T, one column per vector
     # indexed by rank, not transposed, so that no vectors still give rank rows
     basis = la.left_kernel([[c[i] for c in cols] for i in range(amb.rank)])
-    return Sublattice(amb, IntMatrix.from_rows(basis))
+    return Sublattice(amb, IntMatrix(tuple(map(tuple, basis))))
 
 
 def divisibility(amb: GramLattice, v) -> int:

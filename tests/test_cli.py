@@ -210,6 +210,26 @@ class TestLargeIntegers:
         pell = json.loads(capsys.readouterr().out)["pell"]
         assert pell == {"equation": "3p^2-7q^2=-1", "solution": [3, 2]}
 
+    def test_classify_factors_half_d_once(self, monkeypatch):
+        # d = 0 (mod 6): the Pell field reads (**) and (**') off the flags
+        # instead of factoring d/2 a second time; 24 and 1176 are 8 (mod 16),
+        # where the obstruction also factors d/8, and 6, 24 and 42 are solvable
+        from cubick3 import cli, conditions
+
+        factorize = conditions._factorize
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(conditions, "_factorize", counted)
+        for d in (6, 12, 24, 42, 954, 1176, 1870021348591302594):
+            calls.clear()
+            report = cli.build_report(d)
+            assert calls.count(d // 2) == 1, (d, calls)
+            assert report.pell == conditions.pell_brakkee(d)
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_witness_with_tens_of_thousands_of_digits(self, capsys, fmt):
         # the (***) witness of this d has about 32,000 digits, beyond the

@@ -41,6 +41,7 @@ from cubick3.standard import (
     standard_lattice,
     unit_vector,
 )
+import oracles
 from oracles import frac_inv
 
 U = standard_lattice("U")
@@ -384,29 +385,12 @@ def test_json_big_integers_as_strings():
     assert GramLattice.from_json(obj).gram.data == ((big,),)
 
 
-def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
-    # the first 200 inputs of the C11 acceptance sweep (same seed, same
-    # generator); the saturated outputs have entries of at most 16 bits, so
-    # intermediate growth past 64 bits means the pivot rule has regressed.
-    # Saturation echelons S^T (n x k) and then the transposed, unreduced
-    # kernel rows U[k:] (n x (n - k)); both shapes must be among the
-    # matrices tracked for every input.
-    echelon = la.row_echelon_transform
-    widest = [0]
-    shapes = []
-
-    def tracked(A):
-        out = echelon(A)
-        H, T, _ = out  # T is the unimodular transform
-        entries = (e for M in (H, T) for row in M for e in row)
-        widest[0] = max([widest[0]] + [abs(e).bit_length() for e in entries])
-        shapes.append((len(A), len(A[0])))
-        return out
-
-    monkeypatch.setattr(la, "row_echelon_transform", tracked)
+def _c11_sample(count=200):
+    # the first inputs of the C11 acceptance sweep (same seed, same generator)
     rng = random.Random(20240311)
     ambients = [standard_lattice("Gammabar"), standard_lattice("LambdaTilde")]
-    for i in range(200):
+    out = []
+    for i in range(count):
         amb = ambients[i % 2]
         k = rng.randint(1, 4)
         while True:
@@ -415,12 +399,148 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
             ]
             if la.rank_int([list(r) for r in rows]) == k:
                 break
+        out.append((amb, rows))
+    return out
+
+
+def _bits(rows):
+    return max((abs(e).bit_length() for row in rows for e in row), default=0)
+
+
+def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
+    # on the first 200 C11 inputs the saturated outputs have entries of at
+    # most 16 bits, so intermediate growth past 64 bits means the pivot rule
+    # or the triangular solve has regressed.  Saturation is one echelon
+    # U * S^T = H of shape (n, k), then the forward substitution
+    # S[p_i] = sum_{j <= i} H[j][p_i] * W[j] over the pivot columns p_i of H,
+    # then the Hermite reduction of W.  Tracked: the entries of H and U, every
+    # partial remainder of the substitution (rebuilt from S, H and the W
+    # handed to `hnf_rows`) and W itself; the (n, k) echelon must be the only
+    # one the saturation runs.
+    echelon, hnf = la.row_echelon_transform, la.hnf_rows
+    widest = [0]
+    shapes, echelons, solved = [], [], []
+
+    def tracked(A):
+        out = echelon(A)
+        widest[0] = max(widest[0], _bits(out[0]), _bits(out[1]))
+        shapes.append((len(A), len(A[0])))
+        echelons.append(out)
+        return out
+
+    def tracked_hnf(rows):
+        solved.append([list(r) for r in rows])
+        return hnf(rows)
+
+    monkeypatch.setattr(la, "row_echelon_transform", tracked)
+    monkeypatch.setattr(la, "hnf_rows", tracked_hnf)
+    for amb, rows in _c11_sample():
+        k = len(rows)
         S = span_sublattice(amb, rows)
         shapes.clear()
+        echelons.clear()
+        solved.clear()
         saturation(S)
-        assert {(amb.rank, k), (amb.rank, amb.rank - k)} <= set(shapes)
+        assert shapes == [(amb.rank, k)]
+        assert len(solved) == 1
+        (H, _, r), W = echelons[0], solved[0]
+        assert r == len(W) == k
+        widest[0] = max(widest[0], _bits(W))
+        for i in range(r):
+            p = next(c for c, e in enumerate(H[i]) if e)
+            w = list(rows[p])
+            for j in range(i):
+                widest[0] = max(widest[0], _bits([w]))
+                w = [a - H[j][p] * b for a, b in zip(w, W[j])]
+            widest[0] = max(widest[0], _bits([w]))
+            assert w == [H[i][p] * e for e in W[i]]
         orthogonal_complement(amb, rows)
     assert widest[0] <= 64
+
+
+class TestSaturationAgainstOracles:
+    # the one-echelon triangular solve against the double-kernel saturation
+    # and the determinant index of tests/oracles.py
+    @staticmethod
+    def agree(amb, rows):
+        sat = saturate_rows(amb, rows)
+        assert sat == oracles.saturate_rows(amb, rows)
+        return sat
+
+    @staticmethod
+    def agree_indexed(amb, rows):
+        S = span_sublattice(amb, rows)
+        sat, idx = saturation(S)
+        assert (sat, idx) == oracles.saturation(S)
+        assert idx == oracles.saturation_index(S, sat)
+        assert sat == saturate_rows(amb, rows)
+        return sat, idx
+
+    def test_c11_sample(self):
+        for amb, rows in _c11_sample():
+            self.agree_indexed(amb, rows)
+            self.agree(amb, rows)
+
+    def test_no_rows_and_zero_rows(self):
+        lt = standard_lattice("LambdaTilde")
+        for amb in (U, lt):
+            assert self.agree(amb, []).rank == 0
+            assert self.agree(amb, [(0,) * amb.rank]).rank == 0
+            assert self.agree(amb, [(0,) * amb.rank] * 3).rank == 0
+            sat, idx = self.agree_indexed(amb, [])
+            assert (sat.rank, idx) == (0, 1)
+
+    def test_duplicated_and_dependent_rows(self):
+        gbar = standard_lattice("Gammabar")
+        rng = random.Random(7)
+        a, b = ([rng.randint(-5, 5) for _ in range(gbar.rank)] for _ in range(2))
+        zero = [0] * gbar.rank
+        combo = [3 * x - 2 * y for x, y in zip(a, b)]
+        # each dependent list has the saturation of the independent one
+        for rows, independent in (
+            ([a, a], [a]),
+            ([a, zero, b, a], [a, b]),
+            ([a, b, combo], [a, b]),
+            ([combo, b, a, b], [a, b]),
+            ([[2 * x for x in a], [3 * x for x in a]], [a]),
+            ([[6 * x for x in a], [4 * x for x in b], [2 * x for x in combo]], [a, b]),
+        ):
+            sat, _ = self.agree_indexed(gbar, independent)
+            assert self.agree(gbar, rows) == sat
+
+    def test_full_rank_gives_the_identity(self):
+        for name in ("U", "A2", "Gammabar"):
+            amb = standard_lattice(name)
+            n = amb.rank
+            # 2 on the diagonal, 1 above it: determinant 2^n
+            rows = [[2 * (i == j) + (j == i + 1) for j in range(n)] for i in range(n)]
+            sat, idx = self.agree_indexed(amb, rows)
+            assert sat.basis.to_lists() == la.identity(n)
+            assert idx == 2**n
+            assert self.agree(amb, rows + [rows[0]]).basis.to_lists() == la.identity(n)
+
+    def test_content_two(self):
+        sat, idx = self.agree_indexed(U, [(2, 4)])
+        assert (sat.basis.to_lists(), idx) == ([[1, 2]], 2)
+
+    def test_h2_v8_index_three(self):
+        gbar = standard_lattice("Gammabar")
+        v8 = gamma_to_gammabar(nl_vector(8))
+        _, idx = self.agree_indexed(gbar, [H2, v8])
+        assert idx == 3
+
+    def test_dependent_basis_raises_on_both_routes(self):
+        gbar = standard_lattice("Gammabar")
+        v8 = gamma_to_gammabar(nl_vector(8))
+        for rows in ([(1, 0), (2, 0)], [(0, 0)]):
+            S = Sublattice(U, IntMatrix.from_rows(rows))
+            for route in (saturation, oracles.saturation):
+                with pytest.raises(DependentGenerators):
+                    route(S)
+        S = Sublattice(gbar, IntMatrix.from_rows([H2, v8, [a + b for a, b in zip(H2, v8)]]))
+        for route in (saturation, oracles.saturation):
+            with pytest.raises(DependentGenerators):
+                route(S)
 
 
 # entries that are no integers: int() truncates the first and raises
