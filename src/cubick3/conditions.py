@@ -30,11 +30,11 @@ D = d/2, and it is decided without a walk where it can be:
   column is F.
 - Every other d is decided by `pell.least_solution(d/2)`.
 
-One private decision, `_brakkee_solution`, applies the obstruction and then
-the solver, given (**) and (**') for d.  `pell_brakkee` factors d/2 to
-feed it; `classify` and `csv_row` (behind `table`) feed it from the
-condition flags, so d/2 is factored once and every d is answered the same
-way.
+One private decision, `_brakkee_least`, applies the obstruction and then
+the solver, given (**) and (**') for d.  `csv_row` (behind `table`) calls
+it with the condition flags, and so does `classify`, through the
+`_brakkee_solution` that also gives `pell_brakkee` its (p, q): d/2 is
+factored once, and every d is answered the same way.
 """
 
 from __future__ import annotations
@@ -267,16 +267,22 @@ class PellSolution:
         }
 
 
-def _brakkee_solution(d: int, ss: bool, ssp: bool) -> PellSolution:
-    # `pell_brakkee(d)` given (**) and (**') for d = 0 (mod 6), so that a
-    # caller holding the condition flags does not factor d/2 again.  The
-    # local obstruction of the module docstring gives no solution without a
-    # walk; (**) for d/4 implies (**') for d, whose test is free.
-    tag = f"3p^2-{d // 6}q^2=-1"
+def _brakkee_least(d: int, ss: bool, ssp: bool) -> tuple[int, int] | None:
+    # the least solution of x^2 - (d/2) y^2 = -3 for d = 0 (mod 6), given
+    # (**) and (**') for d; None by the local obstruction of the module
+    # docstring, without a walk.  (**) for d/4 implies (**') for d, whose
+    # test is free.
     local = ss or (
         ssp and d % 16 == 8 and _a2_represents(_factorize(d // 8), primitive=True)
     )
-    sol = pell.least_solution(d // 2) if local else None
+    return pell.least_solution(d // 2) if local else None
+
+
+def _brakkee_solution(d: int, ss: bool, ssp: bool) -> PellSolution:
+    # `pell_brakkee(d)` given (**) and (**') for d, so that a caller holding
+    # the condition flags does not factor d/2 again
+    tag = f"3p^2-{d // 6}q^2=-1"
+    sol = _brakkee_least(d, ss, ssp)
     if sol is None:
         return PellSolution(tag, None)
     x, q = sol
@@ -353,8 +359,8 @@ def csv_row(flags: ConditionFlags) -> list[str]:
     sss_n, sss_a = flags.sss_witness if flags.sss_witness else ("", "")
     pell_cell = ""
     if d % 6 == 0:
-        pell_cell = tf(flags.starstarstar or _brakkee_solution(
-            d, flags.starstar, flags.starstar_prime).solution is not None)
+        pell_cell = tf(flags.starstarstar or _brakkee_least(
+            d, flags.starstar, flags.starstar_prime) is not None)
     return [
         str(d),
         tf(flags.star),

@@ -4,8 +4,8 @@ Matrices are plain lists of lists (row-major) of Python ints.  The
 `sparse_*` kernels, `pairing` and `echelon_coords` take a matrix in sparse
 form instead: for each row, the list of its nonzero (column, entry) pairs, as
 built by `sparse_rows`.  Nothing in this module knows about lattices.  One
-elimination routine, `row_echelon`, is behind the Hermite bases, kernels,
-ranks and echelon transforms and the Smith normal form.  It applies each row
+elimination routine, `row_echelon`, is behind the Hermite bases, echelon
+transforms, kernels and ranks and the Smith normal form.  It applies each row
 operation to whole rows, so columns past the echelon ride along: a matrix X
 appended to A comes back as U*X, and an appended identity as the transform U.
 `det_bareiss` stays for signed determinants.  All arithmetic is exact.
