@@ -385,12 +385,12 @@ def test_json_big_integers_as_strings():
     assert GramLattice.from_json(obj).gram.data == ((big,),)
 
 
-def _c11_sample(count=200):
-    # the first inputs of the C11 acceptance sweep (same seed, same generator)
+def _c11_sample():
+    # the first 200 inputs of the C11 acceptance sweep (same seed, same generator)
     rng = random.Random(20240311)
     ambients = [standard_lattice("Gammabar"), standard_lattice("LambdaTilde")]
     out = []
-    for i in range(count):
+    for i in range(200):
         amb = ambients[i % 2]
         k = rng.randint(1, 4)
         while True:
@@ -408,9 +408,9 @@ def _bits(rows):
 
 
 def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
-    # on the first 200 C11 inputs the saturated outputs have entries of at
-    # most 16 bits, so intermediate growth past 64 bits means the pivot rule
-    # or the triangular solve has regressed.  Saturation is one echelon
+    # on the C11 sample the saturated outputs have entries of at most 16
+    # bits, so intermediate growth past 64 bits means the pivot rule or the
+    # triangular solve has regressed.  Saturation is one echelon
     # U * S^T = H of shape (n, k), then the forward substitution
     # S[p_i] = sum_{j <= i} H[j][p_i] * W[j] over the pivot columns p_i of H,
     # then the Hermite reduction of W.  Tracked: the entries of H and U, every
