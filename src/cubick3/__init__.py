@@ -27,7 +27,6 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     direct_sum,
-    determinant,
     disc_group,
     divisibility,
     is_primitive,

@@ -17,7 +17,7 @@ from . import mukai as mk
 from . import standard as st
 from . import verify as vf
 from .errors import CubicK3Error
-from .lattice import disc_group, signature
+from .lattice import disc_group, json_int, signature
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def cmd_lattice(args) -> int:
         return 2
     if args.disc:
         if args.format == "json":
-            print(json.dumps({"det": L.det, "abs_det": L.abs_det}, indent=2))
+            print(json.dumps({"det": json_int(L.det), "abs_det": json_int(L.abs_det)}, indent=2))
         else:
             print(f"det = {L.det}, |det| = {L.abs_det}")
     elif args.signature:
@@ -169,18 +169,19 @@ def cmd_lattice(args) -> int:
             print(f"signature = ({pos}, {neg}, {null})")
     elif args.disc_group:
         dg = disc_group(L)
-        obj = {
-            "invariant_factors": list(dg.invariant_factors),
-            "q_values": [str(q) for q in dg.q_values] if dg.q_values is not None else None,
-        }
+        q_values = [str(q) for q in dg.q_values] if dg.q_values is not None else None
         if args.format == "json":
+            obj = {
+                "invariant_factors": [json_int(e) for e in dg.invariant_factors],
+                "q_values": q_values,
+            }
             print(json.dumps(obj, indent=2))
         else:
-            print(f"invariant factors: {obj['invariant_factors']}")
-            if obj["q_values"] is None:
+            print(f"invariant factors: {list(dg.invariant_factors)}")
+            if q_values is None:
                 print("q values: (odd lattice)")
             else:
-                print(f"q values: {obj['q_values']}")
+                print(f"q values: {q_values}")
     else:
         if args.format == "json":
             print(json.dumps(L.to_json(), indent=2))

@@ -1,17 +1,19 @@
 """Exact integer matrix kernels.
 
 Matrices are plain lists of lists (row-major) of Python ints.  The
-`sparse_*` kernels, `pairing` and `echelon_coords` take a matrix in sparse
-form instead: for each row, the list of its nonzero (column, entry) pairs, as
-built by `sparse_rows`.  Nothing in this module knows about lattices.  One
+`sparse_*` kernels and `pairing` take a matrix in sparse form instead: for
+each row, the list of its nonzero (column, entry) pairs, as built by
+`sparse_rows`.  Nothing in this module knows about lattices.  One
 elimination routine, `row_echelon`, is behind the Hermite bases, echelon
-transforms, kernels and ranks and the Smith normal form.  It applies each row
-operation to whole rows, so columns past the echelon ride along: a matrix X
-appended to A comes back as U*X, and an appended identity as the transform U.
-`det_bareiss` stays for signed determinants.  All arithmetic is exact.
+transforms, kernels, ranks, determinants and the Smith normal form.  It
+applies each row operation to whole rows, so columns past the echelon ride
+along: a matrix X appended to A comes back as U*X, and an appended identity
+as the transform U.  All arithmetic is exact.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def identity(n: int) -> list[list[int]]:
@@ -72,38 +74,15 @@ def pairing(S, u, v):
     return sum(a * sum(e * v[j] for j, e in row) for a, row in zip(u, S) if a)
 
 
-def det_bareiss(A: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [row[:] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-def row_echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], int]:
+def row_echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], int, int]:
     """Integer row echelon form of the first n columns, by unimodular row operations.
 
-    Returns (M, rank).  Row operations act on whole rows, so the columns
-    past n ride along: rows [A | X] give M = [H | U*X] with U*A == H and U
-    unimodular, pivot columns of H strictly increasing with positive pivots,
-    and rows from index `rank` on zero in H.  X = I gives U itself.
+    Returns (M, rank, sign).  Row operations act on whole rows, so the
+    columns past n ride along: rows [A | X] give M = [H | U*X] with U*A == H
+    and U unimodular, pivot columns of H strictly increasing with positive
+    pivots, and rows from index `rank` on zero in H.  X = I gives U itself.
+    sign = det U is +1 or -1: each row swap and each pivot negation flips
+    it, and subtracting a multiple of one row from another keeps it.
 
     Pivot rule: for each column, the row with the smallest nonzero |entry|
     is moved to the pivot position and the nearest-integer multiple of it is
@@ -119,6 +98,7 @@ def row_echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], int]:
     M = [list(row) for row in rows]
     m = len(M)
     r = 0
+    sign = 1
     for col in range(n):
         if r == m:
             break
@@ -132,6 +112,7 @@ def row_echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], int]:
                 break
             if piv != r:
                 M[r], M[piv] = M[piv], M[r]
+                sign = -sign
             Mr = M[r]
             a = Mr[col]
             # zero entries of the pivot row leave the other rows unchanged
@@ -153,16 +134,29 @@ def row_echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], int]:
             continue  # no pivot in this column
         if M[r][col] < 0:
             M[r] = [-e for e in M[r]]
+            sign = -sign
         r += 1
-    return M, r
+    return M, r, sign
 
 
 def row_echelon_transform(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int]:
     """(H, U, rank) with U*A == H: the `row_echelon` of [A | I], split."""
     m = len(A)
     n = len(A[0]) if m else 0
-    M, r = row_echelon([list(row) + e for row, e in zip(A, identity(m))], n)
+    M, r, _ = row_echelon([list(row) + e for row, e in zip(A, identity(m))], n)
     return [row[:n] for row in M], [row[n:] for row in M], r
+
+
+def det(A: list[list[int]]) -> int:
+    """Signed determinant of a square matrix, read off its `row_echelon` U*A == H.
+
+    H is upper triangular, so det A = det U * prod H[i][i] with det U the
+    echelon's sign.  Below full rank the last row of H is zero, and so is the
+    product.  The empty matrix has determinant 1.
+    """
+    n = len(A)
+    H, _, sign = row_echelon(A, n)
+    return sign * math.prod(H[i][i] for i in range(n))
 
 
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -175,7 +169,7 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     if not rows:
         return []
     n = len(rows[0])
-    H, r = row_echelon(rows, n)
+    H, r, _ = row_echelon(rows, n)
     H = H[:r]
     pivots = []
     for i, row in enumerate(H):
@@ -234,9 +228,9 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     D = [list(row) for row in A]
     Vt = identity(n)  # V^T: a column operation on D is a row operation on Vt
     while True:
-        M, _ = row_echelon([c + v for c, v in zip(transpose(D), Vt)], m)
+        M, _, _ = row_echelon([c + v for c, v in zip(transpose(D), Vt)], m)
         Vt = [row[m:] for row in M]
-        D, _ = row_echelon(transpose(M)[:m], n)
+        D, _, _ = row_echelon(transpose(M)[:m], n)
         if any(D[i][j] for i in range(m) for j in range(n) if i != j):
             continue
         diag = [D[i][i] for i in range(min(m, n))]
@@ -247,25 +241,3 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[int], list[list[int]]]:
         i, j = bad
         D[j][i] = D[j][j]  # column i += column j
         Vt[i] = [a + b for a, b in zip(Vt[i], Vt[j])]
-
-
-def echelon_coords(H_rows, x: list[int]) -> list[int] | None:
-    """Integer coefficients of the integer vector x on echelon rows, or None.
-
-    H_rows are the sparse rows of an integer matrix with strictly increasing
-    pivot columns (e.g. `sparse_rows(hnf_rows(...))`), so the first pair of
-    each row is its pivot.  One exact-division back-substitution pass decides
-    whether x lies in the row lattice: None means it does not.
-    """
-    res = list(x)
-    out = []
-    for row in H_rows:
-        j, p = row[0]
-        q, r = divmod(res[j], p)
-        if r:
-            return None
-        out.append(q)
-        if q:
-            for t, e in row:
-                res[t] -= q * e
-    return None if any(res) else out

@@ -14,11 +14,13 @@ its rank decides independence, the product of the diagonal of H is the
 index [sat : S], and a forward substitution against H with exact divisions
 gives a basis of the saturation (see `saturation`).  Complements are one
 `left_kernel`.  Saturations and complements come back as canonical
-Hermite bases, so equal lattices have equal bases, and membership is one
-exact-division back-substitution against the basis (a non-integral vector
-is never a member).  `disc_group` reads degeneracy off the zero of the
-Smith diagonal, and its q-values are integer pairings of Smith columns
-divided once, q(V_i / d_i) = (V_i . V_i) / d_i^2 mod 2.
+Hermite bases, so equal lattices have equal bases, and membership is
+Hermite equality: v lies in the lattice with Hermite basis H exactly when
+the Hermite basis of H + [v] is H again (a non-integral vector is never a
+member).  Determinants are the signed diagonal of one `row_echelon`.
+`disc_group` reads degeneracy off the zero of the Smith diagonal, and its
+q-values are integer pairings of Smith columns divided once,
+q(V_i / d_i) = (V_i . V_i) / d_i^2 mod 2.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class GramLattice:
     @cached_property
     def det(self) -> int:
         """Signed determinant of the Gram matrix."""
-        return la.det_bareiss(self.gram.to_lists())
+        return la.det(self.gram.to_lists())
 
     @property
     def abs_det(self) -> int:
@@ -188,27 +190,30 @@ class Sublattice:
 
     @cached_property
     def det(self) -> int:
-        return la.det_bareiss(self.induced_gram.to_lists())
+        return la.det(self.induced_gram.to_lists())
 
     @property
     def abs_det(self) -> int:
         return abs(self.det)
 
     @cached_property
-    def _hnf(self) -> list[list[tuple[int, int]]]:
-        # sparse rows of the canonical echelon basis of the same lattice;
-        # membership tests reduce to one back-substitution pass against it
-        return la.sparse_rows(la.hnf_rows(self.basis.to_lists()))
+    def _hnf(self) -> list[list[int]]:
+        # the canonical Hermite basis of the same lattice
+        return la.hnf_rows(self.basis.to_lists())
 
     def contains(self, v) -> bool:
-        """Whether the (possibly rational) ambient vector lies in the sublattice."""
+        """Whether the (possibly rational) ambient vector lies in the sublattice.
+
+        Hermite equality: v is a member iff adding it to the canonical
+        Hermite basis H spans the same lattice, i.e. hnf_rows(H + [v]) == H.
+        """
         if len(v) != self.ambient.rank:
             raise ValueError("vector length does not match the ambient rank")
         try:
             w = as_vector(v)
         except ValueError:
             return False  # integer basis rows span only integer vectors
-        return la.echelon_coords(self._hnf, list(w)) is not None
+        return la.hnf_rows(self._hnf + [list(w)]) == self._hnf
 
 
 @dataclass(frozen=True)
@@ -263,10 +268,6 @@ def direct_sum(
                 rows[off + i][off + j] = t * g[i][j]
         off += part.rank
     return GramLattice.from_rows(rows, label)
-
-
-def determinant(L: GramLattice) -> int:
-    return L.det
 
 
 def signature(L: GramLattice) -> tuple[int, int, int]:

@@ -225,19 +225,6 @@ class EmbeddingReport:
         "l1_perp_abs_det": 2,
     }
 
-    def failures(self) -> list[str]:
-        out = []
-        for key, want in self.EXPECTED.items():
-            got = getattr(self, key)
-            if isinstance(got, IntMatrix):
-                got = got.data
-            if got != want:
-                out.append(f"{key}: expected {want}, got {got}")
-        return out
-
-    def all_identities_hold(self) -> bool:
-        return not self.failures()
-
 
 @lru_cache(maxsize=None)
 def canonical_embedding_report() -> EmbeddingReport:

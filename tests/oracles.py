@@ -38,6 +38,31 @@ def frac_inv(A) -> list[list[Fraction]]:
     return R
 
 
+def det_bareiss(A: list[list[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(A)
+    if n == 0:
+        return 1
+    M = [row[:] for row in A]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k] != 0:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
 def hnf_solve(H, x) -> list[Fraction] | None:
     """Rational coefficients of x on echelon rows H, or None outside their span.
 
@@ -133,7 +158,7 @@ def saturation_index(S, sat) -> int:
         c = hnf_solve(basis, row)
         assert c is not None and all(x.denominator == 1 for x in c)
         coeffs.append([int(x) for x in c])
-    return abs(la.det_bareiss(coeffs))
+    return abs(det_bareiss(coeffs))
 
 
 def contains(S, v) -> bool:

@@ -42,7 +42,7 @@ from cubick3 import intlinalg as la
 from cubick3 import standard as st
 from cubick3.mukai import characteristic_classes, euler_line, lambda_vectors
 from cubick3.standard import is_primitive, standard_lattice
-from oracles import binary_grams_equivalent
+from oracles import binary_grams_equivalent, det_bareiss
 
 
 def report(cid, ok, detail=""):
@@ -139,7 +139,7 @@ def test_c05_nl_dichotomy_sweep():
         case, dd = classify_nl_vector(r.v)
         want_case = NLCase.SATURATED if d % 6 == 0 else NLCase.INDEX_THREE
         ok = ok and (case, dd) == (want_case, d)
-        ok = ok and abs(la.det_bareiss(r.gram_K.to_lists())) == d
+        ok = ok and abs(det_bareiss(r.gram_K.to_lists())) == d
         ok = ok and r.disc_K.invariant_factors == _k_disc_shape(d)
         ok = ok and r.disc_K.is_cyclic == (d % 9 != 0)
     ok = ok and binary_grams_equivalent(

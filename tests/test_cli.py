@@ -194,6 +194,26 @@ def test_usage_error_exit_code():
 
 
 class TestLargeIntegers:
+    @pytest.mark.parametrize(
+        "d, det, abs_det",
+        [
+            # |det| = d just below 2^63: bare numbers, as before
+            (2**63 - 2, -(2**63) + 2, 2**63 - 2),
+            # det = -2^63 still fits in 64 bits, |det| = 2^63 does not
+            (2**63, -(2**63), str(2**63)),
+            (2**71, str(-(2**71)), str(2**71)),
+        ],
+    )
+    def test_lattice_disc_json(self, capsys, d, det, abs_det):
+        assert main(["lattice", f"LambdaD({d})", "--disc", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"det": det, "abs_det": abs_det}
+        assert main(["lattice", f"LambdaD({d})", "--disc-group", "--format", "json"]) == 0
+        factors = json.loads(capsys.readouterr().out)["invariant_factors"]
+        assert factors == [abs_det]
+        # the text form prints the integers themselves
+        assert main(["lattice", f"LambdaD({d})", "--disc-group"]) == 0
+        assert f"invariant factors: [{d}]" in capsys.readouterr().out
+
     def test_json_integers_above_64_bits_are_strings(self, capsys):
         assert main(["classify", "1766", "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as hyp
 
 from cubick3 import intlinalg as la
-from oracles import frac_inv, matmul, solve_rational
+from cubick3.lattice import orthogonal_complement, saturation, span_sublattice
+from cubick3.standard import (
+    LAMBDA1,
+    LAMBDA2,
+    canonical_embedding_report,
+    lambda_d_lattice,
+    standard_lattice,
+)
+from oracles import det_bareiss, frac_inv, matmul, solve_rational
 
 
 def det_fraction_gauss(A):
@@ -41,21 +49,58 @@ def minors_gcd(A, k):
     for rows in itertools.combinations(range(m), k):
         for cols in itertools.combinations(range(n), k):
             sub = [[A[i][j] for j in cols] for i in rows]
-            g = math.gcd(g, abs(la.det_bareiss(sub)))
+            g = math.gcd(g, abs(det_bareiss(sub)))
     return g
 
 
 def test_det_against_gauss_oracle():
+    # random square matrices of size 0-8; a repeated row or a multiple of
+    # another row makes a fifth of them singular, and the negative entries
+    # give negative pivots to negate
     rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 6)
+    for _ in range(400):
+        n = rng.randint(0, 8)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert la.det_bareiss(A) == det_fraction_gauss(A)
+        if n >= 2 and rng.random() < 0.2:
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((1, -2))
+            A[i] = [c * e for e in A[j]]
+        want = det_fraction_gauss(A)
+        assert la.det(A) == want == det_bareiss(A), A
 
 
 def test_det_empty_and_singular():
-    assert la.det_bareiss([]) == 1
-    assert la.det_bareiss([[2, 4], [1, 2]]) == 0
+    assert la.det([]) == 1
+    assert la.det([[2, 4], [1, 2]]) == 0
+    assert la.det([[0, 1], [1, 0]]) == -1  # one swap
+    assert la.det([[-3]]) == -3  # one pivot negation
+    assert la.det([[1, 2, 3], [1, 2, 3], [0, 0, 1]]) == 0  # repeated row
+
+
+def test_det_of_the_theory_grams():
+    # the Gram of every standard lattice, of LambdaD(14) and of the four
+    # sublattices that canonical_embedding_report reads determinants off
+    names = ("U", "E", "A2", "A2m", "I03", "Gammabar", "Gamma", "Lambda", "LambdaTilde")
+    grams = [standard_lattice(name).gram for name in names]
+    grams.append(lambda_d_lattice(14).gram)
+    lt = standard_lattice("LambdaTilde")
+    a2perp = orthogonal_complement(lt, [LAMBDA1, LAMBDA2])
+    sat, _ = saturation(span_sublattice(lt, [list(LAMBDA1), list(LAMBDA2)] + a2perp.basis.to_lists()))
+    lam12 = [a + 2 * b for a, b in zip(LAMBDA1, LAMBDA2)]
+    fano = span_sublattice(lt, a2perp.basis.to_lists() + [lam12])
+    l1perp = orthogonal_complement(lt, [LAMBDA1])
+    subs = (a2perp, sat, fano, l1perp)
+    grams += [S.induced_gram for S in subs]
+    for G in grams:
+        A = G.to_lists()
+        assert la.det(A) == det_bareiss(A) == det_fraction_gauss(A)
+    rep = canonical_embedding_report()
+    assert [S.abs_det for S in subs] == [
+        rep.a2_perp_abs_det,
+        rep.a2_sum_saturation_abs_det,
+        rep.fano_sublattice_abs_det,
+        rep.l1_perp_abs_det,
+    ]
 
 
 def test_row_echelon_transform_properties():
@@ -65,7 +110,7 @@ def test_row_echelon_transform_properties():
         A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
         H, U, r = la.row_echelon_transform(A)
         assert matmul(U, A) == H
-        assert abs(la.det_bareiss(U)) == 1
+        assert abs(det_bareiss(U)) == 1
         assert all(not any(H[i]) for i in range(r, m))
         pivots = [next(j for j in range(n) if row[j]) for row in H[:r]]
         assert pivots == sorted(pivots) and len(set(pivots)) == r
@@ -91,13 +136,16 @@ def test_riding_columns_come_back_multiplied_by_the_transform(data):
     X = [[data.draw(entries) for _ in range(p)] for _ in range(m)]
     H, U, r = la.row_echelon_transform(A)
     UX = matmul(U, X)
-    M, rank = la.row_echelon([a + x for a, x in zip(A, X)], n)
+    M, rank, sign = la.row_echelon([a + x for a, x in zip(A, X)], n)
     assert rank == r
     assert M == [h + ux for h, ux in zip(H, UX)]
+    # the sign is the determinant of the transform
+    assert sign == det_bareiss(U)
     # the identity rides along as the transform itself
     assert la.row_echelon([a + e for a, e in zip(A, la.identity(m))], n) == (
         [h + u for h, u in zip(H, U)],
         r,
+        sign,
     )
 
 
@@ -140,7 +188,7 @@ def check_smith(A, diag, V):
     # column i of A*V is d_i times column i of the unimodular U^-1
     m, n = len(A), len(A[0])
     assert len(diag) == min(m, n)
-    assert abs(la.det_bareiss(V)) == 1
+    assert abs(det_bareiss(V)) == 1
     nonzero = [d for d in diag if d]
     # divisibility chain, zeros trailing
     for a, b in zip(nonzero, nonzero[1:]):
@@ -159,7 +207,7 @@ def check_smith(A, diag, V):
         assert not any(col) if d == 0 else all(e % d == 0 for e in col)
     if m == n and 0 not in diag:
         quotient = [[e // d for e, d in zip(row, diag)] for row in AV]
-        assert abs(la.det_bareiss(quotient)) == 1
+        assert abs(det_bareiss(quotient)) == 1
 
 
 def test_smith_normal_form_invariant_factors():

@@ -15,7 +15,6 @@ from cubick3 import (
     Sublattice,
     ZeroVector,
     direct_sum,
-    determinant,
     disc_group,
     divisibility,
     is_primitive,
@@ -96,15 +95,15 @@ class TestSignature:
 
 class TestDeterminant:
     def test_a2(self):
-        assert determinant(A2) == 3
+        assert A2.det == 3
 
     def test_k14_cofactor_oracle(self):
         K14 = GramLattice.from_rows([[-3, 1], [1, -5]])
         # cofactor expansion: (-3)(-5) - 1*1
-        assert determinant(K14) == (-3) * (-5) - 1 * 1 == 14
+        assert K14.det == (-3) * (-5) - 1 * 1 == 14
 
     def test_u(self):
-        assert determinant(U) == -1
+        assert U.det == -1
         assert U.abs_det == 1
 
 
@@ -296,6 +295,23 @@ class TestOrthogonalComplement:
         C = orthogonal_complement(lt, [LAMBDA1])
         _, idx = saturation(C)
         assert idx == 1
+
+
+class TestMembership:
+    # Hermite equality: v is in S iff hnf_rows(H + [v]) == H for the Hermite basis H of S
+
+    def test_rank_zero(self):
+        S = Sublattice(U, IntMatrix(()))
+        assert S.contains((0, 0))
+        assert not S.contains((1, 0))
+        assert not S.contains((0, -3))
+
+    def test_non_saturated_span(self):
+        S = span_sublattice(U, [(2, 0)])
+        assert S.contains((2, 0)) and S.contains((-4, 0)) and S.contains((0, 0))
+        assert not S.contains((1, 0))
+        assert not S.contains((2, 1))
+        assert not S.contains((Fraction(1, 2), 0))
 
 
 class TestDivisibilityPrimitivity:

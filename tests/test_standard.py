@@ -32,6 +32,7 @@ from cubick3.standard import (
     LAMBDA2,
     M1,
     RANK_GAMMA,
+    EmbeddingReport,
     _vec,
     boundary_witnesses,
     canonical_embedding_report,
@@ -139,9 +140,11 @@ class TestStandardBasis:
 
 class TestEmbeddingReport:
     def test_all_identities(self):
-        rep = canonical_embedding_report()
-        assert rep.failures() == []
-        assert rep.all_identities_hold()
+        # verify's embedding.* checks compare every field with EXPECTED
+        out = []
+        vf._embedding_checks(out)
+        assert [c.check_id for c in out] == [f"embedding.{k}" for k in EmbeddingReport.EXPECTED]
+        assert [c for c in out if not c.ok] == []
 
     def test_individual_values(self):
         rep = canonical_embedding_report()
@@ -244,7 +247,7 @@ class TestHassettTriple:
             (st, "saturation"),
             (st, "orthogonal_complement"),
             (la, "hnf_rows"),
-            (la, "det_bareiss"),
+            (la, "det"),
         ):
             monkeypatch.setattr(module, name, forbidden)
         for d in ds:
@@ -265,7 +268,7 @@ class TestHassettTriple:
     def test_d14(self):
         r = hassett_triple(14)
         assert r.gram_K.to_lists() == [[-3, 1], [1, -5]]
-        assert abs(la.det_bareiss(r.gram_K.to_lists())) == 14
+        assert abs(oracles.det_bareiss(r.gram_K.to_lists())) == 14
         assert r.disc_K.invariant_factors == (14,)
         assert r.case is NLCase.INDEX_THREE
 
@@ -286,9 +289,9 @@ class TestHassettTriple:
     def test_dets_and_disc_over_sweep(self):
         for d in (2, 6, 8, 12, 14, 18, 24, 26, 36, 54):
             r = hassett_triple(d)
-            assert abs(la.det_bareiss(r.gram_K.to_lists())) == d
-            assert abs(la.det_bareiss(r.gram_L.to_lists())) == d
-            assert abs(la.det_bareiss(r.gram_Gamma_d.to_lists())) == d
+            assert abs(oracles.det_bareiss(r.gram_K.to_lists())) == d
+            assert abs(oracles.det_bareiss(r.gram_L.to_lists())) == d
+            assert abs(oracles.det_bareiss(r.gram_Gamma_d.to_lists())) == d
             assert r.disc_K.is_cyclic == (d % 9 != 0)
             assert r.v_square == (-d // 3 if d % 6 == 0 else -3 * d)
 
@@ -407,10 +410,17 @@ class TestKdoo:
             assert la.mat_vec(g, vbar) == [-e for e in vbar]
 
     def test_index_one(self):
+        # (v_d - h2)/3 lies in the saturation K_d and (-v_d - h2)/3 does not,
+        # by Hermite equality and by the rational-coefficient oracle
+        gbar = standard_lattice("Gammabar")
         for d in (14, 20):
             idx, w = kdoo_index(d)
             assert idx == 1
-            assert w.member is not None and w.non_member is not None
+            vbar = gamma_to_gammabar(nl_vector(d))
+            satK, _ = lattice.saturation(lattice.span_sublattice(gbar, [st.H2, vbar]))
+            assert satK.contains(w.member) and oracles.contains(satK, w.member)
+            assert not satK.contains(w.non_member)
+            assert not oracles.contains(satK, w.non_member)
 
     def test_dichotomy_sweep(self):
         for d in range(2, 61, 2):
