@@ -13,10 +13,8 @@ from .errors import (
     InvalidDegree,
     InvalidNLVector,
     InvalidParity,
-    InvalidTwist,
     NotHyperbolicPair,
     NotSpecialDiscriminant,
-    SearchCapExceeded,
     SearchExhausted,
     UnknownLattice,
     ZeroVector,

@@ -33,7 +33,7 @@ class Report:
 
     def to_json(self) -> dict:
         return {
-            "d": self.d,
+            "d": json_int(self.d),
             "flags": self.flags.to_json(),
             "nl": self.nl.to_json() if self.nl else None,
             "boundary_components": self.boundary,

@@ -205,7 +205,7 @@ class ConditionFlags:
 
     def to_json(self) -> dict:
         return {
-            "d": self.d,
+            "d": json_int(self.d),
             "star": self.star,
             "ss_prime": self.starstar_prime,
             "ss": self.starstar,

@@ -1,16 +1,14 @@
 """Exception types raised by the library.
 
 Everything derives from ValueError so callers that do not care about the
-fine-grained type can catch the usual thing.
+fine-grained type can catch the usual thing.  Every class below the base
+is raised by some library function; a class that loses its last raiser is
+removed rather than kept for importers.
 """
 
 
 class CubicK3Error(ValueError):
     """Base class for all library errors."""
-
-
-class InvalidTwist(CubicK3Error):
-    """A direct-sum twist factor was zero."""
 
 
 class DegenerateLattice(CubicK3Error):
@@ -43,14 +41,6 @@ class InvalidDegree(CubicK3Error):
 
 class InvalidParity(CubicK3Error):
     """An even integer was required."""
-
-
-class SearchCapExceeded(CubicK3Error):
-    """A brute-force search was asked to exceed its cap.
-
-    No library function raises it: the genus comparison is closed-form.  It
-    stays importable for callers and for search oracles.
-    """
 
 
 class NotHyperbolicPair(CubicK3Error):

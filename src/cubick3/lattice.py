@@ -30,12 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (
-    DegenerateLattice,
-    DependentGenerators,
-    InvalidTwist,
-    ZeroVector,
-)
+from .errors import DegenerateLattice, DependentGenerators, ZeroVector
 from . import intlinalg as la
 
 Vector = tuple[int, ...]
@@ -85,11 +80,8 @@ class IntMatrix:
         return [list(row) for row in self.data]
 
     def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.nrows)
-            for j in range(i)
-        )
+        # the transpose of a non-square matrix has another shape
+        return self.data == tuple(zip(*self.data))
 
     def to_json(self) -> list[list]:
         return [[json_int(e) for e in row] for row in self.data]
@@ -243,29 +235,22 @@ class DiscGroup:
 # operations
 
 
-def direct_sum(
-    parts, twists=None, label: str | None = None
-) -> GramLattice:
-    """Block-diagonal sum of lattices; twist k scales a part's Gram by k."""
+def direct_sum(parts, *, label: str | None = None) -> GramLattice:
+    """Orthogonal sum of lattices: the block-diagonal Gram of the parts, in order.
+
+    The sum is validated like any Gram from outside (`GramLattice.from_rows`),
+    since a part built with the raw `IntMatrix` constructor may hold
+    non-integral entries.
+    """
     parts = list(parts)
     if not parts:
         raise ValueError("direct_sum needs at least one part")
-    if twists is None:
-        twists = [1] * len(parts)
-    twists = list(twists)
-    if len(twists) != len(parts):
-        raise ValueError("one twist per part")
-    for t in twists:
-        if t == 0:
-            raise InvalidTwist("zero twist")
     rank = sum(p.rank for p in parts)
-    rows = [[0] * rank for _ in range(rank)]
+    rows = []
     off = 0
-    for part, t in zip(parts, twists):
-        g = part.gram.data
-        for i in range(part.rank):
-            for j in range(part.rank):
-                rows[off + i][off + j] = t * g[i][j]
+    for part in parts:
+        pad = rank - off - part.rank
+        rows += [(0,) * off + row + (0,) * pad for row in part.gram.data]
         off += part.rank
     return GramLattice.from_rows(rows, label)
 

@@ -54,6 +54,7 @@ from .lattice import (
     disc_group,
     divisibility,
     is_primitive,
+    json_int,
     orthogonal_complement,
     saturate_rows,
     saturation,
@@ -230,12 +231,8 @@ class EmbeddingReport:
 def canonical_embedding_report() -> EmbeddingReport:
     """Verify the fixed-vector identities of the A2 embedding and report them."""
     lt = standard_lattice("LambdaTilde")
-    lam_gram = IntMatrix.from_rows(
-        [[lt.pairing(a, b) for b in (LAMBDA1, LAMBDA2)] for a in (LAMBDA1, LAMBDA2)]
-    )
-    mu_gram = IntMatrix.from_rows(
-        [[lt.pairing(a, b) for b in (MU1_TILDE, MU2_TILDE)] for a in (MU1_TILDE, MU2_TILDE)]
-    )
+    lam_gram = span_sublattice(lt, [LAMBDA1, LAMBDA2]).induced_gram
+    mu_gram = span_sublattice(lt, [MU1_TILDE, MU2_TILDE]).induced_gram
     glue_lhs = tuple(3 * e for e in _vec(RANK_TILDE, {E3: 1, F4: 1}))
     glue_rhs = tuple(
         m1 - m2 - l1 + l2
@@ -385,34 +382,22 @@ class NLVectorReport:
 
     def to_json(self) -> dict:
         return {
-            "d": self.d,
+            "d": json_int(self.d),
             "case": self.case.value,
-            "v": list(self.v),
+            "v": [json_int(e) for e in self.v],
             "gramK": self.gram_K.to_json(),
             "gramL": self.gram_L.to_json(),
             "gramGammaD": self.gram_Gamma_d.to_json(),
-            "discK": list(self.disc_K.invariant_factors),
-            "discGammaD": list(self.disc_Gamma_d.invariant_factors),
+            "discK": [json_int(e) for e in self.disc_K.invariant_factors],
+            "discGammaD": [json_int(e) for e in self.disc_Gamma_d.invariant_factors],
         }
 
 
-def _gamma_block(d: int) -> list[list[int]]:
+def _gamma_block(d: int) -> GramLattice:
     # the rank-3 block B_d of Gamma_d = E + U + B_d in the closed-form basis
     if d % 6 == 0:
-        return _blockdiag([[-e for e in row] for row in _A2_ROWS], [[d // 3]])
-    return [[-2, 1, 0], [1, -2, 1], [0, 1, (d - 2) // 3]]
-
-
-def _blockdiag(*blocks: list[list[int]]) -> list[list[int]]:
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, e in enumerate(row):
-                out[off + i][off + j] = e
-        off += len(b)
-    return out
+        return direct_sum([_basic("A2m"), GramLattice.from_rows([[d // 3]])])
+    return GramLattice.from_rows([[-2, 1, 0], [1, -2, 1], [0, 1, (d - 2) // 3]])
 
 
 def closed_form_bases(d: int) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -447,36 +432,38 @@ def hassett_triple(d: int) -> NLVectorReport:
     saturation of span(lambda1, lambda2, v_d) in the extended K3 lattice, and
     Gamma_d the orthogonal complement of v_d in the primitive cubic lattice.
     The closed form (after Hassett 2000) is the product: the Grams of
-    `closed_form_bases` are written down, and no lattice is computed.  Its
+    `closed_form_bases` are written down, and no lattice is computed.  The
+    Gram of Gamma_d is the `direct_sum` of E, U and the rank-3 block B_d
+    (see `genus_compare`), and its discriminant group is that of B_d.  Its
     proof is `verify`, which computes the three lattices generically for
     every special d in its sweep and compares Hermite bases and Grams.
     """
     _check_special(d)
     if d % 6 == 0:
         case = NLCase.SATURATED
-        gram_K = [[-3, 0], [0, -(d // 3)]]
-        gram_L = _blockdiag([list(r) for r in _A2_ROWS], [[-(d // 3)]])
+        K = GramLattice.from_rows([[-3, 0], [0, -(d // 3)]])
+        gram_L = direct_sum([_basic("A2"), GramLattice.from_rows([[-(d // 3)]])]).gram
     else:
         case = NLCase.INDEX_THREE
-        gram_K = [[-3, 1], [1, -((d + 1) // 3)]]
-        gram_L = [[2, -1, 0], [-1, 2, -1], [0, -1, -((d - 2) // 3)]]
+        K = GramLattice.from_rows([[-3, 1], [1, -((d + 1) // 3)]])
+        gram_L = IntMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, -((d - 2) // 3)]])
     v = nl_vector(d)
     block = _gamma_block(d)
-    gram_G = _blockdiag(standard_lattice("E").gram.to_lists(), [list(r) for r in _U_ROWS], block)
+    gram_G = direct_sum([standard_lattice("E"), _basic("U"), block]).gram
     # Gamma_d = E + U + B_d with E + U unimodular: the group and form of B_d
     # are those of Gamma_d, with generators padded by zeros on E + U
-    dg = disc_group(GramLattice.from_rows(block))
-    pad = (Fraction(0),) * (len(gram_G) - len(block))
+    dg = disc_group(block)
+    pad = (Fraction(0),) * (gram_G.nrows - block.rank)
     disc_G = DiscGroup(dg.invariant_factors, tuple(pad + g for g in dg.generators), dg.q_values)
     return NLVectorReport(
         d=d,
         case=case,
         v=v,
         v_square=standard_lattice("Gamma").square(v),
-        gram_K=IntMatrix.from_rows(gram_K),
-        gram_L=IntMatrix.from_rows(gram_L),
-        gram_Gamma_d=IntMatrix.from_rows(gram_G),
-        disc_K=disc_group(GramLattice.from_rows(gram_K, f"K_{d}")),
+        gram_K=K.gram,
+        gram_L=gram_L,
+        gram_Gamma_d=gram_G,
+        disc_K=disc_group(K),
         disc_Gamma_d=disc_G,
     )
 
@@ -567,8 +554,9 @@ def genus_compare(d: int) -> bool:
     """Whether Gamma_d and Lambda_d lie in one genus, read off their rank-3 blocks.
 
     Both lattices are the even unimodular E + U plus a block of rank 3:
-    Gamma_d = E + U + B_d, with B_d = A2(-1) + <d/3> for d = 0 (6) and the
-    block [[-2, 1, 0], [1, -2, 1], [0, 1, (d-2)/3]] for d = 2 (6), and
+    the Gram of Gamma_d is the `direct_sum` of E, U and B_d, with
+    B_d = A2(-1) + <d/3> for d = 0 (6) and B_d the block
+    [[-2, 1, 0], [1, -2, 1], [0, 1, (d-2)/3]] for d = 2 (6), and
     Lambda_d = E + U + (U + <-d>).  Both are even and indefinite, so by
     Nikulin 1979, Cor. 1.9.4, they share a genus iff they have the same
     signature and isomorphic discriminant forms.  The signatures always

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from cubick3 import intlinalg as la
 from cubick3 import lattice as lat
-from cubick3.errors import DependentGenerators, SearchCapExceeded
+from cubick3.errors import DependentGenerators
 from cubick3.lattice import DiscGroup, GramLattice, IntMatrix, Sublattice, disc_group
 from cubick3.standard import hassett_triple, lambda_d_lattice
 
@@ -422,6 +422,10 @@ class DiscForm:
             for j in range(k):
                 total += e1[i] * e2[j] * self.pair_table[i][j]
         return total % 1
+
+
+class SearchCapExceeded(ValueError):
+    """The brute-force form search was asked to exceed its cap."""
 
 
 def disc_forms_isomorphic(F1: DiscForm, F2: DiscForm, cap: int = 10_000) -> bool:

@@ -214,6 +214,33 @@ class TestLargeIntegers:
         assert main(["lattice", f"LambdaD({d})", "--disc-group"]) == 0
         assert f"invariant factors: [{d}]" in capsys.readouterr().out
 
+    def test_library_json_beyond_the_cli_bound(self):
+        # d = 3 * 2^70 is past the CLI's bound of 2^63; d/2 = 3 * 2^69
+        # factors at once.  Every integer above 64 bits of the three
+        # library reports is a decimal string.
+        from cubick3 import cli, standard
+
+        d = 3 * 2**70
+        with pytest.warns(RuntimeWarning):  # trial division past 64 bits
+            report = cli.build_report(d)
+
+        def ints(x):
+            if isinstance(x, dict):
+                x = list(x.values())
+            if isinstance(x, list):
+                return [n for e in x for n in ints(e)]
+            return [x] if type(x) is int else []
+
+        nl = standard.hassett_triple(d).to_json()
+        flags = report.flags.to_json()
+        obj = report.to_json()
+        assert obj["nl"] == nl and obj["flags"] == flags
+        assert obj["d"] == flags["d"] == nl["d"] == str(d)
+        assert nl["v"][standard.F1] == str(-(d // 6))
+        assert nl["gramK"] == [[-3, 0], [0, str(-(d // 3))]]
+        assert nl["discK"] == nl["discGammaD"] == [str(d)]
+        assert all(-(2**63) <= n < 2**63 for n in ints(json.loads(json.dumps(obj))))
+
     def test_json_integers_above_64_bits_are_strings(self, capsys):
         assert main(["classify", "1766", "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)

@@ -11,7 +11,6 @@ from cubick3 import (
     DependentGenerators,
     GramLattice,
     IntMatrix,
-    InvalidTwist,
     Sublattice,
     ZeroVector,
     direct_sum,
@@ -60,13 +59,48 @@ class TestDirectSum:
         assert gbar.rank == 23
         assert signature(gbar) == (2, 21, 0)
 
+    def test_block_placement(self):
+        L = direct_sum([U, A2, GramLattice.from_rows([[-5]])])
+        assert L.gram.to_lists() == [
+            [0, 1, 0, 0, 0],
+            [1, 0, 0, 0, 0],
+            [0, 0, 2, -1, 0],
+            [0, 0, -1, 2, 0],
+            [0, 0, 0, 0, -5],
+        ]
+        assert L.label is None
+
+    def test_label(self):
+        assert direct_sum([U, A2], label="U+A2").label == "U+A2"
+
     def test_twist(self):
-        L = direct_sum([A2], twists=[-1])
+        # a sign-changed part is a lattice of its own, passed like any other
+        L = direct_sum([standard_lattice("A2m")])
         assert L.gram.to_lists() == [[-2, 1], [1, -2]]
 
-    def test_zero_twist(self):
-        with pytest.raises(InvalidTwist):
-            direct_sum([U], twists=[0])
+    def test_no_parts(self):
+        with pytest.raises(ValueError, match="at least one part"):
+            direct_sum([])
+
+    def test_parts_are_validated(self):
+        # the raw IntMatrix constructor takes any entries; the sum checks them
+        half = GramLattice(IntMatrix(((Fraction(1, 2),),)))
+        with pytest.raises(ValueError, match="non-integral"):
+            direct_sum([U, half])
+
+    def test_label_is_keyword_only(self):
+        # a stale positional twist list must not become the label
+        with pytest.raises(TypeError):
+            direct_sum([U], [1])
+
+
+class TestIntMatrix:
+    def test_is_symmetric(self):
+        assert IntMatrix(((1, 2), (2, 3))).is_symmetric()
+        assert not IntMatrix(((1, 2), (0, 3))).is_symmetric()
+        assert not IntMatrix(((1, 2, 3),)).is_symmetric()
+        assert not IntMatrix(((1,), (2,), (3,))).is_symmetric()
+        assert IntMatrix(()).is_symmetric()
 
 
 class TestSignature:
@@ -88,9 +122,8 @@ class TestSignature:
         sigs = [signature(p) for p in parts]
         total = signature(direct_sum(parts))
         assert total == tuple(sum(c) for c in zip(*sigs))
-        # twist -1 swaps positive and negative counts
-        pos, neg, null = signature(direct_sum([A2], twists=[-1]))
-        assert (pos, neg, null) == (0, 2, 0)
+        # A2(-1) swaps the positive and negative counts of A2
+        assert signature(direct_sum([standard_lattice("A2m")])) == (0, 2, 0)
 
 
 class TestDeterminant:
@@ -229,7 +262,9 @@ class TestSpanAndSaturation:
         assert idx == 3
 
     def test_a2_pair_in_two_planes(self):
-        amb = direct_sum([U, standard_lattice("U")], twists=[1, -1])
+        amb = GramLattice.from_rows(  # U + U(-1)
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
+        )
         # A2 and A2(-1) bases written in U3+U4 coordinates
         lam1, lam2 = (0, 0, 1, -1), (1, 1, 0, 1)
         mu1, mu2 = (1, -1, 0, 0), (-1, 0, -1, -1)

@@ -57,13 +57,17 @@ def test_a2_form_values_never_two_mod_three(x, y):
 @given(hyp.lists(hyp.sampled_from(["U", "A2", "A2m", "I03"]), min_size=1, max_size=3),
        hyp.lists(hyp.sampled_from([1, -1, 2]), min_size=3, max_size=3))
 @settings(max_examples=40, deadline=None)
-def test_direct_sum_signature_additive(names, twists):
-    parts = [standard_lattice(n) for n in names]
-    twists = twists[: len(parts)]
-    total = signature(direct_sum(parts, twists))
+def test_direct_sum_signature_additive(names, scales):
+    # each part's Gram scaled by t; t < 0 swaps its positive and negative counts
+    scales = scales[: len(names)]
+    parts = [
+        GramLattice.from_rows([[t * e for e in row] for row in standard_lattice(n).gram.data])
+        for n, t in zip(names, scales)
+    ]
+    total = signature(direct_sum(parts))
     expect = [0, 0, 0]
-    for p, t in zip(parts, twists):
-        pos, neg, null = signature(p)
+    for n, t in zip(names, scales):
+        pos, neg, null = signature(standard_lattice(n))
         if t < 0:
             pos, neg = neg, pos
         expect[0] += pos

@@ -224,7 +224,9 @@ class TestHassettTriple:
         def corrupted(d):
             block = real(d)
             if d == 14:
-                block[2][2] += 6
+                rows = block.gram.to_lists()
+                rows[2][2] += 6
+                block = GramLattice.from_rows(rows)
             return block
 
         monkeypatch.setattr(st, "_gamma_block", corrupted)
@@ -474,7 +476,10 @@ class TestGenus:
         for d in range(8, 2_001, 2):
             if d % 6 not in (0, 2):
                 continue
-            gamma_block = GramLattice.from_rows(st._gamma_block(d))
+            gamma_block = st._gamma_block(d)
+            # the trailing 3x3 block of the closed-form Gram of Gamma_d
+            gram_G = hassett_triple(d).gram_Gamma_d.data
+            assert tuple(row[-3:] for row in gram_G[-3:]) == gamma_block.gram.data, d
             lambda_block = GramLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -d]])
             assert signature(gamma_block) == signature(lambda_block) == (1, 2, 0), d
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubick3 import InvalidDegree, SearchCapExceeded
+from cubick3 import InvalidDegree
 from cubick3 import mukai as mk
 from cubick3 import verify as vf
 import oracles
@@ -51,7 +51,7 @@ def test_detects_corrupted_w2(monkeypatch):
 
 def test_genus_search_cap():
     # the cap lives in the brute-force oracle only; the library has none
-    with pytest.raises(SearchCapExceeded):
+    with pytest.raises(oracles.SearchCapExceeded):
         oracles.genus_compare(62, cap=10)
 
 
