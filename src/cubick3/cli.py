@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the complete identity suite")
     v.add_argument("--json", action="store_true")
     v.add_argument("--genus-max", type=int, default=200,
-                   help="genus comparison sweep bound (default 200)")
+                   help="bound of all three per-d sweeps: the closed-form check, "
+                        "the genus comparison and (***) => (**) (default 200)")
     v.set_defaults(func=cmd_verify)
     return p
 

@@ -115,12 +115,12 @@ def _basic(name: str) -> GramLattice:
     raise UnknownLattice(name)
 
 
-@lru_cache(maxsize=None)
 def standard_lattice(name: str) -> GramLattice:
     """One of the fixed lattices of the theory, with the documented basis order.
 
     Recognized names: ``U``, ``E``, ``A2``, ``A2m``, ``I03``, ``Gammabar``,
     ``Gamma``, ``Lambda``, ``LambdaTilde`` and parametrized ``LambdaD(d)``.
+    Only the fixed lattices are cached; ``LambdaD(d)`` is built on each call.
 
     >>> standard_lattice("Gamma").rank, standard_lattice("Gamma").abs_det
     (22, 3)
@@ -130,13 +130,18 @@ def standard_lattice(name: str) -> GramLattice:
     m = re.fullmatch(r"LambdaD\((\d+)\)", name)
     if m:
         return lambda_d_lattice(int(m.group(1)))
+    return _fixed_lattice(name)
+
+
+@lru_cache(maxsize=None)
+def _fixed_lattice(name: str) -> GramLattice:
     if name in ("U", "A2", "A2m", "I03"):
         return _basic(name)
     e8 = _basic("E8m")
     u = _basic("U")
     if name == "E":
         return direct_sum([e8, e8], label="E")
-    E = standard_lattice("E")
+    E = _fixed_lattice("E")
     if name == "Gammabar":
         return direct_sum([E, u, u, _basic("I03")], label="Gammabar")
     if name == "Gamma":
@@ -424,7 +429,7 @@ def closed_form_bases(d: int) -> tuple[list[list[int]], list[list[int]], list[li
     return tuple([list(r) for r in rows] for rows in (K, L, G))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def hassett_triple(d: int) -> NLVectorReport:
     """K_d, L_d and the complement Gamma_d for a special discriminant d, in closed form.
 
@@ -437,6 +442,9 @@ def hassett_triple(d: int) -> NLVectorReport:
     (see `genus_compare`), and its discriminant group is that of B_d.  Its
     proof is `verify`, which computes the three lattices generically for
     every special d in its sweep and compares Hermite bases and Grams.
+
+    The cache keeps the last report only: `verify` asks for each d twice in a
+    row (its generic check, then `genus_compare`), and one slot serves both.
     """
     _check_special(d)
     if d % 6 == 0:

@@ -182,27 +182,6 @@ def _table_checks(out: list[CheckResult]) -> None:
     _check(out, "table78.oracle.68", False, bool(cond.a2_bruteforce(68)))
 
 
-def _genus_checks(out: list[CheckResult], genus_max: int) -> None:
-    mismatches = []
-    for d in range(8, genus_max + 1, 2):
-        if d % 6 not in (0, 2):
-            continue
-        if st.genus_compare(d) != cond.condition_flags(d).starstar:
-            mismatches.append(d)
-    _check(out, f"genus.matches_ss.to{genus_max}", [], mismatches)
-
-
-def _chain_checks(out: list[CheckResult], max_d: int) -> None:
-    # `condition_flags` solves the (***) equation only where (**) holds, so
-    # the implication (***) => (**) is checked here: no witness elsewhere
-    bad = []
-    for d in range(8, max_d + 1, 2):
-        if d % 6 in (0, 2) and not cond.condition_flags(d).starstar:
-            if cond.witness_sss(d) is not None:
-                bad.append(d)
-    _check(out, f"chain.sss_implies_ss.to{max_d}", [], bad)
-
-
 def _nl_failures(d: int) -> list[str]:
     """Tags of the claims of `hassett_triple(d)` that the generic lattices refute.
 
@@ -239,14 +218,24 @@ def _nl_failures(d: int) -> list[str]:
     return [tag for tag, ok in claims if not ok]
 
 
-def _nl_sweep_checks(out: list[CheckResult], max_d: int) -> None:
-    """The proof of `hassett_triple`'s closed form: `_nl_failures` on every
-    special d in [8, max_d], each refuted claim listed as (d, tag)."""
-    bad = []
+def _sweep_checks(out: list[CheckResult], max_d: int) -> None:
+    """One pass over the special d in [8, max_d]: the proof of the closed form
+    of `hassett_triple` (refuted claims listed as (d, tag)), the genus check
+    against (**), and (***) => (**), since `condition_flags` solves the (***)
+    equation only where (**) holds."""
+    nl, genus, chain = [], [], []
     for d in range(8, max_d + 1, 2):
-        if d % 6 in (0, 2):
-            bad.extend((d, tag) for tag in _nl_failures(d))
-    _check(out, f"nl.sweep.to{max_d}", [], bad)
+        if d % 6 not in (0, 2):
+            continue
+        nl.extend((d, tag) for tag in _nl_failures(d))
+        ss = cond.condition_flags(d).starstar
+        if st.genus_compare(d) != ss:
+            genus.append(d)
+        if not ss and cond.witness_sss(d) is not None:
+            chain.append(d)
+    _check(out, f"nl.sweep.to{max_d}", [], nl)
+    _check(out, f"genus.matches_ss.to{max_d}", [], genus)
+    _check(out, f"chain.sss_implies_ss.to{max_d}", [], chain)
 
 
 def _delta_checks(out: list[CheckResult]) -> None:
@@ -316,9 +305,7 @@ def run_all(genus_max: int = 200) -> VerifySummary:
         ("mukai", lambda: _mukai_checks(out)),
         ("disc", lambda: _disc_checks(out)),
         ("table", lambda: _table_checks(out)),
-        ("nl", lambda: _nl_sweep_checks(out, genus_max)),
-        ("genus", lambda: _genus_checks(out, genus_max)),
-        ("chain", lambda: _chain_checks(out, genus_max)),
+        ("sweep", lambda: _sweep_checks(out, genus_max)),
         ("delta", lambda: _delta_checks(out)),
         ("kdoo", lambda: _kdoo_checks(out)),
         ("pell", lambda: _pell_checks(out)),

@@ -110,6 +110,14 @@ class TestStandardLattices:
         with pytest.raises(UnknownLattice):
             standard_lattice("Foo")
 
+    def test_lambda_d_names_leave_every_cache_bounded(self):
+        # each LambdaD(d) is built on its call; no cache of the module keeps it
+        caches = [f for f in vars(st).values() if hasattr(f, "cache_info")]
+        for d in range(2, 2002, 2):
+            assert standard_lattice(f"LambdaD({d})").abs_det == d
+        sizes = {f.__name__: f.cache_info().currsize for f in caches}
+        assert max(sizes.values()) < 16, sizes
+
 
 class TestStandardBasis:
     def test_hyperbolic_pairings(self):

@@ -1,11 +1,15 @@
 """The verify suite itself: green on a sound build, red on a corrupted one."""
 
+import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cubick3 import InvalidDegree
+from cubick3 import conditions as cond
 from cubick3 import mukai as mk
+from cubick3 import standard as st
 from cubick3 import verify as vf
 import oracles
 
@@ -66,3 +70,40 @@ def test_chain_check_in_suite():
     ids = [c["id"] for c in vf.run_all(genus_max=8).to_json()["checks"]]
     assert "chain.sss_implies_ss.to8" in ids
     assert ids.index("chain.sss_implies_ss.to8") == ids.index("genus.matches_ss.to8") + 1
+
+
+def test_sweep_runs_condition_flags_once_per_d(monkeypatch):
+    # the genus and chain checks share one flag computation per d; the
+    # counter sees the calls of verify itself, not those inside cond.table
+    calls = Counter()
+
+    def counted(d):
+        calls[d] += 1
+        return cond.condition_flags(d)
+
+    monkeypatch.setattr(vf, "cond", types.SimpleNamespace(**{**vars(cond), "condition_flags": counted}))
+    assert vf.run_all(genus_max=600).ok
+    assert calls == Counter(d for d in range(8, 601, 2) if d % 6 in (0, 2))
+
+
+def test_sweep_keeps_at_most_one_report():
+    assert vf.run_all(genus_max=600).ok
+    assert st.hassett_triple.cache_info().currsize <= 1
+
+
+def test_sweep_exception_is_itemized(monkeypatch):
+    real = vf._nl_failures
+
+    def broken(d):
+        if d == 14:
+            raise RuntimeError("broken at 14")
+        return real(d)
+
+    monkeypatch.setattr(vf, "_nl_failures", broken)
+    s = vf.run_all(genus_max=30)
+    assert [c.check_id for c in s.failures] == ["sweep.exception"]
+    assert "broken at 14" in s.failures[0].actual
+    ids = [c.check_id for c in s.checks]
+    assert not [i for i in ids if i.startswith(("nl.", "genus.", "chain."))]
+    for block in ("delta.", "kdoo.", "pell.", "hyperbolic."):
+        assert any(i.startswith(block) for i in ids), block
