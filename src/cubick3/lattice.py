@@ -48,9 +48,19 @@ def _as_int(e) -> int:
     raise ValueError(f"non-integral entry {e!r}")
 
 
+_INT_ONLY = frozenset({int})
+
+
 def as_vector(v) -> Vector:
-    """The integer coordinate tuple of v; a non-integral entry raises ValueError."""
-    return tuple(map(_as_int, v))
+    """The integer coordinate tuple of v; a non-integral entry raises ValueError.
+
+    A tuple of exact ``int`` entries is returned as it is; any other entry
+    (``bool``, ``Fraction``, ``float``, ...) goes through the full check.
+    """
+    t = tuple(v)
+    if _INT_ONLY.issuperset(map(type, t)):
+        return t
+    return tuple(map(_as_int, t))
 
 
 @dataclass(frozen=True)

@@ -439,40 +439,77 @@ def hassett_triple(d: int) -> NLVectorReport:
     The closed form (after Hassett 2000) is the product: the Grams of
     `closed_form_bases` are written down, and no lattice is computed.  The
     Gram of Gamma_d is the `direct_sum` of E, U and the rank-3 block B_d
-    (see `genus_compare`), and its discriminant group is that of B_d.  Its
-    proof is `verify`, which computes the three lattices generically for
-    every special d in its sweep and compares Hermite bases and Grams.
+    (see `genus_compare`).  Its proof is `verify`, which computes the three
+    lattices generically for every special d in its sweep and compares
+    Hermite bases and Grams.
+
+    The discriminant groups are written down too.  E + U is unimodular, so
+    the group and form of Gamma_d are those of B_d, with each generator
+    padded by 18 zeros on E + U.  On the bases of K_d and B_d:
+
+    * d = 2 (6): both groups are Z/d, generated by (-1, -3)/d and
+      (1, 2, 3)/d, with q = 3/d;
+    * d = 0 (6), 9 not dividing d: both are Z/d, generated by (1/3, 3/d)
+      and (1/3, 2/3, 3/d), with q = 4/3 + 3/d = (4d/3 + 3)/d;
+    * 9 | d: both are Z/3 + Z/(d/3), generated by (1/3, 0), (0, 3/d) and
+      (1/3, 2/3, 0), (0, 0, 3/d), with q = (4/3, 3/d).
+
+    Proof: each generator g has G g integral (for d = 2 (6), B_d (1, 2, 3)
+    = (0, 0, d)), so it lies in the dual, and its order is the least common
+    denominator of its entries.  For d = 0 (6) both Grams are orthogonal
+    sums, <-3> + <-d/3> and A2(-1) + <d/3>, and the generators are those of
+    the summands: 1/3 of <-3>, (1/3, 2/3) of A2(-1) with q = -2/3 = 4/3,
+    and 3/d of <-d/3> or <d/3> with q = 3/d.  When 9 does not divide d, 3
+    and d/3 are coprime and the sum of the two is cyclic.  In every case the
+    orders multiply to |det| = d, the order of the group.  K_d has odd
+    diagonal entries and carries no q.  `verify` checks each group against
+    the Smith form of the reported Grams on every d of its sweep.
+
+    >>> hassett_triple(18).disc_Gamma_d.invariant_factors
+    (3, 6)
+    >>> hassett_triple(18).disc_Gamma_d.q_values
+    (Fraction(4, 3), Fraction(1, 6))
 
     The cache keeps the last report only: `verify` asks for each d twice in a
     row (its generic check, then `genus_compare`), and one slot serves both.
     """
     _check_special(d)
+    F = Fraction
     if d % 6 == 0:
         case = NLCase.SATURATED
-        K = GramLattice.from_rows([[-3, 0], [0, -(d // 3)]])
+        gram_K = IntMatrix.from_rows([[-3, 0], [0, -(d // 3)]])
         gram_L = direct_sum([_basic("A2"), GramLattice.from_rows([[-(d // 3)]])]).gram
+        v_square = -(d // 3)
+        if d % 9:
+            factors = (d,)
+            gens_K = ((F(1, 3), F(3, d)),)
+            gens_B = ((F(1, 3), F(2, 3), F(3, d)),)
+            q_values = (F(4 * (d // 3) + 3, d),)
+        else:
+            factors = (3, d // 3)
+            gens_K = ((F(1, 3), F(0)), (F(0), F(3, d)))
+            gens_B = ((F(1, 3), F(2, 3), F(0)), (F(0), F(0), F(3, d)))
+            q_values = (F(4, 3), F(3, d))
     else:
         case = NLCase.INDEX_THREE
-        K = GramLattice.from_rows([[-3, 1], [1, -((d + 1) // 3)]])
+        gram_K = IntMatrix.from_rows([[-3, 1], [1, -((d + 1) // 3)]])
         gram_L = IntMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, -((d - 2) // 3)]])
-    v = nl_vector(d)
-    block = _gamma_block(d)
-    gram_G = direct_sum([standard_lattice("E"), _basic("U"), block]).gram
-    # Gamma_d = E + U + B_d with E + U unimodular: the group and form of B_d
-    # are those of Gamma_d, with generators padded by zeros on E + U
-    dg = disc_group(block)
-    pad = (Fraction(0),) * (gram_G.nrows - block.rank)
-    disc_G = DiscGroup(dg.invariant_factors, tuple(pad + g for g in dg.generators), dg.q_values)
+        v_square = -3 * d
+        factors = (d,)
+        gens_K = ((F(-1, d), F(-3, d)),)
+        gens_B = ((F(1, d), F(2, d), F(3, d)),)
+        q_values = (F(3, d),)
+    pad = (F(0),) * 18
     return NLVectorReport(
         d=d,
         case=case,
-        v=v,
-        v_square=standard_lattice("Gamma").square(v),
-        gram_K=K.gram,
+        v=nl_vector(d),
+        v_square=v_square,
+        gram_K=gram_K,
         gram_L=gram_L,
-        gram_Gamma_d=gram_G,
-        disc_K=disc_group(K),
-        disc_Gamma_d=disc_G,
+        gram_Gamma_d=direct_sum([standard_lattice("E"), _basic("U"), _gamma_block(d)]).gram,
+        disc_K=DiscGroup(factors, gens_K, None),
+        disc_Gamma_d=DiscGroup(factors, tuple(pad + g for g in gens_B), q_values),
     )
 
 
@@ -574,8 +611,11 @@ def genus_compare(d: int) -> bool:
     comparison is one of the forms of the blocks.
 
     The form of Lambda_d is Z/d with q = -1/d on the class of e/d, e the
-    basis vector of <-d>.  The forms agree iff the group of Gamma_d is cyclic
-    of order d (it is Z/3 + Z/(d/3) when 9 | d) and its generator has
+    basis vector of <-d>.  The form of Gamma_d is read through
+    `hassett_triple(d)`, which writes it down and proves it in three cases:
+    Z/d with q = 3/d for d = 2 (6), Z/d with q = (4d/3 + 3)/d for d = 0 (6)
+    with 9 not dividing d, and Z/3 + Z/(d/3) for 9 | d.  The forms agree
+    iff the group of Gamma_d is cyclic of order d and its generator has
     q = a/d with u^2 a = -1 (mod 2d) for a unit u, i.e. iff -a^(-1) is a
     square unit modulo 2d.  That is decided prime by prime on the
     factorization of d: a Legendre symbol for each odd p | d, and for the

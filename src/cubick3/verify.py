@@ -7,6 +7,7 @@ id.  A nonempty failure list means the build is defective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,7 +189,8 @@ def _nl_failures(d: int) -> list[str]:
     The claims: v_d classifies to (case, d); the saturations have index 1
     (d = 0 (6)) or 3; each closed-form basis has the Hermite basis of the
     computed lattice and the reported Gram; |det| of gram_K and gram_L is d;
-    disc_K is cyclic iff 9 does not divide d.
+    disc_K and disc_Gamma_d pass `_disc_holds` against the Smith forms of
+    gram_K and of the 3x3 block of gram_Gamma_d; v_square is the square of v.
     """
     rep = st.hassett_triple(d)
     v = rep.v
@@ -210,12 +212,40 @@ def _nl_failures(d: int) -> list[str]:
             (f"basis{name}", la.hnf_rows(rows) == sub.basis.to_lists()),
             (f"gram{name}", la.sparse_gram_product(rows, sub.ambient.gram_rows) == gram.to_lists()),
         ]
+    K, Gd = lat.GramLattice(rep.gram_K), lat.GramLattice(rep.gram_Gamma_d)
+    block = lat.GramLattice.from_rows(row[-3:] for row in rep.gram_Gamma_d.data[-3:])
     claims += [
         ("detK", abs(la.det(rep.gram_K.to_lists())) == d),
         ("detL", abs(la.det(rep.gram_L.to_lists())) == d),
-        ("cyclic", rep.disc_K.is_cyclic == (d % 9 != 0)),
+        ("discK", _disc_holds(rep.disc_K, K, K)),
+        ("discGamma", _disc_holds(rep.disc_Gamma_d, Gd, block)),
+        ("vsquare", rep.v_square == st.standard_lattice("Gamma").square(v)),
     ]
     return [tag for tag, ok in claims if not ok]
+
+
+def _disc_holds(dg: lat.DiscGroup, L: lat.GramLattice, oracle: lat.GramLattice) -> bool:
+    """Whether `dg` is a discriminant group of L, checked against the Smith form.
+
+    `oracle` is L itself or a block that L extends by a unimodular summand.
+    Its `disc_group` must have the invariant factors of `dg`; each generator
+    g of `dg` must have exact order n_i, the least common denominator of its
+    entries, and lie in the dual of L, so that G (n_i g) = 0 mod n_i; and
+    each q-value must be q(g) = (n_i g)^2 / n_i^2 mod 2, present iff L is even.
+    """
+    if dg.invariant_factors != lat.disc_group(oracle).invariant_factors:
+        return False
+    if len(dg.generators) != len(dg.invariant_factors) or (dg.q_values is not None) != L.is_even:
+        return False
+    for i, (g, n) in enumerate(zip(dg.generators, dg.invariant_factors)):
+        if math.lcm(*(x.denominator for x in g)) != n:
+            return False
+        col = [x.numerator * (n // x.denominator) for x in g]  # n g, in integers
+        if any(e % n for e in L.basis_pairings(col)):
+            return False
+        if dg.q_values is not None and dg.q_values[i] != Fraction(L.square(col), n * n) % 2:
+            return False
+    return True
 
 
 def _sweep_checks(out: list[CheckResult], max_d: int) -> None:

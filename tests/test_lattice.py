@@ -23,7 +23,7 @@ from cubick3 import (
     span_sublattice,
 )
 from cubick3 import intlinalg as la
-from cubick3.lattice import saturate_rows
+from cubick3.lattice import as_vector, saturate_rows
 from cubick3.standard import (
     H2,
     LAMBDA1,
@@ -87,6 +87,8 @@ class TestDirectSum:
         half = GramLattice(IntMatrix(((Fraction(1, 2),),)))
         with pytest.raises(ValueError, match="non-integral"):
             direct_sum([U, half])
+        whole = GramLattice(IntMatrix(((Fraction(4, 1),),)))
+        assert direct_sum([whole, U]).gram.data == ((4, 0, 0), (0, 0, 1), (0, 1, 0))
 
     def test_label_is_keyword_only(self):
         # a stale positional twist list must not become the label
@@ -637,3 +639,14 @@ class TestIntegralEntries:
         for x in self.NOT_INTEGERS:
             assert not S.contains((x, 0))
         assert S.contains((Fraction(2, 2), 0))
+
+    def test_as_vector_fast_path_keeps_every_check(self):
+        # exact ints come back as they are; anything else takes the full check
+        assert as_vector([1, -2, 3]) == (1, -2, 3)
+        for x, want in ((True, 1), (Fraction(4, 1), 4), (4.0, 4)):
+            got = as_vector((x, 0))
+            assert got == (want, 0) and type(got[0]) is int
+        for x in (0.5, float("nan"), float("inf"), Fraction(1, 2)):
+            with pytest.raises(ValueError, match="non-integral"):
+                as_vector((1, x))
+

@@ -1,5 +1,6 @@
 """Named constructions: standard lattices, NL vectors, witnesses, searches."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -244,11 +245,12 @@ class TestHassettTriple:
         finally:
             hassett_triple.cache_clear()  # drop the corrupted reports
         sweep = next(c for c in s.failures if c.check_id == "nl.sweep.to20")
-        assert sweep.actual == repr([(14, "gramGamma")])
+        # the written-down group of Gamma_14 is not that of the corrupted block
+        assert sweep.actual == repr([(14, "gramGamma"), (14, "discGamma")])
 
     def test_closed_form_computes_no_lattice(self, monkeypatch):
-        ds = (2, 6, 8, 12, 14, 18)
-        want = {d: hassett_triple(d) for d in ds}
+        ds = (2, 6, 8, 12, 14, 18, 54, 2**61)
+        want = {d: (hassett_triple(d), genus_compare(d)) for d in ds}
 
         def forbidden(*args, **kwargs):
             raise AssertionError("hassett_triple must not run the generic route")
@@ -256,12 +258,16 @@ class TestHassettTriple:
         for module, name in (
             (st, "saturation"),
             (st, "orthogonal_complement"),
+            (st, "disc_group"),
             (la, "hnf_rows"),
             (la, "det"),
+            (la, "smith_normal_form"),
         ):
             monkeypatch.setattr(module, name, forbidden)
         for d in ds:
-            assert hassett_triple.__wrapped__(d) == want[d]  # bypass the cache
+            assert hassett_triple.__wrapped__(d) == want[d][0]  # bypass the cache
+            hassett_triple.cache_clear()  # genus_compare builds its report here
+            assert genus_compare(d) == want[d][1]
 
     def test_oracle_holds_far_beyond_every_sweep(self):
         # no verify sweep reaches these d; each takes the generic route once
@@ -491,22 +497,30 @@ class TestGenus:
             lambda_block = GramLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -d]])
             assert signature(gamma_block) == signature(lambda_block) == (1, 2, 0), d
 
-    def test_block_disc_group_matches_generic_to_600(self):
-        for d in range(8, 601, 2):
-            if d % 6 not in (0, 2):
-                continue
+    def test_disc_groups_match_generic_to_2000(self):
+        # the written-down groups of K_d and Gamma_d against the Smith forms of
+        # the whole Grams, on every special d up to 2000, d = 2 and 6 included
+        ds = [d for d in range(2, 2_001, 2) if d % 6 in (0, 2)]
+        assert ds[:2] == [2, 6] and 18 in ds and 1998 in ds
+        for d in ds:
             rep = hassett_triple(d)
-            Gd = GramLattice(rep.gram_Gamma_d)
-            dg, generic = rep.disc_Gamma_d, disc_group(Gd)
-            assert dg.invariant_factors == generic.invariant_factors, d
-            G = Gd.gram.to_lists()
-            for g in dg.generators:
-                assert len(g) == Gd.rank == 21
-                # g lies in the dual lattice: its pairings with the basis are integers
-                assert all(x.denominator == 1 for x in la.mat_vec(G, g)), d
+            K, Gd = GramLattice(rep.gram_K), GramLattice(rep.gram_Gamma_d)
+            for L, dg in ((K, rep.disc_K), (Gd, rep.disc_Gamma_d)):
+                generic = disc_group(L)
+                assert dg.invariant_factors == generic.invariant_factors, d
+                assert len(dg.generators) == len(dg.invariant_factors), d
+                for g, n in zip(dg.generators, dg.invariant_factors):
+                    assert len(g) == L.rank
+                    assert math.lcm(*(x.denominator for x in g)) == n, d  # exact order n
+                    # g lies in the dual lattice: G (n g) = 0 mod n, in integers
+                    col = [x.numerator * (n // x.denominator) for x in g]
+                    assert all(e % n == 0 for e in L.basis_pairings(col)), d
+            # K_d is odd: no discriminant quadratic form
+            assert rep.disc_K.q_values is None and not K.is_even
+            dg = rep.disc_Gamma_d
             form = oracles.DiscForm.of_group(Gd, dg)
             assert dg.q_values == tuple(row[i] % 2 for i, row in enumerate(form.pair_table)), d
-            assert oracles.disc_forms_isomorphic(form, oracles.DiscForm.of(Gd)), d
+            assert oracles.disc_forms_isomorphic(form, oracles.DiscForm.of_group(Gd, generic)), d
 
     def test_far_beyond_the_old_search_cap(self):
         # 12002 = 2 * 17 * 353 with 17 = 2 (mod 3): not (**)

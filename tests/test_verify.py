@@ -2,6 +2,7 @@
 
 import types
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -107,3 +108,35 @@ def test_sweep_exception_is_itemized(monkeypatch):
     assert not [i for i in ids if i.startswith(("nl.", "genus.", "chain."))]
     for block in ("delta.", "kdoo.", "pell.", "hyperbolic."):
         assert any(i.startswith(block) for i in ids), block
+
+
+
+def _doubled(g):
+    return tuple(2 * x for x in g)
+
+
+@pytest.mark.parametrize(
+    "d, field, mutate, tag",
+    [
+        # a generator of order 7 in place of one of order 14
+        pytest.param(14, "disc_K", lambda g: replace(g, generators=(_doubled(g.generators[0]),)),
+                     "discK", id="K-order"),
+        pytest.param(14, "disc_K", lambda g: replace(g, q_values=(Fraction(3, 14),)),
+                     "discK", id="K-odd-with-q"),
+        pytest.param(14, "disc_Gamma_d", lambda g: replace(g, q_values=(g.q_values[0] + 1,)),
+                     "discGamma", id="Gamma-q"),
+        # (1/3, 2/3, 1/12) has order 12 but pairs to 1/3 with the block <4>
+        pytest.param(12, "disc_Gamma_d",
+                     lambda g: replace(g, generators=(g.generators[0][:20] + (Fraction(1, 12),),)),
+                     "discGamma", id="Gamma-not-dual"),
+        # Z/18 in place of Z/3 + Z/6
+        pytest.param(18, "disc_Gamma_d", lambda g: replace(g, invariant_factors=(18,)),
+                     "discGamma", id="Gamma-factors"),
+        pytest.param(18, "v_square", lambda v: v + 1, "vsquare", id="v-square"),
+    ],
+)
+def test_nl_oracle_refutes_a_wrong_disc_group(monkeypatch, d, field, mutate, tag):
+    rep = st.hassett_triple.__wrapped__(d)
+    bad = replace(rep, **{field: mutate(getattr(rep, field))})
+    monkeypatch.setattr(st, "hassett_triple", lambda _: bad)
+    assert vf._nl_failures(d) == [tag]
