@@ -505,8 +505,8 @@ class TestGenus:
         for d in ds:
             rep = hassett_triple(d)
             K, Gd = GramLattice(rep.gram_K), GramLattice(rep.gram_Gamma_d)
-            for L, dg in ((K, rep.disc_K), (Gd, rep.disc_Gamma_d)):
-                generic = disc_group(L)
+            generic_K, generic_G = disc_group(K), disc_group(Gd)
+            for L, dg, generic in ((K, rep.disc_K, generic_K), (Gd, rep.disc_Gamma_d, generic_G)):
                 assert dg.invariant_factors == generic.invariant_factors, d
                 assert len(dg.generators) == len(dg.invariant_factors), d
                 for g, n in zip(dg.generators, dg.invariant_factors):
@@ -520,7 +520,7 @@ class TestGenus:
             dg = rep.disc_Gamma_d
             form = oracles.DiscForm.of_group(Gd, dg)
             assert dg.q_values == tuple(row[i] % 2 for i, row in enumerate(form.pair_table)), d
-            assert oracles.disc_forms_isomorphic(form, oracles.DiscForm.of_group(Gd, generic)), d
+            assert oracles.disc_forms_isomorphic(form, oracles.DiscForm.of_group(Gd, generic_G)), d
 
     def test_far_beyond_the_old_search_cap(self):
         # 12002 = 2 * 17 * 353 with 17 = 2 (mod 3): not (**)
