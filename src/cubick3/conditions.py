@@ -217,9 +217,9 @@ class ConditionFlags:
 
 
 def condition_flags(d: int) -> ConditionFlags:
-    """Evaluate the four conditions for an even positive d."""
-    if d <= 0 or d % 2:
-        raise InvalidParity(f"d must be even positive, got {d}")
+    """Evaluate the four conditions for an even positive d (an exact ``int``)."""
+    if type(d) is not int or d <= 0 or d % 2:
+        raise InvalidParity(f"d must be even positive, got {d!r}")
     star = d % 6 in (0, 2)
     factors = _factorize(d // 2)
     ssp = _a2_represents(factors, primitive=False)

@@ -272,8 +272,9 @@ class NLCase(Enum):
 
 
 def _check_special(d: int) -> None:
-    if d <= 0 or d % 2 or d % 6 not in (0, 2):
-        raise NotSpecialDiscriminant(f"d = {d} is not congruent to 0 or 2 mod 6")
+    # an exact int only: a float, Fraction or bool d would leak into the reports
+    if type(d) is not int or d <= 0 or d % 6 not in (0, 2):
+        raise NotSpecialDiscriminant(f"d = {d!r} is not an int congruent to 0 or 2 mod 6")
 
 
 def nl_vector(d: int) -> Vector:
@@ -401,7 +402,7 @@ class NLVectorReport:
 def _gamma_block(d: int) -> GramLattice:
     # the rank-3 block B_d of Gamma_d = E + U + B_d in the closed-form basis
     if d % 6 == 0:
-        return direct_sum([_basic("A2m"), GramLattice.from_rows([[d // 3]])])
+        return GramLattice.from_rows([[-2, 1, 0], [1, -2, 0], [0, 0, d // 3]])
     return GramLattice.from_rows([[-2, 1, 0], [1, -2, 1], [0, 1, (d - 2) // 3]])
 
 
@@ -438,9 +439,11 @@ def hassett_triple(d: int) -> NLVectorReport:
     Gamma_d the orthogonal complement of v_d in the primitive cubic lattice.
     The closed form (after Hassett 2000) is the product: the Grams of
     `closed_form_bases` are written down, and no lattice is computed.  The
-    Gram of Gamma_d is the `direct_sum` of E, U and the rank-3 block B_d
-    (see `genus_compare`).  Its proof is `verify`, which computes the three
-    lattices generically for every special d in its sweep and compares
+    Gram of Gamma_d is written down as rows: the 18 fixed rows of E + U,
+    taken from the cached Gamma, then the three rows of the rank-3 block
+    B_d (see `genus_compare`), so only the nine entries of B_d are built
+    and validated for each d.  Its proof is `verify`, which computes the
+    three lattices generically for every special d in its sweep and compares
     Hermite bases and Grams.
 
     The discriminant groups are written down too.  E + U is unimodular, so
@@ -478,7 +481,7 @@ def hassett_triple(d: int) -> NLVectorReport:
     if d % 6 == 0:
         case = NLCase.SATURATED
         gram_K = IntMatrix.from_rows([[-3, 0], [0, -(d // 3)]])
-        gram_L = direct_sum([_basic("A2"), GramLattice.from_rows([[-(d // 3)]])]).gram
+        gram_L = IntMatrix.from_rows([[2, -1, 0], [-1, 2, 0], [0, 0, -(d // 3)]])
         v_square = -(d // 3)
         if d % 9:
             factors = (d,)
@@ -500,6 +503,10 @@ def hassett_triple(d: int) -> NLVectorReport:
         gens_B = ((F(1, d), F(2, d), F(3, d)),)
         q_values = (F(3, d),)
     pad = (F(0),) * 18
+    # the rows of E + U, the leading 18 x 18 block of Gamma, then those of B_d:
+    # only B_d depends on d, and only B_d is validated here
+    fixed = tuple(row[:18] + (0, 0, 0) for row in standard_lattice("Gamma").gram.data[:18])
+    gram_Gamma_d = IntMatrix(fixed + tuple((0,) * 18 + row for row in _gamma_block(d).gram.data))
     return NLVectorReport(
         d=d,
         case=case,
@@ -507,7 +514,7 @@ def hassett_triple(d: int) -> NLVectorReport:
         v_square=v_square,
         gram_K=gram_K,
         gram_L=gram_L,
-        gram_Gamma_d=direct_sum([standard_lattice("E"), _basic("U"), _gamma_block(d)]).gram,
+        gram_Gamma_d=gram_Gamma_d,
         disc_K=DiscGroup(factors, gens_K, None),
         disc_Gamma_d=DiscGroup(factors, tuple(pad + g for g in gens_B), q_values),
     )
@@ -599,7 +606,7 @@ def genus_compare(d: int) -> bool:
     """Whether Gamma_d and Lambda_d lie in one genus, read off their rank-3 blocks.
 
     Both lattices are the even unimodular E + U plus a block of rank 3:
-    the Gram of Gamma_d is the `direct_sum` of E, U and B_d, with
+    the Gram of Gamma_d is block diagonal with blocks E, U and B_d, with
     B_d = A2(-1) + <d/3> for d = 0 (6) and B_d the block
     [[-2, 1, 0], [1, -2, 1], [0, 1, (d-2)/3]] for d = 2 (6), and
     Lambda_d = E + U + (U + <-d>).  Both are even and indefinite, so by

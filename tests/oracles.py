@@ -406,22 +406,26 @@ class DiscForm:
             out = math.lcm(out, o // math.gcd(a, o))
         return out
 
-    def q(self, el) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            total += el[i] * el[i] * self.pair_table[i][i]
-            for j in range(i + 1, k):
-                total += 2 * el[i] * el[j] * self.pair_table[i][j]
-        return total % 2
+    def scaled_table(self, N: int) -> list[list[int]]:
+        """N times the pair table, in integers; N must clear every denominator."""
+        return [[x.numerator * (N // x.denominator) for x in row] for row in self.pair_table]
 
-    def b(self, e1, e2) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            for j in range(k):
-                total += e1[i] * e2[j] * self.pair_table[i][j]
-        return total % 1
+
+def _q_num(T, el, N: int) -> int:
+    # N q(el) modulo 2N, on the integer pair table T = N * pair_table
+    total = 0
+    k = len(el)
+    for i in range(k):
+        total += el[i] * el[i] * T[i][i]
+        for j in range(i + 1, k):
+            total += 2 * el[i] * el[j] * T[i][j]
+    return total % (2 * N)
+
+
+def _b_num(T, e1, e2, N: int) -> int:
+    # N b(e1, e2) modulo N, on the integer pair table T = N * pair_table
+    k = len(e1)
+    return sum(e1[i] * e2[j] * T[i][j] for i in range(k) for j in range(k)) % N
 
 
 class SearchCapExceeded(ValueError):
@@ -441,12 +445,15 @@ def disc_forms_isomorphic(F1: DiscForm, F2: DiscForm, cap: int = 10_000) -> bool
     if n == 1:
         return True
     k = len(F1.orders)
+    # q and b of both forms as integer numerators over one common denominator N
+    N = math.lcm(*(x.denominator for F in (F1, F2) for row in F.pair_table for x in row))
+    T1, T2 = F1.scaled_table(N), F2.scaled_table(N)
     gens1 = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
-    q1 = [F1.q(g) for g in gens1]
-    b1 = [[F1.b(gi, gj) for gj in gens1] for gi in gens1]
+    q1 = [_q_num(T1, g, N) for g in gens1]
+    b1 = [[_b_num(T1, gi, gj, N) for gj in gens1] for gi in gens1]
     all2 = list(F2.elements())
     candidates = [
-        [el for el in all2 if F2.element_order(el) == F1.orders[i] and F2.q(el) == q1[i]]
+        [el for el in all2 if _q_num(T2, el, N) == q1[i] and F2.element_order(el) == F1.orders[i]]
         for i in range(k)
     ]
 
@@ -468,7 +475,7 @@ def disc_forms_isomorphic(F1: DiscForm, F2: DiscForm, cap: int = 10_000) -> bool
         if i == k:
             return images_generate(chosen)
         for el in candidates[i]:
-            if all(F2.b(el, prev) == b1[i][j] for j, prev in enumerate(chosen)):
+            if all(_b_num(T2, el, prev, N) == b1[i][j] for j, prev in enumerate(chosen)):
                 if extend(i + 1, chosen + [el]):
                     return True
         return False

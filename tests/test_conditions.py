@@ -1,6 +1,7 @@
 """Condition classifiers, witness solvers, and the table generator."""
 
 import time
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -20,6 +21,7 @@ from cubick3 import (
     witness_sss,
 )
 from cubick3 import pell
+from cubick3.cli import build_report
 from cubick3.conditions import CSV_COLUMNS, csv_row
 import oracles
 
@@ -83,6 +85,13 @@ class TestFlags:
     def test_not_special(self):
         f = condition_flags(4)
         assert not f.star and f.case_mod6 is None
+
+    @pytest.mark.parametrize("d", [14.0, Fraction(14), "14", True], ids=repr)
+    @pytest.mark.parametrize("entry", [condition_flags, build_report], ids=lambda f: f.__name__)
+    def test_rejects_a_d_that_is_not_an_int(self, entry, d):
+        # the table and the CLI reach the parity check through these two
+        with pytest.raises(InvalidParity):
+            entry(d)
 
     def test_chain_holds_up_to_500(self):
         for d in range(2, 502, 2):

@@ -186,6 +186,18 @@ class TestNLVector:
             with pytest.raises(NotSpecialDiscriminant):
                 nl_vector(d)
 
+    @pytest.mark.parametrize("d", [14.0, Fraction(14), "14", True], ids=repr)
+    @pytest.mark.parametrize(
+        "entry",
+        [nl_vector, st.closed_form_bases, hassett_triple, kdoo_index, genus_compare],
+        ids=lambda f: f.__name__,
+    )
+    def test_rejects_a_d_that_is_not_an_int(self, entry, d):
+        # 14.0 and Fraction(14) pass the residue test, and would leak into
+        # the report as non-int entries; "14" would raise a bare TypeError
+        with pytest.raises(NotSpecialDiscriminant):
+            entry(d)
+
 
 class TestClassify:
     def test_both_cases(self):
@@ -248,6 +260,26 @@ class TestHassettTriple:
         # the written-down group of Gamma_14 is not that of the corrupted block
         assert sweep.actual == repr([(14, "gramGamma"), (14, "discGamma")])
 
+    def test_written_down_grams_match_direct_sums(self):
+        # the rows of gram_Gamma_d and gram_L against the orthogonal sums they
+        # write down, on every special d to 2000 and three d far past them
+        # (2^61 = 2, 3 * 2^62 = 0 with 9 not dividing it, 2 * 3^37 = 0 with 9 | d)
+        E, U = standard_lattice("E"), standard_lattice("U")
+        A2, A2m = standard_lattice("A2"), standard_lattice("A2m")
+        ds = [d for d in range(2, 2_001, 2) if d % 6 in (0, 2)] + [2**61, 3 * 2**62, 2 * 3**37]
+        for d in ds:
+            rep = hassett_triple(d)
+            if d % 6 == 0:
+                block = lattice.direct_sum([A2m, GramLattice.from_rows([[d // 3]])])
+                gram_L = lattice.direct_sum([A2, GramLattice.from_rows([[-(d // 3)]])]).gram
+                assert rep.gram_L == gram_L, d
+            else:
+                c = (d - 2) // 3
+                block = GramLattice.from_rows([[-2, 1, 0], [1, -2, 1], [0, 1, c]])
+            assert st._gamma_block(d) == block, d
+            assert rep.gram_Gamma_d == lattice.direct_sum([E, U, block]).gram, d
+            assert all(type(e) is int for row in rep.gram_Gamma_d.data for e in row), d
+
     def test_closed_form_computes_no_lattice(self, monkeypatch):
         ds = (2, 6, 8, 12, 14, 18, 54, 2**61)
         want = {d: (hassett_triple(d), genus_compare(d)) for d in ds}
@@ -255,7 +287,10 @@ class TestHassettTriple:
         def forbidden(*args, **kwargs):
             raise AssertionError("hassett_triple must not run the generic route")
 
+        # after the warm calls above, the fixed lattices are cached: only the
+        # block of each d is built, so not even an orthogonal sum is left
         for module, name in (
+            (st, "direct_sum"),
             (st, "saturation"),
             (st, "orthogonal_complement"),
             (st, "disc_group"),
