@@ -263,7 +263,7 @@ class TestHassettTriple:
     def test_written_down_grams_match_direct_sums(self):
         # the rows of gram_Gamma_d and gram_L against the orthogonal sums they
         # write down, on every special d to 2000 and three d far past them
-        # (2^61 = 2, 3 * 2^62 = 0 with 9 not dividing it, 2 * 3^37 = 0 with 9 | d)
+        # (mod 6: 2^61 = 2, 3 * 2^62 = 0 with 9 not dividing it, 2 * 3^37 = 0 with 9 | d)
         E, U = standard_lattice("E"), standard_lattice("U")
         A2, A2m = standard_lattice("A2"), standard_lattice("A2m")
         ds = [d for d in range(2, 2_001, 2) if d % 6 in (0, 2)] + [2**61, 3 * 2**62, 2 * 3**37]
