@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import conditions as cond
 from . import mukai as mk
@@ -169,7 +170,9 @@ def cmd_lattice(args) -> int:
             print(f"signature = ({pos}, {neg}, {null})")
     elif args.disc_group:
         dg = disc_group(L)
-        q_values = [str(q) for q in dg.q_values] if dg.q_values is not None else None
+        q_values = None
+        if dg.q_numerators is not None:
+            q_values = [str(Fraction(a, n)) for a, n in zip(dg.q_numerators, dg.invariant_factors)]
         if args.format == "json":
             obj = {
                 "invariant_factors": [json_int(e) for e in dg.invariant_factors],

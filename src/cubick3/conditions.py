@@ -81,8 +81,8 @@ def a2_represents(d: int, primitive: bool = False) -> bool:
     >>> a2_represents(30)
     False
     """
-    if d <= 0 or d % 2:
-        raise InvalidParity(f"d must be even positive, got {d}")
+    if type(d) is not int or d <= 0 or d % 2:
+        raise InvalidParity(f"d must be even positive, got {d!r}")
     return _a2_represents(_factorize(d // 2), primitive)
 
 
@@ -102,8 +102,8 @@ def a2_bruteforce(d: int) -> list[tuple[int, int, bool]]:
 
     Exhaustive: the form dominates x^2 and y^2, so |x|, |y| <= ceil(sqrt(d)).
     """
-    if d <= 0 or d % 2:
-        raise InvalidParity(f"d must be even positive, got {d}")
+    if type(d) is not int or d <= 0 or d % 2:
+        raise InvalidParity(f"d must be even positive, got {d!r}")
     bound = math.isqrt(d) + 1
     out = []
     for x in range(-bound, bound + 1):
@@ -128,8 +128,8 @@ def witness_ss(d: int) -> tuple[int, int] | None:
     >>> witness_ss(42), witness_ss(74), witness_ss(8)
     ((4, 1), (10, 3), None)
     """
-    if d <= 0 or d % 2:
-        raise InvalidParity(f"d must be even positive, got {d}")
+    if type(d) is not int or d <= 0 or d % 2:
+        raise InvalidParity(f"d must be even positive, got {d!r}")
     return _witness_ss(d, _factorize(d // 2))
 
 
@@ -174,8 +174,8 @@ def witness_sss(d: int) -> tuple[int, int] | None:
     >>> witness_sss(74) is None
     True
     """
-    if d <= 0 or d % 2:
-        raise InvalidParity(f"d must be even positive, got {d}")
+    if type(d) is not int or d <= 0 or d % 2:
+        raise InvalidParity(f"d must be even positive, got {d!r}")
     sol = pell.least_solution(2 * d)
     if sol is None:
         return None
@@ -248,8 +248,8 @@ def boundary_count(d: int) -> int:
     >>> boundary_count(10), boundary_count(8)
     (2, 1)
     """
-    if d < 2 or d % 2:
-        raise InvalidParity(f"d must be even and at least 2, got {d}")
+    if type(d) is not int or d < 2 or d % 2:
+        raise InvalidParity(f"d must be even and at least 2, got {d!r}")
     return 2 if (d // 2) % 4 == 1 else 1
 
 
@@ -306,8 +306,8 @@ def pell_brakkee(d: int) -> PellSolution:
     >>> pell_brakkee(12).solution is None
     True
     """
-    if d <= 0 or d % 6:
-        raise InvalidDegree(f"d must be a positive multiple of 6, got {d}")
+    if type(d) is not int or d <= 0 or d % 6:
+        raise InvalidDegree(f"d must be a positive multiple of 6, got {d!r}")
     factors = _factorize(d // 2)
     return _brakkee_solution(d, _a2_represents(factors, primitive=True),
                              _a2_represents(factors, primitive=False))
@@ -315,10 +315,10 @@ def pell_brakkee(d: int) -> PellSolution:
 
 def table(max_d: int, start: int = 8) -> list[ConditionFlags]:
     """Condition flags for every special discriminant in [start, max_d], ascending."""
-    if max_d < 8 or max_d % 2:
-        raise InvalidDegree(f"max_d must be even and at least 8, got {max_d}")
-    if start < 2 or start % 2:
-        raise InvalidDegree(f"start must be even and at least 2, got {start}")
+    if type(max_d) is not int or max_d < 8 or max_d % 2:
+        raise InvalidDegree(f"max_d must be even and at least 8, got {max_d!r}")
+    if type(start) is not int or start < 2 or start % 2:
+        raise InvalidDegree(f"start must be even and at least 2, got {start!r}")
     return [
         condition_flags(d)
         for d in range(start, max_d + 1, 2)

@@ -18,9 +18,9 @@ Hermite bases, so equal lattices have equal bases, and membership is
 Hermite equality: v lies in the lattice with Hermite basis H exactly when
 the Hermite basis of H + [v] is H again (a non-integral vector is never a
 member).  Determinants are the signed diagonal of one `row_echelon`.
-`disc_group` reads degeneracy off the zero of the Smith diagonal, and its
-q-values are integer pairings of Smith columns divided once,
-q(V_i / d_i) = (V_i . V_i) / d_i^2 mod 2.
+`disc_group` reads degeneracy off the zero of the Smith diagonal and stays
+in integers: generator i is the Smith column c_i over its order n_i, and
+its q-value is the numerator (c_i . c_i) / n_i mod 2 n_i over n_i.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class IntMatrix:
     @property
     def nrows(self) -> int:
         return len(self.data)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.data[0]) if self.data else 0
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
@@ -220,17 +216,18 @@ class Sublattice:
 
 @dataclass(frozen=True)
 class DiscGroup:
-    """Discriminant group A_L = L*/L of a nondegenerate lattice.
+    """Discriminant group A_L = L*/L of a nondegenerate lattice, in integers.
 
-    `generators` are rational coordinate vectors in the lattice basis whose
-    classes generate the cyclic factors; `q_values` are their discriminant
-    quadratic form values in Q/2Z (reduced into [0, 2)), present only for
-    even lattices.
+    Generator i of the cyclic factor of order n_i = `invariant_factors[i]`
+    is the class of `columns[i]` / n_i, an integer coordinate vector over
+    n_i in the lattice basis.  Its discriminant quadratic form value is
+    q_i = `q_numerators[i]` / n_i in Q/2Z, with the numerator in [0, 2 n_i);
+    `q_numerators` is None for an odd lattice.
     """
 
     invariant_factors: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
-    q_values: tuple[Fraction, ...] | None
+    columns: tuple[Vector, ...]
+    q_numerators: tuple[int, ...] | None
 
     @property
     def order(self) -> int:
@@ -327,25 +324,23 @@ def signature(L: GramLattice) -> tuple[int, int, int]:
 def disc_group(L: GramLattice) -> DiscGroup:
     """Discriminant group from the Smith normal form of the Gram matrix.
 
-    With U*G*V = D, the class of the i-th column of V divided by d_i
-    generates the i-th cyclic factor (this is the dual-basis description:
-    G * v_i / d_i is a standard generator of Z^n / G Z^n).
+    With U*G*V = D, the class of the i-th column c of V over d_i generates
+    the i-th cyclic factor (this is the dual-basis description: G * c / d_i
+    is a standard generator of Z^n / G Z^n).  G c = 0 (mod d_i), so
+    (c . c) / d_i is an integer, the numerator of q over d_i.  Each column
+    comes back reduced into [0, d_i): a change of c by d_i e keeps its class,
+    and changes (c . c) / d_i by 2 e.(G c) + d_i (e . e) = 0 (mod 2 d_i) on
+    an even lattice, so q too.
     """
     diag, V = la.smith_normal_form(L.gram.to_lists())
     if 0 in diag:
         raise DegenerateLattice("discriminant group needs det != 0")
-    factors = []
-    cols = []
-    for i, d in enumerate(diag):
-        if d > 1:
-            factors.append(d)
-            cols.append([V[r][i] for r in range(L.rank)])
-    gens = tuple(tuple(Fraction(e, d) for e in col) for col, d in zip(cols, factors))
-    q_values = None
+    factors = tuple(d for d in diag if d > 1)
+    cols = tuple(tuple(row[i] % d for row in V) for i, d in enumerate(diag) if d > 1)
+    q_numerators = None
     if L.is_even:
-        # q(V_i / d_i) = (V_i . V_i) / d_i^2, paired in integers
-        q_values = tuple(Fraction(L.pairing(col, col), d * d) % 2 for col, d in zip(cols, factors))
-    return DiscGroup(tuple(factors), gens, q_values)
+        q_numerators = tuple(L.square(c) // d % (2 * d) for c, d in zip(cols, factors))
+    return DiscGroup(factors, cols, q_numerators)
 
 
 def span_sublattice(amb: GramLattice, vecs) -> Sublattice:

@@ -155,8 +155,8 @@ def _fixed_lattice(name: str) -> GramLattice:
 
 def lambda_d_lattice(d: int) -> GramLattice:
     """The degree-d primitive K3 lattice E + U^2 + [-d] in block order E, U, U, [-d]."""
-    if d <= 0 or d % 2:
-        raise UnknownLattice(f"LambdaD needs even positive d, got {d}")
+    if type(d) is not int or d <= 0 or d % 2:
+        raise UnknownLattice(f"LambdaD needs even positive d, got {d!r}")
     E = standard_lattice("E")
     u = _basic("U")
     md = GramLattice.from_rows([[-d]])
@@ -336,10 +336,11 @@ class EichlerInvariant(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _gamma_disc_generator() -> tuple[Fraction, ...]:
-    gens = disc_group(standard_lattice("Gamma")).generators
-    assert len(gens) == 1
-    return gens[0]
+def _gamma_disc_generator() -> Vector:
+    # the integer column c of the generator c/3 of A_Gamma = Z/3
+    dg = disc_group(standard_lattice("Gamma"))
+    assert dg.invariant_factors == (3,)
+    return dg.columns[0]
 
 
 def eichler_invariants(v) -> EichlerInvariant:
@@ -357,15 +358,13 @@ def eichler_invariants(v) -> EichlerInvariant:
     if n == 1:
         cls = 0
     else:
-        gen = _gamma_disc_generator()
-        c = [Fraction(e, n) for e in v]
-        cls = None
-        for k in (0, 1, 2):
-            if all((ci - k * gi).denominator == 1 for ci, gi in zip(c, gen)):
-                cls = (0, 1, -1)[k]
-                break
-        if cls is None:
+        # v/n lies in the dual, and A_Gamma = Z/3 is generated by c/3: so n = 3
+        # and v/3 = k c/3 mod Gamma, i.e. v = k c (mod 3), for one k
+        c = _gamma_disc_generator()
+        ks = [k for k in (0, 1, 2) if all((e - k * ci) % 3 == 0 for e, ci in zip(v, c))]
+        if n != 3 or not ks:
             raise AssertionError("class of v/n not found in Z/3")
+        cls = (0, 1, -1)[ks[0]]
     return EichlerInvariant(sq, n, cls)
 
 
@@ -446,63 +445,66 @@ def hassett_triple(d: int) -> NLVectorReport:
     three lattices generically for every special d in its sweep and compares
     Hermite bases and Grams.
 
-    The discriminant groups are written down too.  E + U is unimodular, so
-    the group and form of Gamma_d are those of B_d, with each generator
-    padded by 18 zeros on E + U.  On the bases of K_d and B_d:
+    The discriminant groups are written down too, in integers: generator i
+    is an integer column over its order n_i and q_i a numerator over n_i
+    (see `DiscGroup`).  E + U is unimodular, so the group and form of
+    Gamma_d are those of B_d, with each column padded by 18 zeros on E + U.
+    On the bases of K_d and B_d:
 
-    * d = 2 (6): both groups are Z/d, generated by (-1, -3)/d and
-      (1, 2, 3)/d, with q = 3/d;
-    * d = 0 (6), 9 not dividing d: both are Z/d, generated by (1/3, 3/d)
-      and (1/3, 2/3, 3/d), with q = 4/3 + 3/d = (4d/3 + 3)/d;
-    * 9 | d: both are Z/3 + Z/(d/3), generated by (1/3, 0), (0, 3/d) and
-      (1/3, 2/3, 0), (0, 0, 3/d), with q = (4/3, 3/d).
+    * d = 2 (6): both groups are Z/d, generated by (-1, -3) and (1, 2, 3)
+      over d, with q-numerator 3;
+    * d = 0 (6), 9 not dividing d: both are Z/d, generated by (d/3, 3) and
+      (d/3, 2d/3, 3) over d, with q-numerator 4d/3 + 3;
+    * 9 | d: both are Z/3 + Z/(d/3), generated by (1, 0), (0, 1) and
+      (1, 2, 0), (0, 0, 1) over 3 and over d/3, with q-numerators (4, 1).
 
-    Proof: each generator g has G g integral (for d = 2 (6), B_d (1, 2, 3)
-    = (0, 0, d)), so it lies in the dual, and its order is the least common
-    denominator of its entries.  For d = 0 (6) both Grams are orthogonal
-    sums, <-3> + <-d/3> and A2(-1) + <d/3>, and the generators are those of
-    the summands: 1/3 of <-3>, (1/3, 2/3) of A2(-1) with q = -2/3 = 4/3,
-    and 3/d of <-d/3> or <d/3> with q = 3/d.  When 9 does not divide d, 3
-    and d/3 are coprime and the sum of the two is cyclic.  In every case the
-    orders multiply to |det| = d, the order of the group.  K_d has odd
-    diagonal entries and carries no q.  `verify` checks each group against
-    the Smith form of the reported Grams on every d of its sweep.
+    Proof: each column c over n has G c = 0 (mod n) (for d = 2 (6),
+    B_d (1, 2, 3) = (0, 0, d)), so c / n lies in the dual, and its order is
+    n since the gcd of n and the entries of c is 1.  For d = 0 (6) both
+    Grams are orthogonal sums, <-3> + <-d/3> and A2(-1) + <d/3>, and the
+    generators are those of the summands: 1/3 of <-3>, (1, 2)/3 of A2(-1)
+    with q = -2/3 = 4/3, and 1/(d/3) of <-d/3> or <d/3> with q = 3/d =
+    1/(d/3).  When 9 does not divide d, 3 and d/3 are coprime and the sum
+    of the two is cyclic.  In every case the orders multiply to |det| = d,
+    the order of the group.  K_d has odd diagonal entries and carries no q.
+    `verify` checks each group against the Smith form of the reported Grams
+    on every d of its sweep.
 
     >>> hassett_triple(18).disc_Gamma_d.invariant_factors
     (3, 6)
-    >>> hassett_triple(18).disc_Gamma_d.q_values
-    (Fraction(4, 3), Fraction(1, 6))
+    >>> hassett_triple(18).disc_Gamma_d.q_numerators
+    (4, 1)
 
     The cache keeps the last report only: `verify` asks for each d twice in a
     row (its generic check, then `genus_compare`), and one slot serves both.
     """
     _check_special(d)
-    F = Fraction
     if d % 6 == 0:
         case = NLCase.SATURATED
-        gram_K = IntMatrix.from_rows([[-3, 0], [0, -(d // 3)]])
-        gram_L = IntMatrix.from_rows([[2, -1, 0], [-1, 2, 0], [0, 0, -(d // 3)]])
-        v_square = -(d // 3)
+        t = d // 3
+        gram_K = IntMatrix.from_rows([[-3, 0], [0, -t]])
+        gram_L = IntMatrix.from_rows([[2, -1, 0], [-1, 2, 0], [0, 0, -t]])
+        v_square = -t
         if d % 9:
             factors = (d,)
-            gens_K = ((F(1, 3), F(3, d)),)
-            gens_B = ((F(1, 3), F(2, 3), F(3, d)),)
-            q_values = (F(4 * (d // 3) + 3, d),)
+            cols_K = ((t, 3),)
+            cols_B = ((t, 2 * t, 3),)
+            q_numerators = (4 * t + 3,)
         else:
-            factors = (3, d // 3)
-            gens_K = ((F(1, 3), F(0)), (F(0), F(3, d)))
-            gens_B = ((F(1, 3), F(2, 3), F(0)), (F(0), F(0), F(3, d)))
-            q_values = (F(4, 3), F(3, d))
+            factors = (3, t)
+            cols_K = ((1, 0), (0, 1))
+            cols_B = ((1, 2, 0), (0, 0, 1))
+            q_numerators = (4, 1)
     else:
         case = NLCase.INDEX_THREE
         gram_K = IntMatrix.from_rows([[-3, 1], [1, -((d + 1) // 3)]])
         gram_L = IntMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, -((d - 2) // 3)]])
         v_square = -3 * d
         factors = (d,)
-        gens_K = ((F(-1, d), F(-3, d)),)
-        gens_B = ((F(1, d), F(2, d), F(3, d)),)
-        q_values = (F(3, d),)
-    pad = (F(0),) * 18
+        cols_K = ((-1, -3),)
+        cols_B = ((1, 2, 3),)
+        q_numerators = (3,)
+    pad = (0,) * 18
     # the rows of E + U, the leading 18 x 18 block of Gamma, then those of B_d:
     # only B_d depends on d, and only B_d is validated here
     fixed = tuple(row[:18] + (0, 0, 0) for row in standard_lattice("Gamma").gram.data[:18])
@@ -515,8 +517,8 @@ def hassett_triple(d: int) -> NLVectorReport:
         gram_K=gram_K,
         gram_L=gram_L,
         gram_Gamma_d=gram_Gamma_d,
-        disc_K=DiscGroup(factors, gens_K, None),
-        disc_Gamma_d=DiscGroup(factors, tuple(pad + g for g in gens_B), q_values),
+        disc_K=DiscGroup(factors, cols_K, None),
+        disc_Gamma_d=DiscGroup(factors, tuple(pad + c for c in cols_B), q_numerators),
     )
 
 
@@ -570,8 +572,8 @@ def kdoo_index(d: int) -> tuple[int, KdooWitness]:
 
 def polarization_vector(d: int) -> Vector:
     """The degree-d polarization class e2 + (d/2) f2 of the K3 lattice."""
-    if d <= 0 or d % 2:
-        raise InvalidDegree(f"degree must be even positive, got {d}")
+    if type(d) is not int or d <= 0 or d % 2:
+        raise InvalidDegree(f"degree must be even positive, got {d!r}")
     return _vec(RANK_LAMBDA, {E2: 1, F2: d // 2})
 
 
@@ -582,8 +584,8 @@ def boundary_witnesses(d: int) -> tuple[Vector, Vector | None]:
     exactly when d/2 = 1 (mod 4).  Each returned class has square -2, pairs
     to zero with the polarization, and is primitive.
     """
-    if d < 2 or d % 2:
-        raise InvalidDegree(f"degree must be even and at least 2, got {d}")
+    if type(d) is not int or d < 2 or d % 2:
+        raise InvalidDegree(f"degree must be even and at least 2, got {d!r}")
     lam = standard_lattice("Lambda")
     ell = polarization_vector(d)
     delta0 = _vec(RANK_LAMBDA, {E1: 1, F1: -1})
@@ -635,8 +637,7 @@ def genus_compare(d: int) -> bool:
     dg = hassett_triple(d).disc_Gamma_d
     if dg.invariant_factors != (d,):
         return False
-    q = dg.q_values[0]
-    a = q.numerator * (d // q.denominator)  # q = a/d
+    a = dg.q_numerators[0]  # q = a/d
     r = -pow(a, -1, 2 * d)  # a' a^(-1) for a' = -1
     factors = _factorize(d // 2)
     factors[2] = factors.get(2, 0) + 1  # the factorization of d

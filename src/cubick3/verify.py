@@ -150,9 +150,7 @@ def _mukai_checks(out: list[CheckResult]) -> None:
 def _disc_checks(out: list[CheckResult]) -> None:
     expected = {12: (12,), 14: (14,), 18: (3, 6), 26: (26,)}
     for d, want in expected.items():
-        rep = st.hassett_triple(d)
-        _check(out, f"disc.K{d}", want, rep.disc_K.invariant_factors)
-        _check(out, f"disc.K{d}.cyclic", d % 9 != 0, rep.disc_K.is_cyclic)
+        _check(out, f"disc.K{d}", want, st.hassett_triple(d).disc_K.invariant_factors)
 
 
 _TABLE78 = {
@@ -228,22 +226,19 @@ def _disc_holds(dg: lat.DiscGroup, L: lat.GramLattice, oracle: lat.GramLattice) 
     """Whether `dg` is a discriminant group of L, checked against the Smith form.
 
     `oracle` is L itself or a block that L extends by a unimodular summand.
-    Its `disc_group` must have the invariant factors of `dg`; each generator
-    g of `dg` must have exact order n_i, the least common denominator of its
-    entries, and lie in the dual of L, so that G (n_i g) = 0 mod n_i; and
-    each q-value must be q(g) = (n_i g)^2 / n_i^2 mod 2, present iff L is even.
+    Its `disc_group` must have the invariant factors of `dg`; each column c
+    over its order n must have exact order n, gcd(n, c) = 1, and lie in the
+    dual of L, G c = 0 mod n; and each q-numerator must be
+    (c . c) / n mod 2n, present iff L is even.
     """
     if dg.invariant_factors != lat.disc_group(oracle).invariant_factors:
         return False
-    if len(dg.generators) != len(dg.invariant_factors) or (dg.q_values is not None) != L.is_even:
+    if len(dg.columns) != len(dg.invariant_factors) or (dg.q_numerators is not None) != L.is_even:
         return False
-    for i, (g, n) in enumerate(zip(dg.generators, dg.invariant_factors)):
-        if math.lcm(*(x.denominator for x in g)) != n:
+    for i, (c, n) in enumerate(zip(dg.columns, dg.invariant_factors)):
+        if math.gcd(n, *c) != 1 or any(e % n for e in L.basis_pairings(c)):
             return False
-        col = [x.numerator * (n // x.denominator) for x in g]  # n g, in integers
-        if any(e % n for e in L.basis_pairings(col)):
-            return False
-        if dg.q_values is not None and dg.q_values[i] != Fraction(L.square(col), n * n) % 2:
+        if dg.q_numerators is not None and dg.q_numerators[i] != L.square(c) // n % (2 * n):
             return False
     return True
 

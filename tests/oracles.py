@@ -385,11 +385,10 @@ class DiscForm:
         if not L.is_even:
             raise ValueError("discriminant forms are defined for even lattices")
         orders = dg.invariant_factors
-        # d * g is the integer Smith column behind the generator g of order d
-        cols = [[x.numerator * (d // x.denominator) for x in g] for g, d in zip(dg.generators, orders)]
+        # the generator of order d is the integer column c over d
         table = tuple(
-            tuple(Fraction(L.pairing(ci, cj), di * dj) for cj, dj in zip(cols, orders))
-            for ci, di in zip(cols, orders)
+            tuple(Fraction(L.pairing(ci, cj), di * dj) for cj, dj in zip(dg.columns, orders))
+            for ci, di in zip(dg.columns, orders)
         )
         return DiscForm(orders, table)
 

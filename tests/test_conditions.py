@@ -87,10 +87,27 @@ class TestFlags:
         assert not f.star and f.case_mod6 is None
 
     @pytest.mark.parametrize("d", [14.0, Fraction(14), "14", True], ids=repr)
-    @pytest.mark.parametrize("entry", [condition_flags, build_report], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "entry",
+        [condition_flags, build_report, a2_represents, a2_bruteforce, witness_ss, witness_sss,
+         boundary_count],
+        ids=lambda f: f.__name__,
+    )
     def test_rejects_a_d_that_is_not_an_int(self, entry, d):
-        # the table and the CLI reach the parity check through these two
+        # 14.0 and Fraction(14) pass the parity test and would be answered
+        # for; "14" would raise a bare TypeError
         with pytest.raises(InvalidParity):
+            entry(d)
+
+    @pytest.mark.parametrize("d", [42.0, Fraction(42), "42", True], ids=repr)
+    @pytest.mark.parametrize(
+        "entry",
+        [pell_brakkee, table, lambda d: table(60, start=d)],
+        ids=["pell_brakkee", "table", "table_start"],
+    )
+    def test_rejects_a_degree_that_is_not_an_int(self, entry, d):
+        # 42 is a multiple of 6 and even, so only the type check refuses these
+        with pytest.raises(InvalidDegree):
             entry(d)
 
     def test_chain_holds_up_to_500(self):

@@ -159,12 +159,12 @@ class TestDiscGroup:
         # oracle: the q value of any generator of Z/3 on A2 is 2/3 mod 2Z,
         # computable from the rational Gram inverse
         ginv = frac_inv(A2.gram.to_lists())
-        (gen,) = dg.generators
-        y = la.mat_vec(A2.gram.to_lists(), list(gen))
+        (col,) = dg.columns
+        y = [Fraction(e, 3) for e in la.mat_vec(A2.gram.to_lists(), list(col))]
         assert all(f.denominator == 1 for f in y)
         q_dual = sum(a * b for a, b in zip(y, la.mat_vec(ginv, y))) % 2
-        assert dg.q_values == (Fraction(2, 3),)
-        assert q_dual == dg.q_values[0]
+        assert dg.q_numerators == (2,)  # q = 2/3
+        assert q_dual == Fraction(dg.q_numerators[0], 3)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateLattice):
@@ -190,22 +190,26 @@ class TestDiscGroup:
             dg = disc_group(L)
             G = L.gram.to_lists()
             ginv = frac_inv(G)
-            for gen, q in zip(dg.generators, dg.q_values):
-                y = la.mat_vec(G, list(gen))
+            for col, n, a in zip(dg.columns, dg.invariant_factors, dg.q_numerators):
+                gen = [Fraction(e, n) for e in col]
+                q = Fraction(a, n)
+                assert 0 <= a < 2 * n
+                y = la.mat_vec(G, gen)
                 q2 = sum(a * b for a, b in zip(y, la.mat_vec(ginv, y))) % 2
                 assert q == q2
                 assert q == (sum(c * p for c, p in zip(gen, y)) % 2)
 
     def test_odd_lattice_has_no_q(self):
         dg = disc_group(GramLattice.from_rows([[-3, 0], [0, -4]]))
-        assert dg.q_values is None
+        assert dg.q_numerators is None
 
     def test_generator_orders(self):
         # order of each generator class: the smallest m with m*g integral
         for name in ("A2", "Gamma", "LambdaD(18)", "LambdaD(36)"):
             L = standard_lattice(name)
             dg = disc_group(L)
-            for gen, d in zip(dg.generators, dg.invariant_factors):
+            for col, d in zip(dg.columns, dg.invariant_factors):
+                gen = [Fraction(e, d) for e in col]
                 denoms = [c.denominator for c in gen]
                 from math import lcm
 
@@ -509,6 +513,31 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
             assert w == [H[i][p] * e for e in W[i]]
         orthogonal_complement(amb, rows)
     assert widest[0] <= 64
+
+
+def test_disc_group_columns_come_back_reduced_on_c11_sample():
+    # the Smith columns V reach tens of bits on the saturations and
+    # complements of the C11 sample; `disc_group` reduces each column c mod
+    # its order n, which keeps the class c/n and, on an even lattice, q
+    seen = 0
+    for amb, rows in _c11_sample():
+        sat, _ = saturation(span_sublattice(amb, rows))
+        for L in (sat.as_lattice(), orthogonal_complement(amb, rows).as_lattice()):
+            if L.det == 0:
+                continue
+            dg = disc_group(L)
+            raw = oracles._generators(L)
+            assert len(raw) == len(dg.columns) == len(dg.invariant_factors)
+            for col, n, g in zip(dg.columns, dg.invariant_factors, raw):
+                assert all(0 <= e < n for e in col)
+                assert all((e - n * x) % n == 0 for e, x in zip(col, g))
+                seen += 1
+            if L.is_even:
+                q = tuple(Fraction(a, n) for a, n in zip(dg.q_numerators, dg.invariant_factors))
+                assert q == oracles.q_values(L)
+            else:
+                assert dg.q_numerators is None
+    assert seen > 100
 
 
 class TestSaturationAgainstOracles:

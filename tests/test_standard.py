@@ -188,14 +188,18 @@ class TestNLVector:
 
     @pytest.mark.parametrize("d", [14.0, Fraction(14), "14", True], ids=repr)
     @pytest.mark.parametrize(
-        "entry",
-        [nl_vector, st.closed_form_bases, hassett_triple, kdoo_index, genus_compare],
-        ids=lambda f: f.__name__,
+        "entry, error",
+        [pytest.param(f, NotSpecialDiscriminant, id=f.__name__)
+         for f in (nl_vector, st.closed_form_bases, hassett_triple, kdoo_index, genus_compare)]
+        + [pytest.param(f, InvalidDegree, id=f.__name__)
+           for f in (polarization_vector, boundary_witnesses)]
+        + [pytest.param(st.lambda_d_lattice, UnknownLattice, id="lambda_d_lattice")],
     )
-    def test_rejects_a_d_that_is_not_an_int(self, entry, d):
-        # 14.0 and Fraction(14) pass the residue test, and would leak into
-        # the report as non-int entries; "14" would raise a bare TypeError
-        with pytest.raises(NotSpecialDiscriminant):
+    def test_rejects_a_d_that_is_not_an_int(self, entry, error, d):
+        # 14.0 and Fraction(14) pass the residue and parity tests, and would
+        # leak into the reports, vectors and labels as non-int entries; "14"
+        # would raise a bare TypeError
+        with pytest.raises(error):
             entry(d)
 
 
@@ -543,18 +547,19 @@ class TestGenus:
             generic_K, generic_G = disc_group(K), disc_group(Gd)
             for L, dg, generic in ((K, rep.disc_K, generic_K), (Gd, rep.disc_Gamma_d, generic_G)):
                 assert dg.invariant_factors == generic.invariant_factors, d
-                assert len(dg.generators) == len(dg.invariant_factors), d
-                for g, n in zip(dg.generators, dg.invariant_factors):
-                    assert len(g) == L.rank
-                    assert math.lcm(*(x.denominator for x in g)) == n, d  # exact order n
-                    # g lies in the dual lattice: G (n g) = 0 mod n, in integers
-                    col = [x.numerator * (n // x.denominator) for x in g]
+                assert len(dg.columns) == len(dg.invariant_factors), d
+                for col, n in zip(dg.columns, dg.invariant_factors):
+                    assert len(col) == L.rank and all(type(e) is int for e in col)
+                    assert math.gcd(n, *col) == 1, d  # col / n has exact order n
+                    # col / n lies in the dual lattice: G col = 0 mod n
                     assert all(e % n == 0 for e in L.basis_pairings(col)), d
             # K_d is odd: no discriminant quadratic form
-            assert rep.disc_K.q_values is None and not K.is_even
+            assert rep.disc_K.q_numerators is None and not K.is_even
             dg = rep.disc_Gamma_d
             form = oracles.DiscForm.of_group(Gd, dg)
-            assert dg.q_values == tuple(row[i] % 2 for i, row in enumerate(form.pair_table)), d
+            q_values = tuple(Fraction(a, n) for a, n in zip(dg.q_numerators, dg.invariant_factors))
+            assert all(0 <= a < 2 * n for a, n in zip(dg.q_numerators, dg.invariant_factors)), d
+            assert q_values == tuple(row[i] % 2 for i, row in enumerate(form.pair_table)), d
             assert oracles.disc_forms_isomorphic(form, oracles.DiscForm.of_group(Gd, generic_G)), d
 
     def test_far_beyond_the_old_search_cap(self):

@@ -119,15 +119,17 @@ def _doubled(g):
     "d, field, mutate, tag",
     [
         # a generator of order 7 in place of one of order 14
-        pytest.param(14, "disc_K", lambda g: replace(g, generators=(_doubled(g.generators[0]),)),
+        pytest.param(14, "disc_K", lambda g: replace(g, columns=(_doubled(g.columns[0]),)),
                      "discK", id="K-order"),
-        pytest.param(14, "disc_K", lambda g: replace(g, q_values=(Fraction(3, 14),)),
+        pytest.param(14, "disc_K", lambda g: replace(g, q_numerators=(3,)),
                      "discK", id="K-odd-with-q"),
-        pytest.param(14, "disc_Gamma_d", lambda g: replace(g, q_values=(g.q_values[0] + 1,)),
+        # q + 1: the numerator plus its denominator 14
+        pytest.param(14, "disc_Gamma_d",
+                     lambda g: replace(g, q_numerators=(g.q_numerators[0] + 14,)),
                      "discGamma", id="Gamma-q"),
-        # (1/3, 2/3, 1/12) has order 12 but pairs to 1/3 with the block <4>
+        # (4, 8, 1)/12 has order 12 but pairs to 1/3 with the block <4>
         pytest.param(12, "disc_Gamma_d",
-                     lambda g: replace(g, generators=(g.generators[0][:20] + (Fraction(1, 12),),)),
+                     lambda g: replace(g, columns=(g.columns[0][:20] + (1,),)),
                      "discGamma", id="Gamma-not-dual"),
         # Z/18 in place of Z/3 + Z/6
         pytest.param(18, "disc_Gamma_d", lambda g: replace(g, invariant_factors=(18,)),
