@@ -219,10 +219,10 @@ class DiscGroup:
     """Discriminant group A_L = L*/L of a nondegenerate lattice, in integers.
 
     Generator i of the cyclic factor of order n_i = `invariant_factors[i]`
-    is the class of `columns[i]` / n_i, an integer coordinate vector over
-    n_i in the lattice basis.  Its discriminant quadratic form value is
-    q_i = `q_numerators[i]` / n_i in Q/2Z, with the numerator in [0, 2 n_i);
-    `q_numerators` is None for an odd lattice.
+    is the class of c / n_i for c = `columns[i]`, an integer coordinate vector
+    with G c = 0 (mod n_i) and gcd(n_i, c) = 1.  Its discriminant quadratic
+    form value is q_i = `q_numerators[i]` / n_i in Q/2Z, with the numerator
+    in [0, 2 n_i); `q_numerators` is None for an odd lattice.
     """
 
     invariant_factors: tuple[int, ...]

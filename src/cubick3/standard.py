@@ -361,10 +361,11 @@ def eichler_invariants(v) -> EichlerInvariant:
         # v/n lies in the dual, and A_Gamma = Z/3 is generated by c/3: so n = 3
         # and v/3 = k c/3 mod Gamma, i.e. v = k c (mod 3), for one k
         c = _gamma_disc_generator()
-        ks = [k for k in (0, 1, 2) if all((e - k * ci) % 3 == 0 for e, ci in zip(v, c))]
-        if n != 3 or not ks:
+        k = next((k for k in (0, 1, 2) if all((e - k * ci) % 3 == 0 for e, ci in zip(v, c))),
+                 None)
+        if n != 3 or k is None:
             raise AssertionError("class of v/n not found in Z/3")
-        cls = (0, 1, -1)[ks[0]]
+        cls = (0, 1, -1)[k]
     return EichlerInvariant(sq, n, cls)
 
 

@@ -195,7 +195,8 @@ def q_values(L):
 def pair_table(L):
     """Pair table of the `disc_group` generators, in Fractions throughout."""
     G = L.gram.to_lists()
-    gens = _generators(L)
+    # `disc_group` reduces each Smith column mod its order: for V/n, x % 1 is (V mod n)/n
+    gens = [[x % 1 for x in g] for g in _generators(L)]
     return tuple(tuple(pairing(G, gi, gj) for gj in gens) for gi in gens)
 
 
