@@ -44,7 +44,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import pell
-from .errors import InvalidDegree, InvalidParity
+from .errors import InvalidDegree, InvalidParity, require_even
 from .lattice import json_int
 
 CLI_INPUT_CAP = 2**63
@@ -81,8 +81,7 @@ def a2_represents(d: int, primitive: bool = False) -> bool:
     >>> a2_represents(30)
     False
     """
-    if type(d) is not int or d <= 0 or d % 2:
-        raise InvalidParity(f"d must be even positive, got {d!r}")
+    require_even(d, InvalidParity)
     return _a2_represents(_factorize(d // 2), primitive)
 
 
@@ -102,8 +101,7 @@ def a2_bruteforce(d: int) -> list[tuple[int, int, bool]]:
 
     Exhaustive: the form dominates x^2 and y^2, so |x|, |y| <= ceil(sqrt(d)).
     """
-    if type(d) is not int or d <= 0 or d % 2:
-        raise InvalidParity(f"d must be even positive, got {d!r}")
+    require_even(d, InvalidParity)
     bound = math.isqrt(d) + 1
     out = []
     for x in range(-bound, bound + 1):
@@ -128,8 +126,7 @@ def witness_ss(d: int) -> tuple[int, int] | None:
     >>> witness_ss(42), witness_ss(74), witness_ss(8)
     ((4, 1), (10, 3), None)
     """
-    if type(d) is not int or d <= 0 or d % 2:
-        raise InvalidParity(f"d must be even positive, got {d!r}")
+    require_even(d, InvalidParity)
     return _witness_ss(d, _factorize(d // 2))
 
 
@@ -174,8 +171,7 @@ def witness_sss(d: int) -> tuple[int, int] | None:
     >>> witness_sss(74) is None
     True
     """
-    if type(d) is not int or d <= 0 or d % 2:
-        raise InvalidParity(f"d must be even positive, got {d!r}")
+    require_even(d, InvalidParity)
     sol = pell.least_solution(2 * d)
     if sol is None:
         return None
@@ -218,8 +214,7 @@ class ConditionFlags:
 
 def condition_flags(d: int) -> ConditionFlags:
     """Evaluate the four conditions for an even positive d (an exact ``int``)."""
-    if type(d) is not int or d <= 0 or d % 2:
-        raise InvalidParity(f"d must be even positive, got {d!r}")
+    require_even(d, InvalidParity)
     star = d % 6 in (0, 2)
     factors = _factorize(d // 2)
     ssp = _a2_represents(factors, primitive=False)
@@ -248,8 +243,7 @@ def boundary_count(d: int) -> int:
     >>> boundary_count(10), boundary_count(8)
     (2, 1)
     """
-    if type(d) is not int or d < 2 or d % 2:
-        raise InvalidParity(f"d must be even and at least 2, got {d!r}")
+    require_even(d, InvalidParity)
     return 2 if (d // 2) % 4 == 1 else 1
 
 
@@ -315,10 +309,8 @@ def pell_brakkee(d: int) -> PellSolution:
 
 def table(max_d: int, start: int = 8) -> list[ConditionFlags]:
     """Condition flags for every special discriminant in [start, max_d], ascending."""
-    if type(max_d) is not int or max_d < 8 or max_d % 2:
-        raise InvalidDegree(f"max_d must be even and at least 8, got {max_d!r}")
-    if type(start) is not int or start < 2 or start % 2:
-        raise InvalidDegree(f"start must be even and at least 2, got {start!r}")
+    require_even(max_d, InvalidDegree, least=8, name="max_d")
+    require_even(start, InvalidDegree, name="start")
     return [
         condition_flags(d)
         for d in range(start, max_d + 1, 2)

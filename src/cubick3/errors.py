@@ -4,6 +4,10 @@ Everything derives from ValueError so callers that do not care about the
 fine-grained type can catch the usual thing.  Every class below the base
 is raised by some library function; a class that loses its last raiser is
 removed rather than kept for importers.
+
+Most entry points take an even d, a discriminant or a K3 degree, and
+`require_even` is the one check of that domain: a ``bool``, float,
+``Fraction`` or ``str`` d raises the caller's class, like an odd int.
 """
 
 
@@ -28,7 +32,7 @@ class UnknownLattice(CubicK3Error):
 
 
 class NotSpecialDiscriminant(CubicK3Error):
-    """d is not congruent to 0 or 2 modulo 6 (or not even positive)."""
+    """d is not a positive int congruent to 0 or 2 modulo 6."""
 
 
 class InvalidNLVector(CubicK3Error):
@@ -49,3 +53,9 @@ class NotHyperbolicPair(CubicK3Error):
 
 class SearchExhausted(CubicK3Error):
     """No solution within the configured search bound (not a disproof)."""
+
+
+def require_even(d, error: type[CubicK3Error], least: int = 2, name: str = "d") -> None:
+    """Raise `error` unless d is an exact int, even and at least `least`."""
+    if type(d) is not int or d < least or d % 2:
+        raise error(f"{name} must be even and at least {least}, got {d!r}")

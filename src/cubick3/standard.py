@@ -43,6 +43,7 @@ from .errors import (
     SearchExhausted,
     UnknownLattice,
     ZeroVector,
+    require_even,
 )
 from .lattice import (
     DiscGroup,
@@ -127,6 +128,8 @@ def standard_lattice(name: str) -> GramLattice:
     >>> standard_lattice("LambdaD(14)").abs_det
     14
     """
+    if type(name) is not str:
+        raise UnknownLattice(f"lattice name must be a str, got {name!r}")
     m = re.fullmatch(r"LambdaD\((\d+)\)", name)
     if m:
         return lambda_d_lattice(int(m.group(1)))
@@ -155,8 +158,7 @@ def _fixed_lattice(name: str) -> GramLattice:
 
 def lambda_d_lattice(d: int) -> GramLattice:
     """The degree-d primitive K3 lattice E + U^2 + [-d] in block order E, U, U, [-d]."""
-    if type(d) is not int or d <= 0 or d % 2:
-        raise UnknownLattice(f"LambdaD needs even positive d, got {d!r}")
+    require_even(d, UnknownLattice, name="LambdaD's d")
     E = standard_lattice("E")
     u = _basic("U")
     md = GramLattice.from_rows([[-d]])
@@ -399,6 +401,12 @@ class NLVectorReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _e_u_rows() -> tuple[Vector, ...]:
+    # the rows of E + U in the validated Gamma, padded by the zeros of B_d
+    return tuple(row[:18] + (0, 0, 0) for row in standard_lattice("Gamma").gram.data[:18])
+
+
 def _gamma_block(d: int) -> GramLattice:
     # the rank-3 block B_d of Gamma_d = E + U + B_d in the closed-form basis
     if d % 6 == 0:
@@ -440,11 +448,11 @@ def hassett_triple(d: int) -> NLVectorReport:
     The closed form (after Hassett 2000) is the product: the Grams of
     `closed_form_bases` are written down, and no lattice is computed.  The
     Gram of Gamma_d is written down as rows: the 18 fixed rows of E + U,
-    taken from the cached Gamma, then the three rows of the rank-3 block
-    B_d (see `genus_compare`), so only the nine entries of B_d are built
-    and validated for each d.  Its proof is `verify`, which computes the
-    three lattices generically for every special d in its sweep and compares
-    Hermite bases and Grams.
+    built once from the cached Gamma, then the three rows of the rank-3
+    block B_d (see `genus_compare`), so only the nine entries of B_d are
+    built and validated for each d.  Its proof is `verify`, which computes
+    the three lattices generically for every special d in its sweep and
+    compares Hermite bases and Grams.
 
     The discriminant groups are written down too, in integers: generator i
     is an integer column over its order n_i and q_i a numerator over n_i
@@ -506,10 +514,8 @@ def hassett_triple(d: int) -> NLVectorReport:
         cols_B = ((1, 2, 3),)
         q_numerators = (3,)
     pad = (0,) * 18
-    # the rows of E + U, the leading 18 x 18 block of Gamma, then those of B_d:
     # only B_d depends on d, and only B_d is validated here
-    fixed = tuple(row[:18] + (0, 0, 0) for row in standard_lattice("Gamma").gram.data[:18])
-    gram_Gamma_d = IntMatrix(fixed + tuple((0,) * 18 + row for row in _gamma_block(d).gram.data))
+    gram_Gamma_d = IntMatrix(_e_u_rows() + tuple(pad + row for row in _gamma_block(d).gram.data))
     return NLVectorReport(
         d=d,
         case=case,
@@ -573,8 +579,7 @@ def kdoo_index(d: int) -> tuple[int, KdooWitness]:
 
 def polarization_vector(d: int) -> Vector:
     """The degree-d polarization class e2 + (d/2) f2 of the K3 lattice."""
-    if type(d) is not int or d <= 0 or d % 2:
-        raise InvalidDegree(f"degree must be even positive, got {d!r}")
+    require_even(d, InvalidDegree, name="degree")
     return _vec(RANK_LAMBDA, {E2: 1, F2: d // 2})
 
 
@@ -585,8 +590,7 @@ def boundary_witnesses(d: int) -> tuple[Vector, Vector | None]:
     exactly when d/2 = 1 (mod 4).  Each returned class has square -2, pairs
     to zero with the polarization, and is primitive.
     """
-    if type(d) is not int or d < 2 or d % 2:
-        raise InvalidDegree(f"degree must be even and at least 2, got {d!r}")
+    require_even(d, InvalidDegree, name="degree")
     lam = standard_lattice("Lambda")
     ell = polarization_vector(d)
     delta0 = _vec(RANK_LAMBDA, {E1: 1, F1: -1})

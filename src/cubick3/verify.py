@@ -322,8 +322,9 @@ def _hyperbolic_checks(out: list[CheckResult]) -> None:
 
 def run_all(genus_max: int = 200) -> VerifySummary:
     """Every check, with the per-d sweeps over the special d in [8, genus_max]."""
-    if genus_max < 8:
-        raise InvalidDegree(f"genus_max must be at least 8, got {genus_max}")
+    # an exact int, but not `require_even`: an odd bound is a valid sweep end
+    if type(genus_max) is not int or genus_max < 8:
+        raise InvalidDegree(f"genus_max must be at least 8, got {genus_max!r}")
     out: list[CheckResult] = []
     blocks = (
         ("embedding", lambda: _embedding_checks(out)),

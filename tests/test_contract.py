@@ -1,0 +1,81 @@
+"""The input contract of the public entry points, outside their domains.
+
+One table of (entry point, out-of-domain value, typed error): each call must
+raise its entry point's `CubicK3Error` subclass, never answer, never raise a
+bare `TypeError`, and never hang (each runs under `signal.alarm`).  The
+values are a float, a `Fraction`, a `str`, `True` (an `int` subclass), 0, a
+negative, an odd value and an even one of the wrong residue: 14.0 and
+Fraction(14) pass a bare parity or residue test, and "14" breaks it with a
+`TypeError`.
+
+This is the out-of-domain half of the contract test of ROADMAP item 2.  The
+in-domain half, an answer or a typed error in bounded time for every large
+even d, waits for that item's factorization and per-call budget.
+"""
+
+import signal
+from fractions import Fraction
+
+import pytest
+
+from cubick3 import conditions as cond
+from cubick3 import standard as st
+from cubick3 import verify as vf
+from cubick3.cli import build_report
+from cubick3.errors import (
+    InvalidDegree,
+    InvalidParity,
+    NotSpecialDiscriminant,
+    UnknownLattice,
+)
+
+ALARM_S = 5
+
+# the values refused by each domain: an exact int, even, at least 2
+EVEN = (14.0, Fraction(14), "14", True, 0, -4, 7)
+# ... and also 0 or 2 mod 6
+SPECIAL = EVEN + (10,)
+
+
+def table_start(start):
+    return cond.table(60, start=start)
+
+
+def _rows(error, values, *entries):
+    return [(f, error, v) for f in entries for v in values]
+
+
+TABLE = (
+    _rows(InvalidParity, EVEN, cond.condition_flags, build_report, cond.a2_represents,
+          cond.a2_bruteforce, cond.witness_ss, cond.witness_sss, cond.boundary_count)
+    + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -8, 6, 9), cond.table)
+    + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -4, 9), table_start)
+    + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -6, 21, 14), cond.pell_brakkee)
+    + _rows(NotSpecialDiscriminant, SPECIAL, st.nl_vector, st.closed_form_bases,
+            st.hassett_triple, st.kdoo_index, st.genus_compare)
+    + _rows(InvalidDegree, EVEN, st.polarization_vector, st.boundary_witnesses)
+    + _rows(UnknownLattice, EVEN, st.lambda_d_lattice)
+    # an odd bound of at least 8 is a valid sweep end, so 7 is the odd value
+    + _rows(InvalidDegree, (8.5, Fraction(200), "200", True, 0, -5, 7), vf.run_all)
+    + _rows(UnknownLattice, (14.0, Fraction(14), 5, True, 0, "Gammma", "LambdaD(0)",
+                             "LambdaD(-4)", "LambdaD(7)", "LambdaD(14.0)"), st.standard_lattice)
+)
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError(f"no answer within {ALARM_S} s")
+
+
+@pytest.mark.parametrize(
+    "f, error, value",
+    [pytest.param(f, error, v, id=f"{f.__name__}-{v!r}") for f, error, v in TABLE],
+)
+def test_out_of_domain_raises_its_typed_error(f, error, value):
+    old = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(ALARM_S)
+    try:
+        with pytest.raises(error):
+            f(value)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
