@@ -10,6 +10,7 @@ from .errors import (
     CubicK3Error,
     DegenerateLattice,
     DependentGenerators,
+    InvalidBound,
     InvalidDegree,
     InvalidNLVector,
     InvalidParity,

@@ -55,6 +55,10 @@ class SearchExhausted(CubicK3Error):
     """No solution within the configured search bound (not a disproof)."""
 
 
+class InvalidBound(CubicK3Error):
+    """A search bound is not an exact nonnegative int."""
+
+
 def require_even(d, error: type[CubicK3Error], least: int = 2, name: str = "d") -> None:
     """Raise `error` unless d is an exact int, even and at least `least`."""
     if type(d) is not int or d < least or d % 2:

@@ -9,7 +9,8 @@ The arithmetic stays in integers (a non-integral coordinate raises
 ValueError, never truncates) and touches only nonzero entries: a
 `GramLattice` keeps the sparse rows of its Gram matrix for pairings and
 induced Gram matrices.  Each lattice fact is read off the one reduction
-that produces it.  Saturation is one echelon U * S^T = H of the generators:
+that produces it.  Saturation is one echelon U * S^T = H of the generators,
+run on the coordinates where some generator is nonzero:
 its rank decides independence, the product of the diagonal of H is the
 index [sat : S], and a forward substitution against H with exact divisions
 gives a basis of the saturation (see `saturation`).  Complements are one
@@ -366,7 +367,10 @@ def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     """Minimal primitive sublattice containing S, plus the index [sat : S].
 
     One echelon U * S^T = H of the k x n basis matrix S decides everything
-    (Cohen, GTM 138, section 2.4.3).  Its rank r is k exactly when the basis
+    (Cohen, GTM 138, section 2.4.3).  It runs only on the rows of S^T that
+    are not zero, the coordinates where some generator is nonzero: a zero
+    row is never a pivot and never changes, so leaving it out changes U
+    alone, which is not used.  Its rank r is k exactly when the basis
     is independent.  Then the pivots of H are its first k diagonal entries
     and S = C * W with C = H[:k]^T lower triangular and W the first k rows
     of U^-T.  W is part of a unimodular matrix, so its rows are a basis of
@@ -375,6 +379,19 @@ def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     AssertionError, never truncated), and one Hermite reduction of W makes
     the basis canonical.  For a dependent generating list (`saturate_rows`)
     the same solve runs on the generators at the pivot columns of H.
+
+    K_d is the saturation of the span of h^2 and the Noether-Lefschetz
+    vector in Gammabar, of |det| = d; the span has index 3 in it for
+    d = 2 (mod 6) and is saturated for d = 0 (mod 6):
+
+    >>> from cubick3.standard import H2, gamma_to_gammabar, nl_vector, standard_lattice
+    >>> gb = standard_lattice("Gammabar")
+    >>> K8, index = saturation(span_sublattice(gb, [H2, gamma_to_gammabar(nl_vector(8))]))
+    >>> index, K8.abs_det
+    (3, 8)
+    >>> K12, index = saturation(span_sublattice(gb, [H2, gamma_to_gammabar(nl_vector(12))]))
+    >>> index, K12.abs_det
+    (1, 12)
     """
     sat, H, r = _saturate(S.ambient, S.basis.data)
     if r < S.rank:
@@ -387,7 +404,11 @@ def _saturate(amb: GramLattice, rows):
     n = amb.rank
     if any(len(row) != n for row in rows):
         raise ValueError("vector length does not match the ambient rank")
-    H, _, r = la.row_echelon_transform(la.transpose(rows))
+    # a coordinate where every generator vanishes is a zero row of rows^T:
+    # never a pivot and never changed, so it is left out of the echelon.
+    # Only U changes, and U is not used; H, whose columns index generators,
+    # keeps its rank and its diagonal
+    H, _, r = la.row_echelon_transform([c for c in la.transpose(rows) if any(c)])
     if r == n:
         basis = la.identity(n)
     else:

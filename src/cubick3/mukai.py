@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from .errors import InvalidDegree
 from .lattice import IntMatrix
 
 _DEG = 5
@@ -152,9 +153,14 @@ def characteristic_classes() -> CharClasses:
 def mukai_vector_line(k: int) -> CohClass:
     """Mukai vector of the k-th twist of the trivial line bundle: exp(kh) * sqrt(td).
 
+    k is an exact int; a ``bool``, float, ``Fraction`` or ``str`` raises
+    InvalidDegree.
+
     >>> print(mukai_vector_line(1))
     (1, 7/4, 51/32, 385/384, 2921/6144)
     """
+    if type(k) is not int:
+        raise InvalidDegree(f"k must be an int, got {k!r}")
     return exp_h(k) * characteristic_classes().sqrt_todd
 
 

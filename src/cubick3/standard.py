@@ -36,6 +36,7 @@ from . import intlinalg as la
 from .conditions import _factorize
 from .errors import (
     CubicK3Error,
+    InvalidBound,
     InvalidDegree,
     InvalidNLVector,
     NotHyperbolicPair,
@@ -665,7 +666,11 @@ def find_hyperbolic_AT(e, f, bound: int = 4) -> tuple[Vector, Vector]:
     lattice, enumerates vectors of the saturation with coordinates bounded by
     `bound` and returns the lexicographically least pair (e', f') with
     (e')^2 = (f')^2 = 0, (e'.f') = 1 and rank(A2 + span(e', f')) = 3.
+    `bound` is an exact int of at least 0; at 0 the box holds only the zero
+    vector, so the search finds nothing.
     """
+    if type(bound) is not int or bound < 0:
+        raise InvalidBound(f"bound must be an int of at least 0, got {bound!r}")
     lt = standard_lattice("LambdaTilde")
     e = _coords(e, NotHyperbolicPair)
     f = _coords(f, NotHyperbolicPair)

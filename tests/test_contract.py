@@ -6,7 +6,9 @@ bare `TypeError`, and never hang (each runs under `signal.alarm`).  The
 values are a float, a `Fraction`, a `str`, `True` (an `int` subclass), 0, a
 negative, an odd value and an even one of the wrong residue: 14.0 and
 Fraction(14) pass a bare parity or residue test, and "14" breaks it with a
-`TypeError`.
+`TypeError`.  A twist k of `mukai_vector_line` may be any int, and a
+bound of `find_hyperbolic_AT` any int of at least 0, so only their type and
+sign are refused.
 
 This is the out-of-domain half of the contract test of ROADMAP item 2.  The
 in-domain half, an answer or a typed error in bounded time for every large
@@ -19,10 +21,12 @@ from fractions import Fraction
 import pytest
 
 from cubick3 import conditions as cond
+from cubick3 import mukai as mk
 from cubick3 import standard as st
 from cubick3 import verify as vf
 from cubick3.cli import build_report
 from cubick3.errors import (
+    InvalidBound,
     InvalidDegree,
     InvalidParity,
     NotSpecialDiscriminant,
@@ -39,6 +43,10 @@ SPECIAL = EVEN + (10,)
 
 def table_start(start):
     return cond.table(60, start=start)
+
+
+def hyperbolic_bound(bound):
+    return st.find_hyperbolic_AT(st.unit_vector(24, st.E1), st.unit_vector(24, st.F1), bound)
 
 
 def _rows(error, values, *entries):
@@ -59,6 +67,8 @@ TABLE = (
     + _rows(InvalidDegree, (8.5, Fraction(200), "200", True, 0, -5, 7), vf.run_all)
     + _rows(UnknownLattice, (14.0, Fraction(14), 5, True, 0, "Gammma", "LambdaD(0)",
                              "LambdaD(-4)", "LambdaD(7)", "LambdaD(14.0)"), st.standard_lattice)
+    + _rows(InvalidDegree, (1.5, Fraction(1), "1", True), mk.mukai_vector_line)
+    + _rows(InvalidBound, (2.5, 4.0, Fraction(4), "4", True, -1), hyperbolic_bound)
 )
 
 

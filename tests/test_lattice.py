@@ -468,12 +468,13 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
     # on the C11 sample the saturated outputs have entries of at most 16
     # bits, so intermediate growth past 64 bits means the pivot rule or the
     # triangular solve has regressed.  Saturation is one echelon
-    # U * S^T = H of shape (n, k), then the forward substitution
-    # S[p_i] = sum_{j <= i} H[j][p_i] * W[j] over the pivot columns p_i of H,
-    # then the Hermite reduction of W.  Tracked: the entries of H and U, every
-    # partial remainder of the substitution (rebuilt from S, H and the W
-    # handed to `hnf_rows`) and W itself; the (n, k) echelon must be the only
-    # one the saturation runs.
+    # U * S^T = H on the rows of S^T that are not zero, of shape (m, k) for
+    # the m coordinates where some generator is nonzero, then the forward
+    # substitution S[p_i] = sum_{j <= i} H[j][p_i] * W[j] over the pivot
+    # columns p_i of H, then the Hermite reduction of W.  Tracked: the
+    # entries of H and U, every partial remainder of the substitution
+    # (rebuilt from S, H and the W handed to `hnf_rows`) and W itself; the
+    # (m, k) echelon must be the only one the saturation runs.
     echelon, hnf = la.row_echelon_transform, la.hnf_rows
     widest = [0]
     shapes, echelons, solved = [], [], []
@@ -498,7 +499,7 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
         echelons.clear()
         solved.clear()
         saturation(S)
-        assert shapes == [(amb.rank, k)]
+        assert shapes == [(sum(map(any, zip(*rows))), k)]
         assert len(solved) == 1
         (H, _, r), W = echelons[0], solved[0]
         assert r == len(W) == k

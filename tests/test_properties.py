@@ -183,6 +183,65 @@ def test_saturation_matches_double_kernel_oracle(name, k, kind, seed):
                 route(S)
 
 
+@given(
+    hyp.sampled_from(["Gammabar", "LambdaTilde"]),
+    hyp.integers(min_value=1, max_value=4),
+    hyp.sampled_from(["independent", "dependent", "zero row", "zero"]),
+    hyp.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_saturation_of_generators_on_a_coordinate_support(name, k, kind, seed):
+    # the echelon of S^T runs only on the coordinates where some generator
+    # is nonzero.  Here the generators vanish off a random support of at
+    # least k coordinates, so that the echelon drops rows of S^T.  Both
+    # routes must agree with the oracles, and the saturation of the rows
+    # padded by zeros must be the padded saturation in the lattice on the
+    # support, with the same index.  "dependent" appends a combination of
+    # the rows, "zero row" an all-zero row, and "zero" is k all-zero rows
+    rng = random.Random(seed)
+    amb = standard_lattice(name)
+    support = sorted(rng.sample(range(amb.rank), rng.randint(k, amb.rank)))
+    G = amb.gram.data
+    small = GramLattice.from_rows([[G[i][j] for j in support] for i in support])
+    if kind == "zero":
+        short = [[0] * len(support) for _ in range(k)]
+    else:
+        short = [list(r) for r in _random_independent(rng, small, k)]
+        while True:  # a random nonsingular mix puts |det T| into the index
+            T = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+            if oracles.det_bareiss(T):
+                break
+        short = oracles.matmul(T, short)
+        if kind == "dependent":
+            c = [rng.randint(-3, 3) for _ in range(k)]
+            short.append(oracles.matmul([c], short)[0])
+        elif kind == "zero row":
+            short.insert(rng.randint(0, k), [0] * len(support))
+
+    def pad(row):
+        full = [0] * amb.rank
+        for c, e in zip(support, row):
+            full[c] = e
+        return full
+
+    def padded(sub):
+        return [pad(r) for r in sub.basis.data]
+
+    rows = [pad(r) for r in short]
+    sat = saturate_rows(amb, rows)
+    assert sat == oracles.saturate_rows(amb, rows)
+    assert sat.basis.to_lists() == padded(saturate_rows(small, short))
+    S = Sublattice(amb, IntMatrix.from_rows(rows))
+    if kind == "independent":
+        (sat, idx), (part, part_idx) = saturation(S), saturation(span_sublattice(small, short))
+        assert (sat, idx) == oracles.saturation(S)
+        assert sat.basis.to_lists() == padded(part) and idx == part_idx
+    else:
+        for route in (saturation, oracles.saturation):
+            with pytest.raises(DependentGenerators):
+                route(S)
+
+
 @given(hyp.integers(min_value=2, max_value=120))
 @settings(max_examples=40, deadline=None)
 def test_signature_matches_rational_diagonalization(seed):
