@@ -7,9 +7,11 @@ A positive even d is classified by the chain
 where (*) is the residue test d = 0, 2 (mod 6), (**') asks for a vector of
 square d in A2, (**) for a primitive one, and (***) for the square
 presentation d = (2n^2+2n+2)/a^2.  The A2 tests and the (**) witness run on
-one prime factorization of d/2; the (***) witness comes from the Pell
-solver, which `condition_flags` runs only where (**) holds (the implication
-(***) => (**) is a check of `verify` instead).
+one prime factorization of d/2, by `_factorize`: trial division by the
+primes below 2^10, then deterministic Miller-Rabin and Pollard-Brent, so
+that every d/2 below 2^63 is factored in milliseconds.  The (***) witness
+comes from the Pell solver, which `condition_flags` runs only where (**)
+holds (the implication (***) => (**) is a check of `verify` instead).
 
 The table's `pell_3p2` column, Brakkee's 3p^2 - (d/6) q^2 = -1 for
 d = 0 (mod 6), is the solvability of x^2 + 3 = D y^2 with x = 3p, y = q,
@@ -39,6 +41,7 @@ factored once, and every d is answered the same way.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -50,23 +53,122 @@ from .lattice import json_int
 CLI_INPUT_CAP = 2**63
 
 
+def _primes_below(n: int) -> tuple[int, ...]:
+    # the sieve of Eratosthenes
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+_SMALL_PRIMES = _primes_below(2**10)  # the 172 primes below 2^10
+# the first 13 primes, 2..41, decide primality for every n below psi_13
+_MR_BASES = _SMALL_PRIMES[:13]
+_PSI13 = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    # deterministic Miller-Rabin with the bases 2..41, for odd n with
+    # 41 < n < psi_13
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    t = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    # a proper factor of an odd composite n: Pollard's rho on
+    # x -> x^2 + c with Brent's cycle finding, the products of m
+    # differences taken modulo n between gcds; c = 1, 2, ... until the
+    # cycle splits n (each c ends, as the walk mod n is eventually periodic)
+    m = 128
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            # the batch overshot: step from its start one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def _factorize(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of n >= 1, primes ascending.
+
+    Trial division by the 172 primes below 2^10 comes first, and a cofactor
+    below 2^20 that it leaves is prime.  A larger cofactor c is tested by
+    deterministic Miller-Rabin with the first 13 prime bases 2, ..., 41,
+    which is a proof of primality for c < psi_13 =
+    3,317,044,064,679,887,385,961,981 (Sorenson-Webster, Math. Comp. 86
+    (2017), arXiv 1509.00864; the first 12 bases are fooled by
+    psi_12 = 399165290221 * 798330580441).  A composite is split by
+    Pollard's rho with Brent's cycle finding (Brent, BIT 20 (1980)) until
+    every factor is proven prime.  Every n below 2^63 lies below psi_13; a
+    cofactor at or above it is reduced by odd trial division first, the
+    only proven route there.
+    """
     if n >= CLI_INPUT_CAP:
         warnings.warn(
-            "trial-division factorization beyond 64 bits may be very slow",
+            "factoring beyond 64 bits: a cofactor of 3.3e24 or more is"
+            " trial-divided and may be very slow",
             RuntimeWarning,
             stacklevel=3,
         )
     out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            if n > 1:
+                out[n] = 1
+            return out
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    # no prime factor of n lies below 2^10
+    p = _SMALL_PRIMES[-1] + 2
+    while n >= _PSI13 and p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+        p += 2
+    large: dict[int, int] = {}
+    stack = [n] if n > 1 else []
+    while stack:
+        c = stack.pop()
+        if c < 2**20 or c >= _PSI13 or _is_prime(c):
+            large[c] = large.get(c, 0) + 1
+        else:
+            g = _pollard_brent(c)
+            stack += [g, c // g]
+    return out | dict(sorted(large.items()))
 
 
 def a2_represents(d: int, primitive: bool = False) -> bool:

@@ -22,9 +22,30 @@ with period L, so a hit at an odd index j < L recurs at k = j + L, which is
 even only when L is odd; but then the symmetry Q_i = Q_(L-i) of the period
 puts a hit at the even index L - j - 2 < L as well.  Hence the least
 solution is the least even hit in the first period, and a period without
-one is the proof that there is none: no bound on y is needed.  The walk
-stops at its first even hit and builds that one convergent, by binary
-splitting of the matrix product of the partial quotients.
+one is the proof that there is none: no bound on y is needed.
+
+The walk stops at its first even hit, or at the middle of the period.  The
+period is symmetric: Q_i = Q_(L-i) and m_i = m_(L+1-i), so a_i = a_(L-i)
+for 0 < i < L, and a hit at k mirrors to one at L - 2 - k, of the same
+parity for even L and of the other for odd L.  The middle shows in two
+tests, whose first success within the period is there:
+
+- m_(i+1) = m_i means L = 2i.  A hit k >= i mirrors to one at
+  L - 2 - k <= i - 2 of the same parity, so a first half with no even hit
+  proves there is none.
+- Q_(i+1) = Q_i means L = 2i + 1.  An even hit k >= i mirrors an odd hit
+  L - 2 - k <= i - 1, so the least even hit of the period is the mirror
+  L - 2 - k of the last odd hit k of the first half, if there is one.  Its
+  quotients past a_i are a_i, a_(i-1), ..., a_(k+2), read back from the
+  stored half.
+
+No caller in the library reaches the odd branch.  The period is odd exactly
+when x^2 - D y^2 = -1 is solvable, and neither D = 2d (4 | D, and -1 is
+not a square mod 4) nor D = d/2 (3 | D, and -1 is not a square mod 3)
+admits that.  The branch serves the rest of the domain, D = 13, 61 and 97
+among it, where the answer is a mirrored odd hit.  Either way the one
+convergent is built by binary splitting of the matrix product of the
+partial quotients.
 
 For square D the equation factors.  The six nonsquare D <= 9 are too small
 for the convergent argument and are pinned in `_SMALL`; the unit-bounded
@@ -74,16 +95,32 @@ def least_solution(D: int) -> tuple[int, int] | None:
         return (1, 2 // s) if s in (1, 2) else None
     if D <= 9:
         return _SMALL[D]
-    # quotients holds a_0..a_j; Q_(j+1) = 3 at even j is the least solution
+    # quotients holds a_0..a_j, and Q_(j+1) = 3 at even j is the least
+    # solution; the walk ends at the middle of the period
     m, den, a = 0, 1, s
     quotients = [s]
-    while a != 2 * s:
-        m = den * a - m
-        den = (D - m * m) // den
-        if den == 3 and len(quotients) % 2:
-            p, _, q, _ = _cf_product(quotients)
-            assert p * p - D * q * q == -3
-            return p, q
+    odd_hit = None  # the last odd j with Q_(j+1) = 3
+    while True:
+        m_next = den * a - m
+        den_next = (D - m_next * m_next) // den
+        if m_next == m:
+            return None  # the middle of an even period
+        if den_next == den:
+            # the middle of an odd period: the least even hit mirrors the
+            # last odd one, k, and its quotients past a_j are a_j, a_(j-1),
+            # ..., a_(k+2)
+            if odd_hit is None:
+                return None
+            quotients += quotients[:odd_hit + 1:-1]
+            break
+        m, den = m_next, den_next
+        if den == 3:
+            j = len(quotients) - 1
+            if j % 2 == 0:
+                break
+            odd_hit = j
         a = (s + m) // den
         quotients.append(a)
-    return None
+    p, _, q, _ = _cf_product(quotients)
+    assert p * p - D * q * q == -3
+    return p, q

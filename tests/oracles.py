@@ -273,6 +273,21 @@ def witness_ss(d):
     return None
 
 
+def factorize(n):
+    """{p: e} of n >= 1, primes ascending, by trial division by 2 and by
+    every odd number up to the square root of what is left."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def sqrt_cf(D):
     """(a0, period) of sqrt(D), nonsquare D, from the (m, den) recurrence."""
     a0 = math.isqrt(D)
@@ -457,19 +472,12 @@ def disc_forms_isomorphic(F1: DiscForm, F2: DiscForm, cap: int = 10_000) -> bool
         for i in range(k)
     ]
 
+    # the images generate Z/o_1 + ... + Z/o_k iff with the relations they
+    # span Z^k, that is iff their Hermite basis is the identity
+    relations = [[o if j == i else 0 for j in range(k)] for i, o in enumerate(F2.orders)]
+
     def images_generate(images) -> bool:
-        seen = {tuple(0 for _ in range(k))}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for el in frontier:
-                for img in images:
-                    new = tuple((a + b) % o for a, b, o in zip(el, img, F2.orders))
-                    if new not in seen:
-                        seen.add(new)
-                        nxt.append(new)
-            frontier = nxt
-        return len(seen) == n
+        return la.hnf_rows([list(im) for im in images] + relations) == la.identity(k)
 
     def extend(i, chosen):
         if i == k:

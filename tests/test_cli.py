@@ -221,7 +221,7 @@ class TestLargeIntegers:
         from cubick3 import cli, standard
 
         d = 3 * 2**70
-        with pytest.warns(RuntimeWarning):  # trial division past 64 bits
+        with pytest.warns(RuntimeWarning):  # factoring past 64 bits
             report = cli.build_report(d)
 
         def ints(x):

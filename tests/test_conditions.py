@@ -1,5 +1,7 @@
 """Condition classifiers, witness solvers, and the table generator."""
 
+import random
+import signal
 import time
 from fractions import Fraction
 from math import isqrt
@@ -20,7 +22,7 @@ from cubick3 import (
     witness_ss,
     witness_sss,
 )
-from cubick3 import pell
+from cubick3 import conditions, pell
 from cubick3.cli import build_report
 from cubick3.conditions import CSV_COLUMNS, csv_row
 import oracles
@@ -45,6 +47,76 @@ class TestA2Represents:
         # smooth power of two, so the factorization itself is instant
         with pytest.warns(RuntimeWarning):
             assert a2_represents(2**65) is True  # 2^64 = (2^32)^2
+
+
+class TestFactorize:
+    # the 12th and 13th primes bound deterministic Miller-Rabin: psi_12 is a
+    # strong pseudoprime to every prime base up to 37, and 3825123056546413051
+    # to every one up to 23
+    PSI12 = 318665857834031151167461
+    SPSP23 = 3825123056546413051
+
+    def test_matches_trial_division_to_2e5(self):
+        for n in range(1, 200_001):
+            assert conditions._factorize(n) == oracles.factorize(n), n
+
+    def test_matches_trial_division_around_2_20(self):
+        # the cofactor below 2^20 is prime; at 2^20 Miller-Rabin takes over
+        for n in range(2**20 - 2000, 2**20 + 2000):
+            assert conditions._factorize(n) == oracles.factorize(n), n
+
+    def test_primes_ascend(self):
+        for n in (3 * 1031 * 1033, 1031**2 * 2**31, self.SPSP23, 2**61 - 1):
+            got = conditions._factorize(n)
+            assert list(got) == sorted(got), n
+
+    def test_matches_sympy_on_a_seeded_sample(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random("factorize")
+        near_2_31 = [sympy.nextprime(2**31 + rng.randrange(-2**20, 2**20)) for _ in range(8)]
+        above_2_10 = [1031, 1033, sympy.prevprime(2**21), sympy.nextprime(2**31 + 11)]
+        sample = (
+            [near_2_31[i] * near_2_31[i + 1] for i in range(0, 8, 2)]
+            + [p * p for p in above_2_10] + [p**3 for p in above_2_10[:3]]
+            + [2 * 1031**2 * 1033, self.SPSP23, 1031 * sympy.prevprime(2**52)]
+            + list(range(2**20 - 5, 2**20 + 6)) + list(range(2**63 - 10, 2**63))
+            + [rng.randrange(2, 2**63) for _ in range(16)]
+        )
+        assert max(sample) < 2**63
+
+        def on_alarm(signum, frame):
+            raise TimeoutError("the sample took more than 60 s")
+
+        old = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(60)
+        try:
+            for n in sample:
+                assert conditions._factorize(n) == sympy.factorint(n), n
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    def test_psi12_is_composite(self, monkeypatch):
+        with pytest.warns(RuntimeWarning):  # psi_12 is past 2^63
+            assert conditions._factorize(self.PSI12) == {399165290221: 1, 798330580441: 1}
+        assert not conditions._is_prime(self.PSI12)
+        assert not conditions._is_prime(self.SPSP23)
+        # the 13th base, 41, is the one that decides psi_12
+        monkeypatch.setattr(conditions, "_MR_BASES", conditions._MR_BASES[:12])
+        assert conditions._is_prime(self.PSI12)
+        monkeypatch.setattr(conditions, "_MR_BASES", conditions._MR_BASES[:9])
+        assert conditions._is_prime(self.SPSP23)
+
+    def test_cofactor_past_psi13_is_trial_divided(self):
+        # 1031^9 > psi_13: odd trial division takes every 1031 out
+        q = 3317044064679887385941  # the largest prime below psi_13 / 1000
+        with pytest.warns(RuntimeWarning):
+            assert conditions._factorize(1031**9) == {1031: 9}
+            # then the cofactor below psi_13 goes to Miller-Rabin, and
+            # Pollard-Brent where it is composite
+            assert conditions._factorize(6 * 1031 * q) == {2: 1, 3: 1, 1031: 1, q: 1}
+            assert conditions._factorize(1031 * 1033 * self.PSI12) == {
+                1031: 1, 1033: 1, 399165290221: 1, 798330580441: 1}
 
 
 class TestA2Bruteforce:

@@ -10,12 +10,17 @@ Fraction(14) pass a bare parity or residue test, and "14" breaks it with a
 bound of `find_hyperbolic_AT` any int of at least 0, so only their type and
 sign are refused.
 
-This is the out-of-domain half of the contract test of ROADMAP item 2.  The
-in-domain half, an answer or a typed error in bounded time for every large
-even d, waits for that item's factorization and per-call budget.
+This is the out-of-domain half of the contract test of ROADMAP item 3.  Of
+the in-domain half, a second table holds the entry points that answer from
+the factorization of d/2 alone, on two d of the CLI domain where d/2 has a
+prime factor above 2^50: each must answer, under a 2-s alarm.  Trial
+division did not finish there within 5 s.  `condition_flags` and `classify`
+stay out of it, as on these d they walk a Pell period near 2^31; the rest
+of the in-domain half waits for the per-call budget of that item.
 """
 
 import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -72,8 +77,18 @@ TABLE = (
 )
 
 
-def _on_alarm(signum, frame):
-    raise TimeoutError(f"no answer within {ALARM_S} s")
+@contextmanager
+def _alarm(seconds):
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.mark.parametrize(
@@ -81,11 +96,25 @@ def _on_alarm(signum, frame):
     [pytest.param(f, error, v, id=f"{f.__name__}-{v!r}") for f, error, v in TABLE],
 )
 def test_out_of_domain_raises_its_typed_error(f, error, value):
-    old = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(ALARM_S)
-    try:
-        with pytest.raises(error):
-            f(value)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
+    with _alarm(ALARM_S), pytest.raises(error):
+        f(value)
+
+
+# d/2 = 103 * 4245924680514079 and 19 * 216424186573972837, both (**)
+IN_DOMAIN = (
+    (st.genus_compare, 874660484185900274, True),
+    (st.genus_compare, 8224119089810967806, True),
+    (cond.a2_represents, 874660484185900274, True),
+    (cond.a2_represents, 8224119089810967806, True),
+    (cond.witness_ss, 874660484185900274, (122250892018012, 34173901461)),
+    (cond.witness_ss, 8224119089810967806, (350623887762891803, 29896724336658571)),
+)
+
+
+@pytest.mark.parametrize(
+    "f, d, want",
+    [pytest.param(f, d, want, id=f"{f.__name__}-{d}") for f, d, want in IN_DOMAIN],
+)
+def test_in_domain_answers_within_the_alarm(f, d, want):
+    with _alarm(2):
+        assert f(d) == want

@@ -4,6 +4,8 @@ import random
 import time
 from math import isqrt
 
+import pytest
+
 from cubick3.pell import least_solution
 import oracles
 
@@ -71,7 +73,7 @@ def test_matches_two_period_oracle():
 
 def test_long_period_within_budget():
     # D = 2d for d = 2p, p = 68719476619 prime: a period of 295,212 terms
-    # without an even hit, all of it walked
+    # without an even hit, of which the first half is walked
     start = time.perf_counter()
     res = least_solution(4 * 68719476619)
     assert time.perf_counter() - start < 6
@@ -97,3 +99,20 @@ def test_least_solution_matches_full_period_on_large_d():
 def test_least_solution_small_and_square():
     for D in range(1, 50):
         assert least_solution(D) == oracles.solve_minus3(D)[0], D
+
+
+@pytest.mark.parametrize("D", [13, 61, 97])
+def test_mirrored_odd_hit(D):
+    # odd periods whose least even hit lies past the middle, the mirror
+    # L - 2 - k of the last odd hit k of the first half
+    a0, period = oracles.sqrt_cf(D)
+    assert len(period) % 2 == 1
+    assert least_solution(D) == oracles.least_even_hit(D, a0, period)
+
+
+def test_mid_period_stop_matches_full_period():
+    # every nonsquare D in (9, 5000], odd and even periods alike: the walk
+    # that stops at the middle of the period against the whole period
+    for D in range(10, 5001):
+        if isqrt(D) ** 2 != D:
+            assert least_solution(D) == oracles.least_even_hit(D, *oracles.sqrt_cf(D)), D
