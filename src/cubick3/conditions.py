@@ -131,15 +131,9 @@ def _factorize(n: int) -> dict[int, int]:
     Pollard's rho with Brent's cycle finding (Brent, BIT 20 (1980)) until
     every factor is proven prime.  Every n below 2^63 lies below psi_13; a
     cofactor at or above it is reduced by odd trial division first, the
-    only proven route there.
+    only proven route there, and that route alone warns that it may be
+    very slow.
     """
-    if n >= CLI_INPUT_CAP:
-        warnings.warn(
-            "factoring beyond 64 bits: a cofactor of 3.3e24 or more is"
-            " trial-divided and may be very slow",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
@@ -153,6 +147,12 @@ def _factorize(n: int) -> dict[int, int]:
                 e += 1
             out[p] = e
     # no prime factor of n lies below 2^10
+    if n >= _PSI13:
+        warnings.warn(
+            "a cofactor of 3.3e24 or more is trial-divided and may be very slow",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     p = _SMALL_PRIMES[-1] + 2
     while n >= _PSI13 and p * p <= n:
         while n % p == 0:

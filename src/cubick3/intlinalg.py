@@ -14,6 +14,7 @@ as the transform U.  All arithmetic is exact.
 from __future__ import annotations
 
 import math
+from itertools import compress, count
 
 
 def identity(n: int) -> list[list[int]]:
@@ -164,7 +165,17 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
 
     Pivots are positive and the entries above each pivot are reduced into
     [0, pivot), so two generating sets of the same lattice give identical
-    output.
+    output, and a canonical Hermite basis (see `hermite_pivots`) comes back
+    as it is:
+
+    >>> hnf_rows([[2, 4, 1], [2, 1, -2]])
+    [[2, 1, -2], [0, 3, 3]]
+    >>> hnf_rows([[0, 3, 3], [2, 4, 1], [4, 5, -1]])
+    [[2, 1, -2], [0, 3, 3]]
+    >>> hermite_pivots([[2, 1, -2], [0, 3, 3]])
+    [0, 1]
+    >>> hnf_rows([[2, 1, -2], [0, 3, 3]])
+    [[2, 1, -2], [0, 3, 3]]
     """
     if not rows:
         return []
@@ -183,6 +194,38 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
                 for col in range(j, n):  # row i is zero left of its pivot
                     H[k][col] -= q * H[i][col]
     return H
+
+
+def hermite_pivots(rows) -> list[int] | None:
+    """The pivot columns of rows that are already a canonical Hermite basis, else None.
+
+    Canonical is what `hnf_rows` returns: no zero row, pivots (the first
+    nonzero entry of each row) in strictly increasing columns and positive,
+    and every entry above a pivot in [0, pivot).  The scan stops at the
+    first violation.
+
+    >>> hermite_pivots([[2, 1, 0], [0, 0, 3]])
+    [0, 2]
+    >>> hermite_pivots([[2, 1, 3], [0, 0, 3]]) is None  # 3 above the pivot 3
+    True
+    >>> hermite_pivots([[0, 1], [1, 0]]) is None  # pivot columns decrease
+    True
+    """
+    pivots = []
+    last = -1
+    for i, row in enumerate(rows):
+        j = next(compress(count(), row), None)  # column of the first nonzero entry
+        if j is None or j <= last:
+            return None
+        p = row[j]
+        if p < 0:
+            return None
+        for above in rows[:i]:
+            if not 0 <= above[j] < p:
+                return None
+        pivots.append(j)
+        last = j
+    return pivots
 
 
 def left_kernel(A: list[list[int]]) -> list[list[int]]:

@@ -13,12 +13,16 @@ that produces it.  Saturation is one echelon U * S^T = H of the generators,
 run on the coordinates where some generator is nonzero:
 its rank decides independence, the product of the diagonal of H is the
 index [sat : S], and a forward substitution against H with exact divisions
-gives a basis of the saturation (see `saturation`).  Complements are one
-`left_kernel`.  Saturations and complements come back as canonical
-Hermite bases, so equal lattices have equal bases, and membership is
-Hermite equality: v lies in the lattice with Hermite basis H exactly when
-the Hermite basis of H + [v] is H again (a non-integral vector is never a
-member).  Determinants are the signed diagonal of one `row_echelon`.
+gives a basis of the saturation (see `saturation`).  A basis that is
+already a canonical Hermite basis, as every saturation and complement
+returned here is, skips that echelon: a pivot 1 sits alone in its column,
+so it splits off as an elementary divisor 1, and only the rows with a
+pivot above 1 are echeloned, on the columns that are not unit pivots.
+Complements are one `left_kernel`.  Saturations and complements come back
+as canonical Hermite bases, so equal lattices have equal bases, and
+membership is Hermite equality: v lies in the lattice with Hermite basis H
+exactly when the Hermite basis of H + [v] is H again (a non-integral
+vector is never a member).  Determinants are the signed diagonal of one `row_echelon`.
 `disc_group` reads degeneracy off the zero of the Smith diagonal and stays
 in integers: generator i is the Smith column c_i over its order n_i, and
 its q-value is the numerator (c_i . c_i) / n_i mod 2 n_i over n_i.
@@ -346,9 +350,7 @@ def disc_group(L: GramLattice) -> DiscGroup:
 
 def span_sublattice(amb: GramLattice, vecs) -> Sublattice:
     rows = [as_vector(v) for v in vecs]
-    for row in rows:
-        if len(row) != amb.rank:
-            raise ValueError("vector length does not match the ambient rank")
+    _check_lengths(amb, rows)
     if la.rank_int(rows) != len(rows):
         raise DependentGenerators("generators are linearly dependent")
     return Sublattice(amb, IntMatrix(tuple(rows)))
@@ -380,6 +382,18 @@ def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     the basis canonical.  For a dependent generating list (`saturate_rows`)
     the same solve runs on the generators at the pivot columns of H.
 
+    A basis that is already a canonical Hermite basis (`hermite_pivots`)
+    is read first.  A pivot 1 sits in a unit column: the entries above it
+    lie in [0, 1) and those below it are 0.  Column operations with that
+    column clear the rest of its row and touch no other row, so the
+    elementary divisors of S are some 1s and those of S', the rows with a
+    pivot above 1 on the columns that are not unit pivots, and
+    [sat : S] = [sat(S') : S'].  The echelon of S'^T alone (for a
+    complement, usually one row by at most four columns; nothing when
+    every pivot is 1) gives that index.  At index 1, S is its own
+    saturation and its basis is already canonical, so S comes back as it
+    is; at a larger index the echelon of S^T above runs as for any basis.
+
     K_d is the saturation of the span of h^2 and the Noether-Lefschetz
     vector in Gammabar, of |det| = d; the span has index 3 in it for
     d = 2 (mod 6) and is saturated for d = 0 (mod 6):
@@ -393,17 +407,41 @@ def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     >>> index, K12.abs_det
     (1, 12)
     """
-    sat, H, r = _saturate(S.ambient, S.basis.data)
+    rows = S.basis.data
+    pivots = la.hermite_pivots(rows)
+    if pivots is not None and _hermite_index(rows, pivots) == 1:
+        _check_lengths(S.ambient, rows)
+        return S, 1
+    sat, H, r = _saturate(S.ambient, rows)
     if r < S.rank:
         raise DependentGenerators("sublattice basis is linearly dependent")
     return sat, math.prod(H[i][i] for i in range(r))
 
 
+def _hermite_index(rows, pivots) -> int:
+    # [sat : S] = [sat(S') : S'] for a canonical Hermite basis S with these
+    # pivot columns (see `saturation`): S' is the rows with a pivot > 1 on
+    # the columns that are not unit pivots, echeloned on its nonzero columns
+    unit = {j for row, j in zip(rows, pivots) if row[j] == 1}
+    tall = [row for row, j in zip(rows, pivots) if row[j] != 1]
+    if not tall:
+        return 1
+    cols = [c for j, c in enumerate(zip(*tall)) if j not in unit and any(c)]
+    H, _, _ = la.row_echelon(cols, len(tall))
+    return math.prod(H[i][i] for i in range(len(tall)))
+
+
+def _check_lengths(amb: GramLattice, rows):
+    n = amb.rank
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("vector length does not match the ambient rank")
+
+
 def _saturate(amb: GramLattice, rows):
     # (saturation, echelon H of rows^T, rank); no rows give the rank-0 lattice
     n = amb.rank
-    if any(len(row) != n for row in rows):
-        raise ValueError("vector length does not match the ambient rank")
+    _check_lengths(amb, rows)
     # a coordinate where every generator vanishes is a zero row of rows^T:
     # never a pivot and never changed, so it is left out of the echelon.
     # Only U changes, and U is not used; H, whose columns index generators,
@@ -435,9 +473,7 @@ def _saturate(amb: GramLattice, rows):
 def orthogonal_complement(amb: GramLattice, vecs) -> Sublattice:
     """The saturated sublattice of everything pairing to zero with the given vectors."""
     W = [list(as_vector(v)) for v in vecs]
-    for row in W:
-        if len(row) != amb.rank:
-            raise ValueError("vector length does not match the ambient rank")
+    _check_lengths(amb, W)
     cols = [amb.basis_pairings(w) for w in W]  # G * W^T, one column per vector
     # indexed by rank, not transposed, so that no vectors still give rank rows
     basis = la.left_kernel([[c[i] for c in cols] for i in range(amb.rank)])

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -216,12 +217,14 @@ class TestLargeIntegers:
 
     def test_library_json_beyond_the_cli_bound(self):
         # d = 3 * 2^70 is past the CLI's bound of 2^63; d/2 = 3 * 2^69
-        # factors at once.  Every integer above 64 bits of the three
-        # library reports is a decimal string.
+        # factors at once, with no trial division and so no warning.  Every
+        # integer above 64 bits of the three library reports is a decimal
+        # string.
         from cubick3 import cli, standard
 
         d = 3 * 2**70
-        with pytest.warns(RuntimeWarning):  # factoring past 64 bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = cli.build_report(d)
 
         def ints(x):

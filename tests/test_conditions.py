@@ -3,6 +3,7 @@
 import random
 import signal
 import time
+import warnings
 from fractions import Fraction
 from math import isqrt
 
@@ -44,8 +45,15 @@ class TestA2Represents:
             a2_represents(7)
 
     def test_large_input_warns(self):
-        # smooth power of two, so the factorization itself is instant
+        # only a cofactor of psi_13 or more is trial-divided, and only that
+        # warns: 1031 * p, for p the largest prime below psi_13, gives up
+        # 1031 at the first trial division and leaves p to Miller-Rabin
+        p = 3317044064679887385961813
         with pytest.warns(RuntimeWarning):
+            assert a2_represents(2 * 1031 * p) is False  # 1031 = 2 (mod 3)
+        # past 2^63, but the primes below 2^10 factor it: no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert a2_represents(2**65) is True  # 2^64 = (2^32)^2
 
 
@@ -97,7 +105,8 @@ class TestFactorize:
             signal.signal(signal.SIGALRM, old)
 
     def test_psi12_is_composite(self, monkeypatch):
-        with pytest.warns(RuntimeWarning):  # psi_12 is past 2^63
+        with warnings.catch_warnings():  # past 2^63 but below psi_13: no warning
+            warnings.simplefilter("error")
             assert conditions._factorize(self.PSI12) == {399165290221: 1, 798330580441: 1}
         assert not conditions._is_prime(self.PSI12)
         assert not conditions._is_prime(self.SPSP23)

@@ -3,6 +3,7 @@
 import doctest
 
 import cubick3.conditions
+import cubick3.intlinalg
 import cubick3.lattice
 import cubick3.mukai
 import cubick3.pell
@@ -11,8 +12,8 @@ import cubick3.standard
 
 def test_doctests():
     attempted = 0
-    for mod in (cubick3.conditions, cubick3.lattice, cubick3.mukai, cubick3.pell,
-                cubick3.standard):
+    for mod in (cubick3.conditions, cubick3.intlinalg, cubick3.lattice, cubick3.mukai,
+                cubick3.pell, cubick3.standard):
         result = doctest.testmod(mod)
         assert result.failed == 0, mod.__name__
         attempted += result.attempted

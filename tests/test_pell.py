@@ -10,14 +10,27 @@ from cubick3.pell import least_solution
 import oracles
 
 
+# D*y^2 - 3 = x^2 makes D*y^2 - 3 a square modulo any M, so only the y in
+# the residue classes mod M where it is one can solve the equation
+SIEVE_M = 8 * 9 * 5 * 7
+SQUARES_MOD_M = frozenset(x * x % SIEVE_M for x in range(SIEVE_M))
+
+
 def brute_least(D, ymax):
-    for y in range(1, ymax):
-        t = D * y * y - 3
-        if t <= 0:
-            continue
-        x = isqrt(t)
-        if x * x == t:
-            return (x, y)
+    # the least solution with y < ymax, visiting y in increasing order but
+    # only in the classes mod SIEVE_M that the squares allow
+    classes = [r for r in range(SIEVE_M) if (D * r * r - 3) % SIEVE_M in SQUARES_MOD_M]
+    for base in range(0, ymax, SIEVE_M):
+        for r in classes:
+            y = base + r
+            if y >= ymax:
+                return None
+            t = D * y * y - 3
+            if t <= 0:
+                continue
+            x = isqrt(t)
+            if x * x == t:
+                return (x, y)
     return None
 
 
@@ -54,8 +67,8 @@ def test_against_oracle():
         else:
             x, y = got
             assert x * x - D * y * y == -3
-            if want is not None:
-                assert got == want
+            if want is not None or y < 20000:
+                assert got == want, D
 
 
 def test_small_d_translate_case():

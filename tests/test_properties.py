@@ -242,6 +242,160 @@ def test_saturation_of_generators_on_a_coordinate_support(name, k, kind, seed):
                 route(S)
 
 
+def _hermite_brute(rows):
+    # canonical Hermite, restated: every row has a first nonzero entry, and
+    # these pivots are positive, in strictly increasing columns, with every
+    # entry above each of them in [0, pivot)
+    pivots = []
+    for row in rows:
+        nonzero = [j for j, e in enumerate(row) if e != 0]
+        if not nonzero:
+            return None
+        pivots.append(nonzero[0])
+    if any(a >= b for a, b in zip(pivots, pivots[1:])):
+        return None
+    for i, j in enumerate(pivots):
+        p = rows[i][j]
+        if p <= 0 or any(rows[k][j] < 0 or rows[k][j] >= p for k in range(i)):
+            return None
+    return pivots
+
+
+@given(
+    hyp.integers(min_value=1, max_value=4),
+    hyp.integers(min_value=1, max_value=6),
+    hyp.sampled_from(["raw", "hermite"]),
+    hyp.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_hermite_pivots_match_bruteforce(k, n, kind, seed):
+    # random matrices, and canonical Hermite bases with one entry nudged
+    # (which may or may not keep them canonical); the fixed point of
+    # `hnf_rows` is a second restatement
+    rng = random.Random(seed)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    if kind == "hermite":
+        rows = la.hnf_rows(rows) or [[0] * n]
+        i, j = rng.randrange(len(rows)), rng.randrange(n)
+        rows[i][j] += rng.choice([-1, 0, 1])
+    pivots = la.hermite_pivots(rows)
+    assert pivots == _hermite_brute(rows)
+    assert (pivots is not None) == (la.hnf_rows(rows) == rows)
+
+
+def test_hermite_pivots_reject_near_misses():
+    H = [[2, 1, 0, 4, 1], [0, 3, 0, 2, 0], [0, 0, 0, 5, 1]]
+    assert la.hermite_pivots(H) == _hermite_brute(H) == [0, 1, 3]
+    assert la.hermite_pivots([tuple(row) for row in H]) == [0, 1, 3]
+    assert la.hermite_pivots([]) == []
+    near_misses = {
+        "entry above a pivot equal to it": [[2, 3, 0, 4, 1], H[1], H[2]],
+        "entry above the last pivot equal to it": [H[0], [0, 3, 0, 5, 0], H[2]],
+        "negative entry above a pivot": [[2, -1, 0, 4, 1], H[1], H[2]],
+        "negative entry above the last pivot": [H[0], [0, 3, 0, -1, 0], H[2]],
+        "negative pivot": [H[0], [0, -3, 0, 2, 0], H[2]],
+        "negative first pivot": [[-2, 1, 0, 4, 1], H[1], H[2]],
+        "zero row": [H[0], [0] * 5, H[2]],
+        "zero last row": [H[0], H[1], H[2], [0] * 5],
+        "repeated pivot column": [H[0], H[1], [0, 3, 0, 5, 1]],
+        "decreasing pivot columns": [H[0], H[2], H[1]],
+    }
+    for name, rows in near_misses.items():
+        assert la.hermite_pivots(rows) is None, name
+        assert _hermite_brute(rows) is None, name
+        assert la.hnf_rows(rows) != rows, name
+
+
+def _unit_pivot_basis(rng, n, k, last_pivot):
+    # a canonical Hermite basis with pivots 1, except a last pivot of
+    # last_pivot: zeros left of each pivot and, above a unit pivot, in its
+    # column; entries above the last pivot in [0, last_pivot)
+    cols = sorted(rng.sample(range(n), k))
+    rows = []
+    for i, c in enumerate(cols):
+        row = [0] * n
+        for j in range(c + 1, n):
+            if j not in cols:
+                row[j] = rng.randint(-4, 4)
+        row[c] = 1
+        rows.append(row)
+    rows[-1][cols[-1]] = last_pivot
+    for row in rows[:-1]:
+        row[cols[-1]] = rng.randrange(last_pivot)
+    return rows
+
+
+@given(
+    hyp.sampled_from(["Gammabar", "LambdaTilde"]),
+    hyp.integers(min_value=1, max_value=4),
+    hyp.sampled_from(["hnf", "scaled", "unit", "last"]),
+    hyp.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=120, deadline=None)
+def test_saturation_of_hermite_bases_matches_oracle(name, k, kind, seed):
+    # canonical Hermite bases take the non-unit-pivot route: "hnf" is the
+    # Hermite basis of random rows (mostly index 1), "scaled" the Hermite
+    # basis after one of its rows is scaled by 2 or 3 (index > 1), "unit"
+    # has every pivot 1 (index 1), and "last" has one non-unit pivot, the
+    # last, of 2, 3 or 6
+    rng = random.Random(seed)
+    amb = standard_lattice(name)
+    if kind in ("hnf", "scaled"):
+        rows = la.hnf_rows([list(r) for r in _random_independent(rng, amb, k)])
+        if kind == "scaled":
+            i, f = rng.randrange(k), rng.choice([2, 3])
+            rows[i] = [f * e for e in rows[i]]
+            rows = la.hnf_rows(rows)
+    else:
+        rows = _unit_pivot_basis(rng, amb.rank, k, 1 if kind == "unit" else rng.choice([2, 3, 6]))
+    assert la.hermite_pivots(rows) is not None
+    S = Sublattice(amb, IntMatrix.from_rows(rows))
+    sat, idx = saturation(S)
+    assert (sat, idx) == oracles.saturation(S)
+    if kind == "scaled":
+        assert idx > 1
+    if kind == "unit":
+        assert idx == 1
+    if idx == 1:
+        assert sat.basis == S.basis
+
+
+def test_complement_saturation_echelons_only_non_unit_pivots(monkeypatch):
+    # complements come back as canonical Hermite bases of index 1: their
+    # saturation runs no `hnf_rows` and no full-width echelon, and echelons
+    # one matrix whose columns are the rows with a pivot > 1 (none when
+    # every pivot is 1)
+    from test_lattice import _c11_sample
+
+    calls = []
+
+    def forbidden(name):
+        def wrapper(*args):
+            raise AssertionError(f"{name} called")
+        return wrapper
+
+    echelon = la.row_echelon
+
+    def tracked(rows, n):
+        calls.append((len(rows[0]), n))
+        return echelon(rows, n)
+
+    seen = set()
+    for amb, rows in _c11_sample():
+        comp = orthogonal_complement(amb, rows)
+        tall = sum(row[j] > 1 for row, j in zip(comp.basis.data, la.hermite_pivots(comp.basis.data)))
+        seen.add(tall)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(la, "hnf_rows", forbidden("hnf_rows"))
+            m.setattr(la, "row_echelon_transform", forbidden("row_echelon_transform"))
+            m.setattr(la, "row_echelon", tracked)
+            sat, idx = saturation(comp)
+        assert idx == 1 and sat is comp
+        assert calls == ([(tall, tall)] if tall else [])
+    assert 0 in seen and len(seen) > 1
+
+
 @given(hyp.integers(min_value=2, max_value=120))
 @settings(max_examples=40, deadline=None)
 def test_signature_matches_rational_diagonalization(seed):
