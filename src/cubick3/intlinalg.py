@@ -8,7 +8,11 @@ elimination routine, `row_echelon`, is behind the Hermite bases, echelon
 transforms, kernels, ranks, determinants and the Smith normal form.  It
 applies each row operation to whole rows, so columns past the echelon ride
 along: a matrix X appended to A comes back as U*X, and an appended identity
-as the transform U.  All arithmetic is exact.
+as the transform U.  A kernel is read off a short suffix of the rows: once
+the rows A[j0:] span the same Z-module as all of A, the canonical kernel
+basis is [[I, Y], [0, T]], with T the kernel of the suffix and each row of Y
+one exact solve against the suffix's echelon (see `left_kernel`).  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -229,16 +233,97 @@ def hermite_pivots(rows) -> list[int] | None:
 
 
 def left_kernel(A: list[list[int]]) -> list[list[int]]:
-    """Canonical basis of {x in Z^m : x*A == 0}.
+    """Canonical basis of {x in Z^m : x*A == 0}, read off a suffix A[j0:] of the rows.
 
-    The kernel of a unimodular transform is saturated by construction: the
-    returned rows span every integer vector of the rational kernel.
+    For an m x k matrix A, take j0 so that the rows A[j0:] span the same
+    Z-module as all of A.  Then every row A_j with j < j0 has an integer
+    solution y_j of y * A[j0:] == -A_j, and the kernel K is the direct sum
+    of the rows e_j + y_j (j < j0) and of the kernel T of A[j0:] shifted
+    right by j0: a kernel vector x minus the sum of x_j * (e_j + y_j) is
+    zero left of j0.  The solution y_j is unique up to T, so there is one
+    with its entries at the pivot columns of T's Hermite basis in [0, pivot).
+    With that choice [[I_j0, Y], [0, T]] has positive pivots in increasing
+    columns and every entry above a pivot in [0, pivot): it is the canonical
+    Hermite basis of K, the one `hnf_rows` returns for any basis of it.
+
+    The suffix starts with k + 1 rows and is echeloned once, [A[j0:] | I] to
+    [H | U].  T is the Hermite basis of the rows of U past the rank.  When H
+    has rank k, its first k rows are square and a basis of the suffix's
+    span, so A_j lies in that span exactly when z_j = -A_j * H^-1, found by
+    forward substitution, is integral; then y_j = z_j * U[:k].  An inexact
+    division means the suffix is too short, and it doubles.  A suffix of
+    rank below k goes straight to j0 = 0, the whole of A, where there is no
+    y_j and the result is the Hermite basis of the rows of the transform
+    past the rank.  That kernel of a unimodular transform is saturated by
+    construction: the returned rows span every integer vector of the
+    rational kernel.
+
+    >>> left_kernel([[2, 0], [0, 3], [2, 3]])
+    [[1, 1, -1]]
+    >>> left_kernel([[1], [2], [3]])  # j0 = 1: y_0 = (1, -1), T = [[3, -2]]
+    [[1, 1, -1], [0, 3, -2]]
     """
     m = len(A)
     if m == 0:
         return []
-    _, U, r = row_echelon_transform(A)
-    return hnf_rows(U[r:])
+    k = len(A[0])
+    j0 = max(m - k - 1, 0)
+    while True:
+        H, U, r = row_echelon_transform(A[j0:])
+        if r < k and j0:
+            j0 = 0
+            continue
+        T = hnf_rows(U[r:])
+        Y = _suffix_solutions(A[:j0], H[:k], U[:k], T, m - j0)
+        if Y is not None:
+            break
+        j0 = max(2 * j0 - m, 0)
+    return [e + y for e, y in zip(identity(j0), Y)] + [[0] * j0 + t for t in T]
+
+
+def _suffix_solutions(rows, H, U, T, s) -> list[list[int]] | None:
+    """For each row a, the y of length s with y * A_s == -a, reduced by T; None when one is not integral.
+
+    H (square, upper triangular, positive diagonal) and U are the first
+    rows of the echelon U * A_s == H, and T is the Hermite basis of the
+    kernel of A_s.  The work runs down columns, over all rows at once:
+    z = -a * H^-1 by forward substitution, whose divisions are exact for
+    every a exactly when every row lies in the span of the suffix, then
+    y = z * U, then the reduction of each pivot column of T.
+    """
+    if not rows:
+        return []
+    k = len(H)
+    cols = transpose(rows)
+    Z = []
+    for i in range(k):
+        z = [-e for e in cols[i]]
+        for l in range(i):
+            h = H[l][i]
+            if h:
+                z = [a - h * b for a, b in zip(z, Z[l])]
+        p = H[i][i]
+        if p != 1:
+            if any(e % p for e in z):
+                return None
+            z = [e // p for e in z]
+        Z.append(z)
+    Y = []  # the columns of the solutions
+    for c in range(s):
+        y = [0] * len(rows)
+        for i in range(k):
+            u = U[i][c]
+            if u:
+                y = [a + u * b for a, b in zip(y, Z[i])]
+        Y.append(y)
+    for t in T:
+        p = next(compress(count(), t))
+        q = [e // t[p] for e in Y[p]]
+        if any(q):
+            for c in range(p, s):
+                if t[c]:
+                    Y[c] = [a - t[c] * b for a, b in zip(Y[c], q)]
+    return transpose(Y)
 
 
 def rank_int(A: list[list[int]]) -> int:

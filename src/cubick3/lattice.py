@@ -18,7 +18,10 @@ already a canonical Hermite basis, as every saturation and complement
 returned here is, skips that echelon: a pivot 1 sits alone in its column,
 so it splits off as an elementary divisor 1, and only the rows with a
 pivot above 1 are echeloned, on the columns that are not unit pivots.
-Complements are one `left_kernel`.  Saturations and complements come back
+Complements are one `left_kernel` of the pairing matrix G * W^T, which
+echelons only a suffix of its rows that spans the same module as all of
+them (k + 1 rows for k vectors, more when a division is inexact) and solves
+the other rows against it.  Saturations and complements come back
 as canonical Hermite bases, so equal lattices have equal bases, and
 membership is Hermite equality: v lies in the lattice with Hermite basis H
 exactly when the Hermite basis of H + [v] is H again (a non-integral

@@ -120,13 +120,26 @@ def solve_rational(A, b) -> list[Fraction] | None:
     return x
 
 
+def left_kernel(A: list[list[int]]) -> list[list[int]]:
+    """Canonical basis of {x in Z^m : x*A == 0} in two steps over the whole of A.
+
+    The rows of the transform U * A == H past the rank span the kernel (U is
+    unimodular, so they span every integer vector of the rational kernel),
+    and `hnf_rows` puts them in canonical form.
+    """
+    if not A:
+        return []
+    _, U, r = la.row_echelon_transform(A)
+    return la.hnf_rows(U[r:])
+
+
 def saturate_rows(amb, rows) -> Sublattice:
     """Saturation as a double integer kernel: the kernel of the kernel of the row matrix."""
     rows = [list(r) for r in rows]
     if not rows:
         return Sublattice(amb, IntMatrix(()))
-    ker = la.left_kernel(la.transpose(rows))  # right kernel of the row matrix
-    basis = la.left_kernel(la.transpose(ker)) if ker else la.identity(amb.rank)
+    ker = left_kernel(la.transpose(rows))  # right kernel of the row matrix
+    basis = left_kernel(la.transpose(ker)) if ker else la.identity(amb.rank)
     return Sublattice(amb, IntMatrix.from_rows(basis))
 
 

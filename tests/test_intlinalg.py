@@ -17,6 +17,7 @@ from cubick3.standard import (
     lambda_d_lattice,
     standard_lattice,
 )
+import oracles
 from oracles import det_bareiss, frac_inv, matmul, solve_rational
 
 
@@ -168,6 +169,90 @@ def test_left_kernel_random():
         for k in K:
             assert all(v == 0 for v in la.mat_vec(la.transpose(A), k))
         assert len(K) == m - la.rank_int(A)
+
+
+@given(hyp.data())
+@settings(max_examples=300, deadline=None)
+def test_left_kernel_matches_two_step_oracle(data):
+    # the kernel read off a suffix of A against the transform of the whole
+    # of A followed by `hnf_rows`.  Small m and k give k = 0, m <= k and the
+    # all-zero A.  "scaled suffix" multiplies the rows of the first suffix
+    # by 2 or 3, so an earlier row with an entry prime to the factor is
+    # outside its span and the suffix must grow; "rank deficient" makes the
+    # last column a combination of the others; "zero rows" zeroes some rows
+    m = data.draw(hyp.integers(0, 9), label="m")
+    k = data.draw(hyp.integers(0, 5), label="k")
+    entries = hyp.sampled_from([0, 0, 0, -6, -3, -2, -1, 1, 2, 3, 4, 12])
+    A = [[data.draw(entries) for _ in range(k)] for _ in range(m)]
+    kind = data.draw(hyp.sampled_from(["plain", "zero rows", "rank deficient", "scaled suffix"]))
+    if kind == "zero rows":
+        for i in range(m):
+            if data.draw(hyp.booleans()):
+                A[i] = [0] * k
+    elif kind == "rank deficient" and k:
+        c = [data.draw(hyp.integers(-2, 2)) for _ in range(k - 1)]
+        for row in A:
+            row[-1] = la.dot(row, c)
+    elif kind == "scaled suffix":
+        f = data.draw(hyp.sampled_from([2, 3]))
+        for row in A[max(m - k - 1, 0):]:
+            row[:] = [f * e for e in row]
+    assert la.left_kernel(A) == oracles.left_kernel(A)
+
+
+@pytest.mark.parametrize(
+    "A, suffixes",
+    [
+        ([[], [], []], [1]),  # k = 0: the kernel is Z^3, from a one-row suffix
+        ([[1, 2, 3], [4, 5, 6]], [2]),  # m <= k: the whole of A at once
+        ([[0, 0]] * 4, [3, 4]),  # all zero: rank 0 < k sends j0 to 0
+        ([[1, 2], [2, 4], [3, 6], [-1, -2], [5, 10]], [3, 5]),  # rank deficient
+        ([[1, 0], [0, 0], [0, 1], [0, 0], [1, 0], [0, 1], [0, 0]], [3]),  # zero rows
+        ([[1], [2], [2], [4], [6]], [2, 4, 5]),  # 1 is outside 2Z: the suffix doubles twice
+        ([[1], [2], [3]], [2]),  # T = [[3, -2]] has the pivot 3
+        ([[3, 1], [1, 0], [2, 0], [0, 2], [1, 1]], [3, 5]),  # [1, 0] is outside a span of index 2
+    ],
+)
+def test_left_kernel_suffix_lengths(monkeypatch, A, suffixes):
+    # the suffixes echeloned in turn, and the result against the oracle
+    want = oracles.left_kernel(A)
+    echelon = la.row_echelon_transform
+    seen = []
+
+    def tracked(rows):
+        seen.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(la, "row_echelon_transform", tracked)
+    assert la.left_kernel(A) == want
+    assert seen == suffixes
+
+
+def test_left_kernel_matches_oracle_on_c11_sample(monkeypatch):
+    # the pairing matrices G * W^T that `orthogonal_complement` hands to
+    # `left_kernel`, on the C11 sample of both ambients.  The sample takes
+    # both routes: the first suffix of k + 1 rows, and a suffix that grows
+    from test_lattice import _c11_sample
+
+    echelon = la.row_echelon_transform
+    seen = []
+
+    def tracked(rows):
+        seen.append(len(rows))
+        return echelon(rows)
+
+    attempts = set()
+    for amb, rows in _c11_sample():
+        cols = [amb.basis_pairings(w) for w in rows]
+        A = [[c[i] for c in cols] for i in range(amb.rank)]
+        want = oracles.left_kernel(A)
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(la, "row_echelon_transform", tracked)
+            assert la.left_kernel(A) == want
+        assert seen[0] == len(rows) + 1
+        attempts.add(len(seen))
+    assert 1 in attempts and len(attempts) > 1
 
 
 def test_hnf_rows_canonical():
