@@ -8,10 +8,12 @@ elimination routine, `row_echelon`, is behind the Hermite bases, echelon
 transforms, kernels, ranks, determinants and the Smith normal form.  It
 applies each row operation to whole rows, so columns past the echelon ride
 along: a matrix X appended to A comes back as U*X, and an appended identity
-as the transform U.  A kernel is read off a short suffix of the rows: once
-the rows A[j0:] span the same Z-module as all of A, the canonical kernel
-basis is [[I, Y], [0, T]], with T the kernel of the suffix and each row of Y
-one exact solve against the suffix's echelon (see `left_kernel`).  All
+as the transform U.  Beside it sit the one exact solve against echelon
+rows, `echelon_solve`, and the one reduction above the pivots,
+`_reduce_above`.  A kernel is read off a short suffix of the rows: once the
+rows A[j0:] span the same Z-module as all of A, the canonical kernel basis
+is [[I, Y], [0, T]], with T the kernel of the suffix and Y one
+`echelon_solve` against the suffix's echelon (see `left_kernel`).  All
 arithmetic is exact.
 """
 
@@ -183,21 +185,63 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """
     if not rows:
         return []
-    n = len(rows[0])
-    H, r, _ = row_echelon(rows, n)
+    H, r, _ = row_echelon(rows, len(rows[0]))
     H = H[:r]
-    pivots = []
-    for i, row in enumerate(H):
-        j = next(k for k in range(n) if row[k])
-        pivots.append((i, j))
-    for i, j in pivots:
-        p = H[i][j]
-        for k in range(i):
-            q = H[k][j] // p  # floor division keeps the entry in [0, p)
-            if q:
-                for col in range(j, n):  # row i is zero left of its pivot
-                    H[k][col] -= q * H[i][col]
+    _reduce_above(H, list(map(pivot_column, H)))
     return H
+
+
+def pivot_column(row) -> int | None:
+    """The column of the first nonzero entry of row, None for a zero row."""
+    return next(compress(count(), row), None)
+
+
+def _reduce_above(rows, pivots, start=0) -> None:
+    """Reduce, in place, the entries above the pivots of rows[start:] into [0, pivot).
+
+    pivots[i], increasing, is the pivot column of rows[start + i].  A row
+    subtracted from the rows above changes them only from its pivot on.
+    """
+    for i, p in enumerate(pivots, start):
+        h = rows[i]
+        d = h[p]
+        support = [c for c in range(p, len(h)) if h[c]]
+        for row in rows[:i]:
+            q = row[p] // d  # floor division keeps the entry in [0, d)
+            if q:
+                for c in support:
+                    row[c] -= q * h[c]
+
+
+def echelon_solve(H, pivots, b) -> list | None:
+    """The z_i with sum_{l <= i} H[l][p_i] * z_l == b[p_i], or None on an inexact division.
+
+    H are echelon rows with pivot columns p_0 < p_1 < ... (`pivots`), and
+    b[c], a vector, is the right-hand side of column c: the solve runs on all
+    its coordinates at once.  Row l is zero left of p_l, so the system is
+    lower triangular and forward substitution solves it (Cohen, GTM 138,
+    section 2.4.3).  A division with a remainder gives None, never a
+    truncated z.
+
+    >>> echelon_solve([[2, 1], [0, 3]], [0, 1], [[4, 2], [5, 7]])
+    [[2, 1], [1, 2]]
+    >>> echelon_solve([[2, 1], [0, 3]], [0, 1], [[4, 2], [5, 6]]) is None
+    True
+    """
+    Z = []
+    for i, p in enumerate(pivots):
+        z = b[p]
+        for l in range(i):
+            h = H[l][p]
+            if h:
+                z = [a - h * c for a, c in zip(z, Z[l])]
+        d = H[i][p]
+        if d != 1:
+            if any(e % d for e in z):
+                return None
+            z = [e // d for e in z]
+        Z.append(z)
+    return Z
 
 
 def hermite_pivots(rows) -> list[int] | None:
@@ -218,7 +262,7 @@ def hermite_pivots(rows) -> list[int] | None:
     pivots = []
     last = -1
     for i, row in enumerate(rows):
-        j = next(compress(count(), row), None)  # column of the first nonzero entry
+        j = pivot_column(row)
         if j is None or j <= last:
             return None
         p = row[j]
@@ -249,14 +293,14 @@ def left_kernel(A: list[list[int]]) -> list[list[int]]:
     The suffix starts with k + 1 rows and is echeloned once, [A[j0:] | I] to
     [H | U].  T is the Hermite basis of the rows of U past the rank.  When H
     has rank k, its first k rows are square and a basis of the suffix's
-    span, so A_j lies in that span exactly when z_j = -A_j * H^-1, found by
-    forward substitution, is integral; then y_j = z_j * U[:k].  An inexact
-    division means the suffix is too short, and it doubles.  A suffix of
-    rank below k goes straight to j0 = 0, the whole of A, where there is no
-    y_j and the result is the Hermite basis of the rows of the transform
-    past the rank.  That kernel of a unimodular transform is saturated by
-    construction: the returned rows span every integer vector of the
-    rational kernel.
+    span, so A_j lies in that span exactly when the z_j with z_j * H[:k] ==
+    A_j (one `echelon_solve` on the columns of A[:j0]) is integral; then
+    y_j = -z_j * U[:k].  An inexact division means the suffix is too short,
+    and it doubles.  A suffix of rank below k goes straight to j0 = 0, the
+    whole of A, where there is no y_j and the result is the Hermite basis of
+    the rows of the transform past the rank.  That kernel of a unimodular
+    transform is saturated by construction: the returned rows span every
+    integer vector of the rational kernel.
 
     >>> left_kernel([[2, 0], [0, 3], [2, 3]])
     [[1, 1, -1]]
@@ -268,62 +312,29 @@ def left_kernel(A: list[list[int]]) -> list[list[int]]:
         return []
     k = len(A[0])
     j0 = max(m - k - 1, 0)
-    while True:
+    while j0:
         H, U, r = row_echelon_transform(A[j0:])
-        if r < k and j0:
+        if r < k:
             j0 = 0
-            continue
-        T = hnf_rows(U[r:])
-        Y = _suffix_solutions(A[:j0], H[:k], U[:k], T, m - j0)
-        if Y is not None:
+            break
+        Z = echelon_solve(H, range(k), transpose(A[:j0]))
+        if Z is not None:
             break
         j0 = max(2 * j0 - m, 0)
-    return [e + y for e, y in zip(identity(j0), Y)] + [[0] * j0 + t for t in T]
-
-
-def _suffix_solutions(rows, H, U, T, s) -> list[list[int]] | None:
-    """For each row a, the y of length s with y * A_s == -a, reduced by T; None when one is not integral.
-
-    H (square, upper triangular, positive diagonal) and U are the first
-    rows of the echelon U * A_s == H, and T is the Hermite basis of the
-    kernel of A_s.  The work runs down columns, over all rows at once:
-    z = -a * H^-1 by forward substitution, whose divisions are exact for
-    every a exactly when every row lies in the span of the suffix, then
-    y = z * U, then the reduction of each pivot column of T.
-    """
-    if not rows:
-        return []
-    k = len(H)
-    cols = transpose(rows)
-    Z = []
-    for i in range(k):
-        z = [-e for e in cols[i]]
-        for l in range(i):
-            h = H[l][i]
-            if h:
-                z = [a - h * b for a, b in zip(z, Z[l])]
-        p = H[i][i]
-        if p != 1:
-            if any(e % p for e in z):
-                return None
-            z = [e // p for e in z]
-        Z.append(z)
-    Y = []  # the columns of the solutions
-    for c in range(s):
-        y = [0] * len(rows)
-        for i in range(k):
-            u = U[i][c]
-            if u:
-                y = [a + u * b for a, b in zip(y, Z[i])]
+    if not j0:
+        H, U, r = row_echelon_transform(A)
+        Z = []
+    Y = []  # the columns of Y = -Z * U[:k], then reduced by T
+    for c in range(m - j0):
+        y = [0] * j0
+        for z, u in zip(Z, U):
+            if u[c]:
+                y = [a - u[c] * b for a, b in zip(y, z)]
         Y.append(y)
-    for t in T:
-        p = next(compress(count(), t))
-        q = [e // t[p] for e in Y[p]]
-        if any(q):
-            for c in range(p, s):
-                if t[c]:
-                    Y[c] = [a - t[c] * b for a, b in zip(Y[c], q)]
-    return transpose(Y)
+    T = hnf_rows(U[r:])
+    K = [e + list(y) for e, y in zip(identity(j0), zip(*Y))] + [[0] * j0 + t for t in T]
+    _reduce_above(K, [j0 + pivot_column(t) for t in T], j0)
+    return K
 
 
 def rank_int(A: list[list[int]]) -> int:

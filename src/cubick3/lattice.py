@@ -10,22 +10,22 @@ ValueError, never truncates) and touches only nonzero entries: a
 `GramLattice` keeps the sparse rows of its Gram matrix for pairings and
 induced Gram matrices.  Each lattice fact is read off the one reduction
 that produces it.  Saturation is one echelon U * S^T = H of the generators,
-run on the coordinates where some generator is nonzero:
-its rank decides independence, the product of the diagonal of H is the
-index [sat : S], and a forward substitution against H with exact divisions
-gives a basis of the saturation (see `saturation`).  A basis that is
-already a canonical Hermite basis, as every saturation and complement
-returned here is, skips that echelon: a pivot 1 sits alone in its column,
-so it splits off as an elementary divisor 1, and only the rows with a
-pivot above 1 are echeloned, on the columns that are not unit pivots.
-Complements are one `left_kernel` of the pairing matrix G * W^T, which
-echelons only a suffix of its rows that spans the same module as all of
-them (k + 1 rows for k vectors, more when a division is inexact) and solves
-the other rows against it.  Saturations and complements come back
-as canonical Hermite bases, so equal lattices have equal bases, and
-membership is Hermite equality: v lies in the lattice with Hermite basis H
-exactly when the Hermite basis of H + [v] is H again (a non-integral
-vector is never a member).  Determinants are the signed diagonal of one `row_echelon`.
+run on the coordinates where some generator is nonzero: its rank decides
+independence, the product of the diagonal of H is the index [sat : S], and
+one `intlinalg.echelon_solve` against H gives a basis of the saturation
+(see `saturation`).  A basis that is already a canonical Hermite basis, as
+every saturation and complement returned here is, skips that echelon: a
+pivot 1 sits alone in its column, so it splits off as an elementary divisor
+1, and only the rows with a pivot above 1 are echeloned, on the columns
+that are not unit pivots.  Complements are one `left_kernel` of the pairing
+matrix G * W^T, which echelons only a suffix of its rows that spans the same
+module as all of them (k + 1 rows for k vectors, more when a division is
+inexact) and solves the other rows against it with the same `echelon_solve`.
+Saturations and complements come back as canonical Hermite bases, so equal
+lattices have equal bases, and membership is Hermite equality: v lies in the
+lattice with Hermite basis H exactly when the Hermite basis of H + [v] is H
+again (a non-integral vector is never a member).  Determinants are the
+signed diagonal of one `row_echelon`.
 `disc_group` reads degeneracy off the zero of the Smith diagonal and stays
 in integers: generator i is the Smith column c_i over its order n_i, and
 its q-value is the numerator (c_i . c_i) / n_i mod 2 n_i over n_i.
@@ -379,11 +379,12 @@ def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     is independent.  Then the pivots of H are its first k diagonal entries
     and S = C * W with C = H[:k]^T lower triangular and W the first k rows
     of U^-T.  W is part of a unimodular matrix, so its rows are a basis of
-    the saturation, and [sat : S] = det C = prod H[i][i].  W = C^-1 * S is a
-    k x k forward substitution whose divisions are exact (a remainder is an
-    AssertionError, never truncated), and one Hermite reduction of W makes
-    the basis canonical.  For a dependent generating list (`saturate_rows`)
-    the same solve runs on the generators at the pivot columns of H.
+    the saturation, and [sat : S] = det C = prod H[i][i].  W = C^-1 * S is
+    one `intlinalg.echelon_solve`, whose divisions are exact (a remainder is
+    an AssertionError, never truncated), and one Hermite reduction of W
+    makes the basis canonical.  For a dependent generating list
+    (`saturate_rows`) the same solve runs on the generators at the pivot
+    columns of H.
 
     A basis that is already a canonical Hermite basis (`hermite_pivots`)
     is read first.  A pivot 1 sits in a unit column: the entries above it
@@ -445,30 +446,16 @@ def _saturate(amb: GramLattice, rows):
     # (saturation, echelon H of rows^T, rank); no rows give the rank-0 lattice
     n = amb.rank
     _check_lengths(amb, rows)
-    # a coordinate where every generator vanishes is a zero row of rows^T:
-    # never a pivot and never changed, so it is left out of the echelon.
-    # Only U changes, and U is not used; H, whose columns index generators,
-    # keeps its rank and its diagonal
+    # the zero rows of rows^T are left out: that changes U alone (see `saturation`)
     H, _, r = la.row_echelon_transform([c for c in la.transpose(rows) if any(c)])
     if r == n:
         basis = la.identity(n)
     else:
         # row i of H has its pivot in column p_i, and rows j > i vanish there,
         # so generator p_i is rows[p_i] = sum_{j <= i} H[j][p_i] * W[j]
-        W: list[list[int]] = []
-        for i, Hi in enumerate(H[:r]):
-            p = next(c for c, e in enumerate(Hi) if e)
-            w = rows[p]
-            for j in range(i):
-                c = H[j][p]
-                if c:
-                    w = [a - c * b for a, b in zip(w, W[j])]
-            d = Hi[p]
-            if d != 1:
-                if any(e % d for e in w):
-                    raise AssertionError(f"generator {p} is not divisible by the pivot {d}")
-                w = [e // d for e in w]
-            W.append(w)
+        W = la.echelon_solve(H, [la.pivot_column(h) for h in H[:r]], rows)
+        if W is None:
+            raise AssertionError("a generator is not divisible by its pivot")
         basis = la.hnf_rows(W)
     return Sublattice(amb, IntMatrix(tuple(map(tuple, basis)))), H, r
 

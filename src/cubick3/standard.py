@@ -292,6 +292,19 @@ def nl_vector(d: int) -> Vector:
     return _vec(RANK_GAMMA, {E1: 3, F1: -((d - 2) // 2), M1: 1, M2: -1})
 
 
+def _primitive_gamma_vector(v, zero_error: Exception) -> Vector:
+    # v as a primitive vector of Gamma; the zero vector raises zero_error,
+    # every other violation InvalidNLVector
+    v = _coords(v, InvalidNLVector)
+    if len(v) != RANK_GAMMA:
+        raise InvalidNLVector("vector must be in Gamma coordinates (rank 22)")
+    if not any(v):
+        raise zero_error
+    if math.gcd(*(abs(e) for e in v)) != 1:
+        raise InvalidNLVector("vector is not primitive")
+    return v
+
+
 def classify_nl_vector(v) -> tuple[NLCase, int]:
     """Saturation dichotomy for a primitive negative vector of the primitive cubic lattice.
 
@@ -299,15 +312,8 @@ def classify_nl_vector(v) -> tuple[NLCase, int]:
     either already saturated, with d = -3 (v)^2 = 0 (6), or of index three in
     its saturation, with d = -(v)^2 / 3 = 2 (6).
     """
-    gamma = standard_lattice("Gamma")
-    v = _coords(v, InvalidNLVector)
-    if len(v) != RANK_GAMMA:
-        raise InvalidNLVector("vector must be in Gamma coordinates (rank 22)")
-    if not any(v):
-        raise InvalidNLVector("zero vector")
-    if math.gcd(*(abs(e) for e in v)) != 1:
-        raise InvalidNLVector("vector is not primitive")
-    sq = gamma.square(v)
+    v = _primitive_gamma_vector(v, InvalidNLVector("zero vector"))
+    sq = standard_lattice("Gamma").square(v)
     if sq >= 0:
         raise InvalidNLVector(f"square must be negative, got {sq}")
     gbar = standard_lattice("Gammabar")
@@ -348,14 +354,8 @@ def _gamma_disc_generator() -> Vector:
 
 def eichler_invariants(v) -> EichlerInvariant:
     """Square, divisibility, and discriminant class of a primitive vector of Gamma."""
+    v = _primitive_gamma_vector(v, ZeroVector("zero vector has no invariants"))
     gamma = standard_lattice("Gamma")
-    v = _coords(v, InvalidNLVector)
-    if len(v) != RANK_GAMMA:
-        raise InvalidNLVector("vector must be in Gamma coordinates (rank 22)")
-    if not any(v):
-        raise ZeroVector("zero vector has no invariants")
-    if math.gcd(*(abs(e) for e in v)) != 1:
-        raise InvalidNLVector("vector is not primitive")
     sq = gamma.square(v)
     n = divisibility(gamma, v)
     if n == 1:

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as hyp
 
 from cubick3 import intlinalg as la
-from cubick3.lattice import orthogonal_complement, saturation, span_sublattice
+from cubick3.lattice import (
+    GramLattice,
+    orthogonal_complement,
+    saturate_rows,
+    saturation,
+    span_sublattice,
+)
 from cubick3.standard import (
     LAMBDA1,
     LAMBDA2,
@@ -253,6 +259,80 @@ def test_left_kernel_matches_oracle_on_c11_sample(monkeypatch):
         assert seen[0] == len(rows) + 1
         attempts.add(len(seen))
     assert 1 in attempts and len(attempts) > 1
+
+
+def test_echelon_solve_exact():
+    # z_0 = (6, -3) / 3 and z_1 = ((5, 1) - 2 * z_0) / 1; the column without
+    # a pivot is not read
+    H = [[3, 2, 7], [0, 1, 4]]
+    assert la.echelon_solve(H, [0, 1], [[6, -3], [5, 1], [99, 99]]) == [[2, -1], [1, 3]]
+
+
+def test_echelon_solve_inexact_division_is_none():
+    # (5, 1) - 2 * (2, -1) = (1, 3) is not divisible by the pivot 2
+    assert la.echelon_solve([[3, 2], [0, 2]], [0, 1], [[6, -3], [5, 1]]) is None
+    # one coordinate with a remainder is enough
+    assert la.echelon_solve([[2]], [0], [[4, 6, 7]]) is None
+
+
+def test_echelon_solve_pivots_off_the_diagonal():
+    # a dependent generator list, as `saturate_rows` takes it: generator 1 is
+    # twice generator 0, so the echelon of S^T has no pivot in its column and
+    # the pivots are 0 and 2.  The solve reads generators 0 and 2 alone, and
+    # its rows are a basis of the saturation
+    rows = [(1, 2, 0, 3), (2, 4, 0, 6), (0, 1, 2, 1)]
+    H, _, r = la.row_echelon_transform(la.transpose(rows))
+    pivots = [la.pivot_column(h) for h in H[:r]]
+    assert pivots == [0, 2]
+    W = la.echelon_solve(H, pivots, rows)
+    for i, p in enumerate(pivots):
+        assert [sum(H[l][p] * W[l][c] for l in range(i + 1)) for c in range(4)] == list(rows[p])
+    amb = GramLattice.from_rows(la.identity(4))
+    want = oracles.saturate_rows(amb, rows).basis.to_lists()
+    assert la.hnf_rows(W) == saturate_rows(amb, rows).basis.to_lists() == want
+
+
+def test_echelon_solve_without_pivots():
+    assert la.echelon_solve([], [], []) == []
+    assert la.echelon_solve([[0, 0]], [], [[1], [2]]) == []
+
+
+@given(
+    hyp.integers(0, 4),
+    hyp.integers(0, 3),
+    hyp.sampled_from(["integral", "random"]),
+    hyp.integers(0, 2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_echelon_solve_matches_rational_solve(k, width, kind, seed):
+    # k echelon rows with pivots in random increasing columns (negative
+    # pivot entries included) and right-hand sides of `width` coordinates;
+    # "integral" builds b from an integer solution.  The triangular system
+    # sum_{l <= i} H[l][p_i] * z_l == b[p_i] is solved over Q one coordinate
+    # at a time: the result must be that solution when it is integral, and
+    # None exactly when it is not
+    rng = random.Random(seed)
+    n = k + rng.randint(0, 3)
+    pivots = sorted(rng.sample(range(n), k))
+    H = [
+        [0] * p + [rng.choice([-3, -2, -1, 1, 2, 3, 4, 6])]
+        + [rng.randint(-5, 5) for _ in range(n - p - 1)]
+        for p in pivots
+    ]
+    if kind == "integral":
+        Z = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(k)]
+        b = [[sum(h[c] * z[t] for h, z in zip(H, Z)) for t in range(width)] for c in range(n)]
+    else:
+        b = [[rng.randint(-20, 20) for _ in range(width)] for _ in range(n)]
+    M = [[h[p] for h in H] for p in pivots]  # equation i, over the unknowns z_l
+    sols = [solve_rational(M, [b[p][t] for p in pivots]) for t in range(width)]
+    got = la.echelon_solve(H, pivots, b)
+    if all(x.denominator == 1 for sol in sols for x in sol):
+        assert got == [[int(sol[l]) for sol in sols] for l in range(k)]
+    else:
+        assert got is None
+    if kind == "integral":
+        assert got == Z
 
 
 def test_hnf_rows_canonical():

@@ -230,6 +230,22 @@ class TestClassify:
             classify_nl_vector((0,) * RANK_GAMMA)
 
 
+@pytest.mark.parametrize(
+    "entry, zero_error",
+    [(classify_nl_vector, InvalidNLVector), (eichler_invariants, ZeroVector)],
+    ids=["classify_nl_vector", "eichler_invariants"],
+)
+def test_primitive_gamma_vector_errors(entry, zero_error):
+    # both entry points validate a primitive Gamma vector the same way, but
+    # for the zero vector, which each refuses with its own typed error
+    with pytest.raises(zero_error, match="zero vector"):
+        entry((0,) * RANK_GAMMA)
+    with pytest.raises(InvalidNLVector, match="rank 22"):
+        entry(nl_vector(14)[:-1])
+    with pytest.raises(InvalidNLVector, match="not primitive"):
+        entry(tuple(2 * e for e in nl_vector(14)))
+
+
 class TestHassettTriple:
     def test_rejects_a_basis_that_spans_another_lattice(self, monkeypatch):
         # the complement of v_12 in place of the complement of v_18: the
