@@ -13,8 +13,10 @@ rows, `echelon_solve`, and the one reduction above the pivots,
 `_reduce_above`.  A kernel is read off a short suffix of the rows: once the
 rows A[j0:] span the same Z-module as all of A, the canonical kernel basis
 is [[I, Y], [0, T]], with T the kernel of the suffix and Y one
-`echelon_solve` against the suffix's echelon (see `left_kernel`).  All
-arithmetic is exact.
+`echelon_solve` against the suffix's echelon (see `left_kernel`).  Nothing
+here tests whether given rows are already a canonical Hermite basis: a
+caller that needs to know keeps that fact from where the rows were built.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -171,15 +173,12 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
 
     Pivots are positive and the entries above each pivot are reduced into
     [0, pivot), so two generating sets of the same lattice give identical
-    output, and a canonical Hermite basis (see `hermite_pivots`) comes back
-    as it is:
+    output, and a canonical Hermite basis comes back as it is:
 
     >>> hnf_rows([[2, 4, 1], [2, 1, -2]])
     [[2, 1, -2], [0, 3, 3]]
     >>> hnf_rows([[0, 3, 3], [2, 4, 1], [4, 5, -1]])
     [[2, 1, -2], [0, 3, 3]]
-    >>> hermite_pivots([[2, 1, -2], [0, 3, 3]])
-    [0, 1]
     >>> hnf_rows([[2, 1, -2], [0, 3, 3]])
     [[2, 1, -2], [0, 3, 3]]
     """
@@ -242,38 +241,6 @@ def echelon_solve(H, pivots, b) -> list | None:
             z = [e // d for e in z]
         Z.append(z)
     return Z
-
-
-def hermite_pivots(rows) -> list[int] | None:
-    """The pivot columns of rows that are already a canonical Hermite basis, else None.
-
-    Canonical is what `hnf_rows` returns: no zero row, pivots (the first
-    nonzero entry of each row) in strictly increasing columns and positive,
-    and every entry above a pivot in [0, pivot).  The scan stops at the
-    first violation.
-
-    >>> hermite_pivots([[2, 1, 0], [0, 0, 3]])
-    [0, 2]
-    >>> hermite_pivots([[2, 1, 3], [0, 0, 3]]) is None  # 3 above the pivot 3
-    True
-    >>> hermite_pivots([[0, 1], [1, 0]]) is None  # pivot columns decrease
-    True
-    """
-    pivots = []
-    last = -1
-    for i, row in enumerate(rows):
-        j = pivot_column(row)
-        if j is None or j <= last:
-            return None
-        p = row[j]
-        if p < 0:
-            return None
-        for above in rows[:i]:
-            if not 0 <= above[j] < p:
-                return None
-        pivots.append(j)
-        last = j
-    return pivots
 
 
 def left_kernel(A: list[list[int]]) -> list[list[int]]:

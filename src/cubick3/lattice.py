@@ -13,19 +13,17 @@ that produces it.  Saturation is one echelon U * S^T = H of the generators,
 run on the coordinates where some generator is nonzero: its rank decides
 independence, the product of the diagonal of H is the index [sat : S], and
 one `intlinalg.echelon_solve` against H gives a basis of the saturation
-(see `saturation`).  A basis that is already a canonical Hermite basis, as
-every saturation and complement returned here is, skips that echelon: a
-pivot 1 sits alone in its column, so it splits off as an elementary divisor
-1, and only the rows with a pivot above 1 are echeloned, on the columns
-that are not unit pivots.  Complements are one `left_kernel` of the pairing
+(see `saturation`).  Complements are one `left_kernel` of the pairing
 matrix G * W^T, which echelons only a suffix of its rows that spans the same
 module as all of them (k + 1 rows for k vectors, more when a division is
 inexact) and solves the other rows against it with the same `echelon_solve`.
 Saturations and complements come back as canonical Hermite bases, so equal
 lattices have equal bases, and membership is Hermite equality: v lies in the
 lattice with Hermite basis H exactly when the Hermite basis of H + [v] is H
-again (a non-integral vector is never a member).  Determinants are the
-signed diagonal of one `row_echelon`.
+again (a non-integral vector is never a member).  A sublattice built here
+as a saturation or a complement carries that fact (see `Sublattice`), so
+its own saturation is itself, at index 1, with no echelon.  Determinants
+are the signed diagonal of one `row_echelon`.
 `disc_group` reads degeneracy off the zero of the Smith diagonal and stays
 in integers: generator i is the Smith column c_i over its order n_i, and
 its q-value is the numerator (c_i . c_i) / n_i mod 2 n_i over n_i.
@@ -176,10 +174,20 @@ class GramLattice:
 
 @dataclass(frozen=True)
 class Sublattice:
-    """A sublattice of an ambient lattice, given by basis rows in ambient coordinates."""
+    """A sublattice of an ambient lattice, given by basis rows in ambient coordinates.
+
+    `saturation`, `saturate_rows` and `orthogonal_complement` prove that the
+    basis they return is saturated and a canonical Hermite basis, and they
+    mark it so (`_saturated`); `saturation` returns a marked sublattice as it
+    is.  The marker is set only in this module and is not a dataclass
+    field: the constructor cannot set it, `dataclasses.replace` gives an
+    unmarked copy, and `==`, `repr` and `hash` do not see it.
+    """
 
     ambient: GramLattice
     basis: IntMatrix
+
+    _saturated = False  # see `_saturated_sublattice`
 
     @property
     def rank(self) -> int:
@@ -213,8 +221,7 @@ class Sublattice:
         Hermite equality: v is a member iff adding it to the canonical
         Hermite basis H spans the same lattice, i.e. hnf_rows(H + [v]) == H.
         """
-        if len(v) != self.ambient.rank:
-            raise ValueError("vector length does not match the ambient rank")
+        _check_lengths(self.ambient, [v])
         try:
             w = as_vector(v)
         except ValueError:
@@ -386,17 +393,9 @@ def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     (`saturate_rows`) the same solve runs on the generators at the pivot
     columns of H.
 
-    A basis that is already a canonical Hermite basis (`hermite_pivots`)
-    is read first.  A pivot 1 sits in a unit column: the entries above it
-    lie in [0, 1) and those below it are 0.  Column operations with that
-    column clear the rest of its row and touch no other row, so the
-    elementary divisors of S are some 1s and those of S', the rows with a
-    pivot above 1 on the columns that are not unit pivots, and
-    [sat : S] = [sat(S') : S'].  The echelon of S'^T alone (for a
-    complement, usually one row by at most four columns; nothing when
-    every pivot is 1) gives that index.  At index 1, S is its own
-    saturation and its basis is already canonical, so S comes back as it
-    is; at a larger index the echelon of S^T above runs as for any basis.
+    A sublattice marked saturated where it was built (see `Sublattice`)
+    comes back as it is, with index 1.  Any other runs the echelon, even
+    one with an equal basis built by the caller.
 
     K_d is the saturation of the span of h^2 and the Noether-Lefschetz
     vector in Gammabar, of |det| = d; the span has index 3 in it for
@@ -411,28 +410,12 @@ def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     >>> index, K12.abs_det
     (1, 12)
     """
-    rows = S.basis.data
-    pivots = la.hermite_pivots(rows)
-    if pivots is not None and _hermite_index(rows, pivots) == 1:
-        _check_lengths(S.ambient, rows)
+    if S._saturated:
         return S, 1
-    sat, H, r = _saturate(S.ambient, rows)
+    sat, H, r = _saturate(S.ambient, S.basis.data)
     if r < S.rank:
         raise DependentGenerators("sublattice basis is linearly dependent")
     return sat, math.prod(H[i][i] for i in range(r))
-
-
-def _hermite_index(rows, pivots) -> int:
-    # [sat : S] = [sat(S') : S'] for a canonical Hermite basis S with these
-    # pivot columns (see `saturation`): S' is the rows with a pivot > 1 on
-    # the columns that are not unit pivots, echeloned on its nonzero columns
-    unit = {j for row, j in zip(rows, pivots) if row[j] == 1}
-    tall = [row for row, j in zip(rows, pivots) if row[j] != 1]
-    if not tall:
-        return 1
-    cols = [c for j, c in enumerate(zip(*tall)) if j not in unit and any(c)]
-    H, _, _ = la.row_echelon(cols, len(tall))
-    return math.prod(H[i][i] for i in range(len(tall)))
 
 
 def _check_lengths(amb: GramLattice, rows):
@@ -457,7 +440,15 @@ def _saturate(amb: GramLattice, rows):
         if W is None:
             raise AssertionError("a generator is not divisible by its pivot")
         basis = la.hnf_rows(W)
-    return Sublattice(amb, IntMatrix(tuple(map(tuple, basis)))), H, r
+    return _saturated_sublattice(amb, basis), H, r
+
+
+def _saturated_sublattice(amb: GramLattice, basis) -> Sublattice:
+    # the one place that marks a Sublattice: basis must be proved saturated
+    # and a canonical Hermite basis by the caller (see `Sublattice`)
+    S = Sublattice(amb, IntMatrix(tuple(map(tuple, basis))))
+    object.__setattr__(S, "_saturated", True)
+    return S
 
 
 def orthogonal_complement(amb: GramLattice, vecs) -> Sublattice:
@@ -467,7 +458,7 @@ def orthogonal_complement(amb: GramLattice, vecs) -> Sublattice:
     cols = [amb.basis_pairings(w) for w in W]  # G * W^T, one column per vector
     # indexed by rank, not transposed, so that no vectors still give rank rows
     basis = la.left_kernel([[c[i] for c in cols] for i in range(amb.rank)])
-    return Sublattice(amb, IntMatrix(tuple(map(tuple, basis))))
+    return _saturated_sublattice(amb, basis)
 
 
 def divisibility(amb: GramLattice, v) -> int:
@@ -481,8 +472,7 @@ def divisibility(amb: GramLattice, v) -> int:
 def is_primitive(amb: GramLattice, v) -> bool:
     """True when v is not a proper integer multiple, i.e. gcd of coordinates is 1."""
     v = as_vector(v)
-    if len(v) != amb.rank:
-        raise ValueError("vector length does not match the ambient rank")
+    _check_lengths(amb, [v])
     if not any(v):
         raise ZeroVector("primitivity of the zero vector")
     return math.gcd(*(abs(e) for e in v)) == 1

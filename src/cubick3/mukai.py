@@ -39,10 +39,6 @@ class CohClass:
     def of(*vals) -> "CohClass":
         return CohClass(_frac5(vals))
 
-    @staticmethod
-    def zero() -> "CohClass":
-        return CohClass.of(0, 0, 0, 0, 0)
-
     def __add__(self, other: "CohClass") -> "CohClass":
         return CohClass(_frac5(a + b for a, b in zip(self.coeffs, other.coeffs)))
 

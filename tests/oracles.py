@@ -133,6 +133,29 @@ def left_kernel(A: list[list[int]]) -> list[list[int]]:
     return la.hnf_rows(U[r:])
 
 
+def hermite_pivots(rows) -> list[int] | None:
+    """The pivot columns of rows that are already a canonical Hermite basis, else None.
+
+    Canonical is what `hnf_rows` returns: no zero row, pivots (the first
+    nonzero entry of each row) in strictly increasing columns and positive,
+    and every entry above a pivot in [0, pivot).  A scan, independent of
+    the reduction above the pivots that `hnf_rows` and `left_kernel` share;
+    it stops at the first violation.
+    """
+    pivots = []
+    last = -1
+    for i, row in enumerate(rows):
+        j = next((c for c, e in enumerate(row) if e), None)
+        if j is None or j <= last:
+            return None
+        p = row[j]
+        if p < 0 or not all(0 <= above[j] < p for above in rows[:i]):
+            return None
+        pivots.append(j)
+        last = j
+    return pivots
+
+
 def saturate_rows(amb, rows) -> Sublattice:
     """Saturation as a double integer kernel: the kernel of the kernel of the row matrix."""
     rows = [list(r) for r in rows]

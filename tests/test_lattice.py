@@ -474,11 +474,10 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
     # columns p_i of H, then the Hermite reduction of W.  Tracked: the
     # entries of H and U, every partial remainder of the substitution
     # (rebuilt from S, H and the W handed to `hnf_rows`) and W itself; the
-    # (m, k) echelon must be the only one the saturation runs.  A generator
-    # set that is already a canonical Hermite basis of index 1 (22 of the
-    # sample, mostly single rows with a positive first entry) is its own
-    # saturation: it runs no full-width echelon and no solve, and comes back
-    # as given.
+    # (m, k) echelon must be the only one the saturation runs.  Every input
+    # takes it, the 22 that are already canonical Hermite bases of index 1
+    # (mostly single rows with a positive first entry) included, since a
+    # span built by the caller carries no saturation marker.
     echelon, hnf = la.row_echelon_transform, la.hnf_rows
     widest = [0]
     shapes, echelons, solved = [], [], []
@@ -505,24 +504,22 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
         echelons.clear()
         solved.clear()
         sat, index = saturation(S)
-        if la.hermite_pivots(rows) is not None and index == 1:
+        if oracles.hermite_pivots(rows) is not None and index == 1:
             hermite += 1
-            assert shapes == [] and solved == []
             assert sat.basis.data == tuple(rows)
-        else:
-            assert shapes == [(sum(map(any, zip(*rows))), k)]
-            assert len(solved) == 1
-            (H, _, r), W = echelons[0], solved[0]
-            assert r == len(W) == k
-            widest[0] = max(widest[0], _bits(W))
-            for i in range(r):
-                p = next(c for c, e in enumerate(H[i]) if e)
-                w = list(rows[p])
-                for j in range(i):
-                    widest[0] = max(widest[0], _bits([w]))
-                    w = [a - H[j][p] * b for a, b in zip(w, W[j])]
+        assert shapes == [(sum(map(any, zip(*rows))), k)]
+        assert len(solved) == 1
+        (H, _, r), W = echelons[0], solved[0]
+        assert r == len(W) == k
+        widest[0] = max(widest[0], _bits(W))
+        for i in range(r):
+            p = next(c for c, e in enumerate(H[i]) if e)
+            w = list(rows[p])
+            for j in range(i):
                 widest[0] = max(widest[0], _bits([w]))
-                assert w == [H[i][p] * e for e in W[i]]
+                w = [a - H[j][p] * b for a, b in zip(w, W[j])]
+            widest[0] = max(widest[0], _bits([w]))
+            assert w == [H[i][p] * e for e in W[i]]
         orthogonal_complement(amb, rows)
     assert 0 < hermite < len(sample)
     assert widest[0] <= 64

@@ -1,5 +1,6 @@
 """Property-based checks of the algebraic identities."""
 
+import dataclasses
 import random
 
 import pytest
@@ -278,16 +279,16 @@ def test_hermite_pivots_match_bruteforce(k, n, kind, seed):
         rows = la.hnf_rows(rows) or [[0] * n]
         i, j = rng.randrange(len(rows)), rng.randrange(n)
         rows[i][j] += rng.choice([-1, 0, 1])
-    pivots = la.hermite_pivots(rows)
+    pivots = oracles.hermite_pivots(rows)
     assert pivots == _hermite_brute(rows)
     assert (pivots is not None) == (la.hnf_rows(rows) == rows)
 
 
 def test_hermite_pivots_reject_near_misses():
     H = [[2, 1, 0, 4, 1], [0, 3, 0, 2, 0], [0, 0, 0, 5, 1]]
-    assert la.hermite_pivots(H) == _hermite_brute(H) == [0, 1, 3]
-    assert la.hermite_pivots([tuple(row) for row in H]) == [0, 1, 3]
-    assert la.hermite_pivots([]) == []
+    assert oracles.hermite_pivots(H) == _hermite_brute(H) == [0, 1, 3]
+    assert oracles.hermite_pivots([tuple(row) for row in H]) == [0, 1, 3]
+    assert oracles.hermite_pivots([]) == []
     near_misses = {
         "entry above a pivot equal to it": [[2, 3, 0, 4, 1], H[1], H[2]],
         "entry above the last pivot equal to it": [H[0], [0, 3, 0, 5, 0], H[2]],
@@ -301,7 +302,7 @@ def test_hermite_pivots_reject_near_misses():
         "decreasing pivot columns": [H[0], H[2], H[1]],
     }
     for name, rows in near_misses.items():
-        assert la.hermite_pivots(rows) is None, name
+        assert oracles.hermite_pivots(rows) is None, name
         assert _hermite_brute(rows) is None, name
         assert la.hnf_rows(rows) != rows, name
 
@@ -333,11 +334,11 @@ def _unit_pivot_basis(rng, n, k, last_pivot):
 )
 @settings(max_examples=120, deadline=None)
 def test_saturation_of_hermite_bases_matches_oracle(name, k, kind, seed):
-    # canonical Hermite bases take the non-unit-pivot route: "hnf" is the
-    # Hermite basis of random rows (mostly index 1), "scaled" the Hermite
-    # basis after one of its rows is scaled by 2 or 3 (index > 1), "unit"
-    # has every pivot 1 (index 1), and "last" has one non-unit pivot, the
-    # last, of 2, 3 or 6
+    # canonical Hermite bases built by the caller carry no saturation
+    # marker and run the echelon like any basis: "hnf" is the Hermite basis
+    # of random rows (mostly index 1), "scaled" the Hermite basis after one
+    # of its rows is scaled by 2 or 3 (index > 1), "unit" has every pivot 1
+    # (index 1), and "last" has one non-unit pivot, the last, of 2, 3 or 6
     rng = random.Random(seed)
     amb = standard_lattice(name)
     if kind in ("hnf", "scaled"):
@@ -348,7 +349,7 @@ def test_saturation_of_hermite_bases_matches_oracle(name, k, kind, seed):
             rows = la.hnf_rows(rows)
     else:
         rows = _unit_pivot_basis(rng, amb.rank, k, 1 if kind == "unit" else rng.choice([2, 3, 6]))
-    assert la.hermite_pivots(rows) is not None
+    assert oracles.hermite_pivots(rows) is not None
     S = Sublattice(amb, IntMatrix.from_rows(rows))
     sat, idx = saturation(S)
     assert (sat, idx) == oracles.saturation(S)
@@ -360,40 +361,66 @@ def test_saturation_of_hermite_bases_matches_oracle(name, k, kind, seed):
         assert sat.basis == S.basis
 
 
-def test_complement_saturation_echelons_only_non_unit_pivots(monkeypatch):
-    # complements come back as canonical Hermite bases of index 1: their
-    # saturation runs no `hnf_rows` and no full-width echelon, and echelons
-    # one matrix whose columns are the rows with a pivot > 1 (none when
-    # every pivot is 1)
+def test_complement_saturation_returns_the_complement(monkeypatch):
+    # a complement is marked saturated where it is built: re-saturating it
+    # returns the same object at index 1 and runs no echelon, no
+    # `hnf_rows` and no transform
     from test_lattice import _c11_sample
-
-    calls = []
 
     def forbidden(name):
         def wrapper(*args):
             raise AssertionError(f"{name} called")
         return wrapper
 
-    echelon = la.row_echelon
-
-    def tracked(rows, n):
-        calls.append((len(rows[0]), n))
-        return echelon(rows, n)
-
-    seen = set()
     for amb, rows in _c11_sample():
         comp = orthogonal_complement(amb, rows)
-        tall = sum(row[j] > 1 for row, j in zip(comp.basis.data, la.hermite_pivots(comp.basis.data)))
-        seen.add(tall)
-        calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(la, "hnf_rows", forbidden("hnf_rows"))
-            m.setattr(la, "row_echelon_transform", forbidden("row_echelon_transform"))
-            m.setattr(la, "row_echelon", tracked)
+            for name in ("row_echelon", "row_echelon_transform", "hnf_rows"):
+                m.setattr(la, name, forbidden(name))
             sat, idx = saturation(comp)
         assert idx == 1 and sat is comp
-        assert calls == ([(tall, tall)] if tall else [])
-    assert 0 in seen and len(seen) > 1
+
+
+def test_saturation_marker(monkeypatch):
+    # saturations, saturate_rows results and complements come back as
+    # themselves; a rebuilt copy with an equal basis is computed again; the
+    # marker is invisible to ==, repr and hash and lost by replace
+    amb = standard_lattice("Gammabar")
+    rows = [[1, 2, 0] + [0] * 19 + [3], [0, 0, 4] + [0] * 19 + [1]]
+    built = {
+        "saturation": saturation(span_sublattice(amb, rows))[0],
+        "saturate_rows": saturate_rows(amb, rows + [[a + b for a, b in zip(*rows)]]),
+        "complement": orthogonal_complement(amb, rows),
+    }
+    echelon = la.row_echelon_transform
+    calls = []
+
+    def tracked(A):
+        calls.append(len(A))
+        return echelon(A)
+
+    monkeypatch.setattr(la, "row_echelon_transform", tracked)
+    for name, X in built.items():
+        calls.clear()
+        sat, idx = saturation(X)
+        assert sat is X and idx == 1 and calls == [], name
+        copy = Sublattice(amb, X.basis)
+        sat, idx = saturation(copy)
+        assert sat is not copy and sat.basis == X.basis and idx == 1, name
+        assert len(calls) == 1, name
+        assert copy == X and repr(copy) == repr(X) and hash(copy) == hash(X), name
+        replaced = dataclasses.replace(X)
+        assert replaced == X, name
+        calls.clear()
+        assert saturation(replaced)[0] is not replaced and len(calls) == 1, name
+    # a scaled Hermite basis of index > 1 runs one transform, not two routes
+    rows = la.hnf_rows([[3 * e for e in rows[0]], rows[1]])
+    assert oracles.hermite_pivots(rows) is not None
+    S = Sublattice(amb, IntMatrix.from_rows(rows))
+    calls.clear()
+    sat, idx = saturation(S)
+    assert len(calls) == 1
+    assert idx == 3 and (sat, idx) == oracles.saturation(S)
 
 
 @given(hyp.integers(min_value=2, max_value=120))
