@@ -14,6 +14,7 @@ from .errors import (
     InvalidDegree,
     InvalidNLVector,
     InvalidParity,
+    InvalidVector,
     NotHyperbolicPair,
     NotSpecialDiscriminant,
     SearchExhausted,

@@ -35,6 +35,10 @@ class NotSpecialDiscriminant(CubicK3Error):
     """d is not a positive int congruent to 0 or 2 modulo 6."""
 
 
+class InvalidVector(CubicK3Error):
+    """A coordinate vector does not have the length of its lattice's rank."""
+
+
 class InvalidNLVector(CubicK3Error):
     """The vector is not primitive of negative square."""
 

@@ -13,7 +13,9 @@ rows, `echelon_solve`, and the one reduction above the pivots,
 `_reduce_above`.  A kernel is read off a short suffix of the rows: once the
 rows A[j0:] span the same Z-module as all of A, the canonical kernel basis
 is [[I, Y], [0, T]], with T the kernel of the suffix and Y one
-`echelon_solve` against the suffix's echelon (see `left_kernel`).  Nothing
+`echelon_solve` against the suffix's echelon (see `left_kernel`).  The
+suffixes tried grow by 1, 2, 4, ... rows (`suffix_starts`), so there are
+logarithmically many; `lattice` saturates through the same schedule.  Nothing
 here tests whether given rows are already a canonical Hermite basis: a
 caller that needs to know keeps that fact from where the rows were built.
 All arithmetic is exact.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress, count
+from operator import mul
 
 
 def identity(n: int) -> list[list[int]]:
@@ -51,27 +54,28 @@ def mat_vec(A: list[list], v) -> list:
 
 
 def sparse_mat_vec(S, v) -> list:
-    """A * v for a matrix A given by its sparse rows S."""
-    return [sum(e * v[j] for j, e in row) for row in S]
+    """G * v for a symmetric matrix G given by its sparse rows S.
+
+    The product is scattered from the nonzero entries of v: v_i adds
+    v_i * G[i][j] to entry j for each nonzero G[i][j].  That sum is v * G,
+    which is G * v only because G is symmetric; a Gram matrix always is.
+    """
+    out = [0] * len(S)
+    for a, row in zip(v, S):
+        if a:
+            for j, e in row:
+                out[j] += a * e
+    return out
 
 
 def sparse_gram_product(B: list[list], S) -> list[list]:
     """B * G * B^T for a k x n row matrix B and a Gram matrix G given by its sparse rows S.
 
-    Only the nonzero entries of B and of G are touched: each row of B*G is
-    accumulated from the rows of G that the row of B meets, then paired with
-    the support of every row of B.
+    Each row b * G is scattered from the nonzero entries of b and of G (see
+    `sparse_mat_vec`), then paired with every row of B.
     """
-    B_rows = sparse_rows(B)
-    n = len(S)
-    out = []
-    for bi in B_rows:
-        acc = [0] * n
-        for k, b in bi:
-            for j, g in S[k]:
-                acc[j] += b * g
-        out.append([sum(c * acc[j] for j, c in bj) for bj in B_rows])
-    return out
+    BG = [sparse_mat_vec(S, b) for b in B]
+    return [[sum(map(mul, bg, c)) for c in B] for bg in BG]
 
 
 def dot(u, v):
@@ -257,13 +261,14 @@ def left_kernel(A: list[list[int]]) -> list[list[int]]:
     columns and every entry above a pivot in [0, pivot): it is the canonical
     Hermite basis of K, the one `hnf_rows` returns for any basis of it.
 
-    The suffix starts with k + 1 rows and is echeloned once, [A[j0:] | I] to
+    The suffix starts with k + 2 rows and is echeloned once, [A[j0:] | I] to
     [H | U].  T is the Hermite basis of the rows of U past the rank.  When H
     has rank k, its first k rows are square and a basis of the suffix's
     span, so A_j lies in that span exactly when the z_j with z_j * H[:k] ==
     A_j (one `echelon_solve` on the columns of A[:j0]) is integral; then
     y_j = -z_j * U[:k].  An inexact division means the suffix is too short,
-    and it doubles.  A suffix of rank below k goes straight to j0 = 0, the
+    and it grows by the schedule of `suffix_starts`.  A suffix of rank below
+    k, or a suffix that would hold every row, goes to j0 = 0, the
     whole of A, where there is no y_j and the result is the Hermite basis of
     the rows of the transform past the rank.  That kernel of a unimodular
     transform is saturated by construction: the returned rows span every
@@ -271,24 +276,23 @@ def left_kernel(A: list[list[int]]) -> list[list[int]]:
 
     >>> left_kernel([[2, 0], [0, 3], [2, 3]])
     [[1, 1, -1]]
-    >>> left_kernel([[1], [2], [3]])  # j0 = 1: y_0 = (1, -1), T = [[3, -2]]
-    [[1, 1, -1], [0, 3, -2]]
+    >>> left_kernel([[4], [1], [2], [3]])  # j0 = 1: y_0 = (0, 1, -2), T = [[1, 1, -1], [0, 3, -2]]
+    [[1, 0, 1, -2], [0, 1, 1, -1], [0, 0, 3, -2]]
     """
     m = len(A)
     if m == 0:
         return []
     k = len(A[0])
-    j0 = max(m - k - 1, 0)
-    while j0:
+    Z = None
+    for j0 in suffix_starts(m, k + 2):
         H, U, r = row_echelon_transform(A[j0:])
         if r < k:
-            j0 = 0
             break
         Z = echelon_solve(H, range(k), transpose(A[:j0]))
         if Z is not None:
             break
-        j0 = max(2 * j0 - m, 0)
-    if not j0:
+    if Z is None:
+        j0 = 0
         H, U, r = row_echelon_transform(A)
         Z = []
     Y = []  # the columns of Y = -Z * U[:k], then reduced by T
@@ -302,6 +306,25 @@ def left_kernel(A: list[list[int]]) -> list[list[int]]:
     K = [e + list(y) for e, y in zip(identity(j0), zip(*Y))] + [[0] * j0 + t for t in T]
     _reduce_above(K, [j0 + pivot_column(t) for t in T], j0)
     return K
+
+
+def suffix_starts(m: int, start: int):
+    """The starts j0 > 0 of the suffixes A[j0:] of an m-row matrix, in the order tried.
+
+    The first suffix holds `start` rows, and each retry adds 1, 2, 4, ...
+    rows more, so at most about log2(m) suffixes are tried.  A suffix that
+    would hold every row is never yielded: the caller then works on all of A.
+
+    >>> list(suffix_starts(20, 3))
+    [17, 16, 14, 10, 2]
+    >>> list(suffix_starts(5, 5))
+    []
+    """
+    length, step = start, 1
+    while length < m:
+        yield m - length
+        length += step
+        step *= 2
 
 
 def rank_int(A: list[list[int]]) -> int:

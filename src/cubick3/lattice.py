@@ -8,15 +8,19 @@ function, so values can be shared freely between threads.
 The arithmetic stays in integers (a non-integral coordinate raises
 ValueError, never truncates) and touches only nonzero entries: a
 `GramLattice` keeps the sparse rows of its Gram matrix for pairings and
-induced Gram matrices.  Each lattice fact is read off the one reduction
-that produces it.  Saturation is one echelon U * S^T = H of the generators,
-run on the coordinates where some generator is nonzero: its rank decides
-independence, the product of the diagonal of H is the index [sat : S], and
-one `intlinalg.echelon_solve` against H gives a basis of the saturation
-(see `saturation`).  Complements are one `left_kernel` of the pairing
-matrix G * W^T, which echelons only a suffix of its rows that spans the same
-module as all of them (k + 1 rows for k vectors, more when a division is
-inexact) and solves the other rows against it with the same `echelon_solve`.
+induced Gram matrices, both scattered from the nonzero entries of each
+vector (`intlinalg.sparse_mat_vec`).  Each lattice fact is read off the one
+reduction that produces it.  Saturation is one echelon U * S^T = H of the
+generators, run on a short suffix of the coordinates where some generator
+is nonzero (k + 3 of them for k generators), whose rows span the same
+module as all of them: the product of the diagonal of H is the index
+[sat : S], and one `intlinalg.echelon_solve` against H gives a basis of
+the saturation, and proves the suffix spans when it divides exactly (see
+`saturation`).  Complements are one `left_kernel` of the pairing matrix
+G * W^T, which echelons only a suffix of its rows that spans the same
+module as all of them (k + 2 rows for k vectors) and solves the other rows
+against it with the same `echelon_solve`.  Both suffixes grow by 1, 2, 4,
+... rows while a division is inexact (`intlinalg.suffix_starts`).
 Saturations and complements come back as canonical Hermite bases, so equal
 lattices have equal bases, and membership is Hermite equality: v lies in the
 lattice with Hermite basis H exactly when the Hermite basis of H + [v] is H
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegenerateLattice, DependentGenerators, ZeroVector
+from .errors import DegenerateLattice, DependentGenerators, InvalidVector, ZeroVector
 from . import intlinalg as la
 
 Vector = tuple[int, ...]
@@ -138,7 +142,7 @@ class GramLattice:
 
     def _check_len(self, v):
         if len(v) != self.rank:
-            raise ValueError(f"vector length {len(v)} != rank {self.rank}")
+            raise InvalidVector(f"vector length {len(v)} != rank {self.rank}")
 
     @cached_property
     def gram_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -212,7 +216,9 @@ class Sublattice:
 
     @cached_property
     def _hnf(self) -> list[list[int]]:
-        # the canonical Hermite basis of the same lattice
+        # the canonical Hermite basis of the same lattice; a marked basis is one
+        if self._saturated:
+            return self.basis.to_lists()
         return la.hnf_rows(self.basis.to_lists())
 
     def contains(self, v) -> bool:
@@ -378,20 +384,30 @@ def saturate_rows(amb: GramLattice, rows) -> Sublattice:
 def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     """Minimal primitive sublattice containing S, plus the index [sat : S].
 
-    One echelon U * S^T = H of the k x n basis matrix S decides everything
-    (Cohen, GTM 138, section 2.4.3).  It runs only on the rows of S^T that
-    are not zero, the coordinates where some generator is nonzero: a zero
-    row is never a pivot and never changes, so leaving it out changes U
-    alone, which is not used.  Its rank r is k exactly when the basis
-    is independent.  Then the pivots of H are its first k diagonal entries
-    and S = C * W with C = H[:k]^T lower triangular and W the first k rows
-    of U^-T.  W is part of a unimodular matrix, so its rows are a basis of
-    the saturation, and [sat : S] = det C = prod H[i][i].  W = C^-1 * S is
-    one `intlinalg.echelon_solve`, whose divisions are exact (a remainder is
-    an AssertionError, never truncated), and one Hermite reduction of W
-    makes the basis canonical.  For a dependent generating list
-    (`saturate_rows`) the same solve runs on the generators at the pivot
-    columns of H.
+    One echelon U * T = H decides everything (Cohen, GTM 138, section
+    2.4.3), for T the rows of S^T that are not zero, the m coordinates where
+    some generator is nonzero: a zero row of S^T is never a pivot and never
+    changes, so leaving it out changes U alone, which is not used.  When H
+    has rank k, its pivots are its first k diagonal entries and the
+    generators are S = C * W with C = H[:k]^T lower triangular and W the
+    first k rows of U^-T.  W is part of a unimodular matrix, so its rows are
+    a basis of the saturation, and [sat : S] = det C = prod H[i][i].
+    W = C^-1 * S is one `intlinalg.echelon_solve`, and one Hermite reduction
+    of W makes the basis canonical.
+
+    The echelon runs first on a suffix T[j0:] of k + 3 rows, which grows by
+    1, 2, 4, ... rows (`intlinalg.suffix_starts`).  Of rank k, it gives a C
+    and a W = C^-1 * S by the same solve, whose coordinates on the suffix
+    are the first k rows of U^-T.  If W is integral, every row T_j is an
+    integer combination (its coordinate column of W) of the rows of
+    H[:k], so the suffix spans the same module as all of T: W is a basis
+    of the saturation and prod H[i][i] is the index, as for all of T.  A
+    division with a remainder means some T_j is outside that module, and
+    the suffix grows.  When no suffix is tried (m <= k + 3) or one has rank
+    below k, H is the echelon of all of T; its rank r is k exactly when the
+    generators are independent, and for a dependent generating list
+    (`saturate_rows`) the solve runs on the generators at the pivot columns
+    of H, where a remainder is an AssertionError, never truncated.
 
     A sublattice marked saturated where it was built (see `Sublattice`)
     comes back as it is, with index 1.  Any other runs the echelon, even
@@ -422,25 +438,36 @@ def _check_lengths(amb: GramLattice, rows):
     n = amb.rank
     for row in rows:
         if len(row) != n:
-            raise ValueError("vector length does not match the ambient rank")
+            raise InvalidVector("vector length does not match the ambient rank")
 
 
 def _saturate(amb: GramLattice, rows):
-    # (saturation, echelon H of rows^T, rank); no rows give the rank-0 lattice
-    n = amb.rank
+    # (saturation, echelon H of a spanning suffix of rows^T, rank); no rows
+    # give the rank-0 lattice
+    n, k = amb.rank, len(rows)
     _check_lengths(amb, rows)
     # the zero rows of rows^T are left out: that changes U alone (see `saturation`)
-    H, _, r = la.row_echelon_transform([c for c in la.transpose(rows) if any(c)])
-    if r == n:
-        basis = la.identity(n)
-    else:
+    T = [c for c in la.transpose(rows) if any(c)]
+    # a suffix of rank k spans the module of all of T exactly when W is
+    # integral; the echelon's transform is not read, so none is carried
+    W = None
+    for j0 in la.suffix_starts(len(T), k + 3):
+        H, r, _ = la.row_echelon(T[j0:], k)
+        if r < k:
+            break
+        W = la.echelon_solve(H, range(k), rows)
+        if W is not None:
+            break
+    if W is None:
+        H, _, r = la.row_echelon_transform(T)
+        if r == n:
+            return _saturated_sublattice(amb, la.identity(n)), H, r
         # row i of H has its pivot in column p_i, and rows j > i vanish there,
         # so generator p_i is rows[p_i] = sum_{j <= i} H[j][p_i] * W[j]
         W = la.echelon_solve(H, [la.pivot_column(h) for h in H[:r]], rows)
         if W is None:
             raise AssertionError("a generator is not divisible by its pivot")
-        basis = la.hnf_rows(W)
-    return _saturated_sublattice(amb, basis), H, r
+    return _saturated_sublattice(amb, la.hnf_rows(W)), H, r
 
 
 def _saturated_sublattice(amb: GramLattice, basis) -> Sublattice:
@@ -453,17 +480,17 @@ def _saturated_sublattice(amb: GramLattice, basis) -> Sublattice:
 
 def orthogonal_complement(amb: GramLattice, vecs) -> Sublattice:
     """The saturated sublattice of everything pairing to zero with the given vectors."""
-    W = [list(as_vector(v)) for v in vecs]
+    W = [as_vector(v) for v in vecs]
     _check_lengths(amb, W)
-    cols = [amb.basis_pairings(w) for w in W]  # G * W^T, one column per vector
-    # indexed by rank, not transposed, so that no vectors still give rank rows
-    basis = la.left_kernel([[c[i] for c in cols] for i in range(amb.rank)])
-    return _saturated_sublattice(amb, basis)
+    # the rows of G * W^T; no vectors still give rank (empty) rows
+    A = list(zip(*(la.sparse_mat_vec(amb.gram_rows, w) for w in W))) or [()] * amb.rank
+    return _saturated_sublattice(amb, la.left_kernel(A))
 
 
 def divisibility(amb: GramLattice, v) -> int:
     """The positive generator n of the pairing ideal (v . amb) = nZ."""
     v = as_vector(v)
+    _check_lengths(amb, [v])
     if not any(v):
         raise ZeroVector("divisibility of the zero vector")
     return math.gcd(*(abs(p) for p in amb.basis_pairings(v)))

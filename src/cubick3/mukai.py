@@ -185,9 +185,15 @@ def mukai_pairing(a: CohClass, b: CohClass) -> Fraction:
 def euler_line(k: int) -> int:
     """Euler characteristic of the k-th twisted line bundle: C(k+5,5) - C(k+2,5).
 
+    k is an exact int; a ``bool``, float, ``Fraction`` or ``str`` raises
+    InvalidDegree.
+
     >>> [euler_line(k) for k in (-3, 0, 1, 2)]
     [1, 1, 6, 21]
     """
+    if type(k) is not int:
+        raise InvalidDegree(f"k must be an int, got {k!r}")
+
     def binom5(m: int) -> int:
         return m * (m - 1) * (m - 2) * (m - 3) * (m - 4) // 120
 

@@ -6,9 +6,10 @@ bare `TypeError`, and never hang (each runs under `signal.alarm`).  The
 values are a float, a `Fraction`, a `str`, `True` (an `int` subclass), 0, a
 negative, an odd value and an even one of the wrong residue: 14.0 and
 Fraction(14) pass a bare parity or residue test, and "14" breaks it with a
-`TypeError`.  A twist k of `mukai_vector_line` may be any int, and a
-bound of `find_hyperbolic_AT` any int of at least 0, so only their type and
-sign are refused.
+`TypeError`.  A twist k of `mukai_vector_line` and `euler_line` may be any
+int, and a bound of `find_hyperbolic_AT` any int of at least 0, so only
+their type and sign are refused.  The lattice entry points that take a
+vector get one of the wrong length for A2 (rank 2), and raise InvalidVector.
 
 This is the out-of-domain half of the contract test of ROADMAP item 3.  Of
 the in-domain half, a second table holds the entry points that answer from
@@ -26,6 +27,7 @@ from fractions import Fraction
 import pytest
 
 from cubick3 import conditions as cond
+from cubick3 import lattice as lat
 from cubick3 import mukai as mk
 from cubick3 import standard as st
 from cubick3 import verify as vf
@@ -34,6 +36,7 @@ from cubick3.errors import (
     InvalidBound,
     InvalidDegree,
     InvalidParity,
+    InvalidVector,
     NotSpecialDiscriminant,
     UnknownLattice,
 )
@@ -54,6 +57,47 @@ def hyperbolic_bound(bound):
     return st.find_hyperbolic_AT(st.unit_vector(24, st.E1), st.unit_vector(24, st.F1), bound)
 
 
+# a vector of the lattice A2 (rank 2) is refused at any other length
+A2 = st.standard_lattice("A2")
+WRONG_LENGTH = ((), (1,), (1, 0, 0))
+
+
+def span_sublattice(v):
+    return lat.span_sublattice(A2, [v])
+
+
+def orthogonal_complement(v):
+    return lat.orthogonal_complement(A2, [v])
+
+
+def saturate_rows(v):
+    return lat.saturate_rows(A2, [(1, 0), v])
+
+
+def contains(v):
+    return lat.span_sublattice(A2, [(1, 1)]).contains(v)
+
+
+def is_primitive(v):
+    return lat.is_primitive(A2, v)
+
+
+def divisibility(v):
+    return lat.divisibility(A2, v)
+
+
+def pairing(v):
+    return A2.pairing((1, 0), v)
+
+
+def square(v):
+    return A2.square(v)
+
+
+def basis_pairings(v):
+    return A2.basis_pairings(v)
+
+
 def _rows(error, values, *entries):
     return [(f, error, v) for f in entries for v in values]
 
@@ -72,7 +116,9 @@ TABLE = (
     + _rows(InvalidDegree, (8.5, Fraction(200), "200", True, 0, -5, 7), vf.run_all)
     + _rows(UnknownLattice, (14.0, Fraction(14), 5, True, 0, "Gammma", "LambdaD(0)",
                              "LambdaD(-4)", "LambdaD(7)", "LambdaD(14.0)"), st.standard_lattice)
-    + _rows(InvalidDegree, (1.5, Fraction(1), "1", True), mk.mukai_vector_line)
+    + _rows(InvalidDegree, (1.5, Fraction(1), "1", True), mk.mukai_vector_line, mk.euler_line)
+    + _rows(InvalidVector, WRONG_LENGTH, span_sublattice, orthogonal_complement, saturate_rows,
+            contains, is_primitive, divisibility, pairing, square, basis_pairings)
     + _rows(InvalidBound, (2.5, 4.0, Fraction(4), "4", True, -1), hyperbolic_bound)
 )
 

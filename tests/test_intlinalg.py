@@ -201,7 +201,7 @@ def test_left_kernel_matches_two_step_oracle(data):
             row[-1] = la.dot(row, c)
     elif kind == "scaled suffix":
         f = data.draw(hyp.sampled_from([2, 3]))
-        for row in A[max(m - k - 1, 0):]:
+        for row in A[max(m - k - 2, 0):]:
             row[:] = [f * e for e in row]
     assert la.left_kernel(A) == oracles.left_kernel(A)
 
@@ -209,14 +209,15 @@ def test_left_kernel_matches_two_step_oracle(data):
 @pytest.mark.parametrize(
     "A, suffixes",
     [
-        ([[], [], []], [1]),  # k = 0: the kernel is Z^3, from a one-row suffix
+        ([[], [], []], [2]),  # k = 0: the kernel is Z^3, from a two-row suffix
         ([[1, 2, 3], [4, 5, 6]], [2]),  # m <= k: the whole of A at once
-        ([[0, 0]] * 4, [3, 4]),  # all zero: rank 0 < k sends j0 to 0
-        ([[1, 2], [2, 4], [3, 6], [-1, -2], [5, 10]], [3, 5]),  # rank deficient
-        ([[1, 0], [0, 0], [0, 1], [0, 0], [1, 0], [0, 1], [0, 0]], [3]),  # zero rows
-        ([[1], [2], [2], [4], [6]], [2, 4, 5]),  # 1 is outside 2Z: the suffix doubles twice
-        ([[1], [2], [3]], [2]),  # T = [[3, -2]] has the pivot 3
-        ([[3, 1], [1, 0], [2, 0], [0, 2], [1, 1]], [3, 5]),  # [1, 0] is outside a span of index 2
+        ([[1], [2], [3]], [3]),  # m = k + 2: the whole of A at once
+        ([[0, 0]] * 5, [4, 5]),  # all zero: rank 0 < k sends j0 to 0
+        ([[1, 2], [2, 4], [3, 6], [-1, -2], [5, 10]], [4, 5]),  # rank deficient
+        ([[1, 0], [0, 0], [0, 1], [0, 0], [1, 0], [0, 1], [0, 0]], [4]),  # zero rows
+        ([[1], [2], [2], [4], [6]], [3, 4, 5]),  # 1 is outside 2Z: one row more, then all of A
+        ([[4], [1], [2], [3]], [3]),  # T = [[1, 1, -1], [0, 3, -2]] has the pivot 3
+        ([[3, 1], [1, 0], [2, 0], [0, 2], [1, 1], [4, 2]], [4, 5]),  # [1, 0] is outside index 2
     ],
 )
 def test_left_kernel_suffix_lengths(monkeypatch, A, suffixes):
@@ -237,7 +238,7 @@ def test_left_kernel_suffix_lengths(monkeypatch, A, suffixes):
 def test_left_kernel_matches_oracle_on_c11_sample(monkeypatch):
     # the pairing matrices G * W^T that `orthogonal_complement` hands to
     # `left_kernel`, on the C11 sample of both ambients.  The sample takes
-    # both routes: the first suffix of k + 1 rows, and a suffix that grows
+    # both routes: the first suffix of k + 2 rows, and a suffix that grows
     from test_lattice import _c11_sample
 
     echelon = la.row_echelon_transform
@@ -256,7 +257,7 @@ def test_left_kernel_matches_oracle_on_c11_sample(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(la, "row_echelon_transform", tracked)
             assert la.left_kernel(A) == want
-        assert seen[0] == len(rows) + 1
+        assert seen[0] == len(rows) + 2
         attempts.add(len(seen))
     assert 1 in attempts and len(attempts) > 1
 

@@ -354,6 +354,33 @@ class TestMembership:
         assert not S.contains((2, 1))
         assert not S.contains((Fraction(1, 2), 0))
 
+    def test_a_marked_basis_is_its_own_hermite_basis(self, monkeypatch):
+        # the first `contains` on a saturation, a `saturate_rows` result or a
+        # complement runs one `hnf_rows`, for H + [v]; an unmarked copy of the
+        # same basis runs a second one, for its own H, and answers alike
+        amb = standard_lattice("Gammabar")
+        rows = [[1, 2, 0] + [0] * 19 + [3], [0, 0, 4] + [0] * 19 + [1]]
+        built = [
+            saturation(span_sublattice(amb, rows))[0],
+            saturate_rows(amb, rows + [[a + b for a, b in zip(*rows)]]),
+            orthogonal_complement(amb, rows),
+        ]
+        hnf = la.hnf_rows
+        calls = []
+
+        def tracked(rows):
+            calls.append(len(rows))
+            return hnf(rows)
+
+        monkeypatch.setattr(la, "hnf_rows", tracked)
+        for X in built:
+            v = [sum(r) for r in zip(*X.basis.data)]
+            for S, runs in ((X, 1), (Sublattice(amb, X.basis), 2)):
+                calls.clear()
+                assert S.contains(v) and len(calls) == runs
+                assert S.contains([2 * e for e in v]) and not S.contains([Fraction(e, 2) for e in v])
+                assert len(calls) == runs + 1  # H is kept; a non-integral v runs none
+
 
 class TestDivisibilityPrimitivity:
     def test_divisibility(self):
@@ -464,65 +491,135 @@ def _bits(rows):
     return max((abs(e).bit_length() for row in rows for e in row), default=0)
 
 
+def _spanning_suffixes(rows):
+    # the suffix lengths of T, the nonzero rows of rows^T, that saturation
+    # echelons in turn, read off an independent spanning test (equal Hermite
+    # bases); the second value says whether a suffix was accepted, or all of
+    # T was echeloned after them
+    k = len(rows)
+    T = [list(c) for c in zip(*rows) if any(c)]
+    m, full = len(T), la.hnf_rows(T)
+    length, step, lengths = k + 3, 1, []
+    while length < m:
+        lengths.append(length)
+        suffix = T[m - length:]
+        if la.rank_int(suffix) < k:
+            return lengths, False
+        if la.hnf_rows(suffix) == full:
+            return lengths, True
+        length, step = length + step, 2 * step
+    return lengths, False
+
+
+def _saturation_echelons(monkeypatch, run):
+    # every `row_echelon` that run() calls, as (rows, n, output), and the
+    # widest entry among the echelon outputs
+    echelon = la.row_echelon
+    calls, widest = [], [0]
+
+    def tracked(rows, n):
+        out = echelon(rows, n)
+        widest[0] = max(widest[0], _bits(out[0]))
+        calls.append(([list(r) for r in rows], n, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(la, "row_echelon", tracked)
+        result = run()
+    return result, calls, widest[0]
+
+
 def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
     # on the C11 sample the saturated outputs have entries of at most 16
     # bits, so intermediate growth past 64 bits means the pivot rule or the
-    # triangular solve has regressed.  Saturation is one echelon
-    # U * S^T = H on the rows of S^T that are not zero, of shape (m, k) for
-    # the m coordinates where some generator is nonzero, then the forward
-    # substitution S[p_i] = sum_{j <= i} H[j][p_i] * W[j] over the pivot
-    # columns p_i of H, then the Hermite reduction of W.  Tracked: the
-    # entries of H and U, every partial remainder of the substitution
-    # (rebuilt from S, H and the W handed to `hnf_rows`) and W itself; the
-    # (m, k) echelon must be the only one the saturation runs.  Every input
-    # takes it, the 22 that are already canonical Hermite bases of index 1
+    # triangular solve has regressed.  Saturation echelons U * T = H for T,
+    # the rows of S^T that are not zero, on a short suffix of T: k + 3 rows,
+    # then 1, 2, 4, ... more while a generator fails to divide exactly, all
+    # of T (with its transform) when every suffix fails.  Then comes the
+    # forward substitution S[p_i] = sum_{j <= i} H[j][p_i] * W[j] over the
+    # pivot columns p_i of H, and the Hermite reduction of W.  Tracked: the
+    # entries of every echelon output, every partial remainder of the
+    # substitution (rebuilt from S, H and the W handed to `hnf_rows`) and W
+    # itself.  The echelons must be exactly the suffixes that an
+    # independent spanning test predicts, then the one of W.  Every input
+    # runs them, the 22 that are already canonical Hermite bases of index 1
     # (mostly single rows with a positive first entry) included, since a
     # span built by the caller carries no saturation marker.
-    echelon, hnf = la.row_echelon_transform, la.hnf_rows
-    widest = [0]
-    shapes, echelons, solved = [], [], []
+    widest = 0
     hermite = 0
+    attempts = set()
     sample = _c11_sample()
-
-    def tracked(A):
-        out = echelon(A)
-        widest[0] = max(widest[0], _bits(out[0]), _bits(out[1]))
-        shapes.append((len(A), len(A[0])))
-        echelons.append(out)
-        return out
-
-    def tracked_hnf(rows):
-        solved.append([list(r) for r in rows])
-        return hnf(rows)
-
-    monkeypatch.setattr(la, "row_echelon_transform", tracked)
-    monkeypatch.setattr(la, "hnf_rows", tracked_hnf)
     for amb, rows in sample:
         k = len(rows)
         S = span_sublattice(amb, rows)
-        shapes.clear()
-        echelons.clear()
-        solved.clear()
-        sat, index = saturation(S)
+        lengths, accepted = _spanning_suffixes(rows)
+        assert accepted  # a fallback to all of T here would be a regression
+        attempts.add(len(lengths))
+        (sat, index), calls, bits = _saturation_echelons(monkeypatch, lambda: saturation(S))
+        widest = max(widest, bits)
         if oracles.hermite_pivots(rows) is not None and index == 1:
             hermite += 1
             assert sat.basis.data == tuple(rows)
-        assert shapes == [(sum(map(any, zip(*rows))), k)]
-        assert len(solved) == 1
-        (H, _, r), W = echelons[0], solved[0]
-        assert r == len(W) == k
-        widest[0] = max(widest[0], _bits(W))
+        *suffixes, (W, n, _) = calls
+        assert [(len(A), len(A[0]), n) for A, n, _ in suffixes] == [(l, k, k) for l in lengths]
+        assert n == amb.rank and len(W) == k  # the Hermite reduction of W
+        H, r, _ = suffixes[-1][2]
+        assert r == k
+        widest = max(widest, _bits(W))
         for i in range(r):
             p = next(c for c, e in enumerate(H[i]) if e)
             w = list(rows[p])
             for j in range(i):
-                widest[0] = max(widest[0], _bits([w]))
+                widest = max(widest, _bits([w]))
                 w = [a - H[j][p] * b for a, b in zip(w, W[j])]
-            widest[0] = max(widest[0], _bits([w]))
+            widest = max(widest, _bits([w]))
             assert w == [H[i][p] * e for e in W[i]]
-        orthogonal_complement(amb, rows)
+        _, _, bits = _saturation_echelons(monkeypatch, lambda: orthogonal_complement(amb, rows))
+        widest = max(widest, bits)
     assert 0 < hermite < len(sample)
-    assert widest[0] <= 64
+    assert 1 in attempts and len(attempts) > 1  # first suffixes and grown ones
+    assert widest <= 64
+
+
+_G1 = [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize(
+    "rows, echelons, index",
+    [
+        # (the rows, the (rows, columns) of each echelon before the one of W,
+        # the index); T is the nonzero rows of rows^T, with m rows, and an
+        # echelon of all of T carries its transform, m more columns
+        ([[2, 4, 6, 8, 10, 12, 14, 0]], [(4, 1)], 2),  # the first suffix spans 2Z
+        ([[1, 3, 2, 4, 6, 8, 10, 12]], [(4, 1), (5, 1), (7, 1)], 1),  # 3 joins last
+        ([[1, 2, 2, 4, 6, 8, 10, 12]], [(4, 1), (5, 1), (7, 1), (8, 9)], 1),  # no suffix holds the 1
+        ([[1] * 8, [1, 2] + [0] * 6], [(5, 2), (8, 10)], 1),  # suffix rank 1 < 2
+        ([[1, 2, 3, 4, 5, 0, 0, 0], [0, 1, 1, 2, 3, 0, 0, 0]], [(5, 7)], 1),  # m = 5 = k + 3
+        ([_G1, [0, 3, 0, 3, 3, 0, 6, 3]], [(5, 2)], 3),  # a scaled generator
+    ],
+)
+def test_saturation_suffix_echelons(monkeypatch, rows, echelons, index):
+    amb = GramLattice.from_rows(la.identity(8))
+    S = Sublattice(amb, IntMatrix.from_rows(rows))
+    want = oracles.saturation(S)
+    got, calls, _ = _saturation_echelons(monkeypatch, lambda: saturation(S))
+    assert got == want and got[1] == index
+    *seen, (W, n, _) = calls
+    assert [(len(A), len(A[0])) for A, _, _ in seen] == echelons
+    assert n == 8 and len(W) == len(rows)
+
+
+def test_saturate_rows_of_a_dependent_list_echelons_all_rows(monkeypatch):
+    # three generators of rank 2: the first suffix has rank below 3, so all
+    # of T is echeloned, and the solve runs on the pivot columns of H
+    amb = GramLattice.from_rows(la.identity(8))
+    g2 = [0, 1, 1, 2, 3, 0, 1, 1]
+    rows = [_G1, g2, [a - 2 * b for a, b in zip(_G1, g2)]]
+    got, calls, _ = _saturation_echelons(monkeypatch, lambda: saturate_rows(amb, rows))
+    assert got == oracles.saturate_rows(amb, rows) and got.rank == 2
+    *seen, (W, n, _) = calls
+    assert [(len(A), len(A[0])) for A, _, _ in seen] == [(6, 3), (8, 11)]
+    assert n == 8 and len(W) == 2
 
 
 def test_disc_group_columns_come_back_reduced_on_c11_sample():

@@ -185,6 +185,39 @@ def test_saturation_matches_double_kernel_oracle(name, k, kind, seed):
 
 
 @given(
+    hyp.integers(min_value=1, max_value=4),
+    hyp.integers(min_value=0, max_value=20),
+    hyp.sampled_from(["sparse", "scaled", "dense"]),
+    hyp.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_suffix_saturation_matches_oracle(k, extra, kind, seed):
+    # saturation echelons a short suffix of the coordinates and grows it on
+    # an inexact solve.  "sparse" rows are mostly zero, so few coordinates
+    # are left and the suffix is often all of them; "scaled" multiplies the
+    # last k + 3 coordinates by 2 or 3, so the first suffix spans too little
+    # and must grow, and one generator too, for an index above 1; "dense"
+    # rows are like the C11 sample's
+    rng = random.Random(seed)
+    n = k + extra
+    amb = GramLattice.from_rows(la.identity(n))
+    entries = [0] * 8 + [-2, -1, 1, 2, 3] if kind == "sparse" else range(-5, 6)
+    while True:
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(k)]
+        if la.rank_int(rows) == k:
+            break
+    if kind == "scaled":
+        f, tail = rng.choice([2, 3]), max(n - k - 3, 0)
+        for row in rows:
+            row[tail:] = [f * e for e in row[tail:]]
+        i = rng.randrange(k)
+        rows[i] = [f * e for e in rows[i]]
+    S = Sublattice(amb, IntMatrix.from_rows(rows))
+    assert saturation(S) == oracles.saturation(S)
+    assert saturate_rows(amb, rows) == oracles.saturate_rows(amb, rows)
+
+
+@given(
     hyp.sampled_from(["Gammabar", "LambdaTilde"]),
     hyp.integers(min_value=1, max_value=4),
     hyp.sampled_from(["independent", "dependent", "zero row", "zero"]),
