@@ -71,11 +71,18 @@ def sparse_mat_vec(S, v) -> list:
 def sparse_gram_product(B: list[list], S) -> list[list]:
     """B * G * B^T for a k x n row matrix B and a Gram matrix G given by its sparse rows S.
 
-    Each row b * G is scattered from the nonzero entries of b and of G (see
-    `sparse_mat_vec`), then paired with every row of B.
+    Each row b_i * G is scattered from the nonzero entries of b_i and of G
+    (see `sparse_mat_vec`), then paired with the rows b_j for j >= i; G is
+    symmetric, so the product is too, and entry (j, i) is entry (i, j).
     """
-    BG = [sparse_mat_vec(S, b) for b in B]
-    return [[sum(map(mul, bg, c)) for c in B] for bg in BG]
+    k = len(B)
+    out = [[0] * k for _ in range(k)]
+    for i, b in enumerate(B):
+        bg = sparse_mat_vec(S, b)
+        row = out[i]
+        for j in range(i, k):
+            row[j] = out[j][i] = sum(map(mul, bg, B[j]))
+    return out
 
 
 def dot(u, v):

@@ -45,17 +45,10 @@ from cubick3.standard import standard_lattice  # noqa: E402
 
 
 def suffix_path(W) -> str:
-    # the saturation path of the generators W, from an independent
-    # spanning test on the nonzero coordinates T (equal Hermite bases)
-    k = len(W)
-    T = [list(c) for c in zip(*W) if any(c)]
-    full = la.hnf_rows(T)
-    for attempt, j0 in enumerate(la.suffix_starts(len(T), k + 3)):
-        if la.rank_int(T[j0:]) < k:
-            return "all coordinates"
-        if la.hnf_rows(T[j0:]) == full:
-            return "first suffix" if attempt == 0 else "grown suffix"
-    return "no suffix" if len(T) <= k + 3 else "all coordinates"
+    lengths, accepted = oracles.saturation_suffixes(W)
+    if accepted:
+        return "first suffix" if len(lengths) == 1 else "grown suffix"
+    return "all coordinates" if lengths else "no suffix"
 
 
 def main() -> int:

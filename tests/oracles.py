@@ -186,6 +186,30 @@ def _pivot_entries(rows):
     return [next(e for e in row if e) for row in rows]
 
 
+def saturation_suffixes(rows) -> tuple[list[int], bool]:
+    """The suffix lengths of T that `lattice.saturation` echelons, and whether one is accepted.
+
+    T is the nonzero rows of rows^T.  The suffixes hold k + 3 rows, then 1,
+    2, 4, ... more, while shorter than T; a suffix is accepted when its
+    Hermite basis is that of all of T (it spans the same module), and the
+    walk stops without one at a suffix of rank below k.  When none is
+    accepted, the saturation echelons all of T after them.
+    """
+    k = len(rows)
+    T = [list(c) for c in zip(*rows) if any(c)]
+    m, full = len(T), la.hnf_rows(T)
+    length, step, lengths = k + 3, 1, []
+    while length < m:
+        lengths.append(length)
+        suffix = T[m - length:]
+        if la.rank_int(suffix) < k:
+            return lengths, False
+        if la.hnf_rows(suffix) == full:
+            return lengths, True
+        length, step = length + step, 2 * step
+    return lengths, False
+
+
 def saturation_index(S, sat) -> int:
     """[sat : S] as |det| of the integer coefficients of S on the echelon basis of sat."""
     basis = sat.basis.to_lists()

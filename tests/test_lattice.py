@@ -491,27 +491,7 @@ def _bits(rows):
     return max((abs(e).bit_length() for row in rows for e in row), default=0)
 
 
-def _spanning_suffixes(rows):
-    # the suffix lengths of T, the nonzero rows of rows^T, that saturation
-    # echelons in turn, read off an independent spanning test (equal Hermite
-    # bases); the second value says whether a suffix was accepted, or all of
-    # T was echeloned after them
-    k = len(rows)
-    T = [list(c) for c in zip(*rows) if any(c)]
-    m, full = len(T), la.hnf_rows(T)
-    length, step, lengths = k + 3, 1, []
-    while length < m:
-        lengths.append(length)
-        suffix = T[m - length:]
-        if la.rank_int(suffix) < k:
-            return lengths, False
-        if la.hnf_rows(suffix) == full:
-            return lengths, True
-        length, step = length + step, 2 * step
-    return lengths, False
-
-
-def _saturation_echelons(monkeypatch, run):
+def _row_echelons(monkeypatch, run):
     # every `row_echelon` that run() calls, as (rows, n, output), and the
     # widest entry among the echelon outputs
     echelon = la.row_echelon
@@ -540,11 +520,12 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
     # pivot columns p_i of H, and the Hermite reduction of W.  Tracked: the
     # entries of every echelon output, every partial remainder of the
     # substitution (rebuilt from S, H and the W handed to `hnf_rows`) and W
-    # itself.  The echelons must be exactly the suffixes that an
-    # independent spanning test predicts, then the one of W.  Every input
-    # runs them, the 22 that are already canonical Hermite bases of index 1
-    # (mostly single rows with a positive first entry) included, since a
-    # span built by the caller carries no saturation marker.
+    # itself.  The echelons must be exactly the suffixes that
+    # `oracles.saturation_suffixes` predicts by an independent spanning
+    # test, then the one of W.  Every input runs them, the 22 that are
+    # already canonical Hermite bases of index 1 (mostly single rows with a
+    # positive first entry) included, since a span built by the caller
+    # carries no saturation marker.
     widest = 0
     hermite = 0
     attempts = set()
@@ -552,10 +533,10 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
     for amb, rows in sample:
         k = len(rows)
         S = span_sublattice(amb, rows)
-        lengths, accepted = _spanning_suffixes(rows)
+        lengths, accepted = oracles.saturation_suffixes(rows)
         assert accepted  # a fallback to all of T here would be a regression
         attempts.add(len(lengths))
-        (sat, index), calls, bits = _saturation_echelons(monkeypatch, lambda: saturation(S))
+        (sat, index), calls, bits = _row_echelons(monkeypatch, lambda: saturation(S))
         widest = max(widest, bits)
         if oracles.hermite_pivots(rows) is not None and index == 1:
             hermite += 1
@@ -574,7 +555,7 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
                 w = [a - H[j][p] * b for a, b in zip(w, W[j])]
             widest = max(widest, _bits([w]))
             assert w == [H[i][p] * e for e in W[i]]
-        _, _, bits = _saturation_echelons(monkeypatch, lambda: orthogonal_complement(amb, rows))
+        _, _, bits = _row_echelons(monkeypatch, lambda: orthogonal_complement(amb, rows))
         widest = max(widest, bits)
     assert 0 < hermite < len(sample)
     assert 1 in attempts and len(attempts) > 1  # first suffixes and grown ones
@@ -602,7 +583,7 @@ def test_saturation_suffix_echelons(monkeypatch, rows, echelons, index):
     amb = GramLattice.from_rows(la.identity(8))
     S = Sublattice(amb, IntMatrix.from_rows(rows))
     want = oracles.saturation(S)
-    got, calls, _ = _saturation_echelons(monkeypatch, lambda: saturation(S))
+    got, calls, _ = _row_echelons(monkeypatch, lambda: saturation(S))
     assert got == want and got[1] == index
     *seen, (W, n, _) = calls
     assert [(len(A), len(A[0])) for A, _, _ in seen] == echelons
@@ -615,7 +596,7 @@ def test_saturate_rows_of_a_dependent_list_echelons_all_rows(monkeypatch):
     amb = GramLattice.from_rows(la.identity(8))
     g2 = [0, 1, 1, 2, 3, 0, 1, 1]
     rows = [_G1, g2, [a - 2 * b for a, b in zip(_G1, g2)]]
-    got, calls, _ = _saturation_echelons(monkeypatch, lambda: saturate_rows(amb, rows))
+    got, calls, _ = _row_echelons(monkeypatch, lambda: saturate_rows(amb, rows))
     assert got == oracles.saturate_rows(amb, rows) and got.rank == 2
     *seen, (W, n, _) = calls
     assert [(len(A), len(A[0])) for A, _, _ in seen] == [(6, 3), (8, 11)]
