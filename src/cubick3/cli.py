@@ -10,27 +10,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import conditions as cond
 from . import mukai as mk
 from . import standard as st
 from . import verify as vf
+from ._record import Record
 from .errors import CubicK3Error
 from .lattice import disc_group, json_int, signature
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """Everything the classifier knows about one discriminant."""
 
-    d: int
-    flags: cond.ConditionFlags
-    nl: st.NLVectorReport | None
-    boundary: int
-    pell: cond.PellSolution | None
-    notes: tuple[str, ...]
+    def __init__(self, d: int, flags: cond.ConditionFlags, nl: st.NLVectorReport | None,
+                 boundary: int, pell: cond.PellSolution | None, notes: tuple[str, ...]):
+        s = self.__dict__
+        s["d"] = d
+        s["flags"] = flags
+        s["nl"] = nl
+        s["boundary"] = boundary
+        s["pell"] = pell
+        s["notes"] = notes
 
     def to_json(self) -> dict:
         return {

@@ -44,9 +44,9 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 from . import pell
+from ._record import Record
 from .errors import InvalidDegree, InvalidParity, require_even
 from .lattice import json_int
 
@@ -288,18 +288,24 @@ def _json_pair(pair: tuple[int, int] | None) -> list | None:
     return [json_int(v) for v in pair] if pair else None
 
 
-@dataclass(frozen=True)
-class ConditionFlags:
-    """Classification of one even discriminant, with witnesses where they exist."""
+class ConditionFlags(Record):
+    """Classification of one even discriminant, with witnesses where they exist.
 
-    d: int
-    star: bool
-    starstar_prime: bool
-    starstar: bool
-    starstarstar: bool
-    case_mod6: int | None  # 0, 2, or None when d is not special
-    ss_witness: tuple[int, int] | None
-    sss_witness: tuple[int, int] | None
+    `case_mod6` is 0, 2, or None when d is not special.
+    """
+
+    def __init__(self, d: int, star: bool, starstar_prime: bool, starstar: bool,
+                 starstarstar: bool, case_mod6: int | None,
+                 ss_witness: tuple[int, int] | None, sss_witness: tuple[int, int] | None):
+        s = self.__dict__
+        s["d"] = d
+        s["star"] = star
+        s["starstar_prime"] = starstar_prime
+        s["starstar"] = starstar
+        s["starstarstar"] = starstarstar
+        s["case_mod6"] = case_mod6
+        s["ss_witness"] = ss_witness
+        s["sss_witness"] = sss_witness
 
     def to_json(self) -> dict:
         return {
@@ -349,12 +355,13 @@ def boundary_count(d: int) -> int:
     return 2 if (d // 2) % 4 == 1 else 1
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(Record):
     """Outcome of one exactly-solved Pell-type equation."""
 
-    equation: str
-    solution: tuple[int, int] | None
+    def __init__(self, equation: str, solution: tuple[int, int] | None):
+        s = self.__dict__
+        s["equation"] = equation
+        s["solution"] = solution
 
     def to_json(self) -> dict:
         return {

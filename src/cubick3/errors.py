@@ -8,6 +8,8 @@ removed rather than kept for importers.
 Most entry points take an even d, a discriminant or a K3 degree, and
 `require_even` is the one check of that domain: a ``bool``, float,
 ``Fraction`` or ``str`` d raises the caller's class, like an odd int.
+Malformed lattice input raises `InvalidMatrix` (a matrix or Gram matrix
+from outside) or `InvalidVector` (a vector of the wrong length).
 """
 
 
@@ -33,6 +35,10 @@ class UnknownLattice(CubicK3Error):
 
 class NotSpecialDiscriminant(CubicK3Error):
     """d is not a positive int congruent to 0 or 2 modulo 6."""
+
+
+class InvalidMatrix(CubicK3Error):
+    """A matrix has a non-integral entry or ragged rows, or a Gram matrix is not symmetric."""
 
 
 class InvalidVector(CubicK3Error):

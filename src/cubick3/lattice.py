@@ -2,11 +2,13 @@
 
 A lattice here is a free Z-module of finite rank with an integer symmetric
 bilinear form, given by its Gram matrix.  Vectors are coordinate tuples in
-the (implicit) basis.  Everything is immutable and every operation is a pure
-function, so values can be shared freely between threads.
+the (implicit) basis.  Everything is immutable (frozen records, see
+`_record`) and every operation is a pure function, so values can be shared
+freely between threads.
 
 The arithmetic stays in integers (a non-integral coordinate raises
-ValueError, never truncates) and touches only nonzero entries: a
+ValueError, and a non-integral, ragged or non-symmetric Gram matrix
+`InvalidMatrix`; nothing is truncated) and touches only nonzero entries: a
 `GramLattice` keeps the sparse rows of its Gram matrix for pairings and
 induced Gram matrices, both scattered from the nonzero entries of each
 vector (`intlinalg.sparse_mat_vec`).  Each lattice fact is read off the one
@@ -36,11 +38,17 @@ its q-value is the numerator (c_i . c_i) / n_i mod 2 n_i over n_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegenerateLattice, DependentGenerators, InvalidVector, ZeroVector
+from ._record import Record
+from .errors import (
+    DegenerateLattice,
+    DependentGenerators,
+    InvalidMatrix,
+    InvalidVector,
+    ZeroVector,
+)
 from . import intlinalg as la
 
 Vector = tuple[int, ...]
@@ -73,20 +81,26 @@ def as_vector(v) -> Vector:
     return tuple(map(_as_int, t))
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, row-major."""
+class IntMatrix(Record):
+    """Immutable integer matrix, row-major.
 
-    data: tuple[tuple[int, ...], ...]
+    The constructor takes a tuple of int tuples as it is (kernel outputs are
+    built this way, unvalidated) and checks only that the rows have one
+    length; `from_rows` validates entries from outside.
+    """
 
-    def __post_init__(self):
-        widths = {len(row) for row in self.data}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
+    def __init__(self, data: tuple[tuple[int, ...], ...]):
+        if len({len(row) for row in data}) > 1:
+            raise InvalidMatrix("ragged matrix")
+        self.__dict__["data"] = data
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(tuple(as_vector(row) for row in rows))
+        try:
+            data = tuple(map(as_vector, rows))
+        except ValueError as e:  # a non-integral entry, with `as_vector`'s message
+            raise InvalidMatrix(str(e)) from None
+        return IntMatrix(data)
 
     @property
     def nrows(self) -> int:
@@ -108,16 +122,15 @@ def json_int(n: int):
     return n if -(2**63) <= n < 2**63 else str(n)
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(Record):
     """A finite-rank integral lattice given by a symmetric Gram matrix."""
 
-    gram: IntMatrix
-    label: str | None = None
-
-    def __post_init__(self):
-        if not self.gram.is_symmetric():
-            raise ValueError("Gram matrix must be symmetric")
+    def __init__(self, gram: IntMatrix, label: str | None = None):
+        if not gram.is_symmetric():
+            raise InvalidMatrix("Gram matrix must be symmetric")
+        s = self.__dict__
+        s["gram"] = gram
+        s["label"] = label
 
     @staticmethod
     def from_rows(rows, label: str | None = None) -> "GramLattice":
@@ -176,22 +189,24 @@ class GramLattice:
         return GramLattice.from_rows(rows, obj.get("label"))
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Record):
     """A sublattice of an ambient lattice, given by basis rows in ambient coordinates.
 
     `saturation`, `saturate_rows` and `orthogonal_complement` prove that the
     basis they return is saturated and a canonical Hermite basis, and they
     mark it so (`_saturated`); `saturation` returns a marked sublattice as it
-    is.  The marker is set only in this module and is not a dataclass
-    field: the constructor cannot set it, `dataclasses.replace` gives an
-    unmarked copy, and `==`, `repr` and `hash` do not see it.
+    is.  The marker is set only in this module and is not a field: the
+    constructor cannot set it, a copy (`_replace`, or the constructor on
+    the same ambient and basis) is unmarked, and `==`, `repr` and `hash` do
+    not see it.
     """
 
-    ambient: GramLattice
-    basis: IntMatrix
-
     _saturated = False  # see `_saturated_sublattice`
+
+    def __init__(self, ambient: GramLattice, basis: IntMatrix):
+        s = self.__dict__
+        s["ambient"] = ambient
+        s["basis"] = basis
 
     @property
     def rank(self) -> int:
@@ -235,8 +250,7 @@ class Sublattice:
         return la.hnf_rows(self._hnf + [list(w)]) == self._hnf
 
 
-@dataclass(frozen=True)
-class DiscGroup:
+class DiscGroup(Record):
     """Discriminant group A_L = L*/L of a nondegenerate lattice, in integers.
 
     Generator i of the cyclic factor of order n_i = `invariant_factors[i]`
@@ -246,9 +260,12 @@ class DiscGroup:
     in [0, 2 n_i); `q_numerators` is None for an odd lattice.
     """
 
-    invariant_factors: tuple[int, ...]
-    columns: tuple[Vector, ...]
-    q_numerators: tuple[int, ...] | None
+    def __init__(self, invariant_factors: tuple[int, ...], columns: tuple[Vector, ...],
+                 q_numerators: tuple[int, ...] | None):
+        s = self.__dict__
+        s["invariant_factors"] = invariant_factors
+        s["columns"] = columns
+        s["q_numerators"] = q_numerators
 
     @property
     def order(self) -> int:
@@ -474,7 +491,7 @@ def _saturated_sublattice(amb: GramLattice, basis) -> Sublattice:
     # the one place that marks a Sublattice: basis must be proved saturated
     # and a canonical Hermite basis by the caller (see `Sublattice`)
     S = Sublattice(amb, IntMatrix(tuple(map(tuple, basis))))
-    object.__setattr__(S, "_saturated", True)
+    S.__dict__["_saturated"] = True
     return S
 
 

@@ -11,11 +11,11 @@ is intentionally not symmetric; a^* negates the h and h^3 parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
+from ._record import Record
 from .errors import InvalidDegree
 from .lattice import IntMatrix
 
@@ -29,11 +29,11 @@ def _frac5(vals) -> tuple[Fraction, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class CohClass:
+class CohClass(Record):
     """A class a0 + a1 h + a2 h^2 + a3 h^3 + a4 h^4 with exact rational coefficients."""
 
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
+    def __init__(self, coeffs: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]):
+        self.__dict__["coeffs"] = coeffs
 
     @staticmethod
     def of(*vals) -> "CohClass":
@@ -117,10 +117,10 @@ def series_sqrt(c: CohClass) -> CohClass:
     return s
 
 
-class CharClasses(NamedTuple):
-    chern: CohClass
-    todd: CohClass
-    sqrt_todd: CohClass
+class CharClasses(namedtuple("CharClasses", "chern todd sqrt_todd")):
+    """The total Chern class, the Todd class and its square root."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -249,17 +249,19 @@ def a2_mukai_gram() -> IntMatrix:
     return IntMatrix.from_rows([[int(x) for x in row] for row in rows])
 
 
-@dataclass(frozen=True)
-class MukaiSet:
+class MukaiSet(Record):
     """The seven distinguished Mukai vectors of a cubic fourfold."""
 
-    w0: CohClass
-    w1: CohClass
-    w2: CohClass
-    u1: CohClass
-    u2: CohClass
-    vl1: CohClass
-    vl2: CohClass
+    def __init__(self, w0: CohClass, w1: CohClass, w2: CohClass, u1: CohClass, u2: CohClass,
+                 vl1: CohClass, vl2: CohClass):
+        s = self.__dict__
+        s["w0"] = w0
+        s["w1"] = w1
+        s["w2"] = w2
+        s["u1"] = u1
+        s["u2"] = u2
+        s["vl1"] = vl1
+        s["vl2"] = vl2
 
     def to_json(self) -> dict:
         return {

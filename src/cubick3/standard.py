@@ -26,13 +26,13 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import intlinalg as la
+from ._record import Record
 from .conditions import _factorize
 from .errors import (
     CubicK3Error,
@@ -208,19 +208,23 @@ def lambda_to_lambdatilde(v) -> Vector:
 # --- the canonical A2 embedding and its numerical identities ---------------
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(Record):
     """Computed invariants of the fixed A2 embedding into the extended K3 lattice."""
 
-    lambda_gram: IntMatrix
-    mu_gram: IntMatrix
-    glue_identity_holds: bool
-    a2_perp_abs_det: int
-    a2_sum_saturation_index: int
-    a2_sum_saturation_abs_det: int
-    lambda12_square: int
-    fano_sublattice_abs_det: int
-    l1_perp_abs_det: int
+    def __init__(self, lambda_gram: IntMatrix, mu_gram: IntMatrix, glue_identity_holds: bool,
+                 a2_perp_abs_det: int, a2_sum_saturation_index: int,
+                 a2_sum_saturation_abs_det: int, lambda12_square: int,
+                 fano_sublattice_abs_det: int, l1_perp_abs_det: int):
+        s = self.__dict__
+        s["lambda_gram"] = lambda_gram
+        s["mu_gram"] = mu_gram
+        s["glue_identity_holds"] = glue_identity_holds
+        s["a2_perp_abs_det"] = a2_perp_abs_det
+        s["a2_sum_saturation_index"] = a2_sum_saturation_index
+        s["a2_sum_saturation_abs_det"] = a2_sum_saturation_abs_det
+        s["lambda12_square"] = lambda12_square
+        s["fano_sublattice_abs_det"] = fano_sublattice_abs_det
+        s["l1_perp_abs_det"] = l1_perp_abs_det
 
     EXPECTED = {
         "lambda_gram": ((2, -1), (-1, 2)),
@@ -331,12 +335,13 @@ def classify_nl_vector(v) -> tuple[NLCase, int]:
     raise AssertionError(f"impossible saturation index {index}")
 
 
-class EichlerInvariant(NamedTuple):
-    """Complete invariant of a primitive vector up to the stable orthogonal group."""
+class EichlerInvariant(namedtuple("EichlerInvariant", "square div disc_class")):
+    """Complete invariant of a primitive vector up to the stable orthogonal group.
 
-    square: int
-    div: int
-    disc_class: int  # 0 or +-1 in Z/3, up to a global sign choice
+    `disc_class` is 0 or +-1 in Z/3, up to a global sign choice.
+    """
+
+    __slots__ = ()
 
     def same_up_to_sign(self, other: "EichlerInvariant") -> bool:
         return (self.square, self.div) == (other.square, other.div) and (
@@ -375,19 +380,22 @@ def eichler_invariants(v) -> EichlerInvariant:
 # --- the associated rank-2/rank-3 lattices and their complements ------------
 
 
-@dataclass(frozen=True)
-class NLVectorReport:
+class NLVectorReport(Record):
     """Lattice data attached to the discriminant-d Noether-Lefschetz vector."""
 
-    d: int
-    case: NLCase
-    v: Vector
-    v_square: int
-    gram_K: IntMatrix
-    gram_L: IntMatrix
-    gram_Gamma_d: IntMatrix
-    disc_K: DiscGroup
-    disc_Gamma_d: DiscGroup
+    def __init__(self, d: int, case: NLCase, v: Vector, v_square: int, gram_K: IntMatrix,
+                 gram_L: IntMatrix, gram_Gamma_d: IntMatrix, disc_K: DiscGroup,
+                 disc_Gamma_d: DiscGroup):
+        s = self.__dict__
+        s["d"] = d
+        s["case"] = case
+        s["v"] = v
+        s["v_square"] = v_square
+        s["gram_K"] = gram_K
+        s["gram_L"] = gram_L
+        s["gram_Gamma_d"] = gram_Gamma_d
+        s["disc_K"] = disc_K
+        s["disc_Gamma_d"] = disc_Gamma_d
 
     def to_json(self) -> dict:
         return {
@@ -492,8 +500,8 @@ def hassett_triple(d: int) -> NLVectorReport:
     if d % 6 == 0:
         case = NLCase.SATURATED
         t = d // 3
-        gram_K = IntMatrix.from_rows([[-3, 0], [0, -t]])
-        gram_L = IntMatrix.from_rows([[2, -1, 0], [-1, 2, 0], [0, 0, -t]])
+        gram_K = IntMatrix(((-3, 0), (0, -t)))
+        gram_L = IntMatrix(((2, -1, 0), (-1, 2, 0), (0, 0, -t)))
         v_square = -t
         if d % 9:
             factors = (d,)
@@ -507,15 +515,16 @@ def hassett_triple(d: int) -> NLVectorReport:
             q_numerators = (4, 1)
     else:
         case = NLCase.INDEX_THREE
-        gram_K = IntMatrix.from_rows([[-3, 1], [1, -((d + 1) // 3)]])
-        gram_L = IntMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, -((d - 2) // 3)]])
+        gram_K = IntMatrix(((-3, 1), (1, -((d + 1) // 3))))
+        gram_L = IntMatrix(((2, -1, 0), (-1, 2, -1), (0, -1, -((d - 2) // 3))))
         v_square = -3 * d
         factors = (d,)
         cols_K = ((-1, -3),)
         cols_B = ((1, 2, 3),)
         q_numerators = (3,)
     pad = (0,) * 18
-    # only B_d depends on d, and only B_d is validated here
+    # the Grams of K_d and L_d are ints of a checked d, built unvalidated;
+    # of Gamma_d only B_d depends on d, and only B_d is validated here
     gram_Gamma_d = IntMatrix(_e_u_rows() + tuple(pad + row for row in _gamma_block(d).gram.data))
     return NLVectorReport(
         d=d,
@@ -533,8 +542,7 @@ def hassett_triple(d: int) -> NLVectorReport:
 # --- the index one/two dichotomy for the stabilizer groups ------------------
 
 
-@dataclass(frozen=True)
-class KdooWitness:
+class KdooWitness(Record):
     """Witness for the index of the pointwise stabilizer inside the full one.
 
     For d = 0 (6) the witness is an involution of the full cubic lattice
@@ -542,10 +550,13 @@ class KdooWitness:
     ((v_d - h2)/3 in K_d, (-v_d - h2)/3 not in K_d).
     """
 
-    index: int
-    involution: IntMatrix | None
-    member: tuple[Fraction, ...] | None
-    non_member: tuple[Fraction, ...] | None
+    def __init__(self, index: int, involution: IntMatrix | None,
+                 member: tuple[Fraction, ...] | None, non_member: tuple[Fraction, ...] | None):
+        s = self.__dict__
+        s["index"] = index
+        s["involution"] = involution
+        s["member"] = member
+        s["non_member"] = non_member
 
 
 def kdoo_index(d: int) -> tuple[int, KdooWitness]:

@@ -8,7 +8,6 @@ id.  A nonempty failure list means the build is defective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import conditions as cond
@@ -16,6 +15,7 @@ from . import intlinalg as la
 from . import lattice as lat
 from . import mukai as mk
 from . import standard as st
+from ._record import Record
 from .errors import InvalidDegree
 
 # Coordinate bound of the hyperbolic-plane search.  At 0 no pair is found;
@@ -23,17 +23,18 @@ from .errors import InvalidDegree
 HYPERBOLIC_BOUND = 4
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    ok: bool
-    expected: str
-    actual: str
+class CheckResult(Record):
+    def __init__(self, check_id: str, ok: bool, expected: str, actual: str):
+        s = self.__dict__
+        s["check_id"] = check_id
+        s["ok"] = ok
+        s["expected"] = expected
+        s["actual"] = actual
 
 
-@dataclass(frozen=True)
-class VerifySummary:
-    checks: tuple[CheckResult, ...]
+class VerifySummary(Record):
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        self.__dict__["checks"] = checks
 
     @property
     def checks_run(self) -> int:

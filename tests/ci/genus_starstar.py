@@ -1,0 +1,25 @@
+"""`genus_compare` against the (**) of `condition_flags` on every special d <= 100,000.
+
+    python3 tests/ci/genus_starstar.py
+
+This is far past the tier-1 sweeps and `verify`'s.  Prints the number of
+disagreements and the first ten, and exits nonzero on any.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+
+from cubick3 import condition_flags, genus_compare  # noqa: E402
+
+
+def main() -> int:
+    bad = [d for d in range(2, 100_001, 2)
+           if d % 6 in (0, 2) and genus_compare(d) != condition_flags(d).starstar]
+    print(f"{len(bad)} disagreements", bad[:10])
+    return int(bool(bad))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

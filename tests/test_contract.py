@@ -9,7 +9,9 @@ Fraction(14) pass a bare parity or residue test, and "14" breaks it with a
 `TypeError`.  A twist k of `mukai_vector_line` and `euler_line` may be any
 int, and a bound of `find_hyperbolic_AT` any int of at least 0, so only
 their type and sign are refused.  The lattice entry points that take a
-vector get one of the wrong length for A2 (rank 2), and raise InvalidVector.
+vector get one of the wrong length for A2 (rank 2), and raise InvalidVector;
+a Gram matrix that is ragged, not symmetric or not integral raises
+InvalidMatrix.
 
 This is the out-of-domain half of the contract test of ROADMAP item 3.  Of
 the in-domain half, a second table holds the entry points that answer from
@@ -35,6 +37,7 @@ from cubick3.cli import build_report
 from cubick3.errors import (
     InvalidBound,
     InvalidDegree,
+    InvalidMatrix,
     InvalidParity,
     InvalidVector,
     NotSpecialDiscriminant,
@@ -98,6 +101,14 @@ def basis_pairings(v):
     return A2.basis_pairings(v)
 
 
+def gram_from_rows(rows):
+    return lat.GramLattice.from_rows(rows)
+
+
+# ragged, not symmetric, a float entry
+BAD_GRAMS = (((2, -1), (-1,)), ((2, -1), (0, 2)), ((2.5, -1), (-1, 2)))
+
+
 def _rows(error, values, *entries):
     return [(f, error, v) for f in entries for v in values]
 
@@ -120,6 +131,7 @@ TABLE = (
     + _rows(InvalidVector, WRONG_LENGTH, span_sublattice, orthogonal_complement, saturate_rows,
             contains, is_primitive, divisibility, pairing, square, basis_pairings)
     + _rows(InvalidBound, (2.5, 4.0, Fraction(4), "4", True, -1), hyperbolic_bound)
+    + _rows(InvalidMatrix, BAD_GRAMS, gram_from_rows)
 )
 
 

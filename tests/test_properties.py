@@ -1,6 +1,5 @@
 """Property-based checks of the algebraic identities."""
 
-import dataclasses
 import random
 
 import pytest
@@ -442,7 +441,7 @@ def test_saturation_marker(monkeypatch):
         assert sat is not copy and sat.basis == X.basis and idx == 1, name
         assert len(calls) == 1, name
         assert copy == X and repr(copy) == repr(X) and hash(copy) == hash(X), name
-        replaced = dataclasses.replace(X)
+        replaced = X._replace()
         assert replaced == X, name
         calls.clear()
         assert saturation(replaced)[0] is not replaced and len(calls) == 1, name

@@ -2,7 +2,6 @@
 
 import types
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -119,26 +118,26 @@ def _doubled(g):
     "d, field, mutate, tag",
     [
         # a generator of order 7 in place of one of order 14
-        pytest.param(14, "disc_K", lambda g: replace(g, columns=(_doubled(g.columns[0]),)),
+        pytest.param(14, "disc_K", lambda g: g._replace(columns=(_doubled(g.columns[0]),)),
                      "discK", id="K-order"),
-        pytest.param(14, "disc_K", lambda g: replace(g, q_numerators=(3,)),
+        pytest.param(14, "disc_K", lambda g: g._replace(q_numerators=(3,)),
                      "discK", id="K-odd-with-q"),
         # q + 1: the numerator plus its denominator 14
         pytest.param(14, "disc_Gamma_d",
-                     lambda g: replace(g, q_numerators=(g.q_numerators[0] + 14,)),
+                     lambda g: g._replace(q_numerators=(g.q_numerators[0] + 14,)),
                      "discGamma", id="Gamma-q"),
         # (4, 8, 1)/12 has order 12 but pairs to 1/3 with the block <4>
         pytest.param(12, "disc_Gamma_d",
-                     lambda g: replace(g, columns=(g.columns[0][:20] + (1,),)),
+                     lambda g: g._replace(columns=(g.columns[0][:20] + (1,),)),
                      "discGamma", id="Gamma-not-dual"),
         # Z/18 in place of Z/3 + Z/6
-        pytest.param(18, "disc_Gamma_d", lambda g: replace(g, invariant_factors=(18,)),
+        pytest.param(18, "disc_Gamma_d", lambda g: g._replace(invariant_factors=(18,)),
                      "discGamma", id="Gamma-factors"),
         pytest.param(18, "v_square", lambda v: v + 1, "vsquare", id="v-square"),
     ],
 )
 def test_nl_oracle_refutes_a_wrong_disc_group(monkeypatch, d, field, mutate, tag):
     rep = st.hassett_triple.__wrapped__(d)
-    bad = replace(rep, **{field: mutate(getattr(rep, field))})
+    bad = rep._replace(**{field: mutate(getattr(rep, field))})
     monkeypatch.setattr(st, "hassett_triple", lambda _: bad)
     assert vf._nl_failures(d) == [tag]
