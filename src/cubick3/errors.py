@@ -9,7 +9,8 @@ Most entry points take an even d, a discriminant or a K3 degree, and
 `require_even` is the one check of that domain: a ``bool``, float,
 ``Fraction`` or ``str`` d raises the caller's class, like an odd int.
 Malformed lattice input raises `InvalidMatrix` (a matrix or Gram matrix
-from outside) or `InvalidVector` (a vector of the wrong length).
+from outside) or `InvalidVector` (a vector of the wrong length or with a
+non-integral entry).
 """
 
 
@@ -42,7 +43,12 @@ class InvalidMatrix(CubicK3Error):
 
 
 class InvalidVector(CubicK3Error):
-    """A coordinate vector does not have the length of its lattice's rank."""
+    """A coordinate vector has a non-integral entry or not the length of its lattice's rank.
+
+    A vector whose entries are rational is refused wherever integer
+    coordinates are required (`lattice.as_vector`); `Sublattice.contains`
+    catches it and answers False, as an integer lattice holds no such vector.
+    """
 
 
 class InvalidNLVector(CubicK3Error):

@@ -7,7 +7,7 @@ the (implicit) basis.  Everything is immutable (frozen records, see
 freely between threads.
 
 The arithmetic stays in integers (a non-integral coordinate raises
-ValueError, and a non-integral, ragged or non-symmetric Gram matrix
+`InvalidVector`, and a non-integral, ragged or non-symmetric Gram matrix
 `InvalidMatrix`; nothing is truncated) and touches only nonzero entries: a
 `GramLattice` keeps the sparse rows of its Gram matrix for pairings and
 induced Gram matrices, both scattered from the nonzero entries of each
@@ -63,14 +63,14 @@ def _as_int(e) -> int:
             return n
     except (OverflowError, ValueError):  # int() of an infinity or a nan
         pass
-    raise ValueError(f"non-integral entry {e!r}")
+    raise InvalidVector(f"non-integral entry {e!r}")
 
 
 _INT_ONLY = frozenset({int})
 
 
 def as_vector(v) -> Vector:
-    """The integer coordinate tuple of v; a non-integral entry raises ValueError.
+    """The integer coordinate tuple of v; a non-integral entry raises `InvalidVector`.
 
     A tuple of exact ``int`` entries is returned as it is; any other entry
     (``bool``, ``Fraction``, ``float``, ...) goes through the full check.
@@ -98,7 +98,7 @@ class IntMatrix(Record):
     def from_rows(rows) -> "IntMatrix":
         try:
             data = tuple(map(as_vector, rows))
-        except ValueError as e:  # a non-integral entry, with `as_vector`'s message
+        except InvalidVector as e:  # a non-integral entry, with `as_vector`'s message
             raise InvalidMatrix(str(e)) from None
         return IntMatrix(data)
 
@@ -245,7 +245,7 @@ class Sublattice(Record):
         _check_lengths(self.ambient, [v])
         try:
             w = as_vector(v)
-        except ValueError:
+        except InvalidVector:
             return False  # integer basis rows span only integer vectors
         return la.hnf_rows(self._hnf + [list(w)]) == self._hnf
 
@@ -464,7 +464,7 @@ def _saturate(amb: GramLattice, rows):
     n, k = amb.rank, len(rows)
     _check_lengths(amb, rows)
     # the zero rows of rows^T are left out: that changes U alone (see `saturation`)
-    T = [c for c in la.transpose(rows) if any(c)]
+    T = [c for c in zip(*rows) if any(c)]
     # a suffix of rank k spans the module of all of T exactly when W is
     # integral; the echelon's transform is not read, so none is carried
     W = None

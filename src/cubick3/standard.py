@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
@@ -39,6 +38,7 @@ from .errors import (
     InvalidBound,
     InvalidDegree,
     InvalidNLVector,
+    InvalidVector,
     NotHyperbolicPair,
     NotSpecialDiscriminant,
     SearchExhausted,
@@ -50,6 +50,7 @@ from .lattice import (
     DiscGroup,
     GramLattice,
     IntMatrix,
+    Sublattice,
     Vector,
     as_vector,
     direct_sum,
@@ -96,7 +97,7 @@ def _coords(v, error: type[CubicK3Error]) -> Vector:
     # integer coordinates of v; a non-integral entry raises `error`
     try:
         return as_vector(v)
-    except ValueError as exc:
+    except InvalidVector as exc:
         raise error(str(exc)) from None
 
 
@@ -131,9 +132,10 @@ def standard_lattice(name: str) -> GramLattice:
     """
     if type(name) is not str:
         raise UnknownLattice(f"lattice name must be a str, got {name!r}")
-    m = re.fullmatch(r"LambdaD\((\d+)\)", name)
-    if m:
-        return lambda_d_lattice(int(m.group(1)))
+    # LambdaD(<digits>): isdecimal accepts the Unicode Nd digits, as int() does
+    digits = name[8:-1]
+    if name.startswith("LambdaD(") and name.endswith(")") and digits.isdecimal():
+        return lambda_d_lattice(int(digits))
     return _fixed_lattice(name)
 
 
@@ -304,9 +306,17 @@ def _primitive_gamma_vector(v, zero_error: Exception) -> Vector:
         raise InvalidNLVector("vector must be in Gamma coordinates (rank 22)")
     if not any(v):
         raise zero_error
-    if math.gcd(*(abs(e) for e in v)) != 1:
+    if math.gcd(*v) != 1:
         raise InvalidNLVector("vector is not primitive")
     return v
+
+
+def _h2_span(vbar: Vector) -> Sublattice:
+    # span(h2, vbar) in Gammabar, for vbar the image of a nonzero vector of
+    # Gamma, built with no rank echelon: the two are independent, since vbar
+    # is orthogonal to h2 while (h2)^2 = -3, so vbar = c h2 would give
+    # 0 = (vbar . h2) = -3c, c = 0 and vbar = 0
+    return Sublattice(standard_lattice("Gammabar"), IntMatrix((H2, vbar)))
 
 
 def classify_nl_vector(v) -> tuple[NLCase, int]:
@@ -315,14 +325,16 @@ def classify_nl_vector(v) -> tuple[NLCase, int]:
     Returns (case, d): the span of h2 and v inside the full cubic lattice is
     either already saturated, with d = -3 (v)^2 = 0 (6), or of index three in
     its saturation, with d = -(v)^2 / 3 = 2 (6).
+
+    The span is taken as a basis with no rank test, since h2 and v are
+    independent: v is nonzero and orthogonal to h2 (Gamma is the complement
+    of h2 in Gammabar), while (h2)^2 = -3 is not 0.
     """
     v = _primitive_gamma_vector(v, InvalidNLVector("zero vector"))
     sq = standard_lattice("Gamma").square(v)
     if sq >= 0:
         raise InvalidNLVector(f"square must be negative, got {sq}")
-    gbar = standard_lattice("Gammabar")
-    vbar = gamma_to_gammabar(v)
-    _, index = saturation(span_sublattice(gbar, [H2, vbar]))
+    _, index = saturation(_h2_span(gamma_to_gammabar(v)))
     if index == 1:
         d = -3 * sq
         assert d % 6 == 0
@@ -417,10 +429,11 @@ def _e_u_rows() -> tuple[Vector, ...]:
 
 
 def _gamma_block(d: int) -> GramLattice:
-    # the rank-3 block B_d of Gamma_d = E + U + B_d in the closed-form basis
+    # the rank-3 block B_d of Gamma_d = E + U + B_d in the closed-form basis;
+    # its entries are ints of a checked d, so only the symmetry is checked
     if d % 6 == 0:
-        return GramLattice.from_rows([[-2, 1, 0], [1, -2, 0], [0, 0, d // 3]])
-    return GramLattice.from_rows([[-2, 1, 0], [1, -2, 1], [0, 1, (d - 2) // 3]])
+        return GramLattice(IntMatrix(((-2, 1, 0), (1, -2, 0), (0, 0, d // 3))))
+    return GramLattice(IntMatrix(((-2, 1, 0), (1, -2, 1), (0, 1, (d - 2) // 3))))
 
 
 def closed_form_bases(d: int) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -459,9 +472,11 @@ def hassett_triple(d: int) -> NLVectorReport:
     Gram of Gamma_d is written down as rows: the 18 fixed rows of E + U,
     built once from the cached Gamma, then the three rows of the rank-3
     block B_d (see `genus_compare`), so only the nine entries of B_d are
-    built and validated for each d.  Its proof is `verify`, which computes
-    the three lattices generically for every special d in its sweep and
-    compares Hermite bases and Grams.
+    built for each d.  Every entry of every Gram here is an int computed
+    from a d that `_check_special` accepted, so no entry is re-validated;
+    the one check left is that B_d is symmetric (`GramLattice`).  Its proof
+    is `verify`, which computes the three lattices generically for every
+    special d in its sweep and compares Hermite bases and Grams.
 
     The discriminant groups are written down too, in integers: generator i
     is an integer column over its order n_i and q_i a numerator over n_i
@@ -523,8 +538,8 @@ def hassett_triple(d: int) -> NLVectorReport:
         cols_B = ((1, 2, 3),)
         q_numerators = (3,)
     pad = (0,) * 18
-    # the Grams of K_d and L_d are ints of a checked d, built unvalidated;
-    # of Gamma_d only B_d depends on d, and only B_d is validated here
+    # every Gram is ints of a checked d, built unvalidated; of Gamma_d only
+    # B_d depends on d, and only its symmetry is checked
     gram_Gamma_d = IntMatrix(_e_u_rows() + tuple(pad + row for row in _gamma_block(d).gram.data))
     return NLVectorReport(
         d=d,
@@ -561,10 +576,9 @@ class KdooWitness(Record):
 
 def kdoo_index(d: int) -> tuple[int, KdooWitness]:
     _check_special(d)
-    gbar = standard_lattice("Gammabar")
-    v = nl_vector(d)
-    vbar = gamma_to_gammabar(v)
+    vbar = gamma_to_gammabar(nl_vector(d))
     if d % 6 == 0:
+        gbar = standard_lattice("Gammabar")
         rows = la.identity(RANK_BAR)
         rows[E1][E1] = -1
         rows[F1][F1] = -1
@@ -576,7 +590,7 @@ def kdoo_index(d: int) -> tuple[int, KdooWitness]:
         if la.mat_vec(rows, vbar) != [-e for e in vbar]:
             raise AssertionError("involution does not negate v_d")
         return 2, KdooWitness(2, IntMatrix.from_rows(rows), None, None)
-    satK, _ = saturation(span_sublattice(gbar, [H2, vbar]))
+    satK, _ = saturation(_h2_span(vbar))
     member = tuple(Fraction(a - b, 3) for a, b in zip(vbar, H2))
     non_member = tuple(Fraction(-a - b, 3) for a, b in zip(vbar, H2))
     if not satK.contains(member):

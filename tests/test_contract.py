@@ -10,8 +10,11 @@ Fraction(14) pass a bare parity or residue test, and "14" breaks it with a
 int, and a bound of `find_hyperbolic_AT` any int of at least 0, so only
 their type and sign are refused.  The lattice entry points that take a
 vector get one of the wrong length for A2 (rank 2), and raise InvalidVector;
-a Gram matrix that is ragged, not symmetric or not integral raises
-InvalidMatrix.
+those that take integer coordinates raise it too for a vector with a
+`Fraction(1, 2)` or a 0.5 entry.  (`Sublattice.contains` takes a rational
+vector and answers False for it; `pairing`, `square` and `basis_pairings`
+pair rational vectors too.)  A Gram matrix that is ragged, not symmetric or
+not integral raises InvalidMatrix.
 
 This is the out-of-domain half of the contract test of ROADMAP item 3.  Of
 the in-domain half, a second table holds the entry points that answer from
@@ -63,6 +66,8 @@ def hyperbolic_bound(bound):
 # a vector of the lattice A2 (rank 2) is refused at any other length
 A2 = st.standard_lattice("A2")
 WRONG_LENGTH = ((), (1,), (1, 0, 0))
+# ... and at the right length, refused where integer coordinates are required
+NON_INTEGRAL = ((Fraction(1, 2), 0), (0.5, 0))
 
 
 def span_sublattice(v):
@@ -130,6 +135,8 @@ TABLE = (
     + _rows(InvalidDegree, (1.5, Fraction(1), "1", True), mk.mukai_vector_line, mk.euler_line)
     + _rows(InvalidVector, WRONG_LENGTH, span_sublattice, orthogonal_complement, saturate_rows,
             contains, is_primitive, divisibility, pairing, square, basis_pairings)
+    + _rows(InvalidVector, NON_INTEGRAL, span_sublattice, orthogonal_complement, saturate_rows,
+            is_primitive, divisibility)
     + _rows(InvalidBound, (2.5, 4.0, Fraction(4), "4", True, -1), hyperbolic_bound)
     + _rows(InvalidMatrix, BAD_GRAMS, gram_from_rows)
 )

@@ -2,9 +2,11 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as hyp
 
 from cubick3 import lattice
 from cubick3 import standard as st
@@ -110,6 +112,32 @@ class TestStandardLattices:
             standard_lattice("LambdaD(7)")
         with pytest.raises(UnknownLattice):
             standard_lattice("Foo")
+
+    @pytest.mark.parametrize("name", [
+        "LambdaD(14)", "LambdaD(014)", "LambdaD()", "LambdaD(-4)", "LambdaD(+14)",
+        "LambdaD(1 4)", "LambdaD(1_4)", "LambdaD(14.0)", "LambdaD((14))", " LambdaD(14)",
+        "LambdaD(14)x", "LambdaD(14)\n", "LambdaD(14", "LambdaD14)", "LambdaD(",
+        "LambdaD(\u0661\u0664)", "LambdaD(\u0663\u0660)", "LambdaD(\uff11\uff14)",
+        "LambdaD(\U0001d7d9\U0001d7dc)", "LambdaD(\u00b2)", "LambdaD(\u2460)",
+        "LambdaD(7)", "LambdaD(0)", "lambdaD(14)", "Gamma", "LambdaTilde",
+    ])
+    def test_lambda_d_names_parse_as_the_regex_did(self, name):
+        # the pattern LambdaD\((\d+)\) read d, and any other name was a
+        # fixed one; \d and str.isdecimal both accept exactly the Unicode Nd
+        # digits, so Arabic-Indic and fullwidth digits name LambdaD(14) too
+        def outcome(build):
+            try:
+                return build()
+            except UnknownLattice as exc:
+                return UnknownLattice, str(exc)
+
+        m = re.fullmatch(r"LambdaD\((\d+)\)", name)
+        want = outcome(lambda: st.lambda_d_lattice(int(m.group(1))) if m
+                       else st._fixed_lattice(name))
+        assert outcome(lambda: standard_lattice(name)) == want
+
+    def test_standard_imports_no_re(self):
+        assert "re" not in vars(st)
 
     def test_lambda_d_names_leave_every_cache_bounded(self):
         # each LambdaD(d) is built on its call; no cache of the module keeps it
@@ -228,6 +256,60 @@ class TestClassify:
             classify_nl_vector(unit_vector(RANK_GAMMA, E1))  # isotropic
         with pytest.raises(InvalidNLVector):
             classify_nl_vector((0,) * RANK_GAMMA)
+
+    @given(hyp.lists(hyp.integers(-5, 5), min_size=RANK_GAMMA, max_size=RANK_GAMMA),
+           hyp.sampled_from((0, 1, 2)))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_generic_route(self, w, k):
+        # k = 0: v = w/gcd, of divisibility 1 or 3; k = 1, 2: v = 3w + k c for
+        # c the column of the generator c/3 of A_Gamma, so G v = 0 (mod 3) and
+        # v has divisibility 3 (dividing by a gcd prime to 3 keeps it)
+        c = st._gamma_disc_generator()
+        v = w if k == 0 else [3 * a + k * b for a, b in zip(w, c)]
+        g = math.gcd(*v)
+        assume(g)
+        v = tuple(e // g for e in v)
+        sq = standard_lattice("Gamma").square(v)
+        assume(sq < 0)
+        assert k == 0 or lattice.divisibility(standard_lattice("Gamma"), v) == 3
+        assert classify_nl_vector(v) == _generic_classification(v, sq)
+
+    def test_agrees_with_the_generic_route_on_every_special_d(self):
+        for d in range(2, 2001, 2):
+            if d % 6 in (0, 2):
+                v = nl_vector(d)
+                sq = standard_lattice("Gamma").square(v)
+                assert classify_nl_vector(v) == _generic_classification(v, sq) == (
+                    NLCase.SATURATED if d % 6 == 0 else NLCase.INDEX_THREE, d), d
+
+    def test_runs_no_rank_test(self, monkeypatch):
+        # the span of h2 and v is built as a basis; its saturation still runs
+        calls = {"rank_int": 0, "span_sublattice": 0, "saturation": 0}
+
+        def counted(module, name):
+            f = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(la, "rank_int")
+        counted(st, "span_sublattice")
+        counted(st, "saturation")
+        assert classify_nl_vector(nl_vector(14)) == (NLCase.INDEX_THREE, 14)
+        assert calls == {"rank_int": 0, "span_sublattice": 0, "saturation": 1}
+
+
+def _generic_classification(v, sq):
+    # the case read off the saturation of span_sublattice's checked span
+    gbar = standard_lattice("Gammabar")
+    _, index = lattice.saturation(lattice.span_sublattice(gbar, [st.H2, gamma_to_gammabar(v)]))
+    if index == 1:
+        return NLCase.SATURATED, -3 * sq
+    assert index == 3 and sq % 3 == 0
+    return NLCase.INDEX_THREE, -sq // 3
 
 
 @pytest.mark.parametrize(
