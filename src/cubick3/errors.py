@@ -45,9 +45,11 @@ class InvalidMatrix(CubicK3Error):
 class InvalidVector(CubicK3Error):
     """A coordinate vector has a non-integral entry or not the length of its lattice's rank.
 
-    A vector whose entries are rational is refused wherever integer
-    coordinates are required (`lattice.as_vector`); `Sublattice.contains`
-    catches it and answers False, as an integer lattice holds no such vector.
+    A vector with a non-integral entry (a ``Fraction`` or float that is not
+    an integer, or a value ``int()`` refuses, such as ``None``) is refused
+    wherever integer coordinates are required (`lattice.as_vector`);
+    `Sublattice.contains` catches it and answers False, as an integer
+    lattice holds no such vector.
     """
 
 

@@ -61,7 +61,7 @@ def _as_int(e) -> int:
         n = int(e)
         if n == e:
             return n
-    except (OverflowError, ValueError):  # int() of an infinity or a nan
+    except (OverflowError, TypeError, ValueError):  # an infinity, a nan, None, ...
         pass
     raise InvalidVector(f"non-integral entry {e!r}")
 
@@ -241,6 +241,8 @@ class Sublattice(Record):
 
         Hermite equality: v is a member iff adding it to the canonical
         Hermite basis H spans the same lattice, i.e. hnf_rows(H + [v]) == H.
+        A vector with a non-integral entry (a ``Fraction``, a float, ``None``,
+        ...) is not a member.
         """
         _check_lengths(self.ambient, [v])
         try:

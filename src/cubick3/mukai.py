@@ -106,15 +106,23 @@ def series_inverse(c: CohClass) -> CohClass:
 
 
 def series_sqrt(c: CohClass) -> CohClass:
-    """Square root with constant term 1 by Newton iteration on s -> (s + c/s)/2."""
+    """The square root with constant term 1, read off coefficient by coefficient.
+
+    For s = s0 + s1 h + ... with s0 = 1, the h^n coefficient of s s is
+    2 s_n + sum_{0<k<n} s_k s_(n-k) for n >= 1, a sum of earlier
+    coefficients only.  So s s = c forces s_n = (c_n - sum_{0<k<n}
+    s_k s_(n-k)) / 2, one coefficient at a time, and s is the unique
+    square root with constant term 1 (the other root is -s).
+    """
     if c.coeffs[0] != 1:
         raise ValueError("square root needs constant term 1")
-    s = CohClass.of(1, 0, 0, 0, 0)
-    for _ in range(4):
-        s = (s + c * series_inverse(s)).scale(Fraction(1, 2))
-    if not (s * s - c).is_zero():
-        raise AssertionError("Newton iteration did not converge")
-    return s
+    s = [Fraction(1)]
+    for n in range(1, _DEG):
+        s.append((c.coeffs[n] - sum(s[k] * s[n - k] for k in range(1, n))) / 2)
+    root = CohClass(_frac5(s))
+    if not (root * root - c).is_zero():
+        raise AssertionError("the square root does not square back")
+    return root
 
 
 class CharClasses(namedtuple("CharClasses", "chern todd sqrt_todd")):

@@ -54,7 +54,6 @@ from .lattice import (
     Vector,
     as_vector,
     direct_sum,
-    disc_group,
     divisibility,
     is_primitive,
     json_int,
@@ -311,14 +310,6 @@ def _primitive_gamma_vector(v, zero_error: Exception) -> Vector:
     return v
 
 
-def _h2_span(vbar: Vector) -> Sublattice:
-    # span(h2, vbar) in Gammabar, for vbar the image of a nonzero vector of
-    # Gamma, built with no rank echelon: the two are independent, since vbar
-    # is orthogonal to h2 while (h2)^2 = -3, so vbar = c h2 would give
-    # 0 = (vbar . h2) = -3c, c = 0 and vbar = 0
-    return Sublattice(standard_lattice("Gammabar"), IntMatrix((H2, vbar)))
-
-
 def classify_nl_vector(v) -> tuple[NLCase, int]:
     """Saturation dichotomy for a primitive negative vector of the primitive cubic lattice.
 
@@ -334,7 +325,8 @@ def classify_nl_vector(v) -> tuple[NLCase, int]:
     sq = standard_lattice("Gamma").square(v)
     if sq >= 0:
         raise InvalidNLVector(f"square must be negative, got {sq}")
-    _, index = saturation(_h2_span(gamma_to_gammabar(v)))
+    span = IntMatrix((H2, gamma_to_gammabar(v)))
+    _, index = saturation(Sublattice(standard_lattice("Gammabar"), span))
     if index == 1:
         d = -3 * sq
         assert d % 6 == 0
@@ -361,12 +353,16 @@ class EichlerInvariant(namedtuple("EichlerInvariant", "square div disc_class")):
         )
 
 
-@lru_cache(maxsize=None)
 def _gamma_disc_generator() -> Vector:
-    # the integer column c of the generator c/3 of A_Gamma = Z/3
-    dg = disc_group(standard_lattice("Gamma"))
-    assert dg.invariant_factors == (3,)
-    return dg.columns[0]
+    """The integer column c of the generator c/3 of A_Gamma = Z/3: 2 m1 + m2.
+
+    Gamma = E + U + U + A2(-1) is block diagonal, and the Gram of A2(-1)
+    maps (2, 1) to (-3, 0), so G c = 0 (mod 3) and c/3 lies in the dual.
+    gcd(3, c) = 1, so c/3 is not in Gamma and has order 3 in A_Gamma, a
+    group of order |det Gamma| = 3.  The tests compare c with the column
+    of `disc_group(Gamma)`.
+    """
+    return _vec(RANK_GAMMA, {M1: 2, M2: 1})
 
 
 def eichler_invariants(v) -> EichlerInvariant:
@@ -575,27 +571,38 @@ class KdooWitness(Record):
 
 
 def kdoo_index(d: int) -> tuple[int, KdooWitness]:
+    """Index of the pointwise stabilizer of K_d in the full one, with its witness.
+
+    Both witnesses are written down, and no lattice is computed.
+
+    * d = 0 (6): the index is 2, witnessed by the involution of Gammabar
+      that negates e1 and f1 and fixes every other basis vector; it is one
+      matrix for every d.  It preserves the Gram, since (e1, f1) spans an
+      orthogonal summand U and -1 is an isometry of U.  It fixes h2 =
+      eps1 + eps2 + eps3 and negates v_d = e1 - (d/6) f1, which lives in U.
+    * d = 2 (6): the index is 1, witnessed by the pair ((v_d - h2)/3 in K_d,
+      (-v_d - h2)/3 not in K_d).  K_d is the saturation of span(h2, v_d) in
+      Gammabar, i.e. the integer vectors of its rational span (Gammabar is
+      Z^23 in its basis coordinates), and both vectors lie in that span.  So
+      membership is integrality: v_d = 3 e1 - 3c f1 + eps1 - 2 eps2 + eps3
+      with c = (d - 2)/6, so (v_d - h2)/3 = e1 - c f1 - eps2 is integral,
+      while (-v_d - h2)/3 has eps1 coordinate -2/3.
+
+    `verify` checks both generically: the involution by its Gram product
+    and its action on h2 and v_d, the pair by the saturation of the span
+    and Hermite membership.
+    """
     _check_special(d)
-    vbar = gamma_to_gammabar(nl_vector(d))
     if d % 6 == 0:
-        gbar = standard_lattice("Gammabar")
         rows = la.identity(RANK_BAR)
-        rows[E1][E1] = -1
-        rows[F1][F1] = -1
-        G = gbar.gram.to_lists()
-        if la.sparse_gram_product(rows, gbar.gram_rows) != G:
-            raise AssertionError("involution does not preserve the Gram matrix")
-        if la.mat_vec(rows, H2) != list(H2):
-            raise AssertionError("involution does not fix h2")
-        if la.mat_vec(rows, vbar) != [-e for e in vbar]:
-            raise AssertionError("involution does not negate v_d")
+        rows[E1][E1] = rows[F1][F1] = -1
         return 2, KdooWitness(2, IntMatrix.from_rows(rows), None, None)
-    satK, _ = saturation(_h2_span(vbar))
+    vbar = gamma_to_gammabar(nl_vector(d))
     member = tuple(Fraction(a - b, 3) for a, b in zip(vbar, H2))
     non_member = tuple(Fraction(-a - b, 3) for a, b in zip(vbar, H2))
-    if not satK.contains(member):
+    if any(x.denominator != 1 for x in member):
         raise AssertionError("(v_d - h2)/3 should lie in K_d")
-    if satK.contains(non_member):
+    if all(x.denominator == 1 for x in non_member):
         raise AssertionError("(-v_d - h2)/3 should not lie in K_d")
     return 1, KdooWitness(1, None, member, non_member)
 

@@ -279,16 +279,37 @@ def _delta_checks(out: list[CheckResult]) -> None:
         _check(out, f"delta.{d}", True, ok)
 
 
+def _kdoo_holds(d: int, witness: st.KdooWitness) -> bool:
+    """Whether the witness of `kdoo_index(d)` holds, checked generically.
+
+    For d = 0 (6) the involution must preserve the Gram of Gammabar, fix h2
+    and negate v_d; for d = 2 (6) the saturation of span(h2, v_d) must
+    contain the member and not the non-member (Hermite equality).
+    """
+    gbar = st.standard_lattice("Gammabar")
+    vbar = st.gamma_to_gammabar(st.nl_vector(d))
+    if d % 6 == 0:
+        if witness.involution is None:
+            return False
+        g = witness.involution.to_lists()
+        return (
+            la.sparse_gram_product(g, gbar.gram_rows) == gbar.gram.to_lists()
+            and la.mat_vec(g, st.H2) == list(st.H2)
+            and la.mat_vec(g, vbar) == [-e for e in vbar]
+        )
+    if witness.member is None or witness.non_member is None:
+        return False
+    satK, _ = lat.saturation(lat.span_sublattice(gbar, [st.H2, vbar]))
+    return satK.contains(witness.member) and not satK.contains(witness.non_member)
+
+
 def _kdoo_checks(out: list[CheckResult]) -> None:
     for d in (12, 14, 18, 20):
         idx, witness = st.kdoo_index(d)
         want = 2 if d % 6 == 0 else 1
         _check(out, f"kdoo.{d}", want, idx)
-        if want == 2:
-            _check(out, f"kdoo.{d}.involution", True, witness.involution is not None)
-        else:
-            _check(out, f"kdoo.{d}.membership", True,
-                   witness.member is not None and witness.non_member is not None)
+        kind = "involution" if want == 2 else "membership"
+        _check(out, f"kdoo.{d}.{kind}", True, _kdoo_holds(d, witness))
 
 
 def _pell_checks(out: list[CheckResult]) -> None:

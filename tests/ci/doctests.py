@@ -1,4 +1,4 @@
-"""The docstring examples of the modules `tests/test_doctests.py` runs, without pytest.
+"""The docstring examples of `tests/test_doctests.py`'s `MODULES`, without pytest.
 
     python3 tests/ci/doctests.py
 
@@ -10,17 +10,10 @@ import doctest
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-import cubick3.conditions  # noqa: E402
-import cubick3.intlinalg  # noqa: E402
-import cubick3.lattice  # noqa: E402
-import cubick3.mukai  # noqa: E402
-import cubick3.pell  # noqa: E402
-import cubick3.standard  # noqa: E402
-
-MODULES = (cubick3.conditions, cubick3.intlinalg, cubick3.lattice, cubick3.mukai,
-           cubick3.pell, cubick3.standard)
+from test_doctests import MODULES  # noqa: E402
 
 
 def main() -> int:

@@ -596,3 +596,17 @@ def binary_grams_equivalent(G1, G2) -> bool:
         return sign, _reduced_posdef2(a, b, c)
 
     return reduce(G1) == reduce(G2)
+
+
+def series_sqrt_newton(c):
+    """Square root with constant term 1 by Newton's iteration s -> (s + c/s)/2.
+
+    Each step doubles the number of correct coefficients, so four steps
+    from s = 1 reach h^4.
+    """
+    from cubick3.mukai import CohClass, series_inverse
+
+    s = CohClass.of(1, 0, 0, 0, 0)
+    for _ in range(4):
+        s = (s + c * series_inverse(s)).scale(Fraction(1, 2))
+    return s

@@ -11,10 +11,11 @@ int, and a bound of `find_hyperbolic_AT` any int of at least 0, so only
 their type and sign are refused.  The lattice entry points that take a
 vector get one of the wrong length for A2 (rank 2), and raise InvalidVector;
 those that take integer coordinates raise it too for a vector with a
-`Fraction(1, 2)` or a 0.5 entry.  (`Sublattice.contains` takes a rational
-vector and answers False for it; `pairing`, `square` and `basis_pairings`
-pair rational vectors too.)  A Gram matrix that is ragged, not symmetric or
-not integral raises InvalidMatrix.
+`Fraction(1, 2)`, a 0.5 or a `None` entry.  (`Sublattice.contains` takes a
+rational vector and answers False for it; `pairing`, `square` and
+`basis_pairings` pair rational vectors too.)  A Gram matrix that is ragged,
+not symmetric or not integral (a float or a `None` entry) raises
+InvalidMatrix.
 
 This is the out-of-domain half of the contract test of ROADMAP item 3.  Of
 the in-domain half, a second table holds the entry points that answer from
@@ -67,7 +68,7 @@ def hyperbolic_bound(bound):
 A2 = st.standard_lattice("A2")
 WRONG_LENGTH = ((), (1,), (1, 0, 0))
 # ... and at the right length, refused where integer coordinates are required
-NON_INTEGRAL = ((Fraction(1, 2), 0), (0.5, 0))
+NON_INTEGRAL = ((Fraction(1, 2), 0), (0.5, 0), (None, 0))
 
 
 def span_sublattice(v):
@@ -110,8 +111,8 @@ def gram_from_rows(rows):
     return lat.GramLattice.from_rows(rows)
 
 
-# ragged, not symmetric, a float entry
-BAD_GRAMS = (((2, -1), (-1,)), ((2, -1), (0, 2)), ((2.5, -1), (-1, 2)))
+# ragged, not symmetric, a float entry, a None entry
+BAD_GRAMS = (((2, -1), (-1,)), ((2, -1), (0, 2)), ((2.5, -1), (-1, 2)), ((None,),))
 
 
 def _rows(error, values, *entries):

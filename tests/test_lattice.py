@@ -720,8 +720,9 @@ NOT_INTEGERS = (Fraction(3, 2), float("inf"), float("-inf"), float("nan"))
 
 class TestIntegralEntries:
     # a non-integral coordinate is an error, never truncated to an integer;
-    # int() truncates 3/2 and 2.5, and raises OverflowError on an infinity
-    NOT_INTEGERS = (Fraction(3, 2), float("inf"), float("-inf"), float("nan"))
+    # int() truncates 3/2 and 2.5, raises OverflowError on an infinity and
+    # TypeError on None
+    NOT_INTEGERS = (Fraction(3, 2), float("inf"), float("-inf"), float("nan"), None)
 
     def test_divisibility(self):
         for x in self.NOT_INTEGERS:

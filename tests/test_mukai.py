@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+from hypothesis import given, settings, strategies as hyp
+
 from cubick3 import (
     CohClass,
     a2_mukai_gram,
@@ -13,8 +15,9 @@ from cubick3 import (
     project_right,
     u_classes,
 )
+from cubick3 import mukai as mk
 from cubick3.mukai import exp_h, lambda_vectors, series_inverse, series_sqrt
-from oracles import det_bareiss
+from oracles import det_bareiss, series_sqrt_newton
 
 
 def test_chern_class():
@@ -52,6 +55,28 @@ def test_series_helpers():
     assert (c * series_inverse(c)).coeffs == (F(1), 0, 0, 0, 0)
     s = series_sqrt(CohClass.of(1, 2, 1, 0, 0))
     assert s == CohClass.of(1, 1, 0, 0, 0)
+
+
+@given(hyp.lists(hyp.tuples(hyp.integers(-50, 50), hyp.integers(1, 50)),
+                 min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_series_sqrt_matches_newton(tail):
+    # the coefficient recurrence against Newton's iteration, on classes
+    # 1 + c1 h + ... + c4 h^4
+    c = CohClass.of(1, *(F(a, b) for a, b in tail))
+    s = series_sqrt(c)
+    assert s == series_sqrt_newton(c)
+    assert s * s == c
+
+
+def test_series_sqrt_runs_no_series_inverse(monkeypatch):
+    want = series_sqrt(characteristic_classes().todd)
+
+    def forbidden(c):
+        raise AssertionError("series_sqrt must not invert a series")
+
+    monkeypatch.setattr(mk, "series_inverse", forbidden)
+    assert series_sqrt(characteristic_classes().todd) == want
 
 
 def test_w_vectors():

@@ -395,7 +395,7 @@ class TestHassettTriple:
             (st, "direct_sum"),
             (st, "saturation"),
             (st, "orthogonal_complement"),
-            (st, "disc_group"),
+            (lattice, "disc_group"),
             (la, "hnf_rows"),
             (la, "det"),
             (la, "smith_normal_form"),
@@ -532,6 +532,12 @@ class TestEichler:
             assert eichler_invariants(v).disc_class == 0 or div == 3
             found += 1
 
+    def test_disc_generator_is_the_smith_column(self):
+        # the written-down generator 2 m1 + m2 against the Smith form of Gamma
+        dg = disc_group(standard_lattice("Gamma"))
+        assert dg.invariant_factors == (3,)
+        assert st._gamma_disc_generator() == dg.columns[0]
+
     def test_zero_rejected(self):
         with pytest.raises(ZeroVector):
             eichler_invariants((0,) * RANK_GAMMA)
@@ -548,32 +554,78 @@ M2_IDX = 21
 
 
 class TestKdoo:
-    def test_index_two(self):
-        for d in (12, 18):
-            idx, w = kdoo_index(d)
-            assert idx == 2
-            g = w.involution.to_lists()
-            gbar = standard_lattice("Gammabar")
-            G = gbar.gram.to_lists()
-            assert la.sparse_gram_product(g, la.sparse_rows(G)) == G
-            from cubick3.standard import H2
+    # kdoo_index writes both witnesses down; the generic routes are the oracles
+    SPECIAL = [d for d in range(2, 2_001, 2) if d % 6 in (0, 2)]
 
-            assert la.mat_vec(g, H2) == list(H2)
+    def test_index_two(self):
+        # the involution preserves the Gram, fixes h2 and negates v_d
+        gbar = standard_lattice("Gammabar")
+        G = gbar.gram.to_lists()
+        for d in self.SPECIAL:
+            if d % 6:
+                continue
+            idx, w = kdoo_index(d)
+            assert idx == 2 and w.member is None and w.non_member is None, d
+            g = w.involution.to_lists()
+            assert la.sparse_gram_product(g, la.sparse_rows(G)) == G, d
+            assert la.mat_vec(g, st.H2) == list(st.H2), d
             vbar = gamma_to_gammabar(nl_vector(d))
-            assert la.mat_vec(g, vbar) == [-e for e in vbar]
+            assert la.mat_vec(g, vbar) == [-e for e in vbar], d
 
     def test_index_one(self):
         # (v_d - h2)/3 lies in the saturation K_d and (-v_d - h2)/3 does not,
         # by Hermite equality and by the rational-coefficient oracle
         gbar = standard_lattice("Gammabar")
-        for d in (14, 20):
+        for d in self.SPECIAL:
+            if d % 6 == 0:
+                continue
             idx, w = kdoo_index(d)
-            assert idx == 1
+            assert idx == 1 and w.involution is None, d
             vbar = gamma_to_gammabar(nl_vector(d))
             satK, _ = lattice.saturation(lattice.span_sublattice(gbar, [st.H2, vbar]))
-            assert satK.contains(w.member) and oracles.contains(satK, w.member)
-            assert not satK.contains(w.non_member)
-            assert not oracles.contains(satK, w.non_member)
+            assert satK.contains(w.member) and oracles.contains(satK, w.member), d
+            assert not satK.contains(w.non_member), d
+            assert not oracles.contains(satK, w.non_member), d
+
+    def test_verify_refutes_a_wrong_witness(self):
+        # verify's kdoo.* checks compute, so a wrong witness fails them
+        assert vf._kdoo_holds(12, kdoo_index(12)[1]) and vf._kdoo_holds(14, kdoo_index(14)[1])
+        w = kdoo_index(14)[1]
+        assert not vf._kdoo_holds(14, w._replace(member=w.non_member))
+        assert not vf._kdoo_holds(14, w._replace(non_member=w.member))
+        assert not vf._kdoo_holds(14, w._replace(member=None))
+        w = kdoo_index(12)[1]
+        # each fails one check: the identity keeps v_d, negating eps1 too
+        # moves h2, and doubling the first basis vector changes the Gram
+        for edits in ({st.E1: 1, st.F1: 1}, {st.EPS1: -1}, {0: 2}):
+            rows = w.involution.to_lists()
+            for i, e in edits.items():
+                rows[i][i] = e
+            bad = w._replace(involution=lattice.IntMatrix.from_rows(rows))
+            assert not vf._kdoo_holds(12, bad), edits
+        assert not vf._kdoo_holds(12, w._replace(involution=None))
+
+    def test_runs_no_generic_route(self, monkeypatch):
+        # kdoo_index and eichler_invariants compute no lattice: no saturation,
+        # Hermite form, membership, Smith form or Gram product
+        ds = [d for d in self.SPECIAL if d <= 200] + [2**61, 3 * 2**62]
+        want = {d: (kdoo_index(d), eichler_invariants(nl_vector(d))) for d in ds}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed form must not run the generic route")
+
+        for module, name in (
+            (st, "saturation"),
+            (lattice, "saturation"),
+            (lattice, "disc_group"),
+            (lattice.Sublattice, "contains"),
+            (la, "hnf_rows"),
+            (la, "smith_normal_form"),
+            (la, "sparse_gram_product"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        for d in ds:
+            assert (kdoo_index(d), eichler_invariants(nl_vector(d))) == want[d], d
 
     def test_dichotomy_sweep(self):
         for d in range(2, 61, 2):
