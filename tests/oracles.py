@@ -9,6 +9,7 @@ from cubick3 import intlinalg as la
 from cubick3 import lattice as lat
 from cubick3.errors import DependentGenerators
 from cubick3.lattice import DiscGroup, GramLattice, IntMatrix, Sublattice, disc_group
+from cubick3.mukai import CohClass, series_inverse
 from cubick3.standard import hassett_triple, lambda_d_lattice
 
 
@@ -604,8 +605,6 @@ def series_sqrt_newton(c):
     Each step doubles the number of correct coefficients, so four steps
     from s = 1 reach h^4.
     """
-    from cubick3.mukai import CohClass, series_inverse
-
     s = CohClass.of(1, 0, 0, 0, 0)
     for _ in range(4):
         s = (s + c * series_inverse(s)).scale(Fraction(1, 2))
