@@ -9,7 +9,8 @@ square d in A2, (**) for a primitive one, and (***) for the square
 presentation d = (2n^2+2n+2)/a^2.  The A2 tests and the (**) witness run on
 one prime factorization of d/2, by `_factorize`: trial division by the
 primes below 2^10, then deterministic Miller-Rabin and Pollard-Brent, so
-that every d/2 below 2^63 is factored in milliseconds.  The (***) witness
+that every d/2 below 2^63 is factored in milliseconds.  One pass over its
+primes, `_a2_flags`, reads both (**') and (**).  The (***) witness
 comes from the Pell solver, which `condition_flags` runs only where (**)
 holds (the implication (***) => (**) is a check of `verify` instead).
 
@@ -64,6 +65,7 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _primes_below(2**10)  # the 172 primes below 2^10
+_TRIAL = tuple((p, p * p) for p in _SMALL_PRIMES)  # (p, p^2), for trial division
 # the first 13 primes, 2..41, decide primality for every n below psi_13
 _MR_BASES = _SMALL_PRIMES[:13]
 _PSI13 = 3_317_044_064_679_887_385_961_981
@@ -135,8 +137,8 @@ def _factorize(n: int) -> dict[int, int]:
     very slow.
     """
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
+    for p, p2 in _TRIAL:
+        if p2 > n:
             if n > 1:
                 out[n] = 1
             return out
@@ -184,18 +186,21 @@ def a2_represents(d: int, primitive: bool = False) -> bool:
     False
     """
     require_even(d, InvalidParity)
-    return _a2_represents(_factorize(d // 2), primitive)
+    return _a2_flags(_factorize(d // 2))[primitive]
 
 
-def _a2_represents(factors: dict[int, int], primitive: bool) -> bool:
-    # the criterion of `a2_represents` on the factorization of d/2
+def _a2_flags(factors: dict[int, int]) -> tuple[bool, bool]:
+    # ((**'), (**)) for d, the two criteria of `a2_represents` read off the
+    # factorization of d/2 in one pass
+    primitive = True
     for p, n in factors.items():
         if p % 3 == 2:
-            if primitive or n % 2:
-                return False
-        elif p == 3 and primitive and n > 1:
-            return False
-    return True
+            if n % 2:
+                return False, False
+            primitive = False
+        elif p == 3 and n > 1:
+            primitive = False
+    return True, primitive
 
 
 def a2_bruteforce(d: int) -> list[tuple[int, int, bool]]:
@@ -323,23 +328,14 @@ class ConditionFlags(Record):
 def condition_flags(d: int) -> ConditionFlags:
     """Evaluate the four conditions for an even positive d (an exact ``int``)."""
     require_even(d, InvalidParity)
-    star = d % 6 in (0, 2)
+    case = d % 6
+    star = case in (0, 2)
     factors = _factorize(d // 2)
-    ssp = _a2_represents(factors, primitive=False)
-    ss = _a2_represents(factors, primitive=True)
+    ssp, ss = _a2_flags(factors)
     # (***) implies (**), so the Pell equation is solved only where (**) holds
     w_sss = witness_sss(d) if ss else None
-    sss = w_sss is not None
-    flags = ConditionFlags(
-        d=d,
-        star=star,
-        starstar_prime=ssp,
-        starstar=ss,
-        starstarstar=sss,
-        case_mod6=d % 6 if star else None,
-        ss_witness=_witness_ss(d, factors) if ss else None,
-        sss_witness=w_sss,
-    )
+    flags = ConditionFlags(d, star, ssp, ss, w_sss is not None, case if star else None,
+                           _witness_ss(d, factors) if ss else None, w_sss)
     if (ss and not ssp) or (ssp and not star):
         raise AssertionError(f"implication chain violated at d={d}: {flags}")
     return flags
@@ -352,7 +348,12 @@ def boundary_count(d: int) -> int:
     (2, 1)
     """
     require_even(d, InvalidParity)
-    return 2 if (d // 2) % 4 == 1 else 1
+    return _boundary_count(d)
+
+
+def _boundary_count(d: int) -> int:
+    # `boundary_count` of an even d: d/2 = 1 (mod 4) is d = 2 (mod 8)
+    return 2 if d % 8 == 2 else 1
 
 
 class PellSolution(Record):
@@ -375,9 +376,7 @@ def _brakkee_least(d: int, ss: bool, ssp: bool) -> tuple[int, int] | None:
     # (**) and (**') for d; None by the local obstruction of the module
     # docstring, without a walk.  (**) for d/4 implies (**') for d, whose
     # test is free.
-    local = ss or (
-        ssp and d % 16 == 8 and _a2_represents(_factorize(d // 8), primitive=True)
-    )
+    local = ss or (ssp and d % 16 == 8 and _a2_flags(_factorize(d // 8))[1])
     return pell.least_solution(d // 2) if local else None
 
 
@@ -411,9 +410,8 @@ def pell_brakkee(d: int) -> PellSolution:
     """
     if type(d) is not int or d <= 0 or d % 6:
         raise InvalidDegree(f"d must be a positive multiple of 6, got {d!r}")
-    factors = _factorize(d // 2)
-    return _brakkee_solution(d, _a2_represents(factors, primitive=True),
-                             _a2_represents(factors, primitive=False))
+    ssp, ss = _a2_flags(_factorize(d // 2))
+    return _brakkee_solution(d, ss, ssp)
 
 
 def table(max_d: int, start: int = 8) -> list[ConditionFlags]:
@@ -443,6 +441,9 @@ CSV_COLUMNS = (
 )
 
 
+_TF = ("F", "T")  # the cell of a flag, indexed by it
+
+
 def csv_row(flags: ConditionFlags) -> list[str]:
     """One table row in the documented CSV schema (values T/F, integers, or empty).
 
@@ -452,27 +453,24 @@ def csv_row(flags: ConditionFlags) -> list[str]:
     for d = 8 (mod 16), (**) for d/4) and `pell.least_solution(d/2)`
     where it does not.
     """
-    def tf(b: bool) -> str:
-        return "T" if b else "F"
-
     d = flags.d
     ss_n, ss_a = flags.ss_witness if flags.ss_witness else ("", "")
     sss_n, sss_a = flags.sss_witness if flags.sss_witness else ("", "")
     pell_cell = ""
     if d % 6 == 0:
-        pell_cell = tf(flags.starstarstar or _brakkee_least(
-            d, flags.starstar, flags.starstar_prime) is not None)
+        pell_cell = _TF[flags.starstarstar or _brakkee_least(
+            d, flags.starstar, flags.starstar_prime) is not None]
     return [
         str(d),
-        tf(flags.star),
-        tf(flags.starstar_prime),
-        tf(flags.starstar),
-        tf(flags.starstarstar),
+        _TF[flags.star],
+        _TF[flags.starstar_prime],
+        _TF[flags.starstar],
+        _TF[flags.starstarstar],
         "" if flags.case_mod6 is None else str(flags.case_mod6),
         str(ss_n),
         str(ss_a),
         str(sss_n),
         str(sss_a),
-        str(boundary_count(d)),
+        str(_boundary_count(d)),
         pell_cell,
     ]

@@ -46,10 +46,13 @@ class InvalidVector(CubicK3Error):
     """A coordinate vector has a non-integral entry or not the length of its lattice's rank.
 
     A vector with a non-integral entry (a ``Fraction`` or float that is not
-    an integer, or a value ``int()`` refuses, such as ``None``) is refused
-    wherever integer coordinates are required (`lattice.as_vector`);
-    `Sublattice.contains` catches it and answers False, as an integer
-    lattice holds no such vector.
+    an integer, a ``bool``, or a value ``int()`` refuses, such as ``None``)
+    is refused wherever integer coordinates are required
+    (`lattice.as_vector`); `Sublattice.contains` catches it and answers
+    False, as an integer lattice holds no such vector.  A cohomology class
+    of `mukai` with coefficients that are not five rationals, an operand of
+    the Mukai pairing that is not a class, and a class without the constant
+    term a series inverse or square root needs are refused the same way.
     """
 
 

@@ -57,12 +57,13 @@ Vector = tuple[int, ...]
 def _as_int(e) -> int:
     if type(e) is int:
         return e
-    try:
-        n = int(e)
-        if n == e:
-            return n
-    except (OverflowError, TypeError, ValueError):  # an infinity, a nan, None, ...
-        pass
+    if type(e) is not bool:  # a bool is refused, as wherever an exact int is required
+        try:
+            n = int(e)
+            if n == e:
+                return n
+        except (OverflowError, TypeError, ValueError):  # an infinity, a nan, None, ...
+            pass
     raise InvalidVector(f"non-integral entry {e!r}")
 
 
@@ -73,7 +74,8 @@ def as_vector(v) -> Vector:
     """The integer coordinate tuple of v; a non-integral entry raises `InvalidVector`.
 
     A tuple of exact ``int`` entries is returned as it is; any other entry
-    (``bool``, ``Fraction``, ``float``, ...) goes through the full check.
+    goes through the full check, which refuses a ``bool`` and accepts a
+    ``Fraction`` or ``float`` only at an integer value.
     """
     t = tuple(v)
     if _INT_ONLY.issuperset(map(type, t)):

@@ -7,6 +7,11 @@ fourfold has degree 3.  The Mukai pairing
     (a . b) = -integral( exp(3h/2) * a^* * b )
 
 is intentionally not symmetric; a^* negates the h and h^3 parts.
+
+A class is five exact rational coefficients.  A coefficient or scalar that
+`Fraction` refuses, a coefficient list of another length, an operand of the
+pairing that is not a class, and a class without the constant term a
+series inverse or square root needs raise `InvalidVector`.
 """
 
 from __future__ import annotations
@@ -16,17 +21,29 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._record import Record
-from .errors import InvalidDegree
+from .errors import InvalidDegree, InvalidVector
 from .lattice import IntMatrix
 
 _DEG = 5
 
 
+def _fraction(v) -> Fraction:
+    try:
+        return Fraction(v)
+    except (OverflowError, TypeError, ValueError) as e:  # None, "x", an infinity, ...
+        raise InvalidVector(str(e)) from None
+
+
 def _frac5(vals) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(v) for v in vals)
+    out = tuple(map(_fraction, vals))
     if len(out) != _DEG:
-        raise ValueError("a cohomology class has five coefficients")
+        raise InvalidVector("a cohomology class has five coefficients")
     return out
+
+
+def _require_class(c) -> None:
+    if not isinstance(c, CohClass):
+        raise InvalidVector(f"a cohomology class is required, got {c!r}")
 
 
 class CohClass(Record):
@@ -49,7 +66,7 @@ class CohClass(Record):
         return CohClass(_frac5(-a for a in self.coeffs))
 
     def scale(self, c) -> "CohClass":
-        c = Fraction(c)
+        c = _fraction(c)
         return CohClass(_frac5(c * a for a in self.coeffs))
 
     def __mul__(self, other):
@@ -96,8 +113,9 @@ def exp_h(k) -> CohClass:
 
 
 def series_inverse(c: CohClass) -> CohClass:
+    _require_class(c)
     if not c.coeffs[0]:
-        raise ValueError("inverse needs a unit constant term")
+        raise InvalidVector("inverse needs a unit constant term")
     out = [1 / c.coeffs[0]] + [Fraction(0)] * (_DEG - 1)
     for n in range(1, _DEG):
         s = sum(c.coeffs[k] * out[n - k] for k in range(1, n + 1))
@@ -114,8 +132,9 @@ def series_sqrt(c: CohClass) -> CohClass:
     s_k s_(n-k)) / 2, one coefficient at a time, and s is the unique
     square root with constant term 1 (the other root is -s).
     """
+    _require_class(c)
     if c.coeffs[0] != 1:
-        raise ValueError("square root needs constant term 1")
+        raise InvalidVector("square root needs constant term 1")
     s = [Fraction(1)]
     for n in range(1, _DEG):
         s.append((c.coeffs[n] - sum(s[k] * s[n - k] for k in range(1, n))) / 2)
@@ -187,6 +206,8 @@ def _exp_3h2() -> CohClass:
 
 def mukai_pairing(a: CohClass, b: CohClass) -> Fraction:
     """-integral(exp(3h/2) * a^* * b); not symmetric."""
+    _require_class(a)
+    _require_class(b)
     return -(_exp_3h2() * a.dual() * b).integral()
 
 

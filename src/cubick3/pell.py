@@ -43,9 +43,26 @@ No caller in the library reaches the odd branch.  The period is odd exactly
 when x^2 - D y^2 = -1 is solvable, and neither D = 2d (4 | D, and -1 is
 not a square mod 4) nor D = d/2 (3 | D, and -1 is not a square mod 3)
 admits that.  The branch serves the rest of the domain, D = 13, 61 and 97
-among it, where the answer is a mirrored odd hit.  Either way the one
-convergent is built by binary splitting of the matrix product of the
-partial quotients.
+among it, where the answer is a mirrored odd hit.
+
+The walk divides only for a_i.  Subtracting Q_(i-1) Q_i = D - m_i^2 from
+Q_i Q_(i+1) = D - m_(i+1)^2, with m_i + m_(i+1) = a_i Q_i, gives
+
+    Q_(i+1) = Q_(i-1) + a_i (m_i - m_(i+1)),   Q_(-1) = D,
+
+which replaces the division of the recurrence above.  At the hit j only
+the denominators q_j, q_(j-1) of the convergent are built, and the
+numerator follows from the identity
+
+    p_j = m_(j+1) q_j + Q_(j+1) q_(j-1),   Q_(j+1) = 3.
+
+The m of a mirrored hit L - 2 - k is m_(L-1-k) = m_(k+2) = 3 a_(k+1) -
+m_(k+1), read off the first half.  A short quotient list is run through
+the recurrence q_(i+1) = a_(i+1) q_i + q_(i-1); a long one, of a long
+walk, by binary splitting of the matrix product of the partial quotients,
+whose factors have equal size, so that the big multiplications run
+subquadratically.  The solution is checked against the equation before it
+is returned.
 
 For square D the equation factors.  The six nonsquare D <= 9 are too small
 for the convergent argument and are pinned in `_SMALL`; the unit-bounded
@@ -58,6 +75,8 @@ from math import isqrt
 
 # least solutions for the nonsquare D <= 9
 _SMALL = {2: None, 3: (3, 2), 5: None, 6: None, 7: (2, 1), 8: None}
+# the longest quotient list whose denominators are run through the recurrence
+_FLAT_DENOMINATORS = 512
 
 
 def _cf_product(quotients: list[int]) -> tuple[int, int, int, int]:
@@ -79,6 +98,21 @@ def _cf_product(quotients: list[int]) -> tuple[int, int, int, int]:
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
+def _cf_denominators(quotients: list[int]) -> tuple[int, int]:
+    # the bottom row (q_k, q_(k-1)) of `_cf_product(quotients)`: the
+    # recurrence for a short list, and for a long one the bottom row of its
+    # first half times the product of its second
+    if len(quotients) <= _FLAT_DENOMINATORS:
+        q, q_prev = 0, 1
+        for a in quotients:
+            q, q_prev = a * q + q_prev, q
+        return q, q_prev
+    mid = len(quotients) // 2
+    a10, a11 = _cf_denominators(quotients[:mid])
+    b00, b01, b10, b11 = _cf_product(quotients[mid:])
+    return a10 * b00 + a11 * b10, a10 * b01 + a11 * b11
+
+
 def least_solution(D: int) -> tuple[int, int] | None:
     """Least positive solution of x^2 - D y^2 = -3, or None (a proof, not a cutoff).
 
@@ -96,31 +130,34 @@ def least_solution(D: int) -> tuple[int, int] | None:
     if D <= 9:
         return _SMALL[D]
     # quotients holds a_0..a_j, and Q_(j+1) = 3 at even j is the least
-    # solution; the walk ends at the middle of the period
-    m, den, a = 0, 1, s
+    # solution, with m = m_(j+1); the walk ends at the middle of the period
+    m, den, den_prev, a = 0, 1, D, s
     quotients = [s]
-    odd_hit = None  # the last odd j with Q_(j+1) = 3
+    odd_hit = None  # (k, m_(k+1)) for the last odd k with Q_(k+1) = 3
     while True:
         m_next = den * a - m
-        den_next = (D - m_next * m_next) // den
         if m_next == m:
             return None  # the middle of an even period
+        den_next = den_prev + a * (m - m_next)
         if den_next == den:
             # the middle of an odd period: the least even hit mirrors the
             # last odd one, k, and its quotients past a_j are a_j, a_(j-1),
             # ..., a_(k+2)
             if odd_hit is None:
                 return None
-            quotients += quotients[:odd_hit + 1:-1]
+            k, m_hit = odd_hit
+            m = 3 * quotients[k + 1] - m_hit
+            quotients += quotients[:k + 1:-1]
             break
-        m, den = m_next, den_next
+        m, den_prev, den = m_next, den, den_next
         if den == 3:
             j = len(quotients) - 1
             if j % 2 == 0:
                 break
-            odd_hit = j
+            odd_hit = j, m
         a = (s + m) // den
         quotients.append(a)
-    p, _, q, _ = _cf_product(quotients)
+    q, q_prev = _cf_denominators(quotients)
+    p = m * q + 3 * q_prev
     assert p * p - D * q * q == -3
     return p, q

@@ -11,11 +11,14 @@ int, and a bound of `find_hyperbolic_AT` any int of at least 0, so only
 their type and sign are refused.  The lattice entry points that take a
 vector get one of the wrong length for A2 (rank 2), and raise InvalidVector;
 those that take integer coordinates raise it too for a vector with a
-`Fraction(1, 2)`, a 0.5 or a `None` entry.  (`Sublattice.contains` takes a
-rational vector and answers False for it; `pairing`, `square` and
+`Fraction(1, 2)`, a 0.5, a `None` or a `True` entry.  (`Sublattice.contains`
+takes a rational vector and answers False for it; `pairing`, `square` and
 `basis_pairings` pair rational vectors too.)  A Gram matrix that is ragged,
-not symmetric or not integral (a float or a `None` entry) raises
-InvalidMatrix.
+not symmetric or not integral (a float, a `None` or a `True` entry) raises
+InvalidMatrix.  The Mukai classes raise InvalidVector for coefficients that
+are not five rationals, a scalar that is not rational, a pairing with an
+operand that is not a class, and a series inverse or square root of a class
+without the constant term it needs.
 
 This is the out-of-domain half of the contract test of ROADMAP item 3.  Of
 the in-domain half, a second table holds the entry points that answer from
@@ -68,7 +71,7 @@ def hyperbolic_bound(bound):
 A2 = st.standard_lattice("A2")
 WRONG_LENGTH = ((), (1,), (1, 0, 0))
 # ... and at the right length, refused where integer coordinates are required
-NON_INTEGRAL = ((Fraction(1, 2), 0), (0.5, 0), (None, 0))
+NON_INTEGRAL = ((Fraction(1, 2), 0), (0.5, 0), (None, 0), (True, 0))
 
 
 def span_sublattice(v):
@@ -111,8 +114,23 @@ def gram_from_rows(rows):
     return lat.GramLattice.from_rows(rows)
 
 
-# ragged, not symmetric, a float entry, a None entry
-BAD_GRAMS = (((2, -1), (-1,)), ((2, -1), (0, 2)), ((2.5, -1), (-1, 2)), ((None,),))
+# ragged, not symmetric, a float entry, a None entry, a bool entry
+BAD_GRAMS = (((2, -1), (-1,)), ((2, -1), (0, 2)), ((2.5, -1), (-1, 2)), ((None,),), ((True,),))
+
+ONE = mk.CohClass.of(1, 0, 0, 0, 0)
+NO_CONSTANT_TERM = mk.CohClass.of(0, 1, 0, 0, 0)
+
+
+def mukai_pairing(pair):
+    return mk.mukai_pairing(*pair)
+
+
+def coh_class(coeffs):
+    return mk.CohClass.of(*coeffs)
+
+
+def times_one(c):
+    return ONE * c
 
 
 def _rows(error, values, *entries):
@@ -140,6 +158,10 @@ TABLE = (
             is_primitive, divisibility)
     + _rows(InvalidBound, (2.5, 4.0, Fraction(4), "4", True, -1), hyperbolic_bound)
     + _rows(InvalidMatrix, BAD_GRAMS, gram_from_rows)
+    + _rows(InvalidVector, ((ONE, 3), (1, 2)), mukai_pairing)
+    + _rows(InvalidVector, ((1, 2), (None, 0, 0, 0, 0)), coh_class)
+    + _rows(InvalidVector, ("x",), times_one)
+    + _rows(InvalidVector, (NO_CONSTANT_TERM,), mk.series_sqrt, mk.series_inverse)
 )
 
 

@@ -721,8 +721,8 @@ NOT_INTEGERS = (Fraction(3, 2), float("inf"), float("-inf"), float("nan"))
 class TestIntegralEntries:
     # a non-integral coordinate is an error, never truncated to an integer;
     # int() truncates 3/2 and 2.5, raises OverflowError on an infinity and
-    # TypeError on None
-    NOT_INTEGERS = (Fraction(3, 2), float("inf"), float("-inf"), float("nan"), None)
+    # TypeError on None, and reads True as 1, which an exact int is not
+    NOT_INTEGERS = (Fraction(3, 2), float("inf"), float("-inf"), float("nan"), None, True)
 
     def test_divisibility(self):
         for x in self.NOT_INTEGERS:
@@ -761,10 +761,10 @@ class TestIntegralEntries:
     def test_as_vector_fast_path_keeps_every_check(self):
         # exact ints come back as they are; anything else takes the full check
         assert as_vector([1, -2, 3]) == (1, -2, 3)
-        for x, want in ((True, 1), (Fraction(4, 1), 4), (4.0, 4)):
+        for x, want in ((Fraction(4, 1), 4), (4.0, 4)):
             got = as_vector((x, 0))
             assert got == (want, 0) and type(got[0]) is int
-        for x in (0.5, float("nan"), float("inf"), Fraction(1, 2)):
+        for x in (0.5, float("nan"), float("inf"), Fraction(1, 2), True, False):
             with pytest.raises(ValueError, match="non-integral"):
                 as_vector((1, x))
 

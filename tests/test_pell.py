@@ -6,6 +6,7 @@ from math import isqrt
 
 import pytest
 
+from cubick3 import pell
 from cubick3.pell import least_solution
 import oracles
 
@@ -37,6 +38,26 @@ def brute_least(D, ymax):
             if x * x == t:
                 return (x, y)
     return None
+
+
+def test_cf_denominators_match_the_product():
+    # the denominators alone against the bottom row of the whole product, on
+    # seeded quotient lists of every length from 0 to 600 (both sides of the
+    # threshold between the recurrence and binary splitting) and two of 10^4
+    # terms; a_0 may be large, the others are mostly small, as in sqrt(D)
+    assert pell._FLAT_DENOMINATORS < 600
+    rng = random.Random("cf-denominators")
+
+    def quotients(n):
+        return [rng.randrange(1, 2**40)] + [
+            rng.choice((1, 1, 2, 3, rng.randrange(1, 2**20))) for _ in range(n - 1)]
+
+    for n in range(601):
+        qs = quotients(n) if n else []
+        assert pell._cf_denominators(qs) == pell._cf_product(qs)[2:], n
+    for _ in range(2):
+        qs = quotients(10**4)
+        assert pell._cf_denominators(qs) == pell._cf_product(qs)[2:]
 
 
 def test_cf_expansion():
