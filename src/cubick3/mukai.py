@@ -9,9 +9,10 @@ fourfold has degree 3.  The Mukai pairing
 is intentionally not symmetric; a^* negates the h and h^3 parts.
 
 A class is five exact rational coefficients.  A coefficient or scalar that
-`Fraction` refuses, a coefficient list of another length, an operand of the
-pairing that is not a class, and a class without the constant term a
-series inverse or square root needs raise `InvalidVector`.
+`Fraction` refuses, a coefficient list of another length, an operand of a
+sum, a difference or the pairing that is not a class, and a class without
+the constant term a series inverse or square root needs raise
+`InvalidVector`.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ class CohClass(Record):
         return CohClass(_frac5(vals))
 
     def __add__(self, other: "CohClass") -> "CohClass":
+        _require_class(other)
         return CohClass(_frac5(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CohClass") -> "CohClass":
+        _require_class(other)
         return CohClass(_frac5(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CohClass":

@@ -16,8 +16,8 @@ takes a rational vector and answers False for it; `pairing`, `square` and
 `basis_pairings` pair rational vectors too.)  A Gram matrix that is ragged,
 not symmetric or not integral (a float, a `None` or a `True` entry) raises
 InvalidMatrix.  The Mukai classes raise InvalidVector for coefficients that
-are not five rationals, a scalar that is not rational, a pairing with an
-operand that is not a class, and a series inverse or square root of a class
+are not five rationals, a scalar that is not rational, a pairing, sum or
+difference with an operand that is not a class, and a series inverse or square root of a class
 without the constant term it needs.
 
 This is the out-of-domain half of the contract test of ROADMAP item 3.  Of
@@ -133,6 +133,14 @@ def times_one(c):
     return ONE * c
 
 
+def plus_one(c):
+    return ONE + c
+
+
+def minus_one(c):
+    return ONE - c
+
+
 def _rows(error, values, *entries):
     return [(f, error, v) for f in entries for v in values]
 
@@ -161,6 +169,7 @@ TABLE = (
     + _rows(InvalidVector, ((ONE, 3), (1, 2)), mukai_pairing)
     + _rows(InvalidVector, ((1, 2), (None, 0, 0, 0, 0)), coh_class)
     + _rows(InvalidVector, ("x",), times_one)
+    + _rows(InvalidVector, (3,), plus_one, minus_one)
     + _rows(InvalidVector, (NO_CONSTANT_TERM,), mk.series_sqrt, mk.series_inverse)
 )
 
