@@ -186,7 +186,8 @@ def a2_represents(d: int, primitive: bool = False) -> bool:
     False
     """
     require_even(d, InvalidParity)
-    return _a2_flags(_factorize(d // 2))[primitive]
+    ssp, ss = _a2_flags(_factorize(d // 2))
+    return ss if primitive else ssp
 
 
 def _a2_flags(factors: dict[int, int]) -> tuple[bool, bool]:

@@ -17,8 +17,8 @@ takes a rational vector and answers False for it; `pairing`, `square` and
 not symmetric or not integral (a float, a `None` or a `True` entry) raises
 InvalidMatrix.  The Mukai classes raise InvalidVector for coefficients that
 are not five rationals, a scalar that is not rational, a pairing, sum or
-difference with an operand that is not a class, and a series inverse or square root of a class
-without the constant term it needs.
+difference with an operand that is not a class, and a series inverse or
+square root of a class without the constant term it needs.
 
 This is the out-of-domain half of the contract test of ROADMAP item 3.  Of
 the in-domain half, a second table holds the entry points that answer from
