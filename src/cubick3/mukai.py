@@ -8,11 +8,11 @@ fourfold has degree 3.  The Mukai pairing
 
 is intentionally not symmetric; a^* negates the h and h^3 parts.
 
-A class is five exact rational coefficients.  A coefficient or scalar that
-`Fraction` refuses, a coefficient list of another length, an operand of a
-sum, a difference or the pairing that is not a class, and a class without
-the constant term a series inverse or square root needs raise
-`InvalidVector`.
+A class is five exact rational coefficients.  A coefficient, scalar or
+`exp_h` argument that `Fraction` refuses or that is a `bool`, a coefficient
+list of another length, an operand of a sum, a difference or the pairing
+that is not a class, and a class without the constant term a series
+inverse or square root needs raise `InvalidVector`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ _DEG = 5
 
 
 def _fraction(v) -> Fraction:
+    if type(v) is bool:  # Fraction(True) is 1, but a bool is no coefficient
+        raise InvalidVector(f"a coefficient or scalar must be rational, got {v!r}")
     try:
         return Fraction(v)
     except (OverflowError, TypeError, ValueError) as e:  # None, "x", an infinity, ...
@@ -106,7 +108,7 @@ class CohClass(Record):
 
 def exp_h(k) -> CohClass:
     """exp(k h) truncated at degree 4, with exact factorial denominators."""
-    k = Fraction(k)
+    k = _fraction(k)
     term = Fraction(1)
     out = []
     for i in range(_DEG):

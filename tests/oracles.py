@@ -1,7 +1,9 @@
 """Slow reference routes kept only as oracles for the tests."""
 
+import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -10,115 +12,101 @@ from cubick3 import lattice as lat
 from cubick3.errors import DependentGenerators
 from cubick3.lattice import DiscGroup, GramLattice, IntMatrix, Sublattice, disc_group
 from cubick3.mukai import CohClass, series_inverse
-from cubick3.standard import hassett_triple, lambda_d_lattice
+from cubick3.standard import hassett_triple, lambda_d_lattice, standard_lattice
 
 
-def frac_rows(A) -> list[list[Fraction]]:
-    return [[Fraction(e) for e in row] for row in A]
+def c11_inputs(count):
+    """The inputs (ambient, rows) of the C11 acceptance sweep, in order.
+
+    Ambients alternate between Gammabar and LambdaTilde; each input is k in
+    [1, 4] random rows with entries in [-5, 5], drawn again until independent.
+    """
+    rng = random.Random(20240311)
+    ambients = [standard_lattice("Gammabar"), standard_lattice("LambdaTilde")]
+    for i in range(count):
+        amb = ambients[i % 2]
+        k = rng.randint(1, 4)
+        while True:
+            rows = tuple(tuple(rng.randint(-5, 5) for _ in range(amb.rank)) for _ in range(k))
+            if la.rank_int(rows) == k:
+                break
+        yield amb, rows
 
 
-def frac_inv(A) -> list[list[Fraction]]:
-    """Inverse of a square matrix over Q (Gauss-Jordan)."""
-    n = len(A)
-    M = frac_rows(A)
-    R = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if M[i][col]), None)
+@functools.cache
+def c11_sample():
+    """The first 200 inputs of the C11 sweep, built once for every test that reads them.
+
+    Cached, so every part is immutable: the rows are tuples of tuples.
+    """
+    return tuple(c11_inputs(200))
+
+
+def _bareiss(M, ncols) -> int:
+    """Fraction-free (Bareiss) elimination, in place, of integer rows M on ncols columns.
+
+    Column c takes the first row at or below c with a nonzero entry there as
+    its pivot, and each entry below and right of the pivot becomes its 2x2
+    minor with the pivot over the previous pivot, an exact division: every
+    entry stays a minor of the input.  Returns the sign of the row
+    permutation, or 0 when a column has no pivot (the elimination stops
+    there).
+    """
+    sign, prev = 1, 1
+    for c in range(ncols):
+        piv = next((i for i in range(c, len(M)) if M[i][c]), None)
         if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        R[col], R[piv] = R[piv], R[col]
-        inv = 1 / M[col][col]
-        M[col] = [e * inv for e in M[col]]
-        R[col] = [e * inv for e in R[col]]
-        for i in range(n):
-            if i != col and M[i][col]:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[col])]
-                R[i] = [a - f * b for a, b in zip(R[i], R[col])]
-    return R
+            return 0
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            sign = -sign
+        top = M[c]
+        p = top[c]
+        for i in range(c + 1, len(M)):
+            row, a = M[i], M[i][c]
+            rest = zip(row[c + 1:], top[c + 1:])
+            M[i] = [0] * (c + 1) + [(x * p - a * y) // prev for x, y in rest]
+        prev = p
+    return sign
 
 
 def det_bareiss(A: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant of a square integer matrix: the `_bareiss` sign times the last pivot."""
     n = len(A)
     if n == 0:
         return 1
-    M = [row[:] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    M = [list(row) for row in A]
+    return _bareiss(M, n) * M[n - 1][n - 1]
 
 
-def hnf_solve(H, x) -> list[Fraction] | None:
-    """Rational coefficients of x on echelon rows H, or None outside their span.
+def solve_rational(rows, x) -> list[Fraction] | None:
+    """The rational c with sum_i c_i * rows[i] == x, or None when x is outside their span.
 
-    H must have strictly increasing pivot columns (e.g. output of hnf_rows).
+    The rows must be linearly independent (else ValueError).  Entries are
+    ints or Fractions, and one common denominator makes the system integral.
+    `_bareiss` eliminates the system whose columns are the rows, x riding
+    along as the last column: x is in the span exactly when every equation
+    past the k pivots reads 0 = 0, and c comes from back substitution over Q
+    on the k x k triangle.
     """
-    if not H:
-        return None if any(x) else []
-    n = len(H[0])
-    res = [Fraction(e) for e in x]
-    out = []
-    for row in H:
-        j = next(k for k in range(n) if row[k])
-        c = res[j] / row[j]
-        out.append(c)
-        if c:
-            for t in range(j, n):
-                if row[t]:
-                    res[t] -= c * row[t]
-    if any(res):
+    k = len(rows)
+    scale = math.lcm(1, *(e.denominator for r in rows for e in r), *(e.denominator for e in x))
+    M = [[(r[j] * scale).numerator for r in rows] + [(e * scale).numerator]
+         for j, e in enumerate(x)]
+    if not _bareiss(M, k):
+        raise ValueError("rows are linearly dependent")
+    if any(row[k] for row in M[k:]):
         return None
-    return out
+    c = [Fraction(0)] * k
+    for i in reversed(range(k)):
+        row = M[i]
+        c[i] = Fraction(row[k] - sum(row[j] * c[j] for j in range(i + 1, k)), row[i])
+    return c
 
 
-def solve_rational(A, b) -> list[Fraction] | None:
-    """Solve A*x = b over Q for an m x k matrix A of full column rank (Gauss-Jordan).
-
-    Returns the unique solution when the system is consistent, else None.
-    """
-    m = len(A)
-    k = len(A[0]) if m else 0
-    M = [[Fraction(e) for e in row] + [Fraction(bv)] for row, bv in zip(A, b)]
-    row = 0
-    pivots = []
-    for col in range(k):
-        piv = next((i for i in range(row, m) if M[i][col]), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = 1 / M[row][col]
-        M[row] = [e * inv for e in M[row]]
-        for i in range(m):
-            if i != row and M[i][col]:
-                f = M[i][col]
-                M[i] = [a - f * b2 for a, b2 in zip(M[i], M[row])]
-        pivots.append(col)
-        row += 1
-    if len(pivots) < k:
-        raise ValueError("matrix does not have full column rank")
-    for i in range(row, m):
-        if M[i][k]:
-            return None
-    x: list[Fraction] = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        x[col] = M[r][k]
-    return x
+def frac_inv(A) -> list[list[Fraction]]:
+    """Inverse of a square matrix over Q: row i solves x * A == e_i."""
+    return [solve_rational(A, e) for e in la.identity(len(A))]
 
 
 def left_kernel(A: list[list[int]]) -> list[list[int]]:
@@ -168,23 +156,14 @@ def saturate_rows(amb, rows) -> Sublattice:
 
 
 def saturation(S):
-    """(sat, [sat : S]) with the index as a quotient of echelon pivot products.
+    """(sat, [sat : S]): the double-kernel saturation, and `saturation_index` on it.
 
-    S and sat(S) span the same rational space, so their echelon bases share
-    their pivot columns and the transition matrix is triangular there.
+    A dependent basis spans a module of smaller rank than it has rows.
     """
     sat = saturate_rows(S.ambient, S.basis.to_lists())
-    H, _, r = la.row_echelon_transform(S.basis.to_lists())
-    if r < S.rank:
+    if sat.rank < S.rank:
         raise DependentGenerators("sublattice basis is linearly dependent")
-    num = math.prod(_pivot_entries(H[:r]))
-    den = math.prod(_pivot_entries(sat.basis.to_lists()))
-    assert num % den == 0, (num, den)
-    return sat, num // den
-
-
-def _pivot_entries(rows):
-    return [next(e for e in row if e) for row in rows]
+    return sat, saturation_index(S, sat)
 
 
 def saturation_suffixes(rows) -> tuple[list[int], bool]:
@@ -212,11 +191,11 @@ def saturation_suffixes(rows) -> tuple[list[int], bool]:
 
 
 def saturation_index(S, sat) -> int:
-    """[sat : S] as |det| of the integer coefficients of S on the echelon basis of sat."""
+    """[sat : S] as |det| of the integer coefficients of S on the basis of sat (S independent)."""
     basis = sat.basis.to_lists()
     coeffs = []
     for row in S.basis.to_lists():
-        c = hnf_solve(basis, row)
+        c = solve_rational(basis, row)
         assert c is not None and all(x.denominator == 1 for x in c)
         coeffs.append([int(x) for x in c])
     return abs(det_bareiss(coeffs))
@@ -224,7 +203,7 @@ def saturation_index(S, sat) -> int:
 
 def contains(S, v) -> bool:
     """Sublattice membership as integrality of the rational coefficients on the HNF basis."""
-    c = hnf_solve(la.hnf_rows(S.basis.to_lists()), list(v))
+    c = solve_rational(la.hnf_rows(S.basis.to_lists()), v)
     return c is not None and all(Fraction(x).denominator == 1 for x in c)
 
 
@@ -261,16 +240,18 @@ def pair_table(L):
     return tuple(tuple(pairing(G, gi, gj) for gj in gens) for gi in gens)
 
 
+@functools.cache
 def _generators(L):
-    # independent of disc_group: the Smith columns over d_i, read directly
+    # independent of disc_group: the Smith columns over d_i, read directly;
+    # cached, as q_values and pair_table both read them
     diag, V = la.smith_normal_form(L.gram.to_lists())
-    return [[Fraction(V[r][i], d) for r in range(L.rank)] for i, d in enumerate(diag) if d > 1]
+    return tuple(tuple(Fraction(V[r][i], d) for r in range(L.rank)) for i, d in enumerate(diag) if d > 1)
 
 
 def signature(G) -> tuple[int, int, int]:
     """Dense Fraction symmetric elimination of a symmetric matrix G."""
     n = len(G)
-    M = frac_rows(G)
+    M = [[Fraction(e) for e in row] for row in G]
     pos = neg = null = 0
 
     def swap(i, j):
@@ -334,18 +315,30 @@ def witness_ss(d):
     return None
 
 
-def factorize(n):
-    """{p: e} of n >= 1, primes ascending, by trial division by 2 and by
-    every odd number up to the square root of what is left."""
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+def factorizations(lo, hi):
+    """{p: e} of every n in [lo, hi), lo >= 1, primes ascending, by a segmented sieve.
+
+    Each prime p <= sqrt(hi) (from a sieve of Eratosthenes) is divided out
+    of every multiple of p in the window; what is left of n above 1 is a
+    prime.  No trial division of a single n, and no primality test.
+    """
+    root = math.isqrt(hi)
+    is_prime = [True] * (root + 1)
+    rest = list(range(lo, hi))
+    out = [{} for _ in rest]
+    for p in range(2, root + 1):
+        if not is_prime[p]:
+            continue
+        is_prime[p * p::p] = [False] * len(range(p * p, root + 1, p))
+        for i in range(-lo % p, hi - lo, p):
+            e = 0
+            while rest[i] % p == 0:
+                rest[i] //= p
+                e += 1
+            out[i][p] = e
+    for f, r in zip(out, rest):
+        if r > 1:
+            f[r] = 1
     return out
 
 

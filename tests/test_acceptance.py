@@ -6,7 +6,6 @@ wall-clock budgets.
 """
 
 import math
-import random
 import time
 from fractions import Fraction as F
 
@@ -42,7 +41,7 @@ from cubick3 import intlinalg as la
 from cubick3 import standard as st
 from cubick3.mukai import characteristic_classes, euler_line, lambda_vectors
 from cubick3.standard import is_primitive, standard_lattice
-from oracles import binary_grams_equivalent, det_bareiss
+from oracles import binary_grams_equivalent, c11_inputs, det_bareiss
 
 
 def report(cid, ok, detail=""):
@@ -227,19 +226,9 @@ def test_c10_hyperbolic_search():
 
 
 def test_c11_randomized_property_suite():
-    rng = random.Random(20240311)
-    ambients = [standard_lattice("Gammabar"), standard_lattice("LambdaTilde")]
     t0 = time.monotonic()
     ok = True
-    for i in range(1000):
-        amb = ambients[i % 2]
-        k = rng.randint(1, 4)
-        while True:
-            rows = [
-                tuple(rng.randint(-5, 5) for _ in range(amb.rank)) for _ in range(k)
-            ]
-            if la.rank_int([list(r) for r in rows]) == k:
-                break
+    for amb, rows in c11_inputs(1000):
         S = span_sublattice(amb, rows)
         sat, idx = saturation(S)
         ok = ok and S.det == idx * idx * sat.det

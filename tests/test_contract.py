@@ -8,17 +8,20 @@ negative, an odd value and an even one of the wrong residue: 14.0 and
 Fraction(14) pass a bare parity or residue test, and "14" breaks it with a
 `TypeError`.  A twist k of `mukai_vector_line` and `euler_line` may be any
 int, and a bound of `find_hyperbolic_AT` any int of at least 0, so only
-their type and sign are refused.  The lattice entry points that take a
+their type and sign are refused; a vector of `find_hyperbolic_AT` of the
+wrong length raises NotHyperbolicPair.  The lattice entry points that take a
 vector get one of the wrong length for A2 (rank 2), and raise InvalidVector;
 those that take integer coordinates raise it too for a vector with a
-`Fraction(1, 2)`, a 0.5, a `None` or a `True` entry.  (`Sublattice.contains`
-takes a rational vector and answers False for it; `pairing`, `square` and
-`basis_pairings` pair rational vectors too.)  A Gram matrix that is ragged,
-not symmetric or not integral (a float, a `None` or a `True` entry) raises
-InvalidMatrix.  The Mukai classes raise InvalidVector for coefficients that
-are not five rationals, a scalar that is not rational, a pairing, sum or
-difference with an operand that is not a class, and a series inverse or
-square root of a class without the constant term it needs.
+`Fraction(1, 2)`, a 0.5, a `None` or a `True` entry.  `pairing`, `square`
+and `basis_pairings` pair rational vectors (int or `Fraction` entries), and
+raise it for a 0.5 or a `True` entry; `Sublattice.contains` takes a rational
+vector and answers False for a non-integral one.  A Gram matrix that is
+ragged, not symmetric or not integral (a float, a `None` or a `True` entry)
+raises InvalidMatrix.  The Mukai classes raise InvalidVector for
+coefficients that are not five rationals, a scalar or an `exp_h` argument
+that is not rational (a `bool` is not), a pairing, sum or difference with an
+operand that is not a class, and a series inverse or square root of a class
+without the constant term it needs.
 
 This is the out-of-domain half of the contract test of ROADMAP item 3.  Of
 the in-domain half, a second table holds the entry points that answer from
@@ -47,6 +50,7 @@ from cubick3.errors import (
     InvalidMatrix,
     InvalidParity,
     InvalidVector,
+    NotHyperbolicPair,
     NotSpecialDiscriminant,
     UnknownLattice,
 )
@@ -67,11 +71,17 @@ def hyperbolic_bound(bound):
     return st.find_hyperbolic_AT(st.unit_vector(24, st.E1), st.unit_vector(24, st.F1), bound)
 
 
+def hyperbolic_e(e):
+    return st.find_hyperbolic_AT(e, st.unit_vector(24, st.F1))
+
+
 # a vector of the lattice A2 (rank 2) is refused at any other length
 A2 = st.standard_lattice("A2")
 WRONG_LENGTH = ((), (1,), (1, 0, 0))
 # ... and at the right length, refused where integer coordinates are required
 NON_INTEGRAL = ((Fraction(1, 2), 0), (0.5, 0), (None, 0), (True, 0))
+# ... and where rational coordinates are taken, refused for a float or a bool entry
+NON_RATIONAL = ((0.5, 0), (True, 0))
 
 
 def span_sublattice(v):
@@ -164,11 +174,15 @@ TABLE = (
             contains, is_primitive, divisibility, pairing, square, basis_pairings)
     + _rows(InvalidVector, NON_INTEGRAL, span_sublattice, orthogonal_complement, saturate_rows,
             is_primitive, divisibility)
+    + _rows(InvalidVector, NON_RATIONAL, pairing, square, basis_pairings)
     + _rows(InvalidBound, (2.5, 4.0, Fraction(4), "4", True, -1), hyperbolic_bound)
+    # a vector of LambdaTilde has 24 coordinates
+    + _rows(NotHyperbolicPair, ((1, 0),), hyperbolic_e)
     + _rows(InvalidMatrix, BAD_GRAMS, gram_from_rows)
     + _rows(InvalidVector, ((ONE, 3), (1, 2)), mukai_pairing)
-    + _rows(InvalidVector, ((1, 2), (None, 0, 0, 0, 0)), coh_class)
-    + _rows(InvalidVector, ("x",), times_one)
+    + _rows(InvalidVector, ((1, 2), (None, 0, 0, 0, 0), (True, 0, 0, 0, 0)), coh_class)
+    + _rows(InvalidVector, ("x", True), times_one)
+    + _rows(InvalidVector, ("x", None, True), mk.exp_h)
     + _rows(InvalidVector, (3,), plus_one, minus_one)
     + _rows(InvalidVector, (NO_CONSTANT_TERM,), mk.series_sqrt, mk.series_inverse)
 )

@@ -53,6 +53,7 @@ def test_sqrt_dual_identity():
 def test_series_helpers():
     c = CohClass.of(1, 2, 3, 4, 5)
     assert (c * series_inverse(c)).coeffs == (F(1), 0, 0, 0, 0)
+    assert -c == c.scale(-1) == CohClass.of(-1, -2, -3, -4, -5)
     s = series_sqrt(CohClass.of(1, 2, 1, 0, 0))
     assert s == CohClass.of(1, 1, 0, 0, 0)
 

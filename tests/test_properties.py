@@ -397,14 +397,12 @@ def test_complement_saturation_returns_the_complement(monkeypatch):
     # a complement is marked saturated where it is built: re-saturating it
     # returns the same object at index 1 and runs no echelon, no
     # `hnf_rows` and no transform
-    from test_lattice import _c11_sample
-
     def forbidden(name):
         def wrapper(*args):
             raise AssertionError(f"{name} called")
         return wrapper
 
-    for amb, rows in _c11_sample():
+    for amb, rows in oracles.c11_sample():
         comp = orthogonal_complement(amb, rows)
         with monkeypatch.context() as m:
             for name in ("row_echelon", "row_echelon_transform", "hnf_rows"):

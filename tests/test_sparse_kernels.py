@@ -9,41 +9,61 @@ from cubick3 import intlinalg as la
 from cubick3.standard import lambda_d_lattice
 import oracles
 from oracles import DiscForm
+from shapes import booleans, integers, matrices, vectors
 
 # mostly zeros, like the Gram matrices of the standard lattices
 SPARSE_INTS = hyp.sampled_from([0, 0, 0, 0, 0, -3, -2, -1, 1, 2, 3, 7])
-FRACTIONS = hyp.one_of(hyp.just(Fraction(0)), hyp.fractions(-4, 4, max_denominator=6))
+
+
+@hyp.composite
+def _fractions(draw):
+    # hyp.fractions(-4, 4, max_denominator=6), which draws the denominator,
+    # then the numerator from a strategy that flatmap builds anew each draw
+    d = draw(integers(1, 6))
+    return Fraction(draw(integers(-4 * d, 4 * d)), d)
+
+
+FRACTIONS = hyp.one_of(hyp.just(Fraction(0)), _fractions())
+ENTRIES = hyp.sampled_from([SPARSE_INTS, FRACTIONS])
 SPECIAL_D = [d for d in range(8, 201, 2) if d % 6 in (0, 2)]
 
 
+def _vector(data, n, entries):
+    return data.draw(vectors(n, entries))
+
+
 def _matrix(data, m, n, entries):
-    rows = [[data.draw(entries) for _ in range(n)] for _ in range(m)]
-    if rows and data.draw(hyp.booleans()):
-        rows[data.draw(hyp.integers(0, m - 1))] = [0] * n
+    rows = data.draw(matrices(m, n, entries))
+    if rows and data.draw(booleans):
+        rows[data.draw(integers(0, m - 1))] = [0] * n
     return rows
 
 
 def _symmetric(data, n, entries, zero_diagonal=False):
+    # the diagonal, then the strict lower triangle row by row, each drawn whole
     G = [[0] * n for _ in range(n)]
+    if not zero_diagonal:
+        for i, e in enumerate(_vector(data, n, entries)):
+            G[i][i] = e
+    below = iter(_vector(data, n * (n - 1) // 2, entries))
     for i in range(n):
-        G[i][i] = 0 if zero_diagonal else data.draw(entries)
         for j in range(i):
-            G[i][j] = G[j][i] = data.draw(entries)
+            G[i][j] = G[j][i] = next(below)
     return G
 
 
 @given(hyp.data())
 @settings(max_examples=100, deadline=None)
 def test_gram_products_match_dense(data):
-    n = data.draw(hyp.integers(1, 7))
-    k = data.draw(hyp.integers(0, 5))
-    entries = data.draw(hyp.sampled_from([SPARSE_INTS, FRACTIONS]))
+    n = data.draw(integers(1, 7))
+    k = data.draw(integers(0, 5))
+    entries = data.draw(ENTRIES)
     G = _symmetric(data, n, entries)
     B = _matrix(data, k, n, entries)
     S = la.sparse_rows(G)
     assert la.sparse_gram_product(B, S) == oracles.gram_product(B, G)
-    u = [data.draw(entries) for _ in range(n)]
-    v = [data.draw(entries) for _ in range(n)]
+    u = _vector(data, n, entries)
+    v = _vector(data, n, entries)
     assert la.pairing(S, u, v) == oracles.pairing(G, u, v)
     assert la.sparse_mat_vec(S, v) == la.mat_vec(G, v)
 
@@ -63,10 +83,10 @@ def _check_disc_form(L):
 @given(hyp.data())
 @settings(max_examples=150, deadline=None)
 def test_disc_form_values_match_fraction_route(data):
-    n = data.draw(hyp.integers(1, 6))
-    G = _symmetric(data, n, SPARSE_INTS)
-    for i in range(n):
-        G[i][i] = 2 * data.draw(hyp.integers(-4, 4))
+    n = data.draw(integers(1, 6))
+    G = _symmetric(data, n, SPARSE_INTS, zero_diagonal=True)
+    for i, e in enumerate(_vector(data, n, integers(-4, 4))):
+        G[i][i] = 2 * e
     L = GramLattice.from_rows(G)
     assume(L.det != 0)
     _check_disc_form(L)
@@ -81,8 +101,8 @@ def test_disc_form_values_of_gamma_d_and_lambda_d():
 @given(hyp.data())
 @settings(max_examples=300, deadline=None)
 def test_signature_matches_dense_elimination(data):
-    n = data.draw(hyp.integers(1, 8))
-    G = _symmetric(data, n, SPARSE_INTS, zero_diagonal=data.draw(hyp.booleans()))
+    n = data.draw(integers(1, 8))
+    G = _symmetric(data, n, SPARSE_INTS, zero_diagonal=data.draw(booleans))
     sig = signature(GramLattice.from_rows(G))
     assert sig == oracles.signature(G)
     assert sig[2] == n - la.rank_int(G)
@@ -91,15 +111,15 @@ def test_signature_matches_dense_elimination(data):
 @given(hyp.data())
 @settings(max_examples=300, deadline=None)
 def test_contains_matches_rational_back_substitution(data):
-    n = data.draw(hyp.integers(1, 6))
-    k = data.draw(hyp.integers(1, n))
-    rows = [[data.draw(hyp.integers(-4, 4)) for _ in range(n)] for _ in range(k)]
+    n = data.draw(integers(1, 6))
+    k = data.draw(integers(1, n))
+    rows = data.draw(matrices(k, n, integers(-4, 4)))
     assume(la.rank_int(rows) == k)
     S = span_sublattice(GramLattice.from_rows(la.identity(n)), rows)
-    coeffs = [data.draw(hyp.integers(-3, 3)) for _ in range(k)]
+    coeffs = _vector(data, k, integers(-3, 3))
     member = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
-    noise = [data.draw(hyp.integers(-2, 2)) for _ in range(n)]
-    den = data.draw(hyp.integers(1, 4))
+    noise = _vector(data, n, integers(-2, 2))
+    den = data.draw(integers(1, 4))
     candidates = [
         member,
         [a + b for a, b in zip(member, noise)],

@@ -214,22 +214,6 @@ class TestNLVector:
             with pytest.raises(NotSpecialDiscriminant):
                 nl_vector(d)
 
-    @pytest.mark.parametrize("d", [14.0, Fraction(14), "14", True], ids=repr)
-    @pytest.mark.parametrize(
-        "entry, error",
-        [pytest.param(f, NotSpecialDiscriminant, id=f.__name__)
-         for f in (nl_vector, st.closed_form_bases, hassett_triple, kdoo_index, genus_compare)]
-        + [pytest.param(f, InvalidDegree, id=f.__name__)
-           for f in (polarization_vector, boundary_witnesses)]
-        + [pytest.param(st.lambda_d_lattice, UnknownLattice, id="lambda_d_lattice")],
-    )
-    def test_rejects_a_d_that_is_not_an_int(self, entry, error, d):
-        # 14.0 and Fraction(14) pass the residue and parity tests, and would
-        # leak into the reports, vectors and labels as non-int entries; "14"
-        # would raise a bare TypeError
-        with pytest.raises(error):
-            entry(d)
-
 
 class TestClassify:
     def test_both_cases(self):
