@@ -4,6 +4,7 @@ import random
 import signal
 import time
 import warnings
+from fractions import Fraction
 from math import isqrt, prod
 
 import pytest
@@ -172,6 +173,17 @@ class TestFlags:
     def test_not_special(self):
         f = condition_flags(4)
         assert not f.star and f.case_mod6 is None
+
+    @pytest.mark.parametrize("d", [42.0, Fraction(42), "42", True], ids=repr)
+    @pytest.mark.parametrize(
+        "entry",
+        [pell_brakkee, table, lambda d: table(60, start=d)],
+        ids=["pell_brakkee", "table", "table_start"],
+    )
+    def test_rejects_a_degree_that_is_not_an_int(self, entry, d):
+        # 42 is a multiple of 6 and even, so only the type check refuses these
+        with pytest.raises(InvalidDegree):
+            entry(d)
 
     def test_chain_holds_up_to_500(self):
         for d in range(2, 502, 2):
