@@ -12,6 +12,7 @@ from .errors import (
     DependentGenerators,
     InvalidBound,
     InvalidDegree,
+    InvalidLattice,
     InvalidMatrix,
     InvalidNLVector,
     InvalidParity,

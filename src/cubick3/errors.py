@@ -9,8 +9,9 @@ Most entry points take an even d, a discriminant or a K3 degree, and
 `require_even` is the one check of that domain: a ``bool``, float,
 ``Fraction`` or ``str`` d raises the caller's class, like an odd int.
 Malformed lattice input raises `InvalidMatrix` (a matrix or Gram matrix
-from outside) or `InvalidVector` (a vector of the wrong length or with a
-non-integral entry).
+from outside), `InvalidVector` (a vector of the wrong length or with a
+non-integral entry) or `InvalidLattice` (anything but a lattice where one
+is required).
 """
 
 
@@ -48,11 +49,23 @@ class InvalidVector(CubicK3Error):
     A vector with a non-integral entry (a ``Fraction`` or float that is not
     an integer, a ``bool``, or a value ``int()`` refuses, such as ``None``)
     is refused wherever integer coordinates are required
-    (`lattice.as_vector`); `Sublattice.contains` catches it and answers
+    (`lattice.as_vector`), as is a v that is not iterable at all;
+    `Sublattice.contains` catches it and answers
     False, as an integer lattice holds no such vector.  A cohomology class
     of `mukai` with coefficients that are not five rationals, an operand of
     the Mukai pairing that is not a class, and a class without the constant
     term a series inverse or square root needs are refused the same way.
+    """
+
+
+class InvalidLattice(CubicK3Error):
+    """Not a lattice where one is required.
+
+    The lattice operations check the type of their lattice argument once, at
+    the door: a `GramLattice` (an ambient, or the lattice of `signature`,
+    `disc_group` and the parts of `direct_sum`, which needs at least one), a
+    `Sublattice` (`saturation`), and the `IntMatrix` Gram of a
+    `GramLattice` or basis of a `Sublattice`.
     """
 
 

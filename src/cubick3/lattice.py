@@ -7,8 +7,9 @@ the (implicit) basis.  Everything is immutable (frozen records, see
 freely between threads.
 
 The arithmetic stays in integers (a non-integral coordinate raises
-`InvalidVector`, and a non-integral, ragged or non-symmetric Gram matrix
-`InvalidMatrix`; nothing is truncated) and touches only nonzero entries: a
+`InvalidVector`, a non-integral, ragged or non-symmetric Gram matrix
+`InvalidMatrix`, and anything but a lattice where one is required
+`InvalidLattice`; nothing is truncated) and touches only nonzero entries: a
 `GramLattice` keeps the sparse rows of its Gram matrix for pairings and
 induced Gram matrices, both scattered from the nonzero entries of each
 vector (`intlinalg.sparse_mat_vec`).  Each lattice fact is read off the one
@@ -45,6 +46,7 @@ from ._record import Record
 from .errors import (
     DegenerateLattice,
     DependentGenerators,
+    InvalidLattice,
     InvalidMatrix,
     InvalidVector,
     ZeroVector,
@@ -77,9 +79,13 @@ def as_vector(v) -> Vector:
 
     A tuple of exact ``int`` entries is returned as it is; any other entry
     goes through the full check, which refuses a ``bool`` and accepts a
-    ``Fraction`` or ``float`` only at an integer value.
+    ``Fraction`` or ``float`` only at an integer value.  A v that is not
+    iterable is refused too.
     """
-    t = tuple(v)
+    try:
+        t = tuple(v)
+    except TypeError:
+        raise InvalidVector(f"a coordinate vector is required, got {v!r}") from None
     if _INT_ONLY.issuperset(map(type, t)):
         return t
     return tuple(map(_as_int, t))
@@ -130,6 +136,8 @@ class GramLattice(Record):
     """A finite-rank integral lattice given by a symmetric Gram matrix."""
 
     def __init__(self, gram: IntMatrix, label: str | None = None):
+        if not isinstance(gram, IntMatrix):
+            raise InvalidLattice(f"a Gram IntMatrix is required, got {gram!r}")
         if not gram.is_symmetric():
             raise InvalidMatrix("Gram matrix must be symmetric")
         s = self.__dict__
@@ -213,6 +221,9 @@ class Sublattice(Record):
     _saturated = False  # see `_saturated_sublattice`
 
     def __init__(self, ambient: GramLattice, basis: IntMatrix):
+        if not (isinstance(ambient, GramLattice) and isinstance(basis, IntMatrix)):
+            raise InvalidLattice(f"a GramLattice and an IntMatrix basis are required, "
+                                 f"got {ambient!r} and {basis!r}")
         s = self.__dict__
         s["ambient"] = ambient
         s["basis"] = basis
@@ -299,8 +310,8 @@ def direct_sum(parts, *, label: str | None = None) -> GramLattice:
     non-integral entries.
     """
     parts = list(parts)
-    if not parts:
-        raise ValueError("direct_sum needs at least one part")
+    if not parts or not all(isinstance(p, GramLattice) for p in parts):
+        raise InvalidLattice(f"direct_sum needs at least one part, all GramLattices, got {parts!r}")
     rank = sum(p.rank for p in parts)
     rows = []
     off = 0
@@ -320,6 +331,7 @@ def signature(L: GramLattice) -> tuple[int, int, int]:
     where the pivot rows are nonzero: the trailing block stays symmetric, so
     no other entry of it changes.
     """
+    _check_lattice(L)
     n = L.rank
     M = L.gram.to_lists()  # entries become Fractions where elimination divides
     pos = neg = null = 0
@@ -381,6 +393,7 @@ def disc_group(L: GramLattice) -> DiscGroup:
     and changes (c . c) / d_i by 2 e.(G c) + d_i (e . e) = 0 (mod 2 d_i) on
     an even lattice, so q too.
     """
+    _check_lattice(L)
     diag, V = la.smith_normal_form(L.gram.to_lists())
     if 0 in diag:
         raise DegenerateLattice("discriminant group needs det != 0")
@@ -393,6 +406,7 @@ def disc_group(L: GramLattice) -> DiscGroup:
 
 
 def span_sublattice(amb: GramLattice, vecs) -> Sublattice:
+    _check_lattice(amb)
     rows = [as_vector(v) for v in vecs]
     _check_lengths(amb, rows)
     if la.rank_int(rows) != len(rows):
@@ -406,6 +420,7 @@ def saturate_rows(amb: GramLattice, rows) -> Sublattice:
     Accepts an arbitrary (possibly dependent) generating list; see
     `saturation` for the reduction.  The basis is the canonical Hermite basis.
     """
+    _check_lattice(amb)
     return _saturate(amb, [as_vector(v) for v in rows])[0]
 
 
@@ -454,12 +469,19 @@ def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     >>> index, K12.abs_det
     (1, 12)
     """
+    if not isinstance(S, Sublattice):
+        raise InvalidLattice(f"a Sublattice is required, got {S!r}")
     if S._saturated:
         return S, 1
     sat, H, r = _saturate(S.ambient, S.basis.data)
     if r < S.rank:
         raise DependentGenerators("sublattice basis is linearly dependent")
     return sat, math.prod(H[i][i] for i in range(r))
+
+
+def _check_lattice(L):
+    if not isinstance(L, GramLattice):
+        raise InvalidLattice(f"a GramLattice is required, got {L!r}")
 
 
 def _check_lengths(amb: GramLattice, rows):
@@ -508,6 +530,7 @@ def _saturated_sublattice(amb: GramLattice, basis) -> Sublattice:
 
 def orthogonal_complement(amb: GramLattice, vecs) -> Sublattice:
     """The saturated sublattice of everything pairing to zero with the given vectors."""
+    _check_lattice(amb)
     W = [as_vector(v) for v in vecs]
     _check_lengths(amb, W)
     # the rows of G * W^T; no vectors still give rank (empty) rows
@@ -517,6 +540,7 @@ def orthogonal_complement(amb: GramLattice, vecs) -> Sublattice:
 
 def divisibility(amb: GramLattice, v) -> int:
     """The positive generator n of the pairing ideal (v . amb) = nZ."""
+    _check_lattice(amb)
     v = as_vector(v)
     _check_lengths(amb, [v])
     if not any(v):
@@ -526,6 +550,7 @@ def divisibility(amb: GramLattice, v) -> int:
 
 def is_primitive(amb: GramLattice, v) -> bool:
     """True when v is not a proper integer multiple, i.e. gcd of coordinates is 1."""
+    _check_lattice(amb)
     v = as_vector(v)
     _check_lengths(amb, [v])
     if not any(v):

@@ -303,12 +303,14 @@ def signature(G) -> tuple[int, int, int]:
 
 
 def witness_ss(d):
-    """Least (n, a) with a*d = 2n^2 + 2n + 2, or None, by scanning n in [0, 2d].
+    """Least (n, a) with a*d = 2n^2 + 2n + 2 for even d, or None, by scanning n in [0, d/2).
 
-    The divisibility d | 2(n^2+n+1) is periodic in n with period dividing d,
-    so an empty scan proves there is no witness.
+    With m = d/2, d | 2(n^2 + n + 1) iff m | n^2 + n + 1, and
+    (n + m)^2 + (n + m) + 1 = n^2 + n + 1 (mod m): the condition has period
+    m in n.  So any witness n leaves a witness n mod m in [0, m), no larger,
+    and the least witness is in the scan; an empty scan proves there is none.
     """
-    for n in range(0, 2 * d + 1):
+    for n in range(d // 2):
         t = 2 * (n * n + n + 1)
         if t % d == 0:
             return n, t // d
@@ -438,6 +440,15 @@ def solve_minus3(D):
 # --- discriminant forms by exhaustive search (the genus oracle) --------------
 
 
+@functools.cache
+def generic_disc_group(gram_data) -> DiscGroup:
+    """The library's `disc_group` of the Gram with rows `gram_data`, run once per Gram.
+
+    Three tests read the Smith forms of the same Grams of Gamma_d and Lambda_d.
+    """
+    return disc_group(GramLattice(IntMatrix(gram_data)))
+
+
 @dataclass(frozen=True)
 class DiscForm:
     """Finite quadratic form on a discriminant group, in invariant-factor coordinates."""
@@ -447,7 +458,7 @@ class DiscForm:
 
     @staticmethod
     def of(L: GramLattice) -> "DiscForm":
-        return DiscForm.of_group(L, disc_group(L))
+        return DiscForm.of_group(L, generic_disc_group(L.gram.data))
 
     @staticmethod
     def of_group(L: GramLattice, dg: DiscGroup) -> "DiscForm":
@@ -520,11 +531,9 @@ def disc_forms_isomorphic(F1: DiscForm, F2: DiscForm, cap: int = 10_000) -> bool
     gens1 = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
     q1 = [_q_num(T1, g, N) for g in gens1]
     b1 = [[_b_num(T1, gi, gj, N) for gj in gens1] for gi in gens1]
-    all2 = list(F2.elements())
-    candidates = [
-        [el for el in all2 if _q_num(T2, el, N) == q1[i] and F2.element_order(el) == F1.orders[i]]
-        for i in range(k)
-    ]
+    q2 = [(el, _q_num(T2, el, N)) for el in F2.elements()]  # q of each element, once
+    candidates = [[el for el, q in q2 if q == q1[i] and F2.element_order(el) == F1.orders[i]]
+                  for i in range(k)]
 
     # the images generate Z/o_1 + ... + Z/o_k iff with the relations they
     # span Z^k, that is iff their Hermite basis is the identity

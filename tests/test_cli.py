@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -10,14 +11,6 @@ import warnings
 import pytest
 
 from cubick3.cli import main
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "cubick3.cli", *args],
-        capture_output=True,
-        text=True,
-    )
 
 
 class TestClassify:
@@ -169,29 +162,54 @@ class TestVerify:
         assert "FAIL forced" in out
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["classify", "14"],
-        ["classify", "20", "--format", "json"],
-        ["table", "30", "--format", "csv"],
-        ["table", "42", "--format", "markdown"],
-        ["lattice", "Gamma", "--format", "json"],
-        ["mukai", "--format", "json"],
-        ["verify", "--json", "--genus-max", "30"],
-    ],
-)
-def test_byte_determinism(args):
-    a = run_cli(*args)
-    b = run_cli(*args)
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-    assert a.stdout  # nonempty
+DETERMINISM_ARGV = [
+    ["classify", "14"],
+    ["classify", "20", "--format", "json"],
+    ["table", "30", "--format", "csv"],
+    ["table", "42", "--format", "markdown"],
+    ["lattice", "Gamma", "--format", "json"],
+    ["mukai", "--format", "json"],
+    ["verify", "--json", "--genus-max", "30"],
+]
+
+# each argv of a JSON list through `main` in turn; prints the (exit code, stdout) pairs
+_CHILD = """
+import contextlib, io, json, sys
+from cubick3.cli import main
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        return main(argv), buf.getvalue()
+print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+@pytest.fixture(scope="module")
+def two_interpreters():
+    # {argv: (exit code, stdout)} of two child interpreters, one in order with
+    # hash seed 0, one in reverse order with hash seed 1: the two sides differ
+    # in hash seed and in the cache state each argv meets
+    sides = []
+    for seed, order in (("0", DETERMINISM_ARGV), ("1", DETERMINISM_ARGV[::-1])):
+        r = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(order)], capture_output=True,
+                           text=True, check=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        sides.append(dict(zip(map(tuple, order), json.loads(r.stdout))))
+    return sides
+
+
+@pytest.mark.parametrize("args", DETERMINISM_ARGV)
+def test_byte_determinism(args, two_interpreters):
+    (code_a, out_a), (code_b, out_b) = (side[tuple(args)] for side in two_interpreters)
+    assert code_a == code_b == 0
+    assert out_a == out_b
+    assert out_a  # nonempty
 
 
 def test_usage_error_exit_code():
-    assert run_cli("classify").returncode == 2
-    assert run_cli().returncode == 2
+    # argparse exits 2 from main; tests/ci/usage_errors.py runs the console script
+    for argv in (["classify"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestLargeIntegers:

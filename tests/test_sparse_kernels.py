@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as hyp
 
-from cubick3 import GramLattice, disc_group, hassett_triple, signature, span_sublattice
+from cubick3 import GramLattice, hassett_triple, signature, span_sublattice
 from cubick3 import intlinalg as la
 from cubick3.standard import lambda_d_lattice
 import oracles
@@ -28,10 +28,6 @@ ENTRIES = hyp.sampled_from([SPARSE_INTS, FRACTIONS])
 SPECIAL_D = [d for d in range(8, 201, 2) if d % 6 in (0, 2)]
 
 
-def _vector(data, n, entries):
-    return data.draw(vectors(n, entries))
-
-
 def _matrix(data, m, n, entries):
     rows = data.draw(matrices(m, n, entries))
     if rows and data.draw(booleans):
@@ -43,9 +39,9 @@ def _symmetric(data, n, entries, zero_diagonal=False):
     # the diagonal, then the strict lower triangle row by row, each drawn whole
     G = [[0] * n for _ in range(n)]
     if not zero_diagonal:
-        for i, e in enumerate(_vector(data, n, entries)):
+        for i, e in enumerate(data.draw(vectors(n, entries))):
             G[i][i] = e
-    below = iter(_vector(data, n * (n - 1) // 2, entries))
+    below = iter(data.draw(vectors(n * (n - 1) // 2, entries)))
     for i in range(n):
         for j in range(i):
             G[i][j] = G[j][i] = next(below)
@@ -62,8 +58,8 @@ def test_gram_products_match_dense(data):
     B = _matrix(data, k, n, entries)
     S = la.sparse_rows(G)
     assert la.sparse_gram_product(B, S) == oracles.gram_product(B, G)
-    u = _vector(data, n, entries)
-    v = _vector(data, n, entries)
+    u = data.draw(vectors(n, entries))
+    v = data.draw(vectors(n, entries))
     assert la.pairing(S, u, v) == oracles.pairing(G, u, v)
     assert la.sparse_mat_vec(S, v) == la.mat_vec(G, v)
 
@@ -74,7 +70,7 @@ def test_products_of_empty_inputs():
 
 
 def _check_disc_form(L):
-    dg = disc_group(L)
+    dg = oracles.generic_disc_group(L.gram.data)
     q_values = tuple(Fraction(a, n) for a, n in zip(dg.q_numerators, dg.invariant_factors))
     assert q_values == oracles.q_values(L)
     assert DiscForm.of(L).pair_table == oracles.pair_table(L)
@@ -85,7 +81,7 @@ def _check_disc_form(L):
 def test_disc_form_values_match_fraction_route(data):
     n = data.draw(integers(1, 6))
     G = _symmetric(data, n, SPARSE_INTS, zero_diagonal=True)
-    for i, e in enumerate(_vector(data, n, integers(-4, 4))):
+    for i, e in enumerate(data.draw(vectors(n, integers(-4, 4)))):
         G[i][i] = 2 * e
     L = GramLattice.from_rows(G)
     assume(L.det != 0)
@@ -116,9 +112,9 @@ def test_contains_matches_rational_back_substitution(data):
     rows = data.draw(matrices(k, n, integers(-4, 4)))
     assume(la.rank_int(rows) == k)
     S = span_sublattice(GramLattice.from_rows(la.identity(n)), rows)
-    coeffs = _vector(data, k, integers(-3, 3))
+    coeffs = data.draw(vectors(k, integers(-3, 3)))
     member = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
-    noise = _vector(data, n, integers(-2, 2))
+    noise = data.draw(vectors(n, integers(-2, 2)))
     den = data.draw(integers(1, 4))
     candidates = [
         member,

@@ -678,8 +678,8 @@ class TestGenus:
         for d in ds:
             rep = hassett_triple(d)
             K, Gd = GramLattice(rep.gram_K), GramLattice(rep.gram_Gamma_d)
-            generic_K, generic_G = disc_group(K), disc_group(Gd)
-            for L, dg, generic in ((K, rep.disc_K, generic_K), (Gd, rep.disc_Gamma_d, generic_G)):
+            for L, dg in ((K, rep.disc_K), (Gd, rep.disc_Gamma_d)):
+                generic = oracles.generic_disc_group(L.gram.data)
                 assert dg.invariant_factors == generic.invariant_factors, d
                 assert len(dg.columns) == len(dg.invariant_factors), d
                 for col, n in zip(dg.columns, dg.invariant_factors):
@@ -694,7 +694,7 @@ class TestGenus:
             q_values = tuple(Fraction(a, n) for a, n in zip(dg.q_numerators, dg.invariant_factors))
             assert all(0 <= a < 2 * n for a, n in zip(dg.q_numerators, dg.invariant_factors)), d
             assert q_values == tuple(row[i] % 2 for i, row in enumerate(form.pair_table)), d
-            assert oracles.disc_forms_isomorphic(form, oracles.DiscForm.of_group(Gd, generic_G)), d
+            assert oracles.disc_forms_isomorphic(form, oracles.DiscForm.of(Gd)), d
 
     def test_far_beyond_the_old_search_cap(self):
         # 12002 = 2 * 17 * 353 with 17 = 2 (mod 3): not (**)
