@@ -72,20 +72,33 @@ def test_chain_check_in_suite():
     assert ids.index("chain.sss_implies_ss.to8") == ids.index("genus.matches_ss.to8") + 1
 
 
-def test_sweep_runs_condition_flags_once_per_d(monkeypatch):
-    # the genus and chain checks share one flag computation per d; the
-    # counter sees the calls of verify itself, not those inside cond.table.
-    # The same sweep keeps at most one hassett_triple report.
+@pytest.fixture(scope="module")
+def sweep_600():
+    # one run_all(600) serves the two tests below. The genus and chain checks
+    # share one flag computation per d; the counter sees the calls of verify
+    # itself, not those inside cond.table.
     calls = Counter()
 
     def counted(d):
         calls[d] += 1
         return cond.condition_flags(d)
 
-    monkeypatch.setattr(vf, "cond", types.SimpleNamespace(**{**vars(cond), "condition_flags": counted}))
-    assert vf.run_all(genus_max=600).ok
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vf, "cond", types.SimpleNamespace(**{**vars(cond), "condition_flags": counted}))
+        summary = vf.run_all(genus_max=600)
+    return summary, calls, st.hassett_triple.cache_info().currsize
+
+
+def test_sweep_runs_condition_flags_once_per_d(sweep_600):
+    summary, calls, _ = sweep_600
+    assert summary.ok
     assert calls == Counter(d for d in range(8, 601, 2) if d % 6 in (0, 2))
-    assert st.hassett_triple.cache_info().currsize <= 1
+
+
+def test_sweep_keeps_at_most_one_report(sweep_600):
+    summary, _, reports = sweep_600
+    assert summary.ok
+    assert reports <= 1
 
 
 def test_sweep_exception_is_itemized(monkeypatch):
