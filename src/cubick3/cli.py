@@ -1,14 +1,18 @@
 """Command-line front end.
 
 Subcommands: classify, table, lattice, mukai, verify.  Exit codes: 0 on
-success, 1 when `verify` finds failures, 2 on usage errors.  Output is
-deterministic: identical invocations produce byte-identical output.
+success, 1 when `verify` finds failures, 2 on usage errors, and 141
+(128 + SIGPIPE, the status a shell gives a process that SIGPIPE ends) when
+the reader closes standard output early, as `cubick3 table 100000 | head -1`
+does; that exit prints no traceback.  Output is deterministic: identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -280,7 +284,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so that the interpreter's own flush at exit
+        # does not fail on the closed pipe too (the SIGPIPE note of the
+        # `signal` module's documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

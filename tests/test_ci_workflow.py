@@ -16,3 +16,10 @@ def test_every_ci_script_exists_and_runs():
     named = set(re.findall(r"tests/ci/(\w+\.py)", WORKFLOW))
     present = {p.name for p in (ROOT / "tests" / "ci").glob("*.py")}
     assert named == present
+
+
+def test_every_run_block_is_short():
+    # a longer script goes into tests/ci/, where it runs and reads on its own
+    blocks = re.findall(r"^( *)run: \|\n((?:\1 +\S.*\n)+)", WORKFLOW, re.M)
+    assert len(blocks) == WORKFLOW.count("run: |")
+    assert max(body.count("\n") for _, body in blocks) <= 8

@@ -1,7 +1,6 @@
 """Condition classifiers, witness solvers, and the table generator."""
 
 import random
-import signal
 import time
 import warnings
 from math import isqrt, prod
@@ -25,6 +24,7 @@ from cubick3 import (
 from cubick3 import conditions, pell
 from cubick3.conditions import CSV_COLUMNS, csv_row
 import oracles
+from limits import time_limit
 
 
 class TestA2Represents:
@@ -92,12 +92,7 @@ class TestFactorize:
         )
         assert max(sample) < 2**63
 
-        def on_alarm(signum, frame):
-            raise TimeoutError("the sample took more than 60 s")
-
-        old = signal.signal(signal.SIGALRM, on_alarm)
-        signal.alarm(60)
-        try:
+        with time_limit(60):
             # a factorization is the unique one when its factors are primes
             # (sympy's isprime, which shares no code with `_is_prime`) whose
             # powers multiply back to n: a check, cheaper than factoring
@@ -106,9 +101,6 @@ class TestFactorize:
                 got = conditions._factorize(n)
                 assert prod(p**e for p, e in got.items()) == n, n
                 assert all(e >= 1 and sympy.isprime(p) for p, e in got.items()), n
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, old)
 
     def test_psi12_is_composite(self, monkeypatch):
         with warnings.catch_warnings():  # past 2^63 but below psi_13: no warning

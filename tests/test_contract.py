@@ -2,7 +2,7 @@
 
 One table of (entry point, out-of-domain value, typed error): each call must
 raise its entry point's `CubicK3Error` subclass, never answer, never raise a
-bare `TypeError`, and never hang (each runs under `signal.alarm`).  The
+bare `TypeError`, and never hang (each runs under `limits.time_limit`).  The
 values are a float, a `Fraction`, a `str`, `True` (an `int` subclass), 0, a
 negative, an odd value and an even one of the wrong residue: 14.0 and
 Fraction(14) pass a bare parity or residue test, and "14" breaks it with a
@@ -39,8 +39,6 @@ of the in-domain half waits for the per-call budget of that item.
 """
 
 import inspect
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -65,6 +63,7 @@ from cubick3.errors import (
     NotSpecialDiscriminant,
     UnknownLattice,
 )
+from limits import time_limit
 
 ALARM_S = 5
 
@@ -172,26 +171,12 @@ TABLE = (
 )
 
 
-@contextmanager
-def _alarm(seconds):
-    def on_alarm(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, on_alarm)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
 @pytest.mark.parametrize(
     "f, error, value",
     [pytest.param(f, error, v, id=f"{f.__name__}-{v!r}") for f, error, v in TABLE],
 )
 def test_out_of_domain_raises_its_typed_error(f, error, value):
-    with _alarm(ALARM_S), pytest.raises(error):
+    with time_limit(ALARM_S), pytest.raises(error):
         f(value)
 
 
@@ -222,5 +207,5 @@ IN_DOMAIN = (
     [pytest.param(f, d, want, id=f"{f.__name__}-{d}") for f, d, want in IN_DOMAIN],
 )
 def test_in_domain_answers_within_the_alarm(f, d, want):
-    with _alarm(2):
+    with time_limit(2):
         assert f(d) == want
