@@ -114,7 +114,7 @@ def _basic(name: str) -> GramLattice:
         return GramLattice.from_rows([[-e for e in row] for row in _E8_ROWS], "E8(-1)")
     if name == "I03":
         return GramLattice.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], "I03")
-    raise UnknownLattice(name)
+    raise _unknown(name)
 
 
 def standard_lattice(name: str) -> GramLattice:
@@ -155,7 +155,14 @@ def _fixed_lattice(name: str) -> GramLattice:
         return direct_sum([E, u, u, u], label="Lambda")
     if name == "LambdaTilde":
         return direct_sum([E, u, u, u, _basic("Um")], label="LambdaTilde")
-    raise UnknownLattice(name)
+    raise _unknown(name)
+
+
+def _unknown(name: str) -> UnknownLattice:
+    return UnknownLattice(
+        f"unknown lattice {name!r}; the names are U, E, A2, A2m, I03, Gammabar, "
+        "Gamma, Lambda, LambdaTilde and LambdaD(d) for even d >= 2"
+    )
 
 
 def lambda_d_lattice(d: int) -> GramLattice:

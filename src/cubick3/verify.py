@@ -216,23 +216,24 @@ def _nl_failures(d: int) -> list[str]:
     claims += [
         ("detK", abs(la.det(rep.gram_K.to_lists())) == d),
         ("detL", abs(la.det(rep.gram_L.to_lists())) == d),
-        ("discK", _disc_holds(rep.disc_K, K, K)),
-        ("discGamma", _disc_holds(rep.disc_Gamma_d, Gd, block)),
+        ("discK", _disc_holds(rep.disc_K, K, lat.disc_group(K).invariant_factors)),
+        ("discGamma",
+         _disc_holds(rep.disc_Gamma_d, Gd, lat.disc_group(block).invariant_factors)),
         ("vsquare", rep.v_square == st.standard_lattice("Gamma").square(v)),
     ]
     return [tag for tag, ok in claims if not ok]
 
 
-def _disc_holds(dg: lat.DiscGroup, L: lat.GramLattice, oracle: lat.GramLattice) -> bool:
-    """Whether `dg` is a discriminant group of L, checked against the Smith form.
+def _disc_holds(dg: lat.DiscGroup, L: lat.GramLattice, factors: tuple[int, ...]) -> bool:
+    """Whether `dg` is a discriminant group of L, checked against a Smith form.
 
-    `oracle` is L itself or a block that L extends by a unimodular summand.
-    Its `disc_group` must have the invariant factors of `dg`; each column c
-    over its order n must have exact order n, gcd(n, c) = 1, and lie in the
-    dual of L, G c = 0 mod n; and each q-numerator must be
+    `factors` are the invariant factors of a Smith form of L, or of a block
+    that L extends by a unimodular summand, and must be those of `dg`; each
+    column c over its order n must have exact order n, gcd(n, c) = 1, and
+    lie in the dual of L, G c = 0 mod n; and each q-numerator must be
     (c . c) / n mod 2n, present iff L is even.
     """
-    if dg.invariant_factors != lat.disc_group(oracle).invariant_factors:
+    if dg.invariant_factors != factors:
         return False
     if len(dg.columns) != len(dg.invariant_factors) or (dg.q_numerators is not None) != L.is_even:
         return False

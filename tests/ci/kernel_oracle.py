@@ -4,11 +4,12 @@
 
 `left_kernel` reads the kernel off a short suffix of the rows and grows it
 on an inexact division; the oracle transforms the whole matrix and runs
-`hnf_rows`.  The kernels of 20,000 seeded C11 pairing matrices G * W^T of
-Gammabar and LambdaTilde and of 20,000 random small matrices (zero rows and
-rank deficiency included) must equal the oracle's.  `hnf_rows` and
-`left_kernel` share one reduction above the pivots, so every kernel is also
-scanned by `oracles.hermite_pivots`, which does not use it.
+`hnf_rows`.  The kernels of 20,000 C11 pairing matrices G * W^T of
+Gammabar and LambdaTilde (`oracles.c11_inputs`, on this script's seed) and
+of 20,000 random small matrices (zero rows and rank deficiency included)
+must equal the oracle's.  `hnf_rows` and `left_kernel` share one reduction
+above the pivots, so every kernel is also scanned by
+`oracles.hermite_pivots`, which does not use it.
 
 `saturation` and `saturate_rows` are compared with the double-kernel
 oracles on the first 5,000 generator sets W, and `saturate_rows` also on W
@@ -53,15 +54,8 @@ def suffix_path(W) -> str:
 
 def main() -> int:
     rng = random.Random("left-kernel-ci")
-    ambients = [standard_lattice("Gammabar"), standard_lattice("LambdaTilde")]
     mats, gens = [], []
-    for i in range(20_000):
-        amb = ambients[i % 2]
-        k = rng.randint(1, 4)
-        while True:
-            W = [[rng.randint(-5, 5) for _ in range(amb.rank)] for _ in range(k)]
-            if la.rank_int(W) == k:
-                break
+    for amb, W in oracles.c11_inputs(20_000, rng):
         gens.append((amb, W))
         cols = [amb.basis_pairings(w) for w in W]
         mats.append([[c[j] for c in cols] for j in range(amb.rank)])
@@ -84,7 +78,7 @@ def main() -> int:
             if lat.saturation(lat.Sublattice(amb, X.basis)) != (X, 1):
                 idem_bad.append(W)
         c = [rng.randint(-3, 3) for _ in W]
-        dependent = W + [[sum(a * w[j] for a, w in zip(c, W)) for j in range(amb.rank)]]
+        dependent = [*W, [sum(a * w[j] for a, w in zip(c, W)) for j in range(amb.rank)]]
         for rows in (W, dependent):
             if lat.saturate_rows(amb, rows) != oracles.saturate_rows(amb, rows):
                 sat_bad.append(rows)
@@ -92,6 +86,7 @@ def main() -> int:
     print(f"{len(idem_bad)} of 10000 re-saturations differ", idem_bad[:3])
 
     rng = random.Random("saturation-suffix-ci")
+    ambients = [standard_lattice("Gammabar"), standard_lattice("LambdaTilde")]
     paths, path_bad = Counter(), []
     for i in range(4_000):
         amb = ambients[i % 2]

@@ -15,13 +15,14 @@ from cubick3.mukai import CohClass, series_inverse
 from cubick3.standard import hassett_triple, lambda_d_lattice, standard_lattice
 
 
-def c11_inputs(count):
+def c11_inputs(count, rng=None):
     """The inputs (ambient, rows) of the C11 acceptance sweep, in order.
 
     Ambients alternate between Gammabar and LambdaTilde; each input is k in
     [1, 4] random rows with entries in [-5, 5], drawn again until independent.
+    The draws come from `rng`, by default the sweep's own seeded generator.
     """
-    rng = random.Random(20240311)
+    rng = rng or random.Random(20240311)
     ambients = [standard_lattice("Gammabar"), standard_lattice("LambdaTilde")]
     for i in range(count):
         amb = ambients[i % 2]
@@ -227,25 +228,28 @@ def pairing(G, u, v):
 
 
 def q_values(L):
-    """Discriminant-form values of the `disc_group` generators, in Fractions throughout."""
+    """Discriminant-form values of the `disc_group` generators, by a dense integer product.
+
+    For each raw Smith column c of order n, q = (c . c) / n^2 mod 2.
+    """
     G = L.gram.to_lists()
-    return tuple(pairing(G, g, g) % 2 for g in _generators(L))
+    return tuple(Fraction(pairing(G, c, c), n * n) % 2 for c, n in _smith_columns(L))
 
 
 def pair_table(L):
     """Pair table of the `disc_group` generators, in Fractions throughout."""
     G = L.gram.to_lists()
-    # `disc_group` reduces each Smith column mod its order: for V/n, x % 1 is (V mod n)/n
-    gens = [[x % 1 for x in g] for g in _generators(L)]
+    # `disc_group` reduces each Smith column c mod its order n, to the class (c mod n)/n
+    gens = [[Fraction(e % n, n) for e in c] for c, n in _smith_columns(L)]
     return tuple(tuple(pairing(G, gi, gj) for gj in gens) for gi in gens)
 
 
 @functools.cache
-def _generators(L):
-    # independent of disc_group: the Smith columns over d_i, read directly;
-    # cached, as q_values and pair_table both read them
+def _smith_columns(L):
+    # independent of disc_group: the raw Smith columns c with their orders
+    # d_i, read directly; cached, as q_values and pair_table both read them
     diag, V = la.smith_normal_form(L.gram.to_lists())
-    return tuple(tuple(Fraction(V[r][i], d) for r in range(L.rank)) for i, d in enumerate(diag) if d > 1)
+    return tuple((tuple(row[i] for row in V), d) for i, d in enumerate(diag) if d > 1)
 
 
 def signature(G) -> tuple[int, int, int]:

@@ -1,47 +1,46 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Every tolerance is exact equality; the two sweeps carry their stated
-wall-clock budgets.
+lines.  `cubick3.verify` is the one implementation of each pinned identity:
+C01-C10 read one module-scoped `verify.run_all()` and assert an exact list of
+its check ids, each run and passed, so a check that verify drops fails its
+criterion.  What no check id reports stays in the test.  Every tolerance is
+exact equality; the two sweeps carry their stated wall-clock budgets.
 """
 
-import math
 import time
-from fractions import Fraction as F
+
+import pytest
 
 from cubick3 import (
     DegenerateLattice,
-    NLCase,
     a2_bruteforce,
     a2_represents,
-    boundary_count,
-    canonical_embedding_report,
-    classify_nl_vector,
     condition_flags,
     disc_group,
-    find_hyperbolic_AT,
-    genus_compare,
     hassett_triple,
-    kdoo_index,
     mukai_pairing,
     mukai_vector_line,
-    nl_vector,
     orthogonal_complement,
-    pell_brakkee,
-    polarization_vector,
-    project_right,
     saturation,
     span_sublattice,
-    table,
-    u_classes,
     witness_ss,
     witness_sss,
 )
-from cubick3 import intlinalg as la
 from cubick3 import standard as st
-from cubick3.mukai import characteristic_classes, euler_line, lambda_vectors
+from cubick3 import verify as vf
+from cubick3.mukai import lambda_vectors
 from cubick3.standard import is_primitive, standard_lattice
 from oracles import binary_grams_equivalent, c11_inputs, det_bareiss
+
+@pytest.fixture(scope="module")
+def verified():
+    """verify's checks at the default sweep bound, as {id: ok}, and the run's seconds."""
+    t0 = time.monotonic()
+    summary = vf.run_all()
+    elapsed = time.monotonic() - t0
+    assert summary.ok, summary.failures
+    return {c.check_id: c.ok for c in summary.checks}, elapsed
 
 
 def report(cid, ok, detail=""):
@@ -52,103 +51,73 @@ def report(cid, ok, detail=""):
     assert ok, line
 
 
-def test_c01_table_reproduction():
-    rows = table(78)
-    got = {
-        "star": {f.d for f in rows if f.star},
-        "ssprime": {f.d for f in rows if f.starstar_prime},
-        "ss": {f.d for f in rows if f.starstar},
-        "sss": {f.d for f in rows if f.starstarstar},
-    }
-    want_star = set(range(8, 79, 2)) - {d for d in range(8, 79, 2) if d % 6 == 4}
-    ok = got["star"] == want_star
-    ok = ok and got["ss"] == {14, 26, 38, 42, 62, 74, 78}
-    ok = ok and got["sss"] == {14, 26, 38, 42, 62}
-    # every (**') cell is decided by the exhaustive form enumeration:
-    # 27, 28 and 36 are norm-form values, 34 = 2*17 is not
-    want_ssprime = {d for d in want_star if a2_bruteforce(d)}
-    ok = ok and got["ssprime"] == want_ssprime
-    ok = ok and want_ssprime == {8, 14, 18, 24, 26, 32, 38, 42,
-                                 50, 54, 56, 62, 72, 74, 78}
-    report("C1 table-reproduction", ok, "rows over 24 special d <= 78")
+def report_verified(cid, verified, ids, ok=True, detail=""):
+    """`report`, failing also unless verify ran each of `ids` and it passed."""
+    checks, _ = verified
+    missed = [i for i in ids if not checks.get(i)]
+    if missed:
+        detail = "; ".join(filter(None, (detail, f"not verified: {', '.join(missed)}")))
+    report(cid, ok and not missed, detail)
 
 
-def test_c02_sqrt_todd_and_w_vectors():
-    cc = characteristic_classes()
-    ok = cc.sqrt_todd.coeffs == (F(1), F(3, 4), F(11, 32), F(15, 128), F(121, 6144))
-    w1 = mukai_vector_line(1).coeffs
-    ok = ok and w1 == (F(1), F(7, 4), F(51, 32), F(385, 384), F(2921, 6144))
-    w2 = mukai_vector_line(2).coeffs
-    ok = ok and (w2[0], w2[1], w2[3], w2[4]) == (
-        F(1), F(11, 4), F(1397, 384), F(16025, 6144),
-    )
-    nine = all(
-        mukai_pairing(mukai_vector_line(i), mukai_vector_line(j)) == -euler_line(j - i)
-        for i in range(3)
-        for j in range(3)
-    )
-    report("C2 sqrt-todd-and-w", ok and nine, "coefficients + nine pairing identities")
+def test_c01_table_reproduction(verified):
+    ids = [f"table78.{col}" for col in ("star", "ssprime", "ss", "sss")]
+    ids += [f"table78.oracle.{d}" for d in (54, 56, 72, 68)]
+    # every (**') cell that verify pins is decided by the exhaustive form
+    # enumeration: 27, 28 and 36 are norm-form values, 34 = 2*17 is not
+    star = [d for d in range(8, 79, 2) if d % 6 != 4]
+    ok = {d for d in star if a2_bruteforce(d)} == set(vf._TABLE78["ssprime"])
+    report_verified("C1 table-reproduction", verified, ids, ok, "rows over 24 special d <= 78")
 
 
-def test_c03_v_lambda_identities():
-    u1, _ = u_classes()
-    vl1, vl2 = lambda_vectors()
-    ok = project_right(u1).coeffs == (F(3), F(5, 4), F(-7, 32), F(-77, 384), F(41, 2048))
-    from cubick3 import a2_mukai_gram
+def test_c02_sqrt_todd_and_w_vectors(verified):
+    ids = ["chern.total", "todd.integral", "sqrt_td.coeffs", "sqrt_td.square", "sqrt_td.dual",
+           "w1.coeffs", "w2.coeffs_except_deg2"]
+    ids += [f"pairing.w{i}.w{j}" for i in range(3) for j in range(3)]
+    report_verified("C2 sqrt-todd-and-w", verified, ids,
+                    detail="coefficients + nine pairing identities")
 
-    ok = ok and a2_mukai_gram().to_lists() == [[2, -1], [-1, 2]]
+
+def test_c03_v_lambda_identities(verified):
+    ids = ["vlambda1.coeffs", "vlambda2.coeffs", "a2gram.mukai", "proj.idempotent",
+           "proj.kills_w2"]
+    ids += [f"pairing.u{i}.u{j}" for i in (1, 2) for j in (1, 2)]
+    ids += [f"pairing.{a}.{b}" for i in range(3) for j in (1, 2)
+            for a, b in ((f"w{i}", f"u{j}"), (f"u{j}", f"w{i}"))]
     orth = all(
         mukai_pairing(mukai_vector_line(i), v) == 0
         for i in range(3)
-        for v in (vl1, vl2)
+        for v in lambda_vectors()
     )
-    report("C3 v-lambda", ok and orth, "projection, A2 Gram, six orthogonality pairings")
+    report_verified("C3 v-lambda", verified, ids, orth,
+                    "projection, A2 Gram, six orthogonality pairings")
 
 
-def test_c04_canonical_lattice_identities():
-    rep = canonical_embedding_report()
-    ok = (
-        rep.lambda12_square == 6
-        and rep.l1_perp_abs_det == 2
-        and rep.a2_perp_abs_det == 3
-        and rep.a2_sum_saturation_index == 3
-        and rep.a2_sum_saturation_abs_det == 1
-        and rep.fano_sublattice_abs_det == 18
-        and rep.glue_identity_holds
-    )
-    report("C4 canonical-identities", ok, "all exact")
+def test_c04_canonical_lattice_identities(verified):
+    ids = [f"embedding.{key}" for key in (
+        "lambda_gram", "mu_gram", "glue_identity_holds", "a2_perp_abs_det",
+        "a2_sum_saturation_index", "a2_sum_saturation_abs_det", "lambda12_square",
+        "fano_sublattice_abs_det", "l1_perp_abs_det",
+    )]
+    report_verified("C4 canonical-identities", verified, ids, detail="all exact")
 
 
-def _k_disc_shape(d):
-    if d % 6 == 2:
-        return (d,)
-    g = math.gcd(3, d // 3)
-    lo, hi = g, (3 * (d // 3)) // g
-    return tuple(x for x in (lo, hi) if x > 1)
-
-
-def test_c05_nl_dichotomy_sweep():
-    hassett_triple.cache_clear()
-    t0 = time.monotonic()
-    ok = True
-    for d in range(8, 201, 2):
-        if d % 6 not in (0, 2):
-            continue
-        r = hassett_triple(d)
-        case, dd = classify_nl_vector(r.v)
-        want_case = NLCase.SATURATED if d % 6 == 0 else NLCase.INDEX_THREE
-        ok = ok and (case, dd) == (want_case, d)
-        ok = ok and abs(det_bareiss(r.gram_K.to_lists())) == d
-        ok = ok and r.disc_K.invariant_factors == _k_disc_shape(d)
-        ok = ok and r.disc_K.is_cyclic == (d % 9 != 0)
+def test_c05_nl_dichotomy_sweep(verified):
+    # nl.sweep.to200 checks, on every special d <= 200, the classification,
+    # the saturation indices and the discriminant groups of hassett_triple(d)
+    # against the generic lattices; the budget bounds the whole run_all(200)
+    ids = ["nl.sweep.to200", "disc.K12", "disc.K14", "disc.K18", "disc.K26"]
+    _, elapsed = verified
+    ok = all(abs(det_bareiss(hassett_triple(d).gram_K.to_lists())) == d
+             for d in range(8, 201, 2) if d % 6 in (0, 2))
     ok = ok and binary_grams_equivalent(
         hassett_triple(14).gram_K.to_lists(), [[-3, 1], [1, -5]]
     )
-    elapsed = time.monotonic() - t0
-    report("C5 nl-dichotomy", ok and elapsed <= 5.0, f"sweep to 200 in {elapsed:.2f}s")
+    report_verified("C5 nl-dichotomy", verified, ids, ok and elapsed <= 5.0,
+                    f"verify with the sweep to 200 in {elapsed:.2f}s")
 
 
-def test_c06_oracle_equivalence():
+def test_c06_oracle_equivalence(verified):
     ok = True
     for d in range(2, 501, 2):
         sols = a2_bruteforce(d)
@@ -158,71 +127,36 @@ def test_c06_oracle_equivalence():
         f = condition_flags(d)
         ok = ok and (witness_ss(d) is not None) == f.starstar
         ok = ok and (witness_sss(d) is not None) == f.starstarstar
-    for d in range(8, 201, 2):
-        if d % 6 in (0, 2):
-            ok = ok and genus_compare(d) == condition_flags(d).starstar
-    report("C6 oracle-equivalence", ok, "a2<=500, witnesses<=200, genus<=200")
+    report_verified("C6 oracle-equivalence", verified,
+                    ["genus.matches_ss.to200", "chain.sss_implies_ss.to200"], ok,
+                    "a2<=500, witnesses<=200, genus<=200")
 
 
-def test_c07_boundary_witnesses():
+def test_c07_boundary_witnesses(verified):
+    ds = (2, 10, 18, 26, 34, 42, 50)
     lam = standard_lattice("Lambda")
-    ok = True
-    for d in (2, 10, 18, 26, 34, 42, 50):
-        ell = polarization_vector(d)
-        delta0, delta1 = st.boundary_witnesses(d)
-        two = (d // 2) % 4 == 1
-        ok = ok and (delta1 is not None) == two
-        for delta in (delta0,) + ((delta1,) if delta1 else ()):
-            ok = ok and lam.square(delta) == -2
-            ok = ok and lam.pairing(delta, ell) == 0
-            ok = ok and is_primitive(lam, delta)
-        ok = ok and boundary_count(d) == (2 if two else 1)
-    report("C7 boundary-witnesses", ok, "d in {2,10,18,26,34,42,50}")
+    ok = all(is_primitive(lam, delta) for d in ds for delta in st.boundary_witnesses(d) if delta)
+    report_verified("C7 boundary-witnesses", verified, [f"delta.{d}" for d in ds], ok,
+                    "d in {2,10,18,26,34,42,50}")
 
 
-def test_c08_kdoo_witnesses():
-    gbar = standard_lattice("Gammabar")
-    G = gbar.gram.to_lists()
-    ok = True
-    for d in (12, 18):
-        idx, w = kdoo_index(d)
-        ok = ok and idx == 2 and w.involution is not None
-        g = w.involution.to_lists()
-        vbar = st.gamma_to_gammabar(nl_vector(d))
-        ok = ok and la.sparse_gram_product(g, la.sparse_rows(G)) == G
-        ok = ok and la.mat_vec(g, st.H2) == list(st.H2)
-        ok = ok and la.mat_vec(g, vbar) == [-e for e in vbar]
-    for d in (14, 20):
-        idx, w = kdoo_index(d)
-        ok = ok and idx == 1
-        satK, _ = saturation(
-            span_sublattice(gbar, [st.H2, st.gamma_to_gammabar(nl_vector(d))])
-        )
-        ok = ok and satK.contains(w.member) and not satK.contains(w.non_member)
-    report("C8 kdoo-witnesses", ok, "index 2 at 12,18; index 1 at 14,20")
+def test_c08_kdoo_witnesses(verified):
+    ids = []
+    for d in (12, 14, 18, 20):
+        ids += [f"kdoo.{d}", f"kdoo.{d}.{'involution' if d % 6 == 0 else 'membership'}"]
+    report_verified("C8 kdoo-witnesses", verified, ids,
+                    detail="index 2 at 12,18; index 1 at 14,20")
 
 
-def test_c09_pell_criteria():
-    ok = witness_sss(38) == (30, 7)
-    ok = ok and witness_sss(74) is None
-    ok = ok and pell_brakkee(42).solution == (3, 2)
-    ok = ok and pell_brakkee(12).solution is None
-    report("C9 pell-criteria", ok)
+def test_c09_pell_criteria(verified):
+    ids = ["pell.brakkee.42", "pell.brakkee.12", "pell.sss.38", "pell.sss.74"]
+    report_verified("C9 pell-criteria", verified, ids)
 
 
-def test_c10_hyperbolic_search():
-    lt = standard_lattice("LambdaTilde")
-    ok = True
-    for e_idx, f_idx in ((st.E4, st.F4), (st.E1, st.F1)):
-        e = st.unit_vector(24, e_idx)
-        f = st.unit_vector(24, f_idx)
-        ep, fp = find_hyperbolic_AT(e, f, bound=4)
-        ok = ok and lt.square(ep) == 0 and lt.square(fp) == 0
-        ok = ok and lt.pairing(ep, fp) == 1
-        ok = ok and la.rank_int(
-            [list(st.LAMBDA1), list(st.LAMBDA2), list(ep), list(fp)]
-        ) == 3
-    report("C10 hyperbolic-search", ok, "both pairs at bound 4")
+def test_c10_hyperbolic_search(verified):
+    ids = ["hyperbolic.e4f4", "hyperbolic.e1f1"]
+    report_verified("C10 hyperbolic-search", verified, ids, vf.HYPERBOLIC_BOUND == 4,
+                    "both pairs at bound 4")
 
 
 def test_c11_randomized_property_suite():

@@ -8,8 +8,10 @@ WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
 
 
 def test_no_heredoc():
-    # a here-document starts with << (a here-string, <<<, is one line)
+    # a here-document starts with << (a here-string, <<<, is one line); a
+    # `python -c` one-liner is inline Python too
     assert re.search(r"(?<!<)<<(?!<)", WORKFLOW) is None
+    assert re.search(r"\bpython3? +-c\b", WORKFLOW) is None
 
 
 def test_every_ci_script_exists_and_runs():

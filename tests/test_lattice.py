@@ -602,11 +602,11 @@ def test_disc_group_columns_come_back_reduced_on_c11_sample(monkeypatch):
             if L.det == 0:
                 continue
             dg = disc_group(L)
-            raw = oracles._generators(L)
+            raw = oracles._smith_columns(L)
             assert len(raw) == len(dg.columns) == len(dg.invariant_factors)
-            for col, n, g in zip(dg.columns, dg.invariant_factors, raw):
-                assert all(0 <= e < n for e in col)
-                assert all((e - n * x) % n == 0 for e, x in zip(col, g))
+            for col, n, (c, m) in zip(dg.columns, dg.invariant_factors, raw):
+                assert m == n and all(0 <= e < n for e in col)
+                assert all((e - x) % n == 0 for e, x in zip(col, c))
                 seen += 1
             if L.is_even:
                 q = tuple(Fraction(a, n) for a, n in zip(dg.q_numerators, dg.invariant_factors))

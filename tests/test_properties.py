@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as hyp
 
 from cubick3 import (
-    DegenerateLattice,
     DependentGenerators,
     a2_bruteforce,
     a2_represents,
     condition_flags,
-    disc_group,
     orthogonal_complement,
     saturation,
     signature,
@@ -107,29 +105,6 @@ def test_double_complement_is_saturation():
             amb, orthogonal_complement(amb, rows).basis.to_lists()
         )
         assert double.basis == sat.basis
-
-
-def test_randomized_sublattice_suite_small():
-    # a lighter copy of the acceptance sweep, kept here as a unit test
-    rng = random.Random(99)
-    ambients = [standard_lattice("Gammabar"), standard_lattice("LambdaTilde")]
-    for i in range(60):
-        amb = ambients[i % 2]
-        k = rng.randint(1, 4)
-        S = span_sublattice(amb, _random_independent(rng, amb, k))
-        sat, idx = saturation(S)
-        assert S.det == idx * idx * sat.det
-        again, idx2 = saturation(sat)
-        assert idx2 == 1 and again.basis == sat.basis
-        comp = orthogonal_complement(amb, S.basis.to_lists())
-        _, idx3 = saturation(comp)
-        assert idx3 == 1
-        lat = sat.as_lattice()
-        if lat.det != 0:
-            assert disc_group(lat).order == lat.abs_det
-        else:
-            with pytest.raises(DegenerateLattice):
-                disc_group(lat)
 
 
 @given(

