@@ -541,19 +541,27 @@ class TestKdoo:
     # kdoo_index writes both witnesses down; the generic routes are the oracles
     SPECIAL = [d for d in range(2, 2_001, 2) if d % 6 in (0, 2)]
 
-    def test_witnesses_hold(self):
-        # verify's generic check of each witness: for index 2 the involution
-        # preserves the Gram, fixes h2 and negates v_d; for index 1
+    def test_index_two(self):
+        # verify's generic check: the involution preserves the Gram, fixes h2
+        # and negates v_d
+        for d in self.SPECIAL:
+            if d % 6:
+                continue
+            idx, w = kdoo_index(d)
+            assert idx == 2 and w.member is None and w.non_member is None, d
+            assert vf._kdoo_holds(d, w), d
+
+    def test_index_one(self):
         # (v_d - h2)/3 lies in the saturation K_d and (-v_d - h2)/3 does not,
-        # by Hermite equality and by the rational-coefficient oracle
+        # by Hermite equality (verify's check) and by the rational-coefficient
+        # oracle
         gbar = standard_lattice("Gammabar")
         for d in self.SPECIAL:
-            idx, w = kdoo_index(d)
-            assert vf._kdoo_holds(d, w), d
             if d % 6 == 0:
-                assert idx == 2 and w.member is None and w.non_member is None, d
                 continue
+            idx, w = kdoo_index(d)
             assert idx == 1 and w.involution is None, d
+            assert vf._kdoo_holds(d, w), d
             vbar = gamma_to_gammabar(nl_vector(d))
             satK, _ = lattice.saturation(lattice.span_sublattice(gbar, [st.H2, vbar]))
             assert oracles.contains(satK, w.member), d
