@@ -73,6 +73,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .errors import InvalidDegree
+
 # least solutions for the nonsquare D <= 9
 _SMALL = {2: None, 3: (3, 2), 5: None, 6: None, 7: (2, 1), 8: None}
 # the longest quotient list whose denominators are run through the recurrence
@@ -116,13 +118,16 @@ def _cf_denominators(quotients: list[int]) -> tuple[int, int]:
 def least_solution(D: int) -> tuple[int, int] | None:
     """Least positive solution of x^2 - D y^2 = -3, or None (a proof, not a cutoff).
 
+    D is an exact positive int; a ``bool``, float, ``Fraction``, ``str``,
+    0 or a negative raises InvalidDegree.
+
     >>> least_solution(28), least_solution(148)
     ((5, 1), None)
     >>> least_solution(3)
     (3, 2)
     """
-    if D <= 0:
-        raise ValueError("D must be positive")
+    if type(D) is not int or D <= 0:
+        raise InvalidDegree(f"D must be a positive int, got {D!r}")
     s = isqrt(D)
     if s * s == D:
         # (sy - x)(sy + x) = 3 forces sy = 2, x = 1

@@ -48,6 +48,7 @@ import cubick3
 from cubick3 import conditions as cond
 from cubick3 import lattice as lat
 from cubick3 import mukai as mk
+from cubick3 import pell
 from cubick3 import standard as st
 from cubick3 import verify as vf
 from cubick3.cli import build_report
@@ -136,6 +137,8 @@ TABLE = (
     + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -8, 6, 9), cond.table)
     + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -4, 9), call.table_start)
     + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -6, 21, 14), cond.pell_brakkee)
+    # any positive int is a D of the Pell equation, so only the type and sign are refused
+    + _rows(InvalidDegree, (7.0, Fraction(7), "7", True, 0, -5), pell.least_solution)
     + _rows(NotSpecialDiscriminant, SPECIAL, st.nl_vector, st.closed_form_bases,
             st.hassett_triple, st.kdoo_index, st.genus_compare)
     + _rows(InvalidDegree, EVEN, st.polarization_vector, st.boundary_witnesses)

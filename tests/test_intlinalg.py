@@ -9,16 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as hyp
 
 from cubick3 import intlinalg as la
-from cubick3.lattice import (
-    GramLattice,
-    orthogonal_complement,
-    saturate_rows,
-    saturation,
-    span_sublattice,
-)
+from cubick3 import verify as vf
+from cubick3.lattice import GramLattice, saturate_rows
 from cubick3.standard import (
-    LAMBDA1,
-    LAMBDA2,
     canonical_embedding_report,
     lambda_d_lattice,
     standard_lattice,
@@ -65,17 +58,11 @@ def test_det_empty_and_singular():
 
 def test_det_of_the_theory_grams():
     # the Gram of every standard lattice, of LambdaD(14) and of the four
-    # sublattices that canonical_embedding_report reads determinants off
+    # sublattices that verify derives the embedding report's determinants from
     names = ("U", "E", "A2", "A2m", "I03", "Gammabar", "Gamma", "Lambda", "LambdaTilde")
     grams = [standard_lattice(name).gram for name in names]
     grams.append(lambda_d_lattice(14).gram)
-    lt = standard_lattice("LambdaTilde")
-    a2perp = orthogonal_complement(lt, [LAMBDA1, LAMBDA2])
-    sat, _ = saturation(span_sublattice(lt, [list(LAMBDA1), list(LAMBDA2)] + a2perp.basis.to_lists()))
-    lam12 = [a + 2 * b for a, b in zip(LAMBDA1, LAMBDA2)]
-    fano = span_sublattice(lt, a2perp.basis.to_lists() + [lam12])
-    l1perp = orthogonal_complement(lt, [LAMBDA1])
-    subs = (a2perp, sat, fano, l1perp)
+    _, subs = vf._derived_embedding()
     grams += [S.induced_gram for S in subs]
     for G in grams:
         A = G.to_lists()

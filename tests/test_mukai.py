@@ -15,7 +15,9 @@ from cubick3 import (
     project_right,
     u_classes,
 )
+from cubick3 import intlinalg as la
 from cubick3 import mukai as mk
+from cubick3 import standard as st
 from cubick3.mukai import exp_h, lambda_vectors, series_inverse, series_sqrt
 from oracles import det_bareiss, series_sqrt_newton
 
@@ -78,6 +80,26 @@ def test_series_sqrt_runs_no_series_inverse(monkeypatch):
 
     monkeypatch.setattr(mk, "series_inverse", forbidden)
     assert series_sqrt(characteristic_classes().todd) == want
+
+
+def test_written_down_values_run_no_derivation(monkeypatch):
+    # the embedding report and the classes are written down; verify derives them
+    cached = (st.canonical_embedding_report, characteristic_classes)
+    want = tuple(f() for f in cached)
+
+    def forbidden(*args):
+        raise AssertionError("a written-down value must not be derived")
+
+    for f in cached:
+        f.cache_clear()
+    try:
+        monkeypatch.setattr(la, "row_echelon", forbidden)
+        monkeypatch.setattr(mk, "series_inverse", forbidden)
+        monkeypatch.setattr(mk, "series_sqrt", forbidden)
+        assert tuple(f() for f in cached) == want
+    finally:
+        for f in cached:
+            f.cache_clear()
 
 
 def test_w_vectors():

@@ -143,3 +143,31 @@ def test_nl_oracle_refutes_a_wrong_disc_group(monkeypatch, d, field, mutate, tag
     bad = rep._replace(**{field: mutate(getattr(rep, field))})
     monkeypatch.setattr(st, "hassett_triple", lambda _: bad)
     assert vf._nl_failures(d) == [tag]
+
+
+def _sqrt_todd_off_by_one(cc):
+    # 122/6144 in place of 121/6144
+    return cc._replace(sqrt_todd=mk.CohClass.of(*cc.sqrt_todd.coeffs[:4], Fraction(122, 6144)))
+
+
+@pytest.mark.parametrize(
+    "module, name, mutate, check_id",
+    [
+        pytest.param(st, "canonical_embedding_report",
+                     lambda rep: rep._replace(fano_sublattice_abs_det=19),
+                     "embedding.fano_sublattice_abs_det", id="fano-det"),
+        pytest.param(mk, "characteristic_classes", _sqrt_todd_off_by_one,
+                     "sqrt_td.coeffs", id="sqrt-todd"),
+        # the Todd class has no check of its own: the square of the checked
+        # root pins it
+        pytest.param(mk, "characteristic_classes",
+                     lambda cc: cc._replace(todd=cc.todd + mk.CohClass.of(0, 0, 1, 0, 0)),
+                     "sqrt_td.square", id="todd"),
+    ],
+)
+def test_verify_refutes_a_wrong_written_down_value(monkeypatch, module, name, mutate, check_id):
+    # verify derives each written-down value, so it is no constant compared with itself
+    bad = mutate(getattr(module, name)())
+    monkeypatch.setattr(module, name, lambda: bad)
+    s = vf.run_all(genus_max=8)
+    assert check_id in {c.check_id for c in s.failures}
