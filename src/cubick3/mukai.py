@@ -157,12 +157,12 @@ class CharClasses(namedtuple("CharClasses", "chern todd sqrt_todd")):
 
 @lru_cache(maxsize=None)
 def characteristic_classes() -> CharClasses:
-    """Total Chern class, Todd class, and its square root for a smooth cubic fourfold, written down.
+    """Total Chern class, Todd class and its square root of a cubic fourfold, written down.
 
-    The total Chern class is the degree-4 truncation of (1+h)^6 / (1+3h),
-    1 + 3h + 6h^2 + 2h^3 + 9h^4; the Todd class is the universal Todd
-    polynomial in c1..c4 = 3, 6, 2, 9, 1 + 3/2 h + 5/4 h^2 + 3/4 h^3 +
-    1/3 h^4; and its square root with constant term 1 is 1 + 3/4 h +
+    The total Chern class, the degree-4 truncation of (1+h)^6 / (1+3h), is
+    1 + 3h + 6h^2 + 2h^3 + 9h^4.  The Todd class, the universal Todd
+    polynomial in c1..c4 = 3, 6, 2, 9, is 1 + 3/2 h + 5/4 h^2 + 3/4 h^3 +
+    1/3 h^4, and its square root with constant term 1 is 1 + 3/4 h +
     11/32 h^2 + 15/128 h^3 + 121/6144 h^4.  No series is computed.  The
     proof is `verify`, which derives all three with `series_inverse`, the
     Todd polynomial and `series_sqrt`, and compares them with these.

@@ -7,10 +7,11 @@ values are a float, a `Fraction`, a `str`, `True` (an `int` subclass), 0, a
 negative, an odd value and an even one of the wrong residue: 14.0 and
 Fraction(14) pass a bare parity or residue test, and "14" breaks it with a
 `TypeError`.  A twist k of `mukai_vector_line` and `euler_line` may be any
-int, and a bound of `find_hyperbolic_AT` any int of at least 0, so only
-their type and sign are refused; a vector of `find_hyperbolic_AT` of the
-wrong length raises NotHyperbolicPair.  The lattice entry points that take a
-vector get one of the wrong length for A2 (rank 2), and raise InvalidVector;
+int, a bound of `find_hyperbolic_AT` any int of at least 0 and a D of
+`pell.least_solution` any positive int, so only their type and sign are
+refused; a vector of `find_hyperbolic_AT` of the wrong length raises
+NotHyperbolicPair.  The lattice entry points that take a vector get one of
+the wrong length for A2 (rank 2), and raise InvalidVector;
 those that take integer coordinates raise it too for a vector with a
 `Fraction(1, 2)`, a 0.5, a `None` or a `True` entry.  `pairing`, `square`
 and `basis_pairings` pair rational vectors (int or `Fraction` entries), and
@@ -137,7 +138,6 @@ TABLE = (
     + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -8, 6, 9), cond.table)
     + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -4, 9), call.table_start)
     + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -6, 21, 14), cond.pell_brakkee)
-    # any positive int is a D of the Pell equation, so only the type and sign are refused
     + _rows(InvalidDegree, (7.0, Fraction(7), "7", True, 0, -5), pell.least_solution)
     + _rows(NotSpecialDiscriminant, SPECIAL, st.nl_vector, st.closed_form_bases,
             st.hassett_triple, st.kdoo_index, st.genus_compare)
