@@ -49,9 +49,10 @@ class InvalidVector(CubicK3Error):
     A vector with a non-integral entry (a ``Fraction`` or float that is not
     an integer, a ``bool``, or a value ``int()`` refuses, such as ``None``)
     is refused wherever integer coordinates are required
-    (`lattice.as_vector`), as is a v that is not iterable at all;
-    `Sublattice.contains` catches it and answers
-    False, as an integer lattice holds no such vector.  A cohomology class
+    (`lattice.as_vector`), the lattice pairings `GramLattice.pairing`,
+    `square` and `basis_pairings` included, as is a v that is not iterable
+    at all; `Sublattice.contains` catches it and answers False, as an
+    integer lattice holds no such vector.  A cohomology class
     of `mukai` with coefficients that are not five rationals, an operand of
     the Mukai pairing that is not a class, and a class without the constant
     term a series inverse or square root needs are refused the same way.

@@ -70,8 +70,6 @@ def _as_int(e) -> int:
 
 
 _INT_ONLY = frozenset({int})
-# the entries `GramLattice.pairing` takes: rationals, exactly (a bool is refused)
-_RATIONAL = frozenset({int, Fraction})
 
 
 def as_vector(v) -> Vector:
@@ -165,31 +163,26 @@ class GramLattice(Record):
     def abs_det(self) -> int:
         return abs(self.det)
 
-    def _check_rational(self, v):
-        # one scan of the entry types: an int or a Fraction, never a float or a bool
-        if len(v) != self.rank:
-            raise InvalidVector(f"vector length {len(v)} != rank {self.rank}")
-        if not _RATIONAL.issuperset(map(type, v)):
-            raise InvalidVector(f"non-rational entry in {tuple(v)!r}")
-
     @cached_property
     def gram_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero (column, entry) pairs of each Gram row (see `intlinalg.sparse_rows`)."""
         return tuple(map(tuple, la.sparse_rows(self.gram.data)))
 
-    def pairing(self, u, v):
-        """u * G * v^T for rational vectors u and v (int or `Fraction` entries)."""
-        self._check_rational(u)
-        self._check_rational(v)
+    def pairing(self, u, v) -> int:
+        """u * G * v^T for integer coordinate vectors u and v (see `as_vector`)."""
+        u, v = as_vector(u), as_vector(v)
+        _check_lengths(self, (u, v))
         return la.pairing(self.gram_rows, u, v)
 
-    def square(self, v):
-        self._check_rational(v)
+    def square(self, v) -> int:
+        v = as_vector(v)
+        _check_lengths(self, (v,))
         return la.pairing(self.gram_rows, v, v)
 
-    def basis_pairings(self, v) -> list:
-        """Pairings of the rational vector v with the basis vectors, i.e. G*v."""
-        self._check_rational(v)
+    def basis_pairings(self, v) -> list[int]:
+        """Pairings of the integer vector v with the basis vectors, i.e. G*v."""
+        v = as_vector(v)
+        _check_lengths(self, (v,))
         return la.sparse_mat_vec(self.gram_rows, v)
 
     def to_json(self) -> dict:

@@ -253,34 +253,36 @@ def project_right(a: CohClass) -> CohClass:
 
 @lru_cache(maxsize=None)
 def lambda_vectors() -> tuple[CohClass, CohClass]:
-    """The images of the A2 basis under the right orthogonal projection."""
-    u1, u2 = u_classes()
-    return project_right(u1), project_right(u2)
+    """The right projections vlambda1, vlambda2 of u1 and u2, written down.
+
+    vlambda1 = (3, 5/4, -7/32, -77/384, 41/2048) = u1 - w1 + 4 w0 and
+    vlambda2 = (-3, -1/4, 15/32, 1/384, -153/2048) = u2 - w2 + 4 w1 - 6 w0.
+    No projection is computed.  The proof is `verify`, which compares them
+    with `project_right` of u1 and u2.
+
+    >>> print(lambda_vectors()[0])
+    (3, 5/4, -7/32, -77/384, 41/2048)
+    """
+    F = Fraction
+    return (
+        CohClass.of(3, F(5, 4), F(-7, 32), F(-77, 384), F(41, 2048)),
+        CohClass.of(-3, F(-1, 4), F(15, 32), F(1, 384), F(-153, 2048)),
+    )
 
 
 def a2_mukai_gram() -> IntMatrix:
-    """Gram of the projected A2 basis under the Mukai pairing.
+    """Gram of vlambda1, vlambda2 under the Mukai pairing, written down: A2.
 
     The pairing is already the sign-reversed Euler form, so it restricts to
-    the standard positive A2 form on the projected vectors with no further
-    negation.  Also asserts the six right-orthogonality pairings vanish and
-    that the pairing is symmetric on the pair, so the result is a genuine
-    Gram matrix.
+    the standard positive A2 form [[2, -1], [-1, 2]] on the projected
+    vectors with no further negation.  No pairing is computed.  The proof
+    is `verify`, which compares it with the exact pairings of the
+    projections of u1 and u2, so equality also proves them integral.
+
+    >>> a2_mukai_gram().to_lists()
+    [[2, -1], [-1, 2]]
     """
-    vl1, vl2 = lambda_vectors()
-    ws = [mukai_vector_line(i) for i in range(3)]
-    for wi in ws:
-        for v in (vl1, vl2):
-            if mukai_pairing(wi, v) != 0:
-                raise AssertionError("projected vector is not right orthogonal")
-    if mukai_pairing(vl1, vl2) != mukai_pairing(vl2, vl1):
-        raise AssertionError("pairing is not symmetric on the right complement")
-    rows = [
-        [mukai_pairing(a, b) for b in (vl1, vl2)] for a in (vl1, vl2)
-    ]
-    if any(x.denominator != 1 for row in rows for x in row):
-        raise AssertionError("A2 Gram is not integral")
-    return IntMatrix.from_rows([[int(x) for x in row] for row in rows])
+    return IntMatrix(((2, -1), (-1, 2)))
 
 
 class MukaiSet(Record):
@@ -311,12 +313,4 @@ class MukaiSet(Record):
 
 @lru_cache(maxsize=None)
 def mukai_set() -> MukaiSet:
-    u1, u2 = u_classes()
-    vl1, vl2 = lambda_vectors()
-    ms = MukaiSet(*(mukai_vector_line(i) for i in range(3)), u1, u2, vl1, vl2)
-    # defining identities of the projected vectors
-    if vl1 != u1 - ms.w1 + ms.w0.scale(4):
-        raise AssertionError("vl1 != u1 - w1 + 4 w0")
-    if vl2 != u2 - ms.w2 + ms.w1.scale(4) - ms.w0.scale(6):
-        raise AssertionError("vl2 != u2 - w2 + 4 w1 - 6 w0")
-    return ms
+    return MukaiSet(*(mukai_vector_line(i) for i in range(3)), *u_classes(), *lambda_vectors())

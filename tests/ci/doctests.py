@@ -3,7 +3,7 @@
     python3 tests/ci/doctests.py
 
 Runs `doctest.testmod` on each module and prints the results.  Fails on any
-failed example, or when fewer than 10 examples ran in all.
+failed example, or when fewer than `MIN_EXAMPLES` examples ran in all.
 """
 
 import doctest
@@ -13,13 +13,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from test_doctests import MODULES  # noqa: E402
+from test_doctests import MIN_EXAMPLES, MODULES  # noqa: E402
 
 
 def main() -> int:
     results = [doctest.testmod(m) for m in MODULES]
     print(results)
-    return int(any(r.failed for r in results) or sum(r.attempted for r in results) < 10)
+    return int(any(r.failed for r in results) or sum(r.attempted for r in results) < MIN_EXAMPLES)
 
 
 if __name__ == "__main__":

@@ -29,8 +29,9 @@ from cubick3 import (
 )
 from cubick3 import standard as st
 from cubick3 import verify as vf
+from cubick3.lattice import is_primitive
 from cubick3.mukai import lambda_vectors
-from cubick3.standard import is_primitive, standard_lattice
+from cubick3.standard import standard_lattice
 from oracles import binary_grams_equivalent, c11_inputs, det_bareiss
 
 @pytest.fixture(scope="module")

@@ -12,11 +12,10 @@ int, a bound of `find_hyperbolic_AT` any int of at least 0 and a D of
 refused; a vector of `find_hyperbolic_AT` of the wrong length raises
 NotHyperbolicPair.  The lattice entry points that take a vector get one of
 the wrong length for A2 (rank 2), and raise InvalidVector;
-those that take integer coordinates raise it too for a vector with a
-`Fraction(1, 2)`, a 0.5, a `None` or a `True` entry.  `pairing`, `square`
-and `basis_pairings` pair rational vectors (int or `Fraction` entries), and
-raise it for a 0.5 or a `True` entry; `Sublattice.contains` takes a rational
-vector and answers False for a non-integral one.  A Gram matrix that is
+those that take integer coordinates, `pairing`, `square` and
+`basis_pairings` among them, raise it too for a vector with a
+`Fraction(1, 2)`, a 0.5, a `None` or a `True` entry; `Sublattice.contains`
+takes a rational vector and answers False for a non-integral one.  A Gram matrix that is
 ragged, not symmetric or not integral (a float, a `None` or a `True` entry)
 raises InvalidMatrix.  The Mukai classes raise InvalidVector for
 coefficients that are not five rationals, a scalar or an `exp_h` argument
@@ -87,8 +86,6 @@ A2 = st.standard_lattice("A2")
 WRONG_LENGTH = ((), (1,), (1, 0, 0))
 # ... and at the right length, refused where integer coordinates are required
 NON_INTEGRAL = ((Fraction(1, 2), 0), (0.5, 0), (None, 0), (True, 0))
-# ... and where rational coordinates are taken, refused for a float or a bool entry
-NON_RATIONAL = ((0.5, 0), (True, 0))
 # ragged, not symmetric, a float entry, a None entry, a bool entry
 BAD_GRAMS = (((2, -1), (-1,)), ((2, -1), (0, 2)), ((2.5, -1), (-1, 2)), ((None,),), ((True,),))
 # where a lattice is required
@@ -152,8 +149,8 @@ TABLE = (
             call.saturate_rows, call.contains, call.is_primitive, call.divisibility, call.pairing,
             call.square, call.basis_pairings)
     + _rows(InvalidVector, NON_INTEGRAL, call.span_sublattice, call.orthogonal_complement,
-            call.saturate_rows, call.is_primitive, call.divisibility)
-    + _rows(InvalidVector, NON_RATIONAL, call.pairing, call.square, call.basis_pairings)
+            call.saturate_rows, call.is_primitive, call.divisibility, call.pairing, call.square,
+            call.basis_pairings)
     + _rows(InvalidBound, (2.5, 4.0, Fraction(4), "4", True, -1), call.hyperbolic_bound)
     # a vector of LambdaTilde has 24 coordinates
     + _rows(NotHyperbolicPair, ((1, 0),), call.hyperbolic_e)

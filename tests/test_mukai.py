@@ -83,9 +83,12 @@ def test_series_sqrt_runs_no_series_inverse(monkeypatch):
 
 
 def test_written_down_values_run_no_derivation(monkeypatch):
-    # the embedding report and the classes are written down; verify derives them
-    cached = (st.canonical_embedding_report, characteristic_classes)
-    want = tuple(f() for f in cached)
+    # the embedding report, the classes, the projected A2 basis and its Gram
+    # are written down; verify derives them
+    written = (st.canonical_embedding_report, characteristic_classes, lambda_vectors,
+               a2_mukai_gram, mukai_set)
+    cached = [f for f in written if hasattr(f, "cache_clear")]
+    want = tuple(f() for f in written)
 
     def forbidden(*args):
         raise AssertionError("a written-down value must not be derived")
@@ -94,9 +97,9 @@ def test_written_down_values_run_no_derivation(monkeypatch):
         f.cache_clear()
     try:
         monkeypatch.setattr(la, "row_echelon", forbidden)
-        monkeypatch.setattr(mk, "series_inverse", forbidden)
-        monkeypatch.setattr(mk, "series_sqrt", forbidden)
-        assert tuple(f() for f in cached) == want
+        for name in ("series_inverse", "series_sqrt", "project_right", "mukai_pairing"):
+            monkeypatch.setattr(mk, name, forbidden)
+        assert tuple(f() for f in written) == want
     finally:
         for f in cached:
             f.cache_clear()

@@ -639,6 +639,18 @@ class TestBoundary:
         with pytest.raises(InvalidDegree):
             boundary_witnesses(7)
 
+    def test_written_down_runs_no_lattice_check(self, monkeypatch):
+        # the witnesses are written down; verify's delta.{d} checks prove them
+        def forbidden(*args):
+            raise AssertionError("a written-down witness must not be re-checked")
+
+        monkeypatch.setattr(lattice, "is_primitive", forbidden)
+        monkeypatch.setattr(GramLattice, "pairing", forbidden)
+        monkeypatch.setattr(GramLattice, "square", forbidden)
+        for d in range(2, 2001, 2):
+            _, d1 = boundary_witnesses(d)
+            assert (d1 is not None) == (d // 2 % 4 == 1)
+
 
 class TestGenus:
     def test_examples(self):

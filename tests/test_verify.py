@@ -11,6 +11,7 @@ from cubick3 import conditions as cond
 from cubick3 import mukai as mk
 from cubick3 import standard as st
 from cubick3 import verify as vf
+from cubick3.lattice import IntMatrix
 import oracles
 
 
@@ -150,6 +151,25 @@ def _sqrt_todd_off_by_one(cc):
     return cc._replace(sqrt_todd=mk.CohClass.of(*cc.sqrt_todd.coeffs[:4], Fraction(122, 6144)))
 
 
+def _vlambda1_off_by_one(vl):
+    # 43/2048 in place of 41/2048
+    return mk.CohClass.of(*vl[0].coeffs[:4], Fraction(43, 2048)), vl[1]
+
+
+def _delta1_off_at_10(deltas, d):
+    # f1 coefficient 3 in place of (d/2 - 1)/2 = 2, of square 2
+    if d != 10:
+        return deltas
+    return deltas[0], st._vec(st.RANK_LAMBDA, {st.E1: 2, st.F1: 3, st.E2: 1, st.F2: -5})
+
+
+def _membership_swapped_at_14(kdoo, d):
+    if d != 14:
+        return kdoo
+    idx, w = kdoo
+    return idx, w._replace(member=w.non_member, non_member=w.member)
+
+
 @pytest.mark.parametrize(
     "module, name, mutate, check_id",
     [
@@ -163,11 +183,18 @@ def _sqrt_todd_off_by_one(cc):
         pytest.param(mk, "characteristic_classes",
                      lambda cc: cc._replace(todd=cc.todd + mk.CohClass.of(0, 0, 1, 0, 0)),
                      "sqrt_td.square", id="todd"),
+        pytest.param(mk, "lambda_vectors", _vlambda1_off_by_one, "vlambda1.coeffs",
+                     id="vlambda1"),
+        pytest.param(mk, "a2_mukai_gram", lambda g: IntMatrix(((2, -1), (-1, 3))),
+                     "a2gram.mukai", id="a2-gram"),
+        pytest.param(st, "boundary_witnesses", _delta1_off_at_10, "delta.10", id="delta1"),
+        pytest.param(st, "kdoo_index", _membership_swapped_at_14, "kdoo.14.membership",
+                     id="kdoo-membership"),
     ],
 )
 def test_verify_refutes_a_wrong_written_down_value(monkeypatch, module, name, mutate, check_id):
     # verify derives each written-down value, so it is no constant compared with itself
-    bad = mutate(getattr(module, name)())
-    monkeypatch.setattr(module, name, lambda: bad)
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: mutate(real(*args), *args))
     s = vf.run_all(genus_max=8)
     assert check_id in {c.check_id for c in s.failures}
