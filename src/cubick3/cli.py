@@ -6,6 +6,11 @@ success, 1 when `verify` finds failures, 2 on usage errors, and 141
 the reader closes standard output early, as `cubick3 table 100000 | head -1`
 does; that exit prints no traceback.  Output is deterministic: identical
 invocations produce byte-identical output.
+
+`lattice`, `mukai` and `verify` print through one switch, `_emit`: the JSON
+object for `--format json` (spelled `--json` for `verify`), the text
+otherwise.  `classify` and `table` render only the format asked for.  Only
+`verify` loads `cubick3.verify`.
 """
 
 from __future__ import annotations
@@ -14,15 +19,12 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import conditions as cond
-from . import mukai as mk
 from . import standard as st
-from . import verify as vf
 from ._record import Record
 from .errors import CubicK3Error
-from .lattice import disc_group, json_int, signature
+from .lattice import json_int
 
 
 class Report(Record):
@@ -61,16 +63,12 @@ def build_report(d: int) -> Report:
     return Report(d, flags, nl, cond.boundary_count(d), pell, tuple(notes))
 
 
-def _tf(b: bool) -> str:
-    return "T" if b else "F"
-
-
 def _render_report_text(r: Report) -> str:
     lines = [f"d = {r.d}"]
-    f = r.flags
+    f, tf = r.flags, cond._TF
     lines.append(
-        f"conditions: (*)={_tf(f.star)} (**')={_tf(f.starstar_prime)}"
-        f" (**)={_tf(f.starstar)} (***)={_tf(f.starstarstar)}"
+        f"conditions: (*)={tf[f.star]} (**')={tf[f.starstar_prime]}"
+        f" (**)={tf[f.starstar]} (***)={tf[f.starstarstar]}"
     )
     if r.nl is not None:
         lines.append(f"case: {r.nl.case.value}")
@@ -146,78 +144,58 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _emit(args, obj, text: str) -> None:
+    print(json.dumps(obj, indent=2) if args.format == "json" else text)
+
+
 def cmd_lattice(args) -> int:
-    try:
-        L = st.standard_lattice(args.name)
-    except CubicK3Error as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    from .lattice import disc_group, signature
+
+    L = st.standard_lattice(args.name)
     if args.disc:
-        if args.format == "json":
-            print(json.dumps({"det": json_int(L.det), "abs_det": json_int(L.abs_det)}, indent=2))
-        else:
-            print(f"det = {L.det}, |det| = {L.abs_det}")
+        _emit(args, {"det": json_int(L.det), "abs_det": json_int(L.abs_det)},
+              f"det = {L.det}, |det| = {L.abs_det}")
     elif args.signature:
-        pos, neg, null = signature(L)
-        if args.format == "json":
-            print(json.dumps({"signature": [pos, neg, null]}, indent=2))
-        else:
-            print(f"signature = ({pos}, {neg}, {null})")
+        sig = signature(L)
+        _emit(args, {"signature": list(sig)}, "signature = ({}, {}, {})".format(*sig))
     elif args.disc_group:
+        from fractions import Fraction
+
         dg = disc_group(L)
-        q_values = None
+        q = None
         if dg.q_numerators is not None:
-            q_values = [str(Fraction(a, n)) for a, n in zip(dg.q_numerators, dg.invariant_factors)]
-        if args.format == "json":
-            obj = {
-                "invariant_factors": [json_int(e) for e in dg.invariant_factors],
-                "q_values": q_values,
-            }
-            print(json.dumps(obj, indent=2))
-        else:
-            print(f"invariant factors: {list(dg.invariant_factors)}")
-            if q_values is None:
-                print("q values: (odd lattice)")
-            else:
-                print(f"q values: {q_values}")
+            q = [str(Fraction(a, n)) for a, n in zip(dg.q_numerators, dg.invariant_factors)]
+        _emit(args, {"invariant_factors": [json_int(e) for e in dg.invariant_factors],
+                     "q_values": q},
+              f"invariant factors: {list(dg.invariant_factors)}\n"
+              f"q values: {'(odd lattice)' if q is None else q}")
     else:
-        if args.format == "json":
-            print(json.dumps(L.to_json(), indent=2))
-        else:
-            print(f"{L.label or 'lattice'}: rank {L.rank}, even={L.is_even}")
-            for row in L.gram.to_lists():
-                print(" ".join(f"{e:3d}" for e in row))
+        rows = [" ".join(f"{e:3d}" for e in row) for row in L.gram.to_lists()]
+        _emit(args, L.to_json(),
+              "\n".join([f"{L.label or 'lattice'}: rank {L.rank}, even={L.is_even}", *rows]))
     return 0
 
 
 def cmd_mukai(args) -> int:
+    from . import mukai as mk
+
     if args.gram:
         g = mk.a2_mukai_gram()
-        if args.format == "json":
-            print(json.dumps({"a2_gram": g.to_json()}, indent=2))
-        else:
-            print(f"A2 gram under the Mukai pairing: {g.to_lists()}")
-        return 0
-    ms = mk.mukai_set()
-    if args.format == "json":
-        print(json.dumps(ms.to_json(), indent=2))
+        _emit(args, {"a2_gram": g.to_json()}, f"A2 gram under the Mukai pairing: {g.to_lists()}")
     else:
-        for key, val in ms.to_json().items():
-            print(f"{key}: ({', '.join(val)})")
+        obj = mk.mukai_set().to_json()
+        _emit(args, obj, "\n".join(f"{key}: ({', '.join(val)})" for key, val in obj.items()))
     return 0
 
 
 def cmd_verify(args) -> int:
-    summary = vf.run_all(genus_max=args.genus_max)
-    if args.json:
-        print(json.dumps(summary.to_json(), indent=2))
-    else:
-        for c in summary.checks:
-            if c.ok:
-                print(f"ok   {c.check_id}")
-            else:
-                print(f"FAIL {c.check_id}: expected {c.expected}, got {c.actual}")
-        print(f"{summary.checks_run} checks, {len(summary.failures)} failures")
+    from . import verify
+
+    summary = verify.run_all(genus_max=args.genus_max)
+    lines = [f"ok   {c.check_id}" if c.ok else
+             f"FAIL {c.check_id}: expected {c.expected}, got {c.actual}" for c in summary.checks]
+    lines.append(f"{summary.checks_run} checks, {len(summary.failures)} failures")
+    _emit(args, summary.to_json(), "\n".join(lines))
     return 0 if summary.ok else 1
 
 
@@ -257,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_mukai)
 
     v = sub.add_parser("verify", help="run the complete identity suite")
-    v.add_argument("--json", action="store_true")
+    v.add_argument("--json", dest="format", action="store_const", const="json")
     v.add_argument("--genus-max", type=int, default=200,
                    help="bound of all three per-d sweeps: the closed-form check, "
                         "the genus comparison and (***) => (**) (default 200)")

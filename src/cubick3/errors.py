@@ -51,8 +51,9 @@ class InvalidVector(CubicK3Error):
     is refused wherever integer coordinates are required
     (`lattice.as_vector`), the lattice pairings `GramLattice.pairing`,
     `square` and `basis_pairings` included, as is a v that is not iterable
-    at all; `Sublattice.contains` catches it and answers False, as an
-    integer lattice holds no such vector.  A cohomology class
+    at all.  `Sublattice.contains` answers False for a vector with a
+    non-integral entry, as an integer lattice holds no such vector, and
+    refuses a v that is not iterable.  A cohomology class
     of `mukai` with coefficients that are not five rationals, an operand of
     the Mukai pairing that is not a class, and a class without the constant
     term a series inverse or square root needs are refused the same way.

@@ -108,6 +108,8 @@ class IntMatrix(Record):
             data = tuple(map(as_vector, rows))
         except InvalidVector as e:  # a non-integral entry, with `as_vector`'s message
             raise InvalidMatrix(str(e)) from None
+        except TypeError:
+            raise InvalidMatrix(f"a sequence of rows is required, got {rows!r}") from None
         return IntMatrix(data)
 
     @property
@@ -195,7 +197,10 @@ class GramLattice(Record):
     @staticmethod
     def from_json(obj: dict) -> "GramLattice":
         # integers above 64 bits arrive as decimal strings (see `json_int`)
-        rows = [[int(e) if isinstance(e, str) else e for e in row] for row in obj["gram"]]
+        try:
+            rows = [[int(e) if isinstance(e, str) else e for e in row] for row in obj["gram"]]
+        except (KeyError, TypeError, ValueError):
+            raise InvalidMatrix(f"not a JSON lattice with integer gram rows: {obj!r}") from None
         return GramLattice.from_rows(rows, obj.get("label"))
 
 
@@ -255,8 +260,12 @@ class Sublattice(Record):
         Hermite equality: v is a member iff adding it to the canonical
         Hermite basis H spans the same lattice, i.e. hnf_rows(H + [v]) == H.
         A vector with a non-integral entry (a ``Fraction``, a float, ``None``,
-        ...) is not a member.
+        ...) is not a member; a v that is not iterable raises `InvalidVector`.
         """
+        try:
+            v = tuple(v)
+        except TypeError:
+            raise InvalidVector(f"a coordinate vector is required, got {v!r}") from None
         _check_lengths(self.ambient, [v])
         try:
             w = as_vector(v)

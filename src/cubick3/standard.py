@@ -415,12 +415,13 @@ def _e_u_rows() -> tuple[Vector, ...]:
     return tuple(row[:18] + (0, 0, 0) for row in standard_lattice("Gamma").gram.data[:18])
 
 
-def _gamma_block(d: int) -> GramLattice:
-    # the rank-3 block B_d of Gamma_d = E + U + B_d in the closed-form basis;
-    # its entries are ints of a checked d, so only the symmetry is checked
+def _gamma_block(d: int) -> tuple[Vector, Vector, Vector]:
+    # the rows of the rank-3 block B_d of Gamma_d = E + U + B_d in the
+    # closed-form basis, ints of a checked d; verify's gramGamma check (see
+    # `verify._nl_failures`) proves them equal to the generic Gram
     if d % 6 == 0:
-        return GramLattice(IntMatrix(((-2, 1, 0), (1, -2, 0), (0, 0, d // 3))))
-    return GramLattice(IntMatrix(((-2, 1, 0), (1, -2, 1), (0, 1, (d - 2) // 3))))
+        return ((-2, 1, 0), (1, -2, 0), (0, 0, d // 3))
+    return ((-2, 1, 0), (1, -2, 1), (0, 1, (d - 2) // 3))
 
 
 def closed_form_bases(d: int) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -526,8 +527,8 @@ def hassett_triple(d: int) -> NLVectorReport:
         q_numerators = (3,)
     pad = (0,) * 18
     # every Gram is ints of a checked d, built unvalidated; of Gamma_d only
-    # B_d depends on d, and only its symmetry is checked
-    gram_Gamma_d = IntMatrix(_e_u_rows() + tuple(pad + row for row in _gamma_block(d).gram.data))
+    # B_d depends on d
+    gram_Gamma_d = IntMatrix(_e_u_rows() + tuple(pad + row for row in _gamma_block(d)))
     return NLVectorReport(
         d=d,
         case=case,

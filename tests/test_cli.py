@@ -31,15 +31,28 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--bound" in capsys.readouterr().err
 
-    def test_verify_failure_exits_one(self, capsys, monkeypatch):
-        from cubick3 import cli
+    @staticmethod
+    def _force_failure(monkeypatch):
+        from cubick3 import verify
         from cubick3.verify import CheckResult, VerifySummary
 
         bad = VerifySummary((CheckResult("forced", False, "a", "b"),))
-        monkeypatch.setattr(cli.vf, "run_all", lambda **kw: bad)
+        monkeypatch.setattr(verify, "run_all", lambda **kw: bad)
+
+    def test_verify_failure_exits_one(self, capsys, monkeypatch):
+        self._force_failure(monkeypatch)
         assert main(["verify"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL forced" in out
+        assert capsys.readouterr().out == "FAIL forced: expected a, got b\n1 checks, 1 failures\n"
+
+    def test_verify_json_failure_exits_one(self, capsys, monkeypatch):
+        self._force_failure(monkeypatch)
+        assert main(["verify", "--json"]) == 1
+        assert capsys.readouterr().out == (
+            '{\n  "checks_run": 1,\n'
+            '  "failures": [\n    {\n      "id": "forced",\n'
+            '      "expected": "a",\n      "actual": "b"\n    }\n  ],\n'
+            '  "checks": [\n    {\n      "id": "forced",\n      "ok": false\n    }\n  ]\n}\n'
+        )
 
 
 DETERMINISM_ARGV = [

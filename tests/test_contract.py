@@ -15,9 +15,12 @@ the wrong length for A2 (rank 2), and raise InvalidVector;
 those that take integer coordinates, `pairing`, `square` and
 `basis_pairings` among them, raise it too for a vector with a
 `Fraction(1, 2)`, a 0.5, a `None` or a `True` entry; `Sublattice.contains`
-takes a rational vector and answers False for a non-integral one.  A Gram matrix that is
-ragged, not symmetric or not integral (a float, a `None` or a `True` entry)
-raises InvalidMatrix.  The Mukai classes raise InvalidVector for
+takes a rational vector and answers False for a non-integral one, but
+raises InvalidVector for a v that is not iterable (`None`, 5, 1.5).  A Gram
+matrix that is ragged, not symmetric or not integral (a float, a `None` or a
+`True` entry) raises InvalidMatrix, as do rows that are not a sequence
+(`None`, 5) and a JSON object of `GramLattice.from_json` without integer
+`gram` rows.  The Mukai classes raise InvalidVector for
 coefficients that are not five rationals, a scalar or an `exp_h` argument
 that is not rational (a `bool` is not), a pairing, sum or difference with an
 operand that is not a class, and a series inverse or square root of a class
@@ -86,8 +89,13 @@ A2 = st.standard_lattice("A2")
 WRONG_LENGTH = ((), (1,), (1, 0, 0))
 # ... and at the right length, refused where integer coordinates are required
 NON_INTEGRAL = ((Fraction(1, 2), 0), (0.5, 0), (None, 0), (True, 0))
-# ragged, not symmetric, a float entry, a None entry, a bool entry
-BAD_GRAMS = (((2, -1), (-1,)), ((2, -1), (0, 2)), ((2.5, -1), (-1, 2)), ((None,),), ((True,),))
+# ragged, not symmetric, a float entry, a None entry, a bool entry, no rows at all
+BAD_GRAMS = (((2, -1), (-1,)), ((2, -1), (0, 2)), ((2.5, -1), (-1, 2)), ((None,),), ((True,),),
+             None, 5)
+# no gram, not an object, gram not rows, an entry int() refuses
+BAD_JSON = ({}, [], {"gram": 5}, {"gram": [["x"]]})
+# not iterable
+NOT_A_VECTOR = (None, 5, 1.5)
 # where a lattice is required
 NOT_A_LATTICE = (None, "x", 3)
 
@@ -154,7 +162,9 @@ TABLE = (
     + _rows(InvalidBound, (2.5, 4.0, Fraction(4), "4", True, -1), call.hyperbolic_bound)
     # a vector of LambdaTilde has 24 coordinates
     + _rows(NotHyperbolicPair, ((1, 0),), call.hyperbolic_e)
+    + _rows(InvalidVector, NOT_A_VECTOR, call.contains)
     + _rows(InvalidMatrix, BAD_GRAMS, call.gram_from_rows)
+    + _rows(InvalidMatrix, BAD_JSON, lat.GramLattice.from_json)
     + _rows(InvalidVector, ((ONE, 3), (1, 2)), call.mukai_pairing)
     + _rows(InvalidVector, ((1, 2), (None, 0, 0, 0, 0), (True, 0, 0, 0, 0)), call.coh_class)
     + _rows(InvalidVector, ("x", True), call.times_one)

@@ -39,6 +39,23 @@ def test_import_loads_no_dataclasses_typing_or_inspect():
     assert out.split() == []
 
 
+def test_only_the_verify_subcommand_loads_verify():
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "from cubick3.cli import main\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    return 'cubick3.verify' in sys.modules\n"
+        "print(run(['classify', '14']), run(['table', '100']),"
+        " run(['verify', '--genus-max', '8']))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False", "False", "True"]
+
+
 A2_ROWS = "((2, -1), (-1, 2))"
 A2 = f"GramLattice(gram=IntMatrix(data={A2_ROWS}), label='A2')"
 DG = "DiscGroup(invariant_factors=(3,), columns=((1, 2),), q_numerators=(2,))"
