@@ -53,18 +53,18 @@ from .lattice import json_int
 
 CLI_INPUT_CAP = 2**63
 
-
-def _primes_below(n: int) -> tuple[int, ...]:
-    # the sieve of Eratosthenes
-    sieve = bytearray([1]) * n
-    sieve[:2] = b"\0\0"
-    for p in range(2, math.isqrt(n - 1) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
-    return tuple(p for p in range(n) if sieve[p])
-
-
-_SMALL_PRIMES = _primes_below(2**10)  # the 172 primes below 2^10
+# the 172 primes below 2^10, written down; a test compares them with a sieve
+_SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+    101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
+    197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307,
+    311, 313, 317, 331, 337, 347, 349, 353, 359, 367, 373, 379, 383, 389, 397, 401, 409, 419, 421,
+    431, 433, 439, 443, 449, 457, 461, 463, 467, 479, 487, 491, 499, 503, 509, 521, 523, 541, 547,
+    557, 563, 569, 571, 577, 587, 593, 599, 601, 607, 613, 617, 619, 631, 641, 643, 647, 653, 659,
+    661, 673, 677, 683, 691, 701, 709, 719, 727, 733, 739, 743, 751, 757, 761, 769, 773, 787, 797,
+    809, 811, 821, 823, 827, 829, 839, 853, 857, 859, 863, 877, 881, 883, 887, 907, 911, 919, 929,
+    937, 941, 947, 953, 967, 971, 977, 983, 991, 997, 1009, 1013, 1019, 1021,
+)
 _TRIAL = tuple((p, p * p) for p in _SMALL_PRIMES)  # (p, p^2), for trial division
 # the first 13 primes, 2..41, decide primality for every n below psi_13
 _MR_BASES = _SMALL_PRIMES[:13]

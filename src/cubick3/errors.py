@@ -40,7 +40,10 @@ class NotSpecialDiscriminant(CubicK3Error):
 
 
 class InvalidMatrix(CubicK3Error):
-    """A matrix has a non-integral entry or ragged rows, or a Gram matrix is not symmetric."""
+    """A matrix has a non-integral entry or ragged rows, or a Gram matrix is not symmetric.
+
+    A lattice label that is neither a ``str`` nor None is refused the same way.
+    """
 
 
 class InvalidVector(CubicK3Error):

@@ -133,13 +133,19 @@ def json_int(n: int):
 
 
 class GramLattice(Record):
-    """A finite-rank integral lattice given by a symmetric Gram matrix."""
+    """A finite-rank integral lattice given by a symmetric Gram matrix.
+
+    `label` is a name for reports, a str or None; anything else raises
+    InvalidMatrix.
+    """
 
     def __init__(self, gram: IntMatrix, label: str | None = None):
         if not isinstance(gram, IntMatrix):
             raise InvalidLattice(f"a Gram IntMatrix is required, got {gram!r}")
         if not gram.is_symmetric():
             raise InvalidMatrix("Gram matrix must be symmetric")
+        if label is not None and not isinstance(label, str):
+            raise InvalidMatrix(f"a lattice label must be a str or None, got {label!r}")
         s = self.__dict__
         s["gram"] = gram
         s["label"] = label
@@ -327,11 +333,13 @@ def direct_sum(parts, *, label: str | None = None) -> GramLattice:
 def signature(L: GramLattice) -> tuple[int, int, int]:
     """Sylvester signature (pos, neg, null) by exact symmetric elimination.
 
-    Zero pivots are handled by moving a nonzero diagonal entry to the front
-    when one exists, and otherwise by splitting off a hyperbolic 2x2 block,
-    which contributes (1, 1).  Each step updates only the rows and columns
-    where the pivot rows are nonzero: the trailing block stays symmetric, so
-    no other entry of it changes.
+    A zero pivot is replaced by moving a nonzero diagonal entry to the front
+    when one exists.  Otherwise, when the pivot row is not zero, row and
+    column j with M[lo][j] != 0 are added to row and column lo: a congruence
+    after which the pivot is M[lo][j] + M[j][lo] = 2 M[lo][j], as M[j][j] is
+    0 too.  Each step updates only the rows and columns where the pivot row
+    is nonzero: the trailing block stays symmetric, so no other entry of it
+    changes.
     """
     _check_lattice(L)
     n = L.rank
@@ -351,36 +359,30 @@ def signature(L: GramLattice) -> tuple[int, int, int]:
                 swap(lo, d)
         row = M[lo]
         support = [j for j in range(lo + 1, n) if row[j]]
-        if row[lo]:
-            p = Fraction(row[lo])
-            if p > 0:
-                pos += 1
-            else:
-                neg += 1
-            for i in support:
-                Mi = M[i]
-                f = Mi[lo] / p
-                for j in support:
-                    Mi[j] -= f * row[j]
-            lo += 1
-        elif not support:
-            null += 1
-            lo += 1
-        else:
-            # all remaining diagonal entries vanish: split a hyperbolic plane
-            swap(lo + 1, support[0])
-            u, w = M[lo], M[lo + 1]
-            b = Fraction(u[lo + 1])
-            support = [k for k in range(lo + 2, n) if u[k] or w[k]]
-            for k in support:
-                Mk = M[k]
-                cu = Mk[lo + 1] / b  # component along the first plane vector
-                cv = Mk[lo] / b
-                for t in support:
-                    Mk[t] -= cu * u[t] + cv * w[t]
+        if not row[lo]:
+            if not support:
+                null += 1
+                lo += 1
+                continue
+            # every remaining diagonal entry vanishes: the congruence step
+            Mj = M[support[0]]
+            for k in range(lo + 1, n):
+                if Mj[k]:
+                    row[k] += Mj[k]
+                    M[k][lo] = row[k]
+            row[lo] = 2 * row[support[0]]
+            support = [j for j in range(lo + 1, n) if row[j]]
+        p = Fraction(row[lo])
+        if p > 0:
             pos += 1
+        else:
             neg += 1
-            lo += 2
+        for i in support:
+            Mi = M[i]
+            f = Mi[lo] / p
+            for j in support:
+                Mi[j] -= f * row[j]
+        lo += 1
     return pos, neg, null
 
 

@@ -17,7 +17,6 @@ inverse or square root needs raise `InvalidVector`.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -149,10 +148,14 @@ def series_sqrt(c: CohClass) -> CohClass:
     return root
 
 
-class CharClasses(namedtuple("CharClasses", "chern todd sqrt_todd")):
+class CharClasses(Record):
     """The total Chern class, the Todd class and its square root."""
 
-    __slots__ = ()
+    def __init__(self, chern: CohClass, todd: CohClass, sqrt_todd: CohClass):
+        s = self.__dict__
+        s["chern"] = chern
+        s["todd"] = todd
+        s["sqrt_todd"] = sqrt_todd
 
 
 @lru_cache(maxsize=None)

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -265,9 +263,19 @@ def canonical_embedding_report() -> EmbeddingReport:
 # --- Noether-Lefschetz vectors ---------------------------------------------
 
 
-class NLCase(Enum):
-    SATURATED = "saturated"
-    INDEX_THREE = "index3"
+class NLCase(Record):
+    """The saturation case of a Noether-Lefschetz vector.
+
+    The library returns only the two instances `NLCase.SATURATED` and
+    `NLCase.INDEX_THREE`; `value` is the case's name in the reports.
+    """
+
+    def __init__(self, value: str):
+        self.__dict__["value"] = value
+
+
+NLCase.SATURATED = NLCase("saturated")
+NLCase.INDEX_THREE = NLCase("index3")
 
 
 def _check_special(d: int) -> None:
@@ -330,13 +338,17 @@ def classify_nl_vector(v) -> tuple[NLCase, int]:
     raise AssertionError(f"impossible saturation index {index}")
 
 
-class EichlerInvariant(namedtuple("EichlerInvariant", "square div disc_class")):
+class EichlerInvariant(Record):
     """Complete invariant of a primitive vector up to the stable orthogonal group.
 
     `disc_class` is 0 or +-1 in Z/3, up to a global sign choice.
     """
 
-    __slots__ = ()
+    def __init__(self, square: int, div: int, disc_class: int):
+        s = self.__dict__
+        s["square"] = square
+        s["div"] = div
+        s["disc_class"] = disc_class
 
     def same_up_to_sign(self, other: "EichlerInvariant") -> bool:
         return (self.square, self.div) == (other.square, other.div) and (

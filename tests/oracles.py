@@ -321,21 +321,26 @@ def witness_ss(d):
     return None
 
 
+def primes_below(n):
+    """The primes below n >= 2, ascending, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
 def factorizations(lo, hi):
     """{p: e} of every n in [lo, hi), lo >= 1, primes ascending, by a segmented sieve.
 
-    Each prime p <= sqrt(hi) (from a sieve of Eratosthenes) is divided out
-    of every multiple of p in the window; what is left of n above 1 is a
-    prime.  No trial division of a single n, and no primality test.
+    Each prime p <= sqrt(hi) (from `primes_below`) is divided out of every
+    multiple of p in the window; what is left of n above 1 is a prime.  No
+    trial division of a single n, and no primality test.
     """
-    root = math.isqrt(hi)
-    is_prime = [True] * (root + 1)
     rest = list(range(lo, hi))
     out = [{} for _ in rest]
-    for p in range(2, root + 1):
-        if not is_prime[p]:
-            continue
-        is_prime[p * p::p] = [False] * len(range(p * p, root + 1, p))
+    for p in primes_below(math.isqrt(hi) + 1):
         for i in range(-lo % p, hi - lo, p):
             e = 0
             while rest[i] % p == 0:

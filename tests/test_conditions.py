@@ -73,6 +73,10 @@ class TestFactorize:
         for n, want in enumerate(oracles.factorizations(lo, 2**20 + 2000), start=lo):
             assert conditions._factorize(n) == want, n
 
+    def test_small_primes_are_the_sieve_below_2_10(self):
+        assert conditions._SMALL_PRIMES == oracles.primes_below(2**10)
+        assert conditions._MR_BASES == conditions._SMALL_PRIMES[:13]
+
     def test_primes_ascend(self):
         for n in (3 * 1031 * 1033, 1031**2 * 2**31, self.SPSP23, 2**61 - 1):
             got = conditions._factorize(n)

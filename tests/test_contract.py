@@ -20,11 +20,13 @@ raises InvalidVector for a v that is not iterable (`None`, 5, 1.5).  A Gram
 matrix that is ragged, not symmetric or not integral (a float, a `None` or a
 `True` entry) raises InvalidMatrix, as do rows that are not a sequence
 (`None`, 5) and a JSON object of `GramLattice.from_json` without integer
-`gram` rows.  The Mukai classes raise InvalidVector for
-coefficients that are not five rationals, a scalar or an `exp_h` argument
-that is not rational (a `bool` is not), a pairing, sum or difference with an
-operand that is not a class, and a series inverse or square root of a class
-without the constant term it needs, as does `project_right` for a non-class.
+`gram` rows; so does a lattice label that is neither a `str` nor `None` (a
+list, 5, `True`), through `from_rows` and through `from_json`.  The Mukai
+classes raise InvalidVector for coefficients that are not five rationals, a
+scalar or an `exp_h` argument that is not rational (a `bool` is not), a
+pairing, sum or difference with an operand that is not a class, and a
+series inverse or square root of a class without the constant term it
+needs, as does `project_right` for a non-class.
 A vector of `classify_nl_vector` or `eichler_invariants` that is a float,
 `None` or not of rank 22 raises InvalidNLVector, and anything but a lattice
 where one is required InvalidLattice.  Every public function of `cubick3`
@@ -94,6 +96,8 @@ BAD_GRAMS = (((2, -1), (-1,)), ((2, -1), (0, 2)), ((2.5, -1), (-1, 2)), ((None,)
              None, 5)
 # no gram, not an object, gram not rows, an entry int() refuses
 BAD_JSON = ({}, [], {"gram": 5}, {"gram": [["x"]]})
+# a label that is not text
+BAD_LABELS = (["x"], 5, True)
 # not iterable
 NOT_A_VECTOR = (None, 5, 1.5)
 # where a lattice is required
@@ -118,6 +122,8 @@ call = _entries(
     square=lambda v: A2.square(v),
     basis_pairings=lambda v: A2.basis_pairings(v),
     gram_from_rows=lambda rows: lat.GramLattice.from_rows(rows),
+    label_from_rows=lambda label: lat.GramLattice.from_rows([[2]], label),
+    label_from_json=lambda label: lat.GramLattice.from_json({"gram": [[2]], "label": label}),
     # ... and on an ambient amb that may not be a lattice
     span_sublattice_of=lambda amb: lat.span_sublattice(amb, [(1, 0)]),
     orthogonal_complement_of=lambda amb: lat.orthogonal_complement(amb, [(1, 0)]),
@@ -165,6 +171,7 @@ TABLE = (
     + _rows(InvalidVector, NOT_A_VECTOR, call.contains)
     + _rows(InvalidMatrix, BAD_GRAMS, call.gram_from_rows)
     + _rows(InvalidMatrix, BAD_JSON, lat.GramLattice.from_json)
+    + _rows(InvalidMatrix, BAD_LABELS, call.label_from_rows, call.label_from_json)
     + _rows(InvalidVector, ((ONE, 3), (1, 2)), call.mukai_pairing)
     + _rows(InvalidVector, ((1, 2), (None, 0, 0, 0, 0), (True, 0, 0, 0, 0)), call.coh_class)
     + _rows(InvalidVector, ("x", True), call.times_one)

@@ -5,8 +5,12 @@ docstring); they replaced `@dataclass(frozen=True)` classes, and each must
 behave as before: the same repr, byte for byte, frozen fields, equality and
 hashing by fields within one class, cached properties computed once, and a
 copy through `_replace` that goes through the constructor.
+`EichlerInvariant` and `CharClasses`, once `collections.namedtuple`
+subclasses, keep their reprs and methods too; `NLCase`, once an `Enum`,
+keeps its two instances and their values.
 """
 
+import ast
 import subprocess
 import sys
 from fractions import Fraction
@@ -89,14 +93,17 @@ def _records():
          "mu_gram=IntMatrix(data=((-2, 1), (1, -2))), glue_identity_holds=True, "
          "a2_perp_abs_det=3, a2_sum_saturation_index=3, a2_sum_saturation_abs_det=1, "
          "lambda12_square=6, fano_sublattice_abs_det=18, l1_perp_abs_det=2)"),
+        (st.NLCase.INDEX_THREE, "NLCase(value='index3')"),
         (st.NLVectorReport(8, st.NLCase.INDEX_THREE, (1, 2), -24, K, a2.gram, a2.gram, dg, dg),
-         "NLVectorReport(d=8, case=<NLCase.INDEX_THREE: 'index3'>, v=(1, 2), v_square=-24, "
+         "NLVectorReport(d=8, case=NLCase(value='index3'), v=(1, 2), v_square=-24, "
          f"gram_K=IntMatrix(data=((-3, 1), (1, -3))), gram_L=IntMatrix(data={A2_ROWS}), "
          f"gram_Gamma_d=IntMatrix(data={A2_ROWS}), disc_K={DG}, disc_Gamma_d={DG})"),
+        (st.EichlerInvariant(-2, 3, 1), "EichlerInvariant(square=-2, div=3, disc_class=1)"),
         (st.KdooWitness(1, None, (Fraction(1, 3),), (Fraction(-1, 3),)),
          "KdooWitness(index=1, involution=None, member=(Fraction(1, 3),), "
          "non_member=(Fraction(-1, 3),))"),
         (one, ONE),
+        (mk.CharClasses(one, h, one), f"CharClasses(chern={ONE}, todd={H}, sqrt_todd={ONE})"),
         (mk.MukaiSet(one, h, one, h, one, h, one),
          f"MukaiSet(w0={ONE}, w1={H}, w2={ONE}, u1={H}, u2={ONE}, vl1={H}, vl2={ONE})"),
         (check, CHECK),
@@ -143,10 +150,10 @@ def test_equality_is_per_class():
     assert m == lat.IntMatrix(((1,),)) and m != lat.IntMatrix(((2,),))
 
 
-def test_namedtuples_keep_their_repr_and_methods():
+def test_invariants_and_classes_keep_their_repr_and_methods():
     e = st.EichlerInvariant(-2, 3, 1)
     assert repr(e) == "EichlerInvariant(square=-2, div=3, disc_class=1)"
-    assert e.same_up_to_sign(st.EichlerInvariant(-2, 3, -1)) and e == (-2, 3, 1)
+    assert e.same_up_to_sign(st.EichlerInvariant(-2, 3, -1))
     one, h = mk.CohClass.of(1, 0, 0, 0, 0), mk.CohClass.of(0, 1, 0, 0, 0)
     cc = mk.CharClasses(one, h, one)
     assert repr(cc) == f"CharClasses(chern={ONE}, todd={H}, sqrt_todd={ONE})"
@@ -155,6 +162,22 @@ def test_namedtuples_keep_their_repr_and_methods():
             t.x = 1
         with pytest.raises(AttributeError):
             setattr(t, t._fields[0], None)
+
+
+def test_no_module_imports_enum_or_namedtuple():
+    # both build classes by factory at import time, where `Record` builds none
+    found = []
+    for path in sorted((SRC / "cubick3").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.name, a.name) for a in node.names
+                          if a.name.partition(".")[0] == "enum"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "enum":
+                found.append((path.name, "enum"))
+            elif "namedtuple" in (getattr(node, "name", None), getattr(node, "attr", None)):
+                # from collections import namedtuple, or collections.namedtuple
+                found.append((path.name, "namedtuple"))
+    assert found == []
 
 
 def test_cached_property_is_computed_once(monkeypatch):

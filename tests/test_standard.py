@@ -459,9 +459,9 @@ class TestHassettTriple:
 
 class TestEichler:
     def test_known_values(self):
-        assert eichler_invariants(nl_vector(14))[:2] == (-42, 3)
-        assert abs(eichler_invariants(nl_vector(14)).disc_class) == 1
-        assert eichler_invariants(nl_vector(12)) == (-4, 1, 0)
+        e14, e12 = eichler_invariants(nl_vector(14)), eichler_invariants(nl_vector(12))
+        assert (e14.square, e14.div, abs(e14.disc_class)) == (-42, 3, 1)
+        assert (e12.square, e12.div, e12.disc_class) == (-4, 1, 0)
 
     def test_permutation_invariance(self):
         # e1 - 3 f1 and its image under swapping the two hyperbolic blocks
