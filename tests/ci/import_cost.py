@@ -1,8 +1,8 @@
 """The cost of `import cubick3`: its median wall time and each module's self time.
 
-    python3 tests/ci/import_cost.py [RUNS]
+    python3 tests/ci/import_cost.py
 
-Each of RUNS (default 21) rounds starts two fresh `python -I -S`
+Each of RUNS = 21 rounds starts two fresh `python -I -S`
 interpreters that import cubick3 from the package's `src/`.  The first times
 the import with `time.perf_counter`; the second runs under `-X importtime`,
 which writes the self time of every module that the import loads to stderr
@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+RUNS = 21
 MARK = "-- import cubick3"
 CODE = (
     "import sys, time\n"
@@ -47,16 +48,15 @@ def self_times(stderr: str) -> dict[str, int]:
     return out
 
 
-def main(argv: list[str]) -> int:
-    runs = int(argv[0]) if argv else 21
+def main() -> int:
     interpreter()
     walls, selfs = [], {}
-    for _ in range(runs):
+    for _ in range(RUNS):
         walls.append(float(interpreter().stdout))
         for module, us in self_times(interpreter("-X", "importtime").stderr).items():
             selfs.setdefault(module, []).append(us)
     print(f"import cubick3: {statistics.median(walls) * 1e3:.2f} ms, "
-          f"median wall time of {runs} fresh interpreters")
+          f"median wall time of {RUNS} fresh interpreters")
     medians = {module: statistics.median(us) for module, us in selfs.items()}
     own = sum(us for module, us in medians.items() if module.partition(".")[0] == "cubick3")
     print(f"self time of each module it loads (us, median): {own:.0f} in cubick3, "
@@ -67,4 +67,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

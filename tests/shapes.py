@@ -11,6 +11,7 @@ from functools import cache
 from hypothesis import strategies as hyp
 
 integers = cache(hyp.integers)
+permutations = cache(hyp.permutations)
 booleans = hyp.booleans()
 
 

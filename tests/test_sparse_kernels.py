@@ -9,7 +9,7 @@ from cubick3 import intlinalg as la
 from cubick3.standard import lambda_d_lattice
 import oracles
 from oracles import DiscForm
-from shapes import booleans, integers, matrices, vectors
+from shapes import booleans, integers, matrices, permutations, vectors
 
 # mostly zeros, like the Gram matrices of the standard lattices
 SPARSE_INTS = hyp.sampled_from([0, 0, 0, 0, 0, -3, -2, -1, 1, 2, 3, 7])
@@ -94,11 +94,36 @@ def test_disc_form_values_of_gamma_d_and_lambda_d():
         _check_disc_form(lambda_d_lattice(d))
 
 
+def _hyperbolic_sum(data, n):
+    # planes b U and 1x1 blocks down the diagonal, in a shuffled basis
+    G = [[0] * n for _ in range(n)]
+    planes, values = data.draw(vectors(n, booleans)), data.draw(vectors(n, SPARSE_INTS))
+    i = 0
+    while i < n:
+        if planes[i] and i + 1 < n:
+            G[i][i + 1] = G[i + 1][i] = values[i] or 1
+            i += 2
+        else:
+            G[i][i] = values[i]
+            i += 1
+    p = data.draw(permutations(tuple(range(n))))
+    return [[G[a][b] for b in p] for a in p]
+
+
 @given(hyp.data())
 @settings(max_examples=300, deadline=None)
 def test_signature_matches_dense_elimination(data):
     n = data.draw(integers(1, 8))
-    G = _symmetric(data, n, SPARSE_INTS, zero_diagonal=data.draw(booleans))
+    if data.draw(booleans):
+        G = _hyperbolic_sum(data, n)
+    else:
+        G = _symmetric(data, n, SPARSE_INTS, zero_diagonal=data.draw(booleans))
+    # a zeroed row and column, or one repeated as another: a singular Gram
+    defect = data.draw(integers(0, 2))
+    i, k = data.draw(integers(0, n - 1)), data.draw(integers(0, n - 1))
+    old = [row[:] for row in G]
+    for t in range(n) if defect else ():
+        G[k][t] = G[t][k] = 0 if defect == 1 else old[i][i if t == k else t]
     sig = signature(GramLattice.from_rows(G))
     assert sig == oracles.signature(G)
     assert sig[2] == n - la.rank_int(G)
