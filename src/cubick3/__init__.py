@@ -10,16 +10,13 @@ from .errors import (
     CubicK3Error,
     DegenerateLattice,
     DependentGenerators,
-    InvalidBound,
     InvalidDegree,
     InvalidLattice,
     InvalidMatrix,
     InvalidNLVector,
     InvalidParity,
     InvalidVector,
-    NotHyperbolicPair,
     NotSpecialDiscriminant,
-    SearchExhausted,
     UnknownLattice,
     ZeroVector,
 )
@@ -45,7 +42,6 @@ from .standard import (
     canonical_embedding_report,
     classify_nl_vector,
     eichler_invariants,
-    find_hyperbolic_AT,
     genus_compare,
     hassett_triple,
     kdoo_index,
@@ -56,7 +52,6 @@ from .standard import (
 from .conditions import (
     ConditionFlags,
     PellSolution,
-    a2_bruteforce,
     a2_represents,
     boundary_count,
     condition_flags,

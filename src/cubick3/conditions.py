@@ -49,7 +49,7 @@ import warnings
 from . import pell
 from ._record import Record
 from .errors import InvalidDegree, InvalidParity, require_even
-from .lattice import json_int
+from .lattice import int_str, json_int
 
 CLI_INPUT_CAP = 2**63
 
@@ -202,21 +202,6 @@ def _a2_flags(factors: dict[int, int]) -> tuple[bool, bool]:
         elif p == 3 and n > 1:
             primitive = False
     return True, primitive
-
-
-def a2_bruteforce(d: int) -> list[tuple[int, int, bool]]:
-    """All (x, y) with 2x^2 - 2xy + 2y^2 = d, each tagged primitive or not.
-
-    Exhaustive: the form dominates x^2 and y^2, so |x|, |y| <= ceil(sqrt(d)).
-    """
-    require_even(d, InvalidParity)
-    bound = math.isqrt(d) + 1
-    out = []
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            if 2 * (x * x - x * y + y * y) == d:
-                out.append((x, y, math.gcd(x, y) == 1))
-    return out
 
 
 def witness_ss(d: int) -> tuple[int, int] | None:
@@ -462,16 +447,16 @@ def csv_row(flags: ConditionFlags) -> list[str]:
         pell_cell = _TF[flags.starstarstar or _brakkee_least(
             d, flags.starstar, flags.starstar_prime) is not None]
     return [
-        str(d),
+        int_str(d),
         _TF[flags.star],
         _TF[flags.starstar_prime],
         _TF[flags.starstar],
         _TF[flags.starstarstar],
         "" if flags.case_mod6 is None else str(flags.case_mod6),
-        str(ss_n),
-        str(ss_a),
-        str(sss_n),
-        str(sss_a),
+        int_str(ss_n),
+        int_str(ss_a),
+        int_str(sss_n),
+        int_str(sss_a),
         str(_boundary_count(d)),
         pell_cell,
     ]

@@ -9,9 +9,9 @@ Most entry points take an even d, a discriminant or a K3 degree, and
 `require_even` is the one check of that domain: a ``bool``, float,
 ``Fraction`` or ``str`` d raises the caller's class, like an odd int.
 Malformed lattice input raises `InvalidMatrix` (a matrix or Gram matrix
-from outside), `InvalidVector` (a vector of the wrong length or with a
-non-integral entry) or `InvalidLattice` (anything but a lattice where one
-is required).
+from outside), `InvalidVector` (a vector or a sublattice basis row of the
+wrong length, or a vector with a non-integral entry) or `InvalidLattice`
+(anything but a lattice where one is required).
 """
 
 
@@ -56,10 +56,12 @@ class InvalidVector(CubicK3Error):
     `square` and `basis_pairings` included, as is a v that is not iterable
     at all.  `Sublattice.contains` answers False for a vector with a
     non-integral entry, as an integer lattice holds no such vector, and
-    refuses a v that is not iterable.  A cohomology class
+    refuses a v that is not iterable.  A `Sublattice` whose basis rows do
+    not have the length of the ambient rank is refused.  A cohomology class
     of `mukai` with coefficients that are not five rationals, an operand of
     the Mukai pairing that is not a class, and a class without the constant
-    term a series inverse or square root needs are refused the same way.
+    term that `verify.series_inverse` or `verify.series_sqrt` needs are
+    refused the same way.
     """
 
 
@@ -84,18 +86,6 @@ class InvalidDegree(CubicK3Error):
 
 class InvalidParity(CubicK3Error):
     """An even integer was required."""
-
-
-class NotHyperbolicPair(CubicK3Error):
-    """The two vectors do not span a standard hyperbolic plane."""
-
-
-class SearchExhausted(CubicK3Error):
-    """No solution within the configured search bound (not a disproof)."""
-
-
-class InvalidBound(CubicK3Error):
-    """A search bound is not an exact nonnegative int."""
 
 
 def require_even(d, error: type[CubicK3Error], least: int = 2, name: str = "d") -> None:

@@ -85,10 +85,6 @@ def sparse_gram_product(B: list[list], S) -> list[list]:
     return out
 
 
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def pairing(S, u, v):
     """u * G * v^T for a Gram matrix G given by its sparse rows S."""
     return sum(a * sum(e * v[j] for j, e in row) for a, row in zip(u, S) if a)

@@ -129,7 +129,21 @@ class IntMatrix(Record):
 
 def json_int(n: int):
     """Integers above 64 bits are rendered as decimal strings in JSON."""
-    return n if -(2**63) <= n < 2**63 else str(n)
+    return n if -(2**63) <= n < 2**63 else int_str(n)
+
+
+def int_str(n) -> str:
+    """str(n), also for an int past the interpreter's limit on int-str conversion.
+
+    The limit (4,300 digits by default) makes str() raise ValueError;
+    `decimal` converts without it.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # loaded already, by `fractions`
+
+        return str(Decimal(n))
 
 
 class GramLattice(Record):
@@ -228,6 +242,9 @@ class Sublattice(Record):
         if not (isinstance(ambient, GramLattice) and isinstance(basis, IntMatrix)):
             raise InvalidLattice(f"a GramLattice and an IntMatrix basis are required, "
                                  f"got {ambient!r} and {basis!r}")
+        # IntMatrix rows have one length, so the first row stands for all
+        if basis.data and len(basis.data[0]) != ambient.rank:
+            raise InvalidVector("basis row length does not match the ambient rank")
         s = self.__dict__
         s["ambient"] = ambient
         s["basis"] = basis

@@ -10,9 +10,8 @@ is intentionally not symmetric; a^* negates the h and h^3 parts.
 
 A class is five exact rational coefficients.  A coefficient, scalar or
 `exp_h` argument that `Fraction` refuses or that is a `bool`, a coefficient
-list of another length, an operand of a sum, a difference or the pairing
-that is not a class, and a class without the constant term a series
-inverse or square root needs raise `InvalidVector`.
+list of another length, and an operand of a sum, a difference or the
+pairing that is not a class raise `InvalidVector`.
 """
 
 from __future__ import annotations
@@ -116,38 +115,6 @@ def exp_h(k) -> CohClass:
     return CohClass(_frac5(out))
 
 
-def series_inverse(c: CohClass) -> CohClass:
-    _require_class(c)
-    if not c.coeffs[0]:
-        raise InvalidVector("inverse needs a unit constant term")
-    out = [1 / c.coeffs[0]] + [Fraction(0)] * (_DEG - 1)
-    for n in range(1, _DEG):
-        s = sum(c.coeffs[k] * out[n - k] for k in range(1, n + 1))
-        out[n] = -s / c.coeffs[0]
-    return CohClass(_frac5(out))
-
-
-def series_sqrt(c: CohClass) -> CohClass:
-    """The square root with constant term 1, read off coefficient by coefficient.
-
-    For s = s0 + s1 h + ... with s0 = 1, the h^n coefficient of s s is
-    2 s_n + sum_{0<k<n} s_k s_(n-k) for n >= 1, a sum of earlier
-    coefficients only.  So s s = c forces s_n = (c_n - sum_{0<k<n}
-    s_k s_(n-k)) / 2, one coefficient at a time, and s is the unique
-    square root with constant term 1 (the other root is -s).
-    """
-    _require_class(c)
-    if c.coeffs[0] != 1:
-        raise InvalidVector("square root needs constant term 1")
-    s = [Fraction(1)]
-    for n in range(1, _DEG):
-        s.append((c.coeffs[n] - sum(s[k] * s[n - k] for k in range(1, n))) / 2)
-    root = CohClass(_frac5(s))
-    if not (root * root - c).is_zero():
-        raise AssertionError("the square root does not square back")
-    return root
-
-
 class CharClasses(Record):
     """The total Chern class, the Todd class and its square root."""
 
@@ -167,8 +134,8 @@ def characteristic_classes() -> CharClasses:
     polynomial in c1..c4 = 3, 6, 2, 9, is 1 + 3/2 h + 5/4 h^2 + 3/4 h^3 +
     1/3 h^4, and its square root with constant term 1 is 1 + 3/4 h +
     11/32 h^2 + 15/128 h^3 + 121/6144 h^4.  No series is computed.  The
-    proof is `verify`, which derives all three with `series_inverse`, the
-    Todd polynomial and `series_sqrt`, and compares them with these.
+    proof is `verify`, which derives all three with its `series_inverse`,
+    the Todd polynomial and its `series_sqrt`, and compares them with these.
 
     >>> print(characteristic_classes().todd)
     (1, 3/2, 5/4, 3/4, 1/3)

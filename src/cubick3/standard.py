@@ -23,7 +23,6 @@ mu1 = eps1 - eps2 and mu2 = eps2 - eps3, both orthogonal to h2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -32,14 +31,10 @@ from . import intlinalg as la
 from ._record import Record
 from .conditions import _factorize
 from .errors import (
-    CubicK3Error,
-    InvalidBound,
     InvalidDegree,
     InvalidNLVector,
     InvalidVector,
-    NotHyperbolicPair,
     NotSpecialDiscriminant,
-    SearchExhausted,
     UnknownLattice,
     ZeroVector,
     require_even,
@@ -53,8 +48,8 @@ from .lattice import (
     as_vector,
     direct_sum,
     divisibility,
+    int_str,
     json_int,
-    saturate_rows,
     saturation,
 )
 
@@ -85,14 +80,6 @@ def _vec(rank: int, entries: dict[int, int]) -> Vector:
 
 def unit_vector(rank: int, i: int) -> Vector:
     return _vec(rank, {i: 1})
-
-
-def _coords(v, error: type[CubicK3Error]) -> Vector:
-    # integer coordinates of v; a non-integral entry raises `error`
-    try:
-        return as_vector(v)
-    except InvalidVector as exc:
-        raise error(str(exc)) from None
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +116,13 @@ def standard_lattice(name: str) -> GramLattice:
     # LambdaD(<digits>): isdecimal accepts the Unicode Nd digits, as int() does
     digits = name[8:-1]
     if name.startswith("LambdaD(") and name.endswith(")") and digits.isdecimal():
-        return lambda_d_lattice(int(digits))
+        try:
+            d = int(digits)
+        except ValueError:  # past the int-str digit limit: `decimal` has none
+            from decimal import Decimal
+
+            d = int(Decimal(digits))
+        return lambda_d_lattice(d)
     return _fixed_lattice(name)
 
 
@@ -166,7 +159,7 @@ def lambda_d_lattice(d: int) -> GramLattice:
     E = standard_lattice("E")
     u = _basic("U")
     md = GramLattice.from_rows([[-d]])
-    return direct_sum([E, u, u, md], label=f"LambdaD({d})")
+    return direct_sum([E, u, u, md], label=f"LambdaD({int_str(d)})")
 
 
 # --- distinguished vectors ------------------------------------------------
@@ -188,24 +181,12 @@ MU1_TILDE: Vector = _vec(RANK_TILDE, {E3: 1, F3: -1})
 MU2_TILDE: Vector = _vec(RANK_TILDE, {E3: -1, E4: -1, F4: -1})
 
 H2: Vector = _vec(RANK_BAR, {EPS1: 1, EPS2: 1, EPS3: 1})
-MU1_BAR: Vector = _vec(RANK_BAR, {EPS1: 1, EPS2: -1})
-MU2_BAR: Vector = _vec(RANK_BAR, {EPS2: 1, EPS3: -1})
 
 
 def gamma_to_gammabar(v) -> Vector:
     """Isometric embedding of Gamma into Gammabar (identity off the A2(-1) block)."""
     a, b = v[M1], v[M2]
     return tuple(v[:20]) + (a, b - a, -b)
-
-
-def gamma_to_lambdatilde(v) -> Vector:
-    """Isometric embedding of Gamma into LambdaTilde as the complement of A2."""
-    a, b = v[M1], v[M2]
-    return tuple(v[:20]) + (a - b, -a, -b, -b)
-
-
-def lambda_to_lambdatilde(v) -> Vector:
-    return tuple(v) + (0, 0)
 
 
 # --- the canonical A2 embedding and its numerical identities ---------------
@@ -299,7 +280,10 @@ def nl_vector(d: int) -> Vector:
 def _primitive_gamma_vector(v, zero_error: Exception) -> Vector:
     # v as a primitive vector of Gamma; the zero vector raises zero_error,
     # every other violation InvalidNLVector
-    v = _coords(v, InvalidNLVector)
+    try:
+        v = as_vector(v)
+    except InvalidVector as exc:
+        raise InvalidNLVector(str(exc)) from None
     if len(v) != RANK_GAMMA:
         raise InvalidNLVector("vector must be in Gamma coordinates (rank 22)")
     if not any(v):
@@ -436,30 +420,6 @@ def _gamma_block(d: int) -> tuple[Vector, Vector, Vector]:
     return ((-2, 1, 0), (1, -2, 1), (0, 1, (d - 2) // 3))
 
 
-def closed_form_bases(d: int) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Bases of K_d, L_d and Gamma_d in Gammabar, LambdaTilde and Gamma coordinates.
-
-    For d = 0 (6) the spans of h2, v_d and of lambda1, lambda2, v_d are
-    saturated; for d = 2 (6) the saturations add (v_d - h2)/3 and
-    (v_d - lambda1 - 2 lambda2)/3.  Their Grams are those `hassett_triple`
-    reports.
-    """
-    _check_special(d)
-    units = [unit_vector(RANK_GAMMA, i) for i in (*range(16), E2, F2)]
-    if d % 6 == 0:
-        v = nl_vector(d)
-        K = [H2, gamma_to_gammabar(v)]
-        L = [LAMBDA1, LAMBDA2, gamma_to_lambdatilde(v)]
-        extra = [{M1: 1}, {M2: 1}, {E1: 1, F1: d // 6}]
-    else:
-        c = (d - 2) // 6
-        K = [H2, _vec(RANK_BAR, {E1: 1, F1: -c, EPS2: -1})]
-        L = [LAMBDA1, LAMBDA2, _vec(RANK_TILDE, {E1: 1, F1: -c, F3: -1})]
-        extra = [{M1: 1, F1: 1}, {M2: 1, F1: -1}, {E1: 1, F1: c + 1, M2: -1}]
-    G = units + [_vec(RANK_GAMMA, e) for e in extra]
-    return tuple([list(r) for r in rows] for rows in (K, L, G))
-
-
 @lru_cache(maxsize=1)
 def hassett_triple(d: int) -> NLVectorReport:
     """K_d, L_d and the complement Gamma_d for a special discriminant d, in closed form.
@@ -468,7 +428,7 @@ def hassett_triple(d: int) -> NLVectorReport:
     saturation of span(lambda1, lambda2, v_d) in the extended K3 lattice, and
     Gamma_d the orthogonal complement of v_d in the primitive cubic lattice.
     The closed form (after Hassett 2000) is the product: the Grams of
-    `closed_form_bases` are written down, and no lattice is computed.  The
+    `verify.closed_form_bases` are written down, and no lattice is computed.  The
     Gram of Gamma_d is written down as rows: the 18 fixed rows of E + U,
     built once from the cached Gamma, then the three rows of the rank-3
     block B_d (see `genus_compare`), so only the nine entries of B_d are
@@ -682,52 +642,3 @@ def genus_compare(d: int) -> bool:
         elif pow(r, (p - 1) // 2, p) != 1:
             return False
     return True
-
-
-# --- hyperbolic planes inside saturations ------------------------------------
-
-
-def find_hyperbolic_AT(e, f, bound: int = 4) -> tuple[Vector, Vector]:
-    """Search the saturation of A2 + span(e, f) for a hyperbolic pair meeting A2.
-
-    Given an isometrically embedded hyperbolic pair (e, f) in the extended K3
-    lattice, enumerates vectors of the saturation with coordinates bounded by
-    `bound` and returns the lexicographically least pair (e', f') with
-    (e')^2 = (f')^2 = 0, (e'.f') = 1 and rank(A2 + span(e', f')) = 3.
-    `bound` is an exact int of at least 0; at 0 the box holds only the zero
-    vector, so the search finds nothing.
-    """
-    if type(bound) is not int or bound < 0:
-        raise InvalidBound(f"bound must be an int of at least 0, got {bound!r}")
-    lt = standard_lattice("LambdaTilde")
-    e = _coords(e, NotHyperbolicPair)
-    f = _coords(f, NotHyperbolicPair)
-    if len(e) != RANK_TILDE or len(f) != RANK_TILDE:
-        raise NotHyperbolicPair("vectors must be in LambdaTilde coordinates")
-    # (e.f) = -1 spans the same plane after f -> -f (relevant for the pair
-    # (e4, f4), whose pairing carries the changed sign)
-    if lt.square(e) != 0 or lt.square(f) != 0 or abs(lt.pairing(e, f)) != 1:
-        raise NotHyperbolicPair("need (e)^2 = (f)^2 = 0 and (e.f) = +-1")
-    if lt.pairing(e, f) == -1:
-        f = tuple(-x for x in f)
-    T = saturate_rows(lt, [LAMBDA1, LAMBDA2, e, f])
-    k = T.rank
-    TG = T.induced_gram.to_lists()
-    basis = T.basis.to_lists()
-    rng = range(-bound, bound + 1)
-    isotropic: list[tuple[tuple[int, ...], list[int], list[int]]] = []
-    for coords in itertools.product(rng, repeat=k):
-        if not any(coords):
-            continue
-        Gc = la.mat_vec(TG, coords)
-        if la.dot(coords, Gc) == 0:
-            ambient = la.mat_vec(la.transpose(basis), coords)
-            isotropic.append((coords, Gc, ambient))
-    for _, Ge, amb_e in isotropic:
-        for cf, _, amb_f in isotropic:
-            if la.dot(cf, Ge) != 1:
-                continue
-            if la.rank_int([list(LAMBDA1), list(LAMBDA2), amb_e, amb_f]) != 3:
-                continue
-            return tuple(amb_e), tuple(amb_f)
-    raise SearchExhausted(f"no hyperbolic pair with coordinates bounded by {bound}")

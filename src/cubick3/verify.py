@@ -16,9 +16,15 @@ writes down, by the generic lattice and series routines:
   by saturations, complements and Smith forms;
 * `standard.boundary_witnesses` (`delta.*`), by the square and the
   pairing in Lambda;
-* `standard.kdoo_index` (`kdoo.*`), by a Gram product and Hermite membership.
+* `standard.kdoo_index` (`kdoo.*`), by a Gram product and Hermite membership;
+* `hyperbolic_pairs` (`hyperbolic.*`), the two hyperbolic planes meeting A2,
+  by their squares, pairing and rank, and Hermite membership in the
+  saturation of A2 and the plane they replace.
 
-A nonempty failure list means the build is defective.
+The generic routes that only these checks use live here too:
+`closed_form_bases` with `gamma_to_lambdatilde`, `a2_bruteforce`, and
+`series_inverse` with `series_sqrt`.  A nonempty failure list means the
+build is defective.
 """
 
 from __future__ import annotations
@@ -32,11 +38,7 @@ from . import lattice as lat
 from . import mukai as mk
 from . import standard as st
 from ._record import Record
-from .errors import InvalidDegree
-
-# Coordinate bound of the hyperbolic-plane search.  At 0 no pair is found;
-# the search grows as (2b+1)^4 in the bound, so it stays fixed.
-HYPERBOLIC_BOUND = 4
+from .errors import InvalidDegree, InvalidParity, InvalidVector, require_even
 
 
 class CheckResult(Record):
@@ -119,6 +121,38 @@ def _embedding_checks(out: list[CheckResult]) -> None:
         _check(out, f"embedding.{key}", want, got)
 
 
+def series_inverse(c: mk.CohClass) -> mk.CohClass:
+    mk._require_class(c)
+    if not c.coeffs[0]:
+        raise InvalidVector("inverse needs a unit constant term")
+    out = [1 / c.coeffs[0]] + [Fraction(0)] * (mk._DEG - 1)
+    for n in range(1, mk._DEG):
+        s = sum(c.coeffs[k] * out[n - k] for k in range(1, n + 1))
+        out[n] = -s / c.coeffs[0]
+    return mk.CohClass(mk._frac5(out))
+
+
+def series_sqrt(c: mk.CohClass) -> mk.CohClass:
+    """The square root with constant term 1, read off coefficient by coefficient.
+
+    For s = s0 + s1 h + ... with s0 = 1, the h^n coefficient of s s is
+    2 s_n + sum_{0<k<n} s_k s_(n-k) for n >= 1, a sum of earlier
+    coefficients only.  So s s = c forces s_n = (c_n - sum_{0<k<n}
+    s_k s_(n-k)) / 2, one coefficient at a time, and s is the unique
+    square root with constant term 1 (the other root is -s).
+    """
+    mk._require_class(c)
+    if c.coeffs[0] != 1:
+        raise InvalidVector("square root needs constant term 1")
+    s = [Fraction(1)]
+    for n in range(1, mk._DEG):
+        s.append((c.coeffs[n] - sum(s[k] * s[n - k] for k in range(1, n))) / 2)
+    root = mk.CohClass(mk._frac5(s))
+    if not (root * root - c).is_zero():
+        raise AssertionError("the square root does not square back")
+    return root
+
+
 def _derived_classes() -> mk.CharClasses:
     """The classes of `characteristic_classes`, computed by series arithmetic.
 
@@ -129,7 +163,7 @@ def _derived_classes() -> mk.CharClasses:
     sixth = mk.CohClass.of(1, 0, 0, 0, 0)
     for _ in range(6):
         sixth = sixth * one_plus_h
-    chern = sixth * mk.series_inverse(mk.CohClass.of(1, 3, 0, 0, 0))
+    chern = sixth * series_inverse(mk.CohClass.of(1, 3, 0, 0, 0))
     c1, c2, c3, c4 = chern.coeffs[1:]
     todd = mk.CohClass.of(
         1,
@@ -138,7 +172,7 @@ def _derived_classes() -> mk.CharClasses:
         c1 * c2 / 24,
         (-(c1**4) + 4 * c1 * c1 * c2 + c1 * c3 + 3 * c2 * c2 - c4) / 720,
     )
-    return mk.CharClasses(chern, todd, mk.series_sqrt(todd))
+    return mk.CharClasses(chern, todd, series_sqrt(todd))
 
 
 def _mukai_checks(out: list[CheckResult]) -> None:
@@ -217,6 +251,21 @@ def _disc_checks(out: list[CheckResult]) -> None:
         _check(out, f"disc.K{d}", want, st.hassett_triple(d).disc_K.invariant_factors)
 
 
+def a2_bruteforce(d: int) -> list[tuple[int, int, bool]]:
+    """All (x, y) with 2x^2 - 2xy + 2y^2 = d, each tagged primitive or not.
+
+    Exhaustive: the form dominates x^2 and y^2, so |x|, |y| <= ceil(sqrt(d)).
+    """
+    require_even(d, InvalidParity)
+    bound = math.isqrt(d) + 1
+    out = []
+    for x in range(-bound, bound + 1):
+        for y in range(-bound, bound + 1):
+            if 2 * (x * x - x * y + y * y) == d:
+                out.append((x, y, math.gcd(x, y) == 1))
+    return out
+
+
 _TABLE78 = {
     "star": (8, 12, 14, 18, 20, 24, 26, 30, 32, 36, 38, 42,
              44, 48, 50, 54, 56, 60, 62, 66, 68, 72, 74, 78),
@@ -239,10 +288,41 @@ def _table_checks(out: list[CheckResult]) -> None:
     for key, want in _TABLE78.items():
         _check(out, f"table78.{key}", want, got[key])
     # the cells where the two routes must agree nontrivially
-    _check(out, "table78.oracle.54", True, bool(cond.a2_bruteforce(54)))
-    _check(out, "table78.oracle.56", True, bool(cond.a2_bruteforce(56)))
-    _check(out, "table78.oracle.72", True, bool(cond.a2_bruteforce(72)))
-    _check(out, "table78.oracle.68", False, bool(cond.a2_bruteforce(68)))
+    _check(out, "table78.oracle.54", True, bool(a2_bruteforce(54)))
+    _check(out, "table78.oracle.56", True, bool(a2_bruteforce(56)))
+    _check(out, "table78.oracle.72", True, bool(a2_bruteforce(72)))
+    _check(out, "table78.oracle.68", False, bool(a2_bruteforce(68)))
+
+
+def gamma_to_lambdatilde(v) -> lat.Vector:
+    """Isometric embedding of Gamma into LambdaTilde as the complement of A2."""
+    a, b = v[st.M1], v[st.M2]
+    return tuple(v[:20]) + (a - b, -a, -b, -b)
+
+
+def closed_form_bases(d: int) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Bases of K_d, L_d and Gamma_d in Gammabar, LambdaTilde and Gamma coordinates.
+
+    For d = 0 (6) the spans of h2, v_d and of lambda1, lambda2, v_d are
+    saturated; for d = 2 (6) the saturations add (v_d - h2)/3 and
+    (v_d - lambda1 - 2 lambda2)/3.  Their Grams are those
+    `standard.hassett_triple` reports.
+    """
+    st._check_special(d)
+    units = [st.unit_vector(st.RANK_GAMMA, i) for i in (*range(16), st.E2, st.F2)]
+    if d % 6 == 0:
+        v = st.nl_vector(d)
+        K = [st.H2, st.gamma_to_gammabar(v)]
+        L = [st.LAMBDA1, st.LAMBDA2, gamma_to_lambdatilde(v)]
+        extra = [{st.M1: 1}, {st.M2: 1}, {st.E1: 1, st.F1: d // 6}]
+    else:
+        c = (d - 2) // 6
+        K = [st.H2, st._vec(st.RANK_BAR, {st.E1: 1, st.F1: -c, st.EPS2: -1})]
+        L = [st.LAMBDA1, st.LAMBDA2, st._vec(st.RANK_TILDE, {st.E1: 1, st.F1: -c, st.F3: -1})]
+        extra = [{st.M1: 1, st.F1: 1}, {st.M2: 1, st.F1: -1},
+                 {st.E1: 1, st.F1: c + 1, st.M2: -1}]
+    G = units + [st._vec(st.RANK_GAMMA, e) for e in extra]
+    return tuple([list(r) for r in rows] for rows in (K, L, G))
 
 
 def _nl_failures(d: int) -> list[str]:
@@ -259,7 +339,7 @@ def _nl_failures(d: int) -> list[str]:
     gbar, ltil = st.standard_lattice("Gammabar"), st.standard_lattice("LambdaTilde")
     satK, idxK = lat.saturation(lat.span_sublattice(gbar, [st.H2, st.gamma_to_gammabar(v)]))
     satL, idxL = lat.saturation(
-        lat.span_sublattice(ltil, [st.LAMBDA1, st.LAMBDA2, st.gamma_to_lambdatilde(v)])
+        lat.span_sublattice(ltil, [st.LAMBDA1, st.LAMBDA2, gamma_to_lambdatilde(v)])
     )
     comp = lat.orthogonal_complement(st.standard_lattice("Gamma"), [v])
     claims = [
@@ -267,7 +347,7 @@ def _nl_failures(d: int) -> list[str]:
         ("index", (idxK, idxL) == ((1, 1) if d % 6 == 0 else (3, 3))),
     ]
     for name, sub, rows, gram in zip(
-        ("K", "L", "Gamma"), (satK, satL, comp), st.closed_form_bases(d),
+        ("K", "L", "Gamma"), (satK, satL, comp), closed_form_bases(d),
         (rep.gram_K, rep.gram_L, rep.gram_Gamma_d),
     ):
         claims += [
@@ -388,26 +468,39 @@ def _pell_checks(out: list[CheckResult]) -> None:
     _check(out, "pell.sss.74", None, cond.witness_sss(74))
 
 
+def hyperbolic_pairs() -> dict[str, tuple[lat.Vector, lat.Vector]]:
+    """A hyperbolic pair (e', f') meeting A2 for each of (e4, f4) and (e1, f1), written down.
+
+    In LambdaTilde, e' = -2 e3 - 2 f3 - 4 e4 - f4, f' = e4 for (e4, f4),
+    and e' = -e1 + f1 - e3 - f3 - e4, f' = e1 - f1 + e4 - f4 for (e1, f1).
+    Each pair is isotropic with (e'.f') = 1, spans a rank-3 lattice with A2,
+    and lies in the saturation of A2 + span(e, f): the pairs of Addington
+    and Thomas's criterion.  `_hyperbolic_checks` proves all of it.
+    """
+    E1, F1, E3, F3, E4, F4 = st.E1, st.F1, st.E3, st.F3, st.E4, st.F4
+    n = st.RANK_TILDE
+    return {
+        "e4f4": (st._vec(n, {E3: -2, F3: -2, E4: -4, F4: -1}), st._vec(n, {E4: 1})),
+        "e1f1": (st._vec(n, {E1: -1, F1: 1, E3: -1, F3: -1, E4: -1}),
+                 st._vec(n, {E1: 1, F1: -1, E4: 1, F4: -1})),
+    }
+
+
 def _hyperbolic_checks(out: list[CheckResult]) -> None:
     lt = st.standard_lattice("LambdaTilde")
-    pairs = {
-        "e4f4": (st.unit_vector(24, st.E4), st.unit_vector(24, st.F4)),
-        "e1f1": (st.unit_vector(24, st.E1), st.unit_vector(24, st.F1)),
-    }
-    for name, (e, f) in pairs.items():
-        try:
-            ep, fp = st.find_hyperbolic_AT(e, f, bound=HYPERBOLIC_BOUND)
-            ok = (
-                lt.square(ep) == 0
-                and lt.square(fp) == 0
-                and lt.pairing(ep, fp) == 1
-                and la.rank_int(
-                    [list(st.LAMBDA1), list(st.LAMBDA2), list(ep), list(fp)]
-                )
-                == 3
-            )
-        except Exception:
-            ok = False
+    planes = {"e4f4": (st.E4, st.F4), "e1f1": (st.E1, st.F1)}
+    a2 = [list(st.LAMBDA1), list(st.LAMBDA2)]
+    for name, (ep, fp) in hyperbolic_pairs().items():
+        e, f = (st.unit_vector(st.RANK_TILDE, i) for i in planes[name])
+        sat = lat.saturate_rows(lt, a2 + [e, f])
+        ok = (
+            lt.square(ep) == 0
+            and lt.square(fp) == 0
+            and lt.pairing(ep, fp) == 1
+            and la.rank_int(a2 + [list(ep), list(fp)]) == 3
+            and sat.contains(ep)
+            and sat.contains(fp)
+        )
         _check(out, f"hyperbolic.{name}", True, ok)
 
 

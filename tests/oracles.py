@@ -11,8 +11,9 @@ from cubick3 import intlinalg as la
 from cubick3 import lattice as lat
 from cubick3.errors import DependentGenerators
 from cubick3.lattice import DiscGroup, GramLattice, IntMatrix, Sublattice, disc_group
-from cubick3.mukai import CohClass, series_inverse
-from cubick3.standard import hassett_triple, lambda_d_lattice, standard_lattice
+from cubick3.mukai import CohClass
+from cubick3.standard import LAMBDA1, LAMBDA2, hassett_triple, lambda_d_lattice, standard_lattice
+from cubick3.verify import series_inverse
 
 
 def c11_inputs(count, rng=None):
@@ -208,6 +209,32 @@ def contains(S, v) -> bool:
     return c is not None and all(Fraction(x).denominator == 1 for x in c)
 
 
+def find_hyperbolic_AT(e, f, bound):
+    """Search the saturation of A2 + span(e, f) for a hyperbolic pair meeting A2.
+
+    (e, f) is a hyperbolic pair of the extended K3 lattice.  The search
+    enumerates the vectors of the saturation whose coordinates on its
+    Hermite basis are bounded by `bound`, and returns the lexicographically
+    least pair (e', f') with (e')^2 = (f')^2 = 0, (e'.f') = 1 and
+    rank(A2 + span(e', f')) = 3, or None when the box holds none (at bound
+    0 it holds only the zero vector).  Its cost grows as (2 bound + 1)^4.
+    """
+    lt = standard_lattice("LambdaTilde")
+    T = lat.saturate_rows(lt, [LAMBDA1, LAMBDA2, e, f])
+    TG = T.induced_gram.to_lists()
+    basis_t = la.transpose(T.basis.to_lists())
+    isotropic = []
+    for coords in itertools.product(range(-bound, bound + 1), repeat=T.rank):
+        Gc = la.mat_vec(TG, coords)
+        if any(coords) and dot(coords, Gc) == 0:
+            isotropic.append((coords, Gc, la.mat_vec(basis_t, coords)))
+    for _, Ge, amb_e in isotropic:
+        for cf, _, amb_f in isotropic:
+            if dot(cf, Ge) == 1 and la.rank_int([list(LAMBDA1), list(LAMBDA2), amb_e, amb_f]) == 3:
+                return tuple(amb_e), tuple(amb_f)
+    return None
+
+
 def matmul(A, B):
     """Dense A * B: every entry is a full sum over the inner index."""
     if not A:
@@ -222,9 +249,13 @@ def gram_product(B, G):
     return matmul(matmul(B, G), la.transpose(B))
 
 
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def pairing(G, u, v):
     """Dense u * G * v^T."""
-    return la.dot(u, la.mat_vec(G, v))
+    return dot(u, la.mat_vec(G, v))
 
 
 def q_values(L):

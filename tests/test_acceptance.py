@@ -14,7 +14,6 @@ import pytest
 
 from cubick3 import (
     DegenerateLattice,
-    a2_bruteforce,
     a2_represents,
     condition_flags,
     disc_group,
@@ -32,7 +31,7 @@ from cubick3 import verify as vf
 from cubick3.lattice import is_primitive
 from cubick3.mukai import lambda_vectors
 from cubick3.standard import standard_lattice
-from oracles import binary_grams_equivalent, c11_inputs, det_bareiss
+from oracles import binary_grams_equivalent, c11_inputs, det_bareiss, find_hyperbolic_AT
 
 @pytest.fixture(scope="module")
 def verified():
@@ -67,7 +66,7 @@ def test_c01_table_reproduction(verified):
     # every (**') cell that verify pins is decided by the exhaustive form
     # enumeration: 27, 28 and 36 are norm-form values, 34 = 2*17 is not
     star = [d for d in range(8, 79, 2) if d % 6 != 4]
-    ok = {d for d in star if a2_bruteforce(d)} == set(vf._TABLE78["ssprime"])
+    ok = {d for d in star if vf.a2_bruteforce(d)} == set(vf._TABLE78["ssprime"])
     report_verified("C1 table-reproduction", verified, ids, ok, "rows over 24 special d <= 78")
 
 
@@ -121,7 +120,7 @@ def test_c05_nl_dichotomy_sweep(verified):
 def test_c06_oracle_equivalence(verified):
     ok = True
     for d in range(2, 501, 2):
-        sols = a2_bruteforce(d)
+        sols = vf.a2_bruteforce(d)
         ok = ok and a2_represents(d, False) == bool(sols)
         ok = ok and a2_represents(d, True) == any(p for _, _, p in sols)
     for d in range(2, 201, 2):
@@ -156,8 +155,13 @@ def test_c09_pell_criteria(verified):
 
 def test_c10_hyperbolic_search(verified):
     ids = ["hyperbolic.e4f4", "hyperbolic.e1f1"]
-    report_verified("C10 hyperbolic-search", verified, ids, vf.HYPERBOLIC_BOUND == 4,
-                    "both pairs at bound 4")
+    # verify proves the written-down pairs; the search finds the same ones
+    e4, f4, e1, f1 = (st.unit_vector(st.RANK_TILDE, i) for i in (st.E4, st.F4, st.E1, st.F1))
+    pairs = vf.hyperbolic_pairs()
+    ok = (find_hyperbolic_AT(e4, f4, 4) == pairs["e4f4"]
+          and find_hyperbolic_AT(e1, f1, 4) == pairs["e1f1"])
+    report_verified("C10 hyperbolic-search", verified, ids, ok,
+                    "the search finds both written-down pairs at bound 4")
 
 
 def test_c11_randomized_property_suite():

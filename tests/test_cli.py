@@ -24,8 +24,7 @@ class TestVerify:
         assert "--disc-cap" in capsys.readouterr().err
 
     def test_bound_option_is_gone(self, capsys):
-        # the hyperbolic search bound is fixed: at 0 a correct build fails,
-        # and the search grows as (2b+1)^4 in the bound
+        # the hyperbolic pairs are written down, so verify has no search to bound
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--bound", "4"])
         assert exc.value.code == 2
@@ -184,6 +183,33 @@ class TestLargeIntegers:
             n, a = (part.split("=")[1] for part in line.split(": ")[1].split())
         assert n.isdigit() and len(n) > 30_000
         assert a.isdigit() and len(a) > 30_000
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no int-str digit limit")
+    def test_library_renders_past_the_default_digit_limit(self, capsys):
+        # the CLI lifts the interpreter's int-str limit; the library needs no
+        # lift for the same values: the (***) witness of d has about 32,000
+        # digits, and the LambdaD degree 5,000
+        from cubick3.conditions import condition_flags, csv_row
+        from cubick3.standard import standard_lattice
+
+        d = 200000000006
+        assert main(["table", str(d), "--from", str(d)]) == 0
+        cli_csv = capsys.readouterr().out.splitlines()[-1]
+        assert main(["classify", str(d), "--format", "json"]) == 0
+        cli_flags = json.loads(capsys.readouterr().out)["flags"]
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            flags = condition_flags(d)
+            assert ",".join(csv_row(flags)) == cli_csv
+            assert flags.to_json() == cli_flags
+            twos = "2" * 5000
+            lam = standard_lattice(f"LambdaD({twos})")
+            assert lam.gram.data[-1][-1] == -2 * (10**5000 - 1) // 9
+            assert lam.label == f"LambdaD({twos})"
+        finally:
+            sys.set_int_max_str_digits(old)
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this interpreter has no int-str digit limit")

@@ -12,7 +12,6 @@ from cubick3 import (
     InvalidDegree,
     InvalidParity,
     PellSolution,
-    a2_bruteforce,
     a2_represents,
     boundary_count,
     condition_flags,
@@ -23,6 +22,7 @@ from cubick3 import (
 )
 from cubick3 import conditions, pell
 from cubick3.conditions import CSV_COLUMNS, csv_row
+from cubick3.verify import a2_bruteforce
 import oracles
 from limits import time_limit
 

@@ -7,14 +7,13 @@ values are a float, a `Fraction`, a `str`, `True` (an `int` subclass), 0, a
 negative, an odd value and an even one of the wrong residue: 14.0 and
 Fraction(14) pass a bare parity or residue test, and "14" breaks it with a
 `TypeError`.  A twist k of `mukai_vector_line` and `euler_line` may be any
-int, a bound of `find_hyperbolic_AT` any int of at least 0 and a D of
-`pell.least_solution` any positive int, so only their type and sign are
-refused; a vector of `find_hyperbolic_AT` of the wrong length raises
-NotHyperbolicPair.  The lattice entry points that take a vector get one of
-the wrong length for A2 (rank 2), and raise InvalidVector;
-those that take integer coordinates, `pairing`, `square` and
-`basis_pairings` among them, raise it too for a vector with a
-`Fraction(1, 2)`, a 0.5, a `None` or a `True` entry; `Sublattice.contains`
+int and a D of `pell.least_solution` any positive int, so only their type
+and sign are refused.  The lattice entry points that take a vector get one
+of the wrong length for A2 (rank 2), and raise InvalidVector, as does a
+`Sublattice` of A2 with basis rows of length 1 or 3; those that take
+integer coordinates, `pairing`, `square` and `basis_pairings` among them,
+raise it too for a vector with a `Fraction(1, 2)`, a 0.5, a `None` or a
+`True` entry; `Sublattice.contains`
 takes a rational vector and answers False for a non-integral one, but
 raises InvalidVector for a v that is not iterable (`None`, 5, 1.5).  A Gram
 matrix that is ragged, not symmetric or not integral (a float, a `None` or a
@@ -25,8 +24,8 @@ list, 5, `True`), through `from_rows` and through `from_json`.  The Mukai
 classes raise InvalidVector for coefficients that are not five rationals, a
 scalar or an `exp_h` argument that is not rational (a `bool` is not), a
 pairing, sum or difference with an operand that is not a class, and a
-series inverse or square root of a class without the constant term it
-needs, as does `project_right` for a non-class.
+series inverse or square root (`verify`'s) of a class without the
+constant term it needs, as does `project_right` for a non-class.
 A vector of `classify_nl_vector` or `eichler_invariants` that is a float,
 `None` or not of rank 22 raises InvalidNLVector, and anything but a lattice
 where one is required InvalidLattice.  Every public function of `cubick3`
@@ -58,14 +57,12 @@ from cubick3 import standard as st
 from cubick3 import verify as vf
 from cubick3.cli import build_report
 from cubick3.errors import (
-    InvalidBound,
     InvalidDegree,
     InvalidLattice,
     InvalidMatrix,
     InvalidNLVector,
     InvalidParity,
     InvalidVector,
-    NotHyperbolicPair,
     NotSpecialDiscriminant,
     UnknownLattice,
 )
@@ -103,14 +100,11 @@ NOT_A_VECTOR = (None, 5, 1.5)
 # where a lattice is required
 NOT_A_LATTICE = (None, "x", 3)
 
-UNIT_E1, UNIT_F1 = st.unit_vector(24, st.E1), st.unit_vector(24, st.F1)
 ONE = mk.CohClass.of(1, 0, 0, 0, 0)
 NO_CONSTANT_TERM = mk.CohClass.of(0, 1, 0, 0, 0)
 
 call = _entries(
     table_start=lambda start: cond.table(60, start=start),
-    hyperbolic_bound=lambda bound: st.find_hyperbolic_AT(UNIT_E1, UNIT_F1, bound),
-    hyperbolic_e=lambda e: st.find_hyperbolic_AT(e, UNIT_F1),
     # the lattice entries on A2, at one vector v
     span_sublattice=lambda v: lat.span_sublattice(A2, [v]),
     orthogonal_complement=lambda v: lat.orthogonal_complement(A2, [v]),
@@ -131,6 +125,7 @@ call = _entries(
     divisibility_of=lambda amb: lat.divisibility(amb, (1, 0)),
     is_primitive_of=lambda amb: lat.is_primitive(amb, (1, 0)),
     sublattice_rank=lambda x: lat.Sublattice(x, x).rank,
+    sublattice_rows=lambda rows: lat.Sublattice(A2, lat.IntMatrix.from_rows(rows)),
     mukai_pairing=lambda pair: mk.mukai_pairing(*pair),
     coh_class=lambda coeffs: mk.CohClass.of(*coeffs),
     times_one=lambda c: ONE * c,
@@ -145,12 +140,12 @@ def _rows(error, values, *entries):
 
 TABLE = (
     _rows(InvalidParity, EVEN, cond.condition_flags, build_report, cond.a2_represents,
-          cond.a2_bruteforce, cond.witness_ss, cond.witness_sss, cond.boundary_count)
+          vf.a2_bruteforce, cond.witness_ss, cond.witness_sss, cond.boundary_count)
     + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -8, 6, 9), cond.table)
     + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -4, 9), call.table_start)
     + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -6, 21, 14), cond.pell_brakkee)
     + _rows(InvalidDegree, (7.0, Fraction(7), "7", True, 0, -5), pell.least_solution)
-    + _rows(NotSpecialDiscriminant, SPECIAL, st.nl_vector, st.closed_form_bases,
+    + _rows(NotSpecialDiscriminant, SPECIAL, st.nl_vector, vf.closed_form_bases,
             st.hassett_triple, st.kdoo_index, st.genus_compare)
     + _rows(InvalidDegree, EVEN, st.polarization_vector, st.boundary_witnesses)
     + _rows(UnknownLattice, EVEN, st.lambda_d_lattice)
@@ -165,9 +160,7 @@ TABLE = (
     + _rows(InvalidVector, NON_INTEGRAL, call.span_sublattice, call.orthogonal_complement,
             call.saturate_rows, call.is_primitive, call.divisibility, call.pairing, call.square,
             call.basis_pairings)
-    + _rows(InvalidBound, (2.5, 4.0, Fraction(4), "4", True, -1), call.hyperbolic_bound)
-    # a vector of LambdaTilde has 24 coordinates
-    + _rows(NotHyperbolicPair, ((1, 0),), call.hyperbolic_e)
+    + _rows(InvalidVector, ([[1]], [[1, 0, 5]]), call.sublattice_rows)
     + _rows(InvalidVector, NOT_A_VECTOR, call.contains)
     + _rows(InvalidMatrix, BAD_GRAMS, call.gram_from_rows)
     + _rows(InvalidMatrix, BAD_JSON, lat.GramLattice.from_json)
@@ -177,7 +170,7 @@ TABLE = (
     + _rows(InvalidVector, ("x", True), call.times_one)
     + _rows(InvalidVector, ("x", None, True), mk.exp_h)
     + _rows(InvalidVector, (3,), call.plus_one, call.minus_one)
-    + _rows(InvalidVector, (NO_CONSTANT_TERM,), mk.series_sqrt, mk.series_inverse)
+    + _rows(InvalidVector, (NO_CONSTANT_TERM,), vf.series_sqrt, vf.series_inverse)
     + _rows(InvalidVector, NOT_A_LATTICE, mk.project_right)
     + _rows(InvalidNLVector, (1.5, None, (1, 0)), st.classify_nl_vector, st.eichler_invariants)
     + _rows(InvalidLattice, NOT_A_LATTICE, lat.saturation, lat.disc_group, lat.signature,

@@ -25,20 +25,23 @@ from cubick3 import (
 from cubick3 import intlinalg as la
 from cubick3.lattice import as_vector, saturate_rows
 from cubick3.standard import (
+    EPS1,
+    EPS2,
+    EPS3,
     H2,
     LAMBDA1,
     LAMBDA2,
-    MU1_BAR,
     MU1_TILDE,
-    MU2_BAR,
     MU2_TILDE,
+    RANK_BAR,
+    _vec,
     gamma_to_gammabar,
-    lambda_to_lambdatilde,
     nl_vector,
     polarization_vector,
     standard_lattice,
     unit_vector,
 )
+from cubick3.verify import gamma_to_lambdatilde
 import oracles
 from oracles import frac_inv
 
@@ -424,7 +427,9 @@ class TestInvariants:
     def test_mu_vectors_match_embeddings(self):
         gbar = standard_lattice("Gammabar")
         lt = standard_lattice("LambdaTilde")
-        for mus, L in ((( MU1_BAR, MU2_BAR), gbar), ((MU1_TILDE, MU2_TILDE), lt)):
+        # in Gammabar, mu1 = eps1 - eps2 and mu2 = eps2 - eps3
+        mu_bar = _vec(RANK_BAR, {EPS1: 1, EPS2: -1}), _vec(RANK_BAR, {EPS2: 1, EPS3: -1})
+        for mus, L in ((mu_bar, gbar), ((MU1_TILDE, MU2_TILDE), lt)):
             m1, m2 = mus
             assert L.square(m1) == -2 and L.square(m2) == -2
             assert L.pairing(m1, m2) == 1
@@ -443,14 +448,11 @@ class TestInvariants:
             assert gamma.pairing(u, v) == gbar.pairing(
                 gamma_to_gammabar(u), gamma_to_gammabar(v)
             )
-            from cubick3.standard import gamma_to_lambdatilde
-
             assert gamma.pairing(u, v) == lt.pairing(
                 gamma_to_lambdatilde(u), gamma_to_lambdatilde(v)
             )
-            assert lam.pairing(u, v) == lt.pairing(
-                lambda_to_lambdatilde(u), lambda_to_lambdatilde(v)
-            )
+            # Lambda is the first 22 coordinates of LambdaTilde
+            assert lam.pairing(u, v) == lt.pairing(u + (0, 0), v + (0, 0))
             # the image of the primitive cubic lattice lands in the
             # complement of the embedded A2
             for lam_vec in (LAMBDA1, LAMBDA2):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as hyp
 
 from cubick3 import (
     DependentGenerators,
-    a2_bruteforce,
     a2_represents,
     condition_flags,
     orthogonal_complement,
@@ -20,6 +19,7 @@ from cubick3 import (
 from cubick3 import intlinalg as la
 from cubick3.lattice import IntMatrix, Sublattice, direct_sum, GramLattice, saturate_rows
 from cubick3.standard import standard_lattice
+from cubick3.verify import a2_bruteforce
 import oracles
 from oracles import saturation_index
 

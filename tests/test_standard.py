@@ -15,7 +15,6 @@ from cubick3 import (
     InvalidDegree,
     InvalidNLVector,
     NLCase,
-    NotHyperbolicPair,
     NotSpecialDiscriminant,
     UnknownLattice,
     ZeroVector,
@@ -41,7 +40,6 @@ from cubick3.standard import (
     canonical_embedding_report,
     classify_nl_vector,
     eichler_invariants,
-    find_hyperbolic_AT,
     gamma_to_gammabar,
     genus_compare,
     hassett_triple,
@@ -435,7 +433,8 @@ class TestHassettTriple:
         # extended K3 lattice agree in rank, signature, |det|, and
         # discriminant group: both are copies of Gamma_d
         from cubick3.lattice import orthogonal_complement
-        from cubick3.standard import H2, gamma_to_lambdatilde
+        from cubick3.standard import H2
+        from cubick3.verify import gamma_to_lambdatilde
 
         gbar = standard_lattice("Gammabar")
         ltil = standard_lattice("LambdaTilde")
@@ -705,20 +704,21 @@ class TestGenus:
 
 
 class TestHyperbolicSearch:
-    def test_e4_f4(self):
+    """The oracle search finds exactly the pairs that `verify` writes down."""
+
+    def _check_found(self, name, e, f):
         lt = standard_lattice("LambdaTilde")
-        e, f = unit_vector(24, E4), unit_vector(24, F4)
-        ep, fp = find_hyperbolic_AT(e, f)
+        ep, fp = oracles.find_hyperbolic_AT(unit_vector(24, e), unit_vector(24, f), 4)
         assert lt.square(ep) == 0 and lt.square(fp) == 0
         assert lt.pairing(ep, fp) == 1
         assert la.rank_int([list(LAMBDA1), list(LAMBDA2), list(ep), list(fp)]) == 3
+        assert (ep, fp) == vf.hyperbolic_pairs()[name]
+
+    def test_e4_f4(self):
+        self._check_found("e4f4", E4, F4)
 
     def test_e1_f1(self):
-        lt = standard_lattice("LambdaTilde")
-        ep, fp = find_hyperbolic_AT(unit_vector(24, E1), unit_vector(24, F1))
-        assert lt.square(ep) == 0 and lt.square(fp) == 0
-        assert lt.pairing(ep, fp) == 1
-        assert la.rank_int([list(LAMBDA1), list(LAMBDA2), list(ep), list(fp)]) == 3
+        self._check_found("e1f1", E1, F1)
 
     def test_documented_pair_is_valid(self):
         # the pair (lambda1 + e1 - f1, lambda2 - e1 + f1) passes the
@@ -730,32 +730,13 @@ class TestHyperbolicSearch:
         assert lt.square(ep) == 0 and lt.square(fp) == 0
         assert lt.pairing(ep, fp) == 1
 
-    def test_not_hyperbolic(self):
-        from cubick3.standard import E2
-
-        with pytest.raises(NotHyperbolicPair):
-            find_hyperbolic_AT(unit_vector(24, E1), unit_vector(24, E2))
-
-    def test_non_integral_rejected(self):
-        e = list(unit_vector(24, E1))
-        # 1/2 is an E8 coordinate where truncation would give back f1
-        for x in (Fraction(1, 2), float("inf"), float("-inf"), float("nan")):
-            f = [Fraction(y) for y in unit_vector(24, F1)]
-            f[0] = x
-            with pytest.raises(NotHyperbolicPair, match="non-integral"):
-                find_hyperbolic_AT(e, f)
-            with pytest.raises(NotHyperbolicPair, match="non-integral"):
-                find_hyperbolic_AT(f, e)
-
     def test_determinism(self):
         e, f = unit_vector(24, E1), unit_vector(24, F1)
-        assert find_hyperbolic_AT(e, f) == find_hyperbolic_AT(e, f)
+        assert oracles.find_hyperbolic_AT(e, f, 4) == oracles.find_hyperbolic_AT(e, f, 4)
 
     def test_bound_zero_exhausts(self):
-        from cubick3 import SearchExhausted
-
-        with pytest.raises(SearchExhausted):
-            find_hyperbolic_AT(unit_vector(24, E1), unit_vector(24, F1), bound=0)
+        # the box of bound 0 holds only the zero vector
+        assert oracles.find_hyperbolic_AT(unit_vector(24, E1), unit_vector(24, F1), 0) is None
 
 
 def test_binary_reduction():

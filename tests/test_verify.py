@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import cubick3
 from cubick3 import InvalidDegree
 from cubick3 import conditions as cond
 from cubick3 import mukai as mk
@@ -190,6 +191,10 @@ def _membership_swapped_at_14(kdoo, d):
         pytest.param(st, "boundary_witnesses", _delta1_off_at_10, "delta.10", id="delta1"),
         pytest.param(st, "kdoo_index", _membership_swapped_at_14, "kdoo.14.membership",
                      id="kdoo-membership"),
+        # isotropic, of pairing 1 and rank 3 with A2, but outside the
+        # saturation of A2 + span(e1, f1)
+        pytest.param(vf, "hyperbolic_pairs", lambda p: {**p, "e1f1": p["e4f4"]},
+                     "hyperbolic.e1f1", id="hyperbolic-e1f1"),
     ],
 )
 def test_verify_refutes_a_wrong_written_down_value(monkeypatch, module, name, mutate, check_id):
@@ -198,3 +203,12 @@ def test_verify_refutes_a_wrong_written_down_value(monkeypatch, module, name, mu
     monkeypatch.setattr(module, name, lambda *args: mutate(real(*args), *args))
     s = vf.run_all(genus_max=8)
     assert check_id in {c.check_id for c in s.failures}
+
+
+def test_code_only_verify_uses_lives_in_verify():
+    removed = ("find_hyperbolic_AT", "a2_bruteforce", "InvalidBound", "NotHyperbolicPair",
+               "SearchExhausted")
+    assert [name for name in removed if hasattr(cubick3, name)] == []
+    moved = ("find_hyperbolic_AT", "closed_form_bases", "gamma_to_lambdatilde", "a2_bruteforce",
+             "series_inverse", "series_sqrt")
+    assert [(m.__name__, name) for m in (st, cond, mk) for name in moved if hasattr(m, name)] == []
