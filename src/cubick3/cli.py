@@ -11,20 +11,24 @@ invocations produce byte-identical output.
 object for `--format json` (spelled `--json` for `verify`), the text
 otherwise.  `classify` and `table` render only the format asked for.  Only
 `verify` loads `cubick3.verify`.
+
+Integers are written through `_record.int_str` and `json_int`, so a
+witness or a determinant of tens of thousands of digits prints at the
+interpreter's own int-str digit limit, which the CLI leaves as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import conditions as cond
 from . import standard as st
-from ._record import Record
+from ._record import Record, int_str, json_int
 from .errors import CubicK3Error
-from .lattice import json_int
 
 
 class Report(Record):
@@ -57,10 +61,8 @@ def build_report(d: int) -> Report:
     pell = None
     if d % 6 == 0:  # pell_brakkee(d), with (**) and (**') read off the flags
         pell = cond._brakkee_solution(d, flags.starstar, flags.starstar_prime)
-    notes = []
-    if d in (2, 6):
-        notes.append("d excluded from smooth-cubic image")
-    return Report(d, flags, nl, cond.boundary_count(d), pell, tuple(notes))
+    notes = ("d excluded from smooth-cubic image",) if d in (2, 6) else ()
+    return Report(d, flags, nl, cond.boundary_count(d), pell, notes)
 
 
 def _render_report_text(r: Report) -> str:
@@ -79,17 +81,14 @@ def _render_report_text(r: Report) -> str:
         lines.append(f"disc(Gamma_d) = {list(r.nl.disc_Gamma_d.invariant_factors)}")
     else:
         lines.append("case: not special (no associated lattices)")
-    if f.ss_witness:
-        n, a = f.ss_witness
-        lines.append(f"witness (**): n={n} a={a}")
-    if f.sss_witness:
-        n, a = f.sss_witness
-        lines.append(f"witness (***): n={n} a={a}")
+    for stars, witness in (("**", f.ss_witness), ("***", f.sss_witness)):
+        if witness:
+            lines.append(f"witness ({stars}): n={int_str(witness[0])} a={int_str(witness[1])}")
     lines.append(f"boundary components: {r.boundary}")
     if r.pell is not None:
         if r.pell.solution:
             p, q = r.pell.solution
-            lines.append(f"pell {r.pell.equation}: p={p} q={q}")
+            lines.append(f"pell {r.pell.equation}: p={int_str(p)} q={int_str(q)}")
         else:
             lines.append(f"pell {r.pell.equation}: no solution")
     for note in r.notes:
@@ -148,29 +147,33 @@ def _emit(args, obj, text: str) -> None:
     print(json.dumps(obj, indent=2) if args.format == "json" else text)
 
 
+def _fraction_str(a: int, n: int) -> str:
+    """str(Fraction(a, n)) for n > 0, through `int_str`."""
+    g = math.gcd(a, n)
+    return int_str(a // g) if g == n else f"{int_str(a // g)}/{int_str(n // g)}"
+
+
 def cmd_lattice(args) -> int:
     from .lattice import disc_group, signature
 
     L = st.standard_lattice(args.name)
     if args.disc:
         _emit(args, {"det": json_int(L.det), "abs_det": json_int(L.abs_det)},
-              f"det = {L.det}, |det| = {L.abs_det}")
+              f"det = {int_str(L.det)}, |det| = {int_str(L.abs_det)}")
     elif args.signature:
         sig = signature(L)
         _emit(args, {"signature": list(sig)}, "signature = ({}, {}, {})".format(*sig))
     elif args.disc_group:
-        from fractions import Fraction
-
         dg = disc_group(L)
         q = None
         if dg.q_numerators is not None:
-            q = [str(Fraction(a, n)) for a, n in zip(dg.q_numerators, dg.invariant_factors)]
+            q = [_fraction_str(a, n) for a, n in zip(dg.q_numerators, dg.invariant_factors)]
         _emit(args, {"invariant_factors": [json_int(e) for e in dg.invariant_factors],
                      "q_values": q},
-              f"invariant factors: {list(dg.invariant_factors)}\n"
+              f"invariant factors: [{', '.join(map(int_str, dg.invariant_factors))}]\n"
               f"q values: {'(odd lattice)' if q is None else q}")
     else:
-        rows = [" ".join(f"{e:3d}" for e in row) for row in L.gram.to_lists()]
+        rows = [" ".join(int_str(e).rjust(3) for e in row) for row in L.gram.data]
         _emit(args, L.to_json(),
               "\n".join([f"{L.label or 'lattice'}: rank {L.rank}, even={L.is_even}", *rows]))
     return 0
@@ -245,20 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # witnesses can have tens of thousands of digits (the (***) witness of
-    # d = 200000000006 has about 32,000), above the default limit on int-str
-    # conversion that Python 3.11 and later patch releases of 3.10 impose
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CubicK3Error as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

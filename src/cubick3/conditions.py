@@ -47,9 +47,8 @@ import math
 import warnings
 
 from . import pell
-from ._record import Record
+from ._record import Record, int_str, json_int, show
 from .errors import InvalidDegree, InvalidParity, require_even
-from .lattice import int_str, json_int
 
 CLI_INPUT_CAP = 2**63
 
@@ -395,7 +394,7 @@ def pell_brakkee(d: int) -> PellSolution:
     True
     """
     if type(d) is not int or d <= 0 or d % 6:
-        raise InvalidDegree(f"d must be a positive multiple of 6, got {d!r}")
+        raise InvalidDegree(f"d must be a positive multiple of 6, got {show(d)}")
     ssp, ss = _a2_flags(_factorize(d // 2))
     return _brakkee_solution(d, ss, ssp)
 

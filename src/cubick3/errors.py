@@ -12,7 +12,13 @@ Malformed lattice input raises `InvalidMatrix` (a matrix or Gram matrix
 from outside), `InvalidVector` (a vector or a sublattice basis row of the
 wrong length, or a vector with a non-integral entry) or `InvalidLattice`
 (anything but a lattice where one is required).
+
+A message that quotes a value renders it with `_record.show`, so building
+it never fails, not even on an int past the interpreter's int-str digit
+limit: an out-of-domain d of thousands of digits raises the caller's class too.
 """
+
+from ._record import show
 
 
 class CubicK3Error(ValueError):
@@ -91,4 +97,4 @@ class InvalidParity(CubicK3Error):
 def require_even(d, error: type[CubicK3Error], least: int = 2, name: str = "d") -> None:
     """Raise `error` unless d is an exact int, even and at least `least`."""
     if type(d) is not int or d < least or d % 2:
-        raise error(f"{name} must be even and at least {least}, got {d!r}")
+        raise error(f"{name} must be even and at least {least}, got {show(d)}")

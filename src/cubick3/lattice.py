@@ -42,7 +42,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from ._record import Record
+from ._record import Record, json_int, parse_int, show
 from .errors import (
     DegenerateLattice,
     DependentGenerators,
@@ -66,7 +66,7 @@ def _as_int(e) -> int:
                 return n
         except (OverflowError, TypeError, ValueError):  # an infinity, a nan, None, ...
             pass
-    raise InvalidVector(f"non-integral entry {e!r}")
+    raise InvalidVector(f"non-integral entry {show(e)}")
 
 
 _INT_ONLY = frozenset({int})
@@ -83,7 +83,7 @@ def as_vector(v) -> Vector:
     try:
         t = tuple(v)
     except TypeError:
-        raise InvalidVector(f"a coordinate vector is required, got {v!r}") from None
+        raise InvalidVector(f"a coordinate vector is required, got {show(v)}") from None
     if _INT_ONLY.issuperset(map(type, t)):
         return t
     return tuple(map(_as_int, t))
@@ -109,7 +109,7 @@ class IntMatrix(Record):
         except InvalidVector as e:  # a non-integral entry, with `as_vector`'s message
             raise InvalidMatrix(str(e)) from None
         except TypeError:
-            raise InvalidMatrix(f"a sequence of rows is required, got {rows!r}") from None
+            raise InvalidMatrix(f"a sequence of rows is required, got {show(rows)}") from None
         return IntMatrix(data)
 
     @property
@@ -127,25 +127,6 @@ class IntMatrix(Record):
         return [[json_int(e) for e in row] for row in self.data]
 
 
-def json_int(n: int):
-    """Integers above 64 bits are rendered as decimal strings in JSON."""
-    return n if -(2**63) <= n < 2**63 else int_str(n)
-
-
-def int_str(n) -> str:
-    """str(n), also for an int past the interpreter's limit on int-str conversion.
-
-    The limit (4,300 digits by default) makes str() raise ValueError;
-    `decimal` converts without it.
-    """
-    try:
-        return str(n)
-    except ValueError:
-        from decimal import Decimal  # loaded already, by `fractions`
-
-        return str(Decimal(n))
-
-
 class GramLattice(Record):
     """A finite-rank integral lattice given by a symmetric Gram matrix.
 
@@ -155,11 +136,11 @@ class GramLattice(Record):
 
     def __init__(self, gram: IntMatrix, label: str | None = None):
         if not isinstance(gram, IntMatrix):
-            raise InvalidLattice(f"a Gram IntMatrix is required, got {gram!r}")
+            raise InvalidLattice(f"a Gram IntMatrix is required, got {show(gram)}")
         if not gram.is_symmetric():
             raise InvalidMatrix("Gram matrix must be symmetric")
         if label is not None and not isinstance(label, str):
-            raise InvalidMatrix(f"a lattice label must be a str or None, got {label!r}")
+            raise InvalidMatrix(f"a lattice label must be a str or None, got {show(label)}")
         s = self.__dict__
         s["gram"] = gram
         s["label"] = label
@@ -218,9 +199,9 @@ class GramLattice(Record):
     def from_json(obj: dict) -> "GramLattice":
         # integers above 64 bits arrive as decimal strings (see `json_int`)
         try:
-            rows = [[int(e) if isinstance(e, str) else e for e in row] for row in obj["gram"]]
+            rows = [[parse_int(e) if isinstance(e, str) else e for e in r] for r in obj["gram"]]
         except (KeyError, TypeError, ValueError):
-            raise InvalidMatrix(f"not a JSON lattice with integer gram rows: {obj!r}") from None
+            raise InvalidMatrix(f"not a JSON lattice with integer gram rows: {show(obj)}") from None
         return GramLattice.from_rows(rows, obj.get("label"))
 
 
@@ -241,7 +222,7 @@ class Sublattice(Record):
     def __init__(self, ambient: GramLattice, basis: IntMatrix):
         if not (isinstance(ambient, GramLattice) and isinstance(basis, IntMatrix)):
             raise InvalidLattice(f"a GramLattice and an IntMatrix basis are required, "
-                                 f"got {ambient!r} and {basis!r}")
+                                 f"got {show(ambient)} and {show(basis)}")
         # IntMatrix rows have one length, so the first row stands for all
         if basis.data and len(basis.data[0]) != ambient.rank:
             raise InvalidVector("basis row length does not match the ambient rank")
@@ -288,7 +269,7 @@ class Sublattice(Record):
         try:
             v = tuple(v)
         except TypeError:
-            raise InvalidVector(f"a coordinate vector is required, got {v!r}") from None
+            raise InvalidVector(f"a coordinate vector is required, got {show(v)}") from None
         _check_lengths(self.ambient, [v])
         try:
             w = as_vector(v)
@@ -336,7 +317,8 @@ def direct_sum(parts, *, label: str | None = None) -> GramLattice:
     """
     parts = list(parts)
     if not parts or not all(isinstance(p, GramLattice) for p in parts):
-        raise InvalidLattice(f"direct_sum needs at least one part, all GramLattices, got {parts!r}")
+        raise InvalidLattice("direct_sum needs at least one part, all GramLattices, "
+                             f"got {show(parts)}")
     rank = sum(p.rank for p in parts)
     rows = []
     off = 0
@@ -491,7 +473,7 @@ def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     (1, 12)
     """
     if not isinstance(S, Sublattice):
-        raise InvalidLattice(f"a Sublattice is required, got {S!r}")
+        raise InvalidLattice(f"a Sublattice is required, got {show(S)}")
     if S._saturated:
         return S, 1
     sat, H, r = _saturate(S.ambient, S.basis.data)
@@ -502,7 +484,7 @@ def saturation(S: Sublattice) -> tuple[Sublattice, int]:
 
 def _check_lattice(L):
     if not isinstance(L, GramLattice):
-        raise InvalidLattice(f"a GramLattice is required, got {L!r}")
+        raise InvalidLattice(f"a GramLattice is required, got {show(L)}")
 
 
 def _check_lengths(amb: GramLattice, rows):

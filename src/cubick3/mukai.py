@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ._record import Record
+from ._record import Record, show
 from .errors import InvalidDegree, InvalidVector
 from .lattice import IntMatrix
 
@@ -28,7 +28,7 @@ _DEG = 5
 
 def _fraction(v) -> Fraction:
     if type(v) is bool:  # Fraction(True) is 1, but a bool is no coefficient
-        raise InvalidVector(f"a coefficient or scalar must be rational, got {v!r}")
+        raise InvalidVector(f"a coefficient or scalar must be rational, got {show(v)}")
     try:
         return Fraction(v)
     except (OverflowError, TypeError, ValueError) as e:  # None, "x", an infinity, ...
@@ -44,7 +44,7 @@ def _frac5(vals) -> tuple[Fraction, ...]:
 
 def _require_class(c) -> None:
     if not isinstance(c, CohClass):
-        raise InvalidVector(f"a cohomology class is required, got {c!r}")
+        raise InvalidVector(f"a cohomology class is required, got {show(c)}")
 
 
 class CohClass(Record):
@@ -158,7 +158,7 @@ def mukai_vector_line(k: int) -> CohClass:
     (1, 7/4, 51/32, 385/384, 2921/6144)
     """
     if type(k) is not int:
-        raise InvalidDegree(f"k must be an int, got {k!r}")
+        raise InvalidDegree(f"k must be an int, got {show(k)}")
     return exp_h(k) * characteristic_classes().sqrt_todd
 
 
@@ -196,7 +196,7 @@ def euler_line(k: int) -> int:
     [1, 1, 6, 21]
     """
     if type(k) is not int:
-        raise InvalidDegree(f"k must be an int, got {k!r}")
+        raise InvalidDegree(f"k must be an int, got {show(k)}")
 
     def binom5(m: int) -> int:
         return m * (m - 1) * (m - 2) * (m - 3) * (m - 4) // 120

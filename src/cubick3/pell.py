@@ -73,6 +73,7 @@ from __future__ import annotations
 
 from math import isqrt
 
+from ._record import show
 from .errors import InvalidDegree
 
 # least solutions for the nonsquare D <= 9
@@ -127,7 +128,7 @@ def least_solution(D: int) -> tuple[int, int] | None:
     (3, 2)
     """
     if type(D) is not int or D <= 0:
-        raise InvalidDegree(f"D must be a positive int, got {D!r}")
+        raise InvalidDegree(f"D must be a positive int, got {show(D)}")
     s = isqrt(D)
     if s * s == D:
         # (sy - x)(sy + x) = 3 forces sy = 2, x = 1

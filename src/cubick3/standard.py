@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import intlinalg as la
-from ._record import Record
+from ._record import Record, int_str, json_int, parse_int, show
 from .conditions import _factorize
 from .errors import (
     InvalidDegree,
@@ -48,8 +48,6 @@ from .lattice import (
     as_vector,
     direct_sum,
     divisibility,
-    int_str,
-    json_int,
     saturation,
 )
 
@@ -112,17 +110,11 @@ def standard_lattice(name: str) -> GramLattice:
     14
     """
     if type(name) is not str:
-        raise UnknownLattice(f"lattice name must be a str, got {name!r}")
+        raise UnknownLattice(f"lattice name must be a str, got {show(name)}")
     # LambdaD(<digits>): isdecimal accepts the Unicode Nd digits, as int() does
     digits = name[8:-1]
     if name.startswith("LambdaD(") and name.endswith(")") and digits.isdecimal():
-        try:
-            d = int(digits)
-        except ValueError:  # past the int-str digit limit: `decimal` has none
-            from decimal import Decimal
-
-            d = int(Decimal(digits))
-        return lambda_d_lattice(d)
+        return lambda_d_lattice(parse_int(digits))
     return _fixed_lattice(name)
 
 
@@ -262,7 +254,7 @@ NLCase.INDEX_THREE = NLCase("index3")
 def _check_special(d: int) -> None:
     # an exact int only: a float, Fraction or bool d would leak into the reports
     if type(d) is not int or d <= 0 or d % 6 not in (0, 2):
-        raise NotSpecialDiscriminant(f"d = {d!r} is not an int congruent to 0 or 2 mod 6")
+        raise NotSpecialDiscriminant(f"d = {show(d)} is not an int congruent to 0 or 2 mod 6")
 
 
 def nl_vector(d: int) -> Vector:
@@ -307,7 +299,7 @@ def classify_nl_vector(v) -> tuple[NLCase, int]:
     v = _primitive_gamma_vector(v, InvalidNLVector("zero vector"))
     sq = standard_lattice("Gamma").square(v)
     if sq >= 0:
-        raise InvalidNLVector(f"square must be negative, got {sq}")
+        raise InvalidNLVector(f"square must be negative, got {show(sq)}")
     span = IntMatrix((H2, gamma_to_gammabar(v)))
     _, index = saturation(Sublattice(standard_lattice("Gammabar"), span))
     if index == 1:

@@ -37,7 +37,7 @@ from . import intlinalg as la
 from . import lattice as lat
 from . import mukai as mk
 from . import standard as st
-from ._record import Record
+from ._record import Record, show
 from .errors import InvalidDegree, InvalidParity, InvalidVector, require_even
 
 
@@ -78,7 +78,7 @@ class VerifySummary(Record):
 
 
 def _check(out: list[CheckResult], check_id: str, expected, actual) -> None:
-    out.append(CheckResult(check_id, expected == actual, repr(expected), repr(actual)))
+    out.append(CheckResult(check_id, expected == actual, show(expected), show(actual)))
 
 
 def _derived_embedding() -> tuple[st.EmbeddingReport, tuple[lat.Sublattice, ...]]:
@@ -508,7 +508,7 @@ def run_all(genus_max: int = 200) -> VerifySummary:
     """Every check, with the per-d sweeps over the special d in [8, genus_max]."""
     # an exact int, but not `require_even`: an odd bound is a valid sweep end
     if type(genus_max) is not int or genus_max < 8:
-        raise InvalidDegree(f"genus_max must be at least 8, got {genus_max!r}")
+        raise InvalidDegree(f"genus_max must be at least 8, got {show(genus_max)}")
     out: list[CheckResult] = []
     blocks = (
         ("embedding", lambda: _embedding_checks(out)),
@@ -526,6 +526,6 @@ def run_all(genus_max: int = 200) -> VerifySummary:
             block()
         except Exception as exc:  # a defective build must itemize, not crash
             out.append(
-                CheckResult(f"{name}.exception", False, "no exception", repr(exc))
+                CheckResult(f"{name}.exception", False, "no exception", show(exc))
             )
     return VerifySummary(tuple(out))

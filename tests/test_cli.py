@@ -4,6 +4,7 @@ The outputs themselves are pinned byte for byte by the golden corpus
 (`tests/test_golden.py`).
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -187,9 +188,9 @@ class TestLargeIntegers:
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this interpreter has no int-str digit limit")
     def test_library_renders_past_the_default_digit_limit(self, capsys):
-        # the CLI lifts the interpreter's int-str limit; the library needs no
-        # lift for the same values: the (***) witness of d has about 32,000
-        # digits, and the LambdaD degree 5,000
+        # the library and the CLI render these values at the interpreter's
+        # default int-str limit, the same text in both: the (***) witness of
+        # d has about 32,000 digits, and the LambdaD degree 5,000
         from cubick3.conditions import condition_flags, csv_row
         from cubick3.standard import standard_lattice
 
@@ -213,11 +214,36 @@ class TestLargeIntegers:
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this interpreter has no int-str digit limit")
-    def test_digit_limit_is_restored(self, capsys):
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(5000)
+    def test_prints_past_the_digit_limit_without_changing_it(self, capsys, monkeypatch):
+        # the sha256 of each stdout, as printed when the CLI still lifted the
+        # limit around each command; now no command may change it
+        def refuse(n):
+            raise AssertionError("the CLI changed the int-str digit limit")
+
+        lam = "LambdaD(" + "2" * 4301 + ")"
+        outputs = [
+            (["classify", "200000000006"],
+             "6c006257f5c0dd720c349c388dfbc93104f1d1ca58baddf749e57fcbb5407465"),
+            (["classify", "200000000006", "--format", "json"],
+             "a992b0d78d5bb465c6ce89952f9805edf87288ff97310140dfb4f5949bfeb579"),
+            (["lattice", lam],
+             "94fd95fb20e389b9e7b4f0f66e08493d973df8453da7c377a9f67059e76b248a"),
+            (["lattice", lam, "--disc"],
+             "21e87ae6ce83ca87075c061b87830341fecbca88f05c6fce9f60b551f551445c"),
+            (["lattice", lam, "--disc-group"],
+             "d19c7c8ccc1f4f3f71fbaa148c6edc5531fe1235a5b7d6b99e6df3c9401b95ee"),
+            (["lattice", lam, "--disc-group", "--format", "json"],
+             "e8c112ebf5fedc676d1f48724da733062d6480ca50706f63bc236bf4e0a4bea6"),
+            (["lattice", lam, "--format", "json"],
+             "0395d45e17bbe8acd2e4d8da72e257e70db9217a182e197a2a4778be7a76e8f1"),
+        ]
+        old, real_set = sys.get_int_max_str_digits(), sys.set_int_max_str_digits
+        real_set(sys.int_info.default_max_str_digits)
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
         try:
-            assert main(["classify", "14"]) == 0
-            assert sys.get_int_max_str_digits() == 5000
+            for argv, digest in outputs:
+                assert main(argv) == 0
+                out = capsys.readouterr().out.encode()
+                assert hashlib.sha256(out).hexdigest() == digest, argv[:2]
         finally:
-            sys.set_int_max_str_digits(old)
+            real_set(old)

@@ -4,22 +4,28 @@ One table of (entry point, out-of-domain value, typed error): each call must
 raise its entry point's `CubicK3Error` subclass, never answer, never raise a
 bare `TypeError`, and never hang (each runs under `limits.time_limit`).  The
 values are a float, a `Fraction`, a `str`, `True` (an `int` subclass), 0, a
-negative, an odd value and an even one of the wrong residue: 14.0 and
-Fraction(14) pass a bare parity or residue test, and "14" breaks it with a
-`TypeError`.  A twist k of `mukai_vector_line` and `euler_line` may be any
-int and a D of `pell.least_solution` any positive int, so only their type
-and sign are refused.  The lattice entry points that take a vector get one
-of the wrong length for A2 (rank 2), and raise InvalidVector, as does a
-`Sublattice` of A2 with basis rows of length 1 or 3; those that take
-integer coordinates, `pairing`, `square` and `basis_pairings` among them,
-raise it too for a vector with a `Fraction(1, 2)`, a 0.5, a `None` or a
-`True` entry; `Sublattice.contains`
+negative, an odd value, an odd value of 5,001 digits and an even one of the
+wrong residue: 14.0 and Fraction(14) pass a bare parity or residue test,
+"14" breaks it with a `TypeError`, and the long one breaks a message that
+quotes it with `repr`, past the interpreter's int-str digit limit (the test
+ids name it through `show`).  A twist k of `mukai_vector_line` and
+`euler_line` may be any int and a D of `pell.least_solution` any positive
+int, so only their type and sign are refused.  The lattice entry points
+that take a vector get one of the wrong length for A2 (rank 2), and raise
+InvalidVector, as does a `Sublattice` of A2 with basis rows of length 1 or
+3; those that take integer coordinates, `pairing`, `square` and
+`basis_pairings` among them, raise it too for a vector with a
+`Fraction(1, 2)`, a 0.5, a `None` or a `True` entry; `Sublattice.contains`
 takes a rational vector and answers False for a non-integral one, but
-raises InvalidVector for a v that is not iterable (`None`, 5, 1.5).  A Gram
-matrix that is ragged, not symmetric or not integral (a float, a `None` or a
-`True` entry) raises InvalidMatrix, as do rows that are not a sequence
-(`None`, 5) and a JSON object of `GramLattice.from_json` without integer
-`gram` rows; so does a lattice label that is neither a `str` nor `None` (a
+raises InvalidVector for a v that is not iterable (`None`, 5, 1.5).  A
+`Sublattice` of a lattice with an entry past the digit limit and a basis
+that is not a matrix raises InvalidLattice, with the lattice in its
+message.  A Gram matrix that is ragged, not symmetric or not integral (a
+float, a `None` or a `True` entry) raises InvalidMatrix, as do rows that
+are not a sequence (`None`, 5) and a JSON object of `GramLattice.from_json`
+without integer `gram` rows, or with an entry string that int() refuses
+for more than its length ("1e5", "1.5", "NaN"); so does a lattice label
+that is neither a `str` nor `None` (a
 list, 5, `True`), through `from_rows` and through `from_json`.  The Mukai
 classes raise InvalidVector for coefficients that are not five rationals, a
 scalar or an `exp_h` argument that is not rational (a `bool` is not), a
@@ -55,6 +61,7 @@ from cubick3 import mukai as mk
 from cubick3 import pell
 from cubick3 import standard as st
 from cubick3 import verify as vf
+from cubick3._record import show
 from cubick3.cli import build_report
 from cubick3.errors import (
     InvalidDegree,
@@ -70,8 +77,10 @@ from limits import time_limit
 
 ALARM_S = 5
 
+# an odd int past the interpreter's int-str digit limit (4,300 digits by default)
+HUGE = 10**5000 + 1
 # the values refused by each domain: an exact int, even, at least 2
-EVEN = (14.0, Fraction(14), "14", True, 0, -4, 7)
+EVEN = (14.0, Fraction(14), "14", True, 0, -4, 7, HUGE)
 # ... and also 0 or 2 mod 6
 SPECIAL = EVEN + (10,)
 
@@ -91,14 +100,17 @@ NON_INTEGRAL = ((Fraction(1, 2), 0), (0.5, 0), (None, 0), (True, 0))
 # ragged, not symmetric, a float entry, a None entry, a bool entry, no rows at all
 BAD_GRAMS = (((2, -1), (-1,)), ((2, -1), (0, 2)), ((2.5, -1), (-1, 2)), ((None,),), ((True,),),
              None, 5)
-# no gram, not an object, gram not rows, an entry int() refuses
-BAD_JSON = ({}, [], {"gram": 5}, {"gram": [["x"]]})
+# no gram, not an object, gram not rows, entries int() refuses
+BAD_JSON = ({}, [], {"gram": 5}, {"gram": [["x"]]}, {"gram": [["1e5"]]}, {"gram": [["1.5"]]},
+            {"gram": [["NaN"]]})
 # a label that is not text
 BAD_LABELS = (["x"], 5, True)
 # not iterable
 NOT_A_VECTOR = (None, 5, 1.5)
 # where a lattice is required
 NOT_A_LATTICE = (None, "x", 3)
+# a lattice whose repr holds an int past the digit limit
+LONG_LAMBDA = st.standard_lattice("LambdaD(" + "2" * 5000 + ")")
 
 ONE = mk.CohClass.of(1, 0, 0, 0, 0)
 NO_CONSTANT_TERM = mk.CohClass.of(0, 1, 0, 0, 0)
@@ -126,6 +138,7 @@ call = _entries(
     is_primitive_of=lambda amb: lat.is_primitive(amb, (1, 0)),
     sublattice_rank=lambda x: lat.Sublattice(x, x).rank,
     sublattice_rows=lambda rows: lat.Sublattice(A2, lat.IntMatrix.from_rows(rows)),
+    sublattice_of=lambda amb: lat.Sublattice(amb, 5),
     mukai_pairing=lambda pair: mk.mukai_pairing(*pair),
     coh_class=lambda coeffs: mk.CohClass.of(*coeffs),
     times_one=lambda c: ONE * c,
@@ -141,18 +154,20 @@ def _rows(error, values, *entries):
 TABLE = (
     _rows(InvalidParity, EVEN, cond.condition_flags, build_report, cond.a2_represents,
           vf.a2_bruteforce, cond.witness_ss, cond.witness_sss, cond.boundary_count)
-    + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -8, 6, 9), cond.table)
-    + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -4, 9), call.table_start)
-    + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -6, 21, 14), cond.pell_brakkee)
-    + _rows(InvalidDegree, (7.0, Fraction(7), "7", True, 0, -5), pell.least_solution)
+    + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -8, 6, 9, HUGE), cond.table)
+    + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -4, 9, HUGE), call.table_start)
+    + _rows(InvalidDegree, (42.0, Fraction(42), "42", True, 0, -6, 21, 14, HUGE),
+            cond.pell_brakkee)
+    + _rows(InvalidDegree, (7.0, Fraction(7), "7", True, 0, -5, -HUGE), pell.least_solution)
     + _rows(NotSpecialDiscriminant, SPECIAL, st.nl_vector, vf.closed_form_bases,
             st.hassett_triple, st.kdoo_index, st.genus_compare)
     + _rows(InvalidDegree, EVEN, st.polarization_vector, st.boundary_witnesses)
     + _rows(UnknownLattice, EVEN, st.lambda_d_lattice)
     # an odd bound of at least 8 is a valid sweep end, so 7 is the odd value
-    + _rows(InvalidDegree, (8.5, Fraction(200), "200", True, 0, -5, 7), vf.run_all)
+    + _rows(InvalidDegree, (8.5, Fraction(200), "200", True, 0, -5, 7, -HUGE), vf.run_all)
     + _rows(UnknownLattice, (14.0, Fraction(14), 5, True, 0, "Gammma", "LambdaD(0)",
-                             "LambdaD(-4)", "LambdaD(7)", "LambdaD(14.0)"), st.standard_lattice)
+                             "LambdaD(-4)", "LambdaD(7)", "LambdaD(14.0)",
+                             "LambdaD(" + "1" * 5000 + ")"), st.standard_lattice)
     + _rows(InvalidDegree, (1.5, Fraction(1), "1", True), mk.mukai_vector_line, mk.euler_line)
     + _rows(InvalidVector, WRONG_LENGTH, call.span_sublattice, call.orthogonal_complement,
             call.saturate_rows, call.contains, call.is_primitive, call.divisibility, call.pairing,
@@ -177,13 +192,20 @@ TABLE = (
             lat.GramLattice, call.sublattice_rank, call.span_sublattice_of,
             call.orthogonal_complement_of, call.saturate_rows_of, call.divisibility_of,
             call.is_primitive_of)
+    + _rows(InvalidLattice, (LONG_LAMBDA,), call.sublattice_of)
     + _rows(InvalidLattice, ((), (1,), (A2, None)), lat.direct_sum)
 )
 
 
+def _id(v) -> str:
+    # `show`, which describes an int past the digit limit, with a long text cut
+    text = show(v)
+    return text if len(text) <= 200 else f"{text[:60]}...({len(text)} chars)"
+
+
 @pytest.mark.parametrize(
     "f, error, value",
-    [pytest.param(f, error, v, id=f"{f.__name__}-{v!r}") for f, error, v in TABLE],
+    [pytest.param(f, error, v, id=f"{f.__name__}-{_id(v)}") for f, error, v in TABLE],
 )
 def test_out_of_domain_raises_its_typed_error(f, error, value):
     with time_limit(ALARM_S), pytest.raises(error):

@@ -475,6 +475,13 @@ def test_json_big_integers_as_strings():
     assert GramLattice.from_json(obj).gram.data == ((big,),)
 
 
+def test_json_round_trip_past_the_digit_limit():
+    # the [-d] entry has 5,000 digits, past the interpreter's int-str limit,
+    # and comes back from its decimal string at that limit
+    L = standard_lattice("LambdaD(" + "2" * 5000 + ")")
+    assert GramLattice.from_json(json.loads(json.dumps(L.to_json()))) == L
+
+
 def _bits(rows):
     return max((abs(e).bit_length() for row in rows for e in row), default=0)
 

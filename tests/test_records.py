@@ -25,7 +25,7 @@ from cubick3 import lattice as lat
 from cubick3 import mukai as mk
 from cubick3 import standard as st
 from cubick3 import verify as vf
-from cubick3._record import Record
+from cubick3._record import Record, parse_int, show
 from cubick3.cli import Report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -139,6 +139,35 @@ def test_record_protocol(record, text):
     assert repr(copy) == text
     with pytest.raises(TypeError, match="not_a_field"):
         record._replace(not_a_field=1)
+
+
+def test_repr_describes_an_int_past_the_digit_limit():
+    # the interpreter's str() refuses the 5,000-digit entry of this Gram
+    L = st.standard_lattice("LambdaD(" + "2" * 5000 + ")")
+    assert repr(L).startswith("GramLattice(gram=IntMatrix(data=<tuple with more digits than")
+    assert show(-(10**5000)) == "<int with more digits than the int-str limit>"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int-str digit limit")
+def test_parse_int_reads_what_int_reads_past_the_digit_limit():
+    digits = "7" * 5000
+    texts = (digits, f" -{digits}\n", "+" + "_".join(digits), "\u0661" * 5000)
+    refused = ("1e5", "1.5", "NaN", "Infinity", "", "-", "_" + digits, digits + "_",
+               "7__" + digits, "+-" + digits, digits + ".0", digits + "x")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        wanted = [int(t) for t in texts]
+        for t in refused:
+            with pytest.raises(ValueError):
+                int(t)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert [parse_int(t) for t in texts] == wanted
+    for t in refused:
+        with pytest.raises(ValueError):
+            parse_int(t)
 
 
 def test_equality_is_per_class():
