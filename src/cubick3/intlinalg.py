@@ -3,14 +3,16 @@
 Matrices are plain lists of lists (row-major) of Python ints.  The
 `sparse_*` kernels and `pairing` take a matrix in sparse form instead: for
 each row, the list of its nonzero (column, entry) pairs, as built by
-`sparse_rows`.  Nothing in this module knows about lattices.  One
-elimination routine, `row_echelon`, is behind the Hermite bases, echelon
-transforms, kernels, ranks, determinants and the Smith normal form.  It
-applies each row operation to whole rows, so columns past the echelon ride
-along: a matrix X appended to A comes back as U*X, and an appended identity
-as the transform U.  Beside it sit the one exact solve against echelon
-rows, `echelon_solve`, and the one reduction above the pivots,
-`_reduce_above`.  A kernel is read off a short suffix of the rows: once the
+`sparse_rows`.  Nothing in this module knows about lattices.  Two
+eliminations give every fact.  `row_echelon`, by unimodular row operations,
+is behind the Hermite bases, echelon transforms, kernels, ranks and the
+Smith normal form.  `inertia`, fraction-free and symmetric, gives the
+signature and the determinant of a symmetric matrix at once; a matrix that
+is not symmetric has no determinant here.  `row_echelon` applies each row
+operation to whole rows, so columns past the echelon ride along: a matrix X
+appended to A comes back as U*X, and an appended identity as the transform
+U.  Beside it sit the one exact solve against echelon rows,
+`echelon_solve`, and the one reduction above the pivots, `_reduce_above`.  A kernel is read off a short suffix of the rows: once the
 rows A[j0:] span the same Z-module as all of A, the canonical kernel basis
 is [[I, Y], [0, T]], with T the kernel of the suffix and Y one
 `echelon_solve` against the suffix's echelon (see `left_kernel`).  The
@@ -23,7 +25,6 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
-import math
 from itertools import compress, count
 from operator import mul
 
@@ -90,15 +91,13 @@ def pairing(S, u, v):
     return sum(a * sum(e * v[j] for j, e in row) for a, row in zip(u, S) if a)
 
 
-def row_echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], int, int]:
+def row_echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], int]:
     """Integer row echelon form of the first n columns, by unimodular row operations.
 
-    Returns (M, rank, sign).  Row operations act on whole rows, so the
-    columns past n ride along: rows [A | X] give M = [H | U*X] with U*A == H
-    and U unimodular, pivot columns of H strictly increasing with positive
-    pivots, and rows from index `rank` on zero in H.  X = I gives U itself.
-    sign = det U is +1 or -1: each row swap and each pivot negation flips
-    it, and subtracting a multiple of one row from another keeps it.
+    Returns (M, rank).  Row operations act on whole rows, so the columns
+    past n ride along: rows [A | X] give M = [H | U*X] with U*A == H and U
+    unimodular, pivot columns of H strictly increasing with positive pivots,
+    and rows from index `rank` on zero in H.  X = I gives U itself.
 
     Pivot rule: for each column, the row with the smallest nonzero |entry|
     is moved to the pivot position and the nearest-integer multiple of it is
@@ -114,7 +113,6 @@ def row_echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], int, in
     M = [list(row) for row in rows]
     m = len(M)
     r = 0
-    sign = 1
     for col in range(n):
         if r == m:
             break
@@ -128,7 +126,6 @@ def row_echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], int, in
                 break
             if piv != r:
                 M[r], M[piv] = M[piv], M[r]
-                sign = -sign
             Mr = M[r]
             a = Mr[col]
             # zero entries of the pivot row leave the other rows unchanged
@@ -150,29 +147,87 @@ def row_echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], int, in
             continue  # no pivot in this column
         if M[r][col] < 0:
             M[r] = [-e for e in M[r]]
-            sign = -sign
         r += 1
-    return M, r, sign
+    return M, r
 
 
 def row_echelon_transform(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int]:
     """(H, U, rank) with U*A == H: the `row_echelon` of [A | I], split."""
     m = len(A)
     n = len(A[0]) if m else 0
-    M, r, _ = row_echelon([list(row) + e for row, e in zip(A, identity(m))], n)
+    M, r = row_echelon([list(row) + e for row, e in zip(A, identity(m))], n)
     return [row[:n] for row in M], [row[n:] for row in M], r
 
 
-def det(A: list[list[int]]) -> int:
-    """Signed determinant of a square matrix, read off its `row_echelon` U*A == H.
+def inertia(G: list[list[int]]) -> tuple[int, int, int, int]:
+    """(pos, neg, null, det) of a symmetric integer matrix: its Sylvester signature and determinant.
 
-    H is upper triangular, so det A = det U * prod H[i][i] with det U the
-    echelon's sign.  Below full rank the last row of H is zero, and so is the
-    product.  The empty matrix has determinant 1.
+    One fraction-free symmetric elimination (Bareiss 1968), on the upper
+    triangle alone.  Let Delta be the minor of G on the rows and columns
+    eliminated so far (1 before the first) and c = |Delta|.  The invariant:
+    the trailing block is c times the Schur complement S of that minor.  A
+    pivot p = M[lo][lo] is c times the real pivot s = S[lo][lo], so s has the
+    sign of p and counts into pos or neg directly.  The step
+
+        M[i][j] = (|p| * M[i][j] - sign(p) * M[i][lo] * M[lo][j]) // c
+
+    keeps the invariant: the new |Delta| is |Delta * s| = |p|, and the
+    right-hand side is |p| * (S[i][j] - S[i][lo] * S[lo][j] / s).  Its
+    division is exact, since c times an entry of a Schur complement is, up
+    to sign, the bordered minor of G on the eliminated rows and i by the
+    eliminated columns and j (Sylvester's identity): an integer.  Then c
+    becomes |p|.  det G is the product of the real pivots, so it is
+    (-1)^neg * c at the end, or 0 when a row came up zero.
+
+    A zero row of the trailing block lies in the radical of S: it counts one
+    null and is skipped.  Its entries stay zero, and it enters no later
+    minor.  A zero pivot whose row is not zero is fixed by one unimodular
+    congruence: with a = M[lo][j] the first nonzero entry of the row and
+    b = M[j][j], t times row and column j are added to row and column lo.
+    The new pivot is 2ta + b, and t = 1 makes it nonzero unless 2a + b = 0,
+    when t = -1 does, as a != 0.  The divisions stay exact through it.  On G
+    the congruence is P = I + Q, with I on the eliminated indices and Q
+    unimodular on the trailing ones.  It leaves Delta as it is and maps S to
+    Q^T S Q.  Each bordered minor of P^T G P is linear in its last row and
+    its last column, so it is an integer combination of bordered minors of
+    G: the trailing block is c times the Schur complement of the integer
+    matrix P^T G P, and det(P^T G P) = det G.
+
+    >>> inertia([[0, 1], [1, 0]])  # a hyperbolic plane: pivot 2, then -1/2
+    (1, 1, 0, -1)
+    >>> inertia([[2, -1, 0], [-1, 2, 0], [0, 0, 0]])
+    (2, 0, 1, 0)
     """
-    n = len(A)
-    H, _, sign = row_echelon(A, n)
-    return sign * math.prod(H[i][i] for i in range(n))
+    M = [list(row) for row in G]
+    n = len(M)
+    pos = neg = null = 0
+    c = 1
+    for lo in range(n):
+        row = M[lo]
+        if not row[lo]:
+            j = next((j for j in range(lo + 1, n) if row[j]), None)
+            if j is None:
+                null += 1
+                continue
+            a, b = row[j], M[j][j]
+            t = 1 if 2 * a + b else -1
+            for k in range(lo + 1, n):  # entry (j, k) of the upper triangle
+                row[k] += t * (M[j][k] if k >= j else M[k][j])
+            row[lo] = 2 * t * a + b
+        p = row[lo]
+        if p > 0:
+            pos, s = pos + 1, 1
+        else:
+            neg, s = neg + 1, -1
+        q = abs(p)
+        for i in range(lo + 1, n):
+            Mi, f = M[i], s * row[i]
+            if f:
+                Mi[i:] = [(q * x - f * y) // c for x, y in zip(Mi[i:], row[i:])]
+            elif q != c:
+                Mi[i:] = [q * x // c for x in Mi[i:]]
+        c = q
+    return pos, neg, null, 0 if null else (-c if neg % 2 else c)
 
 
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -191,7 +246,7 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """
     if not rows:
         return []
-    H, r, _ = row_echelon(rows, len(rows[0]))
+    H, r = row_echelon(rows, len(rows[0]))
     H = H[:r]
     _reduce_above(H, list(map(pivot_column, H)))
     return H
@@ -360,9 +415,9 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     D = [list(row) for row in A]
     Vt = identity(n)  # V^T: a column operation on D is a row operation on Vt
     while True:
-        M, _, _ = row_echelon([c + v for c, v in zip(transpose(D), Vt)], m)
+        M, _ = row_echelon([c + v for c, v in zip(transpose(D), Vt)], m)
         Vt = [row[m:] for row in M]
-        D, _, _ = row_echelon(transpose(M)[:m], n)
+        D, _ = row_echelon(transpose(M)[:m], n)
         if any(D[i][j] for i in range(m) for j in range(n) if i != j):
             continue
         diag = [D[i][i] for i in range(min(m, n))]

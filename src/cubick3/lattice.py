@@ -8,15 +8,15 @@ freely between threads.
 
 The arithmetic stays in integers (a non-integral coordinate raises
 `InvalidVector`, a non-integral, ragged or non-symmetric Gram matrix
-`InvalidMatrix`, and anything but a lattice where one is required
-`InvalidLattice`; nothing is truncated) and touches only nonzero entries: a
-`GramLattice` keeps the sparse rows of its Gram matrix for pairings and
-induced Gram matrices, both scattered from the nonzero entries of each
-vector (`intlinalg.sparse_mat_vec`).  Each lattice fact is read off the one
-reduction that produces it.  Saturation is one echelon U * S^T = H of the
-generators, run on a short suffix of the coordinates where some generator
-is nonzero (k + 3 of them for k generators), whose rows span the same
-module as all of them: the product of the diagonal of H is the index
+`InvalidMatrix`, also in a raw `IntMatrix`, and anything but a lattice
+where one is required `InvalidLattice`; nothing is truncated) and touches
+only nonzero entries: a `GramLattice` keeps the sparse rows of its Gram
+matrix for pairings and induced Gram matrices, both scattered from the
+nonzero entries of each vector (`intlinalg.sparse_mat_vec`).  Each lattice
+fact is read off the one reduction that produces it.  Saturation is one
+echelon U * S^T = H of the generators, run on a short suffix of the
+coordinates where some generator is nonzero (k + 3 of them for k
+generators), whose rows span the same module as all of them: the product of the diagonal of H is the index
 [sat : S], and one `intlinalg.echelon_solve` against H gives a basis of
 the saturation, and proves the suffix spans when it divides exactly (see
 `saturation`).  Complements are one `left_kernel` of the pairing matrix
@@ -29,8 +29,10 @@ lattices have equal bases, and membership is Hermite equality: v lies in the
 lattice with Hermite basis H exactly when the Hermite basis of H + [v] is H
 again (a non-integral vector is never a member).  A sublattice built here
 as a saturation or a complement carries that fact (see `Sublattice`), so
-its own saturation is itself, at index 1, with no echelon.  Determinants
-are the signed diagonal of one `row_echelon`.
+its own saturation is itself, at index 1, with no echelon.  The signature
+and the determinant of a Gram are read off one fraction-free symmetric
+elimination, `intlinalg.inertia`, which each `GramLattice` runs at most
+once; no `Fraction` enters this module.
 `disc_group` reads degeneracy off the zero of the Smith diagonal and stays
 in integers: generator i is the Smith column c_i over its order n_i, and
 its q-value is the numerator (c_i . c_i) / n_i mod 2 n_i over n_i.
@@ -39,8 +41,8 @@ its q-value is the numerator (c_i . c_i) / n_i mod 2 n_i over n_i.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from ._record import Record, json_int, parse_int, show
 from .errors import (
@@ -139,6 +141,9 @@ class GramLattice(Record):
             raise InvalidLattice(f"a Gram IntMatrix is required, got {show(gram)}")
         if not gram.is_symmetric():
             raise InvalidMatrix("Gram matrix must be symmetric")
+        if not _INT_ONLY.issuperset(map(type, chain.from_iterable(gram.data))):
+            bad = next(e for e in chain.from_iterable(gram.data) if type(e) is not int)
+            raise InvalidMatrix(f"non-integral Gram entry {show(bad)}")
         if label is not None and not isinstance(label, str):
             raise InvalidMatrix(f"a lattice label must be a str or None, got {show(label)}")
         s = self.__dict__
@@ -158,9 +163,14 @@ class GramLattice(Record):
         return all(self.gram.data[i][i] % 2 == 0 for i in range(self.rank))
 
     @cached_property
+    def _inertia(self) -> tuple[int, int, int, int]:
+        # (pos, neg, null, det): `signature` and `det` read one elimination
+        return la.inertia(self.gram.data)
+
+    @property
     def det(self) -> int:
         """Signed determinant of the Gram matrix."""
-        return la.det(self.gram.to_lists())
+        return self._inertia[3]
 
     @property
     def abs_det(self) -> int:
@@ -245,7 +255,7 @@ class Sublattice(Record):
 
     @cached_property
     def det(self) -> int:
-        return la.det(self.induced_gram.to_lists())
+        return self.as_lattice().det
 
     @property
     def abs_det(self) -> int:
@@ -311,9 +321,8 @@ class DiscGroup(Record):
 def direct_sum(parts, *, label: str | None = None) -> GramLattice:
     """Orthogonal sum of lattices: the block-diagonal Gram of the parts, in order.
 
-    The sum is validated like any Gram from outside (`GramLattice.from_rows`),
-    since a part built with the raw `IntMatrix` constructor may hold
-    non-integral entries.
+    Every part's Gram was checked when the part was built, so the sum is
+    built with the raw `IntMatrix` constructor.
     """
     parts = list(parts)
     if not parts or not all(isinstance(p, GramLattice) for p in parts):
@@ -326,63 +335,13 @@ def direct_sum(parts, *, label: str | None = None) -> GramLattice:
         pad = rank - off - part.rank
         rows += [(0,) * off + row + (0,) * pad for row in part.gram.data]
         off += part.rank
-    return GramLattice.from_rows(rows, label)
+    return GramLattice(IntMatrix(tuple(rows)), label)
 
 
 def signature(L: GramLattice) -> tuple[int, int, int]:
-    """Sylvester signature (pos, neg, null) by exact symmetric elimination.
-
-    A zero pivot is replaced by moving a nonzero diagonal entry to the front
-    when one exists.  Otherwise, when the pivot row is not zero, row and
-    column j with M[lo][j] != 0 are added to row and column lo: a congruence
-    after which the pivot is M[lo][j] + M[j][lo] = 2 M[lo][j], as M[j][j] is
-    0 too.  Each step updates only the rows and columns where the pivot row
-    is nonzero: the trailing block stays symmetric, so no other entry of it
-    changes.
-    """
+    """Sylvester signature (pos, neg, null), read off `intlinalg.inertia` with `det`."""
     _check_lattice(L)
-    n = L.rank
-    M = L.gram.to_lists()  # entries become Fractions where elimination divides
-    pos = neg = null = 0
-
-    def swap(i, j):
-        M[i], M[j] = M[j], M[i]
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-
-    lo = 0
-    while lo < n:
-        if not M[lo][lo]:
-            d = next((j for j in range(lo + 1, n) if M[j][j]), None)
-            if d is not None:
-                swap(lo, d)
-        row = M[lo]
-        support = [j for j in range(lo + 1, n) if row[j]]
-        if not row[lo]:
-            if not support:
-                null += 1
-                lo += 1
-                continue
-            # every remaining diagonal entry vanishes: the congruence step
-            Mj = M[support[0]]
-            for k in range(lo + 1, n):
-                if Mj[k]:
-                    row[k] += Mj[k]
-                    M[k][lo] = row[k]
-            row[lo] = 2 * row[support[0]]
-            support = [j for j in range(lo + 1, n) if row[j]]
-        p = Fraction(row[lo])
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in support:
-            Mi = M[i]
-            f = Mi[lo] / p
-            for j in support:
-                Mi[j] -= f * row[j]
-        lo += 1
-    return pos, neg, null
+    return L._inertia[:3]
 
 
 def disc_group(L: GramLattice) -> DiscGroup:
@@ -505,7 +464,7 @@ def _saturate(amb: GramLattice, rows):
     # integral; the echelon's transform is not read, so none is carried
     W = None
     for j0 in la.suffix_starts(len(T), k + 3):
-        H, r, _ = la.row_echelon(T[j0:], k)
+        H, r = la.row_echelon(T[j0:], k)
         if r < k:
             break
         W = la.echelon_solve(H, range(k), rows)

@@ -337,6 +337,46 @@ def signature(G) -> tuple[int, int, int]:
     return pos, neg, null
 
 
+def charpoly(G) -> list[int]:
+    """Coefficients c_0, ..., c_n of det(x I - G) = sum c_k x^k, by Faddeev-LeVerrier.
+
+    With M_0 = 0 and c_n = 1, step k sets M_k = G M_(k-1) + c_(n-k+1) I and
+    c_(n-k) = -tr(G M_k) / k.  For an integer G every M_k and c is an integer,
+    so each division by k is exact; no elimination and no pivot is used.
+    """
+    n = len(G)
+    c = [0] * n + [1]
+    M = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = matmul(G, M)
+        for i in range(n):
+            M[i][i] += c[n - k + 1]
+        t = sum(dot(G[i], [row[i] for row in M]) for i in range(n))
+        if t % k:
+            raise AssertionError("Faddeev-LeVerrier division is not exact")
+        c[n - k] = -t // k
+    return c
+
+
+def signature_descartes(G) -> tuple[int, int, int]:
+    """(pos, neg, null) of a symmetric G from its characteristic polynomial alone.
+
+    A real symmetric matrix has only real eigenvalues, and for a polynomial
+    with only real roots Descartes' rule of signs is exact: the sign changes
+    of the coefficients count the positive roots, those of p(-x) the
+    negative ones.  null is the multiplicity of the root 0, the number of
+    zero coefficients below the lowest nonzero one.
+    """
+    c = charpoly(G)
+    null = next(k for k, e in enumerate(c) if e)
+
+    def changes(coeffs):
+        signs = [e > 0 for e in coeffs if e]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(c), changes([e if k % 2 == 0 else -e for k, e in enumerate(c)]), null
+
+
 def witness_ss(d):
     """Least (n, a) with a*d = 2n^2 + 2n + 2 for even d, or None, by scanning n in [0, d/2).
 

@@ -21,8 +21,9 @@ raises InvalidVector for a v that is not iterable (`None`, 5, 1.5).  A
 `Sublattice` of a lattice with an entry past the digit limit and a basis
 that is not a matrix raises InvalidLattice, with the lattice in its
 message.  A Gram matrix that is ragged, not symmetric or not integral (a
-float, a `None` or a `True` entry) raises InvalidMatrix, as do rows that
-are not a sequence (`None`, 5) and a JSON object of `GramLattice.from_json`
+float, a `None` or a `True` entry) raises InvalidMatrix, as does a raw
+`IntMatrix` Gram with an entry that is not an `int` (0.5, `Fraction(1, 2)`,
+`True`, "a"), and rows that are not a sequence (`None`, 5) and a JSON object of `GramLattice.from_json`
 without integer `gram` rows, or with an entry string that int() refuses
 for more than its length ("1e5", "1.5", "NaN"); so does a lattice label
 that is neither a `str` nor `None` (a
@@ -128,6 +129,7 @@ call = _entries(
     square=lambda v: A2.square(v),
     basis_pairings=lambda v: A2.basis_pairings(v),
     gram_from_rows=lambda rows: lat.GramLattice.from_rows(rows),
+    gram_entry=lambda e: lat.GramLattice(lat.IntMatrix(((e,),))),
     label_from_rows=lambda label: lat.GramLattice.from_rows([[2]], label),
     label_from_json=lambda label: lat.GramLattice.from_json({"gram": [[2]], "label": label}),
     # ... and on an ambient amb that may not be a lattice
@@ -178,6 +180,7 @@ TABLE = (
     + _rows(InvalidVector, ([[1]], [[1, 0, 5]]), call.sublattice_rows)
     + _rows(InvalidVector, NOT_A_VECTOR, call.contains)
     + _rows(InvalidMatrix, BAD_GRAMS, call.gram_from_rows)
+    + _rows(InvalidMatrix, (0.5, Fraction(1, 2), True, "a"), call.gram_entry)
     + _rows(InvalidMatrix, BAD_JSON, lat.GramLattice.from_json)
     + _rows(InvalidMatrix, BAD_LABELS, call.label_from_rows, call.label_from_json)
     + _rows(InvalidVector, ((ONE, 3), (1, 2)), call.mukai_pairing)

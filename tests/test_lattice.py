@@ -82,12 +82,16 @@ class TestDirectSum:
         assert L.gram.to_lists() == [[-2, 1], [1, -2]]
 
     def test_parts_are_validated(self):
-        # the raw IntMatrix constructor takes any entries; the sum checks them
-        half = GramLattice(IntMatrix(((Fraction(1, 2),),)))
-        with pytest.raises(ValueError, match="non-integral"):
-            direct_sum([U, half])
-        whole = GramLattice(IntMatrix(((Fraction(4, 1),),)))
-        assert direct_sum([whole, U]).gram.data == ((4, 0, 0), (0, 0, 1), (0, 1, 0))
+        # the raw IntMatrix constructor takes any entries, but a lattice on
+        # it refuses all but ints, so a part of a sum is checked where it is
+        # built; from_rows takes an integral Fraction as its int
+        for e in (Fraction(1, 2), Fraction(4, 1)):
+            with pytest.raises(ValueError, match="non-integral"):
+                GramLattice(IntMatrix(((e,),)))
+        whole = GramLattice.from_rows([[Fraction(4, 1)]])
+        total = direct_sum([whole, U]).gram.data
+        assert total == ((4, 0, 0), (0, 0, 1), (0, 1, 0))
+        assert {type(e) for row in total for e in row} == {int}
 
     def test_label_is_keyword_only(self):
         # a stale positional twist list must not become the label
@@ -539,7 +543,7 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
         *suffixes, (W, n, _) = calls
         assert [(len(A), len(A[0]), n) for A, n, _ in suffixes] == [(l, k, k) for l in lengths]
         assert n == amb.rank and len(W) == k  # the Hermite reduction of W
-        H, r, _ = suffixes[-1][2]
+        H, r = suffixes[-1][2]
         assert r == k
         widest = max(widest, _bits(W))
         for i in range(r):

@@ -99,6 +99,7 @@ def test_written_down_values_run_no_derivation(monkeypatch):
         f.cache_clear()
     try:
         monkeypatch.setattr(la, "row_echelon", forbidden)
+        monkeypatch.setattr(la, "inertia", forbidden)
         for name in ("project_right", "mukai_pairing"):
             monkeypatch.setattr(mk, name, forbidden)
         assert tuple(f() for f in written) == want

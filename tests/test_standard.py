@@ -377,7 +377,7 @@ class TestHassettTriple:
             (lattice, "orthogonal_complement"),
             (lattice, "disc_group"),
             (la, "hnf_rows"),
-            (la, "det"),
+            (la, "inertia"),
             (la, "smith_normal_form"),
         ):
             monkeypatch.setattr(module, name, forbidden)
