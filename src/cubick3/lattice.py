@@ -25,9 +25,9 @@ module as all of them (k + 2 rows for k vectors) and solves the other rows
 against it with the same `echelon_solve`.  Both suffixes grow by 1, 2, 4,
 ... rows while a division is inexact (`intlinalg.suffix_starts`).
 Saturations and complements come back as canonical Hermite bases, so equal
-lattices have equal bases, and membership is Hermite equality: v lies in the
-lattice with Hermite basis H exactly when the Hermite basis of H + [v] is H
-again (a non-integral vector is never a member).  A sublattice built here
+lattices have equal bases, and membership is one `echelon_solve` of v
+against the Hermite basis H at its pivot columns, checked in the others (a
+non-integral vector is never a member).  A sublattice built here
 as a saturation or a complement carries that fact (see `Sublattice`), so
 its own saturation is itself, at index 1, with no echelon.  The signature
 and the determinant of a Gram are read off one fraction-free symmetric
@@ -129,6 +129,13 @@ class IntMatrix(Record):
         return [[json_int(e) for e in row] for row in self.data]
 
 
+def _check_ints(matrix: IntMatrix, what: str):
+    # a raw `IntMatrix` is not validated: an entry that is not an int is refused here
+    if not _INT_ONLY.issuperset(map(type, chain.from_iterable(matrix.data))):
+        bad = next(e for e in chain.from_iterable(matrix.data) if type(e) is not int)
+        raise InvalidMatrix(f"non-integral {what} entry {show(bad)}")
+
+
 class GramLattice(Record):
     """A finite-rank integral lattice given by a symmetric Gram matrix.
 
@@ -141,9 +148,7 @@ class GramLattice(Record):
             raise InvalidLattice(f"a Gram IntMatrix is required, got {show(gram)}")
         if not gram.is_symmetric():
             raise InvalidMatrix("Gram matrix must be symmetric")
-        if not _INT_ONLY.issuperset(map(type, chain.from_iterable(gram.data))):
-            bad = next(e for e in chain.from_iterable(gram.data) if type(e) is not int)
-            raise InvalidMatrix(f"non-integral Gram entry {show(bad)}")
+        _check_ints(gram, "Gram")
         if label is not None and not isinstance(label, str):
             raise InvalidMatrix(f"a lattice label must be a str or None, got {show(label)}")
         s = self.__dict__
@@ -224,7 +229,9 @@ class Sublattice(Record):
     is.  The marker is set only in this module and is not a field: the
     constructor cannot set it, a copy (`_replace`, or the constructor on
     the same ambient and basis) is unmarked, and `==`, `repr` and `hash` do
-    not see it.
+    not see it.  A basis entry that is not an int raises InvalidMatrix; the
+    builders of this module, whose bases are ints by construction, skip that
+    check (`_sublattice`).
     """
 
     _saturated = False  # see `_saturated_sublattice`
@@ -236,6 +243,7 @@ class Sublattice(Record):
         # IntMatrix rows have one length, so the first row stands for all
         if basis.data and len(basis.data[0]) != ambient.rank:
             raise InvalidVector("basis row length does not match the ambient rank")
+        _check_ints(basis, "basis")
         s = self.__dict__
         s["ambient"] = ambient
         s["basis"] = basis
@@ -271,10 +279,13 @@ class Sublattice(Record):
     def contains(self, v) -> bool:
         """Whether the (possibly rational) ambient vector lies in the sublattice.
 
-        Hermite equality: v is a member iff adding it to the canonical
-        Hermite basis H spans the same lattice, i.e. hnf_rows(H + [v]) == H.
-        A vector with a non-integral entry (a ``Fraction``, a float, ``None``,
-        ...) is not a member; a v that is not iterable raises `InvalidVector`.
+        One `intlinalg.echelon_solve` against the canonical Hermite basis H:
+        v = z * H has at most one solution, read off the pivot columns of H
+        by forward substitution, and v is a member iff that z is integral
+        and z * H agrees with v in every other column too.  A rank-0
+        sublattice holds only 0.  A vector with a non-integral entry (a
+        ``Fraction``, a float, ``None``, ...) is not a member; a v that is
+        not iterable raises `InvalidVector`.
         """
         try:
             v = tuple(v)
@@ -285,7 +296,10 @@ class Sublattice(Record):
             w = as_vector(v)
         except InvalidVector:
             return False  # integer basis rows span only integer vectors
-        return la.hnf_rows(self._hnf + [list(w)]) == self._hnf
+        H = self._hnf
+        z = la.echelon_solve(H, [la.pivot_column(h) for h in H], [[e] for e in w])
+        return z is not None and all(
+            sum(c * h[j] for (c,), h in zip(z, H)) == e for j, e in enumerate(w))
 
 
 class DiscGroup(Record):
@@ -373,7 +387,7 @@ def span_sublattice(amb: GramLattice, vecs) -> Sublattice:
     _check_lengths(amb, rows)
     if la.rank_int(rows) != len(rows):
         raise DependentGenerators("generators are linearly dependent")
-    return Sublattice(amb, IntMatrix(tuple(rows)))
+    return _sublattice(amb, IntMatrix(tuple(rows)))
 
 
 def saturate_rows(amb: GramLattice, rows) -> Sublattice:
@@ -482,10 +496,18 @@ def _saturate(amb: GramLattice, rows):
     return _saturated_sublattice(amb, la.hnf_rows(W)), H, r
 
 
+def _sublattice(amb: GramLattice, basis: IntMatrix) -> Sublattice:
+    # a Sublattice whose basis holds ints of the ambient rank by construction,
+    # built without `Sublattice.__init__`'s checks, which cost a pass over it
+    S = object.__new__(Sublattice)
+    S.__dict__.update(ambient=amb, basis=basis)
+    return S
+
+
 def _saturated_sublattice(amb: GramLattice, basis) -> Sublattice:
     # the one place that marks a Sublattice: basis must be proved saturated
     # and a canonical Hermite basis by the caller (see `Sublattice`)
-    S = Sublattice(amb, IntMatrix(tuple(map(tuple, basis))))
+    S = _sublattice(amb, IntMatrix(tuple(map(tuple, basis))))
     S.__dict__["_saturated"] = True
     return S
 

@@ -43,8 +43,8 @@ from .lattice import (
     DiscGroup,
     GramLattice,
     IntMatrix,
-    Sublattice,
     Vector,
+    _sublattice,
     as_vector,
     direct_sum,
     divisibility,
@@ -301,7 +301,7 @@ def classify_nl_vector(v) -> tuple[NLCase, int]:
     if sq >= 0:
         raise InvalidNLVector(f"square must be negative, got {show(sq)}")
     span = IntMatrix((H2, gamma_to_gammabar(v)))
-    _, index = saturation(Sublattice(standard_lattice("Gammabar"), span))
+    _, index = saturation(_sublattice(standard_lattice("Gammabar"), span))
     if index == 1:
         d = -3 * sq
         assert d % 6 == 0

@@ -433,7 +433,7 @@ def _kdoo_holds(d: int, witness: st.KdooWitness) -> bool:
 
     For d = 0 (6) the involution must preserve the Gram of Gammabar, fix h2
     and negate v_d; for d = 2 (6) the saturation of span(h2, v_d) must
-    contain the member and not the non-member (Hermite equality).
+    contain the member and not the non-member (`Sublattice.contains`).
     """
     gbar = st.standard_lattice("Gammabar")
     vbar = st.gamma_to_gammabar(st.nl_vector(d))

@@ -1,12 +1,14 @@
-"""Code lines of each module of `src/cubick3`, and their total.
+"""Code lines of each module of one or more directories, and their totals.
 
-    python3 tests/ci/code_lines.py [DIR]
+    python3 tests/ci/code_lines.py [DIR ...]
 
 A code line is a line that holds a token other than a comment, outside the
 module, class and function docstrings; a token that spans several lines (a
 long string) makes each of them a code line.  Counted with `ast` and
 `tokenize` from the standard library, so two counts of one tree agree.
-`DIR` defaults to the package's `src/cubick3`.  Always exits 0.
+Each `DIR` (its `*.py` files, not its subdirectories) gets its name, a line
+per module and its total; the default is the package's `src/cubick3`.
+Always exits 0.
 """
 
 import ast
@@ -42,13 +44,12 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else PACKAGE
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        n = code_lines(path)
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    for root in map(Path, argv or [PACKAGE]):
+        counts = {path.name: code_lines(path) for path in sorted(root.glob("*.py"))}
+        print(root)
+        for name, n in counts.items():
+            print(f"{n:6d}  {name}")
+        print(f"{sum(counts.values()):6d}  total")
     return 0
 
 

@@ -16,12 +16,13 @@ from cubick3.standard import LAMBDA1, LAMBDA2, hassett_triple, lambda_d_lattice,
 from cubick3.verify import series_inverse
 
 
-def c11_inputs(count, rng=None):
+def c11_inputs(count, rng=None, entries=(-5, 5)):
     """The inputs (ambient, rows) of the C11 acceptance sweep, in order.
 
     Ambients alternate between Gammabar and LambdaTilde; each input is k in
-    [1, 4] random rows with entries in [-5, 5], drawn again until independent.
-    The draws come from `rng`, by default the sweep's own seeded generator.
+    [1, 4] random rows with entries in `entries`, drawn again until
+    independent.  The draws come from `rng`, by default the sweep's own
+    seeded generator.
     """
     rng = rng or random.Random(20240311)
     ambients = [standard_lattice("Gammabar"), standard_lattice("LambdaTilde")]
@@ -29,7 +30,7 @@ def c11_inputs(count, rng=None):
         amb = ambients[i % 2]
         k = rng.randint(1, 4)
         while True:
-            rows = tuple(tuple(rng.randint(-5, 5) for _ in range(amb.rank)) for _ in range(k))
+            rows = tuple(tuple(rng.randint(*entries) for _ in range(amb.rank)) for _ in range(k))
             if la.rank_int(rows) == k:
                 break
         yield amb, rows

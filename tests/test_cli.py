@@ -15,6 +15,7 @@ import warnings
 import pytest
 
 from cubick3.cli import main
+from limits import spy
 
 
 class TestVerify:
@@ -154,14 +155,7 @@ class TestLargeIntegers:
         # where the obstruction also factors d/8, and 6, 24 and 42 are solvable
         from cubick3 import cli, conditions
 
-        factorize = conditions._factorize
-        calls = []
-
-        def counted(n):
-            calls.append(n)
-            return factorize(n)
-
-        monkeypatch.setattr(conditions, "_factorize", counted)
+        calls = spy(monkeypatch, conditions, "_factorize", record=int)
         for d in (6, 12, 24, 42, 954, 1176, 1870021348591302594):
             calls.clear()
             report = cli.build_report(d)

@@ -3,15 +3,12 @@
 import random
 import time
 import warnings
-from math import isqrt, prod
+from math import prod
 
 import pytest
-from hypothesis import given, seed, settings, strategies as hyp
-
 from cubick3 import (
     InvalidDegree,
     InvalidParity,
-    PellSolution,
     a2_represents,
     boundary_count,
     condition_flags,
@@ -61,17 +58,6 @@ class TestFactorize:
     # to every one up to 23
     PSI12 = 318665857834031151167461
     SPSP23 = 3825123056546413051
-
-    def test_matches_trial_division_to_2e5(self):
-        # against the sieve of `oracles`, which shares no trial division
-        for n, want in enumerate(oracles.factorizations(1, 200_001), start=1):
-            assert conditions._factorize(n) == want, n
-
-    def test_matches_trial_division_around_2_20(self):
-        # the cofactor below 2^20 is prime; at 2^20 Miller-Rabin takes over
-        lo = 2**20 - 2000
-        for n, want in enumerate(oracles.factorizations(lo, 2**20 + 2000), start=lo):
-            assert conditions._factorize(n) == want, n
 
     def test_small_primes_are_the_sieve_below_2_10(self):
         assert conditions._SMALL_PRIMES == oracles.primes_below(2**10)
@@ -327,22 +313,6 @@ class TestCsv:
         # 3p^2 - 7q^2 = -1 is solvable, decided by the (***) shortcut
         assert row[11] == "T"
 
-    def test_pell_cell_matches_brakkee_to_100000(self):
-        # the cell is decided by (***), the local obstruction and the
-        # solver; pell_brakkee shares that decision, so the reference is
-        # the least even hit read off the whole period of sqrt(d/2) (the
-        # two-period oracle for the D <= 9 and the square D)
-        for d in range(6, 100_001, 6):
-            D = d // 2
-            if D <= 9 or isqrt(D) ** 2 == D:
-                sol = oracles.solve_minus3(D)[0]
-            else:
-                sol = oracles.least_even_hit(D, *oracles.sqrt_cf(D))
-            want = "T" if sol is not None else "F"
-            assert csv_row(condition_flags(d))[11] == want, d
-            pq = None if sol is None else (sol[0] // 3, sol[1])
-            assert pell_brakkee(d).solution == pq, d
-
     def test_pell_cell_d_over_4_branch(self):
         # (**) fails for 24 (12 is even) but holds for 24/4 = 6, and
         # 3 * 1^2 - 4 * 1^2 = -1
@@ -350,48 +320,4 @@ class TestCsv:
         assert not flags.starstar and condition_flags(6).starstar
         assert pell_brakkee(24).solution == (1, 1)
         assert csv_row(flags)[11] == "T"
-
-
-class TestOracleAgreement:
-    def test_witness_ss_matches_scan_to_4000(self):
-        for d in range(2, 4_001, 2):
-            assert witness_ss(d) == oracles.witness_ss(d), d
-        # the oracle's scan of one period, complete by its docstring, against [0, 2d]
-        for d in range(2, 401, 2):
-            t = (2 * (n * n + n + 1) for n in range(2 * d + 1))
-            full = next(((n, x // d) for n, x in enumerate(t) if x % d == 0), None)
-            assert oracles.witness_ss(d) == full, d
-
-    def test_pell_witnesses_match_two_period_oracle_to_10000(self):
-        for d in range(2, 10_001, 2):
-            assert witness_sss(d) == _sss_from_oracle(d), d
-            if d % 6 == 0:
-                assert pell_brakkee(d) == _brakkee_from_oracle(d), d
-
-    @seed(20231)
-    @settings(max_examples=60, deadline=None)
-    @given(hyp.integers(min_value=2**15, max_value=2**22 - 1)
-           .map(lambda k: 2 * k)
-           .filter(lambda d: d % 6 in (0, 2)))
-    def test_large_special_d(self, d):
-        flags = condition_flags(d)
-        assert flags.sss_witness == _sss_from_oracle(d)
-        if d % 6 == 0:
-            assert pell_brakkee(d) == _brakkee_from_oracle(d)
-        # the scan is cheap only when it stops at a witness (n < d/2); an
-        # empty scan costs d/2 steps, so the None side of (**) is left to
-        # the chain check in condition_flags and the exhaustive range above
-        if flags.ss_witness is not None:
-            assert flags.ss_witness == oracles.witness_ss(d)
-
-
-def _sss_from_oracle(d):
-    sol, _ = oracles.solve_minus3(2 * d)
-    return None if sol is None else ((sol[0] - 1) // 2, sol[1])
-
-
-def _brakkee_from_oracle(d):
-    sol, _ = oracles.solve_minus3(d // 2)
-    pq = None if sol is None else (sol[0] // 3, sol[1])
-    return PellSolution(f"3p^2-{d // 6}q^2=-1", pq)
 

@@ -23,7 +23,8 @@ that is not a matrix raises InvalidLattice, with the lattice in its
 message.  A Gram matrix that is ragged, not symmetric or not integral (a
 float, a `None` or a `True` entry) raises InvalidMatrix, as does a raw
 `IntMatrix` Gram with an entry that is not an `int` (0.5, `Fraction(1, 2)`,
-`True`, "a"), and rows that are not a sequence (`None`, 5) and a JSON object of `GramLattice.from_json`
+`True`, "a") or a raw `IntMatrix` `Sublattice` basis with one (0.5,
+`Fraction(1, 2)`, `True`, `None`), and rows that are not a sequence (`None`, 5) and a JSON object of `GramLattice.from_json`
 without integer `gram` rows, or with an entry string that int() refuses
 for more than its length ("1e5", "1.5", "NaN"); so does a lattice label
 that is neither a `str` nor `None` (a
@@ -130,6 +131,7 @@ call = _entries(
     basis_pairings=lambda v: A2.basis_pairings(v),
     gram_from_rows=lambda rows: lat.GramLattice.from_rows(rows),
     gram_entry=lambda e: lat.GramLattice(lat.IntMatrix(((e,),))),
+    sublattice_entry=lambda e: lat.Sublattice(A2, lat.IntMatrix(((e, 0),))),
     label_from_rows=lambda label: lat.GramLattice.from_rows([[2]], label),
     label_from_json=lambda label: lat.GramLattice.from_json({"gram": [[2]], "label": label}),
     # ... and on an ambient amb that may not be a lattice
@@ -181,6 +183,7 @@ TABLE = (
     + _rows(InvalidVector, NOT_A_VECTOR, call.contains)
     + _rows(InvalidMatrix, BAD_GRAMS, call.gram_from_rows)
     + _rows(InvalidMatrix, (0.5, Fraction(1, 2), True, "a"), call.gram_entry)
+    + _rows(InvalidMatrix, (0.5, Fraction(1, 2), True, None), call.sublattice_entry)
     + _rows(InvalidMatrix, BAD_JSON, lat.GramLattice.from_json)
     + _rows(InvalidMatrix, BAD_LABELS, call.label_from_rows, call.label_from_json)
     + _rows(InvalidVector, ((ONE, 3), (1, 2)), call.mukai_pairing)

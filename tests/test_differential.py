@@ -1,0 +1,64 @@
+"""Every row of the differential table, its floor, and the tests that call `oracles` outside it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import differential as dt
+
+TESTS = Path(__file__).parent
+FLOORS = TESTS / "differential_floors.txt"
+
+
+@pytest.mark.parametrize("row", dt.ROWS, ids=lambda row: row.id)
+def test_row(row):
+    sample = dt.draw(row.sampler, row.size, row.ranges, row.seed)
+    assert len(sample) == row.size
+    for x in sample:
+        assert row.library(x) == row.oracle(x), (row.id, x)
+
+
+def _floor(row):
+    ranges = ",".join(f"{lo}..{hi}" for lo, hi in row.ranges) or "-"
+    return f"{row.id} {row.size} {ranges} {row.seed!r}"
+
+
+def test_every_row_is_at_its_floor():
+    # each row's size, ranges and seed are its floor's line: a row below its
+    # floor, above it (a change that raises one raises both) or missing fails
+    floors = [line for line in FLOORS.read_text().splitlines() if line and line[0] != "#"]
+    assert len({row.id for row in dt.ROWS}) == len(dt.ROWS), "row ids must be unique"
+    rows = sorted(map(_floor, dt.ROWS))
+    assert rows == sorted(floors), "a row is below or above its floor line, or one of them is gone"
+
+
+def _definitions(path):
+    # (key, whether it names `oracles`, a name imported from it or this table,
+    # imported as `dt`) for each test and helper, a module function or a method
+    tree = ast.parse(path.read_text())
+    names = {"oracles", "dt"} | {alias.asname or alias.name for node in tree.body
+                                 if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+                                 for alias in node.names}
+    defs = [(path.name, node) for node in tree.body]
+    defs += [(f"{path.name}::{cls.name}", node) for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body]
+    for where, node in defs:
+        if isinstance(node, ast.FunctionDef):
+            used = {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+            yield f"{where}::{node.name}", bool(used & names)
+
+
+def test_every_other_oracle_call_is_a_listed_exception():
+    defs = dict(kv for path in TESTS.glob("test_*.py") if path.name != Path(__file__).name
+                for kv in _definitions(path))
+    listed = set()
+    for names in dt.EXCEPTIONS.values():
+        for name in names.split():
+            if name.endswith(".py:"):
+                path = name[:-1]
+            else:
+                listed.add(f"{path}::{name}")
+    callers = {key for key, calls in defs.items() if calls}
+    assert sorted(callers - listed) == [], "an oracle comparison outside the table"
+    assert sorted(listed - defs.keys()) == [], "a listed exception does not exist"

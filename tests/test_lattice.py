@@ -42,7 +42,9 @@ from cubick3.standard import (
     unit_vector,
 )
 from cubick3.verify import gamma_to_lambdatilde
+import differential as dt
 import oracles
+from limits import spy
 from oracles import frac_inv
 
 U = standard_lattice("U")
@@ -111,11 +113,6 @@ class TestIntMatrix:
 class TestSignature:
     STANDARD = ("U", "E", "A2", "A2m", "I03", "Gammabar", "Gamma", "Lambda", "LambdaTilde",
                 "LambdaD(2)", "LambdaD(14)", "LambdaD(42)")
-
-    def test_standard_lattices_match_the_oracle(self):
-        for name in self.STANDARD:
-            L = standard_lattice(name)
-            assert signature(L) == oracles.signature(L.gram.to_lists()), name
 
     def test_a2(self):
         assert signature(A2) == (2, 0, 0)
@@ -366,9 +363,9 @@ class TestMembership:
         assert not S.contains((Fraction(1, 2), 0))
 
     def test_a_marked_basis_is_its_own_hermite_basis(self, monkeypatch):
-        # the first `contains` on a saturation, a `saturate_rows` result or a
-        # complement runs one `hnf_rows`, for H + [v]; an unmarked copy of the
-        # same basis runs a second one, for its own H, and answers alike
+        # `contains` on a saturation, a `saturate_rows` result or a complement
+        # runs no `hnf_rows`, since the basis is its H; an unmarked copy of
+        # the same basis runs one, for its own H, and answers alike
         amb = standard_lattice("Gammabar")
         rows = [[1, 2, 0] + [0] * 19 + [3], [0, 0, 4] + [0] * 19 + [1]]
         built = [
@@ -376,21 +373,14 @@ class TestMembership:
             saturate_rows(amb, rows + [[a + b for a, b in zip(*rows)]]),
             orthogonal_complement(amb, rows),
         ]
-        hnf = la.hnf_rows
-        calls = []
-
-        def tracked(rows):
-            calls.append(len(rows))
-            return hnf(rows)
-
-        monkeypatch.setattr(la, "hnf_rows", tracked)
+        calls = spy(monkeypatch, la, "hnf_rows")
         for X in built:
             v = [sum(r) for r in zip(*X.basis.data)]
-            for S, runs in ((X, 1), (Sublattice(amb, X.basis), 2)):
+            for S, runs in ((X, 0), (Sublattice(amb, X.basis), 1)):
                 calls.clear()
                 assert S.contains(v) and len(calls) == runs
                 assert S.contains([2 * e for e in v]) and not S.contains([Fraction(e, 2) for e in v])
-                assert len(calls) == runs + 1  # H is kept; a non-integral v runs none
+                assert len(calls) == runs  # H is kept
 
 
 class TestDivisibilityPrimitivity:
@@ -602,71 +592,23 @@ def test_saturate_rows_of_a_dependent_list_echelons_all_rows(monkeypatch):
     assert n == 8 and len(W) == 2
 
 
-def test_disc_group_columns_come_back_reduced_on_c11_sample(monkeypatch):
-    # the Smith columns V reach tens of bits on the saturations and
-    # complements of the C11 sample; `disc_group` reduces each column c mod
-    # its order n, which keeps the class c/n and, on an even lattice, q.
-    # It and the oracle's raw columns read one Smith form per Gram.
-    smith, forms = la.smith_normal_form, {}
-
-    def once(G):
-        key = tuple(map(tuple, G))
-        if key not in forms:
-            forms[key] = smith(G)
-        return forms[key]
-
-    monkeypatch.setattr(la, "smith_normal_form", once)
-    seen = 0
-    for amb, rows in oracles.c11_sample():
-        sat, _ = saturation(span_sublattice(amb, rows))
-        for L in (sat.as_lattice(), orthogonal_complement(amb, rows).as_lattice()):
-            if L.det == 0:
-                continue
-            dg = disc_group(L)
-            raw = oracles._smith_columns(L)
-            assert len(raw) == len(dg.columns) == len(dg.invariant_factors)
-            for col, n, (c, m) in zip(dg.columns, dg.invariant_factors, raw):
-                assert m == n and all(0 <= e < n for e in col)
-                assert all((e - x) % n == 0 for e, x in zip(col, c))
-                seen += 1
-            if L.is_even:
-                q = tuple(Fraction(a, n) for a, n in zip(dg.q_numerators, dg.invariant_factors))
-                assert q == oracles.q_values(L)
-            else:
-                assert dg.q_numerators is None
-    assert seen > 100
-
-
 class TestSaturationAgainstOracles:
-    # the one-echelon triangular solve against the double-kernel saturation
-    # and the determinant index of tests/oracles.py
+    # written-down generator lists through the routes of the table's
+    # saturation rows: (saturate_rows, saturation or DependentGenerators),
+    # against the double-kernel saturation and the determinant index
     @staticmethod
     def agree(amb, rows):
-        sat = saturate_rows(amb, rows)
-        assert sat == oracles.saturate_rows(amb, rows)
-        return sat
-
-    @staticmethod
-    def agree_indexed(amb, rows):
-        S = span_sublattice(amb, rows)
-        sat, idx = saturation(S)
-        assert (sat, idx) == oracles.saturation(S)
-        assert sat == saturate_rows(amb, rows)
-        return sat, idx
-
-    def test_c11_sample(self):
-        for amb, rows in oracles.c11_sample():
-            self.agree_indexed(amb, rows)
-            self.agree(amb, rows)
+        got = dt.SATURATIONS[0]((amb, rows))
+        assert got == dt.SATURATIONS[1]((amb, rows))
+        return got
 
     def test_no_rows_and_zero_rows(self):
-        lt = standard_lattice("LambdaTilde")
-        for amb in (U, lt):
-            assert self.agree(amb, []).rank == 0
-            assert self.agree(amb, [(0,) * amb.rank]).rank == 0
-            assert self.agree(amb, [(0,) * amb.rank] * 3).rank == 0
-            sat, idx = self.agree_indexed(amb, [])
-            assert (sat.rank, idx) == (0, 1)
+        for amb in (U, standard_lattice("LambdaTilde")):
+            sat, indexed = self.agree(amb, [])
+            assert sat.rank == 0 and indexed == (sat, 1)
+            for rows in ([(0,) * amb.rank], [(0,) * amb.rank] * 3):
+                sat, indexed = self.agree(amb, rows)
+                assert sat.rank == 0 and indexed is DependentGenerators
 
     def test_duplicated_and_dependent_rows(self):
         gbar = standard_lattice("Gammabar")
@@ -683,8 +625,8 @@ class TestSaturationAgainstOracles:
             ([[2 * x for x in a], [3 * x for x in a]], [a]),
             ([[6 * x for x in a], [4 * x for x in b], [2 * x for x in combo]], [a, b]),
         ):
-            sat, _ = self.agree_indexed(gbar, independent)
-            assert self.agree(gbar, rows) == sat
+            sat = self.agree(gbar, independent)[0]
+            assert self.agree(gbar, rows)[0] == sat
 
     def test_full_rank_gives_the_identity(self):
         for name in ("U", "A2", "Gammabar"):
@@ -692,33 +634,27 @@ class TestSaturationAgainstOracles:
             n = amb.rank
             # 2 on the diagonal, 1 above it: determinant 2^n
             rows = [[2 * (i == j) + (j == i + 1) for j in range(n)] for i in range(n)]
-            sat, idx = self.agree_indexed(amb, rows)
+            sat, idx = self.agree(amb, rows)[1]
             assert sat.basis.to_lists() == la.identity(n)
             assert idx == 2**n
-            assert self.agree(amb, rows + [rows[0]]).basis.to_lists() == la.identity(n)
+            assert self.agree(amb, rows + [rows[0]])[0].basis.to_lists() == la.identity(n)
 
     def test_content_two(self):
-        sat, idx = self.agree_indexed(U, [(2, 4)])
+        sat, idx = self.agree(U, [(2, 4)])[1]
         assert (sat.basis.to_lists(), idx) == ([[1, 2]], 2)
 
     def test_h2_v8_index_three(self):
         gbar = standard_lattice("Gammabar")
         v8 = gamma_to_gammabar(nl_vector(8))
-        _, idx = self.agree_indexed(gbar, [H2, v8])
+        _, idx = self.agree(gbar, [H2, v8])[1]
         assert idx == 3
 
     def test_dependent_basis_raises_on_both_routes(self):
         gbar = standard_lattice("Gammabar")
         v8 = gamma_to_gammabar(nl_vector(8))
-        for rows in ([(1, 0), (2, 0)], [(0, 0)]):
-            S = Sublattice(U, IntMatrix.from_rows(rows))
-            for route in (saturation, oracles.saturation):
-                with pytest.raises(DependentGenerators):
-                    route(S)
-        S = Sublattice(gbar, IntMatrix.from_rows([H2, v8, [a + b for a, b in zip(H2, v8)]]))
-        for route in (saturation, oracles.saturation):
-            with pytest.raises(DependentGenerators):
-                route(S)
+        for amb, rows in ((U, [(1, 0), (2, 0)]), (U, [(0, 0)]),
+                          (gbar, [H2, v8, [a + b for a, b in zip(H2, v8)]])):
+            assert self.agree(amb, rows)[1] is DependentGenerators
 
 
 class TestIntegralEntries:

@@ -2,8 +2,6 @@
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as hyp
-
 from cubick3 import (
     CohClass,
     a2_mukai_gram,
@@ -21,7 +19,8 @@ from cubick3 import standard as st
 from cubick3 import verify as vf
 from cubick3.mukai import exp_h, lambda_vectors
 from cubick3.verify import series_inverse, series_sqrt
-from oracles import det_bareiss, series_sqrt_newton
+from limits import forbid
+from oracles import det_bareiss
 
 
 def test_chern_class():
@@ -62,25 +61,9 @@ def test_series_helpers():
     assert s == CohClass.of(1, 1, 0, 0, 0)
 
 
-@given(hyp.lists(hyp.tuples(hyp.integers(-50, 50), hyp.integers(1, 50)),
-                 min_size=4, max_size=4))
-@settings(max_examples=200, deadline=None)
-def test_series_sqrt_matches_newton(tail):
-    # the coefficient recurrence against Newton's iteration, on classes
-    # 1 + c1 h + ... + c4 h^4
-    c = CohClass.of(1, *(F(a, b) for a, b in tail))
-    s = series_sqrt(c)
-    assert s == series_sqrt_newton(c)
-    assert s * s == c
-
-
 def test_series_sqrt_runs_no_series_inverse(monkeypatch):
     want = series_sqrt(characteristic_classes().todd)
-
-    def forbidden(c):
-        raise AssertionError("series_sqrt must not invert a series")
-
-    monkeypatch.setattr(vf, "series_inverse", forbidden)
+    forbid(monkeypatch, "series_sqrt must not invert a series", (vf, "series_inverse"))
     assert series_sqrt(characteristic_classes().todd) == want
 
 
@@ -91,17 +74,11 @@ def test_written_down_values_run_no_derivation(monkeypatch):
                a2_mukai_gram, mukai_set)
     cached = [f for f in written if hasattr(f, "cache_clear")]
     want = tuple(f() for f in written)
-
-    def forbidden(*args):
-        raise AssertionError("a written-down value must not be derived")
-
     for f in cached:
         f.cache_clear()
     try:
-        monkeypatch.setattr(la, "row_echelon", forbidden)
-        monkeypatch.setattr(la, "inertia", forbidden)
-        for name in ("project_right", "mukai_pairing"):
-            monkeypatch.setattr(mk, name, forbidden)
+        forbid(monkeypatch, "a written-down value must not be derived", (la, "row_echelon"),
+               (la, "inertia"), (mk, "project_right"), (mk, "mukai_pairing"))
         assert tuple(f() for f in written) == want
     finally:
         for f in cached:

@@ -125,14 +125,6 @@ def test_small_d_translate_case():
     assert least_solution(3) == (3, 2)
 
 
-def test_matches_two_period_oracle():
-    # every D that witness_sss (D = 2d) and pell_brakkee (D = d/2) pass on for
-    # even d <= 10^4
-    for d in range(2, 10_001, 2):
-        for D in (2 * d, d // 2) if d % 6 == 0 else (2 * d,):
-            assert least_solution(D) == oracles.solve_minus3(D)[0], D
-
-
 def test_long_period_within_budget():
     # D = 2d for d = 2p, p = 68719476619 prime: a period of 295,212 terms
     # without an even hit, of which the first half is walked
@@ -143,26 +135,6 @@ def test_long_period_within_budget():
     assert len(oracles.sqrt_cf(4 * 68719476619)[1]) == 295_212
 
 
-def test_least_solution_matches_full_period_on_large_d():
-    # a seeded, log-uniform sample of solvable D in [2^24, 2^32]: the walk
-    # that stops at the first even hit against the least even hit read off
-    # the whole period that the oracle's sqrt_cf returns
-    rng = random.Random("least-even-hit")
-    solvable = 0
-    while solvable < 20:
-        D = int(2.0 ** rng.uniform(24, 32))
-        if isqrt(D) ** 2 == D:
-            continue
-        want = oracles.least_even_hit(D, *oracles.sqrt_cf(D))
-        assert least_solution(D) == want, D
-        solvable += want is not None
-
-
-def test_least_solution_small_and_square():
-    for D in range(1, 50):
-        assert least_solution(D) == oracles.solve_minus3(D)[0], D
-
-
 @pytest.mark.parametrize("D", [13, 61, 97])
 def test_mirrored_odd_hit(D):
     # odd periods whose least even hit lies past the middle, the mirror
@@ -170,11 +142,3 @@ def test_mirrored_odd_hit(D):
     a0, period = oracles.sqrt_cf(D)
     assert len(period) % 2 == 1
     assert least_solution(D) == oracles.least_even_hit(D, a0, period)
-
-
-def test_mid_period_stop_matches_full_period():
-    # every nonsquare D in (9, 5000], odd and even periods alike: the walk
-    # that stops at the middle of the period against the whole period
-    for D in range(10, 5001):
-        if isqrt(D) ** 2 != D:
-            assert least_solution(D) == oracles.least_even_hit(D, *oracles.sqrt_cf(D)), D

@@ -2,12 +2,9 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as hyp
 
 from cubick3 import (
-    DependentGenerators,
-    a2_represents,
     condition_flags,
     orthogonal_complement,
     saturation,
@@ -19,19 +16,10 @@ from cubick3 import (
 from cubick3 import intlinalg as la
 from cubick3.lattice import IntMatrix, Sublattice, direct_sum, GramLattice, saturate_rows
 from cubick3.standard import standard_lattice
-from cubick3.verify import a2_bruteforce
 import oracles
-from oracles import saturation_index
+from limits import forbid, spy
 
 even_d = hyp.integers(min_value=1, max_value=400).map(lambda k: 2 * k)
-
-
-@given(even_d)
-@settings(max_examples=120, deadline=None)
-def test_a2_oracle_equivalence(d):
-    sols = a2_bruteforce(d)
-    assert a2_represents(d, False) == bool(sols)
-    assert a2_represents(d, True) == any(p for _, _, p in sols)
 
 
 @given(even_d)
@@ -72,173 +60,6 @@ def test_direct_sum_signature_additive(names, scales):
         expect[1] += neg
         expect[2] += null
     assert total == tuple(expect)
-
-
-def _random_independent(rng, amb, k):
-    while True:
-        rows = [
-            tuple(rng.randint(-5, 5) for _ in range(amb.rank)) for _ in range(k)
-        ]
-        if la.rank_int([list(r) for r in rows]) == k:
-            return rows
-
-
-def _mixed(rng, rows):
-    # T * rows for a random nonsingular k x k matrix T, which puts |det T| into the index
-    k = len(rows)
-    while True:
-        T = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
-        if oracles.det_bareiss(T):
-            return oracles.matmul(T, [list(r) for r in rows])
-
-
-def test_double_complement_is_saturation():
-    # in a nondegenerate ambient, the complement of the complement recovers
-    # exactly the saturation, even for degenerate sublattices
-    rng = random.Random(7)
-    for i in range(40):
-        amb = standard_lattice("LambdaTilde" if i % 2 else "Gammabar")
-        k = rng.randint(1, 3)
-        rows = _random_independent(rng, amb, k)
-        sat, _ = saturation(span_sublattice(amb, rows))
-        double = orthogonal_complement(
-            amb, orthogonal_complement(amb, rows).basis.to_lists()
-        )
-        assert double.basis == sat.basis
-
-
-@given(
-    hyp.sampled_from(["Gammabar", "LambdaTilde"]),
-    hyp.integers(min_value=1, max_value=4),
-    hyp.integers(min_value=0, max_value=2**32),
-)
-@settings(max_examples=60, deadline=None)
-def test_saturation_index_matches_coefficient_oracle(name, k, seed):
-    # mixing independent rows by a random nonsingular k x k matrix T puts a
-    # factor |det T| into the index, so nontrivial indices are common
-    rng = random.Random(seed)
-    amb = standard_lattice(name)
-    S = span_sublattice(amb, _mixed(rng, _random_independent(rng, amb, k)))
-    sat, idx = saturation(S)
-    assert idx == saturation_index(S, sat)
-    assert S.det == idx * idx * sat.det
-
-
-@given(
-    hyp.sampled_from(["Gammabar", "LambdaTilde"]),
-    hyp.integers(min_value=1, max_value=4),
-    hyp.sampled_from(["independent", "dependent", "zero"]),
-    hyp.integers(min_value=0, max_value=2**32),
-)
-@settings(max_examples=80, deadline=None)
-def test_saturation_matches_double_kernel_oracle(name, k, kind, seed):
-    # the one-echelon saturation against the double-kernel route with the
-    # pivot-quotient index; "dependent" appends a combination of the rows,
-    # "zero" is k all-zero rows
-    rng = random.Random(seed)
-    amb = standard_lattice(name)
-    if kind == "zero":
-        rows = [[0] * amb.rank for _ in range(k)]
-    else:
-        rows = _mixed(rng, _random_independent(rng, amb, k))
-        if kind == "dependent":
-            c = [rng.randint(-3, 3) for _ in range(k)]
-            rows.append(oracles.matmul([c], rows)[0])
-    assert saturate_rows(amb, rows) == oracles.saturate_rows(amb, rows)
-    S = Sublattice(amb, IntMatrix.from_rows(rows))
-    if kind == "independent":
-        assert saturation(S) == oracles.saturation(S)
-    else:
-        for route in (saturation, oracles.saturation):
-            with pytest.raises(DependentGenerators):
-                route(S)
-
-
-@given(
-    hyp.integers(min_value=1, max_value=4),
-    hyp.integers(min_value=0, max_value=20),
-    hyp.sampled_from(["sparse", "scaled", "dense"]),
-    hyp.integers(min_value=0, max_value=2**32),
-)
-@settings(max_examples=150, deadline=None)
-def test_suffix_saturation_matches_oracle(k, extra, kind, seed):
-    # saturation echelons a short suffix of the coordinates and grows it on
-    # an inexact solve.  "sparse" rows are mostly zero, so few coordinates
-    # are left and the suffix is often all of them; "scaled" multiplies the
-    # last k + 3 coordinates by 2 or 3, so the first suffix spans too little
-    # and must grow, and one generator too, for an index above 1; "dense"
-    # rows are like the C11 sample's
-    rng = random.Random(seed)
-    n = k + extra
-    amb = GramLattice.from_rows(la.identity(n))
-    entries = [0] * 8 + [-2, -1, 1, 2, 3] if kind == "sparse" else range(-5, 6)
-    while True:
-        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(k)]
-        if la.rank_int(rows) == k:
-            break
-    if kind == "scaled":
-        f, tail = rng.choice([2, 3]), max(n - k - 3, 0)
-        for row in rows:
-            row[tail:] = [f * e for e in row[tail:]]
-        i = rng.randrange(k)
-        rows[i] = [f * e for e in rows[i]]
-    S = Sublattice(amb, IntMatrix.from_rows(rows))
-    assert saturation(S) == oracles.saturation(S)
-    assert saturate_rows(amb, rows) == oracles.saturate_rows(amb, rows)
-
-
-@given(
-    hyp.sampled_from(["Gammabar", "LambdaTilde"]),
-    hyp.integers(min_value=1, max_value=4),
-    hyp.sampled_from(["independent", "dependent", "zero row", "zero"]),
-    hyp.integers(min_value=0, max_value=2**32),
-)
-@settings(max_examples=80, deadline=None)
-def test_saturation_of_generators_on_a_coordinate_support(name, k, kind, seed):
-    # the echelon of S^T runs only on the coordinates where some generator
-    # is nonzero.  Here the generators vanish off a random support of at
-    # least k coordinates, so that the echelon drops rows of S^T.  Both
-    # routes must agree with the oracles, and the saturation of the rows
-    # padded by zeros must be the padded saturation in the lattice on the
-    # support, with the same index.  "dependent" appends a combination of
-    # the rows, "zero row" an all-zero row, and "zero" is k all-zero rows
-    rng = random.Random(seed)
-    amb = standard_lattice(name)
-    support = sorted(rng.sample(range(amb.rank), rng.randint(k, amb.rank)))
-    G = amb.gram.data
-    small = GramLattice.from_rows([[G[i][j] for j in support] for i in support])
-    if kind == "zero":
-        short = [[0] * len(support) for _ in range(k)]
-    else:
-        short = _mixed(rng, _random_independent(rng, small, k))
-        if kind == "dependent":
-            c = [rng.randint(-3, 3) for _ in range(k)]
-            short.append(oracles.matmul([c], short)[0])
-        elif kind == "zero row":
-            short.insert(rng.randint(0, k), [0] * len(support))
-
-    def pad(row):
-        full = [0] * amb.rank
-        for c, e in zip(support, row):
-            full[c] = e
-        return full
-
-    def padded(sub):
-        return [pad(r) for r in sub.basis.data]
-
-    rows = [pad(r) for r in short]
-    sat = saturate_rows(amb, rows)
-    assert sat == oracles.saturate_rows(amb, rows)
-    assert sat.basis.to_lists() == padded(saturate_rows(small, short))
-    S = Sublattice(amb, IntMatrix.from_rows(rows))
-    if kind == "independent":
-        (sat, idx), (part, part_idx) = saturation(S), saturation(span_sublattice(small, short))
-        assert (sat, idx) == oracles.saturation(S)
-        assert sat.basis.to_lists() == padded(part) and idx == part_idx
-    else:
-        for route in (saturation, oracles.saturation):
-            with pytest.raises(DependentGenerators):
-                route(S)
 
 
 def _hermite_brute(rows):
@@ -305,74 +126,15 @@ def test_hermite_pivots_reject_near_misses():
         assert la.hnf_rows(rows) != rows, name
 
 
-def _unit_pivot_basis(rng, n, k, last_pivot):
-    # a canonical Hermite basis with pivots 1, except a last pivot of
-    # last_pivot: zeros left of each pivot and, above a unit pivot, in its
-    # column; entries above the last pivot in [0, last_pivot)
-    cols = sorted(rng.sample(range(n), k))
-    rows = []
-    for i, c in enumerate(cols):
-        row = [0] * n
-        for j in range(c + 1, n):
-            if j not in cols:
-                row[j] = rng.randint(-4, 4)
-        row[c] = 1
-        rows.append(row)
-    rows[-1][cols[-1]] = last_pivot
-    for row in rows[:-1]:
-        row[cols[-1]] = rng.randrange(last_pivot)
-    return rows
-
-
-@given(
-    hyp.sampled_from(["Gammabar", "LambdaTilde"]),
-    hyp.integers(min_value=1, max_value=4),
-    hyp.sampled_from(["hnf", "scaled", "unit", "last"]),
-    hyp.integers(min_value=0, max_value=2**32),
-)
-@settings(max_examples=120, deadline=None)
-def test_saturation_of_hermite_bases_matches_oracle(name, k, kind, seed):
-    # canonical Hermite bases built by the caller carry no saturation
-    # marker and run the echelon like any basis: "hnf" is the Hermite basis
-    # of random rows (mostly index 1), "scaled" the Hermite basis after one
-    # of its rows is scaled by 2 or 3 (index > 1), "unit" has every pivot 1
-    # (index 1), and "last" has one non-unit pivot, the last, of 2, 3 or 6
-    rng = random.Random(seed)
-    amb = standard_lattice(name)
-    if kind in ("hnf", "scaled"):
-        rows = la.hnf_rows([list(r) for r in _random_independent(rng, amb, k)])
-        if kind == "scaled":
-            i, f = rng.randrange(k), rng.choice([2, 3])
-            rows[i] = [f * e for e in rows[i]]
-            rows = la.hnf_rows(rows)
-    else:
-        rows = _unit_pivot_basis(rng, amb.rank, k, 1 if kind == "unit" else rng.choice([2, 3, 6]))
-    assert oracles.hermite_pivots(rows) is not None
-    S = Sublattice(amb, IntMatrix.from_rows(rows))
-    sat, idx = saturation(S)
-    assert (sat, idx) == oracles.saturation(S)
-    if kind == "scaled":
-        assert idx > 1
-    if kind == "unit":
-        assert idx == 1
-    if idx == 1:
-        assert sat.basis == S.basis
-
-
 def test_complement_saturation_returns_the_complement(monkeypatch):
     # a complement is marked saturated where it is built: re-saturating it
     # returns the same object at index 1 and runs no echelon, no
     # `hnf_rows` and no transform
-    def forbidden(name):
-        def wrapper(*args):
-            raise AssertionError(f"{name} called")
-        return wrapper
-
     for amb, rows in oracles.c11_sample():
         comp = orthogonal_complement(amb, rows)
         with monkeypatch.context() as m:
-            for name in ("row_echelon", "row_echelon_transform", "hnf_rows"):
-                m.setattr(la, name, forbidden(name))
+            forbid(m, "a complement runs no reduction", *((la, name) for name in (
+                "row_echelon", "row_echelon_transform", "hnf_rows")))
             sat, idx = saturation(comp)
         assert idx == 1 and sat is comp
 
@@ -388,14 +150,7 @@ def test_saturation_marker(monkeypatch):
         "saturate_rows": saturate_rows(amb, rows + [[a + b for a, b in zip(*rows)]]),
         "complement": orthogonal_complement(amb, rows),
     }
-    echelon = la.row_echelon_transform
-    calls = []
-
-    def tracked(A):
-        calls.append(len(A))
-        return echelon(A)
-
-    monkeypatch.setattr(la, "row_echelon_transform", tracked)
+    calls = spy(monkeypatch, la, "row_echelon_transform")
     for name, X in built.items():
         calls.clear()
         sat, idx = saturation(X)
@@ -417,24 +172,3 @@ def test_saturation_marker(monkeypatch):
     sat, idx = saturation(S)
     assert len(calls) == 1
     assert idx == 3 and (sat, idx) == oracles.saturation(S)
-
-
-@given(hyp.integers(min_value=2, max_value=120))
-@settings(max_examples=40, deadline=None)
-def test_signature_matches_rational_diagonalization(seed):
-    # against the characteristic polynomial read by Descartes' rule of signs
-    # (`oracles.signature_descartes`), which shares no step with an
-    # elimination; a third of the matrices have a zero diagonal, where the
-    # kernel's first pivot takes a congruence
-    rng = random.Random(seed)
-    n = rng.randint(1, 8)
-    A = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            A[i][j] = A[j][i] = rng.randint(-4, 4)
-    if seed % 3 == 0:
-        for i in range(n):
-            A[i][i] = 0
-    L = GramLattice.from_rows(A)
-    assert signature(L) == oracles.signature_descartes(A) == oracles.signature(A)
-    assert L.det == oracles.det_bareiss(A)

@@ -27,6 +27,7 @@ from cubick3 import standard as st
 from cubick3 import verify as vf
 from cubick3._record import Record, parse_int, show
 from cubick3.cli import Report
+from limits import spy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -203,14 +204,7 @@ def test_no_module_imports_enum_or_namedtuple():
 
 
 def test_cached_property_is_computed_once(monkeypatch):
-    calls = []
-    real = la.inertia
-
-    def counted(M):
-        calls.append(len(M))
-        return real(M)
-
-    monkeypatch.setattr(la, "inertia", counted)
+    calls = spy(monkeypatch, la, "inertia")
     L = lat.GramLattice.from_rows([[2, -1], [-1, 2]])
     S = lat.span_sublattice(L, [(1, 1), (1, -1)])
     assert (L.det, L.det, S.det, S.det) == (3, 3, 12, 12)

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as hyp
 
-from cubick3 import GramLattice, hassett_triple, signature, span_sublattice
+from cubick3 import GramLattice, signature
 from cubick3 import intlinalg as la
-from cubick3.standard import lambda_d_lattice
+import differential as dt
 import oracles
-from oracles import DiscForm
 from shapes import booleans, integers, matrices, permutations, vectors
 
 # mostly zeros, like the Gram matrices of the standard lattices
@@ -25,7 +24,6 @@ def _fractions(draw):
 
 FRACTIONS = hyp.one_of(hyp.just(Fraction(0)), _fractions())
 ENTRIES = hyp.sampled_from([SPARSE_INTS, FRACTIONS])
-SPECIAL_D = [d for d in range(8, 201, 2) if d % 6 in (0, 2)]
 
 
 def _matrix(data, m, n, entries):
@@ -69,13 +67,6 @@ def test_products_of_empty_inputs():
     assert la.sparse_rows([[0, 0], [0, 3]]) == [[], [(1, 3)]]
 
 
-def _check_disc_form(L):
-    dg = oracles.generic_disc_group(L.gram.data)
-    q_values = tuple(Fraction(a, n) for a, n in zip(dg.q_numerators, dg.invariant_factors))
-    assert q_values == oracles.q_values(L)
-    assert DiscForm.of(L).pair_table == oracles.pair_table(L)
-
-
 @given(hyp.data())
 @settings(max_examples=150, deadline=None)
 def test_disc_form_values_match_fraction_route(data):
@@ -85,13 +76,7 @@ def test_disc_form_values_match_fraction_route(data):
         G[i][i] = 2 * e
     L = GramLattice.from_rows(G)
     assume(L.det != 0)
-    _check_disc_form(L)
-
-
-def test_disc_form_values_of_gamma_d_and_lambda_d():
-    for d in SPECIAL_D:
-        _check_disc_form(GramLattice(hassett_triple(d).gram_Gamma_d))
-        _check_disc_form(lambda_d_lattice(d))
+    assert dt.disc_form(L) == dt.disc_form_oracle(L)
 
 
 def _hyperbolic_sum(data, n):
@@ -127,26 +112,3 @@ def test_signature_matches_dense_elimination(data):
     sig = signature(GramLattice.from_rows(G))
     assert sig == oracles.signature(G)
     assert sig[2] == n - la.rank_int(G)
-
-
-@given(hyp.data())
-@settings(max_examples=300, deadline=None)
-def test_contains_matches_rational_back_substitution(data):
-    n = data.draw(integers(1, 6))
-    k = data.draw(integers(1, n))
-    rows = data.draw(matrices(k, n, integers(-4, 4)))
-    assume(la.rank_int(rows) == k)
-    S = span_sublattice(GramLattice.from_rows(la.identity(n)), rows)
-    coeffs = data.draw(vectors(k, integers(-3, 3)))
-    member = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
-    noise = data.draw(vectors(n, integers(-2, 2)))
-    den = data.draw(integers(1, 4))
-    candidates = [
-        member,
-        [a + b for a, b in zip(member, noise)],
-        [Fraction(a + b, den) for a, b in zip(member, noise)],
-        [Fraction(den * a, den) for a in member],
-    ]
-    assert S.contains(member)
-    for v in candidates:
-        assert S.contains(v) == oracles.contains(S, v)

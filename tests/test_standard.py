@@ -24,6 +24,7 @@ from cubick3 import (
 from cubick3 import intlinalg as la
 from cubick3.lattice import GramLattice
 import oracles
+from limits import forbid
 from oracles import binary_grams_equivalent
 from cubick3.standard import (
     E1,
@@ -364,23 +365,12 @@ class TestHassettTriple:
     def test_closed_form_computes_no_lattice(self, monkeypatch):
         ds = (2, 6, 8, 12, 14, 18, 54, 2**61)
         want = {d: (hassett_triple(d), genus_compare(d)) for d in ds}
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("hassett_triple must not run the generic route")
-
         # after the warm calls above, the fixed lattices are cached: only the
         # block of each d is built, so not even an orthogonal sum is left
-        for module, name in (
-            (st, "direct_sum"),
-            (st, "saturation"),
-            (st, "GramLattice"),
-            (lattice, "orthogonal_complement"),
-            (lattice, "disc_group"),
-            (la, "hnf_rows"),
-            (la, "inertia"),
-            (la, "smith_normal_form"),
-        ):
-            monkeypatch.setattr(module, name, forbidden)
+        forbid(monkeypatch, "hassett_triple must not run the generic route",
+               (st, "direct_sum"), (st, "saturation"), (st, "GramLattice"),
+               (lattice, "orthogonal_complement"), (lattice, "disc_group"),
+               (la, "hnf_rows"), (la, "inertia"), (la, "smith_normal_form"))
         for d in ds:
             assert hassett_triple.__wrapped__(d) == want[d][0]  # bypass the cache
             hassett_triple.cache_clear()  # genus_compare builds its report here
@@ -587,20 +577,10 @@ class TestKdoo:
         # Hermite form, membership, Smith form or Gram product
         ds = [d for d in self.SPECIAL if d <= 200] + [2**61, 3 * 2**62]
         want = {d: (kdoo_index(d), eichler_invariants(nl_vector(d))) for d in ds}
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the closed form must not run the generic route")
-
-        for module, name in (
-            (st, "saturation"),
-            (lattice, "saturation"),
-            (lattice, "disc_group"),
-            (lattice.Sublattice, "contains"),
-            (la, "hnf_rows"),
-            (la, "smith_normal_form"),
-            (la, "sparse_gram_product"),
-        ):
-            monkeypatch.setattr(module, name, forbidden)
+        forbid(monkeypatch, "the closed form must not run the generic route",
+               (st, "saturation"), (lattice, "saturation"), (lattice, "disc_group"),
+               (lattice.Sublattice, "contains"), (la, "hnf_rows"), (la, "smith_normal_form"),
+               (la, "sparse_gram_product"))
         for d in ds:
             assert (kdoo_index(d), eichler_invariants(nl_vector(d))) == want[d], d
 
@@ -637,12 +617,8 @@ class TestBoundary:
 
     def test_written_down_runs_no_lattice_check(self, monkeypatch):
         # the witnesses are written down; verify's delta.{d} checks prove them
-        def forbidden(*args):
-            raise AssertionError("a written-down witness must not be re-checked")
-
-        monkeypatch.setattr(lattice, "is_primitive", forbidden)
-        monkeypatch.setattr(GramLattice, "pairing", forbidden)
-        monkeypatch.setattr(GramLattice, "square", forbidden)
+        forbid(monkeypatch, "a written-down witness must not be re-checked",
+               (lattice, "is_primitive"), (GramLattice, "pairing"), (GramLattice, "square"))
         for d in range(2, 2001, 2):
             _, d1 = boundary_witnesses(d)
             assert (d1 is not None) == (d // 2 % 4 == 1)
@@ -653,14 +629,6 @@ class TestGenus:
         assert genus_compare(14) is True
         assert genus_compare(8) is False
         assert genus_compare(12) is False
-
-    def test_matches_bruteforce_oracle_to_2000(self):
-        # every special d, the non-cyclic 9 | d among them, against the search
-        # over the generic Smith forms of the 21x21 Grams
-        ds = [d for d in range(8, 2_001, 2) if d % 6 in (0, 2)]
-        assert 18 in ds and 1998 in ds
-        for d in ds:
-            assert genus_compare(d) == oracles.genus_compare(d), d
 
     def test_blocks_have_signature_1_2_to_2000(self):
         # genus_compare skips the signature comparison: B_d and U + <-d> are
