@@ -64,9 +64,19 @@ _E8_ROWS = (
     (0, 0, 0, 0, -1, 0, 0, 2),
 )
 
-_U_ROWS = ((0, 1), (1, 0))
-_U_MINUS_ROWS = ((0, -1), (-1, 0))
 _A2_ROWS = ((2, -1), (-1, 2))
+
+
+def _negated(rows) -> list[list[int]]:
+    return [[-e for e in row] for row in rows]
+
+
+# the named lattices of rank at most 3, written down; E is E8(-1) + E8(-1),
+# LambdaTilde is Lambda + U(-1), and each other name is E + U + U + its last
+# summand
+_GRAMS = {"U": ((0, 1), (1, 0)), "A2": _A2_ROWS, "A2m": _negated(_A2_ROWS),
+          "I03": _negated(((1, 0, 0), (0, 1, 0), (0, 0, 1)))}
+_LAST_SUMMAND = {"Gammabar": "I03", "Gamma": "A2m", "Lambda": "U"}
 
 
 def _vec(rank: int, entries: dict[int, int]) -> Vector:
@@ -78,23 +88,6 @@ def _vec(rank: int, entries: dict[int, int]) -> Vector:
 
 def unit_vector(rank: int, i: int) -> Vector:
     return _vec(rank, {i: 1})
-
-
-@lru_cache(maxsize=None)
-def _basic(name: str) -> GramLattice:
-    if name == "U":
-        return GramLattice.from_rows(_U_ROWS, "U")
-    if name == "Um":
-        return GramLattice.from_rows(_U_MINUS_ROWS, "U(-1)-signed")
-    if name == "A2":
-        return GramLattice.from_rows(_A2_ROWS, "A2")
-    if name == "A2m":
-        return GramLattice.from_rows([[-e for e in row] for row in _A2_ROWS], "A2m")
-    if name == "E8m":
-        return GramLattice.from_rows([[-e for e in row] for row in _E8_ROWS], "E8(-1)")
-    if name == "I03":
-        return GramLattice.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], "I03")
-    raise _unknown(name)
 
 
 def standard_lattice(name: str) -> GramLattice:
@@ -120,21 +113,19 @@ def standard_lattice(name: str) -> GramLattice:
 
 @lru_cache(maxsize=None)
 def _fixed_lattice(name: str) -> GramLattice:
-    if name in ("U", "A2", "A2m", "I03"):
-        return _basic(name)
-    e8 = _basic("E8m")
-    u = _basic("U")
+    """The fixed lattice `name`, built once: its Gram written down, or an orthogonal sum."""
+    if name in _GRAMS:
+        return GramLattice.from_rows(_GRAMS[name], name)
     if name == "E":
-        return direct_sum([e8, e8], label="E")
-    E = _fixed_lattice("E")
-    if name == "Gammabar":
-        return direct_sum([E, u, u, _basic("I03")], label="Gammabar")
-    if name == "Gamma":
-        return direct_sum([E, u, u, _basic("A2m")], label="Gamma")
-    if name == "Lambda":
-        return direct_sum([E, u, u, u], label="Lambda")
+        e8 = GramLattice.from_rows(_negated(_E8_ROWS), "E8(-1)")
+        return direct_sum([e8, e8], label=name)
     if name == "LambdaTilde":
-        return direct_sum([E, u, u, u, _basic("Um")], label="LambdaTilde")
+        u_minus = GramLattice.from_rows(_negated(_GRAMS["U"]), "U(-1)")
+        return direct_sum([_fixed_lattice("Lambda"), u_minus], label=name)
+    if name in _LAST_SUMMAND:
+        u = _fixed_lattice("U")
+        last = _fixed_lattice(_LAST_SUMMAND[name])
+        return direct_sum([_fixed_lattice("E"), u, u, last], label=name)
     raise _unknown(name)
 
 
@@ -148,8 +139,7 @@ def _unknown(name: str) -> UnknownLattice:
 def lambda_d_lattice(d: int) -> GramLattice:
     """The degree-d primitive K3 lattice E + U^2 + [-d] in block order E, U, U, [-d]."""
     require_even(d, UnknownLattice, name="LambdaD's d")
-    E = standard_lattice("E")
-    u = _basic("U")
+    E, u = _fixed_lattice("E"), _fixed_lattice("U")
     md = GramLattice.from_rows([[-d]])
     return direct_sum([E, u, u, md], label=f"LambdaD({int_str(d)})")
 

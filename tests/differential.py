@@ -8,10 +8,12 @@ and its seed.  A sampler is a generator of inputs; the row takes the first
 sample, so a sample that several rows read is built once per session: the
 C11 sample, and the factorizations of the oracles' sieve.
 
-`test_differential.py` runs every row, pins each row's size, ranges and
-seed to its line in `differential_floors.txt` (a row below its floor, above
-it, or missing fails), and checks that each other test that calls into
-`oracles` or this module is one of the `EXCEPTIONS`, listed with its reason.
+`test_differential.py` runs every row, pins each row's size, ranges, seed
+and sample digest to its line in `differential_floors.txt` (a row below its
+floor, above it, on another sample or missing fails), and checks that each
+other test that calls into `oracles` or this module is one of the
+`EXCEPTIONS`, listed with its reason.  The samplers draw only from the
+`random.Random` methods whose output is the same on Python 3.10-3.13.
 """
 
 import functools
@@ -28,7 +30,7 @@ from cubick3 import intlinalg as la
 from cubick3 import lattice as lat
 from cubick3 import pell, standard as st
 from cubick3.errors import DependentGenerators
-from cubick3.mukai import CohClass
+from cubick3.mukai import CohClass, euler_line
 from cubick3.verify import _derived_embedding, a2_bruteforce, series_sqrt
 
 
@@ -287,11 +289,17 @@ def mixed_generators(ks, seed, kinds=("independent", "dependent", "zero")):
 SAMPLERS["mixed_independent"] = functools.partial(mixed_generators, kinds=("independent",))
 
 
+def _pad(row, support, n):
+    # a row on the support coordinates, padded with zeros to length n
+    at = dict(zip(support, row))
+    return [at.get(c, 0) for c in range(n)]
+
+
 @sampler
 def generators_on_a_support(ks, seed):
     # generators that vanish off a random support of at least k coordinates,
     # so that the echelon drops rows of S^T; with the lattice on the
-    # support, the rows there, and the padding back to the ambient
+    # support, the rows there, and the support
     rng = random.Random(seed)
     while True:
         amb, k = st.standard_lattice(rng.choice(AMBIENTS)), rng.randint(*ks)
@@ -299,12 +307,7 @@ def generators_on_a_support(ks, seed):
         support = sorted(rng.sample(range(amb.rank), rng.randint(k, amb.rank)))
         small = lat.GramLattice.from_rows([[amb.gram.data[i][j] for j in support] for i in support])
         short = _generators(rng, small, k, kind)
-
-        def pad(row, support=support, n=amb.rank):
-            at = dict(zip(support, row))
-            return [at.get(c, 0) for c in range(n)]
-
-        yield amb, [pad(r) for r in short], small, short, pad
+        yield amb, [_pad(r, support, amb.rank) for r in short], small, short, support
 
 
 @sampler
@@ -403,6 +406,12 @@ def _padded(saturations, pad=list):
     if indexed is not DependentGenerators:
         indexed = [pad(r) for r in indexed[0].basis.data], indexed[1]
     return [pad(r) for r in sat.basis.data], indexed
+
+
+def _on_the_support(x):
+    # the library's saturations on the lattice on the support, padded back
+    amb, _, small, short, support = x
+    return _padded(SATURATIONS[0]((small, short)), lambda row: _pad(row, support, amb.rank))
 
 
 def _two_period(D):
@@ -544,7 +553,7 @@ ROWS = (
     Row("saturation.on_a_support", *SATURATIONS,
         "generators_on_a_support", 80, ((1, 4),), "support"),
     # both routes on the lattice on the support, padded back to the ambient
-    Row("saturation.on_a_support.padded", lambda x: _padded(SATURATIONS[0](x[2:4]), x[4]),
+    Row("saturation.on_a_support.padded", _on_the_support,
         lambda x: _padded(SATURATIONS[1](x)), "generators_on_a_support", 80, ((1, 4),), "support"),
     Row("complement.double",
         lambda x: lat.orthogonal_complement(x[0], lat.orthogonal_complement(*x).basis.data).basis,
@@ -560,6 +569,7 @@ ROWS = (
         "gamma_d_and_lambda_d", 130, ((8, 200),)),
     Row("genus.bruteforce.to2000", st.genus_compare, oracles.genus_compare,
         "special", 665, ((8, 2000),)),
+    Row("euler_line.binomial", euler_line, oracles.euler_line, "integers", 13, ((-6, 6),)),
     Row("series_sqrt.newton", lambda c: (s := series_sqrt(c), s * s),
         lambda c: (oracles.series_sqrt_newton(c), c),
         "series_classes", 200, ((-50, 50), (1, 50)), "series-sqrt"),

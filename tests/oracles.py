@@ -692,3 +692,11 @@ def series_sqrt_newton(c):
     for _ in range(4):
         s = (s + c * series_inverse(s)).scale(Fraction(1, 2))
     return s
+
+
+def euler_line(k):
+    """C(k + 5, 5) - C(k + 2, 5), each a generalized binomial: a falling factorial over 5!."""
+    def binom5(m):
+        return math.prod(range(m - 4, m + 1)) // math.factorial(5)
+
+    return binom5(k + 5) - binom5(k + 2)

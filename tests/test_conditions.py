@@ -1,4 +1,11 @@
-"""Condition classifiers, witness solvers, and the table generator."""
+"""Condition classifiers, witness solvers, and the table generator.
+
+The values of the witnesses, `a2_represents`, `boundary_count`,
+`pell_brakkee` and the table to 78, and the refused inputs, are pinned once
+elsewhere: in the functions' doctests, `verify`'s `table78.*` and `pell.*`
+checks, the golden `table 78 --format csv` line, the rows of the
+differential table and the contract's out-of-domain rows.
+"""
 
 import random
 import time
@@ -6,17 +13,7 @@ import warnings
 from math import prod
 
 import pytest
-from cubick3 import (
-    InvalidDegree,
-    InvalidParity,
-    a2_represents,
-    boundary_count,
-    condition_flags,
-    pell_brakkee,
-    table,
-    witness_ss,
-    witness_sss,
-)
+from cubick3 import a2_represents, condition_flags, pell_brakkee, table, witness_sss
 from cubick3 import conditions, pell
 from cubick3.conditions import CSV_COLUMNS, csv_row
 from cubick3.verify import a2_bruteforce
@@ -25,20 +22,6 @@ from limits import time_limit
 
 
 class TestA2Represents:
-    def test_18(self):
-        assert a2_represents(18, False) is True
-        assert a2_represents(18, True) is False
-
-    def test_30(self):
-        assert a2_represents(30, False) is False
-
-    def test_2(self):
-        assert a2_represents(2, True) is True
-
-    def test_odd_rejected(self):
-        with pytest.raises(InvalidParity):
-            a2_represents(7)
-
     def test_large_input_warns(self):
         # only a cofactor of psi_13 or more is trial-divided, and only that
         # warns: 1031 * p, for p the largest prime below psi_13, gives up
@@ -169,69 +152,7 @@ class TestFlags:
                 assert condition_flags(d).sss_witness is None, d
 
 
-class TestWitnesses:
-    def test_ss_42(self):
-        assert witness_ss(42) == (4, 1)
-
-    def test_ss_74(self):
-        assert witness_ss(74) == (10, 3)
-
-    def test_ss_8_none(self):
-        # n^2 + n + 1 is odd, so 2(n^2+n+1) is never divisible by 4
-        assert witness_ss(8) is None
-
-    def test_ss_exactness(self):
-        for d in range(2, 202, 2):
-            w = witness_ss(d)
-            if w is not None:
-                n, a = w
-                assert a * d == 2 * n * n + 2 * n + 2
-
-    def test_sss_14(self):
-        assert witness_sss(14) == (2, 1)
-        assert 2 * 4 + 4 + 2 == 14
-
-    def test_sss_38(self):
-        assert witness_sss(38) == (30, 7)
-        assert 2 * 900 + 60 + 2 == 38 * 49
-
-    def test_sss_74_none(self):
-        assert witness_sss(74) is None
-
-    def test_sss_exactness(self):
-        for d in range(2, 202, 2):
-            w = witness_sss(d)
-            if w is not None:
-                n, a = w
-                assert a * a * d == 2 * n * n + 2 * n + 2
-
-
-class TestBoundaryCount:
-    def test_values(self):
-        assert boundary_count(10) == 2
-        assert boundary_count(8) == 1
-        assert boundary_count(2) == 2
-
-    def test_odd(self):
-        with pytest.raises(InvalidParity):
-            boundary_count(9)
-
-
 class TestPellBrakkee:
-    def test_42(self):
-        sol = pell_brakkee(42)
-        assert sol.solution == (3, 2)
-        p, q = sol.solution
-        assert 3 * p * p - 7 * q * q == -1
-
-    def test_12_none(self):
-        # 2 q^2 = 1 (mod 3) has no solution
-        assert pell_brakkee(12).solution is None
-
-    def test_14_invalid(self):
-        with pytest.raises(InvalidDegree):
-            pell_brakkee(14)
-
     def test_large_d_obstructed_within_budget(self):
         # d = 6p for p = 1099511627831, the first prime = 2 (mod 3) above
         # 2^40: the local obstruction decides it; building a search bound
@@ -262,33 +183,6 @@ class TestPellBrakkee:
 
 
 class TestTable:
-    def test_star_row_to_42(self):
-        rows = table(42)
-        assert [f.d for f in rows] == [8, 12, 14, 18, 20, 24, 26, 30, 32, 36, 38, 42]
-
-    def test_sss_row_to_42(self):
-        rows = table(42)
-        assert [f.d for f in rows if f.starstarstar] == [14, 26, 38, 42]
-
-    def test_ss_row_to_78(self):
-        rows = table(78)
-        assert [f.d for f in rows if f.starstar] == [14, 26, 38, 42, 62, 74, 78]
-
-    def test_ssprime_row_to_78_oracle_arbitrated(self):
-        # every cell decided by the exhaustive form enumeration
-        rows = table(78)
-        got = [f.d for f in rows if f.starstar_prime]
-        oracle = [f.d for f in rows if a2_bruteforce(f.d)]
-        assert got == oracle
-        assert got == [8, 14, 18, 24, 26, 32, 38, 42, 50, 54, 56, 62, 72, 74, 78]
-
-    def test_row_count_to_78(self):
-        assert len(table(78)) == 24
-
-    def test_bad_range(self):
-        with pytest.raises(InvalidDegree):
-            table(6)
-
     def test_rows_match_condition_flags(self):
         for f in table(42):
             assert f == condition_flags(f.d)

@@ -15,20 +15,23 @@ that take a vector get one of the wrong length for A2 (rank 2), and raise
 InvalidVector, as does a `Sublattice` of A2 with basis rows of length 1 or
 3; those that take integer coordinates, `pairing`, `square` and
 `basis_pairings` among them, raise it too for a vector with a
-`Fraction(1, 2)`, a 0.5, a `None` or a `True` entry; `Sublattice.contains`
-takes a rational vector and answers False for a non-integral one, but
-raises InvalidVector for a v that is not iterable (`None`, 5, 1.5).  A
-`Sublattice` of a lattice with an entry past the digit limit and a basis
-that is not a matrix raises InvalidLattice, with the lattice in its
-message.  A Gram matrix that is ragged, not symmetric or not integral (a
-float, a `None` or a `True` entry) raises InvalidMatrix, as does a raw
-`IntMatrix` Gram with an entry that is not an `int` (0.5, `Fraction(1, 2)`,
-`True`, "a") or a raw `IntMatrix` `Sublattice` basis with one (0.5,
-`Fraction(1, 2)`, `True`, `None`), and rows that are not a sequence (`None`, 5) and a JSON object of `GramLattice.from_json`
-without integer `gram` rows, or with an entry string that int() refuses
-for more than its length ("1e5", "1.5", "NaN"); so does a lattice label
-that is neither a `str` nor `None` (a
-list, 5, `True`), through `from_rows` and through `from_json`.  The Mukai
+`Fraction(1, 2)`, a 0.5, a `None`, a `True`, an infinite or a NaN entry;
+`Sublattice.contains` takes a rational vector and answers False for a
+non-integral one, but raises InvalidVector for a v that is not iterable
+(`None`, 5, 1.5).  A `Sublattice` of a lattice with an entry past the digit
+limit and a basis that is not a matrix raises InvalidLattice, with the
+lattice in its message.  A Gram matrix that is ragged, not symmetric or not
+integral (a float, a `None` or a `True` entry) raises InvalidMatrix, as
+does an entry of `GramLattice.from_rows`, `IntMatrix.from_rows` or a
+`from_json` object that is not an exact int (2.5, `Fraction(3, 2)`, an
+infinity, a NaN, `None`, `True`), and a raw `IntMatrix` Gram with an entry
+that is not an `int` (0.5, `Fraction(1, 2)`, `True`, "a") or a raw
+`IntMatrix` `Sublattice` basis with one (0.5, `Fraction(1, 2)`, `True`,
+`None`), and rows that are not a sequence (`None`, 5) and a JSON object of
+`GramLattice.from_json` without integer `gram` rows, or with an entry
+string that int() refuses for more than its length ("1e5", "1.5", "NaN");
+so does a lattice label that is neither a `str` nor `None` (a list, 5,
+`True`), through `from_rows` and through `from_json`.  The Mukai
 classes raise InvalidVector for coefficients that are not five rationals, a
 scalar or an `exp_h` argument that is not rational (a `bool` is not), a
 pairing, sum or difference with an operand that is not a class, and a
@@ -50,8 +53,10 @@ stay out of it, as on these d they walk a Pell period near 2^31; the rest
 of the in-domain half waits for the per-call budget of that item.
 """
 
+import ast
 import inspect
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -64,6 +69,7 @@ from cubick3 import pell
 from cubick3 import standard as st
 from cubick3 import verify as vf
 from cubick3._record import show
+from cubick3 import errors
 from cubick3.cli import build_report
 from cubick3.errors import (
     InvalidDegree,
@@ -98,7 +104,10 @@ def _entries(**calls):
 A2 = st.standard_lattice("A2")
 WRONG_LENGTH = ((), (1,), (1, 0, 0))
 # ... and at the right length, refused where integer coordinates are required
-NON_INTEGRAL = ((Fraction(1, 2), 0), (0.5, 0), (None, 0), (True, 0))
+INF, NAN = float("inf"), float("nan")
+NON_INTEGRAL = ((Fraction(1, 2), 0), (0.5, 0), (None, 0), (True, 0), (INF, 0), (-INF, 0), (NAN, 0))
+# an entry of a matrix or Gram from outside that is not an exact int
+NOT_AN_INT = (2.5, Fraction(3, 2), INF, -INF, NAN, None, True)
 # ragged, not symmetric, a float entry, a None entry, a bool entry, no rows at all
 BAD_GRAMS = (((2, -1), (-1,)), ((2, -1), (0, 2)), ((2.5, -1), (-1, 2)), ((None,),), ((True,),),
              None, 5)
@@ -131,6 +140,9 @@ call = _entries(
     basis_pairings=lambda v: A2.basis_pairings(v),
     gram_from_rows=lambda rows: lat.GramLattice.from_rows(rows),
     gram_entry=lambda e: lat.GramLattice(lat.IntMatrix(((e,),))),
+    gram_rows_entry=lambda e: lat.GramLattice.from_rows([[e]]),
+    matrix_rows_entry=lambda e: lat.IntMatrix.from_rows([[1, e]]),
+    gram_json_entry=lambda e: lat.GramLattice.from_json({"gram": [[e]]}),
     sublattice_entry=lambda e: lat.Sublattice(A2, lat.IntMatrix(((e, 0),))),
     label_from_rows=lambda label: lat.GramLattice.from_rows([[2]], label),
     label_from_json=lambda label: lat.GramLattice.from_json({"gram": [[2]], "label": label}),
@@ -185,6 +197,8 @@ TABLE = (
     + _rows(InvalidMatrix, (0.5, Fraction(1, 2), True, "a"), call.gram_entry)
     + _rows(InvalidMatrix, (0.5, Fraction(1, 2), True, None), call.sublattice_entry)
     + _rows(InvalidMatrix, BAD_JSON, lat.GramLattice.from_json)
+    + _rows(InvalidMatrix, NOT_AN_INT, call.gram_rows_entry, call.matrix_rows_entry,
+            call.gram_json_entry)
     + _rows(InvalidMatrix, BAD_LABELS, call.label_from_rows, call.label_from_json)
     + _rows(InvalidVector, ((ONE, 3), (1, 2)), call.mukai_pairing)
     + _rows(InvalidVector, ((1, 2), (None, 0, 0, 0, 0), (True, 0, 0, 0, 0)), call.coh_class)
@@ -227,6 +241,27 @@ def test_every_public_function_has_a_row():
                if callable(obj) and not isinstance(obj, type) and name not in covered]
     assert all(not inspect.signature(getattr(cubick3, n)).parameters for n in missing), missing
     assert all(f"`{n}`" in __doc__ for n in missing), missing
+
+
+def _raised_names(tree):
+    # the names a module raises, by `raise X(...)` or `raise X`, or passes to require_even
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield getattr(exc, "id", getattr(exc, "attr", None))
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require_even"):
+            yield from (getattr(arg, "id", getattr(arg, "attr", None)) for arg in node.args)
+
+
+def test_every_error_class_is_raised():
+    # the rule of the `errors` docstring: every class below the base is raised
+    # by some library function outside `errors.py`
+    package = Path(errors.__file__).parent
+    raised = {name for path in package.glob("*.py") if path.name != "errors.py"
+              for name in _raised_names(ast.parse(path.read_text()))}
+    classes = {name for name, obj in vars(errors).items() if isinstance(obj, type)
+               and issubclass(obj, errors.CubicK3Error) and obj is not errors.CubicK3Error}
+    assert sorted(classes - raised) == []
 
 
 # d/2 = 103 * 4245924680514079 and 19 * 216424186573972837, both (**)

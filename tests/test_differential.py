@@ -1,6 +1,7 @@
 """Every row of the differential table, its floor, and the tests that call `oracles` outside it."""
 
 import ast
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -19,14 +20,34 @@ def test_row(row):
         assert row.library(x) == row.oracle(x), (row.id, x)
 
 
+# random.Random and the methods of it whose output is the same on Python 3.10-3.13
+STABLE_RANDOM = {"Random", "randint", "randrange", "choice", "sample", "random", "uniform"}
+
+
+def _digest(sample):
+    # 16 hex digits of the sha256 of the sample's items' reprs, one a line
+    h = hashlib.sha256()
+    for x in sample:
+        h.update(repr(x).encode() + b"\n")
+    return h.hexdigest()[:16]
+
+
 def _floor(row):
     ranges = ",".join(f"{lo}..{hi}" for lo, hi in row.ranges) or "-"
-    return f"{row.id} {row.size} {ranges} {row.seed!r}"
+    sample = dt.draw(row.sampler, row.size, row.ranges, row.seed)
+    return f"{row.id} {row.size} {ranges} {row.seed!r} {_digest(sample)}"
 
 
 def test_every_row_is_at_its_floor():
-    # each row's size, ranges and seed are its floor's line: a row below its
-    # floor, above it (a change that raises one raises both) or missing fails
+    # each row's size, ranges, seed and sample digest are its floor's line: a
+    # row below its floor, above it (a change that raises one raises both), on
+    # another sample of the same size, or missing fails; the samplers draw
+    # only from methods whose output does not change across Python versions
+    for path in (TESTS / "differential.py", TESTS / "oracles.py"):
+        calls = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and getattr(node.value, "id", "") in
+                 ("rng", "random")}
+        assert calls <= STABLE_RANDOM, (path.name, calls - STABLE_RANDOM)
     floors = [line for line in FLOORS.read_text().splitlines() if line and line[0] != "#"]
     assert len({row.id for row in dt.ROWS}) == len(dt.ROWS), "row ids must be unique"
     rows = sorted(map(_floor, dt.ROWS))

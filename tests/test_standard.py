@@ -12,10 +12,8 @@ from cubick3 import lattice
 from cubick3 import standard as st
 from cubick3 import verify as vf
 from cubick3 import (
-    InvalidDegree,
     InvalidNLVector,
     NLCase,
-    NotSpecialDiscriminant,
     UnknownLattice,
     ZeroVector,
     disc_group,
@@ -35,10 +33,8 @@ from cubick3.standard import (
     LAMBDA2,
     M1,
     RANK_GAMMA,
-    EmbeddingReport,
     _vec,
     boundary_witnesses,
-    canonical_embedding_report,
     classify_nl_vector,
     eichler_invariants,
     gamma_to_gammabar,
@@ -80,9 +76,8 @@ class TestStandardLattices:
     def test_e8_root_count(self):
         # close the simple roots under the simple reflections; the orbit of a
         # simply-laced diagram is the full root system, 240 roots for E8
-        from cubick3.standard import _basic
-
-        G = _basic("E8m").gram.to_lists()
+        E = standard_lattice("E")
+        G = [row[:8] for row in E.gram.to_lists()[:8]]  # the first E8(-1) summand
         simple = [tuple(1 if j == i else 0 for j in range(8)) for i in range(8)]
         roots = set(simple) | {tuple(-x for x in s) for s in simple}
         frontier = list(roots)
@@ -101,8 +96,7 @@ class TestStandardLattices:
                         nxt.append(img)
             frontier = nxt
         assert len(roots) == 240
-        gram = _basic("E8m")
-        assert all(gram.square(r) == -2 for r in roots)
+        assert all(E.square(r + (0,) * 8) == -2 for r in roots)
 
     def test_lambda_d_parsing(self):
         L = standard_lattice("LambdaD(14)")
@@ -174,24 +168,6 @@ class TestStandardBasis:
                 assert lt.pairing(lam, mu) == 0
 
 
-class TestEmbeddingReport:
-    def test_all_identities(self):
-        # verify's embedding.* checks compare every field with its derivation
-        out = []
-        vf._embedding_checks(out)
-        assert [c.check_id for c in out] == [f"embedding.{k}" for k in EmbeddingReport._fields]
-        assert [c for c in out if not c.ok] == []
-
-    def test_individual_values(self):
-        rep = canonical_embedding_report()
-        assert rep.mu_gram.to_lists() == [[-2, 1], [1, -2]]
-        assert rep.lambda12_square == 6
-        assert rep.fano_sublattice_abs_det == 18
-        assert rep.l1_perp_abs_det == 2
-        assert rep.a2_sum_saturation_index == 3
-        assert rep.a2_sum_saturation_abs_det == 1
-
-
 class TestNLVector:
     def test_d12(self):
         v = nl_vector(12)
@@ -207,11 +183,6 @@ class TestNLVector:
         v = nl_vector(8)
         assert v == _vec(RANK_GAMMA, {E1: 3, F1: -3, 20: 1, 21: -1})
         assert standard_lattice("Gamma").square(v) == -24
-
-    def test_rejects(self):
-        for d in (4, 10, 16, 7, 9, 0, -6):
-            with pytest.raises(NotSpecialDiscriminant):
-                nl_vector(d)
 
 
 class TestClassify:
@@ -610,10 +581,6 @@ class TestBoundary:
     def test_d2(self):
         d0, d1 = boundary_witnesses(2)
         assert d1 is not None
-
-    def test_odd_rejected(self):
-        with pytest.raises(InvalidDegree):
-            boundary_witnesses(7)
 
     def test_written_down_runs_no_lattice_check(self, monkeypatch):
         # the witnesses are written down; verify's delta.{d} checks prove them
