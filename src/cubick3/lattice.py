@@ -470,7 +470,7 @@ def _check_lengths(amb: GramLattice, rows):
 def _saturate(amb: GramLattice, rows):
     # (saturation, echelon H of a spanning suffix of rows^T, rank); no rows
     # give the rank-0 lattice
-    n, k = amb.rank, len(rows)
+    k = len(rows)
     _check_lengths(amb, rows)
     # the zero rows of rows^T are left out: that changes U alone (see `saturation`)
     T = [c for c in zip(*rows) if any(c)]
@@ -486,8 +486,6 @@ def _saturate(amb: GramLattice, rows):
             break
     if W is None:
         H, _, r = la.row_echelon_transform(T)
-        if r == n:
-            return _saturated_sublattice(amb, la.identity(n)), H, r
         # row i of H has its pivot in column p_i, and rows j > i vanish there,
         # so generator p_i is rows[p_i] = sum_{j <= i} H[j][p_i] * W[j]
         W = la.echelon_solve(H, [la.pivot_column(h) for h in H[:r]], rows)

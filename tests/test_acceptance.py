@@ -35,11 +35,14 @@ from oracles import binary_grams_equivalent, c11_inputs, det_bareiss, find_hyper
 
 @pytest.fixture(scope="module")
 def verified():
-    """verify's checks at the default sweep bound, as {id: ok}, and the run's seconds."""
+    """verify's checks at the default sweep bound, as {id: ok}, and the run's seconds.
+
+    A failed check fails the criteria that name it, each with its
+    `not verified: <id>` line, and the golden `verify` lines.
+    """
     t0 = time.monotonic()
     summary = vf.run_all()
     elapsed = time.monotonic() - t0
-    assert summary.ok, summary.failures
     return {c.check_id: c.ok for c in summary.checks}, elapsed
 
 

@@ -1,10 +1,11 @@
-"""The CI workflow runs checked-in scripts, not inline Python."""
+"""The CI workflow runs checked-in scripts, not inline Python, and installs the test extra."""
 
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+PYPROJECT = (ROOT / "pyproject.toml").read_text()
 
 
 def test_no_heredoc():
@@ -29,3 +30,14 @@ def test_every_run_block_is_short():
     blocks = re.findall(r"^( *)run: \|\n((?:\1 +\S.*\n)+)", WORKFLOW, re.M)
     assert len(blocks) == WORKFLOW.count("run: |")
     assert max(body.count("\n") for _, body in blocks) <= 8
+
+
+def test_tier1_installs_the_test_extra():
+    # the tier1 job's pip install names exactly the requirements of
+    # pyproject's `test` extra; read with re, as tier1 runs on 3.10, which
+    # has no tomllib
+    extra = re.search(r"^test = \[(.*)\]$", PYPROJECT, re.M).group(1)
+    tier1 = WORKFLOW[WORKFLOW.index("\n  tier1:"):WORKFLOW.index("\n  stdlib-newer:")]
+    installed = [arg.strip("'\"") for args in re.findall(r"pip install (.+)", tier1)
+                 for arg in args.split() if arg != "."]
+    assert sorted(installed) == sorted(re.findall(r'"([^"]+)"', extra))

@@ -75,13 +75,6 @@ def test_fundamental_units():
         assert oracles._fundamental_unit(D) == want
 
 
-def test_square_discriminants():
-    assert least_solution(1) == (1, 2)
-    assert least_solution(4) == (1, 1)
-    assert least_solution(9) is None
-    assert least_solution(16) is None
-
-
 def test_against_oracle():
     # agreement where the oracle is conclusive; the solver may also find
     # genuine solutions beyond the oracle's horizon, never the reverse
@@ -118,11 +111,6 @@ def test_sieve_classes_are_the_crt_of_the_prime_power_classes():
         assert classes == set(sieve_classes(D)), D
         empty += not classes
     assert 0 < empty < 499
-
-
-def test_small_d_translate_case():
-    # x = 0 at y = 1 for D = 3; the least positive solution is its unit translate
-    assert least_solution(3) == (3, 2)
 
 
 def test_long_period_within_budget():

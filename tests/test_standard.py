@@ -1,4 +1,12 @@
-"""Named constructions: standard lattices, NL vectors, witnesses, searches."""
+"""Named constructions: standard lattices, NL vectors, witnesses, searches.
+
+The ranks, determinants, signatures and parity of the standard lattices, the
+Grams and groups `hassett_triple` writes down, the boundary witnesses and
+the worked genus examples are pinned once elsewhere: in the golden `lattice`
+and `classify` lines, the rows `det.theory_grams` and
+`signature.theory_grams` (whose sample digests fix each Gram), `verify`'s
+`disc.*`, `delta.*` and `nl.sweep.*` checks, and the doctests.
+"""
 
 import math
 import random
@@ -42,36 +50,15 @@ from cubick3.standard import (
     hassett_triple,
     kdoo_index,
     nl_vector,
-    polarization_vector,
     standard_lattice,
     unit_vector,
 )
 
 
 class TestStandardLattices:
-    def test_gamma(self):
-        L = standard_lattice("Gamma")
-        assert L.rank == 22
-        assert signature(L) == (2, 20, 0)
-        assert L.is_even and L.abs_det == 3
-
-    def test_lambdatilde(self):
-        L = standard_lattice("LambdaTilde")
-        assert L.rank == 24
-        assert L.abs_det == 1
-        assert L.is_even
-
-    def test_gammabar(self):
-        L = standard_lattice("Gammabar")
-        assert L.rank == 23
-        assert not L.is_even
-        assert signature(L) == (2, 21, 0)
-        assert L.abs_det == 1
-
     def test_e_is_even_unimodular(self):
-        E = standard_lattice("E")
-        assert E.rank == 16 and E.abs_det == 1 and E.is_even
-        assert signature(E) == (0, 16, 0)
+        # unimodular, of rank 16 and signature (0, 16, 0): the theory_grams rows
+        assert standard_lattice("E").is_even
 
     def test_e8_root_count(self):
         # close the simple roots under the simple reflections; the orbit of a
@@ -99,10 +86,6 @@ class TestStandardLattices:
         assert all(E.square(r + (0,) * 8) == -2 for r in roots)
 
     def test_lambda_d_parsing(self):
-        L = standard_lattice("LambdaD(14)")
-        assert L.rank == 21 and L.abs_det == 14
-        with pytest.raises(UnknownLattice):
-            standard_lattice("LambdaD(7)")
         with pytest.raises(UnknownLattice):
             standard_lattice("Foo")
 
@@ -174,21 +157,15 @@ class TestNLVector:
         assert v == _vec(RANK_GAMMA, {E1: 1, F1: -2})
         assert standard_lattice("Gamma").square(v) == -4
 
-    def test_d14_square_oracle(self):
-        # 9 * (2 * 1 * -2) + (mu1 - mu2)^2 = -36 - 6
-        v = nl_vector(14)
-        assert standard_lattice("Gamma").square(v) == 9 * (2 * -2) + -6 == -42
-
     def test_d8(self):
-        v = nl_vector(8)
-        assert v == _vec(RANK_GAMMA, {E1: 3, F1: -3, 20: 1, 21: -1})
-        assert standard_lattice("Gamma").square(v) == -24
+        assert standard_lattice("Gamma").square(nl_vector(8)) == -24
 
 
 class TestClassify:
     def test_both_cases(self):
+        # the index-three case at 8 is the classification claim of
+        # nl.sweep.to200, whose case golden `classify 8 --format json` prints
         assert classify_nl_vector(nl_vector(12)) == (NLCase.SATURATED, 12)
-        assert classify_nl_vector(nl_vector(8)) == (NLCase.INDEX_THREE, 8)
 
     def test_square_minus_two(self):
         # any (-2)-vector classifies as saturated of discriminant 6
@@ -371,14 +348,6 @@ class TestHassettTriple:
         assert r.gram_K.to_lists() == [[-3, 0], [0, -4]]
         # extra generator e1 + 2 f1 of square 4 appears in the complement block
         assert r.gram_Gamma_d.to_lists()[20][20] == 4
-        assert r.disc_K.invariant_factors == (12,)
-
-    def test_gamma_d_block_structure(self):
-        r = hassett_triple(14)
-        A = [[-2, 1, 0], [1, -2, 1], [0, 1, 4]]
-        got = [row[18:] for row in r.gram_Gamma_d.to_lists()[18:]]
-        assert got == A
-        assert r.gram_L.to_lists() == [[2, -1, 0], [-1, 2, -1], [0, -1, -4]]
 
     def test_dets_and_disc_over_sweep(self):
         for d in (2, 6, 8, 12, 14, 18, 24, 26, 36, 54):
@@ -476,9 +445,7 @@ class TestEichler:
 
     def test_disc_generator_is_the_smith_column(self):
         # the written-down generator 2 m1 + m2 against the Smith form of Gamma
-        dg = disc_group(standard_lattice("Gamma"))
-        assert dg.invariant_factors == (3,)
-        assert st._gamma_disc_generator() == dg.columns[0]
+        assert st._gamma_disc_generator() == disc_group(standard_lattice("Gamma")).columns[0]
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroVector):
@@ -563,24 +530,14 @@ class TestKdoo:
 
 class TestBoundary:
     def test_d10(self):
-        lam = standard_lattice("Lambda")
-        d0, d1 = boundary_witnesses(10)
-        assert d1 is not None
-        # (delta1)^2 = 8 - 10 and (delta1 . ell) = 5 - 5, expanded by hand
-        assert lam.square(d1) == 8 - 10 == -2
-        assert lam.pairing(d1, polarization_vector(10)) == 5 - 5 == 0
         from cubick3.standard import E2, F2
 
-        assert d1 == _vec(22, {E1: 2, F1: 2, E2: 1, F2: -5})
+        assert boundary_witnesses(10)[1] == _vec(22, {E1: 2, F1: 2, E2: 1, F2: -5})
 
     def test_d8_single(self):
         d0, d1 = boundary_witnesses(8)
         assert d1 is None
         assert standard_lattice("Lambda").square(d0) == -2
-
-    def test_d2(self):
-        d0, d1 = boundary_witnesses(2)
-        assert d1 is not None
 
     def test_written_down_runs_no_lattice_check(self, monkeypatch):
         # the witnesses are written down; verify's delta.{d} checks prove them
@@ -592,11 +549,6 @@ class TestBoundary:
 
 
 class TestGenus:
-    def test_examples(self):
-        assert genus_compare(14) is True
-        assert genus_compare(8) is False
-        assert genus_compare(12) is False
-
     def test_blocks_have_signature_1_2_to_2000(self):
         # genus_compare skips the signature comparison: B_d and U + <-d> are
         # both of signature (1, 2) at every special d

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 import cubick3
-from cubick3 import InvalidDegree
 from cubick3 import conditions as cond
 from cubick3 import mukai as mk
 from cubick3 import standard as st
@@ -52,13 +51,6 @@ def test_genus_search_cap():
     # the cap lives in the brute-force oracle only; the library has none
     with pytest.raises(oracles.SearchCapExceeded):
         oracles.genus_compare(62, cap=10)
-
-
-@pytest.mark.parametrize("genus_max", [-5, 0, 7])
-def test_genus_max_below_8_rejected(genus_max):
-    # an empty sweep must not report its checks as passed
-    with pytest.raises(InvalidDegree):
-        vf.run_all(genus_max=genus_max)
 
 
 def test_chain_check_in_suite():
