@@ -10,9 +10,13 @@ presentation d = (2n^2+2n+2)/a^2.  The A2 tests and the (**) witness run on
 one prime factorization of d/2, by `_factorize`: trial division by the
 primes below 2^10, then deterministic Miller-Rabin and Pollard-Brent, so
 that every d/2 below 2^63 is factored in milliseconds.  One pass over its
-primes, `_a2_flags`, reads both (**') and (**).  The (***) witness
-comes from the Pell solver, which `condition_flags` runs only where (**)
-holds (the implication (***) => (**) is a check of `verify` instead).
+primes, `_a2_flags`, reads both (**') and (**).  One prime p = 2 (mod 3)
+of d/2 to an odd power makes both false, so `_a2_flags` has the
+factorization stop at the first such prime: d/2 is factored completely
+only where (**') holds, the only place the (**) witness reads it.  The
+(***) witness comes from the Pell solver, which `condition_flags` runs
+only where (**) holds (the implication (***) => (**) is a check of
+`verify` instead).
 
 The table's `pell_3p2` column, Brakkee's 3p^2 - (d/6) q^2 = -1 for
 d = 0 (mod 6), is the solvability of x^2 + 3 = D y^2 with x = 3p, y = q,
@@ -44,7 +48,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
+from collections.abc import Callable
 
 from . import pell
 from ._record import Record, int_str, json_int, show
@@ -119,7 +125,8 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
-def _factorize(n: int) -> dict[int, int]:
+def _factorize(n: int,
+               stop: Callable[[int, int], bool] | None = None) -> dict[int, int] | None:
     """The prime factorization {p: e} of n >= 1, primes ascending.
 
     Trial division by the 172 primes below 2^10 comes first, and a cofactor
@@ -134,11 +141,20 @@ def _factorize(n: int) -> dict[int, int]:
     cofactor at or above it is reduced by odd trial division first, the
     only proven route there, and that route alone warns that it may be
     very slow.
+
+    `stop(p, e)`, where given, is asked of each prime power p^e of n as it
+    is found, with e its whole exponent, in the trial, odd-trial and
+    large-cofactor phases alike.  The first it accepts ends the
+    factorization, which then returns None.  Nothing after it runs: a stop
+    in the trial division by the primes below 2^10 comes before the odd
+    trial division and its warning.
     """
     out: dict[int, int] = {}
     for p, p2 in _TRIAL:
         if p2 > n:
             if n > 1:
+                if stop and stop(n, 1):
+                    return None
                 out[n] = 1
             return out
         if n % p == 0:
@@ -147,25 +163,46 @@ def _factorize(n: int) -> dict[int, int]:
                 n //= p
                 e += 1
             out[p] = e
+            if stop and stop(p, e):
+                return None
     # no prime factor of n lies below 2^10
     if n >= _PSI13:
+        # the warning names the first caller outside this package
+        frame, level = sys._getframe(), 1
+        while frame.f_back and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "a cofactor of 3.3e24 or more is trial-divided and may be very slow",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
     p = _SMALL_PRIMES[-1] + 2
     while n >= _PSI13 and p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+            if stop and stop(p, e):
+                return None
         p += 2
+    # n is 1, or a prime, or a composite below psi_13 with no factor below
+    # 2^10; each prime c of it is counted once, by its exponent in n
     large: dict[int, int] = {}
     stack = [n] if n > 1 else []
     while stack:
         c = stack.pop()
+        if c in large:
+            continue
         if c < 2**20 or c >= _PSI13 or _is_prime(c):
-            large[c] = large.get(c, 0) + 1
+            e, m = 1, n // c
+            while m % c == 0:
+                m //= c
+                e += 1
+            large[c] = e
+            if stop and stop(c, e):
+                return None
         else:
             g = _pollard_brent(c)
             stack += [g, c // g]
@@ -185,22 +222,30 @@ def a2_represents(d: int, primitive: bool = False) -> bool:
     False
     """
     require_even(d, InvalidParity)
-    ssp, ss = _a2_flags(_factorize(d // 2))
+    ssp, ss, _ = _a2_flags(d // 2)
     return ss if primitive else ssp
 
 
-def _a2_flags(factors: dict[int, int]) -> tuple[bool, bool]:
-    # ((**'), (**)) for d, the two criteria of `a2_represents` read off the
-    # factorization of d/2 in one pass
-    primitive = True
-    for p, n in factors.items():
+def _obstructs(p: int, e: int) -> bool:
+    # a prime 2 (mod 3) to an odd power: (**') and (**) fail for d = 2p^e m
+    return p % 3 == 2 and e % 2 == 1
+
+
+def _a2_flags(n: int) -> tuple[bool, bool, dict[int, int] | None]:
+    # ((**'), (**)) for d = 2n, the two criteria of `a2_represents`, and the
+    # factorization of n where (**') holds.  The factorization stops at the
+    # first obstructing prime, where both fail; where none is found, n has
+    # no prime 2 (mod 3) to an odd power, and (**) asks that it have none
+    # at all and 3 at most once.
+    factors = _factorize(n, _obstructs)
+    if factors is None:
+        return False, False, None
+    primitive = factors.get(3, 0) < 2
+    for p in factors:
         if p % 3 == 2:
-            if n % 2:
-                return False, False
             primitive = False
-        elif p == 3 and n > 1:
-            primitive = False
-    return True, primitive
+            break
+    return True, primitive, factors
 
 
 def witness_ss(d: int) -> tuple[int, int] | None:
@@ -315,8 +360,7 @@ def condition_flags(d: int) -> ConditionFlags:
     require_even(d, InvalidParity)
     case = d % 6
     star = case in (0, 2)
-    factors = _factorize(d // 2)
-    ssp, ss = _a2_flags(factors)
+    ssp, ss, factors = _a2_flags(d // 2)
     # (***) implies (**), so the Pell equation is solved only where (**) holds
     w_sss = witness_sss(d) if ss else None
     flags = ConditionFlags(d, star, ssp, ss, w_sss is not None, case if star else None,
@@ -361,7 +405,7 @@ def _brakkee_least(d: int, ss: bool, ssp: bool) -> tuple[int, int] | None:
     # (**) and (**') for d; None by the local obstruction of the module
     # docstring, without a walk.  (**) for d/4 implies (**') for d, whose
     # test is free.
-    local = ss or (ssp and d % 16 == 8 and _a2_flags(_factorize(d // 8))[1])
+    local = ss or (ssp and d % 16 == 8 and _a2_flags(d // 8)[1])
     return pell.least_solution(d // 2) if local else None
 
 
@@ -395,7 +439,7 @@ def pell_brakkee(d: int) -> PellSolution:
     """
     if type(d) is not int or d <= 0 or d % 6:
         raise InvalidDegree(f"d must be a positive multiple of 6, got {show(d)}")
-    ssp, ss = _a2_flags(_factorize(d // 2))
+    ssp, ss, _ = _a2_flags(d // 2)
     return _brakkee_solution(d, ss, ssp)
 
 

@@ -85,6 +85,42 @@ def sss_and_brakkee_D(ds, seed):
         yield from (2 * d, d // 2) if d % 6 == 0 else (2 * d,)
 
 
+# primes of known residue mod 3 and the largest exponent each is drawn with:
+# small ones, 1031 (the least prime past the trial division), primes near
+# 2^20, the two factors of psi_12 and a prime near 2^61
+A2_PRIMES = ((2, 3), (3, 3), (5, 3), (7, 3), (11, 3), (13, 3), (1031, 3), (1048573, 3),
+             (1048583, 3), (399165290221, 1), (798330580441, 1), (2**61 + 15, 1))
+
+
+@sampler
+def known_factorizations(seed):
+    # (d, the factorization of d/2), d/2 < psi_13 a product of the primes above
+    # taken in a drawn order with drawn exponents, each prime kept only while
+    # the product stays below psi_13.  In a third of the draws each prime
+    # 2 (mod 3) has an even exponent, in a third it has none and 3 has at most
+    # one, and the rest are free.
+    rng = random.Random(seed)
+    while True:
+        kind, n, factors = rng.randint(0, 2), 1, {}
+        for p, cap in rng.sample(A2_PRIMES, len(A2_PRIMES)):
+            e = rng.randint(0, cap)
+            if kind == 1 and p % 3 == 2:
+                e -= e % 2
+            elif kind == 2 and p % 3 != 1:
+                e = min(e, 1) if p == 3 else 0
+            if e and n * p**e < cond._PSI13:
+                n *= p**e
+                factors[p] = e
+        yield 2 * n, factors
+
+
+def _a2_flags_of(factors):
+    # (**') and (**) read off the factorization of d/2: no prime 2 (mod 3) to
+    # an odd power, and none at all with 3 at most once
+    odd = [p for p in factors if p % 3 == 2]
+    return all(factors[p] % 2 == 0 for p in odd), not odd and factors.get(3, 0) <= 1
+
+
 @sampler
 def theory_grams(seed):
     # the standard lattices, three LambdaD, and the four sublattices that
@@ -511,6 +547,9 @@ ROWS = (
     Row("a2_represents.bruteforce.to800",
         lambda d: (cond.a2_represents(d), cond.a2_represents(d, True)),
         lambda d: (bool(s := a2_bruteforce(d)), any(p for _, _, p in s)), "even", 400, ((2, 800),)),
+    Row("a2_represents.known_factorization.to_psi13",
+        lambda x: (cond.a2_represents(x[0]), cond.a2_represents(x[0], True)),
+        lambda x: _a2_flags_of(x[1]), "known_factorizations", 150, (), "a2-flags"),
     Row("witness_ss.scan.to4000", cond.witness_ss, oracles.witness_ss, "even", 2000, ((2, 4000),)),
     Row("witness_ss.oracle_is_complete.to400", oracles.witness_ss, _full_scan_ss,
         "even", 200, ((2, 400),)),

@@ -152,15 +152,20 @@ class TestLargeIntegers:
     def test_classify_factors_half_d_once(self, monkeypatch):
         # d = 0 (mod 6): the Pell field reads (**) and (**') off the flags
         # instead of factoring d/2 a second time; 24 and 1176 are 8 (mod 16),
-        # where the obstruction also factors d/8, and 6, 24 and 42 are solvable
+        # where the obstruction also factors d/8, and 6, 24 and 42 are solvable.
+        # The last d/2 is 3 * 5 * 268435399 * 268435459: the factorization
+        # stops at 5 = 2 (mod 3), so Pollard-Brent never splits the cofactor.
         from cubick3 import cli, conditions
 
         calls = spy(monkeypatch, conditions, "_factorize", record=int)
-        for d in (6, 12, 24, 42, 954, 1176, 1870021348591302594):
+        splits = spy(monkeypatch, conditions, "_pollard_brent", record=int)
+        for d in (6, 12, 24, 42, 954, 1176, 1870021348591302594, 2161727386272394230):
             calls.clear()
+            splits.clear()
             report = cli.build_report(d)
             assert calls.count(d // 2) == 1, (d, calls)
             assert report.pell == conditions.pell_brakkee(d)
+        assert splits == []
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_witness_with_tens_of_thousands_of_digits(self, capsys, fmt):

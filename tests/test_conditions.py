@@ -25,15 +25,20 @@ from limits import time_limit
 class TestA2Represents:
     def test_large_input_warns(self):
         # only a cofactor of psi_13 or more is trial-divided, and only that
-        # warns: 1031 * p, for p the largest prime below psi_13, gives up
-        # 1031 at the first trial division and leaves p to Miller-Rabin
+        # warns: for 1031 * p, p the largest prime below psi_13, odd trial
+        # division finds 1031 = 2 (mod 3) first and stops there, so p never
+        # reaches Miller-Rabin
         p = 3317044064679887385961813
-        with pytest.warns(RuntimeWarning):
-            assert a2_represents(2 * 1031 * p) is False  # 1031 = 2 (mod 3)
-        # past 2^63, but the primes below 2^10 factor it: no warning
+        with pytest.warns(RuntimeWarning) as record:
+            assert a2_represents(2 * 1031 * p) is False
+        assert record[0].filename == __file__  # the caller's line, not the library's
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            # past 2^63, but the primes below 2^10 factor it: no warning
             assert a2_represents(2**65) is True  # 2^64 = (2^32)^2
+            # the primes below 2^10 stop at 5 = 2 (mod 3), before the odd
+            # trial division of the cofactor 1033 * p, which would warn
+            assert a2_represents(2 * 5 * 1033 * p) is False
 
 
 class TestFactorize:

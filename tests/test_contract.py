@@ -100,8 +100,31 @@ def _entries(**calls):
     return SimpleNamespace(**calls)
 
 
+class Built:
+    """A row input that a library call builds, built when its row runs.
+
+    A build that raises then fails the rows that use it, not the collection
+    of the suite.  `text` is what `show` gives for the input, so that the
+    test id names it as it would the input itself.
+    """
+
+    def __init__(self, text, build):
+        self.text, self.build = text, build
+
+    def __repr__(self):
+        return self.text
+
+
+# the library objects the entries share, built when an entry runs
+def a2():
+    return st.standard_lattice("A2")
+
+
+def one():
+    return mk.CohClass.of(1, 0, 0, 0, 0)
+
+
 # a vector of the lattice A2 (rank 2) is refused at any other length
-A2 = st.standard_lattice("A2")
 WRONG_LENGTH = ((), (1,), (1, 0, 0))
 # ... and at the right length, refused where integer coordinates are required
 INF, NAN = float("inf"), float("nan")
@@ -121,29 +144,34 @@ NOT_A_VECTOR = (None, 5, 1.5)
 # where a lattice is required
 NOT_A_LATTICE = (None, "x", 3)
 # a lattice whose repr holds an int past the digit limit
-LONG_LAMBDA = st.standard_lattice("LambdaD(" + "2" * 5000 + ")")
-
-ONE = mk.CohClass.of(1, 0, 0, 0, 0)
-NO_CONSTANT_TERM = mk.CohClass.of(0, 1, 0, 0, 0)
+LONG_LABEL = "LambdaD(" + "2" * 5000 + ")"
+LONG_LAMBDA = Built("GramLattice(gram=IntMatrix(data=<tuple with more digits than the int-str "
+                    f"limit>), label={LONG_LABEL!r})", lambda: st.standard_lattice(LONG_LABEL))
+A2_AND_NONE = Built("(GramLattice(gram=IntMatrix(data=((2, -1), (-1, 2))), label='A2'), None)",
+                    lambda: (a2(), None))
+ONE_AND_3 = Built("(CohClass(coeffs=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), "
+                  "Fraction(0, 1), Fraction(0, 1))), 3)", lambda: (one(), 3))
+NO_CONSTANT_TERM = Built("CohClass(coeffs=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), "
+                         "Fraction(0, 1), Fraction(0, 1)))", lambda: mk.CohClass.of(0, 1, 0, 0, 0))
 
 call = _entries(
     table_start=lambda start: cond.table(60, start=start),
     # the lattice entries on A2, at one vector v
-    span_sublattice=lambda v: lat.span_sublattice(A2, [v]),
-    orthogonal_complement=lambda v: lat.orthogonal_complement(A2, [v]),
-    saturate_rows=lambda v: lat.saturate_rows(A2, [(1, 0), v]),
-    contains=lambda v: lat.span_sublattice(A2, [(1, 1)]).contains(v),
-    is_primitive=lambda v: lat.is_primitive(A2, v),
-    divisibility=lambda v: lat.divisibility(A2, v),
-    pairing=lambda v: A2.pairing((1, 0), v),
-    square=lambda v: A2.square(v),
-    basis_pairings=lambda v: A2.basis_pairings(v),
+    span_sublattice=lambda v: lat.span_sublattice(a2(), [v]),
+    orthogonal_complement=lambda v: lat.orthogonal_complement(a2(), [v]),
+    saturate_rows=lambda v: lat.saturate_rows(a2(), [(1, 0), v]),
+    contains=lambda v: lat.span_sublattice(a2(), [(1, 1)]).contains(v),
+    is_primitive=lambda v: lat.is_primitive(a2(), v),
+    divisibility=lambda v: lat.divisibility(a2(), v),
+    pairing=lambda v: a2().pairing((1, 0), v),
+    square=lambda v: a2().square(v),
+    basis_pairings=lambda v: a2().basis_pairings(v),
     gram_from_rows=lambda rows: lat.GramLattice.from_rows(rows),
     gram_entry=lambda e: lat.GramLattice(lat.IntMatrix(((e,),))),
     gram_rows_entry=lambda e: lat.GramLattice.from_rows([[e]]),
     matrix_rows_entry=lambda e: lat.IntMatrix.from_rows([[1, e]]),
     gram_json_entry=lambda e: lat.GramLattice.from_json({"gram": [[e]]}),
-    sublattice_entry=lambda e: lat.Sublattice(A2, lat.IntMatrix(((e, 0),))),
+    sublattice_entry=lambda e: lat.Sublattice(a2(), lat.IntMatrix(((e, 0),))),
     label_from_rows=lambda label: lat.GramLattice.from_rows([[2]], label),
     label_from_json=lambda label: lat.GramLattice.from_json({"gram": [[2]], "label": label}),
     # ... and on an ambient amb that may not be a lattice
@@ -153,13 +181,13 @@ call = _entries(
     divisibility_of=lambda amb: lat.divisibility(amb, (1, 0)),
     is_primitive_of=lambda amb: lat.is_primitive(amb, (1, 0)),
     sublattice_rank=lambda x: lat.Sublattice(x, x).rank,
-    sublattice_rows=lambda rows: lat.Sublattice(A2, lat.IntMatrix.from_rows(rows)),
+    sublattice_rows=lambda rows: lat.Sublattice(a2(), lat.IntMatrix.from_rows(rows)),
     sublattice_of=lambda amb: lat.Sublattice(amb, 5),
     mukai_pairing=lambda pair: mk.mukai_pairing(*pair),
     coh_class=lambda coeffs: mk.CohClass.of(*coeffs),
-    times_one=lambda c: ONE * c,
-    plus_one=lambda c: ONE + c,
-    minus_one=lambda c: ONE - c,
+    times_one=lambda c: one() * c,
+    plus_one=lambda c: one() + c,
+    minus_one=lambda c: one() - c,
 )
 
 
@@ -200,7 +228,7 @@ TABLE = (
     + _rows(InvalidMatrix, NOT_AN_INT, call.gram_rows_entry, call.matrix_rows_entry,
             call.gram_json_entry)
     + _rows(InvalidMatrix, BAD_LABELS, call.label_from_rows, call.label_from_json)
-    + _rows(InvalidVector, ((ONE, 3), (1, 2)), call.mukai_pairing)
+    + _rows(InvalidVector, (ONE_AND_3, (1, 2)), call.mukai_pairing)
     + _rows(InvalidVector, ((1, 2), (None, 0, 0, 0, 0), (True, 0, 0, 0, 0)), call.coh_class)
     + _rows(InvalidVector, ("x", True), call.times_one)
     + _rows(InvalidVector, ("x", None, True), mk.exp_h)
@@ -213,7 +241,7 @@ TABLE = (
             call.orthogonal_complement_of, call.saturate_rows_of, call.divisibility_of,
             call.is_primitive_of)
     + _rows(InvalidLattice, (LONG_LAMBDA,), call.sublattice_of)
-    + _rows(InvalidLattice, ((), (1,), (A2, None)), lat.direct_sum)
+    + _rows(InvalidLattice, ((), (1,), A2_AND_NONE), lat.direct_sum)
 )
 
 
@@ -228,6 +256,9 @@ def _id(v) -> str:
     [pytest.param(f, error, v, id=f"{f.__name__}-{_id(v)}") for f, error, v in TABLE],
 )
 def test_out_of_domain_raises_its_typed_error(f, error, value):
+    if isinstance(value, Built):
+        text, value = value.text, value.build()
+        assert show(value) == text
     with time_limit(ALARM_S), pytest.raises(error):
         f(value)
 
