@@ -8,12 +8,14 @@ where (*) is the residue test d = 0, 2 (mod 6), (**') asks for a vector of
 square d in A2, (**) for a primitive one, and (***) for the square
 presentation d = (2n^2+2n+2)/a^2.  The A2 tests and the (**) witness run on
 one prime factorization of d/2, by `_factorize`: trial division by the
-primes below 2^10, then deterministic Miller-Rabin and Pollard-Brent, so
-that every d/2 below 2^63 is factored in milliseconds.  One pass over its
-primes, `_a2_flags`, reads both (**') and (**).  One prime p = 2 (mod 3)
-of d/2 to an odd power makes both false, so `_a2_flags` has the
-factorization stop at the first such prime: d/2 is factored completely
-only where (**') holds, the only place the (**) witness reads it.  The
+primes below 2^10, then deterministic Miller-Rabin and Pollard-Brent (a
+square cofactor is split at its root first), so that every d/2 below 2^63
+is factored in milliseconds.  One pass over its primes, `_a2_flags`, reads
+both (**') and (**).  One prime p = 2 (mod 3) of d/2 to an odd power makes
+both false, so `_a2_flags` has the factorization stop at the first such
+prime: d/2 is factored completely only where (**') holds.  The (**)
+witness exists exactly where (**) holds, so `witness_ss` reads (**) and
+the factorization from `_a2_flags` and lifts roots only there.  The
 (***) witness comes from the Pell solver, which `condition_flags` runs
 only where (**) holds (the implication (***) => (**) is a check of
 `verify` instead).
@@ -135,9 +137,10 @@ def _factorize(n: int,
     which is a proof of primality for c < psi_13 =
     3,317,044,064,679,887,385,961,981 (Sorenson-Webster, Math. Comp. 86
     (2017), arXiv 1509.00864; the first 12 bases are fooled by
-    psi_12 = 399165290221 * 798330580441).  A composite is split by
-    Pollard's rho with Brent's cycle finding (Brent, BIT 20 (1980)) until
-    every factor is proven prime.  Every n below 2^63 lies below psi_13; a
+    psi_12 = 399165290221 * 798330580441).  A composite is split at its
+    integer square root where it is a square, and otherwise by Pollard's
+    rho with Brent's cycle finding (Brent, BIT 20 (1980)), until every
+    factor is proven prime.  Every n below 2^63 lies below psi_13; a
     cofactor at or above it is reduced by odd trial division first, the
     only proven route there, and that route alone warns that it may be
     very slow.
@@ -204,7 +207,8 @@ def _factorize(n: int,
             if stop and stop(c, e):
                 return None
         else:
-            g = _pollard_brent(c)
+            r = math.isqrt(c)
+            g = r if r * r == c else _pollard_brent(c)
             stack += [g, c // g]
     return out | dict(sorted(large.items()))
 
@@ -251,32 +255,31 @@ def _a2_flags(n: int) -> tuple[bool, bool, dict[int, int] | None]:
 def witness_ss(d: int) -> tuple[int, int] | None:
     """Least (n, a) with a*d = 2n^2 + 2n + 2, or None (a proof, not a cutoff).
 
-    n^2 + n + 1 is odd, so the condition is m | n^2 + n + 1 with m = d/2,
-    and there is no witness when m is even.  For odd m the roots modulo
-    each prime power of m are: n = 1 modulo 3; none modulo 9 or modulo a
-    prime p = 2 (mod 3); and modulo p^e for p = 1 (mod 3) the two primitive
-    cube roots of unity, g^((p-1)/3) for the least g that gives one, lifted
-    by Newton's iteration (f'(n) = 2n + 1 is a unit, as (2n+1)^2 = -3).
-    The roots modulo m are their CRT combinations, all below m, and the
-    least of them is n.
+    n^2 + n + 1 is odd, so the condition is m | n^2 + n + 1 with m = d/2.
+    The roots modulo each prime power of m are: n = 1 modulo 3; none modulo
+    2, modulo 9 or modulo a prime p = 2 (mod 3); and modulo p^e for
+    p = 1 (mod 3) the two primitive cube roots of unity, g^((p-1)/3) for
+    the least g that gives one, lifted by Newton's iteration (f'(n) = 2n + 1
+    is a unit, as (2n+1)^2 = -3).  So a witness exists exactly where (**)
+    holds, which `_a2_flags` decides as it factors m, stopping at the first
+    obstructing prime.  The roots modulo m are the CRT combinations of the
+    local ones, all below m, and the least of them is n.
 
     >>> witness_ss(42), witness_ss(74), witness_ss(8)
     ((4, 1), (10, 3), None)
     """
     require_even(d, InvalidParity)
-    return _witness_ss(d, _factorize(d // 2))
+    _, ss, factors = _a2_flags(d // 2)
+    return _witness_ss(d, factors) if ss else None
 
 
-def _witness_ss(d: int, factors: dict[int, int]) -> tuple[int, int] | None:
-    # `witness_ss` on the factorization of d/2
+def _witness_ss(d: int, factors: dict[int, int]) -> tuple[int, int]:
+    # `witness_ss` on the factorization of d/2, given (**) for d: its primes
+    # are 3, to the first power, and primes 1 (mod 3)
     roots, mod = [0], 1  # every root of n^2 + n + 1 modulo `mod`
     for p, e in factors.items():
         if p == 3:
-            if e > 1:
-                return None
             pe, local = 3, (1,)
-        elif p % 3 != 1:
-            return None
         else:
             # a primitive cube root of unity mod p, lifted to p^e
             g = 2
@@ -483,8 +486,8 @@ def csv_row(flags: ConditionFlags) -> list[str]:
     where it does not.
     """
     d = flags.d
-    ss_n, ss_a = flags.ss_witness if flags.ss_witness else ("", "")
-    sss_n, sss_a = flags.sss_witness if flags.sss_witness else ("", "")
+    ss = [int_str(v) for v in flags.ss_witness] if flags.ss_witness else ["", ""]
+    sss = [int_str(v) for v in flags.sss_witness] if flags.sss_witness else ["", ""]
     pell_cell = ""
     if d % 6 == 0:
         pell_cell = _TF[flags.starstarstar or _brakkee_least(
@@ -496,10 +499,8 @@ def csv_row(flags: ConditionFlags) -> list[str]:
         _TF[flags.starstar],
         _TF[flags.starstarstar],
         "" if flags.case_mod6 is None else str(flags.case_mod6),
-        int_str(ss_n),
-        int_str(ss_a),
-        int_str(sss_n),
-        int_str(sss_a),
+        *ss,
+        *sss,
         str(_boundary_count(d)),
         pell_cell,
     ]

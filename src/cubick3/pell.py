@@ -34,16 +34,19 @@ tests, whose first success within the period is there:
   L - 2 - k <= i - 2 of the same parity, so a first half with no even hit
   proves there is none.
 - Q_(i+1) = Q_i means L = 2i + 1.  An even hit k >= i mirrors an odd hit
-  L - 2 - k <= i - 1, so the least even hit of the period is the mirror
-  L - 2 - k of the last odd hit k of the first half, if there is one.  Its
-  quotients past a_i are a_i, a_(i-1), ..., a_(k+2), read back from the
-  stored half.
+  L - 2 - k <= i - 1, so a first half with no hit at all proves there is
+  none.  Otherwise let k be the last odd hit of the first half.  The walk
+  goes on, and the hits past the middle are the mirrors of those before
+  it, met in reverse order: the first of them is L - 2 - k, even, and so
+  the least even hit of the period, which leaves by the even-hit exit.
+  Neither middle test fires again before it: m_(j+1) = m_j next holds at
+  j = L, and Q_(j+1) = Q_j at j = i + L, both past L - 2 - k.
 
-No caller in the library reaches the odd branch.  The period is odd exactly
+No caller in the library walks past a middle.  The period is odd exactly
 when x^2 - D y^2 = -1 is solvable, and neither D = 2d (4 | D, and -1 is
 not a square mod 4) nor D = d/2 (3 | D, and -1 is not a square mod 3)
-admits that.  The branch serves the rest of the domain, D = 13, 61 and 97
-among it, where the answer is a mirrored odd hit.
+admits that.  The walk-on serves the rest of the domain, D = 13, 61 and 97
+among it, where the least even hit lies past the middle.
 
 The walk divides only for a_i.  Subtracting Q_(i-1) Q_i = D - m_i^2 from
 Q_i Q_(i+1) = D - m_(i+1)^2, with m_i + m_(i+1) = a_i Q_i, gives
@@ -56,13 +59,11 @@ numerator follows from the identity
 
     p_j = m_(j+1) q_j + Q_(j+1) q_(j-1),   Q_(j+1) = 3.
 
-The m of a mirrored hit L - 2 - k is m_(L-1-k) = m_(k+2) = 3 a_(k+1) -
-m_(k+1), read off the first half.  A short quotient list is run through
-the recurrence q_(i+1) = a_(i+1) q_i + q_(i-1); a long one, of a long
-walk, by binary splitting of the matrix product of the partial quotients,
-whose factors have equal size, so that the big multiplications run
-subquadratically.  The solution is checked against the equation before it
-is returned.
+A short quotient list is run through the recurrence q_(i+1) =
+a_(i+1) q_i + q_(i-1); a long one, of a long walk, by binary splitting of
+the matrix product of the partial quotients, whose factors have equal
+size, so that the big multiplications run subquadratically.  The solution
+is checked against the equation before it is returned.
 
 For square D the equation factors.  The six nonsquare D <= 9 are too small
 for the convergent argument and are pinned in `_SMALL`; the unit-bounded
@@ -136,31 +137,23 @@ def least_solution(D: int) -> tuple[int, int] | None:
     if D <= 9:
         return _SMALL[D]
     # quotients holds a_0..a_j, and Q_(j+1) = 3 at even j is the least
-    # solution, with m = m_(j+1); the walk ends at the middle of the period
+    # solution, with m = m_(j+1); the walk ends at the middle of the period,
+    # or past the middle of an odd one at its first even hit
     m, den, den_prev, a = 0, 1, D, s
     quotients = [s]
-    odd_hit = None  # (k, m_(k+1)) for the last odd k with Q_(k+1) = 3
+    odd_seen = False  # whether an odd k with Q_(k+1) = 3 came before
     while True:
         m_next = den * a - m
         if m_next == m:
             return None  # the middle of an even period
         den_next = den_prev + a * (m - m_next)
-        if den_next == den:
-            # the middle of an odd period: the least even hit mirrors the
-            # last odd one, k, and its quotients past a_j are a_j, a_(j-1),
-            # ..., a_(k+2)
-            if odd_hit is None:
-                return None
-            k, m_hit = odd_hit
-            m = 3 * quotients[k + 1] - m_hit
-            quotients += quotients[:k + 1:-1]
-            break
+        if den_next == den and not odd_seen:
+            return None  # the middle of an odd period, with no hit before it
         m, den_prev, den = m_next, den, den_next
         if den == 3:
-            j = len(quotients) - 1
-            if j % 2 == 0:
+            if len(quotients) % 2:  # j = len(quotients) - 1 is even
                 break
-            odd_hit = j, m
+            odd_seen = True
         a = (s + m) // den
         quotients.append(a)
     q, q_prev = _cf_denominators(quotients)

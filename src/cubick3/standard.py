@@ -415,10 +415,11 @@ def hassett_triple(d: int) -> NLVectorReport:
     built once from the cached Gamma, then the three rows of the rank-3
     block B_d (see `genus_compare`), so only the nine entries of B_d are
     built for each d.  Every entry of every Gram here is an int computed
-    from a d that `_check_special` accepted, so no entry is re-validated;
-    the one check left is that B_d is symmetric (`GramLattice`).  Its proof
-    is `verify`, which computes the three lattices generically for every
-    special d in its sweep and compares Hermite bases and Grams.
+    from a d that `_check_special` accepted, so no entry is re-validated.
+    The Gram of L_d is -B_d in both residue classes, negated from the same
+    rows.  The proof of the closed form is `verify`, which computes the
+    three lattices generically for every special d in its sweep and
+    compares Hermite bases and Grams.
 
     The discriminant groups are written down too, in integers: generator i
     is an integer column over its order n_i and q_i a numerator over n_i
@@ -454,11 +455,11 @@ def hassett_triple(d: int) -> NLVectorReport:
     row (its generic check, then `genus_compare`), and one slot serves both.
     """
     _check_special(d)
+    block = _gamma_block(d)
     if d % 6 == 0:
         case = NLCase.SATURATED
         t = d // 3
         gram_K = IntMatrix(((-3, 0), (0, -t)))
-        gram_L = IntMatrix(((2, -1, 0), (-1, 2, 0), (0, 0, -t)))
         v_square = -t
         if d % 9:
             factors = (d,)
@@ -473,7 +474,6 @@ def hassett_triple(d: int) -> NLVectorReport:
     else:
         case = NLCase.INDEX_THREE
         gram_K = IntMatrix(((-3, 1), (1, -((d + 1) // 3))))
-        gram_L = IntMatrix(((2, -1, 0), (-1, 2, -1), (0, -1, -((d - 2) // 3))))
         v_square = -3 * d
         factors = (d,)
         cols_K = ((-1, -3),)
@@ -482,14 +482,14 @@ def hassett_triple(d: int) -> NLVectorReport:
     pad = (0,) * 18
     # every Gram is ints of a checked d, built unvalidated; of Gamma_d only
     # B_d depends on d
-    gram_Gamma_d = IntMatrix(_e_u_rows() + tuple(pad + row for row in _gamma_block(d)))
+    gram_Gamma_d = IntMatrix(_e_u_rows() + tuple(pad + row for row in block))
     return NLVectorReport(
         d=d,
         case=case,
         v=nl_vector(d),
         v_square=v_square,
         gram_K=gram_K,
-        gram_L=gram_L,
+        gram_L=IntMatrix(tuple((-a, -b, -c) for a, b, c in block)),
         gram_Gamma_d=gram_Gamma_d,
         disc_K=DiscGroup(factors, cols_K, None),
         disc_Gamma_d=DiscGroup(factors, tuple(pad + c for c in cols_B), q_numerators),
@@ -602,9 +602,11 @@ def genus_compare(d: int) -> bool:
     with 9 not dividing d, and Z/3 + Z/(d/3) for 9 | d.  The forms agree
     iff the group of Gamma_d is cyclic of order d and its generator has
     q = a/d with u^2 a = -1 (mod 2d) for a unit u, i.e. iff -a^(-1) is a
-    square unit modulo 2d.  That is decided prime by prime on the
-    factorization of d: a Legendre symbol for each odd p | d, and for the
-    2-part the unit class modulo 4 when 2 || d and modulo 8 when 4 | d.
+    square unit modulo 2d.  That is decided prime by prime: for the 2-part
+    of d by the unit class modulo 4 when 2 || d and modulo 8 when 4 | d,
+    and then by a Legendre symbol for each odd p | d, asked as each prime
+    of d/2 is found; the factorization of d/2 stops at the first p whose
+    symbol is -1, and the forms agree iff it runs to the end.
 
     >>> genus_compare(14), genus_compare(12), genus_compare(18)
     (True, False, False)
@@ -615,12 +617,6 @@ def genus_compare(d: int) -> bool:
         return False
     a = dg.q_numerators[0]  # q = a/d
     r = -pow(a, -1, 2 * d)  # a' a^(-1) for a' = -1
-    factors = _factorize(d // 2)
-    factors[2] = factors.get(2, 0) + 1  # the factorization of d
-    for p, e in factors.items():
-        if p == 2:
-            if r % (4 if e == 1 else 8) != 1:
-                return False
-        elif pow(r, (p - 1) // 2, p) != 1:
-            return False
-    return True
+    if r % (4 if d % 4 else 8) != 1:
+        return False
+    return _factorize(d // 2, lambda p, e: p > 2 and pow(r, (p - 1) // 2, p) != 1) is not None

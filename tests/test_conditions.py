@@ -14,12 +14,12 @@ import warnings
 from math import prod
 
 import pytest
-from cubick3 import a2_represents, condition_flags, pell_brakkee, table, witness_sss
+from cubick3 import a2_represents, condition_flags, pell_brakkee, table, witness_ss, witness_sss
 from cubick3 import conditions, pell
 from cubick3.conditions import csv_row
 from cubick3.verify import a2_bruteforce
 import oracles
-from limits import time_limit
+from limits import spy, time_limit
 
 
 class TestA2Represents:
@@ -39,6 +39,8 @@ class TestA2Represents:
             # the primes below 2^10 stop at 5 = 2 (mod 3), before the odd
             # trial division of the cofactor 1033 * p, which would warn
             assert a2_represents(2 * 5 * 1033 * p) is False
+            # and so does the (**) witness, which reads the same decision
+            assert witness_ss(2 * 5 * 1033 * p) is None
 
 
 class TestFactorize:
@@ -92,6 +94,17 @@ class TestFactorize:
         assert conditions._is_prime(self.PSI12)
         monkeypatch.setattr(conditions, "_MR_BASES", conditions._MR_BASES[:9])
         assert conditions._is_prime(self.SPSP23)
+
+    def test_square_cofactor_is_split_at_its_root(self, monkeypatch):
+        # (**) holds for d = 2 * 7 * r^2, r = 798330580441 = 1 (mod 3), so
+        # the witness reads the whole factorization; the cofactor r^2 left
+        # by the primes below 2^10 is split at its square root, not by
+        # Pollard-Brent, whose walk on it takes about 0.25 s
+        r = 798330580441
+        splits = spy(monkeypatch, conditions, "_pollard_brent", record=int)
+        assert witness_ss(2 * 7 * r**2) is not None
+        assert conditions._factorize(5 * r**2) == {5: 1, r: 2}
+        assert splits == []
 
     def test_cofactor_past_psi13_is_trial_divided(self):
         # 1031^9 > psi_13: odd trial division takes every 1031 out

@@ -125,8 +125,9 @@ def test_long_period_within_budget():
 
 @pytest.mark.parametrize("D", [13, 61, 97])
 def test_mirrored_odd_hit(D):
-    # odd periods whose least even hit lies past the middle, the mirror
-    # L - 2 - k of the last odd hit k of the first half
+    # odd periods whose least even hit lies past the middle: the walk goes
+    # on from the middle to it, L - 2 - k for the last odd hit k of the
+    # first half
     a0, period = oracles.sqrt_cf(D)
     assert len(period) % 2 == 1
     assert least_solution(D) == oracles.least_even_hit(D, a0, period)

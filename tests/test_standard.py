@@ -11,6 +11,7 @@ and `classify` lines, the rows `det.theory_grams` and
 import math
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -287,8 +288,10 @@ class TestHassettTriple:
         finally:
             hassett_triple.cache_clear()  # drop the corrupted reports
         sweep = next(c for c in s.failures if c.check_id == "nl.sweep.to20")
-        # the written-down group of Gamma_14 is not that of the corrupted block
-        assert sweep.actual == repr([(14, "gramGamma"), (14, "discGamma")])
+        # the written-down group of Gamma_14 is not that of the corrupted
+        # block, and L_d, whose Gram is -B_d, carries the corruption too
+        assert sweep.actual == repr(
+            [(14, "gramL"), (14, "gramGamma"), (14, "detL"), (14, "discGamma")])
 
     def test_written_down_grams_match_direct_sums(self):
         # the rows of gram_Gamma_d and gram_L against the orthogonal sums they
@@ -588,6 +591,13 @@ class TestGenus:
         assert genus_compare(12002) is False
         assert genus_compare(12006) is False  # 9 | 12006: not cyclic
         assert genus_compare(12014) is True  # 12014 = 2 * 6007, 6007 = 1 (mod 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # 2 * 3 * 5 * 1033 * p, p the largest prime below psi_13, with
+            # 9 not dividing it: the Legendre symbol at 3 decides it before
+            # the odd trial division of the cofactor 1033 * p, which would
+            # warn
+            assert genus_compare(102795195564429710090956584870) is False
 
 
 class TestHyperbolicSearch:
