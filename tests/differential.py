@@ -14,6 +14,10 @@ floor, above it, on another sample or missing fails), and checks that each
 other test that calls into `oracles` or this module is one of the
 `EXCEPTIONS`, listed with its reason.  The samplers draw only from the
 `random.Random` methods whose output is the same on Python 3.10-3.13.
+
+CI runs the rows of the table in `tests/ci/differential_at_scale.py` on
+longer prefixes of their pinned samples: the first N inputs of the same
+sampler and seed, or a sweep over a range that contains the row's.
 """
 
 import functools
@@ -146,6 +150,32 @@ def c11(entries, seed):
 
 
 @sampler
+def c11_pairings(entries, seed):
+    # the pairing matrices G * W^T that `orthogonal_complement` hands to
+    # `left_kernel`, of the C11 sample's generator sets W
+    for amb, rows in c11(entries, seed):
+        cols = [amb.basis_pairings(w) for w in rows]
+        yield [[c[j] for c in cols] for j in range(amb.rank)]
+
+
+@sampler
+def c11_dependent(entries, seed):
+    # the C11 sample's generator sets with a combination of their rows appended
+    rng = random.Random(seed)
+    for amb, rows in c11(entries, seed):
+        yield amb, [*rows, oracles.matmul([[rng.randint(-3, 3) for _ in rows]], rows)[0]]
+
+
+@sampler
+def c11_rebuilt(entries, seed):
+    # the saturations and complements of the C11 sample, rebuilt unmarked
+    for amb, rows in c11(entries, seed):
+        sat, _ = lat.saturation(lat.span_sublattice(amb, rows))
+        for S in sat, lat.orthogonal_complement(amb, rows):
+            yield lat.Sublattice(amb, S.basis)
+
+
+@sampler
 def c11_lattices(entries, seed):
     # the nondegenerate saturations and complements of the C11 sample
     for amb, rows in c11(entries, seed):
@@ -216,18 +246,26 @@ def _symmetric(rng, n, entries):
 
 
 @sampler
-def symmetric(sizes, entries, seed):
-    # a repeated row and column makes a fifth of them singular
+def symmetric(sizes, entries, seed, zero_diagonals=False):
+    # a repeated row and column makes a fifth of them singular; with
+    # zero_diagonals, every third (the first included) has a zero diagonal,
+    # where the first pivot takes a congruence
     rng = random.Random(seed)
-    while True:
+    for t in itertools.count():
         n = rng.randint(*sizes)
         A = _symmetric(rng, n, entries)
+        if zero_diagonals and t % 3 == 0:
+            for a in range(n):
+                A[a][a] = 0
         if n >= 2 and rng.random() < 0.2:
             i, j = rng.sample(range(n), 2)
             A[i] = list(A[j])
             for row in A:
                 row[i] = row[j]
         yield A
+
+
+SAMPLERS["symmetric_zero_diagonals"] = functools.partial(symmetric, zero_diagonals=True)
 
 
 @sampler
@@ -237,6 +275,17 @@ def symmetric_by_seed(sizes, entries, seed):
         rng = random.Random(s)
         A = _symmetric(rng, rng.randint(*sizes), entries)
         yield [[e if i != j or s % 3 else 0 for j, e in enumerate(row)] for i, row in enumerate(A)]
+
+
+@sampler
+def small_matrices(ms, ks, seed):
+    # m x k matrices, zero rows and rank deficiency included, with entries
+    # from a mostly-zero set, from [-4, 4] or from a set of even numbers
+    rng = random.Random(seed)
+    sets = ((0, 0, 0, 1, -1, 2, 3, -6), range(-4, 5), (0, 2, 4, -6, 12))
+    while True:
+        m, k, entries = rng.randint(*ms), rng.randint(*ks), rng.choice(sets)
+        yield [[rng.choice(entries) for _ in range(k)] for _ in range(m)]
 
 
 @sampler
@@ -501,6 +550,18 @@ def _full_scan_ss(d):
     return next(((n, x // d) for n, x in enumerate(t) if x % d == 0), None)
 
 
+def _starstar(d):
+    return (cond.condition_flags(d).starstar, cond.a2_represents(d, True),
+            cond.witness_ss(d) is not None, st.genus_compare(d))
+
+
+def _starstar_oracle(d):
+    # d/2 among the primitive norms of A2 up to the least power of two above
+    # it, so that a sweep enumerates a few cached bounds
+    n = d // 2
+    return (n in oracles.a2_primitive_norms(1 << n.bit_length()),) * 4
+
+
 def _echelon_solve_rational(x):
     # the triangular system over Q, one coordinate at a time: its solution
     # when every coordinate is integral, else None
@@ -538,6 +599,12 @@ FACTORIZE = (lambda x: cond._factorize(x[0]), itemgetter(1))
 DET = (lambda A: la.inertia(A)[3], oracles.det_bareiss)
 SATURATIONS = (_saturations(lat.saturation, lat.saturate_rows),
                _saturations(oracles.saturation, oracles.saturate_rows))
+# the kernel, and whether `oracles.hermite_pivots` finds a canonical Hermite
+# basis, a scan without the reduction above the pivots that `hnf_rows` and
+# `left_kernel` share
+LEFT_KERNEL = (lambda A: (K := la.left_kernel(A), oracles.hermite_pivots(K) is not None),
+               lambda A: (oracles.left_kernel(A), True))
+SATURATE_ROWS = (lambda x: lat.saturate_rows(*x), lambda x: oracles.saturate_rows(*x))
 CONTAINS = (lambda x: x[0].contains(x[1]), lambda x: oracles.contains(*x))
 C11 = ((-5, 5),), 20240311
 
@@ -550,6 +617,9 @@ ROWS = (
     Row("a2_represents.known_factorization.to_psi13",
         lambda x: (cond.a2_represents(x[0]), cond.a2_represents(x[0], True)),
         lambda x: _a2_flags_of(x[1]), "known_factorizations", 150, (), "a2-flags"),
+    # (**) four ways (its flag, a2_represents, a (**) witness and the genus)
+    # against the enumeration of A2, which does not factor
+    Row("starstar.a2_norms", _starstar, _starstar_oracle, "special", 3333, ((2, 10_000),)),
     Row("witness_ss.scan.to4000", cond.witness_ss, oracles.witness_ss, "even", 2000, ((2, 4000),)),
     Row("witness_ss.oracle_is_complete.to400", oracles.witness_ss, _full_scan_ss,
         "even", 200, ((2, 400),)),
@@ -578,12 +648,21 @@ ROWS = (
         lambda A: (s := lat.signature(L := lat.GramLattice.from_rows(A)), s, L.det),
         lambda A: (oracles.signature_descartes(A), oracles.signature(A), oracles.det_bareiss(A)),
         "symmetric_by_seed", 119, ((1, 8), (-4, 4)), 2),
+    Row("inertia.to_rank24", lambda A: (lat.signature(L := lat.GramLattice.from_rows(A)), L.det),
+        lambda A: (oracles.signature(A), oracles.det_bareiss(A)),
+        "symmetric_zero_diagonals", 40, ((1, 24), (-5, 5)), "inertia"),
     Row("echelon_solve.rational", lambda x: la.echelon_solve(*x), _echelon_solve_rational,
         "echelon_systems", 200, ((0, 4), (0, 3)), "echelon-solve"),
     Row("saturation.c11", lambda x: lat.saturation(lat.span_sublattice(*x)),
         lambda x: oracles.saturation(lat.span_sublattice(*x)), "c11", 200, *C11),
-    Row("saturate_rows.c11", lambda x: lat.saturate_rows(*x), lambda x: oracles.saturate_rows(*x),
-        "c11", 200, *C11),
+    Row("left_kernel.c11", *LEFT_KERNEL, "c11_pairings", 200, *C11),
+    Row("left_kernel.small_matrices", *LEFT_KERNEL,
+        "small_matrices", 400, ((0, 9), (0, 5)), "small-matrices"),
+    Row("saturate_rows.c11", *SATURATE_ROWS, "c11", 200, *C11),
+    Row("saturate_rows.c11_dependent", *SATURATE_ROWS, "c11_dependent", 200, *C11),
+    # a saturated canonical Hermite basis, unmarked, runs saturation's
+    # echelon and comes back as it is, at index 1
+    Row("saturation.rebuilt.c11", lat.saturation, lambda S: (S, 1), "c11_rebuilt", 400, *C11),
     Row("saturation.mixed", *SATURATIONS, "mixed_independent", 60, ((1, 4),), "saturation-mixed"),
     Row("saturation.double_kernel", *SATURATIONS,
         "mixed_generators", 80, ((1, 4),), "double-kernel"),

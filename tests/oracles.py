@@ -393,6 +393,19 @@ def witness_ss(d):
     return None
 
 
+@functools.cache
+def a2_primitive_norms(limit):
+    """The n <= limit that x^2 - xy + y^2 takes at a coprime (x, y), by enumeration.
+
+    (**) holds for d = 2n exactly where n is one of them, and this needs no
+    factorization.  x^2 - xy + y^2 >= (x^2 + y^2) / 2, so every such pair
+    has |x|, |y| <= isqrt(2 * limit) + 1.
+    """
+    box = range(-math.isqrt(2 * limit) - 1, math.isqrt(2 * limit) + 2)
+    return frozenset(n for x in box for y in box
+                     if (n := x * x - x * y + y * y) <= limit and math.gcd(x, y) == 1)
+
+
 def primes_below(n):
     """The primes below n >= 2, ascending, by the sieve of Eratosthenes."""
     sieve = bytearray([1]) * n

@@ -54,6 +54,24 @@ def test_every_row_is_at_its_floor():
     assert rows == sorted(floors), "a row is below or above its floor line, or one of them is gone"
 
 
+def test_ci_scale_covers_the_floors():
+    # the table of tests/ci/differential_at_scale.py names rows, each CI size
+    # at least the row's and each CI range containing the row's, so the
+    # pinned sample is a prefix of the one CI runs
+    tree = ast.parse((TESTS / "ci" / "differential_at_scale.py").read_text())
+    scale = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", "") == "SCALE")
+    rows = {row.id: row for row in dt.ROWS}
+    assert sorted(scale.keys() - rows.keys()) == [], "a CI id is not a row"
+    for name, ci in scale.items():
+        row = rows[name]
+        if isinstance(ci, int):
+            assert ci >= row.size, name
+        else:
+            assert len(ci) == len(row.ranges), name
+            assert all(lo <= a and b <= hi for (lo, hi), (a, b) in zip(ci, row.ranges)), name
+
+
 def _definitions(path):
     # (key, whether it names `oracles`, a name imported from it or this table,
     # imported as `dt`) for each test and helper, a module function or a method
