@@ -13,8 +13,13 @@ saturate_rows against the double-kernel oracles, on C11 sets, C11 sets
 with a dependent row appended, saturations and complements rebuilt
 unmarked, and sparse, scaled and dense sets, whose paths through
 `lattice.saturation` must include all four (`oracles.saturation_suffixes`);
-signature and det of Grams of rank 1 to 24; and the four routes to (**)
-on every special d <= 100,000.
+signature and det of Grams of rank 1 to 24; the four routes to (**)
+on every special d <= 100,000; and each row that draws the shapes of a
+fact, at ten times its Tier-1 sample or range: signatures of shaped Grams,
+sparse products, discriminant forms of even Grams, kernels of four kinds,
+the classification of NL vectors (drawn, and nl_vector(d) to 20,000), the
+witnesses of (**) and (***) to 8,000, and the Pell solver against the
+sieved search for D < 5,000.
 
 An exception in a route counts as a difference of its row.  Prints one line
 per row, with its first difference, and exits nonzero on any difference.
@@ -42,6 +47,14 @@ SCALE = {
     "saturation.suffix": 6_200,  # 2,060 sparse and 2,023 scaled sets
     "inertia.to_rank24": 2_000,
     "starstar.a2_norms": ((2, 100_000),),
+    "signature.shaped": 3_000,
+    "sparse_products.dense": 1_000,
+    "disc_form.even_grams": 1_500,
+    "left_kernel.shaped": 3_000,
+    "classify_nl_vector.generic": 1_500,
+    "classify_nl_vector.generic.to2000": ((2, 20_000),),
+    "witnesses.even.to800": ((2, 8_000),),
+    "pell.brute_y.to500": ((1, 4_999),),
 }
 PATHS = {"no suffix", "first suffix", "grown suffix", "all coordinates"}
 

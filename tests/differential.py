@@ -15,6 +15,11 @@ other test that calls into `oracles` or this module is one of the
 `EXCEPTIONS`, listed with its reason.  The samplers draw only from the
 `random.Random` methods whose output is the same on Python 3.10-3.13.
 
+These samplers are the suite's one source of drawn input: a fact checked
+on drawn shapes (Grams, kernels, NL vectors, ...) is a row here, and a
+test that is not a row draws from a seeded loop of its own, so every
+sample is the same on every run and every release of the suite's tools.
+
 CI runs the rows of the table in `tests/ci/differential_at_scale.py` on
 longer prefixes of their pinned samples: the first N inputs of the same
 sampler and seed, or a sweep over a range that contains the row's.
@@ -25,7 +30,7 @@ from collections import namedtuple
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from operator import itemgetter
 
 import oracles
@@ -237,11 +242,12 @@ def rank0_memberships(entries, seed):
 # --- seeded random --------------------------------------------------------------
 
 
-def _symmetric(rng, n, entries):
+def _symmetric(n, entry, zero_diagonal=False):
+    # an n x n symmetric matrix, its upper triangle row by row from entry()
     A = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            A[i][j] = A[j][i] = rng.randint(*entries)
+        for j in range(i + zero_diagonal, n):
+            A[i][j] = A[j][i] = entry()
     return A
 
 
@@ -253,7 +259,7 @@ def symmetric(sizes, entries, seed, zero_diagonals=False):
     rng = random.Random(seed)
     for t in itertools.count():
         n = rng.randint(*sizes)
-        A = _symmetric(rng, n, entries)
+        A = _symmetric(n, lambda: rng.randint(*entries))
         if zero_diagonals and t % 3 == 0:
             for a in range(n):
                 A[a][a] = 0
@@ -273,8 +279,128 @@ def symmetric_by_seed(sizes, entries, seed):
     # one generator per seed: seed, seed + 1, ...; a third have a zero diagonal
     for s in itertools.count(seed):
         rng = random.Random(s)
-        A = _symmetric(rng, rng.randint(*sizes), entries)
+        A = _symmetric(rng.randint(*sizes), lambda: rng.randint(*entries))
         yield [[e if i != j or s % 3 else 0 for j, e in enumerate(row)] for i, row in enumerate(A)]
+
+
+# mostly zeros, like the Gram matrices of the standard lattices
+SPARSE_INTS = (0, 0, 0, 0, 0, -3, -2, -1, 1, 2, 3, 7)
+
+
+def _hyperbolic_sum(rng, n):
+    # planes b U and 1x1 blocks down the diagonal, in a shuffled basis
+    G = [[0] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        b = rng.choice(SPARSE_INTS)
+        if i + 1 < n and rng.random() < 0.5:
+            G[i][i + 1] = G[i + 1][i] = b or 1
+            i += 2
+        else:
+            G[i][i] = b
+            i += 1
+    p = rng.sample(range(n), n)
+    return [[G[a][c] for c in p] for a in p]
+
+
+@sampler
+def shaped_grams(sizes, seed):
+    # half are sums of planes and 1x1 blocks, half sparse, with or without a
+    # zero diagonal; two thirds then get a zeroed row and column, or one
+    # repeated as another (a no-op when it is repeated as itself)
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(*sizes)
+        if rng.random() < 0.5:
+            G = _hyperbolic_sum(rng, n)
+        else:
+            G = _symmetric(n, lambda: rng.choice(SPARSE_INTS), rng.random() < 0.5)
+        defect, i, k = rng.randint(0, 2), rng.randrange(n), rng.randrange(n)
+        old = [row[:] for row in G]
+        for t in range(n) if defect else ():
+            G[k][t] = G[t][k] = 0 if defect == 1 else old[i][i if t == k else t]
+        yield G
+
+
+@sampler
+def even_grams(sizes, seed):
+    # nondegenerate even Grams: sparse off the diagonal, 2e on it for e in [-4, 4]
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(*sizes)
+        G = _symmetric(n, lambda: rng.choice(SPARSE_INTS), zero_diagonal=True)
+        for i in range(n):
+            G[i][i] = 2 * rng.randint(-4, 4)
+        if (L := lat.GramLattice.from_rows(G)).det:
+            yield L
+
+
+def _fraction(rng):
+    # 0 half the time, else a Fraction in [-4, 4] of denominator at most 6
+    if rng.random() < 0.5:
+        return Fraction(0)
+    den = rng.randint(1, 6)
+    return Fraction(rng.randint(-4 * den, 4 * den), den)
+
+
+@sampler
+def gram_products(ns, ks, seed):
+    # (G, B, u, v): an n x n symmetric G, a k x n B with a zero row half the
+    # time, and two vectors, with entries all from SPARSE_INTS or all Fractions
+    rng = random.Random(seed)
+    while True:
+        n, k = rng.randint(*ns), rng.randint(*ks)
+        ints = rng.random() < 0.5
+        entry = (lambda: rng.choice(SPARSE_INTS)) if ints else (lambda: _fraction(rng))
+        G = _symmetric(n, entry)
+        B = [[entry() for _ in range(n)] for _ in range(k)]
+        if B and rng.random() < 0.5:
+            B[rng.randrange(k)] = [0] * n
+        yield G, B, [entry() for _ in range(n)], [entry() for _ in range(n)]
+
+
+KERNEL_ENTRIES = (0, 0, 0, -6, -3, -2, -1, 1, 2, 3, 4, 12)
+
+
+@sampler
+def kernel_shapes(ms, ks, seed):
+    # m x k matrices of four kinds: "plain"; "zero rows" zeroes some rows;
+    # "rank deficient" makes the last column a combination of the others;
+    # "scaled suffix" multiplies the rows of the first suffix by 2 or 3, so
+    # an earlier row with an entry prime to the factor is outside its span
+    # and the suffix must grow.  Small m and k give k = 0, m <= k and A = 0
+    rng = random.Random(seed)
+    while True:
+        m, k = rng.randint(*ms), rng.randint(*ks)
+        kind = rng.choice(["plain", "zero rows", "rank deficient", "scaled suffix"])
+        A = [[rng.choice(KERNEL_ENTRIES) for _ in range(k)] for _ in range(m)]
+        if kind == "zero rows":
+            A = [[0] * k if rng.random() < 0.5 else row for row in A]
+        elif kind == "rank deficient" and k:
+            c = [rng.randint(-2, 2) for _ in range(k - 1)]
+            for row in A:
+                row[-1] = oracles.dot(row, c)
+        elif kind == "scaled suffix":
+            f, j = rng.choice([2, 3]), max(m - k - 2, 0)
+            A[j:] = [[f * e for e in row] for row in A[j:]]
+        yield A
+
+
+@sampler
+def nl_vectors(entries, seed):
+    # primitive v of Gamma with v^2 < 0: v = w / gcd, of divisibility 1 or 3,
+    # or v = (3w + k c) / gcd for k = 1, 2 and c the column of the generator
+    # c/3 of A_Gamma, so G v = 0 (mod 3) and v has divisibility 3 (dividing
+    # by a gcd prime to 3 keeps it)
+    rng, c, gamma = random.Random(seed), st._gamma_disc_generator(), st.standard_lattice("Gamma")
+    while True:
+        w, k = [rng.randint(*entries) for _ in range(st.RANK_GAMMA)], rng.choice((0, 1, 2))
+        v = w if k == 0 else [3 * a + k * b for a, b in zip(w, c)]
+        if g := gcd(*v):
+            v = tuple(e // g for e in v)
+            if gamma.square(v) < 0:
+                assert k == 0 or lat.divisibility(gamma, v) == 3
+                yield v
 
 
 @sampler
@@ -562,6 +688,44 @@ def _starstar_oracle(d):
     return (n in oracles.a2_primitive_norms(1 << n.bit_length()),) * 4
 
 
+def _witnesses(d):
+    # (**) and (***), each as its flag and as whether its witness solver
+    # finds one, and the chain (***) => (**) => (**') => (*); the witnesses
+    # themselves are the rows witness_ss.scan.to4000 and
+    # witness_sss.two_period.to10000
+    f = cond.condition_flags(d)
+    return (f.starstar, cond.witness_ss(d) is not None, f.starstarstar,
+            cond.witness_sss(d) is not None,
+            f.starstarstar <= f.starstar <= f.starstar_prime <= f.star)
+
+
+def _witnesses_oracle(d):
+    ss, sss = _starstar_oracle(d)[0], _sss(d) is not None
+    return ss, ss, sss, sss, True
+
+
+def _least_below_20000(D):
+    # the least solution, read as None when its y is past brute_least's horizon
+    sol = pell.least_solution(D)
+    return sol if sol is None or sol[1] < 20_000 else None
+
+
+def _nl_case(d):
+    # saturated for d = 0 (mod 6), of index three for d = 2 (mod 6)
+    return st.NLCase.SATURATED if d % 6 == 0 else st.NLCase.INDEX_THREE, d
+
+
+def _sparse_products(x):
+    G, B, u, v = x
+    S = la.sparse_rows(G)
+    return la.sparse_gram_product(B, S), la.pairing(S, u, v), la.sparse_mat_vec(S, v)
+
+
+def _dense_products(x):
+    G, B, u, v = x
+    return oracles.gram_product(B, G), oracles.pairing(G, u, v), la.mat_vec(G, v)
+
+
 def _echelon_solve_rational(x):
     # the triangular system over Q, one coordinate at a time: its solution
     # when every coordinate is integral, else None
@@ -623,6 +787,7 @@ ROWS = (
     Row("witness_ss.scan.to4000", cond.witness_ss, oracles.witness_ss, "even", 2000, ((2, 4000),)),
     Row("witness_ss.oracle_is_complete.to400", oracles.witness_ss, _full_scan_ss,
         "even", 200, ((2, 400),)),
+    Row("witnesses.even.to800", _witnesses, _witnesses_oracle, "even", 400, ((2, 800),)),
     Row("witness_sss.two_period.to10000", cond.witness_sss, _sss, "even", 5000, ((2, 10_000),)),
     Row("pell_brakkee.two_period.to10000", cond.pell_brakkee, _brakkee,
         "six", 1666, ((2, 10_000),)),
@@ -634,6 +799,8 @@ ROWS = (
     Row("pell.two_period.sss_brakkee_D.to10000", pell.least_solution, _two_period,
         "sss_and_brakkee_D", 6666, ((2, 10_000),)),
     Row("pell.two_period.to49", pell.least_solution, _two_period, "integers", 49, ((1, 49),)),
+    Row("pell.brute_y.to500", _least_below_20000, lambda D: oracles.brute_least(D, 20_000),
+        "integers", 499, ((1, 499),)),
     Row("pell.full_period.to5000", pell.least_solution, _full_period,
         "nonsquare", 4924, ((10, 5000),)),
     Row("pell.full_period.large", pell.least_solution, _full_period,
@@ -648,6 +815,13 @@ ROWS = (
         lambda A: (s := lat.signature(L := lat.GramLattice.from_rows(A)), s, L.det),
         lambda A: (oracles.signature_descartes(A), oracles.signature(A), oracles.det_bareiss(A)),
         "symmetric_by_seed", 119, ((1, 8), (-4, 4)), 2),
+    # planes and 1x1 blocks in a shuffled basis, sparse Grams, singular ones
+    Row("signature.shaped",
+        lambda A: (lat.signature(lat.GramLattice.from_rows(A)), len(A) - la.rank_int(A)),
+        lambda A: (s := oracles.signature(A), s[2]), "shaped_grams", 300, ((1, 8),),
+        "signature-shaped"),
+    Row("sparse_products.dense", _sparse_products, _dense_products,
+        "gram_products", 100, ((1, 7), (0, 5)), "sparse-products"),
     Row("inertia.to_rank24", lambda A: (lat.signature(L := lat.GramLattice.from_rows(A)), L.det),
         lambda A: (oracles.signature(A), oracles.det_bareiss(A)),
         "symmetric_zero_diagonals", 40, ((1, 24), (-5, 5)), "inertia"),
@@ -658,6 +832,8 @@ ROWS = (
     Row("left_kernel.c11", *LEFT_KERNEL, "c11_pairings", 200, *C11),
     Row("left_kernel.small_matrices", *LEFT_KERNEL,
         "small_matrices", 400, ((0, 9), (0, 5)), "small-matrices"),
+    Row("left_kernel.shaped", *LEFT_KERNEL,
+        "kernel_shapes", 300, ((0, 9), (0, 5)), "kernel-shapes"),
     Row("saturate_rows.c11", *SATURATE_ROWS, "c11", 200, *C11),
     Row("saturate_rows.c11_dependent", *SATURATE_ROWS, "c11_dependent", 200, *C11),
     # a saturated canonical Hermite basis, unmarked, runs saturation's
@@ -685,8 +861,17 @@ ROWS = (
     Row("disc_group.c11", _disc_group, _smith_columns_reduced, "c11_lattices", 400, *C11),
     Row("disc_form.gamma_d_lambda_d.to200", disc_form, disc_form_oracle,
         "gamma_d_and_lambda_d", 130, ((8, 200),)),
+    Row("disc_form.even_grams", disc_form, disc_form_oracle, "even_grams", 150, ((1, 6),),
+        "even-grams"),
     Row("genus.bruteforce.to2000", st.genus_compare, oracles.genus_compare,
         "special", 665, ((8, 2000),)),
+    Row("classify_nl_vector.generic", st.classify_nl_vector, oracles.generic_classification,
+        "nl_vectors", 150, ((-5, 5),), "nl-vectors"),
+    # the case the notes give each special d, and the generic route's
+    Row("classify_nl_vector.generic.to2000",
+        lambda d: (st.classify_nl_vector(st.nl_vector(d)), _nl_case(d)),
+        lambda d: (oracles.generic_classification(st.nl_vector(d)),) * 2,
+        "special", 667, ((2, 2000),)),
     Row("euler_line.binomial", euler_line, oracles.euler_line, "integers", 13, ((-6, 6),)),
     Row("series_sqrt.newton", lambda c: (s := series_sqrt(c), s * s),
         lambda c: (oracles.series_sqrt_newton(c), c),
@@ -699,16 +884,11 @@ ROWS = (
 EXCEPTIONS = {
     "a spy: it counts or forbids the echelons, Hermite forms or transforms a route runs": """
         test_intlinalg.py: test_left_kernel_suffix_lengths
-        test_left_kernel_matches_oracle_on_c11_sample
+        test_left_kernel_suffixes_on_c11_sample
         test_lattice.py: test_echelon_coefficients_stay_small_on_c11_sample
         test_saturation_suffix_echelons test_saturate_rows_of_a_dependent_list_echelons_all_rows
         test_properties.py: test_complement_saturation_returns_the_complement
         test_saturation_marker""",
-    "Hypothesis draws a custom shape (matrices of `shapes`, planes, defects)": """
-        test_intlinalg.py: test_riding_columns_come_back_multiplied_by_the_transform
-        test_left_kernel_matches_two_step_oracle
-        test_sparse_kernels.py: test_gram_products_match_dense
-        test_disc_form_values_match_fraction_route test_signature_matches_dense_elimination""",
     "an opinion of sympy, an external oracle the suite skips without it": """
         test_intlinalg.py: test_smith_against_sympy
         test_conditions.py: TestFactorize::test_matches_sympy_on_a_seeded_sample""",
@@ -717,6 +897,7 @@ EXCEPTIONS = {
     "a test of the oracle itself": """
         test_intlinalg.py: test_frac_inv test_solve_rational_and_rowspace
         test_pell.py: test_cf_expansion test_fundamental_units
+        test_sieve_classes_are_the_crt_of_the_prime_power_classes
         test_properties.py: test_hermite_pivots_match_bruteforce
         test_hermite_pivots_reject_near_misses
         test_standard.py: test_binary_reduction TestHyperbolicSearch::_check_found

@@ -12,7 +12,8 @@ from cubick3 import lattice as lat
 from cubick3.errors import DependentGenerators
 from cubick3.lattice import DiscGroup, GramLattice, IntMatrix, Sublattice, disc_group
 from cubick3.mukai import CohClass
-from cubick3.standard import LAMBDA1, LAMBDA2, hassett_triple, lambda_d_lattice, standard_lattice
+from cubick3.standard import (H2, LAMBDA1, LAMBDA2, NLCase, gamma_to_gammabar, hassett_triple,
+                              lambda_d_lattice, standard_lattice)
 from cubick3.verify import series_inverse
 
 
@@ -208,6 +209,19 @@ def contains(S, v) -> bool:
     """Sublattice membership as integrality of the rational coefficients on the HNF basis."""
     c = solve_rational(la.hnf_rows(S.basis.to_lists()), v)
     return c is not None and all(Fraction(x).denominator == 1 for x in c)
+
+
+def generic_classification(v):
+    """The case and discriminant of a Noether-Lefschetz vector v of Gamma, v^2 < 0, read
+    off the double-kernel saturation of `span_sublattice`'s checked span of h^2
+    and v in Gammabar."""
+    sq = standard_lattice("Gamma").square(v)
+    gbar = standard_lattice("Gammabar")
+    _, index = saturation(lat.span_sublattice(gbar, [H2, gamma_to_gammabar(v)]))
+    if index == 1:
+        return NLCase.SATURATED, -3 * sq
+    assert index == 3 and sq % 3 == 0
+    return NLCase.INDEX_THREE, -sq // 3
 
 
 def find_hyperbolic_AT(e, f, bound):
@@ -529,6 +543,38 @@ def solve_minus3(D):
         if best is None or cand[1] < best[1]:
             best = cand
     return best, ybound
+
+
+# D*y^2 - 3 = x^2 makes D*y^2 - 3 a square modulo any M, so only the y in
+# the residue classes mod M where it is one can solve the equation
+SIEVE_M = 8 * 9 * 5 * 7
+SQUARES_MOD_M = frozenset(x * x % SIEVE_M for x in range(SIEVE_M))
+
+
+def sieve_classes(D):
+    """The classes r mod SIEVE_M where D*r^2 - 3 is a square mod SIEVE_M."""
+    return [r for r in range(SIEVE_M) if (D * r * r - 3) % SIEVE_M in SQUARES_MOD_M]
+
+
+def brute_least(D, ymax):
+    """The least solution (x, y) of x^2 - D y^2 = -3 with 0 < y < ymax, or None.
+
+    It visits y in increasing order, but only in the classes mod SIEVE_M
+    that the squares allow.
+    """
+    classes = sieve_classes(D)
+    for base in range(0, ymax, SIEVE_M):
+        for r in classes:
+            y = base + r
+            if y >= ymax:
+                return None
+            t = D * y * y - 3
+            if t <= 0:
+                continue
+            x = math.isqrt(t)
+            if x * x == t:
+                return (x, y)
+    return None
 
 
 # --- discriminant forms by exhaustive search (the genus oracle) --------------

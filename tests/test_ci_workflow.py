@@ -1,6 +1,11 @@
-"""The CI workflow runs checked-in scripts, not inline Python, and installs the test extra."""
+"""The CI workflow runs checked-in scripts, not inline Python, and installs the test extra.
 
+The tests import nothing the test extra does not install.
+"""
+
+import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,3 +46,19 @@ def test_tier1_installs_the_test_extra():
     installed = [arg.strip("'\"") for args in re.findall(r"pip install (.+)", tier1)
                  for arg in args.split() if arg != "."]
     assert sorted(installed) == sorted(re.findall(r'"([^"]+)"', extra))
+
+
+def test_tests_import_only_the_stdlib_pytest_sympy_and_the_package():
+    # a module under tests/ imports the standard library, pytest, sympy, the
+    # package or a module of tests/, so the suite starts with the test extra
+    # installed and nothing else
+    modules = sorted((ROOT / "tests").rglob("*.py"))
+    allowed = {*sys.stdlib_module_names, "pytest", "sympy", "cubick3", *(p.stem for p in modules)}
+    imported = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add((path.name, node.module))
+    assert sorted((f, name) for f, name in imported if name.split(".")[0] not in allowed) == []

@@ -1,43 +1,13 @@
-"""The Pell-type solver against a direct enumeration oracle."""
+"""The Pell-type solver's continued-fraction steps and budget, and the oracles that check it."""
 
 import random
 import time
-from math import isqrt
 
 import pytest
 
 from cubick3 import pell
 from cubick3.pell import least_solution
 import oracles
-
-
-# D*y^2 - 3 = x^2 makes D*y^2 - 3 a square modulo any M, so only the y in
-# the residue classes mod M where it is one can solve the equation
-SIEVE_M = 8 * 9 * 5 * 7
-SQUARES_MOD_M = frozenset(x * x % SIEVE_M for x in range(SIEVE_M))
-
-
-def sieve_classes(D):
-    # the classes r mod SIEVE_M where D*r^2 - 3 is a square mod SIEVE_M
-    return [r for r in range(SIEVE_M) if (D * r * r - 3) % SIEVE_M in SQUARES_MOD_M]
-
-
-def brute_least(D, ymax):
-    # the least solution with y < ymax, visiting y in increasing order but
-    # only in the classes mod SIEVE_M that the squares allow
-    classes = sieve_classes(D)
-    for base in range(0, ymax, SIEVE_M):
-        for r in classes:
-            y = base + r
-            if y >= ymax:
-                return None
-            t = D * y * y - 3
-            if t <= 0:
-                continue
-            x = isqrt(t)
-            if x * x == t:
-                return (x, y)
-    return None
 
 
 def test_cf_denominators_match_the_product():
@@ -75,21 +45,6 @@ def test_fundamental_units():
         assert oracles._fundamental_unit(D) == want
 
 
-def test_against_oracle():
-    # agreement where the oracle is conclusive; the solver may also find
-    # genuine solutions beyond the oracle's horizon, never the reverse
-    for D in range(1, 500):
-        got = least_solution(D)
-        want = brute_least(D, 20000)
-        if got is None:
-            assert want is None, (D, want)
-        else:
-            x, y = got
-            assert x * x - D * y * y == -3
-            if want is not None or y < 20000:
-                assert got == want, D
-
-
 def test_sieve_classes_are_the_crt_of_the_prime_power_classes():
     # x^2 == D*y^2 - 3 is solvable mod 8*9*5*7 exactly when it is solvable
     # mod each factor, so the sieve's classes are the CRT combinations of the
@@ -107,8 +62,8 @@ def test_sieve_classes_are_the_crt_of_the_prime_power_classes():
             inv = pow(M, -1, q)
             classes = {a + M * ((b - a) * inv % q) for a in classes for b in allowed}
             M *= q
-        assert M == SIEVE_M
-        assert classes == set(sieve_classes(D)), D
+        assert M == oracles.SIEVE_M
+        assert classes == set(oracles.sieve_classes(D)), D
         empty += not classes
     assert 0 < empty < 499
 

@@ -1,65 +1,42 @@
-"""Property-based checks of the algebraic identities."""
+"""Checks of the algebraic identities over every input of a finite domain, or a seeded sample."""
 
+import itertools
 import random
 
-from hypothesis import given, settings, strategies as hyp
-
-from cubick3 import (
-    condition_flags,
-    orthogonal_complement,
-    saturation,
-    signature,
-    span_sublattice,
-    witness_ss,
-    witness_sss,
-)
+from cubick3 import orthogonal_complement, saturation, signature, span_sublattice
 from cubick3 import intlinalg as la
 from cubick3.lattice import IntMatrix, Sublattice, direct_sum, GramLattice, saturate_rows
 from cubick3.standard import standard_lattice
 import oracles
 from limits import forbid, spy
 
-even_d = hyp.integers(min_value=1, max_value=400).map(lambda k: 2 * k)
 
-
-@given(even_d)
-@settings(max_examples=60, deadline=None)
-def test_witness_solvers_match_classifier(d):
-    f = condition_flags(d)
-    assert (witness_ss(d) is not None) == f.starstar
-    assert (witness_sss(d) is not None) == f.starstarstar
-    assert f.starstarstar <= f.starstar <= f.starstar_prime <= f.star
-
-
-@given(hyp.integers(min_value=-40, max_value=40), hyp.integers(min_value=-40, max_value=40))
-@settings(max_examples=80, deadline=None)
-def test_a2_form_values_never_two_mod_three(x, y):
+def test_a2_form_values_never_two_mod_three():
     # every represented half-value is 0 or 1 mod 3, which is why the chain
-    # (**') => (*) holds
-    v = x * x - x * y + y * y
-    assert v % 3 != 2
+    # (**') => (*) holds; x^2 - xy + y^2 mod 3 depends only on x and y mod 3,
+    # so the nine residue pairs are a proof
+    for x, y in itertools.product(range(3), repeat=2):
+        assert (x * x - x * y + y * y) % 3 != 2, (x, y)
 
 
-@given(hyp.lists(hyp.sampled_from(["U", "A2", "A2m", "I03"]), min_size=1, max_size=3),
-       hyp.lists(hyp.sampled_from([1, -1, 2]), min_size=3, max_size=3))
-@settings(max_examples=40, deadline=None)
-def test_direct_sum_signature_additive(names, scales):
-    # each part's Gram scaled by t; t < 0 swaps its positive and negative counts
-    scales = scales[: len(names)]
-    parts = [
-        GramLattice.from_rows([[t * e for e in row] for row in standard_lattice(n).gram.data])
-        for n, t in zip(names, scales)
-    ]
-    total = signature(direct_sum(parts))
-    expect = [0, 0, 0]
-    for n, t in zip(names, scales):
-        pos, neg, null = signature(standard_lattice(n))
-        if t < 0:
-            pos, neg = neg, pos
-        expect[0] += pos
-        expect[1] += neg
-        expect[2] += null
-    assert total == tuple(expect)
+def test_direct_sum_signature_additive():
+    # each part's Gram scaled by t; t < 0 swaps its positive and negative
+    # counts.  Every list of one to three (part, scale) pairs: 12 + 144 + 1728
+    pairs = list(itertools.product(["U", "A2", "A2m", "I03"], [1, -1, 2]))
+    lists = (itertools.product(pairs, repeat=r) for r in (1, 2, 3))
+    for parts in itertools.chain.from_iterable(lists):
+        total = signature(direct_sum([
+            GramLattice.from_rows([[t * e for e in row] for row in standard_lattice(n).gram.data])
+            for n, t in parts]))
+        expect = [0, 0, 0]
+        for n, t in parts:
+            pos, neg, null = signature(standard_lattice(n))
+            if t < 0:
+                pos, neg = neg, pos
+            expect[0] += pos
+            expect[1] += neg
+            expect[2] += null
+        assert total == tuple(expect), parts
 
 
 def _hermite_brute(rows):
@@ -81,26 +58,21 @@ def _hermite_brute(rows):
     return pivots
 
 
-@given(
-    hyp.integers(min_value=1, max_value=4),
-    hyp.integers(min_value=1, max_value=6),
-    hyp.sampled_from(["raw", "hermite"]),
-    hyp.integers(min_value=0, max_value=2**32),
-)
-@settings(max_examples=150, deadline=None)
-def test_hermite_pivots_match_bruteforce(k, n, kind, seed):
+def test_hermite_pivots_match_bruteforce():
     # random matrices, and canonical Hermite bases with one entry nudged
-    # (which may or may not keep them canonical); the fixed point of
-    # `hnf_rows` is a second restatement
-    rng = random.Random(seed)
-    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-    if kind == "hermite":
-        rows = la.hnf_rows(rows) or [[0] * n]
-        i, j = rng.randrange(len(rows)), rng.randrange(n)
-        rows[i][j] += rng.choice([-1, 0, 1])
-    pivots = oracles.hermite_pivots(rows)
-    assert pivots == _hermite_brute(rows)
-    assert (pivots is not None) == (la.hnf_rows(rows) == rows)
+    # (which may or may not keep them canonical), one of each kind in turn;
+    # the fixed point of `hnf_rows` is a second restatement
+    for seed in range(150):
+        rng = random.Random(seed)
+        k, n, kind = rng.randint(1, 4), rng.randint(1, 6), ("raw", "hermite")[seed % 2]
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        if kind == "hermite":
+            rows = la.hnf_rows(rows) or [[0] * n]
+            i, j = rng.randrange(len(rows)), rng.randrange(n)
+            rows[i][j] += rng.choice([-1, 0, 1])
+        pivots = oracles.hermite_pivots(rows)
+        assert pivots == _hermite_brute(rows), rows
+        assert (pivots is not None) == (la.hnf_rows(rows) == rows), rows
 
 
 def test_hermite_pivots_reject_near_misses():

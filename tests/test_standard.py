@@ -15,7 +15,6 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as hyp
 
 from cubick3 import lattice
 from cubick3 import standard as st
@@ -189,31 +188,6 @@ class TestClassify:
         with pytest.raises(InvalidNLVector):
             classify_nl_vector((0,) * RANK_GAMMA)
 
-    @given(hyp.lists(hyp.integers(-5, 5), min_size=RANK_GAMMA, max_size=RANK_GAMMA),
-           hyp.sampled_from((0, 1, 2)))
-    @settings(max_examples=150, deadline=None)
-    def test_agrees_with_the_generic_route(self, w, k):
-        # k = 0: v = w/gcd, of divisibility 1 or 3; k = 1, 2: v = 3w + k c for
-        # c the column of the generator c/3 of A_Gamma, so G v = 0 (mod 3) and
-        # v has divisibility 3 (dividing by a gcd prime to 3 keeps it)
-        c = st._gamma_disc_generator()
-        v = w if k == 0 else [3 * a + k * b for a, b in zip(w, c)]
-        g = math.gcd(*v)
-        assume(g)
-        v = tuple(e // g for e in v)
-        sq = standard_lattice("Gamma").square(v)
-        assume(sq < 0)
-        assert k == 0 or lattice.divisibility(standard_lattice("Gamma"), v) == 3
-        assert classify_nl_vector(v) == _generic_classification(v, sq)
-
-    def test_agrees_with_the_generic_route_on_every_special_d(self):
-        for d in range(2, 2001, 2):
-            if d % 6 in (0, 2):
-                v = nl_vector(d)
-                sq = standard_lattice("Gamma").square(v)
-                assert classify_nl_vector(v) == _generic_classification(v, sq) == (
-                    NLCase.SATURATED if d % 6 == 0 else NLCase.INDEX_THREE, d), d
-
     def test_runs_no_rank_test(self, monkeypatch):
         # the span of h2 and v is built as a basis; its saturation still runs
         calls = {"rank_int": 0, "span_sublattice": 0, "saturation": 0}
@@ -233,16 +207,6 @@ class TestClassify:
         counted(st, "saturation")
         assert classify_nl_vector(nl_vector(14)) == (NLCase.INDEX_THREE, 14)
         assert calls == {"rank_int": 0, "span_sublattice": 0, "saturation": 1}
-
-
-def _generic_classification(v, sq):
-    # the case read off the saturation of span_sublattice's checked span
-    gbar = standard_lattice("Gammabar")
-    _, index = lattice.saturation(lattice.span_sublattice(gbar, [st.H2, gamma_to_gammabar(v)]))
-    if index == 1:
-        return NLCase.SATURATED, -3 * sq
-    assert index == 3 and sq % 3 == 0
-    return NLCase.INDEX_THREE, -sq // 3
 
 
 @pytest.mark.parametrize(
