@@ -42,21 +42,30 @@ RIDING_ENTRIES = (0, 0, 0, -7, -3, -2, -1, 1, 2, 3, 5, 12)
 
 
 def test_row_echelon_transform_properties():
-    # U A = H with U unimodular and H in echelon form.  The columns past n
-    # take every row operation, so [A | X] -> [H | U X], and the identity
-    # rides along as the transform itself.  m, n and X's width p run from 0
-    # to 5, with entries from [-5, 5] or from RIDING_ENTRIES
+    # U A = H with U unimodular and H in echelon form; m and n run from 0 to
+    # 5, with entries from [-5, 5] or from RIDING_ENTRIES
     rng = random.Random(11)
     for _ in range(150):
-        m, n, p = (rng.randint(0, 5) for _ in range(3))
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
         entries = rng.choice((range(-5, 6), RIDING_ENTRIES))
-        A, X = ([[rng.choice(entries) for _ in range(w)] for _ in range(m)] for w in (n, p))
+        A = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
         H, U, r = la.row_echelon_transform(A)
         assert matmul(U, A) == H
         assert abs(det_bareiss(U)) == 1
         assert all(not any(H[i]) for i in range(r, m))
         pivots = [next(j for j in range(n) if row[j]) for row in H[:r]]
         assert pivots == sorted(pivots) and len(set(pivots)) == r
+
+
+def test_riding_columns_come_back_multiplied_by_the_transform():
+    # the columns past n take every row operation, so [A | X] -> [H | U X],
+    # and the identity rides along as the transform itself.  m, n and X's
+    # width p run from 0 to 5, with entries from RIDING_ENTRIES
+    rng = random.Random(12)
+    for _ in range(150):
+        m, n, p = (rng.randint(0, 5) for _ in range(3))
+        A, X = ([[rng.choice(RIDING_ENTRIES) for _ in range(w)] for _ in range(m)] for w in (n, p))
+        H, U, r = la.row_echelon_transform(A)
         assert la.row_echelon([a + x for a, x in zip(A, X)], n) == (
             [h + ux for h, ux in zip(H, matmul(U, X))], r)
         assert la.row_echelon([a + e for a, e in zip(A, la.identity(m))], n) == (
