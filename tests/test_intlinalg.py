@@ -85,15 +85,17 @@ def test_empty_dimensions():
 @pytest.mark.parametrize(
     "A, suffixes",
     [
-        ([[], [], []], [2]),  # k = 0: the kernel is Z^3, from a two-row suffix
+        ([[], [], [], []], [3]),  # k = 0: the kernel is Z^4, from a three-row suffix
         ([[1, 2, 3], [4, 5, 6]], [2]),  # m <= k: the whole of A at once
-        ([[1], [2], [3]], [3]),  # m = k + 2: the whole of A at once
-        ([[0, 0]] * 5, [4, 5]),  # all zero: rank 0 < k sends j0 to 0
-        ([[1, 2], [2, 4], [3, 6], [-1, -2], [5, 10]], [4, 5]),  # rank deficient
-        ([[1, 0], [0, 0], [0, 1], [0, 0], [1, 0], [0, 1], [0, 0]], [4]),  # zero rows
-        ([[1], [2], [2], [4], [6]], [3, 4, 5]),  # 1 is outside 2Z: one row more, then all of A
-        ([[4], [1], [2], [3]], [3]),  # T = [[1, 1, -1], [0, 3, -2]] has the pivot 3
-        ([[3, 1], [1, 0], [2, 0], [0, 2], [1, 1], [4, 2]], [4, 5]),  # [1, 0] is outside index 2
+        ([[1], [2], [3], [4]], [4]),  # m = k + 3: the whole of A at once
+        ([[0, 0]] * 6, [5, 6]),  # all zero: rank 0 < k sends j0 to 0
+        ([[1, 2], [2, 4], [3, 6], [-1, -2], [5, 10], [4, 8]], [5, 6]),  # rank deficient
+        ([[1, 0], [0, 0], [0, 1], [0, 0], [1, 0], [0, 1], [0, 0]], [5]),  # zero rows
+        ([[1], [2], [2], [2], [4], [6]], [4, 5, 6]),  # 1 is outside 2Z: one row more, then all of A
+        # T = [[1, 1, -1, 0], [0, 3, -2, 0], [0, 0, 0, 1]] has the pivot 3
+        ([[4], [1], [2], [3], [0]], [4]),
+        # the first suffix spans the pairs of even sum, index 2, without [1, 0]
+        ([[3, 1], [1, 0], [2, 0], [0, 2], [1, 1], [4, 2], [2, 2]], [5, 6]),
     ],
 )
 def test_left_kernel_suffix_lengths(monkeypatch, A, suffixes):
@@ -108,7 +110,7 @@ def test_left_kernel_suffixes_on_c11_sample(monkeypatch):
     # the suffixes `left_kernel` echelons on the pairing matrices G * W^T that
     # `orthogonal_complement` hands it, on the C11 sample of both ambients,
     # whose kernels the row left_kernel.c11 compares with the oracle.  The
-    # sample takes both routes: the first suffix of k + 2 rows, and a suffix
+    # sample takes both routes: the first suffix of k + 3 rows, and a suffix
     # that grows
     attempts = set()
     for amb, rows in oracles.c11_sample():
@@ -117,7 +119,7 @@ def test_left_kernel_suffixes_on_c11_sample(monkeypatch):
         with monkeypatch.context() as m:
             seen = spy(m, la, "row_echelon_transform")
             la.left_kernel(A)
-        assert seen[0] == len(rows) + 2
+        assert seen[0] == len(rows) + 3
         attempts.add(len(seen))
     assert 1 in attempts and len(attempts) > 1
 
