@@ -15,13 +15,23 @@ from cubick3.lattice import IntMatrix
 import oracles
 
 
-def test_summary_json_shape():
-    s = vf.run_all(genus_max=8)
-    obj = s.to_json()
-    assert obj["checks_run"] == s.checks_run
+@pytest.fixture(scope="module")
+def summary_8():
+    # one run_all(8) serves the two tests below
+    return vf.run_all(genus_max=8)
+
+
+def test_summary_json_shape(summary_8):
+    obj = summary_8.to_json()
+    assert obj["checks_run"] == summary_8.checks_run
     ids = [c["id"] for c in obj["checks"]]
     assert len(ids) == len(set(ids))  # stable unique ids
     assert "pairing.w0.w2" in ids
+
+
+def test_chain_check_in_suite(summary_8):
+    ids = [c["id"] for c in summary_8.to_json()["checks"]]
+    assert "chain.sss_implies_ss.to8" in ids
     assert ids.index("chain.sss_implies_ss.to8") == ids.index("genus.matches_ss.to8") + 1
 
 
