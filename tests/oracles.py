@@ -706,40 +706,6 @@ def genus_compare(d: int, cap: int = 10_000) -> bool:
     return disc_forms_isomorphic(DiscForm.of(Gd), DiscForm.of(Ld), cap)
 
 
-def _reduced_posdef2(a: int, b: int, c: int) -> tuple[int, int, int]:
-    # Lagrange-Gauss reduction to the unique GL2(Z)-reduced representative
-    # with 0 <= 2b <= a <= c.
-    while True:
-        if a > c:
-            a, c = c, a
-        k = (2 * b + a) // (2 * a)  # nearest integer to b/a, ties downward
-        if k:
-            c = c - 2 * k * b + k * k * a
-            b = b - k * a
-        if a <= c:
-            break
-    return a, abs(b), c
-
-
-def binary_grams_equivalent(G1, G2) -> bool:
-    """Integral equivalence of two definite symmetric 2x2 Gram matrices."""
-    def reduce(G):
-        a, b, c = G[0][0], G[0][1], G[1][1]
-        if G[1][0] != b:
-            raise ValueError("Gram matrix must be symmetric")
-        det = a * c - b * b
-        if det <= 0:
-            raise ValueError("form must be definite")
-        if a < 0:
-            a, b, c = -a, -b, -c
-            sign = -1
-        else:
-            sign = 1
-        return sign, _reduced_posdef2(a, b, c)
-
-    return reduce(G1) == reduce(G2)
-
-
 def series_sqrt_newton(c):
     """Square root with constant term 1 by Newton's iteration s -> (s + c/s)/2.
 

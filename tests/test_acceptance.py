@@ -4,8 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  `cubick3.verify` is the one implementation of each pinned identity:
 C01-C10 read one module-scoped `verify.run_all()` and assert an exact list of
 its check ids, each run and passed, so a check that verify drops fails its
-criterion.  What no check id reports stays in the test.  Every tolerance is
-exact equality; the two sweeps carry their stated wall-clock budgets.
+criterion.  A criterion that rests on an agreement with a reference route
+also runs the rows of `tests/differential.py` that pin it, by their ids,
+each through the table's own sample and routes.  What neither reports stays
+in the test.  Every tolerance is exact equality; the two sweeps carry their
+stated wall-clock budgets.
 """
 
 import time
@@ -14,8 +17,6 @@ import pytest
 
 from cubick3 import (
     DegenerateLattice,
-    a2_represents,
-    condition_flags,
     disc_group,
     hassett_triple,
     mukai_pairing,
@@ -23,15 +24,18 @@ from cubick3 import (
     orthogonal_complement,
     saturation,
     span_sublattice,
-    witness_ss,
-    witness_sss,
 )
 from cubick3 import standard as st
 from cubick3 import verify as vf
 from cubick3.lattice import is_primitive
 from cubick3.mukai import lambda_vectors
 from cubick3.standard import standard_lattice
-from oracles import binary_grams_equivalent, c11_inputs, det_bareiss, find_hyperbolic_AT
+import differential as dt
+from limits import time_limit
+from oracles import c11_inputs, det_bareiss, find_hyperbolic_AT
+
+ROWS = {row.id: row for row in dt.ROWS}
+
 
 @pytest.fixture(scope="module")
 def verified():
@@ -54,10 +58,17 @@ def report(cid, ok, detail=""):
     assert ok, line
 
 
-def report_verified(cid, verified, ids, ok=True, detail=""):
-    """`report`, failing also unless verify ran each of `ids` and it passed."""
+def row_holds(row_id):
+    """Whether the differential table's row `row_id` agrees on every input of its sample."""
+    row = ROWS[row_id]
+    return all(row.library(x) == row.oracle(x)
+               for x in dt.draw(row.sampler, row.size, row.ranges, row.seed))
+
+
+def report_verified(cid, verified, ids, ok=True, detail="", rows=()):
+    """`report`, failing also unless each of verify's `ids` and of the table's `rows` passed."""
     checks, _ = verified
-    missed = [i for i in ids if not checks.get(i)]
+    missed = [i for i in ids if not checks.get(i)] + [r for r in rows if not row_holds(r)]
     if missed:
         detail = "; ".join(filter(None, (detail, f"not verified: {', '.join(missed)}")))
     report(cid, ok and not missed, detail)
@@ -66,11 +77,10 @@ def report_verified(cid, verified, ids, ok=True, detail=""):
 def test_c01_table_reproduction(verified):
     ids = [f"table78.{col}" for col in ("star", "ssprime", "ss", "sss")]
     ids += [f"table78.oracle.{d}" for d in (54, 56, 72, 68)]
-    # every (**') cell that verify pins is decided by the exhaustive form
-    # enumeration: 27, 28 and 36 are norm-form values, 34 = 2*17 is not
-    star = [d for d in range(8, 79, 2) if d % 6 != 4]
-    ok = {d for d in star if vf.a2_bruteforce(d)} == set(vf._TABLE78["ssprime"])
-    report_verified("C1 table-reproduction", verified, ids, ok, "rows over 24 special d <= 78")
+    # with table78.ssprime, the row's exhaustive form enumeration decides
+    # every (**') cell that verify pins
+    report_verified("C1 table-reproduction", verified, ids, detail="rows over 24 special d <= 78",
+                    rows=["a2_represents.bruteforce.to800"])
 
 
 def test_c02_sqrt_todd_and_w_vectors(verified):
@@ -113,26 +123,15 @@ def test_c05_nl_dichotomy_sweep(verified):
     _, elapsed = verified
     ok = all(abs(det_bareiss(hassett_triple(d).gram_K.to_lists())) == d
              for d in range(8, 201, 2) if d % 6 in (0, 2))
-    ok = ok and binary_grams_equivalent(
-        hassett_triple(14).gram_K.to_lists(), [[-3, 1], [1, -5]]
-    )
     report_verified("C5 nl-dichotomy", verified, ids, ok and elapsed <= 5.0,
                     f"verify with the sweep to 200 in {elapsed:.2f}s")
 
 
 def test_c06_oracle_equivalence(verified):
-    ok = True
-    for d in range(2, 501, 2):
-        sols = vf.a2_bruteforce(d)
-        ok = ok and a2_represents(d, False) == bool(sols)
-        ok = ok and a2_represents(d, True) == any(p for _, _, p in sols)
-    for d in range(2, 201, 2):
-        f = condition_flags(d)
-        ok = ok and (witness_ss(d) is not None) == f.starstar
-        ok = ok and (witness_sss(d) is not None) == f.starstarstar
     report_verified("C6 oracle-equivalence", verified,
-                    ["genus.matches_ss.to200", "chain.sss_implies_ss.to200"], ok,
-                    "a2<=500, witnesses<=200, genus<=200")
+                    ["genus.matches_ss.to200", "chain.sss_implies_ss.to200"],
+                    detail="a2 and witnesses <= 800, genus <= 200",
+                    rows=["a2_represents.bruteforce.to800", "witnesses.even.to800"])
 
 
 def test_c07_boundary_witnesses(verified):
@@ -170,26 +169,26 @@ def test_c10_hyperbolic_search(verified):
 def test_c11_randomized_property_suite():
     t0 = time.monotonic()
     ok = True
-    for amb, rows in c11_inputs(1000):
-        S = span_sublattice(amb, rows)
-        sat, idx = saturation(S)
-        ok = ok and S.det == idx * idx * sat.det
-        again, idx2 = saturation(sat)
-        ok = ok and idx2 == 1 and again.basis == sat.basis
-        comp = orthogonal_complement(amb, rows)
-        _, idx3 = saturation(comp)
-        ok = ok and idx3 == 1
-        lat = sat.as_lattice()
-        if lat.det != 0:
-            ok = ok and disc_group(lat).order == lat.abs_det
-        else:
-            try:
-                disc_group(lat)
-                ok = False
-            except DegenerateLattice:
-                pass
-        if not ok:
-            break
+    with time_limit(30):
+        for amb, rows in c11_inputs(1000):
+            S = span_sublattice(amb, rows)
+            sat, idx = saturation(S)
+            ok = ok and S.det == idx * idx * sat.det
+            again, idx2 = saturation(sat)
+            ok = ok and idx2 == 1 and again.basis == sat.basis
+            comp = orthogonal_complement(amb, rows)
+            _, idx3 = saturation(comp)
+            ok = ok and idx3 == 1
+            lat = sat.as_lattice()
+            if lat.det != 0:
+                ok = ok and disc_group(lat).order == lat.abs_det
+            else:
+                try:
+                    disc_group(lat)
+                    ok = False
+                except DegenerateLattice:
+                    pass
+            if not ok:
+                break
     elapsed = time.monotonic() - t0
-    report("C11 randomized-properties", ok and elapsed <= 30.0,
-           f"1000 sublattices in {elapsed:.1f}s")
+    report("C11 randomized-properties", ok, f"1000 sublattices in {elapsed:.1f}s")

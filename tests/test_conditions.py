@@ -2,14 +2,14 @@
 
 The values of the witnesses, `a2_represents`, `boundary_count`,
 `pell_brakkee`, the flags and CSV rows of the table to 78 and its header,
-and the refused inputs, are pinned once elsewhere: in the functions'
-doctests, `verify`'s `table78.*` and `pell.*` checks, the golden
-`table 78 --format csv` line, the rows of the differential table and the
-contract's out-of-domain rows.
+the chain (***) => (**) => (**') => (*), and the refused inputs, are pinned
+once elsewhere: in the functions' doctests, `verify`'s `table78.*` and
+`pell.*` checks, the golden `table 78 --format csv` line, the rows of the
+differential table (the chain on every even d up to 800 is a column of
+`witnesses.even.to800`) and the contract's out-of-domain rows.
 """
 
 import random
-import time
 import warnings
 from math import prod
 
@@ -137,11 +137,6 @@ class TestFlags:
     def test_not_special(self):
         assert condition_flags(4).case_mod6 is None
 
-    def test_chain_holds_up_to_500(self):
-        for d in range(2, 502, 2):
-            f = condition_flags(d)
-            assert f.starstarstar <= f.starstar <= f.starstar_prime <= f.star
-
     def test_no_sss_witness_without_ss_to_10000(self):
         # condition_flags solves the (***) equation only where (**) holds;
         # the implication (***) => (**) is checked here on every special d
@@ -152,14 +147,6 @@ class TestFlags:
 
 
 class TestPellBrakkee:
-    def test_large_d_obstructed_within_budget(self):
-        # d = 6p for p = 1099511627831, the first prime = 2 (mod 3) above
-        # 2^40: the local obstruction decides it; building a search bound
-        # over the period of d/2 = 3p takes over 4 s
-        start = time.perf_counter()
-        assert pell_brakkee(6597069766986).solution is None
-        assert time.perf_counter() - start < 1
-
     def test_obstruction_never_reaches_the_solver(self, monkeypatch):
         # F by the local obstruction is decided without a walk: neither d
         # nor, for d = 8 (mod 16), d/4 has a primitive vector in the

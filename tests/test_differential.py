@@ -72,20 +72,29 @@ def test_ci_scale_covers_the_floors():
             assert all(lo <= a and b <= hi for (lo, hi), (a, b) in zip(ci, row.ranges)), name
 
 
+# verify's reference routes, which a test reaches as an attribute (`vf.a2_bruteforce`)
+# or imports from `cubick3.verify`
+VERIFY_ROUTES = {"a2_bruteforce", "series_inverse", "series_sqrt"}
+
+
 def _definitions(path):
-    # (key, whether it names `oracles`, a name imported from it or this table,
-    # imported as `dt`) for each test and helper, a module function or a method
+    # (key, whether it names `oracles`, a name imported from it or this table
+    # imported as `dt`, or one of verify's reference routes) for each test and
+    # helper, a module function or a method
     tree = ast.parse(path.read_text())
-    names = {"oracles", "dt"} | {alias.asname or alias.name for node in tree.body
-                                 if isinstance(node, ast.ImportFrom) and node.module == "oracles"
-                                 for alias in node.names}
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    names = {"oracles", "dt"} | {alias.asname or alias.name for node in imports
+                                 if node.module == "oracles" for alias in node.names}
+    names |= {alias.asname or alias.name for node in imports if node.module == "cubick3.verify"
+              for alias in node.names if alias.name in VERIFY_ROUTES}
     defs = [(path.name, node) for node in tree.body]
     defs += [(f"{path.name}::{cls.name}", node) for cls in tree.body
              if isinstance(cls, ast.ClassDef) for node in cls.body]
     for where, node in defs:
         if isinstance(node, ast.FunctionDef):
             used = {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
-            yield f"{where}::{node.name}", bool(used & names)
+            attrs = {attr.attr for attr in ast.walk(node) if isinstance(attr, ast.Attribute)}
+            yield f"{where}::{node.name}", bool(used & names or attrs & VERIFY_ROUTES)
 
 
 def test_every_other_oracle_call_is_a_listed_exception():
