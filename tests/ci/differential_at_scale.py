@@ -18,10 +18,10 @@ signatures of shaped Grams, sparse products, discriminant forms of even
 Grams, kernels of four kinds, the classification of NL vectors (drawn, and
 nl_vector(d) to 20,000), the witnesses of (**) and (***) to 8,000, and the
 Pell solver against the sieved search for D < 5,000.  The paths of the small
-matrices through `intlinalg.left_kernel`, and of the sparse, scaled and
-dense sets through `lattice.saturation`, must each include all four: no
-suffix, the first, a grown one, and all rows after them
-(`oracles.spanning_suffixes`).
+and the shaped matrices through `intlinalg.left_kernel`, and of the sparse,
+scaled and dense sets through `lattice.saturation`, must each include all
+four: no suffix, the first, a grown one, and all rows after them
+(`oracles.suffix_path`).
 
 An exception in a route counts as a difference of its row.  Prints one line
 per row, with its first difference, and exits nonzero on any difference.
@@ -58,12 +58,12 @@ SCALE = {
     "witnesses.even.to800": ((2, 8_000),),
     "pell.brute_y.to500": ((1, 4_999),),
 }
-PATHS = {"no suffix", "first suffix", "grown suffix", "all rows"}
 # the rows whose samples must take every path of the suffix routes, and the
-# rows T and column count k that `oracles.spanning_suffixes` walks for an input
+# rows T and column count k that `oracles.suffix_path` walks for an input
 SUFFIX_ROUTES = {
     "saturation.suffix": lambda x: ([c for c in zip(*x[1]) if any(c)], len(x[1])),
     "left_kernel.small_matrices": lambda A: (A, len(A[0]) if A else 0),
+    "left_kernel.shaped": lambda A: (A, len(A[0]) if A else 0),
 }
 
 
@@ -73,13 +73,6 @@ def differs(row, x):
         return row.library(x) != row.oracle(x)
     except Exception as e:
         return e
-
-
-def suffix_path(T, k) -> str:
-    lengths, accepted = oracles.spanning_suffixes(T, k)
-    if accepted:
-        return "first suffix" if len(lengths) == 1 else "grown suffix"
-    return "all rows" if lengths else "no suffix"
 
 
 def main() -> int:
@@ -95,9 +88,10 @@ def main() -> int:
             x, e = bad[0]
             print("  first:", repr(x)[:300], "" if e is True else f"raised {e!r}")
         if name in SUFFIX_ROUTES:
-            paths = Counter(suffix_path(*SUFFIX_ROUTES[name](x)) for x in sample)
-            print("  paths:", dict(sorted(paths.items())), "never taken:", sorted(PATHS - set(paths)))
-            failed |= not PATHS <= set(paths)
+            paths = Counter(oracles.suffix_path(*SUFFIX_ROUTES[name](x)) for x in sample)
+            never = sorted(oracles.PATHS - set(paths))
+            print("  paths:", dict(sorted(paths.items())), "never taken:", never)
+            failed |= bool(never)
         failed |= bool(bad)
     return int(failed)
 

@@ -3,7 +3,6 @@
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,35 +14,6 @@ from cubick3.mukai import CohClass
 from cubick3.standard import (H2, LAMBDA1, LAMBDA2, NLCase, gamma_to_gammabar, hassett_triple,
                               lambda_d_lattice, standard_lattice)
 from cubick3.verify import series_inverse
-
-
-def c11_inputs(count, rng=None, entries=(-5, 5)):
-    """The inputs (ambient, rows) of the C11 acceptance sweep, in order.
-
-    Ambients alternate between Gammabar and LambdaTilde; each input is k in
-    [1, 4] random rows with entries in `entries`, drawn again until
-    independent.  The draws come from `rng`, by default the sweep's own
-    seeded generator.
-    """
-    rng = rng or random.Random(20240311)
-    ambients = [standard_lattice("Gammabar"), standard_lattice("LambdaTilde")]
-    for i in range(count):
-        amb = ambients[i % 2]
-        k = rng.randint(1, 4)
-        while True:
-            rows = tuple(tuple(rng.randint(*entries) for _ in range(amb.rank)) for _ in range(k))
-            if la.rank_int(rows) == k:
-                break
-        yield amb, rows
-
-
-@functools.cache
-def c11_sample():
-    """The first 200 inputs of the C11 sweep, built once for every test that reads them.
-
-    Cached, so every part is immutable: the rows are tuples of tuples.
-    """
-    return tuple(c11_inputs(200))
 
 
 def _bareiss(M, ncols) -> int:
@@ -173,7 +143,7 @@ def saturation(S):
 def spanning_suffixes(T, k) -> tuple[list[int], bool]:
     """(lengths, accepted): the suffixes of the rows T, of k columns, that a suffix route echelons.
 
-    `la.left_kernel` walks the rows of its matrix, `lattice.saturation` the
+    `la.left_kernel` walks the rows of its matrix, `la.saturation_basis` the
     nonzero rows of S^T for k generators S.  The suffixes hold k + 3
     rows, then 1, 2, 4, ... more, while shorter than T; a suffix is accepted
     when its Hermite basis is that of all of T (it spans the same module),
@@ -193,6 +163,21 @@ def spanning_suffixes(T, k) -> tuple[list[int], bool]:
     return lengths, False
 
 
+PATHS = {"no suffix", "first suffix", "grown suffix", "all rows"}
+
+
+def suffix_path(T, k) -> str:
+    """The path of a suffix route on the rows T of k columns, by `spanning_suffixes`.
+
+    "no suffix" when T is too short for one, "first suffix" or "grown
+    suffix" for the one accepted, "all rows" after suffixes that do not span.
+    """
+    lengths, accepted = spanning_suffixes(T, k)
+    if accepted:
+        return "first suffix" if len(lengths) == 1 else "grown suffix"
+    return "all rows" if lengths else "no suffix"
+
+
 def saturation_index(S, sat) -> int:
     """[sat : S] as |det| of the integer coefficients of S on the basis of sat (S independent)."""
     basis = sat.basis.to_lists()
@@ -205,8 +190,8 @@ def saturation_index(S, sat) -> int:
 
 
 def contains(S, v) -> bool:
-    """Sublattice membership as integrality of the rational coefficients on the HNF basis."""
-    c = solve_rational(la.hnf_rows(S.basis.to_lists()), v)
+    """Sublattice membership as integrality of the rational coefficients on S's own basis."""
+    c = solve_rational(S.basis.to_lists(), v)
     return c is not None and all(Fraction(x).denominator == 1 for x in c)
 
 

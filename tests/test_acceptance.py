@@ -32,7 +32,7 @@ from cubick3.mukai import lambda_vectors
 from cubick3.standard import standard_lattice
 import differential as dt
 from limits import time_limit
-from oracles import c11_inputs, det_bareiss, find_hyperbolic_AT
+from oracles import det_bareiss, find_hyperbolic_AT
 
 ROWS = {row.id: row for row in dt.ROWS}
 
@@ -170,7 +170,7 @@ def test_c11_randomized_property_suite():
     t0 = time.monotonic()
     ok = True
     with time_limit(30):
-        for amb, rows in c11_inputs(1000):
+        for amb, rows in dt.draw("c11", 1000, *dt.C11):
             S = span_sublattice(amb, rows)
             sat, idx = saturation(S)
             ok = ok and S.det == idx * idx * sat.det

@@ -7,6 +7,7 @@ from cubick3 import orthogonal_complement, saturation, signature, span_sublattic
 from cubick3 import intlinalg as la
 from cubick3.lattice import IntMatrix, Sublattice, direct_sum, GramLattice, saturate_rows
 from cubick3.standard import standard_lattice
+import differential as dt
 import oracles
 from limits import forbid, spy
 
@@ -102,7 +103,7 @@ def test_complement_saturation_returns_the_complement(monkeypatch):
     # a complement is marked saturated where it is built: re-saturating it
     # returns the same object at index 1 and runs no echelon, no
     # `hnf_rows` and no transform
-    for amb, rows in oracles.c11_sample():
+    for amb, rows in dt.draw("c11", 200, *dt.C11):
         comp = orthogonal_complement(amb, rows)
         with monkeypatch.context() as m:
             forbid(m, "a complement runs no reduction", *((la, name) for name in (
