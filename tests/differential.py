@@ -896,8 +896,10 @@ EXCEPTIONS = {
     "a spy: it counts or forbids the echelons, Hermite forms, transforms, Pell walks or"
     " series inversions a route runs": """
         test_conditions.py: TestPellBrakkee::test_obstruction_never_reaches_the_solver
-        test_intlinalg.py: test_suffix_echelons_are_the_spanning_suffixes _walk
+        test_intlinalg.py: test_left_kernel_suffix_lengths
+        test_left_kernel_suffixes_on_c11_sample
         test_lattice.py: test_echelon_coefficients_stay_small_on_c11_sample
+        test_saturation_suffix_echelons test_saturate_rows_of_a_dependent_list_echelons_all_rows
         test_mukai.py: test_series_sqrt_runs_no_series_inverse
         test_properties.py: test_complement_saturation_returns_the_complement
         test_saturation_marker""",

@@ -178,6 +178,24 @@ def suffix_path(T, k) -> str:
     return "all rows" if lengths else "no suffix"
 
 
+def suffix_echelons(x, kernel) -> list[int]:
+    """The row counts of the echelons of `la.left_kernel(x)` (`kernel` true) or of a saturation of x.
+
+    The kernel walks the rows T = x, of k columns, and the saturation the
+    nonzero rows T of x^T, for k generators x: the suffixes that
+    `spanning_suffixes` walks, all of T when none is accepted, then the
+    Hermite reduction, when it has rows.  That reduction gets, of the last
+    echelon, of l rows and rank r, the l - r rows of the kernel, or the r
+    rows of W for the saturation.
+    """
+    T, k = (x, len(x[0]) if x else 0) if kernel else ([c for c in zip(*x) if any(c)], len(x))
+    lengths, accepted = spanning_suffixes(T, k)
+    walked = lengths if accepted else lengths + [len(T)]
+    r = la.rank_int(T[len(T) - walked[-1]:])
+    tail = walked[-1] - r if kernel else r
+    return walked + [tail] * (tail > 0)
+
+
 def saturation_index(S, sat) -> int:
     """[sat : S] as |det| of the integer coefficients of S on the basis of sat (S independent)."""
     basis = sat.basis.to_lists()

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cubick3 import intlinalg as la
-from cubick3.lattice import GramLattice, saturate_rows, saturation, span_sublattice
+from cubick3.lattice import GramLattice, saturate_rows
 import differential as dt
 import oracles
 from oracles import det_bareiss, frac_inv, matmul, solve_rational
@@ -83,10 +83,11 @@ def test_empty_dimensions():
     assert la.row_echelon_transform([[], []]) == ([[], []], [[1, 0], [0, 1]], 0)
 
 
-# The written-down inputs of the two suffix routes, each commented with the
-# path it takes on the schedule of `intlinalg.suffix_starts` (`oracles.suffix_path`).
-# The test reads the echelons it expects off `oracles.spanning_suffixes`, so
-# no expectation here names a suffix length.  left_kernel walks the rows of A
+# The written-down inputs of `left_kernel`, which walks the rows of A, each
+# commented with the path it takes on the schedule of
+# `intlinalg.suffix_starts` (`oracles.suffix_path`).  The echelons each one
+# expects are read off `oracles.suffix_echelons`, so no expectation here
+# names a suffix length
 KERNEL_CASES = [
     [[], [], [], []],  # first suffix: k = 0, the kernel Z^4 from a three-row suffix
     [[1, 2, 3], [4, 5, 6]],  # no suffix: m <= k, the whole of A at once
@@ -100,78 +101,31 @@ KERNEL_CASES = [
     # grown suffix: the first spans the pairs of even sum, index 2, without [1, 0]
     [[3, 1], [1, 0], [2, 0], [0, 2], [1, 1], [4, 2], [2, 2]],
 ]
-Z8 = GramLattice.from_rows(la.identity(8))
-G1, G2 = [1, 2, 3, 4, 5, 6, 7, 8], [0, 1, 1, 2, 3, 0, 1, 1]
-# saturation walks T, the nonzero rows of rows^T, for generators in Z^8:
-# (rows, the index of their span in the saturation), the index None for a
-# dependent list, which `saturate_rows` takes
-SATURATION_CASES = [
-    ([[2, 4, 6, 8, 10, 12, 14, 0]], 2),  # first suffix: it spans 2Z
-    ([[1, 3, 2, 4, 6, 8, 10, 12]], 1),  # grown suffix: 3 joins last
-    ([[1, 2, 2, 4, 6, 8, 10, 12]], 1),  # all rows: no suffix holds the 1
-    ([[1] * 8, [1, 2] + [0] * 6], 1),  # all rows: suffix rank 1 < 2
-    ([[1, 2, 3, 4, 5, 0, 0, 0], [0, 1, 1, 2, 3, 0, 0, 0]], 1),  # no suffix: m = 5 = k + 3
-    ([G1, [0, 3, 0, 3, 3, 0, 6, 3]], 3),  # first suffix: a scaled generator
-    # all rows: three generators of rank 2, so the first suffix has rank
-    # below 3, and the solve runs on the pivot columns of H
-    ([G1, G2, [a - 2 * b for a, b in zip(G1, G2)]], None),
-]
 
 
-def _walk(monkeypatch, run, T, k, reduced):
-    # run()'s result and its path, once the row counts of the echelons it
-    # runs (a spy on `row_echelon`) are the suffixes that
-    # `oracles.spanning_suffixes` walks on the rows T of k columns, all of T
-    # when none spans the module of T, then the Hermite reduction of
-    # reduced(l, r) rows, if any, for l and r the length and rank of the
-    # last suffix echeloned
-    with monkeypatch.context() as m:
-        seen = spy(m, la, "row_echelon")
-        result = run()
-    lengths, accepted = oracles.spanning_suffixes(T, k)
-    walked = lengths if accepted else lengths + [len(T)]
-    last = walked[-1]
-    tail = reduced(last, la.rank_int(T[len(T) - last:]))
-    assert seen == walked + [tail] * (tail > 0)
-    return result, oracles.suffix_path(T, k)
+@pytest.mark.parametrize("A, suffixes", [(A, oracles.suffix_echelons(A, True)) for A in KERNEL_CASES])
+def test_left_kernel_suffix_lengths(monkeypatch, A, suffixes):
+    # the echelons run in turn (a spy on `row_echelon`), and the kernel
+    # against the oracle
+    want = oracles.left_kernel(A)
+    seen = spy(monkeypatch, la, "row_echelon")
+    assert la.left_kernel(A) == want
+    assert seen == suffixes
 
 
-@pytest.mark.parametrize("route", ["left_kernel", "saturation"])
-def test_suffix_echelons_are_the_spanning_suffixes(monkeypatch, route):
-    # each written-down input agrees with its oracle, and a saturation has
-    # its index; on the C11 sample every input accepts a suffix, the first
-    # on some inputs and a grown one on others
-    if route == "left_kernel":
-        # the Hermite reduction gets the transform's rows past the rank: the
-        # kernel of the last suffix
-        def walk(A):
-            return _walk(monkeypatch, lambda: la.left_kernel(A), A, len(A[0]) if A else 0,
-                         lambda l, r: l - r)
-
-        for A in KERNEL_CASES:
-            assert walk(A)[0] == oracles.left_kernel(A)
-        c11 = {walk(A)[1] for A in dt.draw("c11_pairings", 200, *dt.C11)}
-    else:
-        # the Hermite reduction gets W, a row per generator of the
-        # saturation.  The sublattice is built outside the spy, as
-        # `span_sublattice` runs an echelon of its own
-        def walk(rows, run):
-            return _walk(monkeypatch, run, [c for c in zip(*rows) if any(c)], len(rows),
-                         lambda l, r: r)
-
-        for rows, index in SATURATION_CASES:
-            if index is None:
-                got, _ = walk(rows, lambda: saturate_rows(Z8, rows))
-                assert got == oracles.saturate_rows(Z8, rows)
-            else:
-                S = span_sublattice(Z8, rows)
-                got, _ = walk(rows, lambda: saturation(S))
-                assert got == oracles.saturation(S) and got[1] == index
-        c11 = set()
-        for amb, rows in dt.draw("c11", 200, *dt.C11):
-            S = span_sublattice(amb, rows)
-            c11.add(walk(rows, lambda: saturation(S))[1])
-    assert c11 == {"first suffix", "grown suffix"}
+def test_left_kernel_suffixes_on_c11_sample(monkeypatch):
+    # the echelons `left_kernel` runs on the pairing matrices G * W^T that
+    # `orthogonal_complement` hands it, on the C11 sample of both ambients,
+    # whose kernels the row left_kernel.c11 compares with the oracle.  Every
+    # input accepts a suffix: the first on some, a grown one on others
+    paths = set()
+    for A in dt.draw("c11_pairings", 200, *dt.C11):
+        with monkeypatch.context() as m:
+            seen = spy(m, la, "row_echelon")
+            la.left_kernel(A)
+        assert seen == oracles.suffix_echelons(A, True)
+        paths.add(oracles.suffix_path(A, len(A[0])))
+    assert paths == {"first suffix", "grown suffix"}
 
 
 def test_echelon_solve_exact():

@@ -455,18 +455,21 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
     # pivot columns p_i of H, and the Hermite reduction of W.  Tracked: the
     # entries of every echelon output, every partial remainder of the
     # substitution (rebuilt from S, H and the W handed to `hnf_rows`) and W
-    # itself; `test_intlinalg.py::test_suffix_echelons_are_the_spanning_suffixes`
-    # checks which suffixes are echeloned.  Every input runs them, the 22
-    # that are already canonical Hermite bases of index 1 (mostly single rows
-    # with a positive first entry) included, since a span built by the
-    # caller carries no saturation marker.
-    widest = 0
-    hermite = 0
+    # itself.  Every input runs them, the 22 that are already canonical
+    # Hermite bases of index 1 (mostly single rows with a positive first
+    # entry) included, since a span built by the caller carries no
+    # saturation marker.  The row counts of the echelons are those of
+    # `oracles.suffix_echelons`, and every input accepts a suffix: the first
+    # on some, a grown one on others.
+    widest = hermite = 0
+    paths = set()
     sample = dt.draw("c11", 200, *dt.C11)
     for amb, rows in sample:
         k = len(rows)
         S = span_sublattice(amb, rows)
         (sat, index), calls, bits = _row_echelons(monkeypatch, lambda: saturation(S))
+        assert [len(A) for A, _, _ in calls] == oracles.suffix_echelons(rows, False)
+        paths.add(oracles.suffix_path([c for c in zip(*rows) if any(c)], k))
         widest = max(widest, bits)
         if oracles.hermite_pivots(rows) is not None and index == 1:
             hermite += 1
@@ -487,7 +490,48 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
         _, _, bits = _row_echelons(monkeypatch, lambda: orthogonal_complement(amb, rows))
         widest = max(widest, bits)
     assert 0 < hermite < len(sample)
+    assert paths == {"first suffix", "grown suffix"}
     assert widest <= 64
+
+
+Z8 = GramLattice.from_rows(la.identity(8))
+G1, G2 = [1, 2, 3, 4, 5, 6, 7, 8], [0, 1, 1, 2, 3, 0, 1, 1]
+
+
+# written-down generators in Z^8 and the index of their span in the
+# saturation, each commented with its path on the schedule of
+# `intlinalg.suffix_starts`
+@pytest.mark.parametrize(
+    "rows, echelons, index",
+    [
+        (rows, oracles.suffix_echelons(rows, False), index)
+        for rows, index in [
+            ([[2, 4, 6, 8, 10, 12, 14, 0]], 2),  # first suffix: it spans 2Z
+            ([[1, 3, 2, 4, 6, 8, 10, 12]], 1),  # grown suffix: 3 joins last
+            ([[1, 2, 2, 4, 6, 8, 10, 12]], 1),  # all rows: no suffix holds the 1
+            ([[1] * 8, [1, 2] + [0] * 6], 1),  # all rows: suffix rank 1 < 2
+            ([[1, 2, 3, 4, 5, 0, 0, 0], [0, 1, 1, 2, 3, 0, 0, 0]], 1),  # no suffix: m = 5 = k + 3
+            ([G1, [0, 3, 0, 3, 3, 0, 6, 3]], 3),  # first suffix: a scaled generator
+        ]
+    ],
+)
+def test_saturation_suffix_echelons(monkeypatch, rows, echelons, index):
+    # the echelons run in turn, and the saturation against the oracle.  The
+    # sublattice is built outside the spy, as `span_sublattice` echelons too
+    S = span_sublattice(Z8, rows)
+    want = oracles.saturation(S)
+    got, calls, _ = _row_echelons(monkeypatch, lambda: saturation(S))
+    assert got == want and got[1] == index
+    assert [len(A) for A, _, _ in calls] == echelons
+
+
+def test_saturate_rows_of_a_dependent_list_echelons_all_rows(monkeypatch):
+    # three generators of rank 2: every suffix has rank below 3, so all of T
+    # is echeloned, and the solve runs on the pivot columns of H
+    rows = [G1, G2, [a - 2 * b for a, b in zip(G1, G2)]]
+    got, calls, _ = _row_echelons(monkeypatch, lambda: saturate_rows(Z8, rows))
+    assert got == oracles.saturate_rows(Z8, rows) and got.rank == 2
+    assert [len(A) for A, _, _ in calls] == oracles.suffix_echelons(rows, False)
 
 
 class TestSaturationAgainstOracles:
