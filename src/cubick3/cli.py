@@ -231,9 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     l.set_defaults(func=cmd_lattice)
 
     m = sub.add_parser("mukai", help="distinguished Mukai vectors")
-    g = m.add_mutually_exclusive_group()
-    g.add_argument("--vectors", action="store_true", help="the seven classes (default)")
-    g.add_argument("--gram", action="store_true", help="A2 Gram of the projected basis")
+    m.add_argument("--gram", action="store_true",
+                   help="A2 Gram of the projected basis, in place of the seven classes")
     m.add_argument("--format", choices=("text", "json"), default="text")
     m.set_defaults(func=cmd_mukai)
 

@@ -8,22 +8,25 @@ and its seed.  A sampler is a generator of inputs; the row takes the first
 sample, so a sample that several rows read is built once per session: the
 C11 sample, and the factorizations of the oracles' sieve.
 
-`test_differential.py` runs every row, pins each row's size, ranges, seed
-and sample digest to its line in `differential_floors.txt` (a row below its
-floor, above it, on another sample or missing fails), and checks that each
-other test that calls into `oracles`, this module or one of `verify`'s
-reference routes is one of the `EXCEPTIONS`, listed with its reason.  The
-samplers draw only from the `random.Random` methods whose output is the
-same on Python 3.10-3.13.
+`test_differential.py` runs every row, pins each row's size, ranges, seed,
+sample digest and CI scale to its line in `differential_floors.txt` (a row
+below its floor, above it, on another sample or missing fails), and checks
+that each other test that calls into `oracles`, this module or one of
+`verify`'s reference and generic routes is one of the `EXCEPTIONS`, listed
+with its reason.  The samplers draw only from the `random.Random` methods
+whose output is the same on Python 3.10-3.13.
 
 These samplers are the suite's one source of drawn input: a fact checked
 on drawn shapes (Grams, kernels, NL vectors, ...) is a row here, and a
 test that is not a row draws from a seeded loop of its own, so every
 sample is the same on every run and every release of the suite's tools.
 
-CI runs the rows of the table in `tests/ci/differential_at_scale.py` on
-longer prefixes of their pinned samples: the first N inputs of the same
-sampler and seed, or a sweep over a range that contains the row's.
+A row's `ci` is its CI scale, and `tests/ci/differential_at_scale.py` runs
+every row that has one at that scale: the first `ci` inputs of the same sampler and
+seed, or a sweep over the `ci` ranges, which contain the row's.  So the
+pinned sample is a prefix of the CI sample.  There a row with `paths` must
+take every path of its suffix route, and an exception in a route counts as
+a difference (`differs`).
 """
 
 import functools
@@ -44,8 +47,11 @@ from cubick3.mukai import CohClass, euler_line
 from cubick3.verify import _derived_embedding, a2_bruteforce, series_sqrt
 
 
-# ranges: the (lo, hi) pairs the sampler draws from, in its parameters' order
-Row = namedtuple("Row", "id library oracle sampler size ranges seed", defaults=(None,))
+# ranges: the (lo, hi) pairs the sampler draws from, in its parameters' order;
+# ci: the CI size, or a sweep's CI ranges; paths: on a suffix route's row, the
+# function of an input that gives `oracles.suffix_path` its rows T and k columns
+Row = namedtuple("Row", "id library oracle sampler size ranges seed ci paths",
+                 defaults=(None, None, None))
 
 
 SAMPLERS = {}
@@ -59,6 +65,14 @@ def sampler(f):
 @functools.cache
 def draw(name, size, ranges, seed=None) -> tuple:
     return tuple(itertools.islice(SAMPLERS[name](*ranges, seed=seed), size))
+
+
+def differs(row, x):
+    """Whether the row's routes differ on x: False, True, or the exception one of them raised."""
+    try:
+        return row.library(x) != row.oracle(x)
+    except Exception as e:
+        return e
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -779,6 +793,8 @@ SATURATIONS = (_saturations(lat.saturation, lat.saturate_rows),
 # `left_kernel` share
 LEFT_KERNEL = (lambda A: (K := la.left_kernel(A), oracles.hermite_pivots(K) is not None),
                lambda A: (oracles.left_kernel(A), True))
+# the rows T and column count k that `oracles.suffix_path` walks on a kernel's input
+KERNEL_ROWS = functools.partial(oracles.suffix_rows, kernel=True)
 SATURATE_ROWS = (lambda x: lat.saturate_rows(*x), lambda x: oracles.saturate_rows(*x))
 CONTAINS = (lambda x: x[0].contains(x[1]), lambda x: oracles.contains(*x))
 C11 = ((-5, 5),), 20240311
@@ -794,11 +810,13 @@ ROWS = (
         lambda x: _a2_flags_of(x[1]), "known_factorizations", 150, (), "a2-flags"),
     # (**) four ways (its flag, a2_represents, a (**) witness and the genus)
     # against the enumeration of A2, which does not factor
-    Row("starstar.a2_norms", _starstar, _starstar_oracle, "special", 3333, ((2, 10_000),)),
+    Row("starstar.a2_norms", _starstar, _starstar_oracle, "special", 3333, ((2, 10_000),),
+        ci=((2, 100_000),)),
     Row("witness_ss.scan.to4000", cond.witness_ss, oracles.witness_ss, "even", 2000, ((2, 4000),)),
     Row("witness_ss.oracle_is_complete.to400", oracles.witness_ss, _full_scan_ss,
         "even", 200, ((2, 400),)),
-    Row("witnesses.even.to800", _witnesses, _witnesses_oracle, "even", 400, ((2, 800),)),
+    Row("witnesses.even.to800", _witnesses, _witnesses_oracle, "even", 400, ((2, 800),),
+        ci=((2, 8_000),)),
     Row("witness_sss.two_period.to10000", cond.witness_sss, _sss, "even", 5000, ((2, 10_000),)),
     Row("pell_brakkee.two_period.to10000", cond.pell_brakkee, _brakkee,
         "six", 1666, ((2, 10_000),)),
@@ -811,7 +829,7 @@ ROWS = (
         "sss_and_brakkee_D", 6666, ((2, 10_000),)),
     Row("pell.two_period.to49", pell.least_solution, _two_period, "integers", 49, ((1, 49),)),
     Row("pell.brute_y.to500", _least_below_20000, lambda D: oracles.brute_least(D, 20_000),
-        "integers", 499, ((1, 499),)),
+        "integers", 499, ((1, 499),), ci=((1, 4_999),)),
     Row("pell.full_period.to5000", pell.least_solution, _full_period,
         "nonsquare", 4924, ((10, 5000),)),
     Row("pell.full_period.large", pell.least_solution, _full_period,
@@ -830,30 +848,33 @@ ROWS = (
     Row("signature.shaped",
         lambda A: (lat.signature(lat.GramLattice.from_rows(A)), len(A) - la.rank_int(A)),
         lambda A: (s := oracles.signature(A), s[2]), "shaped_grams", 300, ((1, 8),),
-        "signature-shaped"),
+        "signature-shaped", ci=3_000),
     Row("sparse_products.dense", _sparse_products, _dense_products,
-        "gram_products", 100, ((1, 7), (0, 5)), "sparse-products"),
+        "gram_products", 100, ((1, 7), (0, 5)), "sparse-products", ci=1_000),
     Row("inertia.to_rank24", lambda A: (lat.signature(L := lat.GramLattice.from_rows(A)), L.det),
         lambda A: (oracles.signature(A), oracles.det_bareiss(A)),
-        "symmetric_zero_diagonals", 40, ((1, 24), (-5, 5)), "inertia"),
+        "symmetric_zero_diagonals", 40, ((1, 24), (-5, 5)), "inertia", ci=2_000),
     Row("echelon_solve.rational", lambda x: la.echelon_solve(*x), _echelon_solve_rational,
         "echelon_systems", 200, ((0, 4), (0, 3)), "echelon-solve"),
     Row("saturation.c11", lambda x: lat.saturation(lat.span_sublattice(*x)),
-        lambda x: oracles.saturation(lat.span_sublattice(*x)), "c11", 200, *C11),
-    Row("left_kernel.c11", *LEFT_KERNEL, "c11_pairings", 200, *C11),
+        lambda x: oracles.saturation(lat.span_sublattice(*x)), "c11", 200, *C11, ci=5_000),
+    Row("left_kernel.c11", *LEFT_KERNEL, "c11_pairings", 200, *C11, ci=20_000),
     Row("left_kernel.small_matrices", *LEFT_KERNEL,
-        "small_matrices", 400, ((0, 9), (0, 5)), "small-matrices"),
+        "small_matrices", 400, ((0, 9), (0, 5)), "small-matrices", ci=20_000, paths=KERNEL_ROWS),
     Row("left_kernel.shaped", *LEFT_KERNEL,
-        "kernel_shapes", 300, ((0, 9), (0, 5)), "kernel-shapes"),
-    Row("saturate_rows.c11", *SATURATE_ROWS, "c11", 200, *C11),
-    Row("saturate_rows.c11_dependent", *SATURATE_ROWS, "c11_dependent", 200, *C11),
+        "kernel_shapes", 300, ((0, 9), (0, 5)), "kernel-shapes", ci=3_000, paths=KERNEL_ROWS),
+    Row("saturate_rows.c11", *SATURATE_ROWS, "c11", 200, *C11, ci=5_000),
+    Row("saturate_rows.c11_dependent", *SATURATE_ROWS, "c11_dependent", 200, *C11, ci=5_000),
     # a saturated canonical Hermite basis, unmarked, runs saturation's
     # echelon and comes back as it is, at index 1
-    Row("saturation.rebuilt.c11", lat.saturation, lambda S: (S, 1), "c11_rebuilt", 400, *C11),
+    Row("saturation.rebuilt.c11", lat.saturation, lambda S: (S, 1), "c11_rebuilt", 400, *C11,
+        ci=10_000),
     Row("saturation.mixed", *SATURATIONS, "mixed_independent", 60, ((1, 4),), "saturation-mixed"),
     Row("saturation.double_kernel", *SATURATIONS,
         "mixed_generators", 80, ((1, 4),), "double-kernel"),
-    Row("saturation.suffix", *SATURATIONS, "suffix_generators", 150, ((1, 4), (0, 20)), "suffix"),
+    # at CI size, 2,060 sparse and 2,023 scaled sets
+    Row("saturation.suffix", *SATURATIONS, "suffix_generators", 150, ((1, 4), (0, 20)), "suffix",
+        ci=6_200, paths=lambda x: oracles.suffix_rows(x[1], False)),
     Row("saturation.hermite_bases", *SATURATIONS, "hermite_bases", 120, ((1, 4),), "hermite-bases"),
     Row("saturation.on_a_support", *SATURATIONS,
         "generators_on_a_support", 80, ((1, 4),), "support"),
@@ -873,16 +894,16 @@ ROWS = (
     Row("disc_form.gamma_d_lambda_d.to200", disc_form, disc_form_oracle,
         "gamma_d_and_lambda_d", 130, ((8, 200),)),
     Row("disc_form.even_grams", disc_form, disc_form_oracle, "even_grams", 150, ((1, 6),),
-        "even-grams"),
+        "even-grams", ci=1_500),
     Row("genus.bruteforce.to2000", st.genus_compare, oracles.genus_compare,
         "special", 665, ((8, 2000),)),
     Row("classify_nl_vector.generic", st.classify_nl_vector, oracles.generic_classification,
-        "nl_vectors", 150, ((-5, 5),), "nl-vectors"),
+        "nl_vectors", 150, ((-5, 5),), "nl-vectors", ci=1_500),
     # the case the notes give each special d, and the generic route's
     Row("classify_nl_vector.generic.to2000",
         lambda d: (st.classify_nl_vector(st.nl_vector(d)), _nl_case(d)),
         lambda d: (oracles.generic_classification(st.nl_vector(d)),) * 2,
-        "special", 667, ((2, 2000),)),
+        "special", 667, ((2, 2000),), ci=((2, 20_000),)),
     Row("euler_line.binomial", euler_line, oracles.euler_line, "integers", 13, ((-6, 6),)),
     Row("series_sqrt.newton", lambda c: (s := series_sqrt(c), s * s),
         lambda c: (oracles.series_sqrt_newton(c), c),
@@ -931,11 +952,18 @@ EXCEPTIONS = {
         test_pell.py: test_long_period_within_budget test_mirrored_odd_hit
         test_sparse_kernels.py: test_products_of_empty_inputs
         test_standard.py: TestHassettTriple::test_d14
-        TestHassettTriple::test_dets_and_disc_over_sweep
-        TestKdoo::test_index_one""",
+        TestHassettTriple::test_dets_and_disc_over_sweep""",
     "an acceptance claim, whose report line the oracle feeds": """
         test_acceptance.py: row_holds test_c01_table_reproduction test_c05_nl_dichotomy_sweep
         test_c06_oracle_equivalence test_c10_hyperbolic_search test_c11_randomized_property_suite""",
-    "verify's `_disc_holds` on written-down groups, their columns' types, q range and form": """
-        test_standard.py: TestGenus::test_disc_groups_match_generic_to_2000""",
+    "a closed form through one of verify's generic checks (`_disc_holds`, `_kdoo_holds`,"
+    " `_nl_failures`) on a sweep or a seeded loop, with assertions of its own beside it": """
+        test_standard.py: TestGenus::test_disc_groups_match_generic_to_2000
+        TestHassettTriple::test_oracle_holds_far_beyond_every_sweep
+        TestKdoo::test_index_two TestKdoo::test_index_one""",
+    "a wrong witness or report that verify's generic checks refute, or an exception of one"
+    " that verify itemizes": """
+        test_standard.py: TestKdoo::test_verify_refutes_a_wrong_witness
+        test_verify.py: test_sweep_exception_is_itemized
+        test_nl_oracle_refutes_a_wrong_disc_group""",
 }

@@ -178,17 +178,25 @@ def suffix_path(T, k) -> str:
     return "all rows" if lengths else "no suffix"
 
 
+def suffix_rows(x, kernel) -> tuple[list, int]:
+    """(T, k): the rows a suffix route walks and their column count.
+
+    The kernel `la.left_kernel(x)` (`kernel` true) walks the rows T = x, of k
+    columns, and the saturation of the k generators x the nonzero rows of x^T.
+    """
+    return (x, len(x[0]) if x else 0) if kernel else ([c for c in zip(*x) if any(c)], len(x))
+
+
 def suffix_echelons(x, kernel) -> list[int]:
     """The row counts of the echelons of `la.left_kernel(x)` (`kernel` true) or of a saturation of x.
 
-    The kernel walks the rows T = x, of k columns, and the saturation the
-    nonzero rows T of x^T, for k generators x: the suffixes that
-    `spanning_suffixes` walks, all of T when none is accepted, then the
-    Hermite reduction, when it has rows.  That reduction gets, of the last
-    echelon, of l rows and rank r, the l - r rows of the kernel, or the r
-    rows of W for the saturation.
+    On the rows T of `suffix_rows`: the suffixes that `spanning_suffixes`
+    walks, all of T when none is accepted, then the Hermite reduction, when
+    it has rows.  That reduction gets, of the last echelon, of l rows and
+    rank r, the l - r rows of the kernel, or the r rows of W for the
+    saturation.
     """
-    T, k = (x, len(x[0]) if x else 0) if kernel else ([c for c in zip(*x) if any(c)], len(x))
+    T, k = suffix_rows(x, kernel)
     lengths, accepted = spanning_suffixes(T, k)
     walked = lengths if accepted else lengths + [len(T)]
     r = la.rank_int(T[len(T) - walked[-1]:])

@@ -24,6 +24,13 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--disc-cap" in capsys.readouterr().err
 
+    def test_vectors_option_is_gone(self, capsys):
+        # the seven classes are mukai's default output, with no option of their own
+        with pytest.raises(SystemExit) as exc:
+            main(["mukai", "--vectors"])
+        assert exc.value.code == 2
+        assert "--vectors" in capsys.readouterr().err
+
     def test_bound_option_is_gone(self, capsys):
         # the hyperbolic pairs are written down, so verify has no search to bound
         with pytest.raises(SystemExit) as exc:

@@ -32,10 +32,17 @@ def _digest(sample):
     return h.hexdigest()[:16]
 
 
+def _ranges(ranges):
+    return ",".join(f"{lo}..{hi}" for lo, hi in ranges) or "-"
+
+
 def _floor(row):
-    ranges = ",".join(f"{lo}..{hi}" for lo, hi in row.ranges) or "-"
+    # the row's line, ending in its CI size or ranges when it has a CI scale
     sample = dt.draw(row.sampler, row.size, row.ranges, row.seed)
-    return f"{row.id} {row.size} {ranges} {row.seed!r} {_digest(sample)}"
+    line = f"{row.id} {row.size} {_ranges(row.ranges)} {row.seed!r} {_digest(sample)}"
+    if row.ci is None:
+        return line
+    return f"{line} {row.ci if isinstance(row.ci, int) else _ranges(row.ci)}"
 
 
 def test_every_row_is_at_its_floor():
@@ -55,26 +62,22 @@ def test_every_row_is_at_its_floor():
 
 
 def test_ci_scale_covers_the_floors():
-    # the table of tests/ci/differential_at_scale.py names rows, each CI size
-    # at least the row's and each CI range containing the row's, so the
-    # pinned sample is a prefix of the one CI runs
-    tree = ast.parse((TESTS / "ci" / "differential_at_scale.py").read_text())
-    scale = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
-                 and getattr(node.targets[0], "id", "") == "SCALE")
-    rows = {row.id: row for row in dt.ROWS}
-    assert sorted(scale.keys() - rows.keys()) == [], "a CI id is not a row"
-    for name, ci in scale.items():
-        row = rows[name]
-        if isinstance(ci, int):
-            assert ci >= row.size, name
-        else:
-            assert len(ci) == len(row.ranges), name
-            assert all(lo <= a and b <= hi for (lo, hi), (a, b) in zip(ci, row.ranges)), name
+    # each CI size is at least the row's and each CI range, a sweep's,
+    # contains the row's, so the pinned sample is a prefix of the one
+    # tests/ci/differential_at_scale.py runs; only a row CI runs has paths
+    for row in dt.ROWS:
+        if isinstance(row.ci, int):
+            assert row.ci >= row.size, row.id
+        elif row.ci:
+            assert row.seed is None and len(row.ci) == len(row.ranges), row.id
+            assert all(lo <= a and b <= hi for (lo, hi), (a, b) in zip(row.ci, row.ranges)), row.id
+        assert row.ci or not row.paths, row.id
 
 
-# verify's reference routes, which a test reaches as an attribute (`vf.a2_bruteforce`)
-# or imports from `cubick3.verify`
-VERIFY_ROUTES = {"a2_bruteforce", "series_inverse", "series_sqrt"}
+# verify's reference and generic routes, which a test reaches as an attribute
+# (`vf.a2_bruteforce`) or imports from `cubick3.verify`
+VERIFY_ROUTES = {"a2_bruteforce", "series_inverse", "series_sqrt", "_nl_failures", "_kdoo_holds",
+                 "_disc_holds"}
 
 
 def _definitions(path):

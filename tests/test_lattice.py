@@ -469,7 +469,7 @@ def test_echelon_coefficients_stay_small_on_c11_sample(monkeypatch):
         S = span_sublattice(amb, rows)
         (sat, index), calls, bits = _row_echelons(monkeypatch, lambda: saturation(S))
         assert [len(A) for A, _, _ in calls] == oracles.suffix_echelons(rows, False)
-        paths.add(oracles.suffix_path([c for c in zip(*rows) if any(c)], k))
+        paths.add(oracles.suffix_path(*oracles.suffix_rows(rows, False)))
         widest = max(widest, bits)
         if oracles.hermite_pivots(rows) is not None and index == 1:
             hermite += 1
